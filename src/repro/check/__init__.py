@@ -4,7 +4,8 @@ The check subsystem is the safety net under the optimized pipeline:
 
 * :mod:`repro.check.oracles` — deliberately-naive reimplementations of
   the BGP decision process, Gao-Rexford path availability,
-  longest-prefix match, and the Best/Short classifier;
+  longest-prefix match, and the Best/Short classifier, plus the
+  readable reference tree construction the array kernel must match;
 * :mod:`repro.check.scenarios` — deterministic seeded generation of
   perturbed topologies and decision batches;
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
@@ -21,9 +22,7 @@ from repro.check.differential import (
     check_labels,
     check_lpm,
     check_metamorphic,
-    check_pool_supervision,
     check_seed,
-    check_temporal,
     oracle_labels,
 )
 from repro.check.golden import (
@@ -40,6 +39,8 @@ from repro.check.golden import (
 from repro.check.oracles import (
     OracleLPM,
     OracleRoutingInfo,
+    RoutingInfo,
+    compute_routing_info,
     oracle_best_route,
     oracle_label,
     oracle_routing_info,
@@ -56,6 +57,7 @@ __all__ = [
     "KNOWN_CHECKS",
     "OracleLPM",
     "OracleRoutingInfo",
+    "RoutingInfo",
     "Scenario",
     "bless",
     "check_against_golden",
@@ -64,9 +66,8 @@ __all__ = [
     "check_labels",
     "check_lpm",
     "check_metamorphic",
-    "check_pool_supervision",
     "check_seed",
-    "check_temporal",
+    "compute_routing_info",
     "compute_snapshot",
     "diff_snapshots",
     "generate_scenario",

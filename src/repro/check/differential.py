@@ -5,10 +5,11 @@ and returns a list of :class:`Disagreement` records — empty when the
 optimized implementations agree with the reference oracles and every
 invariant holds.  The checks deliberately exercise the optimized code
 the way the pipeline does: warm and cold caches, batched and serial
-grading, canonical cache keys, grouped duplicate decisions — and both
-engine backends, so every scenario is a three-way differential between
-the dict reference, the CSR array kernel (``backend="array"``), and
-the fixpoint oracle.
+grading, canonical cache keys, grouped duplicate decisions.  Every
+scenario is a three-way differential between the engine's CSR array
+kernel, the readable reference construction
+(:func:`~repro.check.oracles.compute_routing_info`), and the fixpoint
+oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.bgp.routes import Route
 from repro.check.oracles import (
     OracleLPM,
     OracleRoutingInfo,
+    RoutingInfo,
+    compute_routing_info,
     oracle_best_route,
     oracle_label,
     oracle_routing_info,
@@ -38,11 +41,7 @@ from repro.core.classification import (
     label_decisions,
     label_decisions_serial,
 )
-from repro.core.gao_rexford import (
-    GaoRexfordEngine,
-    RoutingInfo,
-    compute_routing_info,
-)
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import IPAddress, Prefix
 from repro.net.trie import PrefixTrie
 from repro.topology.graph import ASGraph
@@ -164,13 +163,10 @@ def _check_path_consistency(
 
 
 def check_gr_trees(scenario: Scenario) -> List[Disagreement]:
-    """Engine (cached) vs pure function (uncached) vs array kernel vs oracle."""
+    """Engine (cached kernel) vs reference construction vs oracle."""
     problems: List[Disagreement] = []
     engine = GaoRexfordEngine(
         scenario.graph, partial_transit=scenario.partial_transit
-    )
-    engine_array = GaoRexfordEngine(
-        scenario.graph, partial_transit=scenario.partial_transit, backend="array"
     )
     for destination, allowed in _tree_variants(scenario):
         label = f"dest={destination} allowed={None if allowed is None else sorted(allowed)}"
@@ -182,8 +178,6 @@ def check_gr_trees(scenario: Scenario) -> List[Disagreement]:
             partial_transit=scenario.partial_transit,
             allowed_first_hops=allowed,
         )
-        array_info = engine_array.routing_info(destination, allowed)
-        array_rewarmed = engine_array.routing_info(destination, allowed)
         reference = oracle_routing_info(
             scenario.graph,
             destination,
@@ -196,30 +190,29 @@ def check_gr_trees(scenario: Scenario) -> List[Disagreement]:
                     "gr-tree", scenario.seed, f"{label}: cache did not hit"
                 )
             )
-        if array_rewarmed is not array_info:
-            problems.append(
-                Disagreement(
-                    "gr-tree",
-                    scenario.seed,
-                    f"{label}: array backend cache did not hit",
-                )
-            )
-        for mode, info in (
-            ("cache-on", cached),
-            ("cache-off", uncached),
-            ("array", array_info),
-        ):
+        for mode, info in (("engine", cached), ("reference", uncached)):
             problems.extend(
                 _compare_tree(scenario, f"{label} {mode}", info, reference)
             )
-        problems.extend(
-            _check_path_consistency(scenario, label, cached, scenario.graph)
-        )
-        problems.extend(
-            _check_path_consistency(
-                scenario, f"{label} array", array_info, scenario.graph
+            problems.extend(
+                _check_path_consistency(
+                    scenario, f"{label} {mode}", info, scenario.graph
+                )
             )
-        )
+        # Parent tie-breaks must match too: the model's concrete route
+        # feeds the geography analysis (Table 3).
+        for asn in sorted(scenario.graph.asns()):
+            route, want = cached.gr_route_path(asn), uncached.gr_route_path(asn)
+            if route != want:
+                problems.append(
+                    Disagreement(
+                        "gr-path",
+                        scenario.seed,
+                        f"{label}: AS{asn} engine route {route} != "
+                        f"reference route {want}",
+                    )
+                )
+                break
     return problems
 
 
@@ -267,8 +260,7 @@ def check_labels(
 
     ``classifier`` optionally supplies a
     :class:`repro.perf.parallel.ParallelClassifier` whose precompute +
-    batched path is included in the comparison (pool or serial —
-    results must be identical either way).
+    batched path is included in the comparison.
     """
     problems: List[Disagreement] = []
     engine = GaoRexfordEngine(
@@ -302,29 +294,6 @@ def check_labels(
         for _d, label in label_decisions(
             scenario.decisions,
             engine,
-            first_hops_for=scenario.first_hops_for,
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-    ]
-    engine_array = GaoRexfordEngine(
-        scenario.graph, partial_transit=scenario.partial_transit, backend="array"
-    )
-    paths["array-per-decision"] = [
-        classify_decision(
-            decision,
-            engine_array,
-            allowed_first_hops=scenario.first_hops_for.get(decision.prefix),
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-        for decision in scenario.decisions
-    ]
-    paths["array-batched"] = [
-        label
-        for _d, label in label_decisions(
-            scenario.decisions,
-            engine_array,
             first_hops_for=scenario.first_hops_for,
             complex_rel=scenario.complex_rel,
             siblings=scenario.siblings,
@@ -376,21 +345,10 @@ def check_labels(
         complex_rel=scenario.complex_rel,
         siblings=scenario.siblings,
     )
-    counts_array = classify_decisions(
-        scenario.decisions,
-        engine_array,
-        first_hops_for=scenario.first_hops_for,
-        complex_rel=scenario.complex_rel,
-        siblings=scenario.siblings,
-    )
     tally = LabelCounts()
     for label in reference:
         tally.add(label)
-    for name, got in (
-        ("batched", counts),
-        ("serial", counts_serial),
-        ("array", counts_array),
-    ):
+    for name, got in (("batched", counts), ("serial", counts_serial)):
         if got.counts != tally.counts:
             problems.append(
                 Disagreement(
@@ -472,13 +430,9 @@ def _renumber_scenario(scenario: Scenario, rng: random.Random) -> Scenario:
     )
 
 
-def _scenario_counts(
-    scenario: Scenario, backend: str = "dict"
-) -> Dict[DecisionLabel, int]:
+def _scenario_counts(scenario: Scenario) -> Dict[DecisionLabel, int]:
     engine = GaoRexfordEngine(
-        scenario.graph,
-        partial_transit=scenario.partial_transit,
-        backend=backend,
+        scenario.graph, partial_transit=scenario.partial_transit
     )
     return classify_decisions(
         scenario.decisions,
@@ -498,7 +452,8 @@ def check_metamorphic(scenario: Scenario) -> List[Disagreement]:
     )
     base_counts = _scenario_counts(scenario)
 
-    # 1. Label distribution is invariant under AS renumbering.
+    # 1. Label distribution is invariant under AS renumbering (which
+    #    also shuffles the kernel's dense-id numbering).
     renumbered = _renumber_scenario(scenario, rng)
     if _scenario_counts(renumbered) != base_counts:
         problems.append(
@@ -508,20 +463,6 @@ def check_metamorphic(scenario: Scenario) -> List[Disagreement]:
                 "label counts changed under AS renumbering",
             )
         )
-
-    # 1b. Label distribution is invariant under an engine backend swap
-    #     (the dict reference and the CSR array kernel are twins) —
-    #     including on the renumbered world, so the kernel's dense-id
-    #     renumbering is exercised against a shuffled ASN space.
-    for name, world in (("base", scenario), ("renumbered", renumbered)):
-        if _scenario_counts(world, backend="array") != base_counts:
-            problems.append(
-                Disagreement(
-                    "metamorphic",
-                    scenario.seed,
-                    f"label counts changed under backend swap ({name})",
-                )
-            )
 
     # 2. Counts are linear: duplicating every decision doubles them.
     doubled = classify_decisions(
@@ -860,171 +801,6 @@ def check_lpm(seed: int, rounds: int = 4) -> List[Disagreement]:
 
 
 # ---------------------------------------------------------------------------
-# Temporal: incremental vs from-scratch over a churn series
-# ---------------------------------------------------------------------------
-
-
-def check_temporal(scenario: Scenario) -> List[Disagreement]:
-    """Incremental epoch grading must equal from-scratch, byte for byte.
-
-    Builds a four-snapshot churn series from the scenario graph — the
-    base, an identical copy (the zero-diff edge case), then two rounds
-    of ~12% seeded churn (drops and label flips via
-    :func:`~repro.topogen.inference.perturb_snapshot`) — and runs the
-    temporal delta pipeline and the cold per-snapshot oracle over it on
-    both engine backends.  Every epoch's Figure-1 snapshot JSON must be
-    byte-identical between the two legs, and the zero-diff epoch must
-    not touch the engines at all (no cache misses, no re-grading).
-    """
-    from repro.temporal.study import (
-        TemporalInputs,
-        epoch_snapshot,
-        run_incremental,
-        run_scratch,
-        serialize_epoch,
-    )
-    from repro.topogen.inference import perturb_snapshot
-
-    rng = random.Random(scenario.seed ^ 0x7E4)
-    base = scenario.graph
-    series = [base, base.copy(), perturb_snapshot(base, 0.12, rng)]
-    series.append(perturb_snapshot(series[-1], 0.12, rng))
-
-    problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
-        inputs = TemporalInputs(
-            decisions=scenario.decisions,
-            first_hops_1=scenario.first_hops_for,
-            first_hops_2={},
-            known_complex=scenario.complex_rel,
-            siblings=scenario.siblings,
-            partial_transit=scenario.partial_transit,
-            backend=backend,
-        )
-        incremental = run_incremental(series, inputs)
-        scratch = run_scratch(series, inputs)
-        for index, (got, want) in enumerate(
-            zip(incremental.figure1_series(), scratch)
-        ):
-            got_bytes = serialize_epoch(epoch_snapshot(index, got))
-            want_bytes = serialize_epoch(epoch_snapshot(index, want))
-            if got_bytes != want_bytes:
-                differing = sorted(
-                    layer
-                    for layer in want
-                    if got.get(layer) != want[layer]
-                )
-                problems.append(
-                    Disagreement(
-                        "temporal",
-                        scenario.seed,
-                        f"{backend} backend epoch {index}: incremental "
-                        f"figure1 diverges from from-scratch in layer(s) "
-                        f"{differing}",
-                    )
-                )
-        zero_diff = incremental.epochs[1]
-        if zero_diff.cache_misses != 0 or zero_diff.regraded_groups != 0:
-            problems.append(
-                Disagreement(
-                    "temporal",
-                    scenario.seed,
-                    f"{backend} backend: zero-diff epoch was not a pure "
-                    f"cache hit (misses={zero_diff.cache_misses}, "
-                    f"regraded={zero_diff.regraded_groups})",
-                )
-            )
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# Supervised pool vs serial (heavy, opt-in)
-# ---------------------------------------------------------------------------
-
-
-def check_pool_supervision(scenario: Scenario) -> List[Disagreement]:
-    """Supervised pool under injected crashes vs the serial fault-free
-    path — labels must be identical through every recovery branch.
-
-    Runs both engine backends through a
-    :class:`~repro.perf.parallel.ParallelClassifier` forced onto the
-    pool (2 workers, threshold 1) with a seeded crash+corruption plan,
-    so shards complete parallel, after retries, and serially after
-    quarantine within one check.  Heavy — every seed spawns real
-    worker processes — so the runner only includes it when named via
-    ``--only pool-supervised``.
-    """
-    from repro.core.classification import LayerConfig
-    from repro.faults.plan import FaultPlan, FaultSite
-    from repro.perf.parallel import ParallelClassifier
-
-    plan = FaultPlan(
-        seed=scenario.seed,
-        rates={
-            FaultSite.POOL_WORKER_CRASH: 0.3,
-            FaultSite.POOL_RESULT_CORRUPT: 0.2,
-        },
-    )
-    problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
-        reference_engine = GaoRexfordEngine(
-            scenario.graph,
-            partial_transit=scenario.partial_transit,
-            backend=backend,
-        )
-        expected = label_decisions_serial(
-            scenario.decisions,
-            reference_engine,
-            first_hops_for=scenario.first_hops_for or None,
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-        pool_engine = GaoRexfordEngine(
-            scenario.graph,
-            partial_transit=scenario.partial_transit,
-            backend=backend,
-        )
-        classifier = ParallelClassifier(
-            workers=2,
-            min_parallel_trees=1,
-            chunk_size=2,
-            fault_plan=plan,
-        )
-        layer = LayerConfig(
-            engine=pool_engine,
-            first_hops_for=scenario.first_hops_for or None,
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-        got = classifier.label_layer(scenario.decisions, layer)
-        if got != expected:
-            mismatches = [
-                (d.asn, d.next_hop, a.value, b.value)
-                for (d, a), (_d, b) in zip(got, expected)
-                if a is not b
-            ][:3]
-            problems.append(
-                Disagreement(
-                    "pool-supervised",
-                    scenario.seed,
-                    f"{backend} backend: supervised-pool labels diverge "
-                    f"from serial: {mismatches}",
-                )
-            )
-        report = classifier.last_shard_report
-        if report is not None and not report.accounted():
-            problems.append(
-                Disagreement(
-                    "pool-supervised",
-                    scenario.seed,
-                    f"{backend} backend: shard accounting does not add up: "
-                    f"{report.as_dict()}",
-                )
-            )
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # Ledger resume vs fresh (heavy, opt-in)
 # ---------------------------------------------------------------------------
 
@@ -1033,11 +809,11 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     """A study crash-looped through filesystem faults and resumed via
     its run ledger must match an uninterrupted run byte-for-byte.
 
-    For each engine backend, runs one fresh study (no run directory,
-    same fault plan — only storage sites are armed, which never alter
-    measurement outputs), then a chaos study into a ledger-managed run
-    directory: torn appends, ENOSPC, pre-rename crashes and stale
-    locks fire at seeded points, each crash is "rebooted" by re-opening
+    Runs one fresh study (no run directory, same fault plan — only
+    storage sites are armed, which never alter measurement outputs),
+    then a chaos study into a ledger-managed run directory: torn
+    appends, ENOSPC, pre-rename crashes and stale locks fire at seeded
+    points, each crash is "rebooted" by re-opening
     the study with ``resume=True``, and the final results are compared
     through the byte-deterministic golden serializer.  Heavy — every
     seed runs several end-to-end studies — so the runner only includes
@@ -1064,71 +840,65 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     )
     max_attempts = 25
 
-    def base_config(backend: str) -> StudyConfig:
+    def base_config() -> StudyConfig:
         return StudyConfig(
             topology=small_config(),
             seed=seed,
-            backend=backend,
             num_probes=100,
             probes_per_continent=8,
             active_vp_budget=24,
             max_discovery_targets=8,
             fault_plan=plan,
-            pool_workers=2,
-            pool_min_parallel_trees=1,
             durability="flush",
         )
 
     problems: List[Disagreement] = []
-    for backend in ("dict", "array"):
-        fresh = serialize(snapshot_study(Study(base_config(backend)).run()))
-        run_dir = tempfile.mkdtemp(prefix="repro-ledger-check-")
-        try:
-            chaos: Optional[str] = None
-            crashes = 0
-            for attempt in range(max_attempts):
-                config = base_config(backend)
-                config.run_dir = run_dir
-                config.resume = attempt > 0
-                try:
-                    results = Study(config).run()
-                except (CampaignInterrupted, OSError):
-                    crashes += 1
-                    continue
-                chaos = serialize(snapshot_study(results))
-                break
-            if chaos is None:
-                problems.append(
-                    Disagreement(
-                        "ledger-resume",
-                        seed,
-                        f"{backend} backend: study never completed within "
-                        f"{max_attempts} resume attempts ({crashes} crashes)",
-                    )
-                )
+    fresh = serialize(snapshot_study(Study(base_config()).run()))
+    run_dir = tempfile.mkdtemp(prefix="repro-ledger-check-")
+    try:
+        chaos: Optional[str] = None
+        crashes = 0
+        for attempt in range(max_attempts):
+            config = base_config()
+            config.run_dir = run_dir
+            config.resume = attempt > 0
+            try:
+                results = Study(config).run()
+            except (CampaignInterrupted, OSError):
+                crashes += 1
                 continue
-            if chaos != fresh:
-                problems.append(
-                    Disagreement(
-                        "ledger-resume",
-                        seed,
-                        f"{backend} backend: resumed study diverges from the "
-                        f"uninterrupted run after {crashes} crash(es)",
-                    )
+            chaos = serialize(snapshot_study(results))
+            break
+        if chaos is None:
+            return [
+                Disagreement(
+                    "ledger-resume",
+                    seed,
+                    f"study never completed within {max_attempts} resume "
+                    f"attempts ({crashes} crashes)",
                 )
-            ledger = RunLedger.read(run_dir)
-            if ledger is None or ledger.get("status") != "completed":
-                problems.append(
-                    Disagreement(
-                        "ledger-resume",
-                        seed,
-                        f"{backend} backend: ledger status is "
-                        f"{ledger and ledger.get('status')!r}, expected "
-                        "'completed'",
-                    )
+            ]
+        if chaos != fresh:
+            problems.append(
+                Disagreement(
+                    "ledger-resume",
+                    seed,
+                    "resumed study diverges from the uninterrupted run "
+                    f"after {crashes} crash(es)",
                 )
-        finally:
-            shutil.rmtree(run_dir, ignore_errors=True)
+            )
+        ledger = RunLedger.read(run_dir)
+        if ledger is None or ledger.get("status") != "completed":
+            problems.append(
+                Disagreement(
+                    "ledger-resume",
+                    seed,
+                    f"ledger status is {ledger and ledger.get('status')!r}, "
+                    "expected 'completed'",
+                )
+            )
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
     return problems
 
 
@@ -1141,7 +911,6 @@ SCENARIO_CHECKS = {
     "gr-tree": check_gr_trees,
     "labels": check_labels,
     "metamorphic": check_metamorphic,
-    "temporal": check_temporal,
 }
 
 #: Check-name -> callable(seed) for the input-driven oracles.
@@ -1152,9 +921,8 @@ SEED_CHECKS = {
 
 #: Heavy scenario checks: known to the runner but excluded from the
 #: default battery — run only when named via ``--only`` (each seed
-#: spawns real pool worker processes).
+#: runs several end-to-end studies).
 HEAVY_SCENARIO_CHECKS = {
-    "pool-supervised": check_pool_supervision,
     "ledger-resume": check_ledger_resume,
 }
 

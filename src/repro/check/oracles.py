@@ -4,10 +4,14 @@ Each oracle recomputes one of the library's decision procedures from
 its definition, sharing as little code as possible with the optimized
 path it validates:
 
+* :func:`compute_routing_info` — the readable three-stage Gao-Rexford
+  tree construction (BFS, one peer hop, bucket-queue descent) with
+  parent pointers, the reference the array kernel behind
+  :class:`~repro.core.gao_rexford.GaoRexfordEngine` must match exactly,
+  tie-broken route paths included.
 * :func:`oracle_routing_info` — Gao-Rexford route availability by
   naive fixpoint relaxation (no BFS/Dijkstra, no adjacency index, no
-  cache), validating :func:`repro.core.gao_rexford.compute_routing_info`
-  and the cached :class:`~repro.core.gao_rexford.GaoRexfordEngine`.
+  cache), validating both the engine and :func:`compute_routing_info`.
 * :func:`oracle_label` — the Best/Short grade straight from the
   Section 3.3 definitions, with its own preference ranking, validating
   :func:`repro.core.classification.grade_decision` and both batch
@@ -19,13 +23,15 @@ path it validates:
   stored prefixes, validating :class:`repro.net.trie.PrefixTrie`.
 
 Everything here trades speed for inspectability: quadratic loops and
-dict scans are fine, caching and parallelism are forbidden.
+dict scans are fine, caching and parallelism are forbidden.  None of it
+runs in the study pipeline; tests and ``repro check`` drive it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bgp.routes import Route
 from repro.core.classification import Decision, DecisionLabel
@@ -48,6 +54,207 @@ _ORACLE_RANK = {
 
 
 # ---------------------------------------------------------------------------
+# Reference Gao-Rexford tree construction
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RoutingInfo:
+    """GR routing state toward one destination.
+
+    Distances are AS-path lengths in edges (the destination itself is
+    at distance 0).
+    """
+
+    destination: int
+    customer_dist: Dict[int, int] = field(default_factory=dict)
+    peer_dist: Dict[int, int] = field(default_factory=dict)
+    provider_dist: Dict[int, int] = field(default_factory=dict)
+    #: Next hop of the shortest route per class (path reconstruction).
+    customer_parent: Dict[int, int] = field(default_factory=dict)
+    peer_parent: Dict[int, int] = field(default_factory=dict)
+    provider_parent: Dict[int, int] = field(default_factory=dict)
+
+    def best_class(self, asn: int) -> Optional[Relationship]:
+        """The cheapest relationship class with a route at ``asn``."""
+        if asn in self.customer_dist:
+            return Relationship.CUSTOMER
+        if asn in self.peer_dist:
+            return Relationship.PEER
+        if asn in self.provider_dist:
+            return Relationship.PROVIDER
+        return None
+
+    def has_route(self, asn: int) -> bool:
+        return self.best_class(asn) is not None
+
+    def gr_route_length(self, asn: int) -> Optional[int]:
+        """Length of the route the GR model predicts at ``asn``."""
+        if asn == self.destination:
+            return 0
+        best = self.best_class(asn)
+        if best is Relationship.CUSTOMER:
+            return self.customer_dist[asn]
+        if best is Relationship.PEER:
+            return self.peer_dist[asn]
+        if best is Relationship.PROVIDER:
+            return self.provider_dist[asn]
+        return None
+
+    def class_distance(self, asn: int, relationship: Relationship) -> Optional[int]:
+        """Route length available at ``asn`` through a neighbor class."""
+        if relationship in (Relationship.CUSTOMER, Relationship.SIBLING):
+            return self.customer_dist.get(asn)
+        if relationship is Relationship.PEER:
+            return self.peer_dist.get(asn)
+        return self.provider_dist.get(asn)
+
+    def gr_route_path(self, asn: int, max_hops: int = 64) -> Optional[Tuple[int, ...]]:
+        """One concrete route the GR model predicts at ``asn``.
+
+        Follows the parent pointers of the chosen class at each hop:
+        a provider route descends to the provider's own chosen route, a
+        peer route crosses the peer link onto a customer route, and a
+        customer route walks customer parents down to the destination.
+        """
+        if asn == self.destination:
+            return (asn,)
+        if not self.has_route(asn):
+            return None
+        path = [asn]
+        current = asn
+        while current != self.destination and len(path) <= max_hops:
+            best = self.best_class(current)
+            if best is Relationship.CUSTOMER:
+                nxt = self.customer_parent.get(current)
+            elif best is Relationship.PEER:
+                nxt = self.peer_parent.get(current)
+            else:
+                nxt = self.provider_parent.get(current)
+            if nxt is None:
+                return None
+            path.append(nxt)
+            current = nxt
+        if current != self.destination:
+            return None
+        return tuple(path)
+
+
+
+
+def compute_routing_info(
+    graph: ASGraph,
+    destination: int,
+    partial_transit: FrozenSet[Tuple[int, int]] = frozenset(),
+    allowed_first_hops: Optional[FrozenSet[int]] = None,
+) -> RoutingInfo:
+    """One GR routing tree, as a pure function of its inputs.
+
+    The readable construction the engine's array kernel reproduces —
+    the seam the differential checker (:mod:`repro.check`) compares
+    the cached engine and the fixpoint oracle against.
+    """
+    allowed = allowed_first_hops
+    if destination not in graph:
+        raise KeyError(f"AS{destination} not in topology")
+
+    def first_hop_ok(neighbor: int) -> bool:
+        return allowed is None or neighbor in allowed
+
+    info = RoutingInfo(destination=destination)
+    # Each stage walks one relationship class of edges; the index
+    # pre-partitions them (in neighbor-map order, so traversal and
+    # parent tie-breaking match filtering the full map in place).
+    adjacency = graph.routing_adjacency()
+    empty: Tuple[int, ...] = ()
+
+    # Stage 1: customer routes propagate up provider and sibling
+    # links.  An AS x has a customer route when some customer (or
+    # sibling) of x has one.
+    customer = info.customer_dist
+    customer[destination] = 0
+    up = adjacency.up
+    queue = deque([destination])
+    while queue:
+        current = queue.popleft()
+        dist = customer[current]
+        for neighbor in up.get(current, empty):
+            # The route travels current -> neighbor where neighbor
+            # is current's provider (or sibling).
+            if current == destination and not first_hop_ok(neighbor):
+                continue
+            if neighbor not in customer:
+                customer[neighbor] = dist + 1
+                info.customer_parent[neighbor] = current
+                queue.append(neighbor)
+
+    # Stage 2: peer routes: one peer edge on top of a neighbor's
+    # *chosen customer* route (peers only export customer routes).
+    peer = info.peer_dist
+    peer_adj = adjacency.peers
+    for asn, dist in list(customer.items()):
+        for neighbor in peer_adj.get(asn, empty):
+            if asn == destination and not first_hop_ok(neighbor):
+                continue
+            candidate = dist + 1
+            if candidate < peer.get(neighbor, _INF):
+                peer[neighbor] = candidate
+                info.peer_parent[neighbor] = asn
+
+    # Stage 3: provider routes propagate down customer links.  A
+    # provider exports its *chosen* route, whose length is its
+    # customer distance if it has one, else its peer distance, else
+    # its (recursively computed) provider distance.  Unit weights make
+    # Dijkstra exact here, and with unit weights the priority queue
+    # degenerates into distance buckets: every relaxation lands in the
+    # next level, so processing levels in order (each sorted by ASN to
+    # keep the heap's exact (dist, asn) pop order, which fixes parent
+    # tie-breaking) visits nodes in the identical sequence without any
+    # per-edge heap traffic.
+    provider = info.provider_dist
+    provider_parent = info.provider_parent
+    down = adjacency.down
+
+    # An AS re-exports its provider route downward only when that is
+    # its chosen route, i.e. it has no customer or peer route.
+    has_fixed = set(customer)
+    has_fixed.update(peer)
+    buckets: Dict[int, List[int]] = {}
+    for asn in has_fixed:
+        fixed = customer[asn] if asn in customer else peer[asn]
+        buckets.setdefault(fixed, []).append(asn)
+    settled: Set[int] = set()
+    while buckets:
+        dist = min(buckets)
+        nodes = buckets.pop(dist)
+        nodes.sort()
+        candidate = dist + 1
+        for current in nodes:
+            if current in settled:
+                continue
+            settled.add(current)
+            for neighbor in down.get(current, empty):
+                # Route travels current -> neighbor where neighbor is
+                # a customer of current (the neighbor learns from its
+                # provider).
+                if current == destination and not first_hop_ok(neighbor):
+                    continue
+                # Partial transit: this provider does not hand its own
+                # provider-learned routes to this customer.
+                if (
+                    (current, neighbor) in partial_transit
+                    and current not in has_fixed
+                ):
+                    continue
+                if candidate < provider.get(neighbor, _INF):
+                    provider[neighbor] = candidate
+                    provider_parent[neighbor] = current
+                    if neighbor not in has_fixed:
+                        buckets.setdefault(candidate, []).append(neighbor)
+    return info
+
+
+# ---------------------------------------------------------------------------
 # Gao-Rexford path availability
 # ---------------------------------------------------------------------------
 
@@ -57,8 +264,8 @@ class OracleRoutingInfo:
     """Route availability toward one destination, per relationship class.
 
     Distances are AS-path lengths in edges, exactly the contract of
-    :class:`repro.core.gao_rexford.RoutingInfo` (minus parent pointers,
-    which are a tie-break choice rather than part of the model).
+    :class:`RoutingInfo` (minus parent pointers, which are a tie-break
+    choice rather than part of the model).
     """
 
     destination: int

@@ -24,8 +24,8 @@ from repro.check.differential import (
 ALL_CHECKS = tuple(SCENARIO_CHECKS) + tuple(SEED_CHECKS)
 
 #: Everything ``--only`` accepts: the default battery plus the heavy
-#: opt-in checks (e.g. ``pool-supervised``, which spawns real worker
-#: processes per seed and therefore never runs by default).
+#: opt-in checks (``ledger-resume``, which runs several end-to-end
+#: studies per seed and therefore never runs by default).
 KNOWN_CHECKS = ALL_CHECKS + tuple(HEAVY_SCENARIO_CHECKS)
 
 

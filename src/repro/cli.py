@@ -7,43 +7,37 @@ Usage::
         relationships in CAIDA serial format.
 
     repro study [--seed N] [--small] [--experiment ID]
-          [--backend dict|array]
           [--fault-plan PLAN.json] [--checkpoint FILE] [--resume [FILE]]
-          [--shard-checkpoint FILE] [--run-dir DIR]
-          [--durability fsync|flush|none]
+          [--run-dir DIR] [--durability fsync|flush|none]
         Run the full study and print every experiment report (or just
         the one named by --experiment).  A fault plan injects failures
         at every substrate boundary — including the active control
         plane (poison filtering, damping, convergence stalls, feed
-        gaps, withdrawal loss), the precompute process pool (worker
-        crashes, hangs, corrupt results) and the filesystem (torn
-        appends, ENOSPC, pre-rename crashes, stale locks).
+        gaps, withdrawal loss) and the filesystem (torn appends,
+        ENOSPC, pre-rename crashes, stale locks).
 
         --run-dir DIR scopes all of a study's durable state to one
         ledger-managed directory (DIR/ledger.json, campaign.jsonl,
-        active.jsonl, shards.jsonl) under an advisory lock, and a bare
-        --run-dir DIR --resume restores the passive, active and
-        precompute state together, byte-identical to an uninterrupted
-        run.  Legacy per-file knobs remain: --checkpoint journals
-        campaign progress (the active phase journals to FILE.active,
-        the precompute pool's finished shards to FILE.shards) and
-        --resume FILE restores a killed campaign from that journal;
-        --shard-checkpoint journals the pool's shards to a specific
-        file without a campaign checkpoint.  --checkpoint and --resume
+        active.jsonl) under an advisory lock, and a bare --run-dir DIR
+        --resume restores the passive and active state together,
+        byte-identical to an uninterrupted run.  Legacy per-file knobs
+        remain: --checkpoint journals campaign progress (the active
+        phase journals to FILE.active) and --resume FILE restores a
+        killed campaign from that journal.  --checkpoint and --resume
         are mutually exclusive.  --durability picks the fsync policy
         checkpoint writes use (see DESIGN.md §12).
 
-    repro temporal [--seed N] [--small] [--backend dict|array]
+    repro temporal [--seed N] [--small]
           [--snapshots N] [--churn F] [--run-dir DIR] [--resume]
           [--json]
-        Run the longitudinal study incrementally over the monthly
-        snapshot series: consecutive snapshots are diffed into typed
-        deltas, only the routing trees the delta can affect are
-        recomputed, and the per-epoch Figure-1 violation counts are
-        reported as a time-series.  --run-dir journals every completed
-        epoch durably (DIR/temporal.jsonl) and --resume replays the
-        journaled prefix verbatim before continuing.  `repro study
-        --temporal` attaches the same time-series to a full study run.
+        Run the longitudinal study over the monthly snapshot series:
+        every snapshot is graded on fresh engines, and the per-epoch
+        Figure-1 violation counts are reported as a time-series next
+        to each epoch's link churn.  --run-dir journals every
+        completed epoch durably (DIR/temporal.jsonl) and --resume
+        replays the journaled prefix verbatim before continuing.
+        `repro study --temporal` attaches the same time-series to a
+        full study run.
 
     repro list
         List available experiment ids.
@@ -55,8 +49,8 @@ Usage::
 
     repro perf bench [flags...]
         Run the pipeline benchmark (forwards to repro.perf.bench):
-        `repro perf bench --quick --section hotpath --json` compares
-        the dict and array backends and asserts identical results.
+        `repro perf bench --quick --section obs --json` measures the
+        telemetry overhead on the Figure-1 classification.
 
     repro serve [--host H] [--port P] [--workers N] [--max-queue N]
           [--tenant-budget CREDITS | --unmetered] [--run-dir DIR]
@@ -67,7 +61,7 @@ Usage::
         §13).
 
     repro query WORKLOAD [--host H] [--port P] [--tenant NAME]
-          [--seed N] [--scale small|full] [--backend dict|array]
+          [--seed N] [--scale small|full]
           [--stream | --out FILE] [--seeds N] [--rounds N]
         Submit one workload to a running daemon.  --stream prints the
         NDJSON progress events as they arrive; otherwise the final
@@ -112,9 +106,7 @@ def _run_study(
     fault_plan: Optional[str] = None,
     checkpoint: Optional[str] = None,
     resume=None,
-    shard_checkpoint: Optional[str] = None,
     obs: bool = False,
-    backend: str = "dict",
     run_dir: Optional[str] = None,
     durability: Optional[str] = None,
 ) -> StudyResults:
@@ -127,9 +119,7 @@ def _run_study(
     """
     from repro.serve.protocol import build_study_config
 
-    config = build_study_config(
-        seed=seed, scale="small" if small else "full", backend=backend
-    )
+    config = build_study_config(seed=seed, scale="small" if small else "full")
     if fault_plan is not None:
         from repro.faults import FaultPlan
 
@@ -142,8 +132,6 @@ def _run_study(
         config.resume = True
     elif checkpoint is not None:
         config.checkpoint_path = checkpoint
-    if shard_checkpoint is not None:
-        config.shard_checkpoint_path = shard_checkpoint
     if durability is not None:
         config.durability = durability
     if obs:
@@ -298,12 +286,6 @@ _FLAG_EXCLUSIONS = {
             "directory",
         ),
         (
-            "--run-dir",
-            "--shard-checkpoint",
-            "the run ledger owns every checkpoint path inside the run "
-            "directory",
-        ),
-        (
             "--checkpoint",
             "--resume",
             "--resume FILE already names the journal to continue appending "
@@ -383,9 +365,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         fault_plan=args.fault_plan,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        shard_checkpoint=getattr(args, "shard_checkpoint", None),
         obs=bool(getattr(args, "obs", False)) or obs_out is not None,
-        backend=getattr(args, "backend", "dict"),
         run_dir=getattr(args, "run_dir", None),
         durability=getattr(args, "durability", None),
     )
@@ -396,26 +376,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     reports = _collect_reports(results, ids)
     if results.robustness is not None:
         print(results.robustness.render())
-        print()
-    shard_report = results.shard_execution
-    if shard_report is not None and (
-        shard_report.resumed
-        or shard_report.retries
-        or shard_report.completed_serial
-    ):
-        print(
-            "precompute pool: "
-            f"{shard_report.shards_total} shard(s), "
-            f"{shard_report.completed_parallel} parallel, "
-            f"{shard_report.completed_serial} serial, "
-            f"{shard_report.resumed} resumed; "
-            f"{shard_report.worker_crashes} crash(es), "
-            f"{shard_report.worker_hangs} hang(s), "
-            f"{shard_report.corrupt_results} corrupt, "
-            f"{shard_report.retries} retried, "
-            f"{len(shard_report.quarantined)} quarantined"
-            + (" [degraded to serial]" if shard_report.degraded_serial_mode else "")
-        )
         print()
     if results.active_robustness is not None and (
         results.config.fault_plan is not None
@@ -447,27 +407,18 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _render_temporal(temporal) -> str:
     """The per-epoch accounting table for a temporal run."""
-    title = (
-        f"longitudinal study: {len(temporal.epochs)} epoch(s), "
-        f"backend {temporal.backend}"
-    )
+    title = f"longitudinal study: {len(temporal.epochs)} epoch(s)"
     if temporal.resumed_epochs:
         title += f", {temporal.resumed_epochs} replayed from journal"
     lines = [
         title,
-        f"{'epoch':>5} {'delta':>6} {'dirty':>6} {'inval':>6} "
-        f"{'regraded':>9} {'reused':>7} {'misses':>7}  "
-        "violations Simple/All-1",
+        f"{'epoch':>5} {'delta':>6} {'misses':>7}  violations Simple/All-1",
     ]
     for epoch in temporal.epochs:
         violations = epoch.violations()
         lines.append(
             f"{epoch.index:>5} "
             f"{sum(epoch.delta.values()):>6} "
-            f"{epoch.dirty_destinations:>6} "
-            f"{epoch.invalidated_trees:>6} "
-            f"{epoch.regraded_groups:>9} "
-            f"{epoch.reused_groups:>7} "
             f"{epoch.cache_misses:>7}  "
             f"{violations.get('Simple', 0)}/{violations.get('All-1', 0)}"
             + ("  [replayed]" if epoch.resumed else "")
@@ -476,7 +427,7 @@ def _render_temporal(temporal) -> str:
 
 
 def _attach_temporal(results: StudyResults, args: argparse.Namespace):
-    """Run the incremental time-series over a study's own snapshots.
+    """Run the longitudinal time-series over a study's own snapshots.
 
     Journals to the run ledger's ``temporal.jsonl`` when the study has
     a ``--run-dir``; a bare ``--resume`` then replays the journaled
@@ -503,7 +454,7 @@ def _attach_temporal(results: StudyResults, args: argparse.Namespace):
 
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
-    """Standalone incremental longitudinal study over snapshot series."""
+    """Standalone longitudinal study over a snapshot series."""
     if args.resume and args.run_dir is None:
         print(
             "error: --resume requires --run-dir DIR (the epoch journal "
@@ -515,8 +466,8 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
 
     from repro.temporal import TemporalInputs, run_incremental, series_fingerprint
 
-    results = _run_study(args.seed, args.small, backend=args.backend)
-    inputs = TemporalInputs.from_study(results, backend=args.backend)
+    results = _run_study(args.seed, args.small)
+    inputs = TemporalInputs.from_study(results)
     snapshots = results.snapshots
     if args.snapshots is not None or args.churn is not None:
         from repro.topogen.inference import InferenceConfig, inferred_snapshots
@@ -734,7 +685,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 tenant=args.tenant,
                 seed=args.seed,
                 scale=args.scale,
-                backend=args.backend,
                 params=params or None,
             ):
                 print(json.dumps(doc, sort_keys=True), flush=True)
@@ -747,7 +697,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tenant=args.tenant,
             seed=args.seed,
             scale=args.scale,
-            backend=args.backend,
             params=params or None,
         )
     except ServeError as error:
@@ -870,10 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="resume a killed study: bare --resume restores the "
-        "--run-dir ledger (passive, active and precompute together); "
-        "--resume FILE restores a legacy checkpoint journal (skips "
-        "journaled work without re-spending credits; also replays "
-        "FILE.shards precompute shards).  Mutually exclusive with "
+        "--run-dir ledger (passive and active together); --resume FILE "
+        "restores a legacy checkpoint journal (skips journaled work "
+        "without re-spending credits).  Mutually exclusive with "
         "--checkpoint",
     )
     study.add_argument(
@@ -881,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="durable run directory managed by the run ledger "
-        "(DIR/ledger.json + campaign/active/shard journals under an "
+        "(DIR/ledger.json + campaign/active journals under an "
         "advisory lock); resume it with --run-dir DIR --resume",
     )
     study.add_argument(
@@ -892,24 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fsync, or the REPRO_DURABILITY environment variable)",
     )
     study.add_argument(
-        "--shard-checkpoint",
-        default=None,
-        metavar="FILE",
-        help="journal finished precompute-pool shards to FILE "
-        "(defaults to CHECKPOINT.shards when --checkpoint is set); a "
-        "killed study resumes its routing-tree builds from it",
-    )
-    study.add_argument(
         "--obs",
         action="store_true",
         help="enable telemetry (spans, metrics, events) for this run",
-    )
-    study.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend: readable dict reference or the "
-        "CSR array kernel (identical results; see DESIGN.md §10)",
     )
     study.add_argument(
         "--obs-out",
@@ -921,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--temporal",
         action="store_true",
-        help="also run the incremental longitudinal study over the "
+        help="also run the longitudinal study over the "
         "monthly snapshot series (journals epochs to the --run-dir "
         "ledger; see `repro temporal` for the standalone command)",
     )
@@ -929,17 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     temporal = subparsers.add_parser(
         "temporal",
-        help="incremental longitudinal study over the snapshot series",
+        help="longitudinal study over the snapshot series",
     )
     temporal.add_argument("--seed", type=int, default=0)
     temporal.add_argument(
         "--small", action="store_true", help="small, fast scenario"
-    )
-    temporal.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend (identical results)",
     )
     temporal.add_argument(
         "--snapshots",
@@ -1010,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the pipeline benchmark (flags forwarded to "
         "repro.perf.bench: --quick, --section, --json, "
-        "--check-hotpath-speedup, ...)",
+        "--check-obs-overhead, ...)",
         add_help=False,
     )
     bench.add_argument("bench_args", nargs=argparse.REMAINDER)
@@ -1036,8 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="CHECK",
         help="restrict to one check (repeatable): gr-tree, labels, "
-        "metamorphic, temporal, bgp-decision, lpm; heavy opt-in checks "
-        "(pool-supervised, ledger-resume) run only when named here",
+        "metamorphic, bgp-decision, lpm; the heavy opt-in check "
+        "ledger-resume runs only when named here",
     )
     check_run.add_argument(
         "--progress", action="store_true", help="print progress to stderr"
@@ -1120,12 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("small", "full"),
         default="small",
         help="study scale (small matches `repro study --small`)",
-    )
-    query.add_argument(
-        "--backend",
-        choices=("dict", "array"),
-        default="dict",
-        help="route-tree engine backend",
     )
     query.add_argument(
         "--stream",

@@ -9,11 +9,10 @@ geography, undersea cables), and reverse-engineer BGP decision steps
 from active measurements.
 """
 
-from repro.core.gao_rexford import CacheStats, GaoRexfordEngine, RoutingCache, RoutingInfo
+from repro.core.gao_rexford import CacheStats, GaoRexfordEngine, RoutingCache
 from repro.core.classification import (
     Decision,
     DecisionLabel,
-    GroupedDecisions,
     LabelCounts,
     classify_decision,
     classify_decisions,
@@ -46,10 +45,8 @@ __all__ = [
     "CacheStats",
     "GaoRexfordEngine",
     "RoutingCache",
-    "RoutingInfo",
     "Decision",
     "DecisionLabel",
-    "GroupedDecisions",
     "LabelCounts",
     "classify_decision",
     "classify_decisions",

@@ -15,20 +15,26 @@ relationships substitute the per-city relationship at the geolocated
 interconnect (Section 4.1), sibling next hops count as Best (Section
 4.2), and prefix-specific-policy criteria restrict which first hops the
 destination's announcement reaches (Section 4.3).
+
+Batches are graded by the vectorized arena grader
+(:mod:`repro.core.hotpath.grade`); :func:`grade_decision` is the
+per-decision definition it is checked against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.gao_rexford import GaoRexfordEngine, RoutingInfo
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
 from repro.topology.graph import ASGraph
 from repro.topology.complex_rel import ComplexRelationships
-from repro.topology.relationships import Relationship
 from repro.whois.siblings import SiblingGroups
+
+if TYPE_CHECKING:
+    from repro.core.hotpath.info import ArrayRoutingInfo
 
 
 class DecisionLabel(enum.Enum):
@@ -102,20 +108,19 @@ class LabelCounts:
         return merged
 
 
-def _grade_with_state(
+def grade_decision(
     decision: Decision,
-    best_class: Optional[Relationship],
-    model_len: Optional[int],
+    info: "ArrayRoutingInfo",
     graph: ASGraph,
-    complex_rel: Optional[ComplexRelationships],
-    siblings: Optional[SiblingGroups],
+    complex_rel: Optional[ComplexRelationships] = None,
+    siblings: Optional[SiblingGroups] = None,
 ) -> DecisionLabel:
-    """Grade one decision given the model facts at its AS.
+    """Grade one decision against a precomputed routing tree.
 
-    ``best_class`` and ``model_len`` are the routing tree's answers for
-    ``decision.asn`` (the only part of the tree that grading reads) —
-    every grading path, per-decision and batched, funnels through here
-    so the semantics cannot drift apart.
+    Pure function of its arguments — no engine, no cache — which makes
+    it the seam the reference oracles (:mod:`repro.check`) grade
+    through with independently computed trees.  ``info`` is any tree
+    answering ``best_class`` and ``gr_route_length``.
     """
     if siblings is not None and siblings.are_siblings(decision.asn, decision.next_hop):
         # Traffic handed to a sibling stays inside the organization; the
@@ -129,6 +134,7 @@ def _grade_with_state(
             )
             if hybrid is not None:
                 relationship = hybrid
+        best_class = info.best_class(decision.asn)
         if relationship is None:
             # The measured adjacency is absent from the inferred
             # topology; the model cannot call it Best.
@@ -142,31 +148,9 @@ def _grade_with_state(
     # Measured paths may be *shorter* than the model's prediction when
     # they use links the inferred topology misses; those still count as
     # Short (the AS is not taking a longer path than the model expects).
+    model_len = info.gr_route_length(decision.asn)
     short = model_len is None or decision.measured_len <= model_len
     return DecisionLabel.from_properties(best, short)
-
-
-def grade_decision(
-    decision: Decision,
-    info: RoutingInfo,
-    graph: ASGraph,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> DecisionLabel:
-    """Grade one decision against a precomputed routing tree.
-
-    Pure function of its arguments — no engine, no cache — which makes
-    it the seam the reference oracles (:mod:`repro.check`) grade
-    through with independently computed trees.
-    """
-    return _grade_with_state(
-        decision,
-        info.best_class(decision.asn),
-        info.gr_route_length(decision.asn),
-        graph,
-        complex_rel,
-        siblings,
-    )
 
 
 def classify_decision(
@@ -193,8 +177,8 @@ def classify_decisions_serial(
     """Per-decision reference implementation of :func:`classify_decisions`.
 
     Grades every decision independently through
-    :func:`classify_decision`.  Kept as the equivalence baseline the
-    batched path is tested (and benchmarked) against.
+    :func:`classify_decision`: the equivalence baseline the arena path
+    is tested (and benchmarked) against.
     """
     counts = LabelCounts()
     for decision in decisions:
@@ -245,11 +229,6 @@ def label_decisions_serial(
 # Batched grading
 # ---------------------------------------------------------------------------
 
-#: Everything about a decision that grading reads besides the routing
-#: tree it is graded against: the decision maker, its next hop, the
-#: measured length and the interconnect city (hybrid relationships).
-GradeKey = Tuple[int, int, int, Optional[str]]
-
 #: Which routing tree grades a decision: (destination, allowed first hops).
 TreeKey = Tuple[int, Optional[FrozenSet[int]]]
 
@@ -262,135 +241,6 @@ class LayerConfig:
     first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None
     complex_rel: Optional[ComplexRelationships] = None
     siblings: Optional[SiblingGroups] = None
-
-
-def _grade_key(decision: Decision) -> GradeKey:
-    return (
-        decision.asn,
-        decision.next_hop,
-        decision.measured_len,
-        decision.border_city,
-    )
-
-
-class GroupedDecisions:
-    """Decisions grouped by routing tree, duplicates collapsed.
-
-    Measured paths repeat the same adjacency toward the same destination
-    many times (every traceroute crossing a popular transit link yields
-    an identical decision), so grading each *unique* decision once and
-    fanning the label back out cuts the grading work by the duplication
-    factor.  One grouping is reusable across refinement layers that
-    share the same ``first_hops_for`` map — the grade memo is per layer,
-    the grouping is not.
-    """
-
-    def __init__(
-        self,
-        decisions: Iterable[Decision],
-        first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
-    ) -> None:
-        self.decisions: List[Decision] = (
-            decisions if isinstance(decisions, list) else list(decisions)
-        )
-        #: tree key -> grade key -> indices into ``decisions``.
-        self.groups: Dict[TreeKey, Dict[GradeKey, List[int]]] = {}
-        groups = self.groups
-        if first_hops_for is None:
-            for index, decision in enumerate(self.decisions):
-                tree_key = (decision.destination, None)
-                by_grade = groups.get(tree_key)
-                if by_grade is None:
-                    by_grade = groups[tree_key] = {}
-                by_grade.setdefault(_grade_key(decision), []).append(index)
-        else:
-            for index, decision in enumerate(self.decisions):
-                tree_key = (
-                    decision.destination,
-                    first_hops_for.get(decision.prefix),
-                )
-                by_grade = groups.get(tree_key)
-                if by_grade is None:
-                    by_grade = groups[tree_key] = {}
-                by_grade.setdefault(_grade_key(decision), []).append(index)
-
-    def tree_keys(self) -> List[TreeKey]:
-        return list(self.groups)
-
-    def unique_count(self) -> int:
-        return sum(len(by_grade) for by_grade in self.groups.values())
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-
-def _grade_unique(
-    decision: Decision,
-    info: RoutingInfo,
-    graph: ASGraph,
-    complex_rel: Optional[ComplexRelationships],
-    siblings: Optional[SiblingGroups],
-    node_state: Dict[int, Tuple[Optional[Relationship], Optional[int]]],
-) -> DecisionLabel:
-    """Grade one unique decision against a precomputed routing tree.
-
-    Semantically identical to :func:`classify_decision`; ``node_state``
-    memoizes the per-AS model facts (best class, model route length)
-    shared by every decision the same AS makes within one tree.
-    """
-    asn = decision.asn
-    state = node_state.get(asn)
-    if state is None:
-        state = (info.best_class(asn), info.gr_route_length(asn))
-        node_state[asn] = state
-    best_class, model_len = state
-    return _grade_with_state(
-        decision, best_class, model_len, graph, complex_rel, siblings
-    )
-
-
-def classify_grouped(
-    grouped: GroupedDecisions,
-    engine: GaoRexfordEngine,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> LabelCounts:
-    """Tally labels for pre-grouped decisions (one tree per group)."""
-    counts = LabelCounts()
-    add = counts.add
-    decisions = grouped.decisions
-    graph = engine.graph
-    for (destination, allowed), by_grade in grouped.groups.items():
-        info = engine.routing_info(destination, allowed)
-        node_state: Dict[int, Tuple[Optional[Relationship], Optional[int]]] = {}
-        for indices in by_grade.values():
-            label = _grade_unique(
-                decisions[indices[0]], info, graph, complex_rel, siblings, node_state
-            )
-            add(label, len(indices))
-    return counts
-
-
-def label_grouped(
-    grouped: GroupedDecisions,
-    engine: GaoRexfordEngine,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> List[Tuple[Decision, DecisionLabel]]:
-    """Per-decision labels for pre-grouped decisions, in input order."""
-    decisions = grouped.decisions
-    graph = engine.graph
-    labels: List[Optional[DecisionLabel]] = [None] * len(decisions)
-    for (destination, allowed), by_grade in grouped.groups.items():
-        info = engine.routing_info(destination, allowed)
-        node_state: Dict[int, Tuple[Optional[Relationship], Optional[int]]] = {}
-        for indices in by_grade.values():
-            label = _grade_unique(
-                decisions[indices[0]], info, graph, complex_rel, siblings, node_state
-            )
-            for index in indices:
-                labels[index] = label
-    return list(zip(decisions, labels))
 
 
 def classify_decisions(
@@ -406,26 +256,16 @@ def classify_decisions(
     PSP criteria computed for it; prefixes absent from the map are
     unrestricted.
 
-    Decisions are grouped by the routing tree that grades them, each
-    tree is fetched once, and duplicate decisions are graded once —
+    The batch is interned into a decision arena, duplicates collapse,
+    every routing tree comes from one kernel sweep and the labels are
+    tallied with one bincount (:mod:`repro.core.hotpath.grade`) —
     results are identical to :func:`classify_decisions_serial`.
-
-    On an ``array``-backend engine the whole batch is graded by the
-    vectorized arena path (:mod:`repro.core.hotpath.grade`) — same
-    labels, one numpy sweep.
     """
-    if getattr(engine, "backend", "dict") == "array":
-        from repro.core.hotpath.grade import classify_decisions_array
+    # Imported lazily: the arena grader imports this module's types.
+    from repro.core.hotpath.grade import arena_for, classify_arena
 
-        return classify_decisions_array(
-            decisions,
-            engine,
-            first_hops_for=first_hops_for,
-            complex_rel=complex_rel,
-            siblings=siblings,
-        )
-    return classify_grouped(
-        GroupedDecisions(decisions, first_hops_for),
+    return classify_arena(
+        arena_for(decisions).grouping(first_hops_for),
         engine,
         complex_rel=complex_rel,
         siblings=siblings,
@@ -440,18 +280,10 @@ def label_decisions(
     siblings: Optional[SiblingGroups] = None,
 ) -> List[Tuple[Decision, DecisionLabel]]:
     """Like :func:`classify_decisions` but keeps per-decision labels."""
-    if getattr(engine, "backend", "dict") == "array":
-        from repro.core.hotpath.grade import label_decisions_array
+    from repro.core.hotpath.grade import arena_for, label_arena
 
-        return label_decisions_array(
-            decisions,
-            engine,
-            first_hops_for=first_hops_for,
-            complex_rel=complex_rel,
-            siblings=siblings,
-        )
-    return label_grouped(
-        GroupedDecisions(decisions, first_hops_for),
+    return label_arena(
+        arena_for(decisions).grouping(first_hops_for),
         engine,
         complex_rel=complex_rel,
         siblings=siblings,

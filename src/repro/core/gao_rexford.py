@@ -20,28 +20,25 @@ paper grades measured decisions against (Section 3.3).
 Sibling links are treated as carrying the organization's routes in both
 directions at customer preference, matching how the analysis treats
 sibling decisions as "Best".
+
+Trees are computed by the CSR/numpy kernel in
+:mod:`repro.core.hotpath`, many destinations per sweep.  The readable
+dict construction it is checked against lives in
+:mod:`repro.check.oracles` as reference code.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.topology.graph import ASGraph
-from repro.topology.relationships import Relationship
 
-_INF = float("inf")
-
-#: Environment override for the default engine backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: The two route-tree computation backends: ``dict`` is the readable
-#: reference implementation below; ``array`` is the CSR/numpy kernel in
-#: :mod:`repro.core.hotpath`, byte-identical on every study output.
-BACKENDS = ("dict", "array")
+if TYPE_CHECKING:
+    from repro.core.hotpath.csr import CSRTopology
+    from repro.core.hotpath.info import ArrayRoutingInfo
 
 #: Default bound on the per-engine routing-tree cache.  Far above what
 #: one study needs (a few hundred trees) but keeps long-lived engines
@@ -98,7 +95,7 @@ class CacheStats:
 
 
 class RoutingCache:
-    """Bounded LRU cache of :class:`RoutingInfo` with hit/miss counters.
+    """Bounded LRU cache of routing trees with hit/miss counters.
 
     Least-recently-used entries are evicted once ``maxsize`` is
     exceeded; every lookup refreshes recency.
@@ -108,7 +105,7 @@ class RoutingCache:
         if maxsize <= 0:
             raise ValueError(f"cache maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self._data: "OrderedDict[CacheKey, RoutingInfo]" = OrderedDict()
+        self._data: "OrderedDict[CacheKey, ArrayRoutingInfo]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -127,34 +124,20 @@ class RoutingCache:
         if self._lock is None:
             self._lock = threading.RLock()
 
-    def __getstate__(self) -> Dict:
-        # Locks don't pickle; the process-pool path ships engines to
-        # workers, so drop the lock and remember whether to recreate it.
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        state["_was_thread_safe"] = self._lock is not None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        was_thread_safe = state.pop("_was_thread_safe", False)
-        self.__dict__.update(state)
-        if was_thread_safe:
-            self._lock = threading.RLock()
-
     def __len__(self) -> int:
         return len(self._data)
 
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._data
 
-    def get(self, key: CacheKey) -> Optional[RoutingInfo]:
+    def get(self, key: CacheKey) -> Optional[ArrayRoutingInfo]:
         lock = self._lock
         if lock is None:
             return self._get(key)
         with lock:
             return self._get(key)
 
-    def _get(self, key: CacheKey) -> Optional[RoutingInfo]:
+    def _get(self, key: CacheKey) -> Optional[ArrayRoutingInfo]:
         info = self._data.get(key)
         if info is None:
             self.misses += 1
@@ -163,7 +146,7 @@ class RoutingCache:
         self.hits += 1
         return info
 
-    def put(self, key: CacheKey, info: RoutingInfo) -> None:
+    def put(self, key: CacheKey, info: ArrayRoutingInfo) -> None:
         lock = self._lock
         if lock is None:
             self._put(key, info)
@@ -171,7 +154,7 @@ class RoutingCache:
             with lock:
                 self._put(key, info)
 
-    def _put(self, key: CacheKey, info: RoutingInfo) -> None:
+    def _put(self, key: CacheKey, info: ArrayRoutingInfo) -> None:
         data = self._data
         if key in data:
             data.move_to_end(key)
@@ -199,88 +182,6 @@ class RoutingCache:
         )
 
 
-@dataclass
-class RoutingInfo:
-    """GR routing state toward one destination.
-
-    Distances are AS-path lengths in edges (the destination itself is
-    at distance 0).
-    """
-
-    destination: int
-    customer_dist: Dict[int, int] = field(default_factory=dict)
-    peer_dist: Dict[int, int] = field(default_factory=dict)
-    provider_dist: Dict[int, int] = field(default_factory=dict)
-    #: Next hop of the shortest route per class (path reconstruction).
-    customer_parent: Dict[int, int] = field(default_factory=dict)
-    peer_parent: Dict[int, int] = field(default_factory=dict)
-    provider_parent: Dict[int, int] = field(default_factory=dict)
-
-    def best_class(self, asn: int) -> Optional[Relationship]:
-        """The cheapest relationship class with a route at ``asn``."""
-        if asn in self.customer_dist:
-            return Relationship.CUSTOMER
-        if asn in self.peer_dist:
-            return Relationship.PEER
-        if asn in self.provider_dist:
-            return Relationship.PROVIDER
-        return None
-
-    def has_route(self, asn: int) -> bool:
-        return self.best_class(asn) is not None
-
-    def gr_route_length(self, asn: int) -> Optional[int]:
-        """Length of the route the GR model predicts at ``asn``."""
-        if asn == self.destination:
-            return 0
-        best = self.best_class(asn)
-        if best is Relationship.CUSTOMER:
-            return self.customer_dist[asn]
-        if best is Relationship.PEER:
-            return self.peer_dist[asn]
-        if best is Relationship.PROVIDER:
-            return self.provider_dist[asn]
-        return None
-
-    def class_distance(self, asn: int, relationship: Relationship) -> Optional[int]:
-        """Route length available at ``asn`` through a neighbor class."""
-        if relationship in (Relationship.CUSTOMER, Relationship.SIBLING):
-            return self.customer_dist.get(asn)
-        if relationship is Relationship.PEER:
-            return self.peer_dist.get(asn)
-        return self.provider_dist.get(asn)
-
-    def gr_route_path(self, asn: int, max_hops: int = 64) -> Optional[Tuple[int, ...]]:
-        """One concrete route the GR model predicts at ``asn``.
-
-        Follows the parent pointers of the chosen class at each hop:
-        a provider route descends to the provider's own chosen route, a
-        peer route crosses the peer link onto a customer route, and a
-        customer route walks customer parents down to the destination.
-        """
-        if asn == self.destination:
-            return (asn,)
-        if not self.has_route(asn):
-            return None
-        path = [asn]
-        current = asn
-        while current != self.destination and len(path) <= max_hops:
-            best = self.best_class(current)
-            if best is Relationship.CUSTOMER:
-                nxt = self.customer_parent.get(current)
-            elif best is Relationship.PEER:
-                nxt = self.peer_parent.get(current)
-            else:
-                nxt = self.provider_parent.get(current)
-            if nxt is None:
-                return None
-            path.append(nxt)
-            current = nxt
-        if current != self.destination:
-            return None
-        return tuple(path)
-
-
 class GaoRexfordEngine:
     """Computes GR routing trees over one (inferred) AS graph.
 
@@ -296,18 +197,10 @@ class GaoRexfordEngine:
         partial_transit: FrozenSet[Tuple[int, int]] = frozenset(),
         cache_size: int = DEFAULT_CACHE_SIZE,
         canonical_keys: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
-        if backend is None:
-            backend = os.environ.get(BACKEND_ENV) or "dict"
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.graph = graph
         self.partial_transit = frozenset(partial_transit)
         self.canonical_keys = canonical_keys
-        self.backend = backend
         self._cache = RoutingCache(maxsize=cache_size)
         #: Graph version the cached trees were computed against.  Every
         #: cache access re-checks it: a mutated graph flushes the whole
@@ -327,12 +220,9 @@ class GaoRexfordEngine:
         self._cache.make_thread_safe()
         return self
 
-    def compiled_topology(self):
-        """The graph's shared CSR compilation (array kernel input).
-
-        Available on either backend — the vectorized grader uses it for
-        its lookup tables even when trees come from the dict engine.
-        """
+    def compiled_topology(self) -> "CSRTopology":
+        """The graph's shared CSR compilation: the kernel's input and
+        the vectorized grader's lookup tables."""
         from repro.core.hotpath.csr import compile_topology
 
         return compile_topology(self.graph)
@@ -342,43 +232,14 @@ class GaoRexfordEngine:
 
         Cached trees are valid only for the exact topology they were
         computed on.  Rather than serving stale state silently (or
-        raising and killing long-lived engines), an unexplained graph
-        mutation invalidates everything; callers that *know* which
-        trees a mutation affected use :meth:`invalidate_keys` to keep
-        the certified-valid remainder warm.
+        raising and killing long-lived engines), a graph mutation
+        invalidates everything.
         """
         version = self.graph._version
         if version != self._graph_version:
             self._cache.clear()
             self.stale_flushes += 1
             self._graph_version = version
-
-    def cached_trees(self) -> List[Tuple[CacheKey, RoutingInfo]]:
-        """The cached (key, tree) pairs, without touching hit counters.
-
-        The temporal dirty-set computation inspects every warm tree;
-        routing it through :meth:`routing_info` would distort the
-        cache-stats deltas the epoch reports assert on.
-        """
-        self._check_graph_version()
-        return list(self._cache._data.items())
-
-    def invalidate_keys(self, keys: Iterable[CacheKey]) -> int:
-        """Drop specific cached trees and adopt the current graph.
-
-        The caller certifies that every *remaining* entry is still
-        valid for the graph as it stands now (the temporal delta
-        pipeline proves this through its dirty-set computation), so the
-        engine re-arms its version guard instead of flushing.  Returns
-        how many entries were actually dropped.
-        """
-        data = self._cache._data
-        dropped = 0
-        for key in keys:
-            if data.pop(key, None) is not None:
-                dropped += 1
-        self._graph_version = self.graph._version
-        return dropped
 
     def cache_key(self, destination: int, allowed: Optional[FrozenSet[int]]) -> CacheKey:
         """Canonical cache key for a routing tree.
@@ -401,7 +262,7 @@ class GaoRexfordEngine:
         self,
         destination: int,
         allowed_first_hops: Optional[FrozenSet[int]] = None,
-    ) -> RoutingInfo:
+    ) -> ArrayRoutingInfo:
         """GR routes toward ``destination``.
 
         ``allowed_first_hops`` restricts which of the destination's
@@ -414,30 +275,19 @@ class GaoRexfordEngine:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        info = self._compute(key[0], key[1])
+        info = self._compute_batch([key])[0]
         self._cache.put(key, info)
         return info
-
-    def warm(
-        self,
-        destination: int,
-        allowed_first_hops: Optional[FrozenSet[int]],
-        info: RoutingInfo,
-    ) -> None:
-        """Install a precomputed routing tree (parallel precompute)."""
-        self._check_graph_version()
-        self._cache.put(self.cache_key(destination, allowed_first_hops), info)
 
     def warm_batch(self, keys: Iterable[CacheKey]) -> int:
         """Ensure every (destination, allowed) tree is cached; return
         how many had to be computed.
 
-        On the array backend the missing trees are computed in **one**
-        kernel sweep — this is the batched prewarm the parallel
-        classifier's serial path and the arena grader call.  Membership
-        probes don't touch the hit/miss counters; the computed trees are
-        charged as misses (one each), so cache-stats reports match the
-        dict backend's one-miss-per-computed-tree accounting.
+        The missing trees are computed in **one** kernel sweep — the
+        batched prewarm the parallel classifier and the arena grader
+        call.  Membership probes don't touch the hit/miss counters; the
+        computed trees are charged as misses (one each), the same
+        accounting as :meth:`routing_info` computing them one by one.
         """
         self._check_graph_version()
         canonical: List[CacheKey] = []
@@ -450,11 +300,7 @@ class GaoRexfordEngine:
         missing = [key for key in canonical if key not in self._cache]
         if not missing:
             return 0
-        if self.backend == "array":
-            infos = self._compute_batch(missing)
-        else:
-            infos = [self._compute(key[0], key[1]) for key in missing]
-        for key, info in zip(missing, infos):
+        for key, info in zip(missing, self._compute_batch(missing)):
             self._cache.put(key, info)
         lock = self._cache._lock
         if lock is None:
@@ -481,22 +327,9 @@ class GaoRexfordEngine:
     # ------------------------------------------------------------------
     # Computation
     # ------------------------------------------------------------------
-    def _compute(self, destination: int, allowed: Optional[FrozenSet[int]]):
-        if self.backend == "array":
-            return self._compute_batch([(destination, allowed)])[0]
-        return compute_routing_info(
-            self.graph,
-            destination,
-            partial_transit=self.partial_transit,
-            allowed_first_hops=allowed,
-        )
-
-    def _compute_batch(self, keys: List[CacheKey]) -> List["RoutingInfo"]:
-        """All requested trees in one array-kernel sweep.
-
-        Returns :class:`~repro.core.hotpath.info.ArrayRoutingInfo`
-        objects (duck-typed to :class:`RoutingInfo`), in ``keys`` order.
-        """
+    def _compute_batch(self, keys: List[CacheKey]) -> List["ArrayRoutingInfo"]:
+        """All requested trees in one array-kernel sweep, in ``keys``
+        order."""
         from repro.core.hotpath.info import ArrayRoutingInfo
         from repro.core.hotpath.kernel import compute_tree_batch
 
@@ -516,115 +349,3 @@ class GaoRexfordEngine:
             ArrayRoutingInfo(destination, csr.ids, *batch.row(j))
             for j, (destination, _allowed) in enumerate(keys)
         ]
-
-
-def compute_routing_info(
-    graph: ASGraph,
-    destination: int,
-    partial_transit: FrozenSet[Tuple[int, int]] = frozenset(),
-    allowed_first_hops: Optional[FrozenSet[int]] = None,
-) -> RoutingInfo:
-    """One GR routing tree, as a pure function of its inputs.
-
-    This is the engine's whole computation with no cache in front of
-    it — the seam the differential checker (:mod:`repro.check`) drives
-    to compare cache-on, cache-off, and oracle answers.
-    """
-    allowed = allowed_first_hops
-    if destination not in graph:
-        raise KeyError(f"AS{destination} not in topology")
-
-    def first_hop_ok(neighbor: int) -> bool:
-        return allowed is None or neighbor in allowed
-
-    info = RoutingInfo(destination=destination)
-    # Each stage walks one relationship class of edges; the index
-    # pre-partitions them (in neighbor-map order, so traversal and
-    # parent tie-breaking match filtering the full map in place).
-    adjacency = graph.routing_adjacency()
-    empty: Tuple[int, ...] = ()
-
-    # Stage 1: customer routes propagate up provider and sibling
-    # links.  An AS x has a customer route when some customer (or
-    # sibling) of x has one.
-    customer = info.customer_dist
-    customer[destination] = 0
-    up = adjacency.up
-    queue = deque([destination])
-    while queue:
-        current = queue.popleft()
-        dist = customer[current]
-        for neighbor in up.get(current, empty):
-            # The route travels current -> neighbor where neighbor
-            # is current's provider (or sibling).
-            if current == destination and not first_hop_ok(neighbor):
-                continue
-            if neighbor not in customer:
-                customer[neighbor] = dist + 1
-                info.customer_parent[neighbor] = current
-                queue.append(neighbor)
-
-    # Stage 2: peer routes: one peer edge on top of a neighbor's
-    # *chosen customer* route (peers only export customer routes).
-    peer = info.peer_dist
-    peer_adj = adjacency.peers
-    for asn, dist in list(customer.items()):
-        for neighbor in peer_adj.get(asn, empty):
-            if asn == destination and not first_hop_ok(neighbor):
-                continue
-            candidate = dist + 1
-            if candidate < peer.get(neighbor, _INF):
-                peer[neighbor] = candidate
-                info.peer_parent[neighbor] = asn
-
-    # Stage 3: provider routes propagate down customer links.  A
-    # provider exports its *chosen* route, whose length is its
-    # customer distance if it has one, else its peer distance, else
-    # its (recursively computed) provider distance.  Unit weights make
-    # Dijkstra exact here, and with unit weights the priority queue
-    # degenerates into distance buckets: every relaxation lands in the
-    # next level, so processing levels in order (each sorted by ASN to
-    # keep the heap's exact (dist, asn) pop order, which fixes parent
-    # tie-breaking) visits nodes in the identical sequence without any
-    # per-edge heap traffic.
-    provider = info.provider_dist
-    provider_parent = info.provider_parent
-    down = adjacency.down
-
-    # An AS re-exports its provider route downward only when that is
-    # its chosen route, i.e. it has no customer or peer route.
-    has_fixed = set(customer)
-    has_fixed.update(peer)
-    buckets: Dict[int, List[int]] = {}
-    for asn in has_fixed:
-        fixed = customer[asn] if asn in customer else peer[asn]
-        buckets.setdefault(fixed, []).append(asn)
-    settled: Set[int] = set()
-    while buckets:
-        dist = min(buckets)
-        nodes = buckets.pop(dist)
-        nodes.sort()
-        candidate = dist + 1
-        for current in nodes:
-            if current in settled:
-                continue
-            settled.add(current)
-            for neighbor in down.get(current, empty):
-                # Route travels current -> neighbor where neighbor is
-                # a customer of current (the neighbor learns from its
-                # provider).
-                if current == destination and not first_hop_ok(neighbor):
-                    continue
-                # Partial transit: this provider does not hand its own
-                # provider-learned routes to this customer.
-                if (
-                    (current, neighbor) in partial_transit
-                    and current not in has_fixed
-                ):
-                    continue
-                if candidate < provider.get(neighbor, _INF):
-                    provider[neighbor] = candidate
-                    provider_parent[neighbor] = current
-                    if neighbor not in has_fixed:
-                        buckets.setdefault(candidate, []).append(neighbor)
-    return info

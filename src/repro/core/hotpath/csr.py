@@ -1,6 +1,6 @@
 """CSR compilation of an :class:`~repro.topology.graph.ASGraph`.
 
-The dict engine walks Python adjacency maps; the array kernel wants the
+The reference construction walks Python adjacency maps; the kernel wants the
 same edges as flat numpy arrays it can gather over.  :class:`CSRTopology`
 renumbers the ASNs to dense ids (sorted order, so the numbering is a
 pure function of the AS set) and materializes each relationship class
@@ -61,6 +61,8 @@ class EdgeSet:
     )
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n: int) -> None:
+        # ``src``/``dst`` arrive in adjacency order: each source's edges
+        # in its neighbor map's insertion order.
         order = np.argsort(dst, kind="stable")
         self.src = np.ascontiguousarray(src[order], dtype=np.int32)
         self.dst = np.ascontiguousarray(dst[order], dtype=np.int32)
@@ -75,8 +77,12 @@ class EdgeSet:
             self.targets = np.empty(0, dtype=np.int32)
         # The same rows CSR-indexed by *source*: ``src_order`` maps the
         # per-source layout back to dst-sorted rows, ``src_nbrs`` holds
-        # each source's neighbor run (the frontier-expansion gather).
-        self.src_order = np.argsort(self.src, kind="stable")
+        # each source's neighbor run (the frontier-expansion gather) in
+        # adjacency order — the order the reference construction visits
+        # neighbors in, which decides its parent tie-breaks.
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(order.size)
+        self.src_order = row_of[np.argsort(src, kind="stable")]
         counts = (
             np.bincount(self.src, minlength=n)
             if self.src.size

@@ -18,17 +18,15 @@ comparisons over int codes:
 
 :class:`DecisionArena` interns a decision batch once into flat numpy
 columns; :class:`ArenaGrouping` lexsorts them by (tree, grade key) so
-duplicate decisions collapse to unique rows grouped by routing tree —
-the array analogue of
-:class:`~repro.core.classification.GroupedDecisions` — and caches the
-per-topology lookups (dense ids, relationship ranks, sibling flags,
+duplicate decisions collapse to unique rows grouped by routing tree,
+and caches the per-topology lookups (dense ids, relationship ranks, sibling flags,
 hybrid overrides) that refinement layers sharing the batch reuse.
 Labels come back as codes ``(not best) + 2 * (not short)``, tallied
 with one bincount or fanned back out to per-decision labels with one
 repeat + scatter.
 
 Equivalence with the scalar grader is enforced label-for-label by the
-three-way differentials and the hypothesis property suite under the
+oracle differentials and the hypothesis property suite under the
 ``check`` marker.
 """
 
@@ -44,7 +42,6 @@ from repro.core.classification import (
     LabelCounts,
 )
 from repro.core.hotpath.csr import CSRTopology, RANK_MISSING
-from repro.core.hotpath.info import MODEL_LEN_NONE
 from repro.net.ip import Prefix
 from repro.topology.complex_rel import ComplexRelationships
 from repro.whois.siblings import SiblingGroups
@@ -141,7 +138,7 @@ class ArenaGrouping:
         count = len(arena)
 
         # Per-prefix allowed-set codes (-1 = unrestricted), interned by
-        # set equality so equal sets share a tree like dict grouping.
+        # set equality so equal sets share a tree.
         allowed_sets: List[FrozenSet[int]] = []
         interned: Dict[FrozenSet[int], int] = {}
         prefix_lut = np.full(max(len(arena.prefix_values), 1), -1, dtype=np.int64)
@@ -376,7 +373,7 @@ class ArenaGrouping:
         bounds = self.tree_u_bounds
         for index, (destination, allowed) in enumerate(self.tree_keys):
             info = engine.routing_info(destination, allowed)
-            rank_vector, length_vector = _tree_vectors(info, csr)
+            rank_vector, length_vector = info.bc_rank_vector(), info.model_len_vector()
             segment = slice(int(bounds[index]), int(bounds[index + 1]))
             segment_rows = asn_rows[segment]
             best_class_rank[segment] = rank_vector[segment_rows]
@@ -385,36 +382,6 @@ class ArenaGrouping:
         best = (ranks < RANK_MISSING) & (ranks <= best_class_rank)
         short = self.u_measured <= model_len
         return (~best) + 2 * (~short)
-
-
-def _tree_vectors(info, csr: CSRTopology) -> Tuple[np.ndarray, np.ndarray]:
-    """Grading vectors of a routing tree, whatever its representation.
-
-    :class:`~repro.core.hotpath.info.ArrayRoutingInfo` carries its own
-    cached vectors; a dict :class:`~repro.core.gao_rexford.RoutingInfo`
-    (e.g. warmed into the cache by a pool worker on another backend) is
-    converted on the fly.
-    """
-    vector_fn = getattr(info, "bc_rank_vector", None)
-    if vector_fn is not None:
-        return vector_fn(), info.model_len_vector()
-    size = csr.n + 1
-    rank_vector = np.full(size, 3, dtype=np.int8)
-    length_vector = np.full(size, MODEL_LEN_NONE, dtype=np.int64)
-    for rank, dists in (
-        (2, info.provider_dist),
-        (1, info.peer_dist),
-        (0, info.customer_dist),
-    ):
-        if not dists:
-            continue
-        asns = np.fromiter(dists.keys(), dtype=np.int64, count=len(dists))
-        values = np.fromiter(dists.values(), dtype=np.int64, count=len(dists))
-        rows = csr.ids_of(asns)
-        present = rows >= 0
-        rank_vector[rows[present]] = rank
-        length_vector[rows[present]] = values[present]
-    return rank_vector, length_vector
 
 
 #: Single-slot memo of the most recent arena: (decisions list, its
@@ -478,37 +445,3 @@ def label_arena(
         (decision, LABELS_BY_CODE[code])
         for decision, code in zip(decisions, scattered.tolist())
     ]
-
-
-def classify_decisions_array(
-    decisions: Iterable[Decision],
-    engine,
-    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> LabelCounts:
-    """Array-backend analogue of ``classify_decisions``."""
-    arena = arena_for(decisions)
-    return classify_arena(
-        arena.grouping(first_hops_for),
-        engine,
-        complex_rel=complex_rel,
-        siblings=siblings,
-    )
-
-
-def label_decisions_array(
-    decisions: Iterable[Decision],
-    engine,
-    first_hops_for: Optional[Dict[Prefix, FrozenSet[int]]] = None,
-    complex_rel: Optional[ComplexRelationships] = None,
-    siblings: Optional[SiblingGroups] = None,
-) -> List[Tuple[Decision, DecisionLabel]]:
-    """Array-backend analogue of ``label_decisions``."""
-    arena = arena_for(decisions)
-    return label_arena(
-        arena.grouping(first_hops_for),
-        engine,
-        complex_rel=complex_rel,
-        siblings=siblings,
-    )

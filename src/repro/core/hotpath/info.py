@@ -1,20 +1,18 @@
-"""Array-backed routing tree with the :class:`RoutingInfo` surface.
+"""Array-backed routing tree: what the engine hands out.
 
 :class:`ArrayRoutingInfo` wraps one column of a kernel
 :class:`~repro.core.hotpath.kernel.TreeBatch`: six dense (n,) arrays of
-class distances and parent pointers.  Everything the rest of the
-pipeline reads off a :class:`~repro.core.gao_rexford.RoutingInfo` —
-the per-class distance dicts, ``best_class``, ``gr_route_length``,
-``class_distance``, ``gr_route_path`` — is provided with identical
-semantics; the dict views are materialized lazily and cached, so code
-that never touches them (the vectorized grader) never pays for them.
+class distances and parent pointers.  It answers every query the
+pipeline asks of a routing tree — the per-class distance dicts,
+``best_class``, ``gr_route_length``, ``class_distance``,
+``gr_route_path`` — with the semantics of the reference
+:class:`~repro.check.oracles.RoutingInfo`; the dict views are
+materialized lazily and cached, so code that never touches them (the
+vectorized grader) never pays for them.
 
-The object is deliberately self-contained (dense ids + arrays, no
-reference to the compiled topology), which keeps it picklable for the
-process-pool precompute path, and its grading vectors are indexed by
-the same sorted-ASN numbering every :class:`CSRTopology` over the graph
-derives — so vectors built in a worker process line up with the parent
-process's compilation.
+The object is self-contained (dense ids + arrays, no reference to the
+compiled topology), and its grading vectors are indexed by the same
+sorted-ASN numbering every :class:`CSRTopology` over the graph derives.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ class ArrayRoutingInfo:
         self._path_memo: Dict[int, Optional[Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
-    # Dict views (lazy, cached) — the RoutingInfo field surface
+    # Dict views (lazy, cached)
     # ------------------------------------------------------------------
     def _dist_dict(self, name: str, dists: np.ndarray) -> Dict[int, int]:
         cached = self._dist_dicts.get(name)
@@ -115,7 +113,7 @@ class ArrayRoutingInfo:
         return self._parent_dict("provider", self._provider_parent)
 
     # ------------------------------------------------------------------
-    # Scalar queries — semantics identical to RoutingInfo
+    # Scalar queries
     # ------------------------------------------------------------------
     def _position(self, asn: int) -> int:
         ids = self.node_ids
@@ -195,33 +193,6 @@ class ArrayRoutingInfo:
         result = tuple(path)
         memo[asn] = result
         return result
-
-    def changed_asns(self, old: "ArrayRoutingInfo", asns) -> Optional[list]:
-        """The subset of ``asns`` whose grading state differs from ``old``.
-
-        Grading state at an AS is ``(best_class, gr_route_length)``,
-        which the cached rank/length vectors encode exactly — so the
-        whole comparison is two vectorized array compares instead of
-        per-AS scalar queries.  Returns ``None`` when the two trees use
-        different node numberings (the caller falls back to scalar
-        comparison); ASNs absent from the graph have no route in either
-        tree and are never reported as changed.
-        """
-        ids = self.node_ids
-        old_ids = old.node_ids
-        if ids.size != old_ids.size or not np.array_equal(ids, old_ids):
-            return None
-        changed = (self.bc_rank_vector() != old.bc_rank_vector()) | (
-            self.model_len_vector() != old.model_len_vector()
-        )
-        query = np.asarray(list(asns), dtype=ids.dtype)
-        pos = np.searchsorted(ids, query)
-        pos[pos >= ids.size] = ids.size  # sentinel row: equal on both sides
-        present = np.zeros(query.size, dtype=bool)
-        in_range = pos < ids.size
-        present[in_range] = ids[pos[in_range]] == query[in_range]
-        hit = present & changed[pos]
-        return [int(asn) for asn in query[hit]]
 
     # ------------------------------------------------------------------
     # Grading vectors (lazy, cached) — what the vectorized grader reads

@@ -7,39 +7,43 @@ frontier is a flat list of (tree, node) pairs, and each level expands
 exactly the adjacency of those pairs with vectorized range-gathers
 (``src_indptr``/``src_nbrs`` on :class:`~repro.core.hotpath.csr.EdgeSet`).
 Total work is therefore proportional to the number of (tree, edge)
-traversals actually performed — the same count the dict engine's BFS
+traversals actually performed — the same count the reference BFS
 does — rather than levels x trees x all-edges as a dense matrix sweep
 would spend.
 
-The three stages mirror :func:`repro.core.gao_rexford.compute_routing_info`
-exactly:
+The three stages mirror the reference construction,
+:func:`repro.check.oracles.compute_routing_info`, exactly:
 
 1. **Customer routes** — level-synchronous BFS up the ``up`` edges,
-   expanded frontier-by-frontier.
+   expanded frontier-by-frontier.  The frontier keeps discovery order
+   and a node goes to its first discoverer, exactly the reference's
+   FIFO queue.
 2. **Peer routes** — one min-reduction over peer edges of the sources'
-   customer distances (a single ``minimum.reduceat`` over the
-   dst-sorted edge rows; encoded keys carry distance and parent).
+   stage-1 discovery ranks (a single ``minimum.reduceat`` over the
+   dst-sorted edge rows).  Discovery order is nondecreasing in
+   distance, so the first-discovered peer is the reference's winner:
+   the shortest candidate, first in its customer-route order.
 3. **Provider routes** — level-synchronous relaxation down the ``down``
-   edges.  The dict engine runs Dijkstra here; unit edge weights make
-   the level-by-level sweep equivalent: fixed (customer-else-peer)
-   relayers are pre-bucketed by their fixed distance and enter the
-   frontier at that level, while nodes whose *chosen* route is the
-   provider route re-relay at their assigned distance.  The first
-   level that reaches a node is its minimum distance.  Partial-transit
+   edges.  The reference runs a distance-bucket queue here; unit edge
+   weights make the level-by-level sweep equivalent: fixed
+   (customer-else-peer) relayers are pre-bucketed by their fixed
+   distance and enter the frontier at that level, while nodes whose
+   *chosen* route is the provider route re-relay at their assigned
+   distance.  Each level is visited in ASN order, like a reference
+   bucket, and a node goes to its first relayer.  Partial-transit
    edges only relay from the fixed part of the frontier, matching the
-   dict engine's ``chosen_fixed`` guard.
+   reference's ``has_fixed`` guard.
 
 First-hop restrictions only ever constrain edges leaving the
 destination itself, and the destination relays exactly once per stage
 (depth 0 in stages 1 and 3; the encoded stage-2 reduction), so the
 masks are applied to just those expansions.
 
-Distances are exact matches of the dict backend (the differential
-battery in :mod:`repro.check` compares them on every seeded scenario);
-parent pointers are one valid shortest predecessor — tie-broken by
-expansion order rather than adjacency order, which path-consistency
-checks accept because any parent at distance d-1 reconstructs a
-correct shortest route.
+Neighbors are expanded in adjacency order (the CSR keeps each source's
+run in its neighbor map's insertion order), so distances *and* parent
+pointers — and with them every reconstructed route — are exact matches
+of the reference; the kernel tests and the differential battery in
+:mod:`repro.check` compare them.
 """
 
 from __future__ import annotations
@@ -195,6 +199,15 @@ def compute_tree_batch(
     prov_par_flat = prov_par.reshape(-1)
 
     # Stage 1: customer routes, level-synchronous BFS up the graph.
+    # ``rank`` numbers (tree, node) pairs in discovery order, one
+    # counter across trees: within a tree it is the reference's queue
+    # order.  ``rank_node``/``rank_dist`` map a rank back.
+    rank = np.full(shape, -1, dtype=np.int32)
+    rank_flat = rank.reshape(-1)
+    rank_flat[trees * n + dest] = trees
+    rank_node = [dest]
+    rank_dist = [np.zeros(num_trees, dtype=np.int64)]
+    discovered = num_trees
     up = csr.up
     if len(up):
         front_t = trees.astype(np.int64)
@@ -219,41 +232,42 @@ def compute_tree_batch(
                     src_exp = src_exp[keep]
             flat = t_exp * n + tgt
             unset = cust_flat[flat] < 0
-            flat_new = flat[unset]
-            if flat_new.size == 0:
+            flat = flat[unset]
+            if flat.size == 0:
                 break
+            # First discoverer wins; the new frontier keeps the order
+            # the nodes were discovered in.
+            claim = np.sort(np.unique(flat, return_index=True)[1])
+            new = flat[claim]
             depth += 1
-            cust_flat[flat_new] = depth
-            cust_par_flat[flat_new] = src_exp[unset]
-            uniq = np.unique(flat_new)
-            front_t = uniq // n
-            front_v = uniq % n
+            cust_flat[new] = depth
+            cust_par_flat[new] = src_exp[unset][claim]
+            rank_flat[new] = np.arange(discovered, discovered + new.size)
+            discovered += new.size
+            front_t = new // n
+            front_v = new % n
+            rank_node.append(front_v)
+            rank_dist.append(np.full(new.size, depth, dtype=np.int64))
 
     # Stage 2: peer routes — one peer hop on top of the sources'
-    # customer routes.  Keys encode (distance, source) so one
-    # minimum-reduce picks the shortest candidate and its parent.
+    # customer routes.  The earliest-discovered source wins: it is the
+    # shortest candidate, first in the reference's customer order.
     peers = csr.peers
     if len(peers):
         blocked = _blocked_first_hops(peers, dest, allowed_masks)
-        stride = np.int64(n + 1)
-        sentinel = (np.int64(n) + 1) * stride
-        src_cust = cust[:, peers.src].astype(np.int64)
-        keys = np.where(
-            src_cust >= 0,
-            (src_cust + 1) * stride + peers.src,
-            sentinel,
-        )
+        sentinel = np.int32(discovered)
+        src_rank = rank[:, peers.src]
+        keys = np.where(src_rank >= 0, src_rank, sentinel)
         if blocked is not None:
             keys[blocked] = sentinel
         reduced = np.minimum.reduceat(keys, peers.starts, axis=1)
         reachable = reduced < sentinel
+        winner = np.where(reachable, reduced, 0)
         targets = peers.targets
-        peer[:, targets] = np.where(
-            reachable, (reduced // stride).astype(np.int32), np.int32(-1)
-        )
-        peer_par[:, targets] = np.where(
-            reachable, (reduced % stride).astype(np.int32), np.int32(-1)
-        )
+        node_of = np.concatenate(rank_node)
+        dist_of = np.concatenate(rank_dist)
+        peer[:, targets] = np.where(reachable, dist_of[winner] + 1, -1)
+        peer_par[:, targets] = np.where(reachable, node_of[winner], -1)
 
     # Stage 3: provider routes, level-synchronous sweep down customer
     # links.  A node relays at its chosen-route distance: fixed
@@ -281,6 +295,14 @@ def compute_tree_batch(
             hi = int(np.searchsorted(relay_depth, depth + 1))
             front_t = np.concatenate((relay_t[lo:hi], prop_t))
             front_v = np.concatenate((relay_v[lo:hi], prop_v))
+            front_fixed = np.arange(front_v.size) < hi - lo
+            if hi > lo and prop_v.size:
+                # A reference bucket is visited in ASN order, fixed and
+                # provider-routed relayers alike.
+                visit = np.argsort(front_t * n + front_v, kind="stable")
+                front_t = front_t[visit]
+                front_v = front_v[visit]
+                front_fixed = front_fixed[visit]
             next_t = prop_t[:0]
             next_v = prop_v[:0]
             if front_v.size:
@@ -294,9 +316,8 @@ def compute_tree_batch(
                     if partial_by_pos is not None:
                         # Partial-transit providers hand down only
                         # their customer/peer routes, never
-                        # provider-learned ones: the first hi - lo
-                        # frontier entries are the fixed relayers.
-                        dropped = partial_by_pos[pos] & (rep >= hi - lo)
+                        # provider-learned ones.
+                        dropped = partial_by_pos[pos] & ~front_fixed[rep]
                         if dropped.any():
                             keep = ~dropped
                     if depth == 0 and allowed_dense is not None:
@@ -313,13 +334,13 @@ def compute_tree_batch(
                         src_exp = src_exp[keep]
                     flat = t_exp * n + tgt
                     unset = prov_flat[flat] < 0
-                    flat_new = flat[unset]
-                    if flat_new.size:
-                        prov_flat[flat_new] = depth + 1
-                        prov_par_flat[flat_new] = src_exp[unset]
-                        uniq = np.unique(flat_new)
-                        new_t = uniq // n
-                        new_v = uniq % n
+                    flat = flat[unset]
+                    if flat.size:
+                        new, first = np.unique(flat, return_index=True)
+                        prov_flat[new] = depth + 1
+                        prov_par_flat[new] = src_exp[unset][first]
+                        new_t = new // n
+                        new_v = new % n
                         # Only nodes whose *chosen* route is this
                         # provider route re-export it downward — and
                         # only if they have customers to export to.

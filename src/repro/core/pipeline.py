@@ -55,7 +55,6 @@ from repro.faults import (
     RetryPolicy,
     RobustnessReport,
     RunLedger,
-    ShardExecutionReport,
     StoragePolicy,
 )
 from repro.ipmap.geolocation import GeoDatabase
@@ -147,49 +146,22 @@ class StudyConfig:
     retry_policy: Optional[RetryPolicy] = None
     checkpoint_path: Optional[str] = None
     resume: bool = False
-    #: Supervised precompute pool (Figure-1 routing trees).  The shard
-    #: journal defaults to ``<checkpoint_path>.shards`` when a campaign
-    #: checkpoint is configured; set explicitly to journal shards
-    #: without one.  ``pool_workers`` overrides the classifier's worker
-    #: resolution (needed to force the pool on small machines);
-    #: ``pool_min_parallel_trees`` likewise lowers the pool threshold.
-    #: ``shard_abort_after`` is the crash drill: the figure1 stage dies
-    #: with :class:`~repro.faults.errors.CampaignInterrupted` after
-    #: that many shards are journaled, so tests can kill a study
-    #: mid-precompute and resume it.
-    shard_checkpoint_path: Optional[str] = None
-    pool_workers: Optional[int] = None
-    pool_min_parallel_trees: Optional[int] = None
-    shard_timeout_s: Optional[float] = None
-    shard_abort_after: Optional[int] = None
     #: Explicit active-phase checkpoint; defaults to
     #: ``<checkpoint_path>.active`` when a campaign checkpoint is set.
     active_checkpoint_path: Optional[str] = None
-    #: Durable run ledger (DESIGN.md §12): scope the campaign, active
-    #: and shard checkpoints to one run directory under a single lock,
-    #: with config/graph fingerprints guarding resume.  Overrides the
+    #: Durable run ledger (DESIGN.md §12): scope the campaign and active
+    #: checkpoints to one run directory under a single lock, with
+    #: config/graph fingerprints guarding resume.  Overrides the
     #: individual ``*_checkpoint_path`` knobs.
     run_dir: Optional[str] = None
     #: Storage durability policy for every checkpoint/ledger write:
     #: ``fsync`` (default), ``flush`` or ``none``
     #: (see :mod:`repro.faults.storage`).
     durability: Optional[str] = None
-    #: Route-tree computation backend for the classification engines:
-    #: ``dict`` (readable reference) or ``array`` (CSR/numpy hot path,
-    #: byte-identical study outputs — see DESIGN.md §10).
-    backend: str = "dict"
-
-    def effective_shard_checkpoint(self) -> Optional[str]:
-        """The shard-journal path: explicit, or derived from the
-        campaign checkpoint so ``--resume`` restores both together."""
-        if self.shard_checkpoint_path is not None:
-            return self.shard_checkpoint_path
-        if self.checkpoint_path is not None:
-            return self.checkpoint_path + ".shards"
-        return None
 
     def effective_active_checkpoint(self) -> Optional[str]:
-        """The active-phase journal path, mirroring the shard rule."""
+        """The active-phase journal path: explicit, or derived from the
+        campaign checkpoint so ``--resume`` restores both together."""
         if self.active_checkpoint_path is not None:
             return self.active_checkpoint_path
         if self.checkpoint_path is not None:
@@ -208,11 +180,6 @@ _PERSISTENCE_FIELDS = frozenset(
         "retry_policy",
         "checkpoint_path",
         "resume",
-        "shard_checkpoint_path",
-        "pool_workers",
-        "pool_min_parallel_trees",
-        "shard_timeout_s",
-        "shard_abort_after",
         "active_checkpoint_path",
         "run_dir",
         "durability",
@@ -304,10 +271,6 @@ class StudyResults:
     manifest: Optional[RunManifest] = None
     #: Fault/retry/coverage accounting (fault-injected campaigns only).
     robustness: Optional[RobustnessReport] = None
-    #: Supervised-pool accounting for the Figure-1 precompute (merged
-    #: across the classify and label passes; ``None`` when precompute
-    #: never used the pool).
-    shard_execution: Optional[ShardExecutionReport] = None
     #: Per-target/per-round accounting for the active experiments
     #: (populated whenever the active phase runs).
     active_robustness: Optional[ActiveRobustnessReport] = None
@@ -405,11 +368,6 @@ class Study:
                     "active_experiments": config.active_experiments,
                     "resumed": config.resume,
                     "run_dir": config.run_dir,
-                    "shard_execution": (
-                        results.shard_execution.as_dict()
-                        if results.shard_execution is not None
-                        else None
-                    ),
                 },
             )
         if self._ledger is not None:
@@ -438,22 +396,14 @@ class Study:
         ledger.open(fingerprints, resume=config.resume)
         self._ledger = ledger
 
-    def _checkpoint_paths(self) -> Tuple[Optional[str], Optional[str], Optional[str]]:
-        """(campaign, shards, active) checkpoint paths for this run —
-        the ledger's layout when a run directory is configured, the
+    def _checkpoint_paths(self) -> Tuple[Optional[str], Optional[str]]:
+        """(campaign, active) checkpoint paths for this run — the
+        ledger's layout when a run directory is configured, the
         individual path knobs otherwise."""
         if self._ledger is not None:
-            return (
-                self._ledger.campaign_path,
-                self._ledger.shards_path,
-                self._ledger.active_path,
-            )
+            return self._ledger.campaign_path, self._ledger.active_path
         config = self.config
-        return (
-            config.checkpoint_path,
-            config.effective_shard_checkpoint(),
-            config.effective_active_checkpoint(),
-        )
+        return config.checkpoint_path, config.effective_active_checkpoint()
 
     def _storage(self) -> Optional[StoragePolicy]:
         if self._ledger is not None:
@@ -470,9 +420,7 @@ class Study:
         seed = config.seed
         timer = tracer
 
-        campaign_checkpoint, shard_checkpoint, active_checkpoint = (
-            self._checkpoint_paths()
-        )
+        campaign_checkpoint = self._checkpoint_paths()[0]
         storage = self._storage()
 
         # Stage 1: the world and what inference sees of it.
@@ -484,13 +432,10 @@ class Study:
             inferred = aggregate_snapshots(snapshots)
             siblings = infer_siblings(internet.whois, internet.soa)
             if self._ledger is not None:
-                # Imported lazily (repro.perf.parallel imports from
-                # repro.core).  Recording the topology fingerprint lets
-                # resume refuse a run directory whose journals describe
-                # a different graph.
-                from repro.perf.parallel import _graph_fingerprint
-
-                self._ledger.record_graph(_graph_fingerprint(internet.graph))
+                # Recording the topology fingerprint lets resume refuse
+                # a run directory whose journals describe a different
+                # graph.
+                self._ledger.record_graph(internet.graph.fingerprint())
 
         # Stage 2: testbed install (before the simulator is built, so
         # PEERING's links exist in the speakers' world).
@@ -578,26 +523,21 @@ class Study:
                     quarantine_counter.labels(reason=reason).inc(count)
 
         # Stage 7: classification layers (Figure 1).  Routing trees for
-        # all seven layers are precomputed through the parallel
-        # classifier (process pool above the size threshold, serial
-        # otherwise), then each layer grades against warm caches.
+        # all seven layers are precomputed in one kernel sweep per
+        # engine, then each layer grades against warm caches.
         with timer.span("psp"):
             partial = frozenset(
                 (entry.provider, entry.customer)
                 for entry in known_complex.partial_transit_entries()
             )
             if self._artifacts is not None:
-                engine_simple = self._artifacts.engine_for(
-                    inferred, backend=config.backend
-                )
+                engine_simple = self._artifacts.engine_for(inferred)
                 engine_complex = self._artifacts.engine_for(
-                    inferred, partial_transit=partial, backend=config.backend
+                    inferred, partial_transit=partial
                 )
             else:
-                engine_simple = GaoRexfordEngine(inferred, backend=config.backend)
-                engine_complex = GaoRexfordEngine(
-                    inferred, partial_transit=partial, backend=config.backend
-                )
+                engine_simple = GaoRexfordEngine(inferred)
+                engine_complex = GaoRexfordEngine(inferred, partial_transit=partial)
             origins: Dict[Prefix, int] = {}
             for asn, prefixes in dataset.destination_prefixes.items():
                 for prefix in prefixes:
@@ -611,22 +551,7 @@ class Study:
             # repro.core, so a module-level import here would cycle.
             from repro.perf.parallel import ParallelClassifier
 
-            classifier_kwargs = dict(
-                fault_plan=config.fault_plan,
-                retry=config.retry_policy,
-                shard_checkpoint=shard_checkpoint,
-                resume=config.resume,
-                shard_timeout_s=config.shard_timeout_s,
-                abort_after_shards=config.shard_abort_after,
-                storage=storage,
-            )
-            if config.pool_workers is not None:
-                classifier_kwargs["workers"] = config.pool_workers
-            if config.pool_min_parallel_trees is not None:
-                classifier_kwargs["min_parallel_trees"] = (
-                    config.pool_min_parallel_trees
-                )
-            classifier = ParallelClassifier(**classifier_kwargs)
+            classifier = ParallelClassifier()
             layer_configs = figure1_layer_configs(
                 engine_simple,
                 engine_complex,
@@ -699,7 +624,6 @@ class Study:
             psp_validation=psp_validation,
             probe_table=probe_table,
             robustness=robustness,
-            shard_execution=classifier.last_shard_report,
             layer_cache_stats=dict(classifier.last_layer_cache_stats),
             engine=engine_simple,
             engine_complex=engine_complex,
@@ -885,7 +809,7 @@ class Study:
             ActiveRunConfig(
                 fault_plan=config.fault_plan,
                 retry=config.retry_policy,
-                checkpoint_path=self._checkpoint_paths()[2],
+                checkpoint_path=self._checkpoint_paths()[1],
                 resume=config.resume,
                 storage=self._storage(),
             )

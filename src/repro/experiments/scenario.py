@@ -16,13 +16,13 @@ DEFAULT_SEED = 0
 
 
 @lru_cache(maxsize=None)
-def default_study(seed: int = DEFAULT_SEED, backend: str = "dict") -> StudyResults:
+def default_study(seed: int = DEFAULT_SEED) -> StudyResults:
     """The full-scale scenario behind all reported tables and figures."""
-    return Study(StudyConfig(seed=seed, backend=backend)).run()
+    return Study(StudyConfig(seed=seed)).run()
 
 
 @lru_cache(maxsize=None)
-def quick_study(seed: int = DEFAULT_SEED, backend: str = "dict") -> StudyResults:
+def quick_study(seed: int = DEFAULT_SEED) -> StudyResults:
     """A small scenario for fast tests (seconds, not half a minute).
 
     Delegates to :func:`repro.serve.protocol.build_study_config` so the
@@ -31,5 +31,5 @@ def quick_study(seed: int = DEFAULT_SEED, backend: str = "dict") -> StudyResults
     """
     from repro.serve.protocol import build_study_config
 
-    config = build_study_config(seed=seed, scale="small", backend=backend)
+    config = build_study_config(seed=seed, scale="small")
     return Study(config).run()

@@ -22,13 +22,9 @@ survive all of that:
   :func:`atomic_replace` / :class:`RunLock` — the crash-consistent
   storage primitives every persistent artifact is written through
   (see :mod:`repro.faults.storage`),
-* :class:`RunLedger` — one run directory unifying the passive, active
-  and shard checkpoints behind ``repro study --run-dir`` (see
+* :class:`RunLedger` — one run directory unifying the passive and
+  active checkpoints behind ``repro study --run-dir`` (see
   :mod:`repro.faults.ledger`),
-* :class:`SupervisedShardExecutor` / :class:`ShardJournal` —
-  crash-tolerant process-pool fan-out with shard checkpointing and
-  graceful degradation to serial execution (see
-  :mod:`repro.faults.pool`),
 * :class:`RobustnessReport` / :class:`ActiveRobustnessReport` — full
   where-did-every-measurement-go accounting for the passive campaign
   and the active experiments, and
@@ -53,27 +49,16 @@ from repro.faults.errors import (
     MalformedResultError,
     MuxSessionReset,
     PoisonFiltered,
-    PoolError,
-    PoolResultCorrupt,
-    PoolWorkerCrash,
-    PoolWorkerHang,
     ProbeDownError,
     ProbeFlapError,
     RetryExhausted,
     RouteFlapDamped,
-    ShardExecutionError,
     WatchdogExpired,
     WithdrawalLost,
 )
 from repro.faults.journal import CheckpointJournal, JournalCorrupted, pair_key
 from repro.faults.ledger import RunLedger
 from repro.faults.plan import FaultPlan, FaultSite, derive_seed
-from repro.faults.pool import (
-    Shard,
-    ShardExecutionReport,
-    ShardJournal,
-    SupervisedShardExecutor,
-)
 from repro.faults.report import ActiveRobustnessReport, RobustnessReport
 from repro.faults.retry import RetryPolicy, RetryStats
 from repro.faults.storage import (
@@ -109,10 +94,6 @@ __all__ = [
     "MalformedResultError",
     "MuxSessionReset",
     "PoisonFiltered",
-    "PoolError",
-    "PoolResultCorrupt",
-    "PoolWorkerCrash",
-    "PoolWorkerHang",
     "ProbeDownError",
     "ProbeFlapError",
     "RetryExhausted",
@@ -122,12 +103,7 @@ __all__ = [
     "RouteFlapDamped",
     "RunLedger",
     "RunLock",
-    "Shard",
-    "ShardExecutionError",
-    "ShardExecutionReport",
-    "ShardJournal",
     "StoragePolicy",
-    "SupervisedShardExecutor",
     "Watchdog",
     "WatchdogExpired",
     "WithdrawalLost",

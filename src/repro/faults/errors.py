@@ -287,79 +287,6 @@ class MalformedResultError(FaultError, ValueError):
         return "malformed-result"
 
 
-class PoolError(FaultError):
-    """Base class for precompute process-pool faults."""
-
-    site = "perf/pool"
-    retryable = True
-
-
-class PoolWorkerCrash(PoolError):
-    """A pool worker died mid-shard (SIGKILL, OOM, segfault).
-
-    Surfaces as ``BrokenProcessPool`` on the parent's future; the
-    supervisor respawns the pool and retries the shard, so the fault is
-    transient from the shard's point of view.
-    """
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "pool-worker-crash"
-
-
-class PoolWorkerHang(PoolError):
-    """A shard missed its per-shard deadline (worker wedged or livelocked).
-
-    The supervisor kills the pool's workers, respawns, and retries the
-    shard — the analogue of a watchdog-driven process restart.
-    """
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "pool-worker-hang"
-
-
-class PoolResultCorrupt(PoolError):
-    """A shard's result failed the parent-side validation check.
-
-    The cheap always-on check (did the worker return exactly the trees
-    that were asked for?) catches truncated or garbled result payloads
-    before they can be installed into an engine cache.
-    """
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "pool-result-corrupt"
-
-
-class ShardExecutionError(PoolError):
-    """A shard failed even the serial in-process recomputation.
-
-    Terminal: carries the shard id and the tree keys it covered so the
-    caller sees *which* work is unrecoverable instead of a bare
-    ``concurrent.futures`` traceback.
-    """
-
-    retryable = False
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        shard_id: str = "",
-        keys: tuple = (),
-        **kwargs,
-    ) -> None:
-        super().__init__(message, **kwargs)
-        self.shard_id = shard_id
-        #: The work items (e.g. ``TreeKey``s) the failed shard covered.
-        self.keys = tuple(keys)
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "shard-execution-failed"
-
-
 class RetryExhausted(FaultError):
     """A retryable operation failed on every allowed attempt."""
 

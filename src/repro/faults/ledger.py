@@ -1,10 +1,9 @@
 """The durable run ledger: one directory holding a whole study's state.
 
-Before the ledger, a resumable study was three uncoordinated
-checkpoint files (passive campaign, active experiments, precompute
-shards) whose paths the operator had to thread through flags
-individually.  A :class:`RunLedger` scopes them all to one run
-directory:
+Before the ledger, a resumable study was uncoordinated checkpoint
+files (passive campaign, active experiments) whose paths the operator
+had to thread through flags individually.  A :class:`RunLedger` scopes
+them all to one run directory:
 
 .. code-block:: text
 
@@ -12,7 +11,7 @@ directory:
       ledger.json       # schema, fingerprints, status, run count
       campaign.jsonl    # passive DNS campaign checkpoint
       active.jsonl      # active poisoning/magnet checkpoint
-      shards.jsonl      # precompute shard journal
+      temporal.jsonl    # longitudinal epoch journal (repro temporal)
       .lock             # advisory pidfile (repro.faults.storage.RunLock)
       .generation       # one byte appended per open; size = generation
 
@@ -54,7 +53,6 @@ LEDGER_SCHEMA = 1
 LEDGER_FILE = "ledger.json"
 CAMPAIGN_JOURNAL = "campaign.jsonl"
 ACTIVE_JOURNAL = "active.jsonl"
-SHARD_JOURNAL = "shards.jsonl"
 TEMPORAL_JOURNAL = "temporal.jsonl"
 LOCK_FILE = ".lock"
 GENERATION_FILE = ".generation"
@@ -95,10 +93,6 @@ class RunLedger:
     @property
     def active_path(self) -> str:
         return os.path.join(self.run_dir, ACTIVE_JOURNAL)
-
-    @property
-    def shards_path(self) -> str:
-        return os.path.join(self.run_dir, SHARD_JOURNAL)
 
     @property
     def temporal_path(self) -> str:

@@ -46,11 +46,6 @@ class FaultSite(str, Enum):
     CONVERGENCE_STALL = "bgp/announce:stall"
     COLLECTOR_FEED_GAP = "peering/collectors:feed-gap"
     MUX_WITHDRAWAL_LOSS = "peering/testbed:withdrawal-loss"
-    # Parallel-execution sites (the precompute process pool).  Keyed by
-    # (shard_id, attempt) so crashes/hangs can clear on retry.
-    POOL_WORKER_CRASH = "perf/pool:worker-crash"
-    POOL_WORKER_HANG = "perf/pool:worker-hang"
-    POOL_RESULT_CORRUPT = "perf/pool:result-corrupt"
     # Filesystem sites (the durable-storage layer).  Keyed by
     # (file basename, record ordinal, ledger generation) so a crash
     # drill clears on the next resume instead of firing forever.

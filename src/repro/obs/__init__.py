@@ -3,11 +3,10 @@
 One subsystem answers "where did the time go, what was counted, which
 faults fired" for every run in the study:
 
-* :mod:`repro.obs.trace` — nestable spans on a monotonic clock
-  (subsumes the old flat ``StageTimer``).
+* :mod:`repro.obs.trace` — nestable spans on a monotonic clock, whose
+  top-level spans are the per-stage timings.
 * :mod:`repro.obs.metrics` — process-wide registry of counters,
-  gauges, and fixed-bucket histograms with mergeable snapshots for
-  worker processes.
+  gauges, and fixed-bucket histograms with mergeable snapshots.
 * :mod:`repro.obs.events` — typed, deterministic event stream for the
   faults layer and the BGP simulator.
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` JSON artifact

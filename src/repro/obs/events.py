@@ -33,7 +33,6 @@ CATEGORY_QUARANTINE = "quarantine"
 CATEGORY_BGP = "bgp"
 CATEGORY_CAMPAIGN = "campaign"
 CATEGORY_ACTIVE = "active"
-CATEGORY_POOL = "pool"
 
 DEFAULT_MAX_EVENTS = 10000
 

@@ -91,7 +91,7 @@ class RunManifest:
     # Views
     # ------------------------------------------------------------------
     def stage_timings(self) -> Dict[str, float]:
-        """Top-level span name -> seconds (the StageTimer-shaped view)."""
+        """Top-level span name -> seconds (the per-stage view)."""
         timings: Dict[str, float] = {}
         for span in self.spans:
             name = str(span.get("name", ""))

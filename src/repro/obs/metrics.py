@@ -13,9 +13,9 @@ Two properties the rest of the study relies on:
 * **Mergeable snapshots** — :meth:`MetricsRegistry.snapshot` produces a
   plain-JSON document and :func:`merge_snapshots` combines two of them
   associatively and commutatively (counters/histograms sum, gauges take
-  the max), so :class:`~repro.perf.parallel.ParallelClassifier` workers
-  can each record into a private registry and the parent can fold the
-  snapshots back in regardless of completion order.
+  the max), so concurrent work (the serve daemon's request threads) can
+  record into private registries and fold the snapshots back in
+  regardless of completion order.
 
 This module imports nothing from the rest of :mod:`repro`, so every
 layer (including :mod:`repro.faults`) can depend on it without cycles.
@@ -338,7 +338,7 @@ class MetricsRegistry:
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def merge_snapshot(self, snapshot: Dict) -> None:
-        """Fold an external snapshot (e.g. from a pool worker) in.
+        """Fold an external snapshot (e.g. from a request's registry) in.
 
         Uses the same semantics as :func:`merge_snapshots`: counter and
         histogram series add, gauge series take the max.

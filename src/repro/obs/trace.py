@@ -4,17 +4,15 @@ A :class:`Tracer` records a tree of named spans: the study pipeline
 opens one span per stage, and inner layers (the parallel classifier,
 the campaign runners, the active drivers) open child spans through the
 ambient :func:`span` helper without needing a tracer threaded through
-every signature.  The resulting span tree subsumes the old
-:class:`repro.perf.timing.StageTimer` role — :meth:`Tracer.stage_timings`
-reproduces its flat stage-name -> seconds mapping from the **top-level
-spans only**, which is what makes nested instrumentation safe:
+every signature.  :meth:`Tracer.stage_timings` gives the flat
+stage-name -> seconds mapping from the **top-level spans only**, which
+is what makes nested instrumentation safe:
 
-When :class:`~repro.perf.parallel.ParallelClassifier` falls back to
-serial execution, its tree builds run in-process *inside* the
-pipeline's ``figure1`` stage.  With two flat timers (one in the engine,
-one in the pipeline wrapper) that work was counted twice; as spans the
-engine-side work nests under the wrapper's span and contributes to the
-stage total exactly once.
+:class:`~repro.perf.parallel.ParallelClassifier` builds its trees
+in-process *inside* the pipeline's ``figure1`` stage.  With two flat
+timers (one in the classifier, one in the pipeline wrapper) that work
+was counted twice; as spans the classifier's work nests under the
+wrapper's span and contributes to the stage total exactly once.
 
 Span durations come from ``time.perf_counter`` (monotonic); start
 offsets are relative to the tracer's epoch so a serialized span tree
@@ -121,7 +119,7 @@ class Tracer:
             stack.pop()
 
     # ------------------------------------------------------------------
-    # StageTimer-compatible views
+    # Stage views
     # ------------------------------------------------------------------
     def stage_timings(self) -> Dict[str, float]:
         """Top-level span name -> seconds, in first-seen order.

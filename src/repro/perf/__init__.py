@@ -1,28 +1,22 @@
-"""Performance subsystem: batching, parallelism and instrumentation.
+"""Performance subsystem: batched precompute and the pipeline benchmark.
 
 The classification pipeline's hot path is Gao-Rexford routing-tree
 construction (one tree per destination per refinement layer) followed
-by per-decision grading.  This package provides the machinery that
-keeps both off the critical path at scale:
+by per-decision grading.  This package provides:
 
-* :mod:`repro.perf.timing` — lightweight per-stage wall-clock timing,
-  recorded into :class:`repro.core.pipeline.StudyResults`.
 * :mod:`repro.perf.parallel` — :class:`ParallelClassifier`, which
-  precomputes routing trees across destinations and refinement layers
-  with a process pool (serial fallback for small inputs) and grades
-  decisions through the batched classifiers.
+  precomputes the routing trees of every refinement layer in one kernel
+  sweep per engine and grades decisions through the arena grader.
 * :mod:`repro.perf.bench` — the ``python -m repro.perf.bench`` entry
   point producing ``BENCH_pipeline.json``.
+
+Stage timings come from the tracer in :mod:`repro.obs.trace`.
 """
 
-from repro.perf.parallel import LayerConfig, ParallelClassifier, PrecomputeReport, worker_count
-from repro.perf.timing import StageRecord, StageTimer
+from repro.perf.parallel import LayerConfig, ParallelClassifier, PrecomputeReport
 
 __all__ = [
     "LayerConfig",
     "ParallelClassifier",
     "PrecomputeReport",
-    "StageRecord",
-    "StageTimer",
-    "worker_count",
 ]

@@ -1,11 +1,12 @@
 """Pipeline benchmark entry point (``python -m repro.perf.bench``).
 
 Measures the full seven-layer Figure-1 classification two ways over the
-same study — the seed's per-decision reference path and the batched +
-precomputed path — and writes the trajectory to ``BENCH_pipeline.json``
-together with the study's per-stage wall times and routing-cache
-counters.  The benchmark suite reuses these helpers so the reported
-speedup and the CI-asserted speedup are the same measurement.
+same study — the per-decision reference path and the batched +
+precomputed arena path — and writes the trajectory to
+``BENCH_pipeline.json`` together with the study's per-stage wall times
+and routing-cache counters.  The benchmark suite reuses these helpers
+so the reported speedup and the CI-asserted speedup are the same
+measurement.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from typing import Dict, Optional, Tuple
 from repro.core.classification import LabelCounts, classify_decisions_serial
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import FIGURE1_LAYERS, StudyResults, figure1_layer_configs
-from repro.perf.parallel import ParallelClassifier, PrecomputeReport, worker_count
+from repro.perf.parallel import ParallelClassifier, PrecomputeReport
 
 DEFAULT_BENCH_PATH = "BENCH_pipeline.json"
 
 
 def _fresh_engines(
-    study: StudyResults, canonical_keys: bool, backend: str = "dict"
+    study: StudyResults, canonical_keys: bool
 ) -> Tuple[GaoRexfordEngine, GaoRexfordEngine]:
     """Cold engines over the study topology, as ``Study.run`` builds them.
 
@@ -37,14 +38,9 @@ def _fresh_engines(
     if study.engine_complex is None:
         raise ValueError("study results carry no complex engine")
     partial = study.engine_complex.partial_transit
-    simple = GaoRexfordEngine(
-        study.inferred, canonical_keys=canonical_keys, backend=backend
-    )
+    simple = GaoRexfordEngine(study.inferred, canonical_keys=canonical_keys)
     complex_ = GaoRexfordEngine(
-        study.inferred,
-        partial_transit=partial,
-        canonical_keys=canonical_keys,
-        backend=backend,
+        study.inferred, partial_transit=partial, canonical_keys=canonical_keys
     )
     return simple, complex_
 
@@ -61,7 +57,7 @@ def _layer_configs(study, engine_simple, engine_complex):
 
 
 def seven_layer_serial(study: StudyResults) -> Tuple[float, Dict[str, LabelCounts]]:
-    """Time the seed reference path: per-decision grading, cold engines."""
+    """Time the reference path: per-decision grading, cold engines."""
     engine_simple, engine_complex = _fresh_engines(study, canonical_keys=False)
     layers = _layer_configs(study, engine_simple, engine_complex)
     start = time.perf_counter()
@@ -79,20 +75,16 @@ def seven_layer_serial(study: StudyResults) -> Tuple[float, Dict[str, LabelCount
 
 
 def seven_layer_batched(
-    study: StudyResults, workers: Optional[int] = None, backend: str = "dict"
+    study: StudyResults,
 ) -> Tuple[float, Dict[str, LabelCounts], PrecomputeReport, Dict[str, Dict]]:
-    """Time the optimized path: precomputed trees + batched grading.
+    """Time the optimized path: precomputed trees + arena grading.
 
     Engines start cold, so the measurement includes tree construction
-    exactly like the serial leg does.  ``backend`` selects the
-    route-tree engine backend — ``array`` runs the whole leg through
-    the CSR kernel and the vectorized arena grader.
+    exactly like the serial leg does.
     """
-    engine_simple, engine_complex = _fresh_engines(
-        study, canonical_keys=True, backend=backend
-    )
+    engine_simple, engine_complex = _fresh_engines(study, canonical_keys=True)
     layers = _layer_configs(study, engine_simple, engine_complex)
-    classifier = ParallelClassifier(workers=workers)
+    classifier = ParallelClassifier()
     start = time.perf_counter()
     figure1 = classifier.classify_layers(study.decisions, layers)
     elapsed = time.perf_counter() - start
@@ -104,192 +96,9 @@ def seven_layer_batched(
     return elapsed, figure1, report, cache_stats
 
 
-def _hotpath_measure(
-    study: StudyResults, workers: Optional[int] = None, repeats: int = 3
-) -> Tuple[Dict[str, object], Dict[str, LabelCounts], PrecomputeReport, Dict[str, Dict]]:
-    """Best-of-``repeats`` dict-batched vs array-batched comparison.
-
-    Returns the ``hotpath`` section plus the dict leg's counts, report
-    and cache stats so callers refreshing the ``classification`` and
-    ``cache`` sections reuse the same measurement.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    dict_s = array_s = float("inf")
-    dict_counts = array_counts = None
-    dict_report = array_report = None
-    dict_cache: Dict[str, Dict] = {}
-    for _ in range(repeats):
-        elapsed, dict_counts, dict_report, dict_cache = seven_layer_batched(
-            study, workers=workers, backend="dict"
-        )
-        dict_s = min(dict_s, elapsed)
-        elapsed, array_counts, array_report, _array_cache = seven_layer_batched(
-            study, workers=workers, backend="array"
-        )
-        array_s = min(array_s, elapsed)
-    assert dict_counts is not None and array_counts is not None
-    identical = all(
-        dict_counts[layer] == array_counts[layer] for layer in FIGURE1_LAYERS
-    )
-    graded = len(study.decisions) * len(FIGURE1_LAYERS)
-    section = {
-        "backends": ["dict", "array"],
-        "decisions_graded": graded,
-        "dict_seconds": round(dict_s, 6),
-        "array_seconds": round(array_s, 6),
-        "speedup": round(dict_s / array_s, 3) if array_s else None,
-        "dict_decisions_per_second": round(graded / dict_s, 1) if dict_s else None,
-        "array_decisions_per_second": (
-            round(graded / array_s, 1) if array_s else None
-        ),
-        "trees_computed": array_report.trees_computed if array_report else 0,
-        "trees_reused": array_report.trees_reused if array_report else 0,
-        "results_identical": identical,
-    }
-    return section, dict_counts, dict_report or PrecomputeReport(), dict_cache
-
-
-def hotpath_section(
-    study: StudyResults, workers: Optional[int] = None, repeats: int = 3
-) -> Dict[str, object]:
-    """The ``hotpath`` section of ``BENCH_pipeline.json``: both backends
-    over the same cold-engine seven-layer run, with the array/dict
-    speedup and the identical-results assertion CI gates on."""
-    section, _counts, _report, _cache = _hotpath_measure(
-        study, workers=workers, repeats=repeats
-    )
-    return section
-
-
-def temporal_section(study: StudyResults, repeats: int = 3) -> Dict[str, object]:
-    """The ``temporal`` section: incremental delta pipeline vs restudy.
-
-    Three legs over the study's own inferred snapshot series (default
-    churn, 5 snapshots), all producing the identical per-epoch Figure-1
-    series:
-
-    * **serial restudy** — fresh engines per snapshot, per-decision
-      serial grading: what recomputing the longitudinal series without
-      any of the repo's batching machinery costs.  This is the same
-      reference definition ``classification.speedup`` gates against.
-    * **batched scratch** — :func:`repro.temporal.study.run_scratch`,
-      fresh engines per snapshot through the optimized
-      ``classify_decisions`` path.
-    * **incremental** — :func:`repro.temporal.study.run_incremental`,
-      the delta/dirty-set/diff-retally pipeline.
-
-    The gated ``speedup`` is serial restudy over incremental on the
-    dict backend.  ``batched_speedup`` (batched scratch over
-    incremental) is recorded alongside and is necessarily smaller: at
-    the default 2% link churn the dirty set *saturates* — nearly every
-    cached route tree genuinely changes in every epoch (the dirty test
-    is exact, not conservative), so recomputing changed trees is a hard
-    floor both legs pay, and the incremental win comes from tree-level
-    tally reuse plus the per-grade-key diff re-tally, not from skipping
-    whole epochs.  Array-backend timings ride along as info fields; the
-    vectorized arena grader makes the array scratch leg so fast that
-    per-tree incremental bookkeeping cannot beat it, which the section
-    reports honestly rather than gating on.
-    """
-    from repro.temporal.study import TemporalInputs, run_incremental, run_scratch
-    from repro.temporal.study import _counts_dict
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    snapshots = study.snapshots
-    if not snapshots:
-        raise ValueError("study results carry no snapshot series")
-    inputs = TemporalInputs.from_study(study, backend="dict")
-
-    def serial_restudy():
-        series = []
-        for snapshot in snapshots:
-            engine_simple = GaoRexfordEngine(snapshot, canonical_keys=False)
-            engine_complex = GaoRexfordEngine(
-                snapshot,
-                partial_transit=inputs.partial_transit,
-                canonical_keys=False,
-            )
-            layers = _layer_configs(study, engine_simple, engine_complex)
-            series.append(
-                _counts_dict(
-                    {
-                        name: classify_decisions_serial(
-                            study.decisions,
-                            layer.engine,
-                            first_hops_for=layer.first_hops_for,
-                            complex_rel=layer.complex_rel,
-                            siblings=layer.siblings,
-                        )
-                        for name, layer in layers.items()
-                    }
-                )
-            )
-        return series
-
-    serial_s = scratch_s = incremental_s = float("inf")
-    serial_series = scratch_series = None
-    incremental = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        serial_series = serial_restudy()
-        serial_s = min(serial_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        scratch_series = run_scratch(snapshots, inputs)
-        scratch_s = min(scratch_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        incremental = run_incremental(snapshots, inputs)
-        incremental_s = min(incremental_s, time.perf_counter() - start)
-    assert incremental is not None
-
-    inputs_array = TemporalInputs.from_study(study, backend="array")
-    array_incremental_s = array_scratch_s = float("inf")
-    array_series = array_scratch_series = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        array_series = run_incremental(snapshots, inputs_array).figure1_series()
-        array_incremental_s = min(array_incremental_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        array_scratch_series = run_scratch(snapshots, inputs_array)
-        array_scratch_s = min(array_scratch_s, time.perf_counter() - start)
-
-    series = incremental.figure1_series()
-    identical = (
-        series == serial_series
-        and series == scratch_series
-        and series == array_series
-        and series == array_scratch_series
-    )
-    epochs = incremental.epochs
-    return {
-        "snapshots": len(snapshots),
-        "churn": study.config.inference.snapshot_churn,
-        "decisions": len(study.decisions),
-        "layers": list(FIGURE1_LAYERS),
-        "serial_restudy_seconds": round(serial_s, 6),
-        "scratch_seconds": round(scratch_s, 6),
-        "incremental_seconds": round(incremental_s, 6),
-        "speedup": (
-            round(serial_s / incremental_s, 3) if incremental_s else None
-        ),
-        "batched_speedup": (
-            round(scratch_s / incremental_s, 3) if incremental_s else None
-        ),
-        "array_incremental_seconds": round(array_incremental_s, 6),
-        "array_scratch_seconds": round(array_scratch_s, 6),
-        "dirty_destinations": sum(e.dirty_destinations for e in epochs),
-        "invalidated_trees": sum(e.invalidated_trees for e in epochs),
-        "regraded_groups": sum(e.regraded_groups for e in epochs),
-        "reused_groups": sum(e.reused_groups for e in epochs),
-        "results_identical": identical,
-    }
-
-
 def robustness_overhead(
     study: StudyResults,
     batched_seconds: float,
-    workers: Optional[int] = None,
     repeats: int = 3,
 ) -> Dict[str, object]:
     """Cost of the resilience layer on a no-fault-plan run.
@@ -343,13 +152,9 @@ def robustness_overhead(
     # extra repeats are cheap.
     baseline_s = reclassified_s = float("inf")
     for _ in range(max(repeats, 5)):
-        elapsed, _counts, _report, _stats = seven_layer_batched(
-            study, workers=workers
-        )
+        elapsed, _counts, _report, _stats = seven_layer_batched(study)
         baseline_s = min(baseline_s, elapsed)
-        elapsed, _counts, _report, _stats = seven_layer_batched(
-            study, workers=workers
-        )
+        elapsed, _counts, _report, _stats = seven_layer_batched(study)
         reclassified_s = min(reclassified_s, elapsed)
     batched_seconds = min(batched_seconds, baseline_s)
 
@@ -448,67 +253,6 @@ def active_robustness_overhead(
         "plain_seconds": round(plain_s, 6),
         "supervised_seconds": round(supervised_s, 6),
         "overhead_pct": overhead,
-    }
-
-
-def pool_supervision_overhead(
-    study: StudyResults, repeats: int = 3, workers: int = 2
-) -> Dict[str, object]:
-    """Cost of supervised shard dispatch on a zero-fault pool run.
-
-    Interleaves the legacy raw ``pool.map`` path (``supervised=False``)
-    with the supervised shard executor over the same cold-engine
-    seven-layer classification, both forced onto a real process pool
-    (``min_parallel_trees=1``).  No faults are injected and no journal
-    is configured, so the delta is pure supervision bookkeeping —
-    shard ids, per-shard futures, deadline waits, validation — and CI
-    gates it under a few percent.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-
-    def run_leg(supervised: bool):
-        engine_simple, engine_complex = _fresh_engines(study, canonical_keys=True)
-        layers = _layer_configs(study, engine_simple, engine_complex)
-        classifier = ParallelClassifier(
-            workers=workers, min_parallel_trees=1, supervised=supervised
-        )
-        start = time.perf_counter()
-        counts = classifier.classify_layers(study.decisions, layers)
-        return time.perf_counter() - start, counts, classifier
-
-    raw_s = supervised_s = float("inf")
-    raw_counts = supervised_counts = None
-    shard_report = None
-    for _ in range(max(repeats, 3)):
-        elapsed, raw_counts, _classifier = run_leg(False)
-        raw_s = min(raw_s, elapsed)
-        elapsed, supervised_counts, classifier = run_leg(True)
-        supervised_s = min(supervised_s, elapsed)
-        shard_report = classifier.last_shard_report
-    assert raw_counts is not None and supervised_counts is not None
-    identical = all(
-        raw_counts[layer] == supervised_counts[layer] for layer in FIGURE1_LAYERS
-    )
-    clean = bool(
-        shard_report is not None
-        and shard_report.accounted()
-        and shard_report.retries == 0
-        and shard_report.completed_serial == 0
-        and not shard_report.degraded_serial_mode
-    )
-    overhead = (
-        round((supervised_s / raw_s - 1.0) * 100.0, 2) if raw_s else None
-    )
-    return {
-        "fault_plan": None,
-        "workers": workers,
-        "shards": shard_report.shards_total if shard_report else 0,
-        "raw_seconds": round(raw_s, 6),
-        "supervised_seconds": round(supervised_s, 6),
-        "overhead_pct": overhead,
-        "results_identical": identical,
-        "zero_fault_clean": clean,
     }
 
 
@@ -621,11 +365,7 @@ def ledger_durability_overhead(
     }
 
 
-def telemetry_overhead(
-    study: StudyResults,
-    workers: Optional[int] = None,
-    repeats: int = 3,
-) -> Dict[str, object]:
+def telemetry_overhead(study: StudyResults, repeats: int = 3) -> Dict[str, object]:
     """Cost of enabled telemetry on the hot seven-layer classification.
 
     Interleaves an obs-disabled leg with an obs-enabled leg (fresh
@@ -640,16 +380,12 @@ def telemetry_overhead(
     off_s = on_s = float("inf")
     manifest: Optional[Dict[str, object]] = None
     for _ in range(max(repeats, 5)):
-        elapsed, _counts, _report, _stats = seven_layer_batched(
-            study, workers=workers
-        )
+        elapsed, _counts, _report, _stats = seven_layer_batched(study)
         off_s = min(off_s, elapsed)
         obs = Observability()
         tracer = Tracer()
         with using(obs), tracer.activate():
-            elapsed, _counts, _report, _stats = seven_layer_batched(
-                study, workers=workers
-            )
+            elapsed, _counts, _report, _stats = seven_layer_batched(study)
         on_s = min(on_s, elapsed)
         manifest = build_manifest(
             obs,
@@ -672,11 +408,7 @@ def telemetry_overhead(
     }
 
 
-def run_benchmark(
-    study: StudyResults,
-    workers: Optional[int] = None,
-    repeats: int = 3,
-) -> Dict[str, object]:
+def run_benchmark(study: StudyResults, repeats: int = 3) -> Dict[str, object]:
     """Best-of-``repeats`` serial vs batched comparison as a JSON payload."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -687,9 +419,7 @@ def run_benchmark(
     for _ in range(repeats):
         elapsed, serial_counts = seven_layer_serial(study)
         serial_s = min(serial_s, elapsed)
-        elapsed, batched_counts, report, cache_stats = seven_layer_batched(
-            study, workers=workers
-        )
+        elapsed, batched_counts, report, cache_stats = seven_layer_batched(study)
         batched_s = min(batched_s, elapsed)
     assert serial_counts is not None and batched_counts is not None
     identical = all(
@@ -716,23 +446,15 @@ def run_benchmark(
             "speedup": round(serial_s / batched_s, 3) if batched_s else None,
             "serial_decisions_per_second": round(graded / serial_s, 1),
             "batched_decisions_per_second": round(graded / batched_s, 1),
-            "workers": report.workers if report else 1,
-            "parallel": report.parallel if report else False,
             "trees_computed": report.trees_computed if report else 0,
             "trees_reused": report.trees_reused if report else 0,
             "results_identical": identical,
         },
         "cache": cache_stats,
-        "hotpath": hotpath_section(study, workers=workers, repeats=repeats),
-        "robustness": robustness_overhead(
-            study, batched_s, workers=workers, repeats=repeats
-        ),
+        "robustness": robustness_overhead(study, batched_s, repeats=repeats),
         "active_robustness": active_robustness_overhead(study, repeats=repeats),
-        "pool_supervision": pool_supervision_overhead(study, repeats=repeats),
         "ledger": ledger_durability_overhead(study, repeats=repeats),
-        "telemetry_overhead": telemetry_overhead(
-            study, workers=workers, repeats=repeats
-        ),
+        "telemetry_overhead": telemetry_overhead(study, repeats=repeats),
     }
 
 
@@ -773,12 +495,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="study seed")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="precompute pool size (default: REPRO_WORKERS or CPU count)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3, help="best-of repetitions per leg"
     )
     parser.add_argument(
@@ -786,19 +502,14 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--section",
-        choices=("all", "obs", "hotpath", "pool", "ledger", "serve", "temporal"),
+        choices=("all", "obs", "ledger", "serve"),
         default="all",
         help="'obs' measures and merges only the telemetry_overhead "
-        "section; 'hotpath' runs both route-tree backends and refreshes "
-        "the hotpath, classification and cache sections; 'pool' "
-        "measures supervised vs raw pool dispatch and refreshes the "
-        "pool_supervision section; 'ledger' measures journal fsync "
-        "durability overhead and refreshes the ledger section; 'serve' "
-        "load-tests the study-as-a-service daemon (concurrent clients, "
-        "req/s, p99, cache reuse) and refreshes the serve section; "
-        "'temporal' compares the incremental snapshot-series pipeline "
-        "against per-snapshot restudy and refreshes the temporal "
-        "section; other recorded sections stay untouched",
+        "section; 'ledger' measures journal fsync durability overhead "
+        "and refreshes the ledger section; 'serve' load-tests the "
+        "study-as-a-service daemon (concurrent clients, req/s, p99, "
+        "cache reuse) and refreshes the serve section; other recorded "
+        "sections stay untouched",
     )
     parser.add_argument(
         "--serve-clients",
@@ -817,38 +528,12 @@ def main(argv: Optional[list] = None) -> int:
         "benchmark exceeds PCT percent",
     )
     parser.add_argument(
-        "--check-hotpath-speedup",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="exit nonzero unless the array backend beats the dict "
-        "batched path by at least FACTOR x (with identical results)",
-    )
-    parser.add_argument(
-        "--check-pool-overhead",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit nonzero if supervised pool dispatch costs more than "
-        "PCT percent over the raw pool on a zero-fault run",
-    )
-    parser.add_argument(
         "--check-ledger-overhead",
         type=float,
         default=None,
         metavar="PCT",
         help="exit nonzero if fsync durability costs more than PCT "
         "percent over a non-durable journal on the same campaign",
-    )
-    parser.add_argument(
-        "--check-temporal-speedup",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="exit nonzero unless the incremental temporal pipeline "
-        "beats per-snapshot serial restudy by at least FACTOR x on the "
-        "dict backend (with an identical per-epoch Figure-1 series "
-        "across all legs and backends)",
     )
     parser.add_argument(
         "--check-serve-p99",
@@ -870,10 +555,6 @@ def main(argv: Optional[list] = None) -> int:
     # Fail fast on bad knobs before the (slow) study build.
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
-    try:
-        workers = worker_count() if args.workers is None else args.workers
-    except ValueError as exc:
-        parser.error(str(exc))
 
     from repro.experiments.scenario import default_study, quick_study
 
@@ -950,54 +631,6 @@ def main(argv: Optional[list] = None) -> int:
             return 1
         return 0
 
-    def check_hotpath_gate(hotpath: Dict[str, object]) -> int:
-        speedup = hotpath["speedup"]
-        say(
-            f"hotpath: dict {hotpath['dict_seconds']:.3f}s -> "
-            f"array {hotpath['array_seconds']:.3f}s "
-            f"({hotpath['array_decisions_per_second']:.0f} decisions/s, "
-            f"{speedup:.2f}x)"
-        )
-        say(f"hotpath results identical: {hotpath['results_identical']}")
-        failed = 0
-        if not hotpath["results_identical"]:
-            say("FAIL: array backend disagrees with the dict backend")
-            failed = 1
-        if args.check_hotpath_speedup is not None and (
-            speedup is None or speedup < args.check_hotpath_speedup
-        ):
-            say(
-                f"FAIL: hotpath speedup {speedup}x below the "
-                f"{args.check_hotpath_speedup}x floor"
-            )
-            failed = 1
-        return failed
-
-    def check_pool_gate(pool: Dict[str, object]) -> int:
-        overhead = pool["overhead_pct"]
-        label = "n/a" if overhead is None else f"{overhead:+.1f}%"
-        say(
-            f"pool supervision (no faults): raw {pool['raw_seconds']:.3f}s -> "
-            f"supervised {pool['supervised_seconds']:.3f}s ({label}, "
-            f"{pool['shards']} shards, {pool['workers']} workers)"
-        )
-        failed = 0
-        if not pool["results_identical"]:
-            say("FAIL: supervised pool disagrees with the raw pool")
-            failed = 1
-        if not pool["zero_fault_clean"]:
-            say("FAIL: supervised pool took recovery actions on a clean run")
-            failed = 1
-        if args.check_pool_overhead is not None and (
-            overhead is None or overhead > args.check_pool_overhead
-        ):
-            say(
-                f"FAIL: pool supervision overhead {overhead}% exceeds "
-                f"{args.check_pool_overhead}% budget"
-            )
-            failed = 1
-        return failed
-
     def check_ledger_gate(ledger: Dict[str, object]) -> int:
         overhead = ledger["overhead_pct"]
         label = "n/a" if overhead is None else f"{overhead:+.1f}%"
@@ -1023,53 +656,11 @@ def main(argv: Optional[list] = None) -> int:
             failed = 1
         return failed
 
-    def check_temporal_gate(temporal: Dict[str, object]) -> int:
-        speedup = temporal["speedup"]
-        say(
-            f"temporal ({temporal['snapshots']} snapshots, "
-            f"churn {temporal['churn']}): serial restudy "
-            f"{temporal['serial_restudy_seconds']:.3f}s -> incremental "
-            f"{temporal['incremental_seconds']:.3f}s ({speedup:.2f}x; "
-            f"batched scratch {temporal['scratch_seconds']:.3f}s, "
-            f"{temporal['batched_speedup']:.2f}x)"
-        )
-        say(
-            f"temporal array backend: incremental "
-            f"{temporal['array_incremental_seconds']:.3f}s, "
-            f"scratch {temporal['array_scratch_seconds']:.3f}s"
-        )
-        say(f"temporal results identical: {temporal['results_identical']}")
-        failed = 0
-        if not temporal["results_identical"]:
-            say("FAIL: incremental series differs from a from-scratch leg")
-            failed = 1
-        if args.check_temporal_speedup is not None and (
-            speedup is None or speedup < args.check_temporal_speedup
-        ):
-            say(
-                f"FAIL: temporal speedup {speedup}x below the "
-                f"{args.check_temporal_speedup}x floor"
-            )
-            failed = 1
-        return failed
-
     def finish(written: Dict[str, object], path: str, failed: int) -> int:
         say(f"wrote {path}")
         if args.json:
             print(json.dumps(written, indent=2, sort_keys=True))
         return failed
-
-    if args.section == "temporal":
-        temporal = temporal_section(study, repeats=args.repeats)
-        written = {"temporal": temporal}
-        path = write_bench_file(written, args.out)
-        return finish(written, path, check_temporal_gate(temporal))
-
-    if args.section == "pool":
-        pool = pool_supervision_overhead(study, repeats=args.repeats)
-        written = {"pool_supervision": pool}
-        path = write_bench_file(written, args.out)
-        return finish(written, path, check_pool_gate(pool))
 
     if args.section == "ledger":
         ledger = ledger_durability_overhead(study, repeats=args.repeats)
@@ -1078,68 +669,12 @@ def main(argv: Optional[list] = None) -> int:
         return finish(written, path, check_ledger_gate(ledger))
 
     if args.section == "obs":
-        telemetry = telemetry_overhead(
-            study, workers=workers, repeats=args.repeats
-        )
+        telemetry = telemetry_overhead(study, repeats=args.repeats)
         written = {"telemetry_overhead": telemetry}
         path = write_bench_file(written, args.out)
         return finish(written, path, check_gate(telemetry))
 
-    if args.section == "hotpath":
-        serial_s = float("inf")
-        serial_counts = None
-        for _ in range(args.repeats):
-            elapsed, serial_counts = seven_layer_serial(study)
-            serial_s = min(serial_s, elapsed)
-        hotpath, dict_counts, report, cache_stats = _hotpath_measure(
-            study, workers=workers, repeats=args.repeats
-        )
-        assert serial_counts is not None
-        graded = len(study.decisions) * len(FIGURE1_LAYERS)
-        batched_s = hotpath["dict_seconds"]
-        written = {
-            "classification": {
-                "layers": list(FIGURE1_LAYERS),
-                "decisions_graded": graded,
-                "serial_seconds": round(serial_s, 6),
-                "batched_seconds": batched_s,
-                "speedup": round(serial_s / batched_s, 3) if batched_s else None,
-                "serial_decisions_per_second": round(graded / serial_s, 1),
-                "batched_decisions_per_second": (
-                    round(graded / batched_s, 1) if batched_s else None
-                ),
-                "workers": report.workers,
-                "parallel": report.parallel,
-                "trees_computed": report.trees_computed,
-                "trees_reused": report.trees_reused,
-                "results_identical": all(
-                    serial_counts[layer] == dict_counts[layer]
-                    for layer in FIGURE1_LAYERS
-                ),
-            },
-            "cache": cache_stats,
-            "hotpath": hotpath,
-            "scenario": "quick" if args.quick else "default",
-            "study_build_seconds": round(build_seconds, 3),
-        }
-        path = write_bench_file(written, args.out)
-        cls = written["classification"]
-        say(f"study build: {build_seconds:.1f}s ({written['scenario']} scenario)")
-        say(
-            f"serial seven-layer classification:  {cls['serial_seconds']:.3f}s "
-            f"({cls['serial_decisions_per_second']:.0f} decisions/s)"
-        )
-        say(
-            f"batched seven-layer classification: {cls['batched_seconds']:.3f}s "
-            f"({cls['batched_decisions_per_second']:.0f} decisions/s)"
-        )
-        failed = 0 if cls["results_identical"] else 1
-        if failed:
-            say("FAIL: batched dict path disagrees with the serial reference")
-        failed |= check_hotpath_gate(hotpath)
-        return finish(written, path, failed)
-
-    payload = run_benchmark(study, workers=workers, repeats=args.repeats)
+    payload = run_benchmark(study, repeats=args.repeats)
     payload["study_build_seconds"] = round(build_seconds, 3)
     payload["scenario"] = "quick" if args.quick else "default"
     path = write_bench_file(payload, args.out)
@@ -1156,11 +691,10 @@ def main(argv: Optional[list] = None) -> int:
     )
     say(
         f"speedup: {cls['speedup']:.2f}x  "
-        f"(workers={cls['workers']}, parallel={cls['parallel']}, "
-        f"trees computed={cls['trees_computed']}, reused={cls['trees_reused']})"
+        f"(trees computed={cls['trees_computed']}, reused={cls['trees_reused']})"
     )
     say(f"results identical: {cls['results_identical']}")
-    failed = check_hotpath_gate(payload["hotpath"])
+    failed = 0
     rob = payload["robustness"]
     say(
         f"robustness layer (no fault plan): campaign "
@@ -1178,7 +712,6 @@ def main(argv: Optional[list] = None) -> int:
         f"{active['discovery_targets']} targets, "
         f"{active['magnet_rounds']} magnet rounds)"
     )
-    failed |= check_pool_gate(payload["pool_supervision"])
     failed |= check_ledger_gate(payload["ledger"])
     failed |= check_gate(payload["telemetry_overhead"])
     if not cls["results_identical"]:

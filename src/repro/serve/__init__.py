@@ -6,8 +6,8 @@ repository's four workloads (``study``, ``classify``, ``check``,
 one-shot CLI rebuilds from scratch on every invocation:
 
 * :mod:`repro.serve.cache` — the :class:`ArtifactStore` of routing
-  engines (keyed by graph fingerprint, partial-transit set and
-  backend) and memoized study snapshots, shared across tenants.
+  engines (keyed by graph fingerprint and partial-transit set) and
+  memoized study snapshots, shared across tenants.
 * :mod:`repro.serve.tenants` — per-tenant admission budgets built on
   :class:`repro.atlas.budget.CreditLedger`.
 * :mod:`repro.serve.protocol` — request parsing/validation and the

@@ -5,17 +5,17 @@ long-lived daemon should not.  :class:`ArtifactStore` keeps two caches:
 
 * **Engines** — :class:`~repro.core.gao_rexford.GaoRexfordEngine`
   instances keyed by ``(graph fingerprint, partial-transit
-  fingerprint, backend)``.  The fingerprint hashes the full link set
-  (:func:`repro.perf.parallel._graph_fingerprint`), so two tenants
+  fingerprint)``.  The fingerprint hashes the full link set
+  (:meth:`repro.topology.graph.ASGraph.fingerprint`), so two tenants
   studying the same seeded topology — even via *different* graph
   objects — share one engine and therefore one warm routing-tree
   cache.  Correctness rests on trees being a pure function of (links,
-  partial-transit, backend); the differential suite in
-  :mod:`repro.check` proves cached and cold engines grade identically.
+  partial-transit); the differential suite in :mod:`repro.check`
+  proves cached and cold engines grade identically.
 
 * **Studies** — byte-deterministic study snapshots (and the underlying
-  :class:`~repro.core.pipeline.StudyResults`) keyed by ``(seed, scale,
-  backend)``.  Studies are deterministic, so memoizing them is exact;
+  :class:`~repro.core.pipeline.StudyResults`) keyed by ``(seed,
+  scale)``.  Studies are deterministic, so memoizing them is exact;
   a per-key lock collapses concurrent identical requests into one
   computation that every waiter shares.
 
@@ -53,19 +53,19 @@ class ArtifactStore:
 
     def __init__(self, max_results: int = DEFAULT_MAX_RESULTS) -> None:
         self._lock = threading.Lock()
-        self._engines: Dict[Tuple[str, str, str], GaoRexfordEngine] = {}
+        self._engines: Dict[Tuple[str, str], GaoRexfordEngine] = {}
         self.engine_hits = 0
         self.engine_misses = 0
 
         self._max_results = max_results
-        #: (seed, scale, backend) -> serialized golden-format snapshot.
-        self._snapshots: Dict[Tuple[int, str, str], str] = {}
+        #: (seed, scale) -> serialized golden-format snapshot.
+        self._snapshots: Dict[Tuple[int, str], str] = {}
         #: Bounded LRU of full results for the classify/bench workloads.
-        self._results: "OrderedDict[Tuple[int, str, str], StudyResults]"
+        self._results: "OrderedDict[Tuple[int, str], StudyResults]"
         self._results = OrderedDict()
         #: Per-key build locks so concurrent identical study requests
         #: run the pipeline once, not N times.
-        self._building: Dict[Tuple[int, str, str], threading.Lock] = {}
+        self._building: Dict[Tuple[int, str], threading.Lock] = {}
         self.study_hits = 0
         self.study_misses = 0
 
@@ -76,7 +76,6 @@ class ArtifactStore:
         self,
         graph,
         partial_transit: Optional[FrozenSet[Tuple[int, int]]] = None,
-        backend: str = "dict",
     ) -> GaoRexfordEngine:
         """A warm, thread-safe engine for this link set.
 
@@ -86,13 +85,7 @@ class ArtifactStore:
         to a different graph object with identical links) along with
         its populated routing-tree cache.
         """
-        from repro.perf.parallel import _graph_fingerprint
-
-        key = (
-            _graph_fingerprint(graph),
-            _partial_fingerprint(partial_transit),
-            backend,
-        )
+        key = (graph.fingerprint(), _partial_fingerprint(partial_transit))
         with self._lock:
             engine = self._engines.get(key)
             if engine is not None:
@@ -104,7 +97,7 @@ class ArtifactStore:
         # duplicate build is harmless (identical engines); first writer
         # wins so every later request shares one cache.
         engine = GaoRexfordEngine(
-            graph, partial_transit=partial_transit or frozenset(), backend=backend
+            graph, partial_transit=partial_transit or frozenset()
         ).make_thread_safe()
         with self._lock:
             return self._engines.setdefault(key, engine)
@@ -112,16 +105,16 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Studies
     # ------------------------------------------------------------------
-    def _build_lock(self, key: Tuple[int, str, str]) -> threading.Lock:
+    def _build_lock(self, key: Tuple[int, str]) -> threading.Lock:
         with self._lock:
             lock = self._building.get(key)
             if lock is None:
                 lock = self._building[key] = threading.Lock()
             return lock
 
-    def study(self, seed: int, scale: str, backend: str) -> StudyResults:
-        """The memoized study for one (seed, scale, backend)."""
-        key = (seed, scale, backend)
+    def study(self, seed: int, scale: str) -> StudyResults:
+        """The memoized study for one (seed, scale)."""
+        key = (seed, scale)
         with self._lock:
             cached = self._results.get(key)
             if cached is not None:
@@ -138,7 +131,7 @@ class ArtifactStore:
                     self.study_hits += 1
                     return cached
                 self.study_misses += 1
-            config = build_study_config(seed=seed, scale=scale, backend=backend)
+            config = build_study_config(seed=seed, scale=scale)
             results = Study(config, artifacts=self).run()
             with self._lock:
                 self._results[key] = results
@@ -147,7 +140,7 @@ class ArtifactStore:
                     self._results.popitem(last=False)
             return results
 
-    def study_snapshot(self, seed: int, scale: str, backend: str) -> str:
+    def study_snapshot(self, seed: int, scale: str) -> str:
         """The byte-deterministic snapshot JSON for one study.
 
         Exactly ``serialize(snapshot_study(results))`` — the same bytes
@@ -156,12 +149,12 @@ class ArtifactStore:
         """
         from repro.check.golden import serialize, snapshot_study
 
-        key = (seed, scale, backend)
+        key = (seed, scale)
         with self._lock:
             text = self._snapshots.get(key)
             if text is not None:
                 return text
-        results = self.study(seed, scale, backend)
+        results = self.study(seed, scale)
         text = serialize(snapshot_study(results))
         with self._lock:
             return self._snapshots.setdefault(key, text)

@@ -80,7 +80,6 @@ class ServeClient:
         tenant: str,
         seed: int,
         scale: str,
-        backend: str,
         stream: bool,
         params: Optional[Dict],
     ) -> bytes:
@@ -89,7 +88,6 @@ class ServeClient:
             "tenant": tenant,
             "seed": seed,
             "scale": scale,
-            "backend": backend,
         }
         if stream:
             body["stream"] = True
@@ -106,13 +104,10 @@ class ServeClient:
         tenant: str = "anonymous",
         seed: int = 0,
         scale: str = "small",
-        backend: str = "dict",
         params: Optional[Dict] = None,
     ) -> Dict:
         """One blocking request; returns the parsed response payload."""
-        body = self._request_body(
-            workload, tenant, seed, scale, backend, False, params
-        )
+        body = self._request_body(workload, tenant, seed, scale, False, params)
         conn = self._connection()
         try:
             conn.request(
@@ -135,7 +130,6 @@ class ServeClient:
         tenant: str = "anonymous",
         seed: int = 0,
         scale: str = "small",
-        backend: str = "dict",
         params: Optional[Dict] = None,
     ) -> Iterator[Dict]:
         """Yield NDJSON documents: progress events, then the result.
@@ -144,9 +138,7 @@ class ServeClient:
         admission response raises :class:`ServeError` before the first
         yield.
         """
-        body = self._request_body(
-            workload, tenant, seed, scale, backend, True, params
-        )
+        body = self._request_body(workload, tenant, seed, scale, True, params)
         conn = self._connection()
         try:
             conn.request(

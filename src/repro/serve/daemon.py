@@ -538,7 +538,6 @@ class ReproDaemon:
             "tenant": request.tenant,
             "seed": request.seed,
             "scale": request.scale,
-            "backend": request.backend,
             "elapsed_s": round(elapsed, 6),
             "manifest": {
                 "config_digest": manifest.config_digest,

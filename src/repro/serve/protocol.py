@@ -27,9 +27,6 @@ WORKLOADS: Tuple[str, ...] = ("study", "classify", "check", "bench")
 #: Study scales a request may name.
 SCALES: Tuple[str, ...] = ("small", "full")
 
-#: Routing-engine backends a request may name.
-BACKENDS: Tuple[str, ...] = ("dict", "array")
-
 #: Event category for the daemon's own lifecycle events.
 CATEGORY_SERVE = "serve"
 
@@ -61,17 +58,14 @@ class ServeRequest:
     tenant: str = "anonymous"
     seed: int = 0
     scale: str = "small"
-    backend: str = "dict"
     stream: bool = False
     #: Workload-specific knobs (``check``: seeds/only; ``bench``:
     #: rounds).  Validated by :func:`parse_request`.
     params: Dict[str, object] = field(default_factory=dict)
 
 
-def build_study_config(
-    seed: int = 0, scale: str = "small", backend: str = "dict"
-) -> StudyConfig:
-    """The canonical study configuration for one (seed, scale, backend).
+def build_study_config(seed: int = 0, scale: str = "small") -> StudyConfig:
+    """The canonical study configuration for one (seed, scale).
 
     This is the one place the quick-scale parameter block lives:
     ``repro study --small``, :func:`repro.experiments.scenario.quick_study`
@@ -81,10 +75,6 @@ def build_study_config(
     """
     if scale not in SCALES:
         raise ProtocolError(f"unknown scale {scale!r} (expected one of {SCALES})")
-    if backend not in BACKENDS:
-        raise ProtocolError(
-            f"unknown backend {backend!r} (expected one of {BACKENDS})"
-        )
     if scale == "small":
         return StudyConfig(
             topology=small_config(),
@@ -93,9 +83,8 @@ def build_study_config(
             probes_per_continent=25,
             active_vp_budget=40,
             max_discovery_targets=20,
-            backend=backend,
         )
-    return StudyConfig(seed=seed, backend=backend)
+    return StudyConfig(seed=seed)
 
 
 def _require_int(value: object, name: str, minimum: int, maximum: int) -> int:
@@ -111,7 +100,7 @@ def _require_int(value: object, name: str, minimum: int, maximum: int) -> int:
 def parse_request(body: bytes) -> ServeRequest:
     """Validate one POST body into a :class:`ServeRequest`.
 
-    Strict about shape: unknown workloads, scales, backends and
+    Strict about shape: unknown workloads, scales and fields and
     non-string tenants are protocol errors (HTTP 400), never silent
     defaults — a multi-tenant daemon must not guess what a client
     meant and bill some tenant for it.
@@ -135,11 +124,6 @@ def parse_request(body: bytes) -> ServeRequest:
     scale = data.get("scale", "small")
     if scale not in SCALES:
         raise ProtocolError(f"unknown scale {scale!r} (expected one of {SCALES})")
-    backend = data.get("backend", "dict")
-    if backend not in BACKENDS:
-        raise ProtocolError(
-            f"unknown backend {backend!r} (expected one of {BACKENDS})"
-        )
     stream = data.get("stream", False)
     if not isinstance(stream, bool):
         raise ProtocolError(f"stream must be a boolean, got {stream!r}")
@@ -162,7 +146,6 @@ def parse_request(body: bytes) -> ServeRequest:
         "tenant",
         "seed",
         "scale",
-        "backend",
         "stream",
         "seeds",
         "only",
@@ -177,7 +160,6 @@ def parse_request(body: bytes) -> ServeRequest:
         tenant=tenant,
         seed=seed,
         scale=scale,
-        backend=backend,
         stream=stream,
         params=params,
     )
@@ -190,7 +172,6 @@ def request_to_dict(request: ServeRequest) -> Dict[str, object]:
         "tenant": request.tenant,
         "seed": request.seed,
         "scale": request.scale,
-        "backend": request.backend,
     }
     if request.stream:
         body["stream"] = True
@@ -198,6 +179,6 @@ def request_to_dict(request: ServeRequest) -> Dict[str, object]:
     return body
 
 
-def study_cache_key(request: ServeRequest) -> Tuple[str, int, str, str]:
+def study_cache_key(request: ServeRequest) -> Tuple[str, int, str]:
     """The artifact-store key a study/classify request shares."""
-    return ("study", request.seed, request.scale, request.backend)
+    return ("study", request.seed, request.scale)

@@ -21,17 +21,15 @@ from repro.serve.protocol import CATEGORY_SERVE, ServeRequest
 
 
 def _handle_study(request: ServeRequest, artifacts: ArtifactStore) -> Dict:
-    """The full pipeline, memoized per (seed, scale, backend).
+    """The full pipeline, memoized per (seed, scale).
 
     ``snapshot_json`` is byte-for-byte what the CLI path produces for
     the same configuration (``serialize(snapshot_study(...))``) — the
     field the daemon-vs-CLI differential compares.
     """
     publish(CATEGORY_SERVE, "study.begin", seed=request.seed, scale=request.scale)
-    snapshot_json = artifacts.study_snapshot(
-        request.seed, request.scale, request.backend
-    )
-    results = artifacts.study(request.seed, request.scale, request.backend)
+    snapshot_json = artifacts.study_snapshot(request.seed, request.scale)
+    results = artifacts.study(request.seed, request.scale)
     publish(
         CATEGORY_SERVE,
         "study.done",
@@ -55,17 +53,13 @@ def _handle_classify(request: ServeRequest, artifacts: ArtifactStore) -> Dict:
     """
     from repro.perf.parallel import ParallelClassifier
 
-    results = artifacts.study(request.seed, request.scale, request.backend)
+    results = artifacts.study(request.seed, request.scale)
     partial = frozenset(
         (entry.provider, entry.customer)
         for entry in results.known_complex.partial_transit_entries()
     )
-    engine_simple = artifacts.engine_for(
-        results.inferred, backend=request.backend
-    )
-    engine_complex = artifacts.engine_for(
-        results.inferred, partial_transit=partial, backend=request.backend
-    )
+    engine_simple = artifacts.engine_for(results.inferred)
+    engine_complex = artifacts.engine_for(results.inferred, partial_transit=partial)
     layer_configs = figure1_layer_configs(
         engine_simple,
         engine_complex,
@@ -106,8 +100,8 @@ def _handle_bench(request: ServeRequest, artifacts: ArtifactStore) -> Dict:
     """Grade one warm layer ``rounds`` times and report timings."""
     from repro.perf.parallel import ParallelClassifier
 
-    results = artifacts.study(request.seed, request.scale, request.backend)
-    engine = artifacts.engine_for(results.inferred, backend=request.backend)
+    results = artifacts.study(request.seed, request.scale)
+    engine = artifacts.engine_for(results.inferred)
     classifier = ParallelClassifier()
     rounds = int(request.params.get("rounds", 1))
     durations = []

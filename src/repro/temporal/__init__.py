@@ -1,14 +1,12 @@
-"""Temporal delta pipeline: incremental studies over snapshot series.
+"""Temporal pipeline: the Figure-1 study over a snapshot series.
 
-Diffs consecutive inferred-topology snapshots into typed
-:class:`GraphDelta` objects, invalidates exactly the cached routing
-trees a delta can change, re-grades only the impacted decisions, and
-emits the longitudinal violation time-series — proven equivalent to
-from-scratch recomputation by the ``temporal`` differential check.
+Grades every monthly inferred-topology snapshot from scratch on fresh
+array engines, reports each epoch's link churn as a typed
+:class:`GraphDelta` summary, and journals completed epochs so a killed
+run resumes into the identical series.
 """
 
-from repro.temporal.delta import GraphDelta, apply_delta, diff_graphs
-from repro.temporal.dirty import dirty_cache_keys, keys_to_invalidate
+from repro.temporal.delta import GraphDelta, diff_graphs
 from repro.temporal.study import (
     EpochReport,
     TemporalInputs,
@@ -16,24 +14,19 @@ from repro.temporal.study import (
     TemporalResults,
     epoch_snapshot,
     run_incremental,
-    run_scratch,
     serialize_epoch,
     series_fingerprint,
 )
 
 __all__ = [
     "GraphDelta",
-    "apply_delta",
     "diff_graphs",
-    "dirty_cache_keys",
-    "keys_to_invalidate",
     "EpochReport",
     "TemporalInputs",
     "TemporalJournal",
     "TemporalResults",
     "epoch_snapshot",
     "run_incremental",
-    "run_scratch",
     "serialize_epoch",
     "series_fingerprint",
 ]

@@ -4,18 +4,14 @@ A :class:`GraphDelta` captures everything that changed between two
 monthly inferred topologies — links that appeared, vanished or flipped
 relationship label, plus ASes that entered or left the graph — in the
 normalized link form :meth:`ASGraph.links` yields (customer-provider
-edges provider-first, symmetric edges lower-ASN-first).  Deltas are
-pure data: they round-trip through JSON (:meth:`to_dict` /
-:meth:`from_dict`) so the temporal journal can persist them, and
-:func:`apply_delta` patches a graph forward so that
-``apply_delta(old, diff_graphs(old, new))`` matches ``new``
-link-for-link — the codec property the fuzz battery asserts.
+edges provider-first, symmetric edges lower-ASN-first).  The temporal
+study reports each epoch's :meth:`GraphDelta.summary` as its churn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -55,37 +51,6 @@ class GraphDelta:
             or self.relabeled
         )
 
-    def touched_pairs(self) -> FrozenSet[Tuple[int, int]]:
-        """Unordered AS pairs whose adjacency or label changed.
-
-        The grading reuse test intersects a decision group's
-        (asn, next_hop) pairs with this set: a decision whose measured
-        adjacency changed label must be re-graded even when its routing
-        tree did not move.
-        """
-        pairs = set()
-        for a, b, _rel in self.added:
-            pairs.add((min(a, b), max(a, b)))
-        for a, b, _rel in self.removed:
-            pairs.add((min(a, b), max(a, b)))
-        for (a, b, _old), _new in self.relabeled:
-            pairs.add((min(a, b), max(a, b)))
-        return frozenset(pairs)
-
-    def removed_links(self) -> Iterator[Link]:
-        """Old-graph links that no longer hold: removals plus the old
-        side of every relabel (a relabel is remove-old + add-new)."""
-        yield from self.removed
-        for old, _new in self.relabeled:
-            yield old
-
-    def added_links(self) -> Iterator[Link]:
-        """New-graph links that did not hold before: additions plus the
-        new side of every relabel."""
-        yield from self.added
-        for _old, new in self.relabeled:
-            yield new
-
     def summary(self) -> Dict[str, int]:
         return {
             "asns_added": len(self.added_asns),
@@ -94,40 +59,6 @@ class GraphDelta:
             "links_removed": len(self.removed),
             "links_relabeled": len(self.relabeled),
         }
-
-    # ------------------------------------------------------------------
-    # JSON codec
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "added_asns": list(self.added_asns),
-            "removed_asns": list(self.removed_asns),
-            "added": [[a, b, rel.value] for a, b, rel in self.added],
-            "removed": [[a, b, rel.value] for a, b, rel in self.removed],
-            "relabeled": [
-                [[a, b, old.value], [c, d, new.value]]
-                for (a, b, old), (c, d, new) in self.relabeled
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "GraphDelta":
-        def link(raw) -> Link:
-            a, b, value = raw
-            return (int(a), int(b), Relationship(value))
-
-        return cls(
-            added_asns=tuple(int(asn) for asn in payload.get("added_asns", ())),
-            removed_asns=tuple(
-                int(asn) for asn in payload.get("removed_asns", ())
-            ),
-            added=tuple(link(raw) for raw in payload.get("added", ())),
-            removed=tuple(link(raw) for raw in payload.get("removed", ())),
-            relabeled=tuple(
-                (link(old), link(new))
-                for old, new in payload.get("relabeled", ())
-            ),
-        )
 
 
 def diff_graphs(old: ASGraph, new: ASGraph) -> GraphDelta:
@@ -163,30 +94,3 @@ def diff_graphs(old: ASGraph, new: ASGraph) -> GraphDelta:
         removed=tuple(sorted(removed)),
         relabeled=tuple(sorted(relabeled)),
     )
-
-
-def apply_delta(
-    graph: ASGraph, delta: GraphDelta, in_place: bool = False
-) -> ASGraph:
-    """Patch ``graph`` forward by ``delta``; returns the patched graph.
-
-    With ``in_place=False`` (default) the input graph is left intact
-    and a patched copy is returned.  The temporal pipeline patches in
-    place so the engines' shared graph object advances with the epochs
-    (their version guard sees exactly one mutation burst per epoch).
-    """
-    target = graph if in_place else graph.copy()
-    for asn in delta.removed_asns:
-        target.remove_as(asn)
-    for asn in delta.added_asns:
-        target.ensure_asn(asn)
-    for a, b, _rel in delta.removed:
-        target.remove_link(a, b)
-    for (a, b, _old), (c, d, new) in delta.relabeled:
-        # add_link overwrites both directions, which also handles an
-        # orientation swap of a customer-provider pair.
-        target.remove_link(a, b)
-        target.add_link(c, d, new)
-    for a, b, rel in delta.added:
-        target.add_link(a, b, rel)
-    return target

@@ -1,27 +1,19 @@
-"""Incremental longitudinal study over an inferred-snapshot series.
+"""Longitudinal study over an inferred-snapshot series.
 
 The study pipeline grades every Figure-1 layer against one aggregated
 topology; this module runs the same grading against *each* monthly
-snapshot and emits the violation time-series — without recomputing the
-world from scratch per epoch.  Consecutive snapshots are diffed into a
-:class:`~repro.temporal.delta.GraphDelta`, the provably-affected route
-trees are invalidated (:mod:`repro.temporal.dirty`), the shared graph
-is patched forward in place, and only the dirty trees are recomputed
-and re-graded; per-(layer, tree) label tallies from the previous epoch
-are reused everywhere else.
-
-The incremental path is held to the from-scratch path by construction
-and by proof: :func:`run_scratch` grades each snapshot with fresh
-engines through the canonical :func:`~repro.core.classification.classify_decisions`,
-and the ``temporal`` differential check (:mod:`repro.check.differential`)
-asserts the two legs' per-epoch snapshots are byte-identical JSON on
-both backends.
+snapshot and emits the violation time-series.  Every snapshot is graded
+from scratch on fresh engines — one kernel sweep per engine builds the
+epoch's routing trees and the arena grader tallies all seven layers —
+which is exactly what a study of that one snapshot computes.
+Consecutive snapshots are diffed (:func:`~repro.temporal.delta.diff_graphs`)
+only to report each epoch's link churn next to its counts.
 
 Epochs are journal-backed: with a journal path each completed epoch is
 appended as one durable record, and ``resume=True`` replays journaled
-epochs verbatim, rebuilds the working state by cold-grading the last
-completed snapshot (a pure function of the snapshot, so the rebuild is
-exact), and continues incrementally from the first missing epoch.
+epochs verbatim and continues from the first missing one.  Epochs are
+graded independently, so a resumed run needs no warm state to match an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -30,47 +22,28 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.classification import (
-    Decision,
-    DecisionLabel,
-    GradeKey,
-    GroupedDecisions,
-    LabelCounts,
-    TreeKey,
-    _grade_unique,
-    classify_decisions,
-)
-from repro.core.gao_rexford import CacheKey, GaoRexfordEngine, RoutingInfo
+from repro.core.classification import Decision, DecisionLabel, LabelCounts
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import FIGURE1_LAYERS, StudyResults, figure1_layer_configs
 from repro.faults.journal import CheckpointJournal
 from repro.faults.storage import StoragePolicy
 from repro.net.ip import Prefix
 from repro.obs.context import get_obs
 from repro.obs.trace import span
-from repro.temporal import dirty
-from repro.temporal.delta import GraphDelta, apply_delta, diff_graphs
+from repro.perf.parallel import ParallelClassifier
+from repro.temporal.delta import diff_graphs
 from repro.topology.complex_rel import ComplexRelationships
 from repro.topology.graph import ASGraph
 from repro.whois.siblings import SiblingGroups
 
-#: Schema tag of the per-epoch comparison snapshot and journal records.
-EPOCH_SCHEMA = 1
+#: Schema tag of the epoch journal records.
+EPOCH_SCHEMA = 2
 
-#: Figure-1 layers as (name, engine kind, grouping kind, complex, sibs)
-#: rows.  Must mirror :func:`repro.core.pipeline.figure1_layer_configs`
-#: exactly — the differential check holds the incremental grading to
-#: the canonical per-layer configurations built from that function.
-_LAYERS: Tuple[Tuple[str, str, str, bool, bool], ...] = (
-    ("Simple", "simple", "none", False, False),
-    ("Complex", "complex", "none", True, False),
-    ("Sibs", "simple", "none", False, True),
-    ("PSP-1", "simple", "fh1", False, False),
-    ("PSP-2", "simple", "fh2", False, False),
-    ("All-1", "complex", "fh1", True, True),
-    ("All-2", "complex", "fh2", True, True),
-)
+#: Schema tag of the per-epoch comparison snapshot (the golden series'
+#: format); independent of the journal record schema.
+SNAPSHOT_SCHEMA = 1
 
 
 @dataclass
@@ -89,12 +62,9 @@ class TemporalInputs:
     known_complex: Optional[ComplexRelationships] = None
     siblings: Optional[SiblingGroups] = None
     partial_transit: FrozenSet[Tuple[int, int]] = frozenset()
-    backend: str = "dict"
 
     @classmethod
-    def from_study(
-        cls, results: StudyResults, backend: Optional[str] = None
-    ) -> "TemporalInputs":
+    def from_study(cls, results: StudyResults) -> "TemporalInputs":
         """Lift a completed study's artifacts into temporal inputs."""
         partial: FrozenSet[Tuple[int, int]] = frozenset()
         if results.known_complex is not None:
@@ -109,29 +79,18 @@ class TemporalInputs:
             known_complex=results.known_complex,
             siblings=results.siblings,
             partial_transit=partial,
-            backend=backend or results.config.backend,
         )
 
 
 @dataclass
 class EpochReport:
-    """What one epoch did: the delta, the dirty set, and the tallies."""
+    """What one epoch did: the churn since the last one and the tallies."""
 
     index: int
-    #: :meth:`GraphDelta.summary` of the diff from the previous epoch
-    #: (empty for epoch 0 and for replayed epochs).
+    #: :meth:`GraphDelta.summary` of the diff from the previous
+    #: snapshot (empty for epoch 0).
     delta: Dict[str, int] = field(default_factory=dict)
-    #: Destinations dirtied unconditionally (incident changes), summed
-    #: over both engines.
-    dirty_destinations: int = 0
-    #: Cached trees dropped from the engines this epoch.
-    invalidated_trees: int = 0
-    #: (layer, tree) groups re-graded this epoch.
-    regraded_groups: int = 0
-    #: (layer, tree) groups whose previous tally was reused verbatim.
-    reused_groups: int = 0
-    #: Routing-cache misses charged during the epoch (both engines) —
-    #: the zero-diff edge case asserts this is 0.
+    #: Routing trees built to grade the epoch (both engines).
     cache_misses: int = 0
     #: Raw Figure-1 counts per layer, :func:`epoch_snapshot` shape.
     figure1: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -151,7 +110,6 @@ class EpochReport:
 class TemporalResults:
     """The longitudinal violation time-series and its accounting."""
 
-    backend: str
     epochs: List[EpochReport] = field(default_factory=list)
     #: Epochs replayed from the journal rather than computed.
     resumed_epochs: int = 0
@@ -164,16 +122,11 @@ class TemporalResults:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
             "resumed_epochs": self.resumed_epochs,
             "epochs": [
                 {
                     "index": epoch.index,
                     "delta": dict(epoch.delta),
-                    "dirty_destinations": epoch.dirty_destinations,
-                    "invalidated_trees": epoch.invalidated_trees,
-                    "regraded_groups": epoch.regraded_groups,
-                    "reused_groups": epoch.reused_groups,
                     "cache_misses": epoch.cache_misses,
                     "resumed": epoch.resumed,
                     "figure1": epoch.figure1,
@@ -189,13 +142,9 @@ class TemporalResults:
 
 
 def epoch_snapshot(index: int, figure1: Dict[str, Dict[str, int]]) -> Dict[str, object]:
-    """The canonical JSON-able record of one epoch's Figure-1 counts.
-
-    Both the incremental and the from-scratch legs emit this exact
-    shape; the differential check compares their serializations
-    byte-for-byte per epoch.
-    """
-    return {"schema": EPOCH_SCHEMA, "epoch": index, "figure1": figure1}
+    """The canonical JSON-able record of one epoch's Figure-1 counts
+    (the form ``tests/golden/temporal_small_seed0/`` is blessed in)."""
+    return {"schema": SNAPSHOT_SCHEMA, "epoch": index, "figure1": figure1}
 
 
 def serialize_epoch(snapshot: Dict[str, object]) -> str:
@@ -237,392 +186,11 @@ def series_fingerprint(snapshots: List[ASGraph], inputs: TemporalInputs) -> str:
     fingerprint differs (epochs from a different series would be
     silently interleaved otherwise).
     """
-    # Imported lazily: repro.perf.parallel imports from repro.core.
-    from repro.perf.parallel import _graph_fingerprint
-
     digest = hashlib.blake2b(digest_size=8)
     for snapshot in snapshots:
-        digest.update(_graph_fingerprint(snapshot).encode("utf-8"))
-    digest.update(
-        f"|{len(inputs.decisions)}|{inputs.backend}".encode("utf-8")
-    )
+        digest.update(snapshot.fingerprint().encode("utf-8"))
+    digest.update(f"|{len(inputs.decisions)}".encode("utf-8"))
     return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Incremental runner
-# ---------------------------------------------------------------------------
-
-
-def _tally_tree(
-    engine: GaoRexfordEngine,
-    grouping: GroupedDecisions,
-    tree_key: TreeKey,
-    complex_rel: Optional[ComplexRelationships],
-    siblings: Optional[SiblingGroups],
-) -> Tuple[LabelCounts, Dict[GradeKey, DecisionLabel]]:
-    """Grade one tree's unique decisions into a :class:`LabelCounts`.
-
-    The exact inner loop of
-    :func:`repro.core.classification.classify_grouped`, run for a single
-    tree so tallies can be cached and reused per (layer, tree).  Also
-    returns the per-grade-key labels, which the diff re-tally uses to
-    carry unaffected labels across epochs.
-    """
-    destination, allowed = tree_key
-    info = engine.routing_info(destination, allowed)
-    graph = engine.graph
-    counts = LabelCounts()
-    labels: Dict[GradeKey, DecisionLabel] = {}
-    node_state: Dict[int, Tuple[object, Optional[int]]] = {}
-    decisions = grouping.decisions
-    for grade_key, indices in grouping.groups[tree_key].items():
-        label = _grade_unique(
-            decisions[indices[0]], info, graph, complex_rel, siblings, node_state
-        )
-        labels[grade_key] = label
-        counts.add(label, len(indices))
-    return counts, labels
-
-
-def _retally_tree_diff(
-    engine: GaoRexfordEngine,
-    grouping: GroupedDecisions,
-    tree_key: TreeKey,
-    complex_rel: Optional[ComplexRelationships],
-    siblings: Optional[SiblingGroups],
-    old_info,
-    old_labels: Dict[GradeKey, DecisionLabel],
-    counts: LabelCounts,
-    touched: FrozenSet[Tuple[int, int]],
-    by_asn: Dict[int, List[Tuple[GradeKey, int]]],
-    by_pair: Dict[Tuple[int, int], List[Tuple[GradeKey, int]]],
-    pair_set: FrozenSet[Tuple[int, int]],
-) -> None:
-    """Re-tally a dirty tree by adjusting its previous-epoch tally.
-
-    A label is a pure function of the tree's model facts at the
-    decision maker (``best_class``, ``gr_route_length`` at the asn),
-    the inferred relationship on the measured adjacency, and inputs
-    the temporal axis holds fixed (siblings, hybrid dataset, measured
-    length, border city).  So instead of re-grading every grade key of
-    a dirty tree, only the keys that can move are re-graded: keys whose
-    measured pair the delta touched, plus — when the tree itself was
-    recomputed — keys whose asn's model facts differ between the old
-    and new tree.  ``counts`` and ``old_labels`` (the carried tally and
-    label map) are adjusted in place by the label deltas.
-
-    A tree that is stale only through a touched pair was never
-    invalidated, so ``engine.routing_info`` returns the identical
-    cached object and the per-asn comparison short-circuits entirely.
-    """
-    destination, allowed = tree_key
-    info = engine.routing_info(destination, allowed)
-    graph = engine.graph
-    node_state: Dict[int, Tuple[object, Optional[int]]] = {}
-    targets: Dict[GradeKey, int] = {}
-    for pair in pair_set & touched:
-        for grade_key, weight in by_pair[pair]:
-            targets[grade_key] = weight
-    if info is not old_info:
-        if type(info) is RoutingInfo and type(old_info) is RoutingInfo:
-            # Dict backend: (best_class, gr_route_length) at an asn is
-            # determined by its membership/value across the three dist
-            # maps, so compare those directly — ~10x cheaper than the
-            # method calls for the hundreds of asns per tree.
-            nc, npe, npr = info.customer_dist, info.peer_dist, info.provider_dist
-            oc, ope, opr = (
-                old_info.customer_dist,
-                old_info.peer_dist,
-                old_info.provider_dist,
-            )
-            for asn, entries in by_asn.items():
-                if asn in nc:
-                    changed = nc[asn] != oc.get(asn)
-                elif asn in npe:
-                    changed = asn in oc or npe[asn] != ope.get(asn)
-                elif asn in npr:
-                    changed = asn in oc or asn in ope or npr[asn] != opr.get(asn)
-                else:
-                    changed = asn in oc or asn in ope or asn in opr
-                if changed:
-                    for grade_key, weight in entries:
-                        targets[grade_key] = weight
-        else:
-            changed_asns = None
-            finder = getattr(info, "changed_asns", None)
-            if finder is not None and type(info) is type(old_info):
-                # Array backend: one vectorized compare of the cached
-                # rank/length vectors replaces per-asn scalar queries.
-                changed_asns = finder(old_info, by_asn)
-            if changed_asns is not None:
-                for asn in changed_asns:
-                    for grade_key, weight in by_asn[asn]:
-                        targets[grade_key] = weight
-            else:
-                for asn, entries in by_asn.items():
-                    if info.best_class(asn) is not old_info.best_class(
-                        asn
-                    ) or info.gr_route_length(asn) != old_info.gr_route_length(asn):
-                        for grade_key, weight in entries:
-                            targets[grade_key] = weight
-    if not targets:
-        return
-    groups = grouping.groups[tree_key]
-    decisions = grouping.decisions
-    for grade_key, weight in targets.items():
-        label = _grade_unique(
-            decisions[groups[grade_key][0]],
-            info,
-            graph,
-            complex_rel,
-            siblings,
-            node_state,
-        )
-        previous = old_labels[grade_key]
-        if label is not previous:
-            counts.add(previous, -weight)
-            counts.add(label, weight)
-            old_labels[grade_key] = label
-
-
-class _EpochState:
-    """The warm state the incremental runner carries across epochs."""
-
-    def __init__(self, start: ASGraph, inputs: TemporalInputs) -> None:
-        self.inputs = inputs
-        #: The working topology, patched forward in place per epoch.
-        self.graph = start.copy()
-        self.engines: Dict[str, GaoRexfordEngine] = {
-            "simple": GaoRexfordEngine(self.graph, backend=inputs.backend),
-            "complex": GaoRexfordEngine(
-                self.graph,
-                partial_transit=inputs.partial_transit,
-                backend=inputs.backend,
-            ),
-        }
-        #: Decisions grouped by tree, shared across layers (the grouping
-        #: depends only on the decisions and the first-hop maps, never
-        #: on the graph, so it is built exactly once for the series).
-        self.groupings: Dict[str, GroupedDecisions] = {
-            "none": GroupedDecisions(inputs.decisions, None),
-            "fh1": GroupedDecisions(inputs.decisions, inputs.first_hops_1),
-            "fh2": GroupedDecisions(inputs.decisions, inputs.first_hops_2),
-        }
-        #: Per grouping, per tree: the normalized measured adjacencies
-        #: its decisions grade — a reused tally additionally requires
-        #: these pairs to be disjoint from the delta's touched pairs
-        #: (``graph.relationship(asn, next_hop)`` feeds Best directly).
-        self.pair_sets: Dict[str, Dict[TreeKey, FrozenSet[Tuple[int, int]]]] = {}
-        #: Per grouping, per tree: asn -> [(grade key, decision count)]
-        #: and normalized pair -> [(grade key, decision count)] — the
-        #: indexes the diff re-tally uses to find exactly the grade
-        #: keys a delta can move.
-        self.by_asn: Dict[
-            str, Dict[TreeKey, Dict[int, List[Tuple[GradeKey, int]]]]
-        ] = {}
-        self.by_pair: Dict[
-            str, Dict[TreeKey, Dict[Tuple[int, int], List[Tuple[GradeKey, int]]]]
-        ] = {}
-        for name, grouping in self.groupings.items():
-            pair_sets: Dict[TreeKey, FrozenSet[Tuple[int, int]]] = {}
-            asn_index: Dict[TreeKey, Dict[int, List[Tuple[GradeKey, int]]]] = {}
-            pair_index: Dict[
-                TreeKey, Dict[Tuple[int, int], List[Tuple[GradeKey, int]]]
-            ] = {}
-            for tree_key, by_grade in grouping.groups.items():
-                asn_map: Dict[int, List[Tuple[GradeKey, int]]] = {}
-                pair_map: Dict[Tuple[int, int], List[Tuple[GradeKey, int]]] = {}
-                for grade_key, indices in by_grade.items():
-                    asn, hop = grade_key[0], grade_key[1]
-                    entry = (grade_key, len(indices))
-                    pair = (asn, hop) if asn <= hop else (hop, asn)
-                    asn_map.setdefault(asn, []).append(entry)
-                    pair_map.setdefault(pair, []).append(entry)
-                pair_sets[tree_key] = frozenset(pair_map)
-                asn_index[tree_key] = asn_map
-                pair_index[tree_key] = pair_map
-            self.pair_sets[name] = pair_sets
-            self.by_asn[name] = asn_index
-            self.by_pair[name] = pair_index
-        #: layer -> tree -> tally from the last completed epoch.
-        self.tallies: Dict[str, Dict[TreeKey, LabelCounts]] = {}
-        #: layer -> tree -> grade key -> label from the last completed
-        #: epoch; lets a dirty tree's re-tally carry labels whose inputs
-        #: provably did not move (see :func:`_retally_tree_diff`).
-        self.labels: Dict[str, Dict[TreeKey, Dict[GradeKey, DecisionLabel]]] = {}
-
-    def cache_misses(self) -> int:
-        return sum(
-            engine.cache_stats().misses for engine in self.engines.values()
-        )
-
-    def _prewarm(self, needed: Dict[str, Dict[TreeKey, None]]) -> None:
-        """Warm each engine's missing trees in one batch.
-
-        On the array backend this is a single CSR kernel sweep over all
-        missing destinations — the epoch's whole routing recompute.
-        """
-        for kind, keys in needed.items():
-            if keys:
-                self.engines[kind].warm_batch(list(keys))
-
-    def full_grade(self) -> int:
-        """Grade every layer's every tree from the current graph.
-
-        Used for epoch 0 and for the state rebuild on resume.  Returns
-        the number of (layer, tree) groups graded.
-        """
-        needed: Dict[str, Dict[TreeKey, None]] = {"simple": {}, "complex": {}}
-        for _layer, engine_kind, grouping_kind, _cx, _sb in _LAYERS:
-            for tree_key in self.groupings[grouping_kind].groups:
-                needed[engine_kind][tree_key] = None
-        self._prewarm(needed)
-        inputs = self.inputs
-        graded = 0
-        tallies: Dict[str, Dict[TreeKey, LabelCounts]] = {}
-        labels: Dict[str, Dict[TreeKey, Dict[GradeKey, DecisionLabel]]] = {}
-        for layer, engine_kind, grouping_kind, use_complex, use_sibs in _LAYERS:
-            engine = self.engines[engine_kind]
-            grouping = self.groupings[grouping_kind]
-            per_tree: Dict[TreeKey, LabelCounts] = {}
-            per_labels: Dict[TreeKey, Dict[GradeKey, DecisionLabel]] = {}
-            for tree_key in grouping.groups:
-                per_tree[tree_key], per_labels[tree_key] = _tally_tree(
-                    engine,
-                    grouping,
-                    tree_key,
-                    inputs.known_complex if use_complex else None,
-                    inputs.siblings if use_sibs else None,
-                )
-                graded += 1
-            tallies[layer] = per_tree
-            labels[layer] = per_labels
-        self.tallies = tallies
-        self.labels = labels
-        return graded
-
-    def advance(self, delta: GraphDelta) -> Tuple[int, int, int, int]:
-        """Patch the graph forward one epoch and re-grade the dirty set.
-
-        Returns ``(dirty destinations, invalidated trees, regraded
-        groups, reused groups)``.  ``self.tallies`` is replaced with the
-        new epoch's per-tree tallies.
-        """
-        engines = self.engines
-        inputs = self.inputs
-
-        # Everything below up to apply_delta reads the OLD topology:
-        # the dirty test counts surviving achievers against it, and the
-        # cache-key canonicalization consulted for the reuse decision
-        # must match the keys the trees were cached under.
-        dirty_sets: Dict[str, Tuple[Set[int], Set[CacheKey]]] = {}
-        drop: Dict[str, List[CacheKey]] = {}
-        # Pre-mutation snapshot of each engine's cache: the keys gate
-        # tally reuse (evicted trees were never dirty-tested), and the
-        # old RoutingInfo values anchor the per-grade-key diff re-tally
-        # of dirty trees.  RoutingInfo objects are immutable snapshots,
-        # so they stay valid after apply_delta mutates the graph.
-        warm_before: Dict[str, Dict[CacheKey, object]] = {}
-        canonical: Dict[str, Dict[TreeKey, CacheKey]] = {}
-        for kind, engine in engines.items():
-            dests, keys = dirty.dirty_cache_keys(engine, delta)
-            dirty_sets[kind] = (dests, keys)
-            drop[kind] = dirty.keys_to_invalidate(engine, dests, keys)
-            warm_before[kind] = dict(engine.cached_trees())
-            canonical[kind] = {}
-        for _layer, engine_kind, grouping_kind, _cx, _sb in _LAYERS:
-            engine = engines[engine_kind]
-            mapping = canonical[engine_kind]
-            for tree_key in self.groupings[grouping_kind].groups:
-                if tree_key not in mapping:
-                    mapping[tree_key] = engine.cache_key(*tree_key)
-
-        apply_delta(self.graph, delta, in_place=True)
-
-        # invalidate_keys adopts the new graph version: the surviving
-        # remainder of the cache is exactly what the dirty test just
-        # certified as unchanged.
-        invalidated = sum(
-            engines[kind].invalidate_keys(drop[kind]) for kind in engines
-        )
-
-        touched = delta.touched_pairs()
-        needed: Dict[str, Dict[TreeKey, None]] = {"simple": {}, "complex": {}}
-        plan: List[Tuple[str, str, str, bool, bool, List[TreeKey]]] = []
-        reused = 0
-        for layer, engine_kind, grouping_kind, use_complex, use_sibs in _LAYERS:
-            dests, keys = dirty_sets[engine_kind]
-            mapping = canonical[engine_kind]
-            warm = warm_before[engine_kind]
-            pair_sets = self.pair_sets[grouping_kind]
-            stale: List[TreeKey] = []
-            for tree_key in self.groupings[grouping_kind].groups:
-                canon = mapping[tree_key]
-                tree_clean = (
-                    canon in warm  # evicted trees were never dirty-tested
-                    and tree_key[0] not in dests
-                    and canon not in keys
-                )
-                if tree_clean and pair_sets[tree_key].isdisjoint(touched):
-                    reused += 1
-                else:
-                    stale.append(tree_key)
-                    needed[engine_kind][tree_key] = None
-            plan.append(
-                (layer, engine_kind, grouping_kind, use_complex, use_sibs, stale)
-            )
-
-        self._prewarm(needed)
-        regraded = 0
-        for layer, engine_kind, grouping_kind, use_complex, use_sibs, stale in plan:
-            engine = engines[engine_kind]
-            grouping = self.groupings[grouping_kind]
-            per_tree = self.tallies[layer]
-            per_labels = self.labels[layer]
-            old_infos = warm_before[engine_kind]
-            mapping = canonical[engine_kind]
-            asn_index = self.by_asn[grouping_kind]
-            pair_index = self.by_pair[grouping_kind]
-            pair_sets = self.pair_sets[grouping_kind]
-            complex_rel = inputs.known_complex if use_complex else None
-            sibs = inputs.siblings if use_sibs else None
-            for tree_key in stale:
-                old_info = old_infos.get(mapping[tree_key])
-                old_labels = per_labels.get(tree_key)
-                if old_info is not None and old_labels is not None:
-                    _retally_tree_diff(
-                        engine,
-                        grouping,
-                        tree_key,
-                        complex_rel,
-                        sibs,
-                        old_info,
-                        old_labels,
-                        per_tree[tree_key],
-                        touched,
-                        asn_index[tree_key],
-                        pair_index[tree_key],
-                        pair_sets[tree_key],
-                    )
-                else:
-                    per_tree[tree_key], per_labels[tree_key] = _tally_tree(
-                        engine, grouping, tree_key, complex_rel, sibs
-                    )
-                regraded += 1
-
-        dirty_dests = sum(len(dests) for dests, _keys in dirty_sets.values())
-        return dirty_dests, invalidated, regraded, reused
-
-    def figure1(self) -> Dict[str, Dict[str, int]]:
-        """Sum the per-tree tallies into the epoch's Figure-1 counts."""
-        totals: Dict[str, LabelCounts] = {}
-        for layer, per_tree in self.tallies.items():
-            total = LabelCounts()
-            for counts in per_tree.values():
-                total = total + counts
-            totals[layer] = total
-        return _counts_dict(totals)
 
 
 def _epoch_record(report: EpochReport) -> Dict[str, object]:
@@ -631,10 +199,6 @@ def _epoch_record(report: EpochReport) -> Dict[str, object]:
         "epoch": report.index,
         "schema": EPOCH_SCHEMA,
         "delta": dict(report.delta),
-        "dirty_destinations": report.dirty_destinations,
-        "invalidated_trees": report.invalidated_trees,
-        "regraded_groups": report.regraded_groups,
-        "reused_groups": report.reused_groups,
         "cache_misses": report.cache_misses,
         "figure1": report.figure1,
     }
@@ -644,10 +208,6 @@ def _replayed_report(record: Dict[str, object]) -> EpochReport:
     return EpochReport(
         index=int(record["epoch"]),
         delta={k: int(v) for k, v in dict(record.get("delta", {})).items()},
-        dirty_destinations=int(record.get("dirty_destinations", 0)),
-        invalidated_trees=int(record.get("invalidated_trees", 0)),
-        regraded_groups=int(record.get("regraded_groups", 0)),
-        reused_groups=int(record.get("reused_groups", 0)),
         cache_misses=int(record.get("cache_misses", 0)),
         figure1={
             layer: {label: int(count) for label, count in counts.items()}
@@ -657,6 +217,31 @@ def _replayed_report(record: Dict[str, object]) -> EpochReport:
     )
 
 
+# ---------------------------------------------------------------------------
+# Runner
+# ---------------------------------------------------------------------------
+
+
+def _grade_snapshot(
+    snapshot: ASGraph, inputs: TemporalInputs
+) -> Tuple[Dict[str, Dict[str, int]], int]:
+    """One epoch's Figure-1 counts, graded on fresh engines, and how
+    many routing trees that took."""
+    engine_simple = GaoRexfordEngine(snapshot)
+    engine_complex = GaoRexfordEngine(snapshot, partial_transit=inputs.partial_transit)
+    layers = figure1_layer_configs(
+        engine_simple,
+        engine_complex,
+        known_complex=inputs.known_complex,
+        siblings=inputs.siblings,
+        first_hops_1=inputs.first_hops_1,
+        first_hops_2=inputs.first_hops_2,
+    )
+    figure1 = ParallelClassifier().classify_layers(inputs.decisions, layers)
+    trees = engine_simple.cache_stats().misses + engine_complex.cache_stats().misses
+    return _counts_dict(figure1), trees
+
+
 def run_incremental(
     snapshots: List[ASGraph],
     inputs: TemporalInputs,
@@ -664,14 +249,12 @@ def run_incremental(
     resume: bool = False,
     storage: Optional[StoragePolicy] = None,
 ) -> TemporalResults:
-    """Run the longitudinal study incrementally over ``snapshots``.
+    """Grade every snapshot of the series, one epoch at a time.
 
     With ``journal_path`` every completed epoch is appended durably;
-    ``resume=True`` replays journaled epochs verbatim and continues
-    from the first missing one (the working state is rebuilt by
-    cold-grading the last completed snapshot — a pure function of the
-    snapshot, so the continuation is identical to an uninterrupted
-    run).  Without ``resume`` an existing journal is overwritten.
+    ``resume=True`` replays the journaled epoch prefix verbatim and
+    continues from the first missing epoch.  Without ``resume`` an
+    existing journal is overwritten.
     """
     if not snapshots:
         raise ValueError("temporal study needs at least one snapshot")
@@ -692,8 +275,8 @@ def run_incremental(
                         f"series (fingerprint {stamped!r} != {fingerprint!r})"
                     )
             by_epoch = {int(record["epoch"]): record for record in records}
-            # Only an unbroken prefix can be replayed: epoch k's state
-            # is rebuilt from epoch k-1, which must itself be complete.
+            # Only an unbroken prefix is replayed, so the series stays in
+            # epoch order.
             index = 0
             while index in by_epoch and index < len(snapshots):
                 replayed.append(_replayed_report(by_epoch[index]))
@@ -702,11 +285,8 @@ def run_incremental(
             os.remove(journal_path)
 
     metrics = get_obs().metrics
-    results = TemporalResults(backend=inputs.backend, epochs=list(replayed))
-    results.resumed_epochs = len(replayed)
-    start = len(replayed)
-
-    if start >= len(snapshots):
+    results = TemporalResults(epochs=list(replayed), resumed_epochs=len(replayed))
+    if len(replayed) >= len(snapshots):
         return results
 
     try:
@@ -717,24 +297,18 @@ def run_incremental(
                     {
                         "fingerprint": fingerprint,
                         "snapshots": len(snapshots),
-                        "backend": inputs.backend,
                         "decisions": len(inputs.decisions),
                     }
                 )
-
-        # Seed the warm state: epoch 0 cold, or — on resume — a cold
-        # rebuild of the last journaled epoch's state (not re-emitted).
-        seed_index = max(start - 1, 0)
-        state = _EpochState(snapshots[seed_index], inputs)
-        with span("temporal-epoch", index=seed_index, mode="full"):
-            misses_before = state.cache_misses()
-            graded = state.full_grade()
-        if start == 0:
+        for index in range(len(replayed), len(snapshots)):
+            with span("temporal-epoch", index=index):
+                delta: Dict[str, int] = {}
+                if index > 0:
+                    churn = diff_graphs(snapshots[index - 1], snapshots[index])
+                    delta = churn.summary()
+                figure1, trees = _grade_snapshot(snapshots[index], inputs)
             report = EpochReport(
-                index=0,
-                regraded_groups=graded,
-                cache_misses=state.cache_misses() - misses_before,
-                figure1=state.figure1(),
+                index=index, delta=delta, cache_misses=trees, figure1=figure1
             )
             results.epochs.append(report)
             if journal is not None:
@@ -742,103 +316,9 @@ def run_incremental(
             if metrics.enabled:
                 metrics.counter(
                     "repro_temporal_epochs_total",
-                    "Temporal epochs computed incrementally.",
+                    "Temporal epochs graded.",
                 ).inc()
-            start = 1
-
-        for index in range(start, len(snapshots)):
-            with span("temporal-epoch", index=index, mode="delta"):
-                misses_before = state.cache_misses()
-                delta = diff_graphs(snapshots[index - 1], snapshots[index])
-                if delta.empty:
-                    # Nothing changed: every tally (and every cached
-                    # tree) carries over untouched — the engines are
-                    # not even consulted.
-                    report = EpochReport(
-                        index=index,
-                        reused_groups=sum(
-                            len(per_tree) for per_tree in state.tallies.values()
-                        ),
-                        figure1=state.figure1(),
-                    )
-                else:
-                    dirty_dests, invalidated, regraded, reused = state.advance(
-                        delta
-                    )
-                    report = EpochReport(
-                        index=index,
-                        delta=delta.summary(),
-                        dirty_destinations=dirty_dests,
-                        invalidated_trees=invalidated,
-                        regraded_groups=regraded,
-                        reused_groups=reused,
-                        cache_misses=state.cache_misses() - misses_before,
-                        figure1=state.figure1(),
-                    )
-            results.epochs.append(report)
-            if journal is not None:
-                journal.append(_epoch_record(report))
-            if metrics.enabled:
-                metrics.counter(
-                    "repro_temporal_epochs_total",
-                    "Temporal epochs computed incrementally.",
-                ).inc()
-                metrics.counter(
-                    "repro_temporal_trees_invalidated_total",
-                    "Cached routing trees invalidated by snapshot deltas.",
-                ).inc(report.invalidated_trees)
-                metrics.counter(
-                    "repro_temporal_groups_reused_total",
-                    "Per-(layer, tree) tallies reused across epochs.",
-                ).inc(report.reused_groups)
     finally:
         if journal is not None:
             journal.close()
     return results
-
-
-# ---------------------------------------------------------------------------
-# From-scratch reference leg
-# ---------------------------------------------------------------------------
-
-
-def run_scratch(
-    snapshots: List[ASGraph], inputs: TemporalInputs
-) -> List[Dict[str, Dict[str, int]]]:
-    """Grade every snapshot cold, through the canonical study path.
-
-    Fresh engines per snapshot, layers configured by
-    :func:`figure1_layer_configs`, grading by
-    :func:`classify_decisions` (which dispatches to the vectorized
-    arena on the ``array`` backend) — exactly what a per-snapshot study
-    would compute.  This is the oracle the incremental leg is compared
-    against byte-for-byte.
-    """
-    series: List[Dict[str, Dict[str, int]]] = []
-    for snapshot in snapshots:
-        engine_simple = GaoRexfordEngine(snapshot, backend=inputs.backend)
-        engine_complex = GaoRexfordEngine(
-            snapshot,
-            partial_transit=inputs.partial_transit,
-            backend=inputs.backend,
-        )
-        layer_configs = figure1_layer_configs(
-            engine_simple,
-            engine_complex,
-            known_complex=inputs.known_complex,
-            siblings=inputs.siblings,
-            first_hops_1=inputs.first_hops_1,
-            first_hops_2=inputs.first_hops_2,
-        )
-        figure1 = {
-            layer: classify_decisions(
-                inputs.decisions,
-                config.engine,
-                first_hops_for=config.first_hops_for,
-                complex_rel=config.complex_rel,
-                siblings=config.siblings,
-            )
-            for layer, config in layer_configs.items()
-        }
-        series.append(_counts_dict(figure1))
-    return series

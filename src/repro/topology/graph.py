@@ -8,6 +8,7 @@ inferred topologies consumed by the analysis are instances of it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.topology.asys import AS
@@ -78,12 +79,14 @@ class ASGraph:
     #: serializations working (their instance dicts lack these).
     _version: int = 0
     _index_cache: Optional[Tuple[int, AdjacencyIndex]] = None
+    _fingerprint_cache: Optional[Tuple[int, str]] = None
 
     def __init__(self) -> None:
         self._ases: Dict[int, AS] = {}
         self._neighbors: Dict[int, Dict[int, Relationship]] = {}
         self._version = 0
         self._index_cache = None
+        self._fingerprint_cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -124,21 +127,6 @@ class ASGraph:
             return False
         del self._neighbors[asn][neighbor]
         del self._neighbors[neighbor][asn]
-        self._version += 1
-        return True
-
-    def remove_as(self, asn: int) -> bool:
-        """Remove an AS and its incident links; returns whether it existed.
-
-        The inverse of :meth:`add_as` plus edge cleanup, used by the
-        temporal delta pipeline when a snapshot drops an AS entirely.
-        """
-        if asn not in self._ases:
-            return False
-        for neighbor in list(self._neighbors.get(asn, ())):
-            del self._neighbors[neighbor][asn]
-        self._neighbors.pop(asn, None)
-        del self._ases[asn]
         self._version += 1
         return True
 
@@ -228,6 +216,27 @@ class ASGraph:
 
     def num_links(self) -> int:
         return sum(1 for _ in self.links())
+
+    def fingerprint(self) -> str:
+        """Hash of the full link set, cached until the graph mutates.
+
+        Graphs with the same links share a fingerprint, whatever object
+        holds them; the run ledger, the temporal journal and the serve
+        daemon's shared engines key on it.  The cache lives on the
+        instance (like :meth:`routing_adjacency`), so a copy never
+        inherits another graph's digest.
+        """
+        cache = self._fingerprint_cache
+        if cache is not None and cache[0] == self._version:
+            return cache[1]
+        digest = hashlib.blake2b(digest_size=8)
+        for a, b, rel in sorted(
+            self.links(), key=lambda link: (link[0], link[1], str(link[2].value))
+        ):
+            digest.update(f"{a}|{b}|{rel.value}\n".encode("utf-8"))
+        fingerprint = digest.hexdigest()
+        self._fingerprint_cache = (self._version, fingerprint)
+        return fingerprint
 
     def customer_cone(self, asn: int) -> frozenset:
         """The set of ASNs reachable by walking only provider->customer

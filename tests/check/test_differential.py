@@ -31,7 +31,7 @@ pytestmark = pytest.mark.check
 #: topologies through cache-on vs cache-off vs oracle.
 DIFFERENTIAL_SEEDS = range(200)
 
-#: Seeds reused for the heavier parallel-classifier comparisons.
+#: Seeds reused for the parallel-classifier comparisons.
 PARALLEL_SEEDS = (0, 7, 42, 99, 123)
 
 
@@ -63,7 +63,8 @@ class TestScenarioGeneration:
 class TestEngineVsOracle:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_engine_and_labels_agree_with_oracle(self, seed):
-        """Cached engine, uncached function, and both label paths vs oracle."""
+        """Cached engine, reference construction, and every label path
+        vs oracle."""
         scenario = generate_scenario(seed)
         problems = check_gr_trees(scenario) + check_labels(scenario)
         assert problems == [], "\n".join(str(p) for p in problems)
@@ -72,18 +73,9 @@ class TestEngineVsOracle:
 class TestParallelClassifierVsOracle:
     @pytest.mark.parametrize("seed", PARALLEL_SEEDS)
     def test_serial_precompute_path(self, seed):
-        """Scenario trees stay under the pool threshold: serial path."""
+        """In-process precompute (one kernel sweep) + arena grading."""
         scenario = generate_scenario(seed)
-        classifier = ParallelClassifier(workers=1)
-        problems = check_labels(scenario, classifier=classifier)
-        assert problems == [], "\n".join(str(p) for p in problems)
-
-    @pytest.mark.parametrize("seed", PARALLEL_SEEDS[:2])
-    def test_forced_process_pool_path(self, seed):
-        """min_parallel_trees=1 forces the worker pool even on tiny runs."""
-        scenario = generate_scenario(seed)
-        classifier = ParallelClassifier(workers=2, min_parallel_trees=1)
-        problems = check_labels(scenario, classifier=classifier)
+        problems = check_labels(scenario, classifier=ParallelClassifier())
         assert problems == [], "\n".join(str(p) for p in problems)
 
 

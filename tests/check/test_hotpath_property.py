@@ -3,9 +3,10 @@
 Each property draws a random world (graph, hybrid relationships,
 sibling groups, PSP first-hop restrictions, partial transit) and a
 random decision batch from a seed, then requires the arena grader
-(array backend) to agree **label for label** with both
-:func:`repro.core.classification.grade_decision` over dict-engine trees
-and the independent fixpoint oracle from :mod:`repro.check.oracles`.
+over the engine's array trees to agree **label for label** with both
+:func:`repro.core.classification.grade_decision` over the dict
+reference trees (:func:`repro.check.oracles.compute_routing_info`) and
+the independent fixpoint oracle from :mod:`repro.check.oracles`.
 
 Seeds appear in the pytest ids (the parametrized regression rows) so a
 failing world is reproducible by name; the hypothesis-driven property
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.oracles import oracle_label, oracle_routing_info
+from repro.check.oracles import compute_routing_info, oracle_label, oracle_routing_info
 from repro.core.classification import Decision, grade_decision, label_decisions
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
@@ -90,7 +91,7 @@ def _world(seed):
 def _assert_label_for_label(seed):
     graph, complex_rel, siblings, partial, first_hops, decisions = _world(seed)
 
-    engine_array = GaoRexfordEngine(graph, partial_transit=partial, backend="array")
+    engine_array = GaoRexfordEngine(graph, partial_transit=partial)
     array_labels = [
         label
         for _d, label in label_decisions(
@@ -103,11 +104,15 @@ def _assert_label_for_label(seed):
     ]
     assert len(array_labels) == len(decisions)
 
-    engine_dict = GaoRexfordEngine(graph, partial_transit=partial, backend="dict")
     oracle_infos = {}
     for decision, array_label in zip(decisions, array_labels):
         allowed = None if first_hops is None else first_hops.get(decision.prefix)
-        info = engine_dict.routing_info(decision.destination, allowed)
+        info = compute_routing_info(
+            graph,
+            decision.destination,
+            partial_transit=partial,
+            allowed_first_hops=allowed,
+        )
         scalar = grade_decision(
             decision, info, graph, complex_rel=complex_rel, siblings=siblings
         )

@@ -1,9 +1,9 @@
 """Batched grading must be indistinguishable from per-decision grading.
 
-The batched path (grouping by routing tree, duplicate collapsing,
-per-group memoization) is a pure optimization: for every input and
-every refinement configuration it must produce exactly the labels and
-counts of the per-decision reference implementation.
+The batched arena path (grouping by routing tree, duplicate
+collapsing, vectorized grading) is a pure optimization: for every input
+and every refinement configuration it must produce exactly the labels
+and counts of the per-decision reference implementation.
 """
 
 import random
@@ -12,13 +12,13 @@ import pytest
 
 from repro.core.classification import (
     Decision,
-    GroupedDecisions,
     classify_decisions,
     classify_decisions_serial,
     label_decisions,
     label_decisions_serial,
 )
 from repro.core.gao_rexford import GaoRexfordEngine
+from repro.core.hotpath.grade import DecisionArena
 from repro.core.pipeline import FIGURE1_LAYERS, figure1_layer_configs
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
@@ -205,8 +205,8 @@ class TestGroupedDecisions:
             _decision(1, 2, 8, measured_len=2, prefix=PFX),
         ]
         first_hops = {PFX: frozenset({2})}
-        grouped = GroupedDecisions(decisions, first_hops)
-        assert set(grouped.tree_keys()) == {
+        grouped = DecisionArena(decisions).grouping(first_hops)
+        assert set(grouped.tree_keys) == {
             (9, frozenset({2})),
             (9, None),
             (8, frozenset({2})),
@@ -215,17 +215,16 @@ class TestGroupedDecisions:
     def test_duplicates_collapse(self):
         decisions = [_decision(1, 2, 9, measured_len=2) for _ in range(5)]
         decisions.append(_decision(1, 3, 9, measured_len=2))
-        grouped = GroupedDecisions(decisions)
-        assert len(grouped) == 6
-        assert grouped.unique_count() == 2
+        arena = DecisionArena(decisions)
+        assert len(arena) == 6
+        assert arena.grouping(None).num_uniques == 2
 
     def test_border_city_distinguishes(self):
         decisions = [
             _decision(1, 2, 9, measured_len=2, border_city="Paris"),
             _decision(1, 2, 9, measured_len=2, border_city="Tokyo"),
         ]
-        grouped = GroupedDecisions(decisions)
-        assert grouped.unique_count() == 2
+        assert DecisionArena(decisions).grouping(None).num_uniques == 2
 
     def test_labels_preserve_input_order(self):
         diamond = _graph(

@@ -1,10 +1,12 @@
-"""The array backend must be indistinguishable from the dict reference.
+"""The array hot path must be indistinguishable from the dict reference.
 
-The hot path (CSR compilation, batched tree kernel, lazy RoutingInfo
-wrappers, vectorized arena grading) is a pure optimization: for every
-graph, restriction, partial-transit set, and decision batch it must
-produce exactly the distances, labels, counts, and cache-statistics of
-the dict backend — which these tests drive side by side.
+The hot path (CSR compilation, batched tree kernel, lazy routing-tree
+wrappers, vectorized arena grading) is how the engine computes and
+grades trees: for every graph, restriction, partial-transit set, and
+decision batch it must produce exactly the distances and labels of the
+readable dict construction in :mod:`repro.check.oracles` graded by the
+scalar :func:`~repro.core.classification.grade_decision` — which these
+tests drive side by side.
 """
 
 import os
@@ -14,18 +16,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.check.oracles import compute_routing_info
 from repro.core.classification import (
     Decision,
+    LabelCounts,
     LayerConfig,
     classify_decisions,
+    grade_decision,
     label_decisions,
 )
-from repro.core.gao_rexford import (
-    BACKEND_ENV,
-    BACKENDS,
-    GaoRexfordEngine,
-    compute_routing_info,
-)
+from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.hotpath import (
     ArrayRoutingInfo,
     compile_topology,
@@ -167,12 +167,39 @@ class TestKernelVsReference:
             assert info.peer_dist == reference.peer_dist
             assert info.provider_dist == reference.provider_dist
 
+    @pytest.mark.parametrize("trial", range(8))
+    def test_parents_and_paths_match_dict_reference(self, trial):
+        """Parent tie-breaks follow the reference, so every route the
+        model reconstructs (Table 3 reads them) is the same route."""
+        rng = random.Random(70 + trial)
+        graph, asns = _random_graph(rng, size=rng.randint(10, 40))
+        partial = frozenset(
+            tuple(rng.sample(asns, 2)) for _ in range(rng.randint(0, 3))
+        )
+        engine = GaoRexfordEngine(graph, partial_transit=partial)
+        keys = [(dest, None) for dest in asns]
+        keys += [
+            (dest, frozenset(rng.sample(asns, rng.randint(1, len(asns)))))
+            for dest in rng.sample(asns, 5)
+        ]
+        engine.warm_batch(keys)
+        for dest, allowed in keys:
+            info = engine.routing_info(dest, allowed)
+            reference = compute_routing_info(
+                graph, dest, partial_transit=partial, allowed_first_hops=allowed
+            )
+            assert info.customer_parent == reference.customer_parent
+            assert info.peer_parent == reference.peer_parent
+            assert info.provider_parent == reference.provider_parent
+            for asn in asns:
+                assert info.gr_route_path(asn) == reference.gr_route_path(asn)
+
     def test_empty_batch_and_unknown_destination(self):
         graph = _diamond_graph()
         csr = compile_topology(graph)
         batch = compute_tree_batch(csr, [], [])
         assert batch.customer.shape == (0, csr.n)
-        engine = GaoRexfordEngine(graph, backend="array")
+        engine = GaoRexfordEngine(graph)
         with pytest.raises(KeyError):
             engine.routing_info(999999, None)
 
@@ -180,11 +207,9 @@ class TestKernelVsReference:
 class TestArrayRoutingInfo:
     def _pair(self, destination=4, allowed=None):
         graph = _diamond_graph()
-        array_info = GaoRexfordEngine(graph, backend="array").routing_info(
-            destination, allowed
-        )
-        dict_info = GaoRexfordEngine(graph, backend="dict").routing_info(
-            destination, allowed
+        array_info = GaoRexfordEngine(graph).routing_info(destination, allowed)
+        dict_info = compute_routing_info(
+            graph, destination, allowed_first_hops=allowed
         )
         return graph, array_info, dict_info
 
@@ -219,40 +244,22 @@ class TestArrayRoutingInfo:
         assert clone.provider_dist == dict_info.provider_dist
 
 
-class TestBackendSeam:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            GaoRexfordEngine(_diamond_graph(), backend="simd")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert GaoRexfordEngine(_diamond_graph()).backend == "array"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert GaoRexfordEngine(_diamond_graph()).backend == "dict"
-        assert "dict" in BACKENDS and "array" in BACKENDS
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "array")
-        assert GaoRexfordEngine(_diamond_graph(), backend="dict").backend == "dict"
-
-    def test_warm_batch_stats_match_dict_accounting(self):
+class TestWarmBatch:
+    def test_warm_batch_stats_match_per_tree_accounting(self):
+        """One kernel sweep charges the cache exactly what computing
+        the same trees one ``routing_info`` call at a time does."""
         graph = _diamond_graph()
         keys = [(4, None), (1, None), (4, None), (2, frozenset({1, 3}))]
-        engines = {
-            backend: GaoRexfordEngine(graph, backend=backend)
-            for backend in BACKENDS
-        }
-        computed = {
-            backend: engine.warm_batch(keys)
-            for backend, engine in engines.items()
-        }
-        assert computed["dict"] == computed["array"] == 3  # one duplicate
-        stats = {b: e.cache_stats() for b, e in engines.items()}
-        assert stats["dict"].as_dict() == stats["array"].as_dict()
+        batched = GaoRexfordEngine(graph)
+        assert batched.warm_batch(keys) == 3  # one duplicate
+        single = GaoRexfordEngine(graph)
+        for destination, allowed in dict.fromkeys(keys):
+            single.routing_info(destination, allowed)
+        stats = batched.cache_stats()
+        assert stats.as_dict() == single.cache_stats().as_dict()
         # Second warm finds everything cached and charges nothing.
-        for backend, engine in engines.items():
-            assert engine.warm_batch(keys) == 0
-            assert engine.cache_stats().as_dict() == stats[backend].as_dict()
+        assert batched.warm_batch(keys) == 0
+        assert batched.cache_stats().as_dict() == stats.as_dict()
 
 
 def _random_decisions(rng, asns, count=80):
@@ -271,6 +278,29 @@ def _random_decisions(rng, asns, count=80):
             )
         )
     return decisions
+
+
+def _reference_labels(graph, decisions, first_hops, complex_rel, siblings):
+    """Scalar grades over independently built dict reference trees."""
+    labels = []
+    for decision in decisions:
+        allowed = first_hops.get(decision.prefix) if first_hops else None
+        info = compute_routing_info(
+            graph, decision.destination, allowed_first_hops=allowed
+        )
+        labels.append(
+            grade_decision(
+                decision, info, graph, complex_rel=complex_rel, siblings=siblings
+            )
+        )
+    return labels
+
+
+def _tally(labels):
+    counts = LabelCounts()
+    for label in labels:
+        counts.add(label)
+    return counts.counts
 
 
 class TestArrayGrading:
@@ -294,71 +324,69 @@ class TestArrayGrading:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_classify_and_label_match_dict(self, seed):
         graph, complex_rel, siblings, first_hops, decisions = self._world(seed)
-        results = {}
-        for backend in BACKENDS:
-            engine = GaoRexfordEngine(graph, backend=backend)
-            results[backend] = (
-                classify_decisions(
-                    decisions,
-                    engine,
-                    first_hops_for=first_hops,
-                    complex_rel=complex_rel,
-                    siblings=siblings,
-                ).counts,
-                [
-                    label
-                    for _d, label in label_decisions(
-                        decisions,
-                        engine,
-                        first_hops_for=first_hops,
-                        complex_rel=complex_rel,
-                        siblings=siblings,
-                    )
-                ],
-            )
-        assert results["array"] == results["dict"]
-
-    def test_parallel_classifier_all_array_layers(self):
-        graph, complex_rel, siblings, first_hops, decisions = self._world(21)
-        layer_sets = {}
-        for backend in BACKENDS:
-            engine = GaoRexfordEngine(graph, backend=backend)
-            layers = {
-                "Simple": LayerConfig(engine=engine),
-                "Refined": LayerConfig(
-                    engine=engine,
-                    first_hops_for=first_hops,
-                    complex_rel=complex_rel,
-                    siblings=siblings,
-                ),
-            }
-            classifier = ParallelClassifier(workers=0)
-            counts = classifier.classify_layers(decisions, layers)
-            layer_sets[backend] = (
-                {name: c.counts for name, c in counts.items()},
-                classifier.last_layer_cache_stats,
-            )
-        array_counts, array_stats = layer_sets["array"]
-        dict_counts, dict_stats = layer_sets["dict"]
-        assert array_counts == dict_counts
-        assert array_stats == dict_stats
-
-    def test_parallel_classifier_label_layer_array(self):
-        graph, complex_rel, siblings, first_hops, decisions = self._world(22)
-        labels = {}
-        for backend in BACKENDS:
-            engine = GaoRexfordEngine(graph, backend=backend)
-            layer = LayerConfig(
-                engine=engine,
+        reference = _reference_labels(
+            graph, decisions, first_hops, complex_rel, siblings
+        )
+        engine = GaoRexfordEngine(graph)
+        counts = classify_decisions(
+            decisions,
+            engine,
+            first_hops_for=first_hops,
+            complex_rel=complex_rel,
+            siblings=siblings,
+        ).counts
+        labels = [
+            label
+            for _d, label in label_decisions(
+                decisions,
+                engine,
                 first_hops_for=first_hops,
                 complex_rel=complex_rel,
                 siblings=siblings,
             )
-            classifier = ParallelClassifier(workers=0)
-            labels[backend] = [
-                label for _d, label in classifier.label_layer(decisions, layer)
-            ]
-        assert labels["array"] == labels["dict"]
+        ]
+        assert labels == reference
+        assert counts == _tally(reference)
+
+    def test_parallel_classifier_all_array_layers(self):
+        graph, complex_rel, siblings, first_hops, decisions = self._world(21)
+        engine = GaoRexfordEngine(graph)
+        layers = {
+            "Simple": LayerConfig(engine=engine),
+            "Refined": LayerConfig(
+                engine=engine,
+                first_hops_for=first_hops,
+                complex_rel=complex_rel,
+                siblings=siblings,
+            ),
+        }
+        classifier = ParallelClassifier()
+        counts = classifier.classify_layers(decisions, layers)
+        assert counts["Simple"].counts == _tally(
+            _reference_labels(graph, decisions, None, None, None)
+        )
+        assert counts["Refined"].counts == _tally(
+            _reference_labels(graph, decisions, first_hops, complex_rel, siblings)
+        )
+        # Every tree was precomputed up front: grading only hit the cache.
+        for name in layers:
+            delta = classifier.last_layer_cache_stats[name]["delta"]
+            assert delta["misses"] == 0 and delta["hits"] > 0
+
+    def test_parallel_classifier_label_layer_array(self):
+        graph, complex_rel, siblings, first_hops, decisions = self._world(22)
+        layer = LayerConfig(
+            engine=GaoRexfordEngine(graph),
+            first_hops_for=first_hops,
+            complex_rel=complex_rel,
+            siblings=siblings,
+        )
+        labels = [
+            label for _d, label in ParallelClassifier().label_layer(decisions, layer)
+        ]
+        assert labels == _reference_labels(
+            graph, decisions, first_hops, complex_rel, siblings
+        )
 
 
 class TestGoldenFigure1:
@@ -378,10 +406,8 @@ class TestGoldenFigure1:
         from repro.core.pipeline import figure1_layer_configs
 
         partial = study.engine_complex.partial_transit
-        engine_simple = GaoRexfordEngine(study.inferred, backend="array")
-        engine_complex = GaoRexfordEngine(
-            study.inferred, partial_transit=partial, backend="array"
-        )
+        engine_simple = GaoRexfordEngine(study.inferred)
+        engine_complex = GaoRexfordEngine(study.inferred, partial_transit=partial)
         layers = figure1_layer_configs(
             engine_simple,
             engine_complex,
@@ -390,7 +416,7 @@ class TestGoldenFigure1:
             first_hops_1=study.first_hops_1,
             first_hops_2=study.first_hops_2,
         )
-        figure1 = ParallelClassifier(workers=0).classify_layers(
+        figure1 = ParallelClassifier().classify_layers(
             study.decisions, layers
         )
         got = {

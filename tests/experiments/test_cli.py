@@ -76,13 +76,6 @@ class TestStudyFlagConflicts:
         )
         assert "mutually exclusive" in err
 
-    def test_run_dir_plus_shard_checkpoint_rejected(self, capsys):
-        err = self._err(
-            capsys,
-            ["study", "--small", "--run-dir", "d", "--shard-checkpoint", "s.jsonl"],
-        )
-        assert "mutually exclusive" in err
-
     def test_run_dir_plus_resume_file_rejected(self, capsys):
         err = self._err(
             capsys,

@@ -45,8 +45,6 @@ def _config(run_dir=None, resume=False, seed=21):
         active_vp_budget=24,
         max_discovery_targets=8,
         fault_plan=PLAN,
-        pool_workers=2,
-        pool_min_parallel_trees=1,
         durability="flush",
         run_dir=run_dir,
         resume=resume,
@@ -98,7 +96,7 @@ class TestChaosResume:
         assert document["runs"] == crashes + 1
         assert document["generation"] == crashes + 1
         assert set(document["fingerprints"]) == {"config", "fault_plan", "graph"}
-        for journal in ("campaign.jsonl", "active.jsonl", "shards.jsonl"):
+        for journal in ("campaign.jsonl", "active.jsonl"):
             assert os.path.exists(os.path.join(run_dir, journal)), journal
         assert not os.path.exists(os.path.join(run_dir, ".lock"))
 

@@ -96,13 +96,13 @@ class TestAmbient:
 
 
 class TestSerialFallbackSingleCounting:
-    """Regression: serial-fallback precompute work counted once.
+    """Regression: in-process precompute work counted once.
 
-    With two flat timers the in-process tree builds of the serial
-    fallback were booked both inside the pipeline's ``figure1`` stage
-    and by the classifier's own timing, double-counting the stage.  As
-    spans, the classifier's work nests under the open stage span and
-    ``stage_timings`` (top-level only) counts it exactly once.
+    With two flat timers the in-process tree builds were booked both
+    inside the pipeline's ``figure1`` stage and by the classifier's own
+    timing, double-counting the stage.  As spans, the classifier's work
+    nests under the open stage span and ``stage_timings`` (top-level
+    only) counts it exactly once.
     """
 
     def test_serial_precompute_nests_under_stage(self, study):
@@ -122,17 +122,17 @@ class TestSerialFallbackSingleCounting:
             first_hops_1=study.first_hops_1,
             first_hops_2=study.first_hops_2,
         )
-        classifier = ParallelClassifier(workers=1)  # forces serial fallback
+        classifier = ParallelClassifier()
         tracer = Tracer()
         with tracer.activate():
             with tracer.span("figure1"):
                 classifier.classify_layers(study.decisions[:50], layers)
-        assert classifier.last_report.parallel is False
+        assert classifier.last_report.trees_computed > 0
 
         # All classifier spans nested under the stage span ...
         assert [root.name for root in tracer.roots] == ["figure1"]
         nested = {node.name for node in flatten(tracer.roots[0].children)}
-        assert "precompute_serial" in nested
+        assert "precompute" in nested
         assert "classify_layer" in nested
         # ... so the flat view has one entry and no double-booked time.
         timings = tracer.stage_timings()

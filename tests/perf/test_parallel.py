@@ -1,12 +1,8 @@
-"""ParallelClassifier: worker resolution, precompute dedup, pool path.
+"""ParallelClassifier: precompute dedup and the batched grading path.
 
-The pool path is forced with ``workers=2, min_parallel_trees=1`` on a
-small graph so the test exercises real pickling and cross-process tree
-construction without needing a many-core machine; results must be
-identical to the serial fallback.
+The batched path (one kernel sweep per engine, arena grading) must be
+identical to the per-decision serial references.
 """
-
-import os
 
 import pytest
 
@@ -18,12 +14,7 @@ from repro.core.classification import (
 )
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
-from repro.perf.parallel import (
-    DEFAULT_MIN_PARALLEL_TREES,
-    WORKERS_ENV,
-    ParallelClassifier,
-    worker_count,
-)
+from repro.perf.parallel import ParallelClassifier
 from repro.topology import ASGraph, Relationship
 
 pytestmark = pytest.mark.tier1
@@ -63,73 +54,12 @@ def _decisions(graph, destinations):
     return decisions
 
 
-class TestWorkerCount:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert worker_count() == 3
-        assert worker_count(default=7) == 3
-
-    def test_negative_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "-2")
-        with pytest.raises(ValueError, match=rf"{WORKERS_ENV} must be >= 0"):
-            worker_count()
-
-    def test_zero_and_one_still_mean_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        assert worker_count() == 0
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        assert worker_count() == 1
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            worker_count()
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert worker_count(default=5) == 5
-        assert worker_count() >= 1
-
-    def test_classifier_reads_env_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert ParallelClassifier().workers == min(2, os.cpu_count() or 1)
-        # An explicit argument is the caller's decision — never clamped.
-        assert ParallelClassifier(workers=6).workers == 6
-
-    def test_default_workers_clamped_to_cpus(self, monkeypatch):
-        """An oversubscribed env default cannot outnumber the cores."""
-        monkeypatch.setenv(WORKERS_ENV, "64")
-        assert ParallelClassifier().workers == min(64, os.cpu_count() or 1)
-
-    def test_pool_skipped_when_one_effective_worker(self):
-        """workers=1 grades serially — no pool spawn for a lone worker."""
-        graph = _ladder_graph()
-        engine = GaoRexfordEngine(graph)
-        layer = LayerConfig(engine=engine)
-        classifier = ParallelClassifier(workers=1, min_parallel_trees=1)
-        decisions = _decisions(graph, destinations=[1, 3, 5])
-        report = classifier.precompute(decisions, [layer])
-        assert not report.parallel
-        assert report.trees_computed == 3
-
-
 class TestPrecompute:
-    def test_serial_fallback_below_threshold(self):
-        graph = _ladder_graph()
-        engine = GaoRexfordEngine(graph)
-        layer = LayerConfig(engine=engine)
-        classifier = ParallelClassifier(workers=8)
-        decisions = _decisions(graph, destinations=[1])
-        report = classifier.precompute(decisions, [layer])
-        assert not report.parallel  # 1 tree < DEFAULT_MIN_PARALLEL_TREES
-        assert report.trees_computed == 1
-        assert DEFAULT_MIN_PARALLEL_TREES > 1
-
     def test_warm_cache_counts_as_reuse(self):
         graph = _ladder_graph()
         engine = GaoRexfordEngine(graph)
         layer = LayerConfig(engine=engine)
-        classifier = ParallelClassifier(workers=1)
+        classifier = ParallelClassifier()
         decisions = _decisions(graph, destinations=[1, 2])
         first = classifier.precompute(decisions, [layer])
         assert first.trees_computed == 2
@@ -141,7 +71,7 @@ class TestPrecompute:
         graph = _ladder_graph()
         engine = GaoRexfordEngine(graph)
         layers = [LayerConfig(engine=engine), LayerConfig(engine=engine)]
-        classifier = ParallelClassifier(workers=1)
+        classifier = ParallelClassifier()
         decisions = _decisions(graph, destinations=[1])
         report = classifier.precompute(decisions, layers)
         # The second layer's identical tree needs are deduplicated.
@@ -149,8 +79,8 @@ class TestPrecompute:
         assert report.trees_reused == 1
 
 
-class TestPoolPath:
-    def test_forced_pool_matches_serial(self):
+class TestBatchedPath:
+    def test_batched_matches_serial(self):
         graph = _ladder_graph()
         destinations = sorted(graph.asns())[:4]
         decisions = _decisions(graph, destinations)
@@ -159,20 +89,19 @@ class TestPoolPath:
         expected_counts = classify_decisions_serial(decisions, serial_engine)
         expected_labels = label_decisions_serial(decisions, serial_engine)
 
-        pool_engine = GaoRexfordEngine(graph)
-        layer = LayerConfig(engine=pool_engine)
-        classifier = ParallelClassifier(workers=2, min_parallel_trees=1)
+        engine = GaoRexfordEngine(graph)
+        layer = LayerConfig(engine=engine)
+        classifier = ParallelClassifier()
         counts = classifier.classify_layers(decisions, {"Simple": layer})
 
         assert classifier.last_report is not None
-        assert classifier.last_report.parallel
         assert classifier.last_report.trees_computed == len(destinations)
         assert counts["Simple"].counts == expected_counts.counts
-        # Pool-built trees were installed into the local engine cache.
-        assert pool_engine.cache_stats().size == len(destinations)
+        # The precomputed trees were installed into the engine cache.
+        assert engine.cache_stats().size == len(destinations)
         assert classifier.label_layer(decisions, layer) == expected_labels
 
-    def test_pool_respects_first_hop_restrictions(self):
+    def test_batched_respects_first_hop_restrictions(self):
         graph = _ladder_graph()
         decisions = _decisions(graph, destinations=[1, 2])
         first_hops = {PFX: frozenset({2, 3})}
@@ -182,9 +111,8 @@ class TestPoolPath:
             decisions, serial_engine, first_hops_for=first_hops
         )
 
-        pool_engine = GaoRexfordEngine(graph)
-        layer = LayerConfig(engine=pool_engine, first_hops_for=first_hops)
-        classifier = ParallelClassifier(workers=2, min_parallel_trees=1)
+        layer = LayerConfig(engine=GaoRexfordEngine(graph), first_hops_for=first_hops)
+        classifier = ParallelClassifier()
         assert classifier.label_layer(decisions, layer) == expected
         assert classifier.last_report is not None
-        assert classifier.last_report.parallel
+        assert classifier.last_report.trees_computed == 2

@@ -42,14 +42,13 @@ class TestEngineCache:
         assert store.engine_for(first) is not store.engine_for(other)
         assert store.stats()["engines"] == 2
 
-    def test_backend_and_partial_transit_partition_the_key(self, graphs):
+    def test_partial_transit_partitions_the_key(self, graphs):
         first, _, _ = graphs
         partial = frozenset([(1, 2)])
         store = ArtifactStore()
         plain = store.engine_for(first)
-        assert store.engine_for(first, backend="array") is not plain
         assert store.engine_for(first, partial_transit=partial) is not plain
-        assert store.stats()["engines"] == 3
+        assert store.stats()["engines"] == 2
 
     def test_handed_out_engines_are_thread_safe(self, graphs):
         first, _, _ = graphs
@@ -82,7 +81,7 @@ class _FakeStudy:
             _FakeStudy.gate.wait(timeout=30)
         with _FakeStudy.build_lock:
             _FakeStudy.builds += 1
-        return ("results", self.config.seed, self.config.backend)
+        return ("results", self.config.seed, self.config.num_probes)
 
 
 @pytest.fixture
@@ -97,8 +96,8 @@ def fake_pipeline(monkeypatch):
 class TestStudyMemoization:
     def test_same_key_builds_once(self, fake_pipeline):
         store = ArtifactStore()
-        first = store.study(0, "small", "dict")
-        second = store.study(0, "small", "dict")
+        first = store.study(0, "small")
+        second = store.study(0, "small")
         assert first is second
         assert fake_pipeline.builds == 1
         stats = store.stats()
@@ -107,9 +106,9 @@ class TestStudyMemoization:
 
     def test_distinct_keys_build_separately(self, fake_pipeline):
         store = ArtifactStore()
-        store.study(0, "small", "dict")
-        store.study(1, "small", "dict")
-        store.study(0, "small", "array")
+        store.study(0, "small")
+        store.study(1, "small")
+        store.study(0, "full")
         assert fake_pipeline.builds == 3
 
     def test_concurrent_identical_requests_collapse_to_one_build(
@@ -121,7 +120,7 @@ class TestStudyMemoization:
         results = []
         threads = [
             threading.Thread(
-                target=lambda: results.append(store.study(5, "small", "dict"))
+                target=lambda: results.append(store.study(5, "small"))
             )
             for _ in range(6)
         ]
@@ -136,10 +135,10 @@ class TestStudyMemoization:
 
     def test_results_lru_is_bounded(self, fake_pipeline):
         store = ArtifactStore(max_results=2)
-        store.study(0, "small", "dict")
-        store.study(1, "small", "dict")
-        store.study(2, "small", "dict")
+        store.study(0, "small")
+        store.study(1, "small")
+        store.study(2, "small")
         assert store.stats()["studies"] == 2
         # Seed 0 was evicted: asking again rebuilds.
-        store.study(0, "small", "dict")
+        store.study(0, "small")
         assert fake_pipeline.builds == 4

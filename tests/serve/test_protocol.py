@@ -32,22 +32,20 @@ class TestBuildStudyConfig:
         differential meaningful: both paths feed the pipeline the same
         StudyConfig, so any response divergence is daemon plumbing.
         """
-        expected = StudyConfig(
-            topology=small_config(), seed=7, backend="array"
-        )
+        expected = StudyConfig(topology=small_config(), seed=7)
         expected.num_probes = 400
         expected.probes_per_continent = 25
         expected.active_vp_budget = 40
         expected.max_discovery_targets = 20
-        assert build_study_config(seed=7, scale="small", backend="array") == expected
+        assert build_study_config(seed=7, scale="small") == expected
 
     def test_full_scale_keeps_defaults(self):
-        config = build_study_config(seed=3, scale="full", backend="dict")
-        assert config == StudyConfig(seed=3, backend="dict")
+        config = build_study_config(seed=3, scale="full")
+        assert config == StudyConfig(seed=3)
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ProtocolError, match="scale"):
-            build_study_config(seed=0, scale="medium", backend="dict")
+            build_study_config(seed=0, scale="medium")
 
 
 class TestParseRequest:
@@ -64,7 +62,6 @@ class TestParseRequest:
                 tenant="alice",
                 seed=9,
                 scale="small",
-                backend="array",
                 stream=True,
                 seeds=5,
             )
@@ -89,9 +86,11 @@ class TestParseRequest:
         with pytest.raises(ProtocolError, match="unknown"):
             parse_request(_body(workload="study", turbo=True))
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ProtocolError, match="backend"):
-            parse_request(_body(workload="study", backend="gpu"))
+    def test_rejects_backend_field(self):
+        # There is one route-tree engine; naming a backend is an
+        # unknown field like any other.
+        with pytest.raises(ProtocolError, match="unknown request field.*backend"):
+            parse_request(_body(workload="study", backend="array"))
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ProtocolError, match="seed"):

@@ -30,7 +30,7 @@ class TestTemporalCommand:
     def test_json_output_parses(self, patched_study, capsys):
         assert cli.main(["temporal", "--small", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "dict"
+        assert "backend" not in payload
         assert payload["resumed_epochs"] == 0
         assert len(payload["epochs"]) == len(patched_study.snapshots)
         for epoch in payload["epochs"]:
@@ -41,11 +41,12 @@ class TestTemporalCommand:
         out = capsys.readouterr().out
         assert "longitudinal study:" in out
         assert f"{len(patched_study.snapshots)} epoch(s)" in out
-        assert "backend dict" in out
+        assert "epoch  delta  misses" in out
 
-    def test_array_backend(self, patched_study, capsys):
-        assert cli.main(["temporal", "--small", "--backend", "array"]) == 0
-        assert "backend array" in capsys.readouterr().out
+    def test_backend_flag_rejected(self, patched_study, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["temporal", "--small", "--backend", "array"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_series_override_flags(self, patched_study, capsys):
         code = cli.main(

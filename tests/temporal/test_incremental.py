@@ -1,11 +1,10 @@
-"""Incremental ≡ from-scratch over the study's own snapshot series.
+"""The longitudinal series against a per-snapshot reference, and resume.
 
-The metamorphic core of the temporal pipeline: on both engine backends
-the delta-driven incremental runner must reproduce the cold
-per-snapshot reference byte-for-byte per epoch, the zero-diff epoch
-must be a pure cache hit, total churn must degrade gracefully to a
-cold recompute, and a journal-backed resume must continue into the
-identical series.
+Every epoch ``run_incremental`` emits must equal grading that snapshot
+alone through the per-decision reference path
+(:func:`~repro.core.classification.classify_decisions_serial` on fresh
+engines), including a churnier series, total churn and a zero-diff
+epoch; a journal-backed resume must continue into the identical series.
 """
 
 import json
@@ -13,12 +12,15 @@ import os
 
 import pytest
 
+from repro.core.classification import classify_decisions_serial
+from repro.core.gao_rexford import GaoRexfordEngine
+from repro.core.pipeline import figure1_layer_configs
 from repro.temporal.study import (
     TemporalInputs,
     TemporalJournal,
+    _counts_dict,
     epoch_snapshot,
     run_incremental,
-    run_scratch,
     serialize_epoch,
     series_fingerprint,
 )
@@ -26,16 +28,10 @@ from repro.topogen.inference import InferenceConfig, inferred_snapshots
 
 pytestmark = pytest.mark.temporal
 
-BACKENDS = ("dict", "array")
-
 
 @pytest.fixture(scope="module")
 def series(study):
     return study.snapshots
-
-
-def _inputs(study, backend):
-    return TemporalInputs.from_study(study, backend=backend)
 
 
 def _epoch_bytes(series):
@@ -45,70 +41,68 @@ def _epoch_bytes(series):
     ]
 
 
-class TestIncrementalEqualsScratch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_study_series_byte_identical(self, study, series, backend):
-        inputs = _inputs(study, backend)
-        incremental = run_incremental(series, inputs)
-        scratch = run_scratch(series, inputs)
-        assert _epoch_bytes(incremental.figure1_series()) == _epoch_bytes(scratch)
-
-    def test_backends_agree_with_each_other(self, study, series):
-        legs = [
-            run_incremental(series, _inputs(study, backend)).figure1_series()
-            for backend in BACKENDS
-        ]
-        assert legs[0] == legs[1]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_higher_churn_series(self, study, backend):
-        """A fresh, churnier series (not the study default) agrees too."""
-        inference = InferenceConfig(num_snapshots=4, snapshot_churn=0.25)
-        snapshots, _known = inferred_snapshots(
-            study.internet, inference, seed=study.config.seed + 1
+def _serial_restudy(snapshots, inputs):
+    """Each snapshot graded alone, decision by decision, on cold engines."""
+    series = []
+    for snapshot in snapshots:
+        layers = figure1_layer_configs(
+            GaoRexfordEngine(snapshot),
+            GaoRexfordEngine(snapshot, partial_transit=inputs.partial_transit),
+            known_complex=inputs.known_complex,
+            siblings=inputs.siblings,
+            first_hops_1=inputs.first_hops_1,
+            first_hops_2=inputs.first_hops_2,
         )
-        inputs = _inputs(study, backend)
-        incremental = run_incremental(snapshots, inputs)
-        scratch = run_scratch(snapshots, inputs)
-        assert incremental.figure1_series() == scratch
+        figure1 = {
+            name: classify_decisions_serial(
+                inputs.decisions,
+                layer.engine,
+                first_hops_for=layer.first_hops_for,
+                complex_rel=layer.complex_rel,
+                siblings=layer.siblings,
+            )
+            for name, layer in layers.items()
+        }
+        series.append(_counts_dict(figure1))
+    return series
 
 
-class TestEdgeCases:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_diff_epoch_is_pure_cache_hit(self, study, series, backend):
-        """An identical consecutive snapshot must cost nothing: no
-        cache misses, no re-grading, every group's tally carried."""
-        doubled = [series[0], series[0].copy(), series[1]]
-        inputs = _inputs(study, backend)
-        results = run_incremental(doubled, inputs)
-        zero = results.epochs[1]
-        assert zero.cache_misses == 0
-        assert zero.regraded_groups == 0
-        assert zero.invalidated_trees == 0
-        assert zero.reused_groups > 0
-        assert zero.figure1 == results.epochs[0].figure1
-        assert results.figure1_series() == run_scratch(doubled, inputs)
+class TestSeriesMatchesPerSnapshotReference:
+    def test_study_series_byte_identical(self, study, series):
+        inputs = TemporalInputs.from_study(study)
+        results = run_incremental(series, inputs)
+        assert _epoch_bytes(results.figure1_series()) == _epoch_bytes(
+            _serial_restudy(series, inputs)
+        )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_total_churn_matches_cold_recompute(self, study, backend):
-        """100% churn leaves nothing reusable; the incremental leg must
-        degrade to (and agree with) the from-scratch recompute."""
+    def test_total_churn_series(self, study):
+        """100% churn: every epoch still equals its own restudy."""
         inference = InferenceConfig(num_snapshots=3, snapshot_churn=1.0)
         snapshots, _known = inferred_snapshots(
             study.internet, inference, seed=study.config.seed + 1
         )
-        inputs = _inputs(study, backend)
-        incremental = run_incremental(snapshots, inputs)
-        assert incremental.figure1_series() == run_scratch(snapshots, inputs)
-        for epoch in incremental.epochs[1:]:
+        inputs = TemporalInputs.from_study(study)
+        results = run_incremental(snapshots, inputs)
+        assert results.figure1_series() == _serial_restudy(snapshots, inputs)
+        for epoch in results.epochs[1:]:
             assert sum(epoch.delta.values()) > 0
+
+    def test_zero_diff_epoch_repeats_counts(self, study, series):
+        """An identical consecutive snapshot reports no churn and the
+        same counts as the epoch before it."""
+        doubled = [series[0], series[0].copy(), series[1]]
+        results = run_incremental(doubled, TemporalInputs.from_study(study))
+        zero = results.epochs[1]
+        assert sum(zero.delta.values()) == 0
+        assert zero.figure1 == results.epochs[0].figure1
+        assert zero.cache_misses == results.epochs[0].cache_misses > 0
 
 
 class TestJournalResume:
     def test_resume_replays_prefix_and_matches_uninterrupted(
         self, study, series, tmp_path
     ):
-        inputs = _inputs(study, "dict")
+        inputs = TemporalInputs.from_study(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         full = run_incremental(series, inputs, journal_path=journal_path)
         assert full.resumed_epochs == 0
@@ -146,7 +140,7 @@ class TestJournalResume:
         assert len(completed) == len(series)
 
     def test_resume_refuses_foreign_series(self, study, series, tmp_path):
-        inputs = _inputs(study, "dict")
+        inputs = TemporalInputs.from_study(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         run_incremental(series, inputs, journal_path=journal_path)
         inference = InferenceConfig(num_snapshots=len(series), snapshot_churn=0.3)
@@ -157,7 +151,7 @@ class TestJournalResume:
             )
 
     def test_journal_records_are_json_lines(self, study, series, tmp_path):
-        inputs = _inputs(study, "dict")
+        inputs = TemporalInputs.from_study(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         results = run_incremental(series, inputs, journal_path=journal_path)
         _header, records = TemporalJournal(journal_path).load()

@@ -1,10 +1,8 @@
 """Engine cache-staleness guard: no silently stale routing trees.
 
 Regression battery for the version-stamped routing cache.  A graph
-mutation the engine was not told about must flush the cache (counted
-in ``stale_flushes``), never serve a tree of a topology that no longer
-exists; a caller that certifies the dirty set via ``invalidate_keys``
-keeps the untouched remainder warm.  Exercised on both backends.
+mutation must flush the cache (counted in ``stale_flushes``), never
+serve a tree of a topology that no longer exists.
 """
 
 import pytest
@@ -14,8 +12,6 @@ from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
 
 pytestmark = pytest.mark.temporal
-
-BACKENDS = ("dict", "array")
 
 
 def _chain_graph():
@@ -31,11 +27,10 @@ def _chain_graph():
     return graph
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStaleGuard:
-    def test_unexplained_mutation_flushes_and_recomputes(self, backend):
+    def test_unexplained_mutation_flushes_and_recomputes(self):
         graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
+        engine = GaoRexfordEngine(graph)
         before = engine.routing_info(30)
         assert before.best_class(40) is Relationship.PEER
         assert before.gr_route_length(40) == 2
@@ -50,9 +45,9 @@ class TestStaleGuard:
         assert after.best_class(40) is Relationship.CUSTOMER
         assert after.gr_route_length(40) == 1
 
-    def test_link_removal_never_serves_stale_reachability(self, backend):
+    def test_link_removal_never_serves_stale_reachability(self):
         graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
+        engine = GaoRexfordEngine(graph)
         assert engine.routing_info(30).best_class(40) is Relationship.PEER
 
         graph.remove_link(20, 40)
@@ -63,53 +58,26 @@ class TestStaleGuard:
         assert after.best_class(40) is None
         assert after.gr_route_length(40) is None
 
-    def test_flush_fires_on_any_cache_access(self, backend):
+    def test_flush_fires_on_any_cache_access(self):
         """The guard lives on every cache entry point, not just
-        ``routing_info`` — inspecting warm trees after a mutation must
-        already see the flush."""
+        ``routing_info`` — a batched prewarm after a mutation must
+        already see the flush and rebuild the tree."""
         graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
+        engine = GaoRexfordEngine(graph)
         engine.routing_info(30)
-        assert len(engine.cached_trees()) == 1
+        assert engine.warm_batch([(30, None)]) == 0
 
         graph.add_link(10, 40, Relationship.PEER)
 
-        assert engine.cached_trees() == []
+        assert engine.warm_batch([(30, None)]) == 1
         assert engine.stale_flushes == 1
 
-    def test_repeated_access_flushes_once_per_mutation(self, backend):
+    def test_repeated_access_flushes_once_per_mutation(self):
         graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
+        engine = GaoRexfordEngine(graph)
         engine.routing_info(30)
         graph.add_link(10, 40, Relationship.PEER)
         engine.routing_info(30)
         engine.routing_info(30)
         engine.routing_info(10)
         assert engine.stale_flushes == 1
-
-    def test_invalidate_keys_keeps_certified_remainder_warm(self, backend):
-        graph = _chain_graph()
-        engine = GaoRexfordEngine(graph, backend=backend)
-        engine.routing_info(30)
-        engine.routing_info(10)
-        assert len(engine.cached_trees()) == 2
-
-        # The new 40 -> 30 edge only affects destination 30's tree
-        # (destination 10 announces over the same chain either way).
-        graph.add_link(40, 30, Relationship.CUSTOMER)
-        dropped = engine.invalidate_keys([engine.cache_key(30, None)])
-        assert dropped == 1
-
-        stats_before = engine.cache_stats()
-        warm = engine.routing_info(10)
-        assert engine.stale_flushes == 0
-        assert engine.cache_stats().hits == stats_before.hits + 1
-        assert engine.cache_stats().misses == stats_before.misses
-        # 30 still reaches 10 through its provider 20 (length 2).
-        assert warm.best_class(30) is Relationship.PROVIDER
-        assert warm.gr_route_length(30) == 2
-
-        fresh = engine.routing_info(30)
-        assert engine.cache_stats().misses == stats_before.misses + 1
-        assert fresh.best_class(40) is Relationship.CUSTOMER
-        assert fresh.gr_route_length(40) == 1

@@ -112,6 +112,30 @@ class TestASGraph:
         assert not graph.has_link(2, 3)
         assert clone.has_link(2, 3)
 
+    def test_fingerprint_tracks_links(self):
+        graph = ASGraph()
+        graph.add_link(1, 2, Relationship.CUSTOMER)
+        same = ASGraph()
+        same.add_link(2, 1, Relationship.PROVIDER)
+        assert graph.fingerprint() == same.fingerprint()
+        before = graph.fingerprint()
+        graph.add_link(2, 3, Relationship.PEER)
+        assert graph.fingerprint() != before
+
+    def test_fingerprint_of_copies_never_stale(self):
+        # Every copy starts at version 0 and freed ids are reused, so a
+        # cache keyed by (id, version) served one graph's digest for the
+        # other's copies.
+        first = ASGraph()
+        first.add_link(1, 2, Relationship.CUSTOMER)
+        second = ASGraph()
+        second.add_link(1, 2, Relationship.PEER)
+        expected = {0: first.fingerprint(), 1: second.fingerprint()}
+        assert expected[0] != expected[1]
+        for index in range(200):
+            source = (first, second)[index % 2]
+            assert source.copy().fingerprint() == expected[index % 2]
+
     def test_subgraph(self):
         graph = ASGraph()
         graph.add_link(1, 2, Relationship.CUSTOMER)
