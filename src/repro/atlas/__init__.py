@@ -15,7 +15,6 @@ from repro.atlas.campaign import (
     CampaignDataset,
     Measurement,
     run_campaign,
-    run_resilient_campaign,
 )
 from repro.atlas.budget import BudgetExceeded, CreditLedger, plan_campaign
 from repro.atlas.api import (
@@ -35,7 +34,6 @@ __all__ = [
     "CampaignDataset",
     "Measurement",
     "run_campaign",
-    "run_resilient_campaign",
     "BudgetExceeded",
     "CreditLedger",
     "plan_campaign",

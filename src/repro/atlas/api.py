@@ -9,7 +9,7 @@ Documents in the wild are frequently malformed — truncated writes,
 missing keys, non-traceroute types mixed into a result stream.  Every
 parse failure raises a structured
 :class:`~repro.faults.errors.MalformedResultError` (a ``ValueError``
-subclass), which the resilient campaign and study layers consume to
+subclass), which the campaign runner and study layers consume to
 quarantine the document instead of crashing.
 """
 

@@ -5,15 +5,15 @@ destination AS into the BGP simulator, resolve each content DNS name at
 each probe, traceroute to the resolved replica, and collect the raw
 measurements the analysis pipeline consumes.
 
-Two runners share that skeleton:
-
-* :func:`run_campaign` — the fault-free reference path (unchanged seed
-  behaviour, sequential RNG streams, zero overhead), and
-* :func:`run_resilient_campaign` — the production-shaped path: faults
-  injected at every substrate boundary from a seeded
-  :class:`~repro.faults.FaultPlan`, retries with backoff, an
-  append-only checkpoint journal for kill/resume, and a
-  :class:`~repro.faults.RobustnessReport` accounting for every pair.
+:func:`run_campaign` is the one runner.  Every per-pair random choice
+is keyed by (seed, probe, name), so the dataset is a pure function of
+the configuration: a journaled or resumed run measures exactly what a
+plain run measures, and a fault plan loses or degrades pairs without
+re-drawing the others.  Faults from a seeded
+:class:`~repro.faults.FaultPlan` (a no-op plan by default) fire at every
+substrate boundary and are retried with backoff, finalized pairs go to
+an append-only journal when a checkpoint path is set, and a
+:class:`~repro.faults.RobustnessReport` accounts for every pair.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ class CampaignConfig:
     recorded in the dataset, so budget loss stays distinguishable from
     fault loss).
 
-    The resilience knobs only affect :func:`run_resilient_campaign`:
-    ``fault_plan`` injects failures, ``retry`` governs backoff,
-    ``checkpoint_path`` journals finalized work, ``resume`` restores a
-    previous journal, and ``abort_after`` is a crash-injection drill
-    (kill the campaign after N newly finalized pairs).
+    ``fault_plan`` injects failures (none when unset), ``retry``
+    governs backoff, ``checkpoint_path`` journals finalized work (no
+    journal when unset), ``resume`` restores a previous journal, and
+    ``abort_after`` is a crash-injection drill (kill the campaign after
+    N newly finalized pairs).
     """
 
     seed: int = 0
@@ -84,9 +84,6 @@ class CampaignConfig:
     #: defaults to the process-wide durability with this campaign's
     #: fault plan (so storage fault sites fire even without a ledger).
     storage: Optional[StoragePolicy] = None
-
-    def wants_resilience(self) -> bool:
-        return self.fault_plan is not None or self.checkpoint_path is not None
 
     def journal_storage(self) -> StoragePolicy:
         return self.storage or StoragePolicy(fault_plan=self.fault_plan)
@@ -115,11 +112,11 @@ class CampaignDataset:
     announced: PrefixTrie
     simulator: BGPSimulator
     destination_asns: Set[int]
+    #: Fault/retry/coverage accounting for every (probe, name) pair.
+    robustness: RobustnessReport
     destination_prefixes: Dict[int, List[Prefix]] = field(default_factory=dict)
     #: Probes never swept because the credit budget ran out first.
     budget_skipped: List[Probe] = field(default_factory=list)
-    #: Fault/retry/coverage accounting (resilient runner only).
-    robustness: Optional[RobustnessReport] = None
 
     def successful(self) -> List[Measurement]:
         return [m for m in self.measurements if m.traceroute.reached]
@@ -134,18 +131,11 @@ def destination_ases(internet: Internet) -> Set[int]:
     }
 
 
-def _build_simulator(internet: Internet) -> BGPSimulator:
-    return BGPSimulator(
-        internet.graph,
-        policies=internet.policies,
-        country_of=internet.country_of,
-    )
-
-
 def _originate_destinations(
     internet: Internet, simulator: BGPSimulator
 ) -> Tuple[Set[int], PrefixTrie, Dict[int, List[Prefix]]]:
-    """Originate every destination prefix; shared by both runners."""
+    """Originate every prefix of every destination AS, so the BGP feeds
+    expose per-prefix export behaviour (needed by the PSP criteria)."""
     targets = destination_ases(internet)
     announced: PrefixTrie = PrefixTrie()
     destination_prefixes: Dict[int, List[Prefix]] = {}
@@ -156,85 +146,6 @@ def _originate_destinations(
         destination_prefixes[asn] = list(internet.prefixes[asn])
     return targets, announced, destination_prefixes
 
-
-def run_campaign(
-    internet: Internet,
-    probes: List[Probe],
-    config: Optional[CampaignConfig] = None,
-    simulator: Optional[BGPSimulator] = None,
-) -> CampaignDataset:
-    """Run the full passive campaign and return the raw dataset."""
-    config = config or CampaignConfig()
-    if simulator is None:
-        simulator = _build_simulator(internet)
-
-    # Originate every prefix of every destination AS so that the BGP
-    # feeds expose per-prefix export behaviour (needed by PSP criteria).
-    with span("originate_destinations"):
-        targets, announced, destination_prefixes = _originate_destinations(
-            internet, simulator
-        )
-
-    resolver = CDNResolver(internet, seed=config.seed, locality=config.dns_locality)
-    engine = TracerouteEngine(
-        internet,
-        simulator,
-        announced,
-        seed=config.seed,
-        missing_hop_rate=config.missing_hop_rate,
-    )
-
-    measurements: List[Measurement] = []
-    budget_skipped: List[Probe] = []
-    ledger = config.ledger
-    names = resolver.names()
-    with span("probe_sweep", probes=len(probes), names=len(names)):
-        for probe in probes:
-            if ledger is not None:
-                sweep_cost = ledger.cost_of("dns", len(names)) + ledger.cost_of(
-                    "traceroute", len(names)
-                )
-                if sweep_cost > ledger.remaining:
-                    # Daily budget exhausted; the probe is skipped but no
-                    # longer vanishes without trace.
-                    budget_skipped.append(probe)
-                    continue
-            for dns_name in names:
-                replica = resolver.resolve(dns_name, probe)
-                if ledger is not None:
-                    ledger.charge("dns")
-                if replica is None:
-                    continue
-                if ledger is not None:
-                    ledger.charge("traceroute")
-                trace = engine.trace(probe.asn, probe.ip, probe.city, replica.ip)
-                measurements.append(
-                    Measurement(
-                        probe=probe,
-                        dns_name=dns_name,
-                        replica=replica,
-                        traceroute=trace,
-                    )
-                )
-    metrics = get_obs().metrics
-    if metrics.enabled:
-        metrics.counter(
-            "repro_campaign_measurements_total",
-            "Measurements collected by the passive campaign.",
-        ).labels(runner="reference").inc(len(measurements))
-    return CampaignDataset(
-        measurements=measurements,
-        announced=announced,
-        simulator=simulator,
-        destination_asns=targets,
-        destination_prefixes=destination_prefixes,
-        budget_skipped=budget_skipped,
-    )
-
-
-# ----------------------------------------------------------------------
-# Resilient runner
-# ----------------------------------------------------------------------
 
 #: Journal disposition values.
 _COMPLETED = "completed"
@@ -297,26 +208,27 @@ def _measurement_from_document(
     )
 
 
-def run_resilient_campaign(
+def run_campaign(
     internet: Internet,
     probes: List[Probe],
     config: Optional[CampaignConfig] = None,
     simulator: Optional[BGPSimulator] = None,
 ) -> CampaignDataset:
-    """Run the campaign under a fault plan, with retries and checkpointing.
-
-    Differences from :func:`run_campaign`:
+    """Run the full passive campaign and return the raw dataset.
 
     * every per-pair random choice (replica selection, traceroute
       artifacts, fault decisions, retry jitter) is derived from the
-      (seed, probe, name) key instead of a shared sequential stream, so
-      the output is a pure function of the configuration — a resumed
-      run and an uninterrupted run produce byte-identical datasets;
+      (seed, probe, name) key, so the output is a pure function of the
+      configuration — a resumed run and an uninterrupted run produce
+      byte-identical datasets;
     * faults from ``config.fault_plan`` fire at each substrate boundary
       and are retried per ``config.retry`` when transient;
     * finalized pairs are journaled to ``config.checkpoint_path`` with
       their credit charges, and ``config.resume`` skips journaled work
       without double-charging the ledger;
+    * every pair, journaled or not, goes through the Atlas JSON round
+      trip, so a freshly measured pair and a replayed journal pair are
+      the same object;
     * the returned dataset carries a :class:`RobustnessReport` in which
       every fault-free pair is accounted for exactly once.
     """
@@ -326,17 +238,20 @@ def run_resilient_campaign(
     plan = config.fault_plan or FaultPlan.none(seed=config.seed)
     retry = config.retry or RetryPolicy(seed=config.seed)
     if simulator is None:
-        simulator = _build_simulator(internet)
+        simulator = BGPSimulator(
+            internet.graph,
+            policies=internet.policies,
+            country_of=internet.country_of,
+        )
     with span("originate_destinations"):
         targets, announced, destination_prefixes = _originate_destinations(
             internet, simulator
         )
-    resolver = CDNResolver(internet, seed=config.seed, locality=config.dns_locality)
+    resolver = CDNResolver(internet, locality=config.dns_locality)
     engine = TracerouteEngine(
         internet,
         simulator,
         announced,
-        seed=config.seed,
         missing_hop_rate=config.missing_hop_rate,
     )
 
@@ -599,7 +514,7 @@ def run_resilient_campaign(
 
 
 def _record_campaign_metrics(report: RobustnessReport, measurements: int) -> None:
-    """Fold one resilient run's accounting into the metrics registry.
+    """Fold one campaign's accounting into the metrics registry.
 
     Folded once at campaign end — never incremented per pair — so the
     instrumented hot loop pays nothing beyond the disposition events.
@@ -610,7 +525,7 @@ def _record_campaign_metrics(report: RobustnessReport, measurements: int) -> Non
     metrics.counter(
         "repro_campaign_measurements_total",
         "Measurements collected by the passive campaign.",
-    ).labels(runner="resilient").inc(measurements)
+    ).inc(measurements)
     pairs = metrics.counter(
         "repro_campaign_pairs_total",
         "Campaign (probe, name) pairs by final disposition.",

@@ -19,13 +19,12 @@ from repro.topogen.internet import ContentProvider, Internet, Replica
 class CDNResolver:
     """Resolves DNS names to replicas near the querying probe."""
 
-    def __init__(self, internet: Internet, seed: int = 0, locality: int = 2) -> None:
+    def __init__(self, internet: Internet, locality: int = 2) -> None:
         """``locality``: the resolver answers with one of the
         ``locality`` nearest replicas (CDN mapping is good but not
         perfect)."""
         if locality < 1:
             raise ValueError("locality must be at least 1")
-        self._rng = random.Random(seed)
         self._locality = locality
         self._by_name: Dict[str, List[Replica]] = {}
         for provider in internet.content:
@@ -39,14 +38,13 @@ class CDNResolver:
         self,
         dns_name: str,
         probe: Probe,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ) -> Optional[Replica]:
         """The replica the CDN would hand this probe, or ``None``.
 
-        By default draws from the resolver's own sequential stream; the
-        resilient campaign passes a per-(probe, name) ``rng`` so the
-        answer is independent of query order (checkpoint/resume
-        determinism).
+        ``rng`` picks among the nearest replicas; the campaign passes a
+        per-(probe, name) stream so the answer is independent of query
+        order (checkpoint/resume determinism).
         """
         replicas = self._by_name.get(dns_name)
         if not replicas:
@@ -56,4 +54,4 @@ class CDNResolver:
             key=lambda replica: (distance_km(probe.city, replica.city), replica.ip),
         )
         window = ranked[: self._locality]
-        return (rng if rng is not None else self._rng).choice(window)
+        return rng.choice(window)

@@ -807,17 +807,18 @@ def check_lpm(seed: int, rounds: int = 4) -> List[Disagreement]:
 
 def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     """A study crash-looped through filesystem faults and resumed via
-    its run ledger must match an uninterrupted run byte-for-byte.
+    its run ledger must match a plain run byte-for-byte.
 
-    Runs one fresh study (no run directory, same fault plan — only
-    storage sites are armed, which never alter measurement outputs),
-    then a chaos study into a ledger-managed run directory: torn
-    appends, ENOSPC, pre-rename crashes and stale locks fire at seeded
-    points, each crash is "rebooted" by re-opening
-    the study with ``resume=True``, and the final results are compared
-    through the byte-deterministic golden serializer.  Heavy — every
-    seed runs several end-to-end studies — so the runner only includes
-    it when named via ``--only ledger-resume``.
+    Runs one plain study (no fault plan, no durability, no run
+    directory), then a chaos study into a ledger-managed run directory
+    under a storage-only fault plan: torn appends, ENOSPC, pre-rename
+    crashes and stale locks fire at seeded points, each crash is
+    "rebooted" by re-opening the study with ``resume=True``, and the
+    final results are compared through the byte-deterministic golden
+    serializer.  Persistence changes only how a study runs, so the two
+    must agree.  Heavy — every seed runs several end-to-end studies —
+    so the runner only includes it when named via ``--only
+    ledger-resume``.
     """
     import shutil
     import tempfile
@@ -848,8 +849,6 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
             probes_per_continent=8,
             active_vp_budget=24,
             max_discovery_targets=8,
-            fault_plan=plan,
-            durability="flush",
         )
 
     problems: List[Disagreement] = []
@@ -860,6 +859,8 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
         crashes = 0
         for attempt in range(max_attempts):
             config = base_config()
+            config.fault_plan = plan
+            config.durability = "flush"
             config.run_dir = run_dir
             config.resume = attempt > 0
             try:
@@ -883,7 +884,7 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
                 Disagreement(
                     "ledger-resume",
                     seed,
-                    "resumed study diverges from the uninterrupted run "
+                    "resumed study diverges from the plain run "
                     f"after {crashes} crash(es)",
                 )
             )

@@ -7,8 +7,8 @@ Usage::
         relationships in CAIDA serial format.
 
     repro study [--seed N] [--small] [--experiment ID]
-          [--fault-plan PLAN.json] [--checkpoint FILE] [--resume [FILE]]
-          [--run-dir DIR] [--durability fsync|flush|none]
+          [--fault-plan PLAN.json] [--run-dir DIR [--resume]]
+          [--durability fsync|flush|none]
         Run the full study and print every experiment report (or just
         the one named by --experiment).  A fault plan injects failures
         at every substrate boundary — including the active control
@@ -16,16 +16,15 @@ Usage::
         gaps, withdrawal loss) and the filesystem (torn appends,
         ENOSPC, pre-rename crashes, stale locks).
 
-        --run-dir DIR scopes all of a study's durable state to one
-        ledger-managed directory (DIR/ledger.json, campaign.jsonl,
-        active.jsonl) under an advisory lock, and a bare --run-dir DIR
-        --resume restores the passive and active state together,
-        byte-identical to an uninterrupted run.  Legacy per-file knobs
-        remain: --checkpoint journals campaign progress (the active
-        phase journals to FILE.active) and --resume FILE restores a
-        killed campaign from that journal.  --checkpoint and --resume
-        are mutually exclusive.  --durability picks the fsync policy
-        checkpoint writes use (see DESIGN.md §12).
+        --run-dir DIR is the one way to persist a study: it scopes all
+        of the study's durable state to one ledger-managed directory
+        (DIR/ledger.json, campaign.jsonl, active.jsonl) under an
+        advisory lock, and --run-dir DIR --resume restores the passive
+        and active state together, byte-identical to an uninterrupted
+        run.  Persisting changes only how a study runs, never what it
+        computes: a plain study and a --run-dir study print the same
+        results.  --durability picks the fsync policy run-directory
+        writes use (see DESIGN.md §12).
 
     repro temporal [--seed N] [--small]
           [--snapshots N] [--churn F] [--run-dir DIR] [--resume]
@@ -104,19 +103,12 @@ def _run_study(
     seed: int,
     small: bool,
     fault_plan: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    resume=None,
+    resume: bool = False,
     obs: bool = False,
     run_dir: Optional[str] = None,
     durability: Optional[str] = None,
 ) -> StudyResults:
-    """Build and run a study from CLI-shaped arguments.
-
-    ``resume`` is either a journal path (legacy ``--resume FILE``) or
-    ``True`` (bare ``--resume``, ledger-managed via ``run_dir``).
-    Conflicting combinations are rejected by :func:`_cmd_study` before
-    this is called.
-    """
+    """Build and run a study from CLI-shaped arguments."""
     from repro.serve.protocol import build_study_config
 
     config = build_study_config(seed=seed, scale="small" if small else "full")
@@ -124,14 +116,8 @@ def _run_study(
         from repro.faults import FaultPlan
 
         config.fault_plan = FaultPlan.load(fault_plan)
-    if run_dir is not None:
-        config.run_dir = run_dir
-        config.resume = bool(resume)
-    elif isinstance(resume, str):
-        config.checkpoint_path = resume
-        config.resume = True
-    elif checkpoint is not None:
-        config.checkpoint_path = checkpoint
+    config.run_dir = run_dir
+    config.resume = resume
     if durability is not None:
         config.durability = durability
     if obs:
@@ -278,20 +264,6 @@ def _conflict_message(flag_a: str, flag_b: str, reason: str) -> str:
 #: instead of inventing their own wording.  Order matters: the first
 #: violated pair wins.
 _FLAG_EXCLUSIONS = {
-    "study": (
-        (
-            "--run-dir",
-            "--checkpoint",
-            "the run ledger owns every checkpoint path inside the run "
-            "directory",
-        ),
-        (
-            "--checkpoint",
-            "--resume",
-            "--resume FILE already names the journal to continue appending "
-            "to (it was previously ignored silently)",
-        ),
-    ),
     "serve": (
         (
             "--tenant-budget",
@@ -324,49 +296,29 @@ def _table_conflict(command: str, args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _study_flag_conflict(args: argparse.Namespace) -> Optional[str]:
-    """The error message for an invalid flag combination, or ``None``.
-
-    ``--checkpoint`` + ``--resume`` used to silently ignore
-    ``--checkpoint``; persistence flags now fail loudly instead of
-    guessing which journal the operator meant.  The pairwise cases live
-    in :data:`_FLAG_EXCLUSIONS`; only the --resume value-shape rules
-    (bare vs FILE) need bespoke checks here.
-    """
-    run_dir = getattr(args, "run_dir", None)
-    resume = args.resume
-    if run_dir is not None:
-        conflict = _table_conflict("study", args)
-        if conflict is not None:
-            return conflict
-        if isinstance(resume, str):
-            return (
-                "--resume takes no FILE when --run-dir is set: the ledger "
-                "already knows its journals (use a bare --resume)"
-            )
-        return None
-    if resume is True:
-        return (
-            "a bare --resume requires --run-dir DIR (ledger-managed runs); "
-            "legacy journals need an explicit --resume FILE"
+def _resume_without_run_dir(args: argparse.Namespace) -> bool:
+    """Report (and return True for) a --resume that has no journals."""
+    if args.resume and args.run_dir is None:
+        print(
+            "error: --resume requires --run-dir DIR (the journals live in "
+            "the ledger-managed run directory)",
+            file=sys.stderr,
         )
-    return _table_conflict("study", args)
+        return True
+    return False
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    conflict = _study_flag_conflict(args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
+    if _resume_without_run_dir(args):
         return 2
     obs_out = getattr(args, "obs_out", None)
     results = _run_study(
         args.seed,
         args.small,
         fault_plan=args.fault_plan,
-        checkpoint=args.checkpoint,
         resume=args.resume,
         obs=bool(getattr(args, "obs", False)) or obs_out is not None,
-        run_dir=getattr(args, "run_dir", None),
+        run_dir=args.run_dir,
         durability=getattr(args, "durability", None),
     )
     if obs_out is not None and results.manifest is not None:
@@ -374,16 +326,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"wrote run manifest to {obs_out}")
     ids = [args.experiment] if args.experiment else list(_EXPERIMENTS)
     reports = _collect_reports(results, ids)
-    if results.robustness is not None:
+    if results.config.fault_plan is not None or results.config.run_dir is not None:
         print(results.robustness.render())
         print()
-    if results.active_robustness is not None and (
-        results.config.fault_plan is not None
-        or results.config.checkpoint_path is not None
-        or results.config.run_dir is not None
-    ):
-        print(results.active_robustness.render())
-        print()
+        if results.active_robustness is not None:
+            print(results.active_robustness.render())
+            print()
     if getattr(args, "temporal", False):
         print(_render_temporal(_attach_temporal(results, args)))
         print()
@@ -455,12 +403,7 @@ def _attach_temporal(results: StudyResults, args: argparse.Namespace):
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
     """Standalone longitudinal study over a snapshot series."""
-    if args.resume and args.run_dir is None:
-        print(
-            "error: --resume requires --run-dir DIR (the epoch journal "
-            "lives in the ledger-managed run directory)",
-            file=sys.stderr,
-        )
+    if _resume_without_run_dir(args):
         return 2
     import dataclasses
 
@@ -806,23 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON fault plan injected into the campaign (see repro.faults)",
     )
     study.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="journal completed measurements to FILE (active experiments "
-        "journal to FILE.active) for later resumption",
-    )
-    study.add_argument(
         "--resume",
-        nargs="?",
-        const=True,
-        default=None,
-        metavar="FILE",
-        help="resume a killed study: bare --resume restores the "
-        "--run-dir ledger (passive and active together); --resume FILE "
-        "restores a legacy checkpoint journal (skips journaled work "
-        "without re-spending credits).  Mutually exclusive with "
-        "--checkpoint",
+        action="store_true",
+        help="resume a killed study from its --run-dir ledger (passive "
+        "and active together; skips journaled work without re-spending "
+        "credits)",
     )
     study.add_argument(
         "--run-dir",
@@ -836,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--durability",
         choices=("fsync", "flush", "none"),
         default=None,
-        help="fsync policy for checkpoint and ledger writes (default "
-        "fsync, or the REPRO_DURABILITY environment variable)",
+        help="fsync policy for run-directory writes (default fsync, or "
+        "the REPRO_DURABILITY environment variable)",
     )
     study.add_argument(
         "--obs",

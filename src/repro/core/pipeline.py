@@ -20,7 +20,6 @@ from repro.atlas.campaign import (
     CampaignDataset,
     Measurement,
     run_campaign,
-    run_resilient_campaign,
 )
 from repro.atlas.probes import Probe, generate_probes
 from repro.atlas.selection import select_probes_balanced, select_probes_greedy
@@ -140,47 +139,33 @@ class StudyConfig:
     num_muxes: int = 7
     active_vp_budget: int = 96
     max_discovery_targets: int = 36
-    #: Resilience: inject faults into the campaign (and mux sessions),
-    #: retry transient ones, and checkpoint/resume the campaign.
+    #: Resilience: inject faults into the campaign (and mux sessions)
+    #: and retry transient ones.
     fault_plan: Optional[FaultPlan] = None
     retry_policy: Optional[RetryPolicy] = None
-    checkpoint_path: Optional[str] = None
+    #: Continue the journals in ``run_dir`` instead of starting fresh.
     resume: bool = False
-    #: Explicit active-phase checkpoint; defaults to
-    #: ``<checkpoint_path>.active`` when a campaign checkpoint is set.
-    active_checkpoint_path: Optional[str] = None
-    #: Durable run ledger (DESIGN.md §12): scope the campaign and active
-    #: checkpoints to one run directory under a single lock, with
-    #: config/graph fingerprints guarding resume.  Overrides the
-    #: individual ``*_checkpoint_path`` knobs.
+    #: Durable run ledger (DESIGN.md §12): the campaign and active
+    #: journals live in this one run directory under a single lock,
+    #: with config/graph fingerprints guarding resume.  Without it the
+    #: study journals nothing.
     run_dir: Optional[str] = None
-    #: Storage durability policy for every checkpoint/ledger write:
+    #: Storage durability policy for every run-directory write:
     #: ``fsync`` (default), ``flush`` or ``none``
     #: (see :mod:`repro.faults.storage`).
     durability: Optional[str] = None
-
-    def effective_active_checkpoint(self) -> Optional[str]:
-        """The active-phase journal path: explicit, or derived from the
-        campaign checkpoint so ``--resume`` restores both together."""
-        if self.active_checkpoint_path is not None:
-            return self.active_checkpoint_path
-        if self.checkpoint_path is not None:
-            return self.checkpoint_path + ".active"
-        return None
 
 
 #: Config fields that control *how* a study persists and executes, not
 #: *what* it computes — two runs differing only here produce identical
 #: results, so the run ledger's identity fingerprint must ignore them
-#: (a fresh run and its resume legitimately differ in ``resume``,
-#: ``run_dir`` and checkpoint paths).
+#: (a fresh run and its resume legitimately differ in ``resume`` and
+#: ``run_dir``).
 _PERSISTENCE_FIELDS = frozenset(
     {
         "fault_plan",
         "retry_policy",
-        "checkpoint_path",
         "resume",
-        "active_checkpoint_path",
         "run_dir",
         "durability",
     }
@@ -242,6 +227,9 @@ class StudyResults:
     psp_cases_2: List[PSPCase]
     psp_validation: PSPValidation
     probe_table: List[ProbeTableRow]
+    #: Fault/retry/coverage accounting for the campaign, plus
+    #: measurements quarantined during decision extraction.
+    robustness: RobustnessReport
     #: Reusable build artifacts for benchmarks and ablations.
     engine: Optional[GaoRexfordEngine] = None
     engine_complex: Optional[GaoRexfordEngine] = None
@@ -269,8 +257,6 @@ class StudyResults:
     #: Telemetry manifest — populated when observability is enabled
     #: (CLI ``--obs`` or an installed repro.obs context).
     manifest: Optional[RunManifest] = None
-    #: Fault/retry/coverage accounting (fault-injected campaigns only).
-    robustness: Optional[RobustnessReport] = None
     #: Per-target/per-round accounting for the active experiments
     #: (populated whenever the active phase runs).
     active_robustness: Optional[ActiveRobustnessReport] = None
@@ -380,10 +366,18 @@ class Study:
 
         The ledger locks the run directory, bumps the storage-fault
         generation, and records (fresh) or verifies (resume) the
-        config and fault-plan fingerprints.
+        config and fault-plan fingerprints.  ``resume`` without a run
+        directory is refused: there are no journals to resume from.
         """
         config = self.config
-        if config.run_dir is None or self._ledger is not None:
+        if self._ledger is not None:
+            return
+        if config.run_dir is None:
+            if config.resume:
+                raise ValueError(
+                    "resume=True requires run_dir: only a ledger-managed "
+                    "run directory holds journals to resume from"
+                )
             return
         ledger = RunLedger(
             config.run_dir,
@@ -397,23 +391,14 @@ class Study:
         self._ledger = ledger
 
     def _checkpoint_paths(self) -> Tuple[Optional[str], Optional[str]]:
-        """(campaign, active) checkpoint paths for this run — the
-        ledger's layout when a run directory is configured, the
-        individual path knobs otherwise."""
-        if self._ledger is not None:
-            return self._ledger.campaign_path, self._ledger.active_path
-        config = self.config
-        return config.checkpoint_path, config.effective_active_checkpoint()
+        """(campaign, active) journal paths for this run — the ledger's
+        layout inside the run directory, or no journals without one."""
+        if self._ledger is None:
+            return None, None
+        return self._ledger.campaign_path, self._ledger.active_path
 
     def _storage(self) -> Optional[StoragePolicy]:
-        if self._ledger is not None:
-            return self._ledger.storage()
-        if self.config.durability is not None:
-            return StoragePolicy(
-                durability=self.config.durability,
-                fault_plan=self.config.fault_plan,
-            )
-        return None
+        return self._ledger.storage() if self._ledger is not None else None
 
     def _run_stages(self, tracer: Tracer) -> StudyResults:
         config = self.config
@@ -450,9 +435,7 @@ class Study:
                     retry=config.retry_policy,
                 )
 
-        # Stage 3: probes and the passive campaign.  A fault plan or a
-        # checkpoint path routes through the resilient runner; the
-        # fault-free path stays on the zero-overhead reference runner.
+        # Stage 3: probes and the passive campaign.
         with timer.span("campaign"):
             probes = generate_probes(internet, count=config.num_probes, seed=seed + 3)
             selected = select_probes_balanced(
@@ -467,10 +450,7 @@ class Study:
                 resume=config.resume,
                 storage=storage,
             )
-            if campaign_config.wants_resilience():
-                dataset = run_resilient_campaign(internet, selected, campaign_config)
-            else:
-                dataset = run_campaign(internet, selected, campaign_config)
+            dataset = run_campaign(internet, selected, campaign_config)
 
         # Stage 4: control-plane visibility.
         with timer.span("feeds"):
@@ -499,13 +479,10 @@ class Study:
             per_measurement, pipeline_quarantined = self._extract_decisions(
                 dataset, mapper, geo
             )
-            if pipeline_quarantined:
-                if robustness is None:
-                    robustness = RobustnessReport()
-                for reason, count in pipeline_quarantined.items():
-                    robustness.quarantined[f"pipeline:{reason}"] = (
-                        robustness.quarantined.get(f"pipeline:{reason}", 0) + count
-                    )
+            for reason, count in pipeline_quarantined.items():
+                robustness.quarantined[f"pipeline:{reason}"] = (
+                    robustness.quarantined.get(f"pipeline:{reason}", 0) + count
+                )
             decisions = [
                 decision for _m, _path, group in per_measurement for decision in group
             ]
@@ -640,9 +617,8 @@ class Study:
         if testbed is not None:
             with timer.span("active_experiments"):
                 self._run_active(results, testbed, probes, inferred, internet, seed)
-            if results.robustness is not None:
-                results.robustness.mux_session_resets = testbed.session_resets
-                results.robustness.retry.merge(testbed.retry_stats)
+            robustness.mux_session_resets = testbed.session_resets
+            robustness.retry.merge(testbed.retry_stats)
 
         return results
 
@@ -802,9 +778,9 @@ class Study:
 
         # One supervisor spans both active phases: the breaker sees the
         # control plane as a whole, and a single journal (the ledger's
-        # ``active.jsonl``, or the passive checkpoint path plus
-        # ``.active``) covers discovery and magnet rounds so
-        # ``--resume`` restores the whole active phase.
+        # ``active.jsonl`` when a run directory is set) covers discovery
+        # and magnet rounds so ``--resume`` restores the whole active
+        # phase.
         supervisor = ActiveSupervisor(
             ActiveRunConfig(
                 fault_plan=config.fault_plan,

@@ -61,13 +61,11 @@ class TracerouteEngine:
         internet: Internet,
         simulator: BGPSimulator,
         announced: PrefixTrie,
-        seed: int = 0,
         missing_hop_rate: float = 0.04,
     ) -> None:
         self._internet = internet
         self._simulator = simulator
         self._announced = announced
-        self._rng = random.Random(seed)
         self._missing_hop_rate = missing_hop_rate
 
     def destination_prefix(self, destination_ip: IPAddress) -> Optional[Prefix]:
@@ -81,16 +79,15 @@ class TracerouteEngine:
         source_ip: IPAddress,
         source_city: City,
         destination_ip: IPAddress,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ) -> TracerouteResult:
-        """Run one traceroute; deterministic given the engine seed.
+        """Run one traceroute, drawing missing-hop and jitter randomness
+        from ``rng``.
 
-        Passing ``rng`` draws missing-hop and jitter randomness from
-        that stream instead of the engine's sequential one, making the
-        trace a pure function of the caller's key — the property the
-        resumable campaign relies on.
+        The campaign passes a stream keyed by (probe, name), making the
+        trace a pure function of that key — the property the resumable
+        campaign relies on.
         """
-        rng = rng if rng is not None else self._rng
         result = TracerouteResult(
             source_asn=source_asn,
             source_ip=source_ip,

@@ -112,9 +112,6 @@ class ActiveRunConfig:
     #: Durability/fault policy for the checkpoint journal.
     storage: Optional[StoragePolicy] = None
 
-    def wants_resilience(self) -> bool:
-        return self.fault_plan is not None or self.checkpoint_path is not None
-
     def journal_storage(self) -> StoragePolicy:
         return self.storage or StoragePolicy(fault_plan=self.fault_plan)
 

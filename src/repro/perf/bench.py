@@ -96,175 +96,15 @@ def seven_layer_batched(
     return elapsed, figure1, report, cache_stats
 
 
-def robustness_overhead(
-    study: StudyResults,
-    batched_seconds: float,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Cost of the resilience layer on a no-fault-plan run.
-
-    Two legs: the campaign (where the fault-injection hooks actually
-    live) timed through the classic runner vs the resilient runner with
-    a zero :class:`~repro.faults.FaultPlan`, and the hot seven-layer
-    classification re-timed with the faults subsystem active in the
-    process — which must stay within noise of the main measurement,
-    since no robustness code sits on that path.
-    """
-    from repro.atlas.campaign import (
-        CampaignConfig,
-        run_campaign,
-        run_resilient_campaign,
-    )
-    from repro.faults import FaultPlan
-
-    internet = study.internet
-    probes = study.selected_probes
-    # The pipeline's campaign stage uses seed + 5 (see Study.run).
-    campaign_seed = study.config.seed + 5
-    classic_s = resilient_s = float("inf")
-    resilient_dataset = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_campaign(
-            internet,
-            probes,
-            CampaignConfig(
-                seed=campaign_seed,
-                missing_hop_rate=study.config.missing_hop_rate,
-            ),
-        )
-        classic_s = min(classic_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        resilient_dataset = run_resilient_campaign(
-            internet,
-            probes,
-            CampaignConfig(
-                seed=campaign_seed,
-                missing_hop_rate=study.config.missing_hop_rate,
-                fault_plan=FaultPlan.none(seed=campaign_seed),
-            ),
-        )
-        resilient_s = min(resilient_s, time.perf_counter() - start)
-    report = resilient_dataset.robustness if resilient_dataset else None
-
-    # Interleave the two classification legs so clock drift cannot
-    # masquerade as overhead; at ~tens of milliseconds per leg the
-    # extra repeats are cheap.
-    baseline_s = reclassified_s = float("inf")
-    for _ in range(max(repeats, 5)):
-        elapsed, _counts, _report, _stats = seven_layer_batched(study)
-        baseline_s = min(baseline_s, elapsed)
-        elapsed, _counts, _report, _stats = seven_layer_batched(study)
-        reclassified_s = min(reclassified_s, elapsed)
-    batched_seconds = min(batched_seconds, baseline_s)
-
-    def pct(observed: float, baseline: float) -> Optional[float]:
-        if not baseline:
-            return None
-        return round((observed / baseline - 1.0) * 100.0, 2)
-
-    return {
-        "fault_plan": None,
-        "campaign_pairs": report.total_pairs if report else 0,
-        "campaign_coverage": report.coverage() if report else None,
-        "campaign_classic_seconds": round(classic_s, 6),
-        "campaign_resilient_seconds": round(resilient_s, 6),
-        "campaign_overhead_pct": pct(resilient_s, classic_s),
-        "classification_batched_seconds": round(batched_seconds, 6),
-        "classification_with_faults_active_seconds": round(reclassified_s, 6),
-        "classification_overhead_pct": pct(reclassified_s, batched_seconds),
-    }
-
-
-def active_robustness_overhead(
-    study: StudyResults, repeats: int = 3
-) -> Dict[str, object]:
-    """Cost of active-experiment supervision on a zero-fault-plan run.
-
-    Times one poisoning-discovery sweep plus the magnet rounds twice
-    over identical fresh worlds: the bare drivers vs the supervised path
-    (default :class:`~repro.peering.ActiveSupervisor`, i.e. a zero
-    fault plan, no journal).  ``FaultPlan.fires`` short-circuits on a
-    zero rate before hashing, so the supervised leg must stay within
-    noise (<5%) of the bare one.
-    """
-    from repro.bgp import BGPSimulator
-    from repro.peering import (
-        ActiveSupervisor,
-        FeedArchive,
-        PeeringTestbed,
-        discover_alternate_routes,
-        run_magnet_experiments,
-    )
-    from repro.topogen import generate_internet
-
-    # The study's own active phase installed a testbed into its graph;
-    # regenerate the same internet so the benchmark testbed installs
-    # cleanly.  The testbed is installed once (a second install on the
-    # same graph would collide); announcement state lives in the
-    # simulator, which is rebuilt fresh for every leg.
-    internet = generate_internet(study.config.topology, seed=study.config.seed)
-    graph = internet.graph
-    testbed = PeeringTestbed(internet, num_muxes=4, seed=study.config.seed)
-    targets = [asn for asn in graph.asns() if graph.degree(asn) >= 5][:8]
-    vp_asns = internet.eyeball_asns[:8]
-
-    def build():
-        return BGPSimulator(
-            graph, policies=internet.policies, country_of=internet.country_of
-        )
-
-    plain_s = supervised_s = float("inf")
-    report = None
-    for _ in range(repeats):
-        simulator = build()
-        start = time.perf_counter()
-        discover_alternate_routes(testbed, simulator, targets)
-        run_magnet_experiments(
-            testbed, simulator, FeedArchive([]), vp_asns=vp_asns
-        )
-        plain_s = min(plain_s, time.perf_counter() - start)
-
-        simulator = build()
-        supervisor = ActiveSupervisor()
-        start = time.perf_counter()
-        discover_alternate_routes(
-            testbed, simulator, targets, supervisor=supervisor
-        )
-        run_magnet_experiments(
-            testbed,
-            simulator,
-            FeedArchive([]),
-            vp_asns=vp_asns,
-            supervisor=supervisor,
-        )
-        supervised_s = min(supervised_s, time.perf_counter() - start)
-        report = supervisor.report
-
-    overhead = None
-    if plain_s:
-        overhead = round((supervised_s / plain_s - 1.0) * 100.0, 2)
-    return {
-        "fault_plan": None,
-        "discovery_targets": len(targets),
-        "magnet_rounds": report.magnet_rounds if report else 0,
-        "accounted": report.accounted() if report else None,
-        "announcements": report.announcements if report else 0,
-        "plain_seconds": round(plain_s, 6),
-        "supervised_seconds": round(supervised_s, 6),
-        "overhead_pct": overhead,
-    }
-
-
 def ledger_durability_overhead(
     study: StudyResults, repeats: int = 3
 ) -> Dict[str, object]:
     """Cost of full durability (per-append fsync) on a journaled campaign.
 
     Two measurements compose the overhead figure.  First, two full
-    resilient-campaign legs journal every pair to a throwaway run
-    directory under ``durability=none`` and ``durability=fsync`` (the
-    ledger default: per-record flush, group-committed fsync every
+    campaign legs journal every pair to a throwaway run directory
+    under ``durability=none`` and ``durability=fsync`` (the ledger
+    default: per-record flush, group-committed fsync every
     ``fsync_interval`` records and on close) — these prove the outputs
     identical and time the campaign baseline.  Second, the exact
     record stream the campaign journaled is replayed through fresh
@@ -278,8 +118,8 @@ def ledger_durability_overhead(
     import shutil
     import tempfile
 
-    from repro.atlas.campaign import CampaignConfig, run_resilient_campaign
-    from repro.faults import CheckpointJournal, FaultPlan
+    from repro.atlas.campaign import CampaignConfig, run_campaign
+    from repro.faults import CheckpointJournal
     from repro.faults.storage import (
         DURABILITY_FSYNC,
         DURABILITY_NONE,
@@ -296,13 +136,12 @@ def ledger_durability_overhead(
         try:
             path = os.path.join(tmp, "campaign.jsonl")
             start = time.perf_counter()
-            dataset = run_resilient_campaign(
+            dataset = run_campaign(
                 internet,
                 probes,
                 CampaignConfig(
                     seed=campaign_seed,
                     missing_hop_rate=study.config.missing_hop_rate,
-                    fault_plan=FaultPlan.none(seed=campaign_seed),
                     checkpoint_path=path,
                     storage=StoragePolicy(durability=durability),
                 ),
@@ -349,7 +188,7 @@ def ledger_durability_overhead(
         append_fsync_s = min(append_fsync_s, replay(records, DURABILITY_FSYNC))
     added_s = max(0.0, append_fsync_s - append_none_s)
 
-    pairs = none_dataset.robustness.total_pairs if none_dataset.robustness else 0
+    pairs = none_dataset.robustness.total_pairs
     overhead = (
         round(added_s / campaign_s * 100.0, 2) if campaign_s else None
     )
@@ -451,8 +290,6 @@ def run_benchmark(study: StudyResults, repeats: int = 3) -> Dict[str, object]:
             "results_identical": identical,
         },
         "cache": cache_stats,
-        "robustness": robustness_overhead(study, batched_s, repeats=repeats),
-        "active_robustness": active_robustness_overhead(study, repeats=repeats),
         "ledger": ledger_durability_overhead(study, repeats=repeats),
         "telemetry_overhead": telemetry_overhead(study, repeats=repeats),
     }
@@ -695,23 +532,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     say(f"results identical: {cls['results_identical']}")
     failed = 0
-    rob = payload["robustness"]
-    say(
-        f"robustness layer (no fault plan): campaign "
-        f"{rob['campaign_classic_seconds']:.3f}s -> "
-        f"{rob['campaign_resilient_seconds']:.3f}s "
-        f"({rob['campaign_overhead_pct']:+.1f}%), "
-        f"classification overhead {rob['classification_overhead_pct']:+.1f}%"
-    )
-    active = payload["active_robustness"]
-    say(
-        f"active supervision (no fault plan): "
-        f"{active['plain_seconds']:.3f}s -> "
-        f"{active['supervised_seconds']:.3f}s "
-        f"({active['overhead_pct']:+.1f}%, "
-        f"{active['discovery_targets']} targets, "
-        f"{active['magnet_rounds']} magnet rounds)"
-    )
     failed |= check_ledger_gate(payload["ledger"])
     failed |= check_gate(payload["telemetry_overhead"])
     if not cls["results_identical"]:

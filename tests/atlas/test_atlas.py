@@ -1,5 +1,6 @@
 """Tests for the measurement platform: probes, selection, DNS, campaign."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -105,23 +106,27 @@ class TestGreedySelection:
 
 class TestCDNResolver:
     def test_resolves_known_names(self, internet, probes):
-        resolver = CDNResolver(internet, seed=1)
+        resolver = CDNResolver(internet)
         names = resolver.names()
         assert names
-        replica = resolver.resolve(names[0], probes[0])
+        replica = resolver.resolve(names[0], probes[0], random.Random(1))
         assert replica is not None
 
     def test_unknown_name(self, internet, probes):
-        resolver = CDNResolver(internet, seed=1)
-        assert resolver.resolve("nonexistent.example", probes[0]) is None
+        resolver = CDNResolver(internet)
+        assert (
+            resolver.resolve("nonexistent.example", probes[0], random.Random(1))
+            is None
+        )
 
     def test_locality_prefers_nearby(self, internet, probes):
         from repro.topogen.geography import distance_km
 
-        resolver = CDNResolver(internet, seed=1, locality=1)
+        resolver = CDNResolver(internet, locality=1)
+        rng = random.Random(1)
         for probe in probes[:20]:
             for name in resolver.names():
-                replica = resolver.resolve(name, probe)
+                replica = resolver.resolve(name, probe, rng)
                 others = [
                     r
                     for r in internet.content[0].replicas.get(name, [])

@@ -1,4 +1,4 @@
-"""Tests for the fault-injected, resumable campaign runner."""
+"""Tests for the campaign runner under fault plans and credit budgets."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.atlas import (
     dump_measurements,
     generate_probes,
     run_campaign,
-    run_resilient_campaign,
 )
 from repro.faults import FaultPlan, FaultSite
 from repro.topogen import generate_internet
@@ -44,37 +43,20 @@ FULL_PLAN = FaultPlan(
 class TestZeroPlan:
     def test_zero_plan_full_coverage(self, world):
         internet, probes = world
-        dataset = run_resilient_campaign(
-            internet, probes, CampaignConfig(seed=2, fault_plan=FaultPlan.none(2))
-        )
+        dataset = run_campaign(internet, probes, CampaignConfig(seed=2))
         report = dataset.robustness
-        assert report is not None
         assert report.completed == report.total_pairs == len(dataset.measurements)
         assert report.coverage() == 1.0
         assert report.accounted()
         assert not report.quarantined and not report.lost and not report.degraded
-
-    def test_zero_plan_matches_classic_volume(self, world):
-        internet, probes = world
-        resilient = run_resilient_campaign(
-            internet, probes, CampaignConfig(seed=2, fault_plan=FaultPlan.none(2))
-        )
-        classic = run_campaign(internet, probes, CampaignConfig(seed=2))
-        # Replica choice draws differ (per-pair vs sequential stream),
-        # but the campaign shape is the same: identical pair count and
-        # probe coverage.
-        assert len(resilient.measurements) == len(classic.measurements)
-        assert {m.probe.probe_id for m in resilient.measurements} == {
-            m.probe.probe_id for m in classic.measurements
-        }
 
 
 class TestFaultedCampaign:
     def test_deterministic_byte_identical_output(self, world):
         internet, probes = world
         config = lambda: CampaignConfig(seed=2, fault_plan=FULL_PLAN)  # noqa: E731
-        first = run_resilient_campaign(internet, probes, config())
-        second = run_resilient_campaign(internet, probes, config())
+        first = run_campaign(internet, probes, config())
+        second = run_campaign(internet, probes, config())
         assert dump_measurements(first.measurements) == dump_measurements(
             second.measurements
         )
@@ -82,12 +64,10 @@ class TestFaultedCampaign:
 
     def test_accounting_balances_against_fault_free_total(self, world):
         internet, probes = world
-        faulted = run_resilient_campaign(
+        faulted = run_campaign(
             internet, probes, CampaignConfig(seed=2, fault_plan=FULL_PLAN)
         )
-        fault_free = run_resilient_campaign(
-            internet, probes, CampaignConfig(seed=2, fault_plan=FaultPlan.none(2))
-        )
+        fault_free = run_campaign(internet, probes, CampaignConfig(seed=2))
         report = faulted.robustness
         assert report.accounted()
         assert report.total_pairs == len(fault_free.measurements)
@@ -101,7 +81,7 @@ class TestFaultedCampaign:
 
     def test_every_fault_family_observed(self, world):
         internet, probes = world
-        report = run_resilient_campaign(
+        report = run_campaign(
             internet, probes, CampaignConfig(seed=2, fault_plan=FULL_PLAN)
         ).robustness
         assert report.lost.get("probe-dropout", 0) > 0
@@ -113,7 +93,7 @@ class TestFaultedCampaign:
 
     def test_per_as_coverage_consistent(self, world):
         internet, probes = world
-        report = run_resilient_campaign(
+        report = run_campaign(
             internet, probes, CampaignConfig(seed=2, fault_plan=FULL_PLAN)
         ).robustness
         assert sum(report.per_as_expected.values()) == report.total_pairs
@@ -124,7 +104,7 @@ class TestFaultedCampaign:
 
     def test_truncated_traces_do_not_reach(self, world):
         internet, probes = world
-        dataset = run_resilient_campaign(
+        dataset = run_campaign(
             internet,
             probes,
             CampaignConfig(
@@ -142,7 +122,7 @@ class TestFaultedCampaign:
 
 
 class TestBudgetAccounting:
-    def test_classic_campaign_records_budget_skips(self, world):
+    def test_budget_skips_recorded(self, world):
         internet, probes = world
         names = sum(len(p.dns_names) for p in internet.content)
         ledger = CreditLedger(daily_budget=2 * names * 70 + 10)
@@ -159,7 +139,7 @@ class TestBudgetAccounting:
         internet, probes = world
         names = sum(len(p.dns_names) for p in internet.content)
         ledger = CreditLedger(daily_budget=2 * names * 70 + 10)
-        dataset = run_resilient_campaign(
+        dataset = run_campaign(
             internet,
             probes,
             CampaignConfig(

@@ -1,5 +1,7 @@
 """Tests for the latency model and traceroute engine."""
 
+import random
+
 import pytest
 
 from repro.bgp import BGPSimulator
@@ -54,10 +56,10 @@ def world():
 
 
 class TestTracerouteEngine:
-    def _engine(self, world, missing_hop_rate=0.0, seed=0):
+    def _engine(self, world, missing_hop_rate=0.0):
         internet, simulator, announced, _origin, _prefix = world
         return TracerouteEngine(
-            internet, simulator, announced, seed=seed, missing_hop_rate=missing_hop_rate
+            internet, simulator, announced, missing_hop_rate=missing_hop_rate
         )
 
     def _probe(self, world):
@@ -71,7 +73,7 @@ class TestTracerouteEngine:
         engine = self._engine(world)
         asn, ip, city = self._probe(world)
         destination = prefix.address_at(10)
-        result = engine.trace(asn, ip, city, destination)
+        result = engine.trace(asn, ip, city, destination, random.Random(0))
         assert result.reached
         assert result.hops[-1].ip == destination
         assert result.truth_as_path[0] == asn
@@ -81,7 +83,7 @@ class TestTracerouteEngine:
         engine = self._engine(world, missing_hop_rate=0.0)
         asn, ip, city = self._probe(world)
         destination = world[4].address_at(10)
-        result = engine.trace(asn, ip, city, destination)
+        result = engine.trace(asn, ip, city, destination, random.Random(0))
         assert all(hop.responded() for hop in result.hops)
         assert result.responding_ips() == [hop.ip for hop in result.hops]
 
@@ -89,7 +91,7 @@ class TestTracerouteEngine:
         engine = self._engine(world, missing_hop_rate=1.0)
         asn, ip, city = self._probe(world)
         destination = world[4].address_at(10)
-        result = engine.trace(asn, ip, city, destination)
+        result = engine.trace(asn, ip, city, destination, random.Random(0))
         # Everything but the destination must be '*'.
         assert all(not hop.responded() for hop in result.hops[:-1])
         assert result.hops[-1].responded()
@@ -98,7 +100,7 @@ class TestTracerouteEngine:
         engine = self._engine(world)
         asn, ip, city = self._probe(world)
         destination = world[4].address_at(10)
-        result = engine.trace(asn, ip, city, destination)
+        result = engine.trace(asn, ip, city, destination, random.Random(0))
         rtts = [hop.rtt for hop in result.hops if hop.rtt is not None]
         assert all(rtt >= 0 for rtt in rtts)
 
@@ -106,18 +108,18 @@ class TestTracerouteEngine:
         engine = self._engine(world)
         asn, ip, city = self._probe(world)
         stranger = IPAddress.parse("203.0.113.1")  # not announced
-        result = engine.trace(asn, ip, city, stranger)
+        result = engine.trace(asn, ip, city, stranger, random.Random(0))
         assert not result.reached
         assert result.hops == []
 
     def test_deterministic_per_seed(self, world):
         asn, ip, city = self._probe(world)
         destination = world[4].address_at(10)
-        first = self._engine(world, missing_hop_rate=0.3, seed=5).trace(
-            asn, ip, city, destination
+        first = self._engine(world, missing_hop_rate=0.3).trace(
+            asn, ip, city, destination, random.Random(5)
         )
-        second = self._engine(world, missing_hop_rate=0.3, seed=5).trace(
-            asn, ip, city, destination
+        second = self._engine(world, missing_hop_rate=0.3).trace(
+            asn, ip, city, destination, random.Random(5)
         )
         assert first.hops == second.hops
 

@@ -44,9 +44,16 @@ class TestParser:
         args = build_parser().parse_args(["study", "--run-dir", "d", "--resume"])
         assert args.resume is True
 
-    def test_resume_with_file_parses_as_path(self):
-        args = build_parser().parse_args(["study", "--resume", "c.jsonl"])
-        assert args.resume == "c.jsonl"
+    def test_resume_with_file_rejected(self, capsys):
+        # --run-dir is the one persistence path: --resume names no journal.
+        for argv in (
+            ["study", "--resume", "c.jsonl"],
+            ["study", "--run-dir", "d", "--resume", "c.jsonl"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: c.jsonl" in capsys.readouterr().err
 
 
 class TestStudyFlagConflicts:
@@ -56,38 +63,15 @@ class TestStudyFlagConflicts:
         assert main(argv) == 2
         return capsys.readouterr().err
 
-    def test_checkpoint_plus_resume_rejected(self, capsys):
-        # Regression: --checkpoint used to be silently ignored whenever
-        # --resume FILE was also given.
-        err = self._err(
-            capsys,
-            ["study", "--small", "--checkpoint", "a.jsonl", "--resume", "b.jsonl"],
-        )
-        assert "mutually exclusive" in err
-
     def test_bare_resume_without_run_dir_rejected(self, capsys):
         err = self._err(capsys, ["study", "--small", "--resume"])
         assert "--run-dir" in err
 
-    def test_run_dir_plus_checkpoint_rejected(self, capsys):
-        err = self._err(
-            capsys,
-            ["study", "--small", "--run-dir", "d", "--checkpoint", "a.jsonl"],
-        )
-        assert "mutually exclusive" in err
-
-    def test_run_dir_plus_resume_file_rejected(self, capsys):
-        err = self._err(
-            capsys,
-            ["study", "--small", "--run-dir", "d", "--resume", "b.jsonl"],
-        )
-        assert "bare --resume" in err
-
 
 class TestServeQueryFlagConflicts:
-    """The serve/query commands share the study commands' error shape:
-    every pair lives in the one exclusion table, so the wording stays
-    `X and Y are mutually exclusive: reason` everywhere."""
+    """The serve/query commands share one error shape: every pair lives
+    in the one exclusion table, so the wording stays `X and Y are
+    mutually exclusive: reason` everywhere."""
 
     def _err(self, capsys, argv):
         assert main(argv) == 2

@@ -171,7 +171,7 @@ class TestActiveKillAndResume:
 
 @pytest.fixture(scope="module")
 def faulted_study(tmp_path_factory):
-    checkpoint = str(tmp_path_factory.mktemp("study") / "ckpt.jsonl")
+    run_dir = str(tmp_path_factory.mktemp("study") / "run")
     config = StudyConfig(
         seed=13,
         topology=small_config(),
@@ -180,15 +180,15 @@ def faulted_study(tmp_path_factory):
         active_vp_budget=40,
         max_discovery_targets=16,
         fault_plan=STUDY_PLAN,
-        checkpoint_path=checkpoint,
+        run_dir=run_dir,
     )
     results = Study(config).run()  # must not raise
-    return config, checkpoint, results
+    return config, run_dir, results
 
 
 class TestStudyWithActiveFaults:
     def test_study_completes_with_accounted_active_report(self, faulted_study):
-        _config, _checkpoint, results = faulted_study
+        _config, _run_dir, results = faulted_study
         report = results.active_robustness
         assert report is not None
         assert report.accounted()
@@ -200,7 +200,7 @@ class TestStudyWithActiveFaults:
         assert results.magnet_table is not None
 
     def test_section_44_report_accounts_for_censoring(self, faulted_study):
-        _config, _checkpoint, results = faulted_study
+        _config, _run_dir, results = faulted_study
         report = alternate_routes.run(results)
         rendered = report.render()
         summary = results.preference_summary
@@ -208,8 +208,8 @@ class TestStudyWithActiveFaults:
             assert "censored partial orders graded" in rendered
 
     def test_study_resume_restores_active_phase(self, faulted_study):
-        config, checkpoint, first = faulted_study
-        assert os.path.exists(checkpoint + ".active")
+        config, run_dir, first = faulted_study
+        assert os.path.exists(os.path.join(run_dir, "active.jsonl"))
         resumed_config = StudyConfig(**{**vars(config), "resume": True})
         resumed = Study(resumed_config).run()
         report = resumed.active_robustness

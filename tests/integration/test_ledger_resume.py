@@ -3,17 +3,21 @@
 The acceptance property for the storage layer: a ``repro study
 --run-dir`` killed by injected filesystem faults (torn appends, ENOSPC,
 crash-before-rename, stale locks) and resumed — as many times as it
-takes — produces byte-identical outputs to an uninterrupted run of the
-same configuration, and leaves a completed, unlocked run directory
-behind.
+takes — produces byte-identical outputs to a plain run of the same
+study, and leaves a completed, unlocked run directory behind.  More
+generally, options that change only how a study persists (a run
+directory, its durability, a no-op fault plan) never change what it
+computes.
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.atlas import dump_measurements
+from repro.check.golden import serialize, snapshot_study
 from repro.core.pipeline import Study, StudyConfig
 from repro.faults import CampaignInterrupted, FaultPlan, FaultSite, RunLedger
 from repro.faults.storage import LockHeldError
@@ -36,7 +40,7 @@ PLAN = FaultPlan(
 MAX_ATTEMPTS = 25
 
 
-def _config(run_dir=None, resume=False, seed=21):
+def _plain_config(seed=21):
     return StudyConfig(
         seed=seed,
         topology=small_config(),
@@ -44,6 +48,12 @@ def _config(run_dir=None, resume=False, seed=21):
         probes_per_continent=8,
         active_vp_budget=24,
         max_discovery_targets=8,
+    )
+
+
+def _config(run_dir=None, resume=False, seed=21):
+    return dataclasses.replace(
+        _plain_config(seed),
         fault_plan=PLAN,
         durability="flush",
         run_dir=run_dir,
@@ -53,12 +63,9 @@ def _config(run_dir=None, resume=False, seed=21):
 
 @pytest.fixture(scope="module")
 def chaos_outcome(tmp_path_factory):
-    """One fresh reference run plus one chaos run resumed to completion."""
+    """One plain reference run plus one chaos run resumed to completion."""
     run_dir = str(tmp_path_factory.mktemp("ledger") / "run")
-    # The reference carries the same (storage-only) fault plan so both
-    # runs take the resilient-campaign code path; without a run
-    # directory there are no journals, so no storage fault ever fires.
-    fresh = Study(_config()).run()
+    fresh = Study(_plain_config()).run()
     crashes = 0
     results = None
     for attempt in range(MAX_ATTEMPTS):
@@ -121,3 +128,41 @@ class TestChaosResume:
                 Study(_config(run_dir=run_dir, resume=True)).run()
         finally:
             os.unlink(lock_path)
+
+
+def _tiny_config(**persistence):
+    return StudyConfig(
+        seed=1,
+        topology=small_config(),
+        num_probes=100,
+        probes_per_continent=8,
+        max_discovery_targets=2,
+        num_muxes=2,
+        active_vp_budget=8,
+        **persistence,
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_plain_snapshot():
+    return serialize(snapshot_study(Study(_tiny_config()).run()))
+
+
+class TestPersistenceInvariance:
+    @pytest.mark.parametrize(
+        "durability, fault_plan",
+        [("fsync", None), ("flush", None), ("none", None), (None, FaultPlan.none(1))],
+        ids=["run-dir-fsync", "run-dir-flush", "run-dir-none", "none-plan"],
+    )
+    def test_snapshot_matches_plain_study(
+        self, durability, fault_plan, tiny_plain_snapshot, tmp_path
+    ):
+        run_dir = None if durability is None else os.fspath(tmp_path / "run")
+        config = _tiny_config(
+            run_dir=run_dir, durability=durability, fault_plan=fault_plan
+        )
+        assert serialize(snapshot_study(Study(config).run())) == tiny_plain_snapshot
+
+    def test_resume_without_run_dir_refused(self):
+        with pytest.raises(ValueError, match="run_dir"):
+            Study(_tiny_config(resume=True)).run()

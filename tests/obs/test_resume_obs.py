@@ -13,7 +13,7 @@ from repro.atlas import (
     CampaignConfig,
     dump_measurements,
     generate_probes,
-    run_resilient_campaign,
+    run_campaign,
 )
 from repro.faults import CampaignInterrupted, FaultPlan, FaultSite
 from repro.obs import CATEGORY_FAULT, Observability, using
@@ -51,12 +51,12 @@ class TestObsResumeDeterminism:
 
         # Baseline: uninterrupted, telemetry disabled (the reference bytes).
         reference = dump_measurements(
-            run_resilient_campaign(internet, probes, _config()).measurements
+            run_campaign(internet, probes, _config()).measurements
         )
 
         # Uninterrupted with telemetry enabled: identical bytes.
         with using(Observability()) as obs:
-            observed = run_resilient_campaign(internet, probes, _config())
+            observed = run_campaign(internet, probes, _config())
         assert dump_measurements(observed.measurements) == reference
         # The telemetry actually recorded the run's faults.
         assert any(
@@ -67,13 +67,13 @@ class TestObsResumeDeterminism:
         journal = str(tmp_path / "campaign.jsonl")
         with using(Observability()):
             with pytest.raises(CampaignInterrupted):
-                run_resilient_campaign(
+                run_campaign(
                     internet,
                     probes,
                     _config(checkpoint_path=journal, abort_after=25),
                 )
         with using(Observability()) as resumed_obs:
-            resumed = run_resilient_campaign(
+            resumed = run_campaign(
                 internet,
                 probes,
                 _config(checkpoint_path=journal, resume=True),
@@ -89,7 +89,7 @@ class TestObsResumeDeterminism:
 
         def run_events():
             with using(Observability()) as obs:
-                run_resilient_campaign(internet, probes, _config())
+                run_campaign(internet, probes, _config())
             return [event.to_dict() for event in obs.events.events]
 
         assert run_events() == run_events()
