@@ -5,6 +5,15 @@ a ground-truth :class:`~repro.topology.graph.ASGraph`, delivers update
 messages in deterministic FIFO order, and runs the network to a fixed
 point after each origination change.  A logical clock advances once per
 delivered message; it is the time base for the route-age tie-breaker.
+
+A withdrawal by a prefix's only origin, with nothing in flight, skips
+the message exchange: its fixed point is known (no AS holds a route),
+so every speaker forgets the prefix in one pass.  That reset is also
+what the event-driven withdrawal *should* reach, but flap damping can
+freeze it part-way, and a speaker frozen during an earlier epoch keeps
+Adj-RIB-In entries its neighbors have since withdrawn (ghost routes);
+the reset clears both.  The ``bgp-withdraw`` check in
+:mod:`repro.check.differential` holds the two paths together.
 """
 
 from __future__ import annotations
@@ -115,7 +124,44 @@ class BGPSimulator:
         self.run()
 
     def withdraw(self, asn: int, prefix: Prefix) -> None:
-        """Withdraw ``asn``'s origination of ``prefix`` and converge."""
+        """Withdraw ``asn``'s origination of ``prefix`` and converge.
+
+        When ``asn`` is the prefix's only origin and no messages are in
+        flight, the converged state is known in advance — no AS holds a
+        route — so the epoch advances as usual and every speaker then
+        forgets the prefix, without delivering a message.  The clock
+        stays put: route ages are only compared within one prefix at
+        one speaker, and a clock that never goes back keeps every age
+        tie-break.  Otherwise (a second origin, or an unconverged
+        queue) the withdrawal is delivered event by event.
+        """
+        origins = [
+            other
+            for other, speaker in self.speakers.items()
+            if speaker.originates(prefix)
+        ]
+        if self._queue or origins != [asn]:
+            self._withdraw_by_events(asn, prefix)
+            return
+        self.speakers[asn].withdraw_origin(prefix)
+        self._origination_prefix = prefix
+        self._new_epoch()
+        cleared = sum(speaker.forget(prefix) for speaker in self.speakers.values())
+        if events_enabled():
+            publish(
+                CATEGORY_BGP,
+                "withdraw_reset",
+                prefix=str(prefix),
+                epoch=self.epoch,
+                cleared=cleared,
+            )
+
+    def _withdraw_by_events(self, asn: int, prefix: Prefix) -> None:
+        """Deliver the withdrawal message by message.
+
+        The fallback of :meth:`withdraw`, and the oracle the
+        ``bgp-withdraw`` check holds its direct reset to.
+        """
         speaker = self._speaker(asn)
         self._origination_prefix = prefix
         if speaker.withdraw_origin(prefix):
@@ -190,7 +236,9 @@ class BGPSimulator:
         RIBs keep whatever state the delivered prefix messages built —
         exactly like a real network frozen mid-convergence — so the
         caller should follow up with a withdraw/re-announce to restore
-        a known-good state.
+        a known-good state.  With the queue empty, a withdrawal by the
+        sole origin takes the direct reset, which clears that
+        half-propagated state completely.
         """
         dropped = len(self._queue)
         self._queue.clear()

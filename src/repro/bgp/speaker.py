@@ -83,6 +83,22 @@ class BGPSpeaker:
     def originates(self, prefix: Prefix) -> bool:
         return prefix in self._local_routes
 
+    def forget(self, prefix: Prefix) -> bool:
+        """Drop the routing state held for ``prefix``; returns whether any was.
+
+        Clears the Adj-RIB-In, the Loc-RIB, the decision step and what
+        each neighbor was last told (a local origination stays) — the
+        state an event-driven withdrawal converges to once nobody
+        originates the prefix.  The simulator calls it on every speaker
+        instead of delivering that withdrawal message by message.
+        """
+        held = bool(self._adj_rib_in.pop(prefix, None))
+        held |= self._loc_rib.pop(prefix, None) is not None
+        self._decision_steps.pop(prefix, None)
+        for neighbor in self.neighbors:
+            held |= self._advertised.pop((prefix, neighbor), None) is not None
+        return held
+
     # ------------------------------------------------------------------
     # Message processing
     # ------------------------------------------------------------------
@@ -239,6 +255,16 @@ class BGPSpeaker:
 
     def decision_step(self, prefix: Prefix) -> Optional[DecisionStep]:
         return self._decision_steps.get(prefix)
+
+    def advertised(
+        self, prefix: Prefix
+    ) -> Dict[int, Tuple[ASPathAttribute, frozenset]]:
+        """Neighbor -> (AS path, communities) last announced for ``prefix``."""
+        return {
+            neighbor: self._advertised[(prefix, neighbor)]
+            for neighbor in self.neighbors
+            if (prefix, neighbor) in self._advertised
+        }
 
     def prefixes(self) -> List[Prefix]:
         return sorted(

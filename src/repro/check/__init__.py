@@ -9,7 +9,8 @@ The check subsystem is the safety net under the optimized pipeline:
 * :mod:`repro.check.scenarios` — deterministic seeded generation of
   perturbed topologies and decision batches;
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
-  plus metamorphic invariants;
+  plus metamorphic invariants, including the simulator's withdrawal
+  reset against its own event-driven delivery;
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.
@@ -18,6 +19,7 @@ The check subsystem is the safety net under the optimized pipeline:
 from repro.check.differential import (
     Disagreement,
     check_bgp_decision,
+    check_bgp_withdraw,
     check_gr_trees,
     check_labels,
     check_lpm,
@@ -62,6 +64,7 @@ __all__ = [
     "bless",
     "check_against_golden",
     "check_bgp_decision",
+    "check_bgp_withdraw",
     "check_gr_trees",
     "check_labels",
     "check_lpm",

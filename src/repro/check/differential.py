@@ -14,13 +14,17 @@ oracle.
 
 from __future__ import annotations
 
+import copy
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.decision import best_route, rank_routes
+from repro.bgp.policy import Policy
 from repro.bgp.routes import Route
+from repro.bgp.simulator import BGPSimulator, ConvergenceError
 from repro.check.oracles import (
     OracleLPM,
     OracleRoutingInfo,
@@ -671,10 +675,14 @@ def _random_routes(rng: random.Random) -> List[Route]:
     return routes
 
 
-def check_bgp_decision(seed: int, trials: int = 20) -> List[Disagreement]:
+def check_bgp_decision(
+    seed: int, trials: int = 20, tally: Optional[Counter] = None
+) -> List[Disagreement]:
     """The decision process vs the tournament oracle, plus invariances."""
     problems: List[Disagreement] = []
     rng = random.Random(seed ^ 0xB6D)
+    if tally is not None:
+        tally["bgp-decision route sets"] += trials
     for trial in range(trials):
         routes = _random_routes(rng)
         winner, step = best_route(routes)
@@ -739,10 +747,14 @@ def _probe_addresses(prefixes: List[Prefix], rng: random.Random) -> List[IPAddre
     return addresses
 
 
-def check_lpm(seed: int, rounds: int = 4) -> List[Disagreement]:
+def check_lpm(
+    seed: int, rounds: int = 4, tally: Optional[Counter] = None
+) -> List[Disagreement]:
     """PrefixTrie vs the linear-scan oracle under inserts and removes."""
     problems: List[Disagreement] = []
     rng = random.Random(seed ^ 0x199)
+    if tally is not None:
+        tally["lpm rounds"] += rounds
     for round_number in range(rounds):
         trie: PrefixTrie = PrefixTrie()
         reference = OracleLPM()
@@ -797,6 +809,216 @@ def check_lpm(seed: int, rounds: int = 4) -> List[Disagreement]:
                     )
                 )
                 break
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# BGP withdrawal: direct reset vs event-by-event delivery
+# ---------------------------------------------------------------------------
+
+_WITHDRAW_PFX = Prefix.parse("100.64.0.0/24")
+
+
+def _rib_state(simulator: BGPSimulator, prefix: Prefix) -> Dict[int, Tuple]:
+    """Every speaker's tables for ``prefix``, with ages by order only.
+
+    Per speaker: the Adj-RIB-In (plus any local route) by neighbor, the
+    neighbors in age order, the Loc-RIB route, the decision step and
+    the advertised exports.  The reset keeps the clock while
+    event-driven delivery advances it, so only relative ages compare.
+    """
+    state = {}
+    for asn, speaker in simulator.speakers.items():
+        routes = speaker.candidates(prefix)
+        best = speaker.best(prefix)
+        by_age = sorted(routes, key=lambda route: (route.age, route.learned_from))
+        state[asn] = (
+            {route.learned_from: route.aged(0) for route in routes},
+            [route.learned_from for route in by_age],
+            None if best is None else best.aged(0),
+            speaker.decision_step(prefix),
+            speaker.advertised(prefix),
+        )
+    return state
+
+
+def _diff_rib_states(
+    production: Dict[int, Tuple], reference: Dict[int, Tuple]
+) -> Optional[str]:
+    differing = sorted(asn for asn in production if production[asn] != reference[asn])
+    if not differing:
+        return None
+    asn = differing[0]
+    return (
+        f"{len(differing)} speaker(s) differ, first AS{asn}: "
+        f"production {production[asn]} vs event-driven {reference[asn]}"
+    )
+
+
+def _explain_leftovers(
+    before: Dict[int, List[Route]], fork: BGPSimulator, prefix: Prefix
+) -> Tuple[int, List[str]]:
+    """Ghost routes among the event-driven leftovers, and what is unexplained.
+
+    With no origin left, every surviving route must trace back to a
+    speaker the withdrawal froze (flap damping) or to a ghost: a
+    pre-withdrawal Adj-RIB-In entry that the neighbor's advertisement
+    no longer backs.  At a speaker that was not frozen, each route is
+    therefore a ghost or backed by the neighbor's current
+    advertisement, and anything it advertises comes from a Loc-RIB
+    route.
+    """
+    frozen = fork.damped_ases()
+    ghosts = 0
+    unexplained = []
+    for asn, speaker in fork.speakers.items():
+        if asn in frozen:
+            continue
+        for route in speaker.candidates(prefix):
+            sent = fork.speakers[route.learned_from].advertised(prefix).get(asn)
+            if sent == (route.as_path, route.communities):
+                continue
+            if route in before[asn]:
+                ghosts += 1
+            else:
+                unexplained.append(f"AS{asn} route from AS{route.learned_from}")
+        if speaker.advertised(prefix) and speaker.best(prefix) is None:
+            unexplained.append(f"AS{asn} advertises without a route")
+    return ghosts, unexplained
+
+
+def _compare_withdrawal(
+    seed: int,
+    simulator: BGPSimulator,
+    asn: int,
+    prefix: Prefix,
+    label: str,
+    tally: Counter,
+) -> List[Disagreement]:
+    """Production ``withdraw`` vs the event-driven path on a deep copy."""
+    before = {
+        other: speaker.candidates(prefix)
+        for other, speaker in simulator.speakers.items()
+    }
+    clock = simulator.clock
+    # The fork shares what a withdrawal never mutates: the topology, the
+    # policies, and the immutable routes and advertisements.
+    shared = [simulator.graph, prefix]
+    for speaker in simulator.speakers.values():
+        shared.append(speaker.policy)
+        shared.extend(speaker.advertised(prefix).values())
+    for routes in before.values():
+        shared.extend(routes)
+    fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
+    fork._withdraw_by_events(asn, prefix)
+    simulator.withdraw(asn, prefix)
+    problems: List[Disagreement] = []
+
+    def disagree(detail: str) -> None:
+        problems.append(Disagreement("bgp-withdraw", seed, f"{label}: {detail}"))
+
+    production = _rib_state(simulator, prefix)
+    reference = _rib_state(fork, prefix)
+    if any(speaker.originates(prefix) for speaker in simulator.speakers.values()):
+        # Another origin remains: production must take the same
+        # event-driven path, clock and damping included.
+        tally["bgp-withdraw fallback"] += 1
+        detail = _diff_rib_states(production, reference)
+        if detail is not None:
+            disagree(f"fallback differs: {detail}")
+        if (simulator.clock, simulator.damped_ases()) != (
+            fork.clock,
+            fork.damped_ases(),
+        ):
+            disagree("fallback clock or damping differs from event-driven")
+        return problems
+
+    tally["bgp-withdraw resets"] += 1
+    if any(any(tables) for tables in production.values()):
+        disagree("the reset left state behind")
+    if simulator.epoch != fork.epoch or simulator.damped_ases():
+        disagree(f"epoch {simulator.epoch} vs {fork.epoch}, or damping kept")
+    if simulator.clock < clock:
+        disagree(f"clock went back from {clock} to {simulator.clock}")
+    if fork.rib_dump(prefix):
+        # The event-driven withdrawal stalled short of the empty state.
+        tally["bgp-withdraw fork left routes"] += 1
+        ghosts, unexplained = _explain_leftovers(before, fork, prefix)
+        tally["bgp-withdraw fork left ghost routes"] += bool(ghosts)
+        if unexplained:
+            disagree(f"leftovers neither ghost nor damped: {unexplained[:5]}")
+        return problems
+    detail = _diff_rib_states(production, reference)
+    if detail is not None:
+        disagree(f"after withdrawal, {detail}")
+        return problems
+    # Both announce again from the same state: the same routes and the
+    # same decision steps, so the kept clock breaks age ties the same.
+    for sim in (simulator, fork):
+        sim.originate(asn, prefix)
+    detail = _diff_rib_states(_rib_state(simulator, prefix), _rib_state(fork, prefix))
+    if detail is not None:
+        disagree(f"after re-announcing, {detail}")
+    return problems
+
+
+def check_bgp_withdraw(
+    seed: int, tally: Optional[Counter] = None
+) -> List[Disagreement]:
+    """The simulator's withdrawal reset vs event-by-event delivery.
+
+    Runs two or three active units on one prefix over the seed's
+    scenario graph — announce, a few random poison rounds, withdraw —
+    as the PEERING experiments do, with a few ASes that filter poisoned
+    announcements or ignore poisoning.  One unit anycasts from a second
+    origin too, whose withdrawal must take the event-driven fallback.
+    Every withdrawal is compared with :meth:`BGPSimulator._withdraw_by_events`
+    on a deep copy (:func:`_compare_withdrawal`).  Every fourth seed
+    runs at ``flap_limit=2`` so that damping and ghost routes show up.
+    """
+    tally = Counter() if tally is None else tally
+    rng = random.Random(seed ^ 0x3D7)
+    graph = generate_scenario(seed).graph
+    asns = sorted(graph.asns())
+    policies = {
+        asn: Policy(
+            asn=asn,
+            filters_poisoned=rng.random() < 0.05,
+            loop_prevention_disabled=rng.random() < 0.05,
+        )
+        for asn in asns
+    }
+    simulator = BGPSimulator(
+        graph, policies=policies, flap_limit=2 if seed % 4 == 0 else 60
+    )
+    origin, second = rng.sample(asns, k=2)
+    others = [asn for asn in asns if asn != origin]
+    units = rng.randint(2, 3)
+    anycast_unit = rng.randrange(units)
+    problems: List[Disagreement] = []
+    try:
+        for unit in range(units):
+            simulator.originate(origin, _WITHDRAW_PFX)
+            if unit == anycast_unit:
+                simulator.originate(second, _WITHDRAW_PFX)
+            for _ in range(rng.randint(1, 3)):
+                poisoned = rng.sample(others, k=rng.randint(1, 3))
+                simulator.originate(origin, _WITHDRAW_PFX, poisoned=poisoned)
+            if unit == anycast_unit:
+                problems.extend(
+                    _compare_withdrawal(
+                        seed, simulator, second, _WITHDRAW_PFX,
+                        f"unit {unit} second origin AS{second}", tally,
+                    )
+                )
+            problems.extend(
+                _compare_withdrawal(
+                    seed, simulator, origin, _WITHDRAW_PFX,
+                    f"unit {unit} origin AS{origin}", tally,
+                )
+            )
+    except ConvergenceError:
+        tally["bgp-withdraw unconverged"] += 1
     return problems
 
 
@@ -914,10 +1136,12 @@ SCENARIO_CHECKS = {
     "metamorphic": check_metamorphic,
 }
 
-#: Check-name -> callable(seed) for the input-driven oracles.
+#: Check-name -> callable(seed, tally=Counter) for the input-driven
+#: oracles; each adds what it exercised to the tally.
 SEED_CHECKS = {
     "bgp-decision": check_bgp_decision,
     "lpm": check_lpm,
+    "bgp-withdraw": check_bgp_withdraw,
 }
 
 #: Heavy scenario checks: known to the runner but excluded from the
@@ -929,9 +1153,12 @@ HEAVY_SCENARIO_CHECKS = {
 
 
 def check_seed(
-    seed: int, only: Optional[List[str]] = None
+    seed: int, only: Optional[List[str]] = None, tally: Optional[Counter] = None
 ) -> Tuple[Scenario, List[Disagreement]]:
-    """Run the whole differential battery for one seed."""
+    """Run the whole differential battery for one seed.
+
+    ``tally`` collects the seed checks' counts of what they exercised.
+    """
     scenario = generate_scenario(seed)
     problems: List[Disagreement] = []
     for name, scenario_check in SCENARIO_CHECKS.items():
@@ -941,7 +1168,7 @@ def check_seed(
     for name, seed_check in SEED_CHECKS.items():
         if only is not None and name not in only:
             continue
-        problems.extend(seed_check(seed))
+        problems.extend(seed_check(seed, tally=tally))
     for name, heavy_check in HEAVY_SCENARIO_CHECKS.items():
         if only is None or name not in only:
             continue

@@ -9,6 +9,7 @@ performance or refactoring PR must preserve.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -39,6 +40,8 @@ class CheckReport:
     trees_checked: int = 0
     checks: List[str] = field(default_factory=lambda: list(ALL_CHECKS))
     disagreements: List[Disagreement] = field(default_factory=list)
+    #: What the seed checks exercised, e.g. ``"bgp-withdraw resets"``.
+    tally: Counter = field(default_factory=Counter)
     elapsed: float = 0.0
 
     @property
@@ -63,6 +66,8 @@ class CheckReport:
         for name, count in self.by_check().items():
             verdict = "ok" if count == 0 else f"{count} DISAGREEMENT(S)"
             lines.append(f"  {name:<14} {verdict}")
+        for name, count in sorted(self.tally.items()):
+            lines.append(f"  counted    {name}: {count}")
         for problem in self.disagreements[:20]:
             lines.append(f"  !! {problem}")
         if len(self.disagreements) > 20:
@@ -98,7 +103,7 @@ def run_checks(
     started = time.monotonic()
     for offset in range(seeds):
         seed = base_seed + offset
-        scenario, problems = check_seed(seed, only=only)
+        scenario, problems = check_seed(seed, only=only, tally=report.tally)
         report.seeds_run += 1
         report.decisions_graded += len(scenario.decisions)
         report.trees_checked += len(scenario.destinations) + len(

@@ -443,9 +443,18 @@ def discover_alternate_routes(
     views (what BGP feeds from them would show) contribute as well.
 
     Every target's discovery starts from a withdrawn-then-reannounced
-    prefix, so each target's result is a pure function of the topology
-    and the fault plan, independent of which targets ran before it —
-    the property that makes journal resumption byte-identical.
+    prefix.  PEERING is the prefix's only origin, so the withdrawal
+    takes the simulator's direct reset and leaves no AS with a route —
+    no frozen speaker, no ghost route from an earlier target's poisoned
+    announcements.  Each target's result is therefore a pure function
+    of the topology and the fault plan, independent of which targets
+    ran before it: the property that makes journal resumption
+    byte-identical.
+
+    A target whose next hop is already poisoned ignores poisoning (an
+    AS without loop prevention, Section 4.4); it ends censored with
+    reason ``poison-ineffective`` rather than re-announcing the same
+    poison set until ``max_rounds``.
     """
     prefix = prefix or testbed.prefixes[0]
     supervisor = supervisor or ActiveSupervisor()
@@ -505,6 +514,12 @@ def discover_alternate_routes(
                         if route is None or route.learned_from == target:
                             break
                         next_hop = route.learned_from
+                        if next_hop in poisoned:
+                            # The poison did not take: the next hop
+                            # ignores it (Section 4.4).  Re-announcing
+                            # the same set would only repeat this route.
+                            status, reason = CENSORED, "poison-ineffective"
+                            break
                         observation.routes.append(
                             RouteView(
                                 next_hop=next_hop, path=route.as_path.sequence()
@@ -753,8 +768,11 @@ def run_magnet_experiments(
     A collector feed gap censors the round's feed channel (the
     traceroute channel survives); an announcement failure or an open
     breaker quarantines the round.  Each round starts from a withdrawn
-    prefix, so journaled rounds can be skipped on resume without
-    perturbing the rest.
+    prefix — a direct reset in the simulator, since PEERING is the only
+    origin — so no route survives from an earlier round and journaled
+    rounds can be skipped on resume without perturbing the rest.  The
+    reset never moves the simulator clock back, so magnet routes stay
+    older than anycast routes, as the age tie-breaker expects.
     """
     prefix = prefix or testbed.prefixes[-1]
     supervisor = supervisor or ActiveSupervisor()

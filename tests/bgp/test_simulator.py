@@ -26,6 +26,26 @@ def _chain():
     )
 
 
+def _contested_graph():
+    """Origin 6 with two providers; enough traffic to hit a tiny budget."""
+    return _graph(
+        (1, 2, Relationship.PEER),
+        (1, 3, Relationship.CUSTOMER),
+        (1, 6, Relationship.CUSTOMER),
+        (2, 6, Relationship.CUSTOMER),
+    )
+
+
+def _flappy_graph():
+    """AS1 sees a peer route via 2 first, then a customer route via 6."""
+    return _graph(
+        (1, 2, Relationship.PEER),
+        (2, 4, Relationship.CUSTOMER),
+        (1, 6, Relationship.CUSTOMER),
+        (6, 4, Relationship.CUSTOMER),
+    )
+
+
 class TestPropagation:
     def test_customer_route_reaches_everyone(self):
         sim = BGPSimulator(_chain())
@@ -173,6 +193,14 @@ class TestAnycastAndAge:
         route = sim.best_route(1, PFX)
         assert route is not None
         assert route.origin_asn in (2, 3)
+        # Withdrawing one origin is delivered event by event: AS1 moves
+        # to the route the other origin still announces.
+        clock = sim.clock
+        sim.withdraw(route.origin_asn, PFX)
+        withdrawn, remaining = route.origin_asn, 5 - route.origin_asn
+        assert sim.clock > clock
+        assert sim.best_route(1, PFX).origin_asn == remaining
+        assert sim.best_route(withdrawn, PFX).as_path.sequence() == (1, remaining)
 
     def test_route_age_keeps_magnet_route(self):
         """With all else tied, the older (magnet) route is kept."""
@@ -214,17 +242,8 @@ class TestAnycastAndAge:
 class TestConvergenceFailure:
     """The event budget, its soft-limit warning, and recovery hooks."""
 
-    def _contested_graph(self):
-        """Origin 6 with two providers; enough traffic to hit a tiny budget."""
-        return _graph(
-            (1, 2, Relationship.PEER),
-            (1, 3, Relationship.CUSTOMER),
-            (1, 6, Relationship.CUSTOMER),
-            (2, 6, Relationship.CUSTOMER),
-        )
-
     def test_convergence_error_carries_context(self):
-        sim = BGPSimulator(self._contested_graph(), max_events_per_link=1)
+        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
         with pytest.raises(ConvergenceError) as excinfo:
             sim.originate(6, PFX)
         error = excinfo.value
@@ -234,7 +253,7 @@ class TestConvergenceFailure:
         assert str(PFX) in str(error)
 
     def test_soft_limit_hook_fires_before_hard_limit(self):
-        sim = BGPSimulator(self._contested_graph(), max_events_per_link=1)
+        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
         warnings = []
         sim.on_soft_limit = lambda prefix, epoch, delivered: warnings.append(
             (prefix, epoch, delivered)
@@ -260,7 +279,7 @@ class TestConvergenceFailure:
         assert sim.best_route(1, PFX) is not None
 
     def test_discard_pending_clears_the_unconverged_tail(self):
-        sim = BGPSimulator(self._contested_graph(), max_events_per_link=1)
+        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
         with pytest.raises(ConvergenceError):
             sim.originate(6, PFX)
         assert sim.discard_pending() > 0
@@ -275,27 +294,124 @@ class TestConvergenceFailure:
         assert sim.epoch == 2
 
 
+class TestWithdrawReset:
+    """A sole-origin withdrawal with nothing in flight clears the prefix."""
+
+    OTHER = Prefix.parse("203.0.113.0/24")
+
+    def _diamond(self):
+        """Origin 4 under providers 2 and 3, both customers of 1."""
+        return _graph(
+            (1, 2, Relationship.CUSTOMER),
+            (1, 3, Relationship.CUSTOMER),
+            (2, 4, Relationship.CUSTOMER),
+            (3, 4, Relationship.CUSTOMER),
+            (2, 3, Relationship.PEER),
+        )
+
+    def test_no_speaker_keeps_any_table_for_the_prefix(self):
+        sim = BGPSimulator(self._diamond())
+        sim.originate(4, PFX)
+        sim.originate(4, PFX, poisoned={2})
+        assert sim.speakers[1].advertised(PFX)
+        sim.withdraw(4, PFX)
+        for speaker in sim.speakers.values():
+            assert speaker.best(PFX) is None
+            assert speaker.candidates(PFX) == []
+            assert speaker.decision_step(PFX) is None
+            assert speaker.advertised(PFX) == {}
+
+    def test_epoch_advances_damping_resets_and_the_clock_stays(self):
+        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
+        sim.originate(4, PFX)
+        assert sim.damped_ases()
+        clock, epoch = sim.clock, sim.epoch
+        sim.withdraw(4, PFX)
+        assert sim.epoch == epoch + 1
+        assert sim.damped_ases() == {}
+        assert sim.clock == clock
+        # Routes learned after the reset are younger than any before.
+        sim.originate(4, PFX)
+        assert all(
+            route.age > clock
+            for speaker in sim.speakers.values()
+            for route in speaker.candidates(PFX)
+            if route.learned_from != speaker.asn
+        )
+
+    def test_other_prefixes_untouched(self):
+        sim = BGPSimulator(self._diamond())
+        sim.originate(1, self.OTHER)
+        sim.originate(4, PFX)
+        before = sim.rib_dump(self.OTHER)
+        steps = {asn: sim.decision_step(asn, self.OTHER) for asn in before}
+        advertised = {
+            asn: speaker.advertised(self.OTHER)
+            for asn, speaker in sim.speakers.items()
+        }
+        sim.withdraw(4, PFX)
+        assert sim.rib_dump(self.OTHER) == before
+        assert {
+            asn: sim.decision_step(asn, self.OTHER) for asn in before
+        } == steps
+        assert {
+            asn: speaker.advertised(self.OTHER)
+            for asn, speaker in sim.speakers.items()
+        } == advertised
+
+    def test_reset_matches_event_driven_delivery(self):
+        sim = BGPSimulator(self._diamond())
+        sim.originate(4, PFX)
+        oracle = BGPSimulator(self._diamond())
+        oracle.originate(4, PFX)
+        sim.withdraw(4, PFX)
+        oracle._withdraw_by_events(4, PFX)
+        assert oracle.clock > sim.clock
+        for asn, speaker in sim.speakers.items():
+            reference = oracle.speakers[asn]
+            assert speaker.candidates(PFX) == reference.candidates(PFX) == []
+            assert speaker.advertised(PFX) == reference.advertised(PFX) == {}
+        sim.originate(4, PFX)
+        oracle.originate(4, PFX)
+        for asn in sim.speakers:
+            mine, theirs = sim.best_route(asn, PFX), oracle.best_route(asn, PFX)
+            assert mine.aged(0) == theirs.aged(0)
+            assert sim.decision_step(asn, PFX) == oracle.decision_step(asn, PFX)
+
+    def test_withdrawing_an_unannounced_prefix_is_a_no_op(self):
+        sim = BGPSimulator(_chain())
+        sim.withdraw(4, PFX)
+        assert sim.epoch == 0
+        assert sim.rib_dump(PFX) == {}
+
+    def test_messages_in_flight_take_the_event_driven_path(self):
+        sim = BGPSimulator(
+            _contested_graph(), max_events_per_link=1
+        )
+        with pytest.raises(ConvergenceError):
+            sim.originate(6, PFX)
+        assert sim.rib_dump(PFX)
+        sim._max_events = 10_000  # let the fallback converge
+        clock = sim.clock
+        sim.withdraw(6, PFX)
+        # The queued tail and the withdrawal were delivered one by one.
+        assert sim.clock > clock
+        assert sim.rib_dump(PFX) == {}
+        assert sim.discard_pending() == 0
+
+
 class TestFlapDamping:
     """Route-flap damping freezes oscillating state (see damped_ases)."""
 
-    def _flappy_graph(self):
-        """AS1 sees a peer route via 2 first, then a customer route via 6."""
-        return _graph(
-            (1, 2, Relationship.PEER),
-            (2, 4, Relationship.CUSTOMER),
-            (1, 6, Relationship.CUSTOMER),
-            (6, 4, Relationship.CUSTOMER),
-        )
-
     def test_damped_ases_after_repeated_best_changes(self):
-        sim = BGPSimulator(self._flappy_graph(), flap_limit=1)
+        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
         sim.originate(4, PFX)
         damped = sim.damped_ases()
         assert 1 in damped
         assert PFX in damped[1]
 
     def test_damping_resets_each_epoch(self):
-        sim = BGPSimulator(self._flappy_graph(), flap_limit=1)
+        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
         sim.originate(4, PFX)
         assert sim.damped_ases()
         # A new origination starts a new epoch: counters clear, and the
@@ -304,7 +420,7 @@ class TestFlapDamping:
         assert sim.damped_ases() == {}
 
     def test_no_damping_without_flap_limit(self):
-        sim = BGPSimulator(self._flappy_graph())
+        sim = BGPSimulator(_flappy_graph())
         sim.originate(4, PFX)
         assert sim.damped_ases() == {}
 

@@ -8,12 +8,17 @@ The mutation tests at the bottom prove the checks are not vacuous: an
 injected bug in the optimized path must surface as a disagreement.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.bgp.decision import best_route
+from repro.bgp.simulator import BGPSimulator
+from repro.bgp.speaker import BGPSpeaker
 from repro.check import (
     ALL_CHECKS,
     check_bgp_decision,
+    check_bgp_withdraw,
     check_gr_trees,
     check_labels,
     check_lpm,
@@ -99,6 +104,8 @@ class TestRunner:
         assert report.decisions_graded > 0
         assert report.trees_checked > 0
         assert set(report.checks) == set(ALL_CHECKS)
+        assert report.tally["bgp-withdraw resets"] > 0
+        assert "counted    bgp-withdraw resets" in report.render()
         assert "all oracles agree" in report.render()
 
     def test_only_restricts_checks(self):
@@ -120,6 +127,18 @@ class TestRunner:
         ticks = []
         run_checks(2, progress=lambda done, total: ticks.append((done, total)))
         assert ticks == [(1, 2), (2, 2)]
+
+
+class TestWithdrawCheckCoverage:
+    def test_every_path_and_leftover_kind_is_exercised(self):
+        """Fallback, empty forks and ghost leftovers all occur; seeds
+        divisible by four run at flap_limit=2."""
+        tally = Counter()
+        for seed in range(0, 40, 4):
+            assert check_bgp_withdraw(seed, tally=tally) == []
+        assert tally["bgp-withdraw fallback"] > 0
+        assert tally["bgp-withdraw fork left ghost routes"] > 0
+        assert tally["bgp-withdraw resets"] > tally["bgp-withdraw fork left routes"]
 
 
 class TestMutationsAreCaught:
@@ -173,3 +192,30 @@ class TestMutationsAreCaught:
         for seed in range(5):
             problems.extend(check_lpm(seed))
         assert any(p.check == "lpm" for p in problems)
+
+    @pytest.mark.parametrize("table", ["_advertised", "_decision_steps"])
+    def test_incomplete_reset_flagged(self, monkeypatch, table):
+        """A ``forget`` that keeps one of the four tables is caught."""
+        real = BGPSpeaker.forget
+
+        def forget_but_keep(self, prefix):
+            entries = getattr(self, table)
+            kept = dict(entries)
+            held = real(self, prefix)
+            entries.update(kept)
+            return held
+
+        monkeypatch.setattr(BGPSpeaker, "forget", forget_but_keep)
+        problems = []
+        for seed in range(1, 4):
+            problems.extend(check_bgp_withdraw(seed))
+        assert any(p.check == "bgp-withdraw" for p in problems)
+
+    def test_unexplained_leftovers_flagged(self, monkeypatch):
+        """Without the damping excuse, frozen speakers' routes are
+        neither ghost nor backed: the leftover audit is not vacuous."""
+        monkeypatch.setattr(BGPSimulator, "damped_ases", lambda self: {})
+        problems = []
+        for seed in range(0, 40, 4):
+            problems.extend(check_bgp_withdraw(seed))
+        assert any("neither ghost nor damped" in p.detail for p in problems)

@@ -91,9 +91,53 @@ class TestSimulatorProperties:
     @given(hierarchy_graphs(), st.integers(min_value=1, max_value=14))
     @settings(max_examples=60, deadline=None)
     def test_withdraw_restores_empty_state(self, graph, destination):
+        """Event-driven delivery reaches the state the reset jumps to."""
         if destination not in graph:
             return
         simulator = BGPSimulator(graph)
         simulator.originate(destination, PFX)
-        simulator.withdraw(destination, PFX)
+        simulator._withdraw_by_events(destination, PFX)
         assert simulator.rib_dump(PFX) == {}
+
+    @given(
+        hierarchy_graphs(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["originate", "withdraw"]),
+                st.integers(min_value=1, max_value=3),
+                st.frozensets(st.integers(min_value=1, max_value=14), max_size=3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([2, 60]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reset_matches_event_driven_withdrawal(
+        self, graph, operations, flap_limit
+    ):
+        """Production routes equal event-driven routes while the latter
+        keeps reaching the empty state (no damping, no ghost routes)."""
+        production = BGPSimulator(graph, flap_limit=flap_limit)
+        reference = BGPSimulator(graph, flap_limit=flap_limit)
+        for action, origin, poisoned in operations:
+            if origin not in graph:
+                continue
+            if action == "originate":
+                production.originate(origin, PFX, poisoned=poisoned)
+                reference.originate(origin, PFX, poisoned=poisoned)
+            else:
+                production.withdraw(origin, PFX)
+                reference._withdraw_by_events(origin, PFX)
+                unoriginated = not any(
+                    speaker.originates(PFX)
+                    for speaker in reference.speakers.values()
+                )
+                if unoriginated and reference.rib_dump(PFX):
+                    return  # damping stalled the reference: histories diverge
+            for asn, route in reference.rib_dump(PFX).items():
+                assert production.best_route(asn, PFX).aged(0) == route.aged(0)
+                assert production.decision_step(
+                    asn, PFX
+                ) == reference.decision_step(asn, PFX)
+            assert production.reachable_ases(PFX) == reference.reachable_ases(PFX)

@@ -145,3 +145,19 @@ class TestTypedPublishers:
         assert obs.events.count(CATEGORY_BGP, "converged") >= 1
         event = obs.events.of_category(CATEGORY_BGP)[0]
         assert event.attr("delivered") > 0
+
+    def test_simulator_withdraw_reset_published(self):
+        """The reset delivers no message, so it publishes its own event."""
+        graph = ASGraph()
+        graph.add_link(1, 2, Relationship.CUSTOMER)
+        graph.add_link(2, 3, Relationship.CUSTOMER)
+        prefix = Prefix.parse("198.51.100.0/24")
+        simulator = BGPSimulator(graph)
+        simulator.originate(3, prefix)
+        with using(Observability()) as obs:
+            simulator.withdraw(3, prefix)
+        assert obs.events.counts == {"bgp:withdraw_reset": 1}
+        event = obs.events.of_category(CATEGORY_BGP)[0]
+        assert event.attr("prefix") == str(prefix)
+        assert event.attr("epoch") == simulator.epoch == 2
+        assert event.attr("cleared") == 3

@@ -63,6 +63,9 @@ class TestManifestProduction:
         assert any(
             key.startswith("bgp:") for key in manifest.event_counts
         )
+        # Withdrawals converge by direct reset, one event each.
+        supervised = obs_study.active_robustness.withdrawals
+        assert manifest.event_counts["bgp:withdraw_reset"] >= supervised > 0
 
     def test_no_manifest_when_disabled(self, study):
         assert study.manifest is None

@@ -1,5 +1,7 @@
 """Tests for the active experiment drivers (discovery and magnet)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bgp import BGPSimulator
@@ -17,14 +19,18 @@ from repro.topogen import generate_internet
 from repro.topogen.config import small_config
 
 
-@pytest.fixture(scope="module")
-def world():
+def _fresh_world():
     internet = generate_internet(small_config(), seed=31)
     testbed = PeeringTestbed(internet, num_muxes=4, seed=31)
     simulator = BGPSimulator(
         internet.graph, policies=internet.policies, country_of=internet.country_of
     )
     return internet, testbed, simulator
+
+
+@pytest.fixture(scope="module")
+def world():
+    return _fresh_world()
 
 
 class TestDiscovery:
@@ -78,6 +84,58 @@ class TestDiscovery:
         )
         assert result.observed_links
         assert result.poisoned_only_links <= result.observed_links
+
+
+    def test_poison_ignoring_next_hop_ends_censored(self, world):
+        """Section 4.4: an AS without loop prevention ignores the poison."""
+        internet, testbed, _ = world
+        target = _transit_targets(internet, 1)[0]
+        prefix = testbed.prefixes[0]
+        plain = BGPSimulator(
+            internet.graph, policies=internet.policies, country_of=internet.country_of
+        )
+        testbed.announce(plain, prefix)
+        next_hop = plain.best_route(target, prefix).learned_from
+        assert next_hop != testbed.asn
+        policies = dict(internet.policies)
+        policies[next_hop] = dataclasses.replace(
+            policies[next_hop], loop_prevention_disabled=True
+        )
+        sim = BGPSimulator(
+            internet.graph, policies=policies, country_of=internet.country_of
+        )
+        result = discover_alternate_routes(testbed, sim, [target], prefix=prefix)
+        [observation] = result.observations
+        assert observation.censored
+        assert observation.censor_reason == "poison-ineffective"
+        assert result.dispositions[target] == "censored"
+        # One poisoned announcement, and the unmoved route recorded once.
+        assert [route.next_hop for route in observation.routes] == [next_hop]
+        assert observation.poison_rounds == [frozenset({next_hop})]
+
+
+class TestHistoryIndependence:
+    """Each target starts from the same withdrawn state (regression).
+
+    Event-driven withdrawals left ghost routes at ASes frozen by flap
+    damping during an earlier target's poisoned announcements, so a
+    target's discovery depended on which targets ran before it.
+    """
+
+    TARGETS = [100, 101, 102, 103, 104]
+
+    def test_discovery_independent_of_target_order(self):
+        def observe(targets):
+            _, testbed, sim = _fresh_world()
+            result = discover_alternate_routes(testbed, sim, targets)
+            return {o.target: o for o in result.observations}, result.dispositions
+
+        forward = observe(self.TARGETS)
+        backward = observe(self.TARGETS[::-1])
+        alone = observe(self.TARGETS[-1:])
+        assert forward == backward
+        assert alone[0][104] == forward[0][104]
+        assert alone[1][104] == forward[1][104]
 
 
 class TestMagnet:
