@@ -17,7 +17,7 @@ serves as ground truth when validating the paper's inference method.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.bgp.routes import Route
 
@@ -69,25 +69,38 @@ def rank_routes(routes: Iterable[Route]) -> List[Route]:
     return sorted(routes, key=preference_key)
 
 
-def best_route(routes: Sequence[Route]) -> Tuple[Optional[Route], Optional[DecisionStep]]:
+#: The step each :func:`preference_key` component decides, in order.
+_KEY_STEPS = (
+    DecisionStep.LOCAL_PREF,
+    DecisionStep.PATH_LENGTH,
+    DecisionStep.IGP_COST,
+    DecisionStep.ROUTE_AGE,
+    DecisionStep.ROUTER_ID,
+)
+
+
+def best_route(routes: Iterable[Route]) -> Tuple[Optional[Route], Optional[DecisionStep]]:
     """The winning route and the decision step that picked it.
 
     The reported step is the first attribute on which the winner beats
-    the runner-up; with a single candidate it is ``ONLY_ROUTE``.
+    the runner-up; with a single candidate it is ``ONLY_ROUTE``.  One
+    pass keeps the winner and the runner-up; among routes with equal
+    keys the earlier one ranks first, exactly as in the stable sort of
+    :func:`rank_routes`.
     """
-    candidates = rank_routes(routes)
-    if not candidates:
+    winner = runner_up = winner_key = runner_key = None
+    for route in routes:
+        key = preference_key(route)
+        if winner is None or key < winner_key:
+            runner_up, runner_key = winner, winner_key
+            winner, winner_key = route, key
+        elif runner_up is None or key < runner_key:
+            runner_up, runner_key = route, key
+    if winner is None:
         return None, None
-    winner = candidates[0]
-    if len(candidates) == 1:
+    if runner_up is None:
         return winner, DecisionStep.ONLY_ROUTE
-    runner_up = candidates[1]
-    if winner.local_pref != runner_up.local_pref:
-        return winner, DecisionStep.LOCAL_PREF
-    if winner.path_length() != runner_up.path_length():
-        return winner, DecisionStep.PATH_LENGTH
-    if winner.igp_cost != runner_up.igp_cost:
-        return winner, DecisionStep.IGP_COST
-    if winner.age != runner_up.age:
-        return winner, DecisionStep.ROUTE_AGE
+    for step, ours, theirs in zip(_KEY_STEPS, winner_key, runner_key):
+        if ours != theirs:
+            return winner, step
     return winner, DecisionStep.ROUTER_ID

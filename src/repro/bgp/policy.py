@@ -19,7 +19,7 @@ layers on the real-world deviations the paper investigates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.routes import Route
@@ -39,6 +39,13 @@ DEFAULT_LOCAL_PREF = {
 DOMESTIC_BONUS = 50
 
 CountryLookup = Callable[[int], Optional[str]]
+
+#: Route class -> the neighbor classes the Gao-Rexford rule
+#: (:func:`~repro.topology.relationships.can_export`) exports it to.
+_EXPORTABLE_TO = {
+    learned: tuple(to for to in Relationship if can_export(learned, to))
+    for learned in Relationship
+}
 
 
 @dataclass
@@ -90,7 +97,11 @@ class Policy:
         country_of: Optional[CountryLookup] = None,
     ) -> int:
         """Local preference assigned to a route from ``neighbor``."""
-        override = self.prefix_local_pref.get((neighbor, prefix))
+        override = (
+            self.prefix_local_pref.get((neighbor, prefix))
+            if self.prefix_local_pref
+            else None
+        )
         if override is not None:
             base = override
         elif neighbor in self.neighbor_local_pref:
@@ -104,13 +115,14 @@ class Policy:
 
     def _is_domestic(self, as_path: ASPathAttribute, country_of: CountryLookup) -> bool:
         """Whether every sequence hop is registered in the home country."""
-        hops = as_path.sequence()
-        if not hops:
-            return False
-        for asn in hops:
-            if country_of(asn) != self.home_country:
+        domestic = False
+        for hop in as_path.segments:
+            if isinstance(hop, frozenset):
+                continue  # AS-set members are not on the data path
+            if country_of(hop) != self.home_country:
                 return False
-        return True
+            domestic = True
+        return domestic
 
     def igp_cost_for(self, neighbor: int) -> int:
         return self.igp_cost.get(neighbor, 0)
@@ -128,17 +140,32 @@ class Policy:
     ) -> bool:
         """Whether a learned route is exported to ``to_neighbor``.
 
-        Applies the Gao-Rexford rule, then partial-transit restriction:
-        customers buying partial transit never receive provider-learned
-        routes.
+        The one-neighbor form of :meth:`export_targets`.
         """
-        if to_neighbor == route.learned_from:
-            return False
-        if not can_export(route.effective_class, to_relationship):
-            return False
-        if (
-            to_neighbor in self.partial_transit_to
-            and route.effective_class is Relationship.PROVIDER
-        ):
-            return False
-        return True
+        return bool(self.export_targets(route, ((to_neighbor, to_relationship),)))
+
+    def export_targets(
+        self, route: Route, sessions: Iterable[Tuple[int, Relationship]]
+    ) -> Set[int]:
+        """The neighbors among ``sessions`` a learned route is exported to.
+
+        ``sessions`` are ``(neighbor, relationship)`` pairs.  Applies the
+        Gao-Rexford rule, never back to the neighbor the route came
+        from, then the partial-transit restriction: customers buying
+        partial transit never receive provider-learned routes.  The
+        route's side of the rule is read once, so a speaker's export
+        pass costs one call per best-route change.
+        """
+        learned_from = route.learned_from
+        route_class = route.effective_class
+        allowed = _EXPORTABLE_TO[route_class]
+        blocked = (
+            self.partial_transit_to if route_class is Relationship.PROVIDER else ()
+        )
+        return {
+            neighbor
+            for neighbor, relationship in sessions
+            if relationship in allowed
+            and neighbor != learned_from
+            and neighbor not in blocked
+        }

@@ -26,9 +26,13 @@ from repro.bgp.policy import CountryLookup, Policy
 from repro.bgp.routes import LocalRoute, Route
 from repro.bgp.speaker import BGPSpeaker
 from repro.net.ip import Prefix
-from repro.obs.context import events_enabled, publish
+from repro.obs.context import events_enabled, get_obs, publish
 from repro.obs.events import CATEGORY_BGP
 from repro.topology.graph import ASGraph
+
+
+#: ``bgp_convergence_events`` histogram buckets (messages per run).
+_CONVERGENCE_EVENT_BUCKETS = (0, 10, 100, 300, 1000, 3000, 10000, 30000, 100000)
 
 
 class ConvergenceError(RuntimeError):
@@ -93,6 +97,8 @@ class BGPSimulator:
         #: Convergence epoch counter (one per origination change).
         self.epoch = 0
         self._origination_prefix: Optional[Prefix] = None
+        #: "originate" or "withdraw": the change the current run converges.
+        self._convergence_kind = "originate"
         #: FIFO of (destination ASN, message) awaiting delivery.
         self._queue: Deque[Tuple[int, object]] = deque()
 
@@ -119,8 +125,9 @@ class BGPSimulator:
         # unchanged: the origin's export policy may have been edited
         # (e.g. PEERING steering announcements to a different mux set).
         self._origination_prefix = prefix
+        self._convergence_kind = "originate"
         self._new_epoch()
-        self._enqueue_exports(asn, prefix)
+        self._queue.extend(speaker.exports(prefix))
         self.run()
 
     def withdraw(self, asn: int, prefix: Prefix) -> None:
@@ -164,9 +171,10 @@ class BGPSimulator:
         """
         speaker = self._speaker(asn)
         self._origination_prefix = prefix
+        self._convergence_kind = "withdraw"
         if speaker.withdraw_origin(prefix):
             self._new_epoch()
-            self._enqueue_exports(asn, prefix)
+            self._queue.extend(speaker.exports(prefix))
         self.run()
 
     def _new_epoch(self) -> None:
@@ -178,10 +186,18 @@ class BGPSimulator:
     # Propagation engine
     # ------------------------------------------------------------------
     def run(self) -> int:
-        """Deliver queued messages to a fixed point; returns event count."""
+        """Deliver queued messages to a fixed point; returns event count.
+
+        With telemetry on, a converged run adds its event count to
+        ``bgp_events_delivered_total`` and ``bgp_convergence_events``,
+        labelled with the kind of origination change that started it.
+        """
+        queue = self._queue
+        speakers = self.speakers
+        country_of = self._country_of
         delivered = 0
         warned = False
-        while self._queue:
+        while queue:
             if delivered >= self._max_events:
                 publish(
                     CATEGORY_BGP,
@@ -211,13 +227,12 @@ class BGPSimulator:
                     self.on_soft_limit(
                         self._origination_prefix, self.epoch, delivered
                     )
-            target, message = self._queue.popleft()
+            target, message = queue.popleft()
             self.clock += 1
             delivered += 1
-            speaker = self.speakers[target]
-            best_changed = speaker.receive(message, self.clock, self._country_of)
-            if best_changed:
-                self._enqueue_exports(target, message.prefix)
+            speaker = speakers[target]
+            if speaker.receive(message, self.clock, country_of):
+                queue.extend(speaker.exports(message.prefix))
         if delivered and events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -225,7 +240,23 @@ class BGPSimulator:
                 epoch=self.epoch,
                 delivered=delivered,
             )
+        self._record_convergence(delivered)
         return delivered
+
+    def _record_convergence(self, delivered: int) -> None:
+        metrics = get_obs().metrics
+        if not metrics.enabled:
+            return
+        kind = self._convergence_kind
+        metrics.counter(
+            "bgp_events_delivered_total",
+            "BGP update messages delivered by converged runs.",
+        ).labels(kind=kind).inc(delivered)
+        metrics.histogram(
+            "bgp_convergence_events",
+            "BGP update messages delivered per converged run.",
+            buckets=_CONVERGENCE_EVENT_BUCKETS,
+        ).labels(kind=kind).observe(delivered)
 
     def discard_pending(self) -> int:
         """Drop all undelivered messages; returns how many were dropped.
@@ -243,13 +274,6 @@ class BGPSimulator:
         dropped = len(self._queue)
         self._queue.clear()
         return dropped
-
-    def _enqueue_exports(self, asn: int, prefix: Prefix) -> None:
-        speaker = self.speakers[asn]
-        for neighbor in sorted(speaker.neighbors):
-            message = speaker.pending_export(prefix, neighbor)
-            if message is not None:
-                self._queue.append((neighbor, message))
 
     def _speaker(self, asn: int) -> BGPSpeaker:
         speaker = self.speakers.get(asn)

@@ -1,4 +1,15 @@
-"""A single AS's BGP speaker: RIBs, decision, and export generation."""
+"""A single AS's BGP speaker: one routing record per prefix.
+
+Everything a speaker holds for one prefix lives in one record: the
+Adj-RIB-In by neighbor, the local origination, the Loc-RIB route and
+the decision step that picked it, and what each neighbor was last
+told.  Delivering a message therefore costs one prefix lookup, not one
+per table.  After a best-route change, :meth:`BGPSpeaker.exports`
+computes every neighbor's update in one pass: the export rule is
+evaluated once for the route (:meth:`~repro.bgp.policy.Policy.export_targets`),
+and all non-sibling neighbors that receive a learned route share one
+immutable ``(path, communities)`` export and one announcement.
+"""
 
 from __future__ import annotations
 
@@ -17,13 +28,38 @@ from repro.bgp.routes import LocalRoute, Route
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
+#: What a neighbor is told about a prefix: (AS path, communities).
+Export = Tuple[ASPathAttribute, frozenset]
+
+
+class _PrefixState:
+    """One speaker's routing state for one prefix."""
+
+    __slots__ = ("rib_in", "local", "self_route", "best", "step", "advertised")
+
+    def __init__(self) -> None:
+        #: Adj-RIB-In: neighbor ASN -> route, in arrival order.
+        self.rib_in: Dict[int, Route] = {}
+        #: The local origination and the self-route it installs.
+        self.local: Optional[LocalRoute] = None
+        self.self_route: Optional[Route] = None
+        #: Loc-RIB: the best route and the decision step that chose it.
+        self.best: Optional[Route] = None
+        self.step: Optional[DecisionStep] = None
+        #: What each neighbor was last told: neighbor ASN -> export.
+        self.advertised: Dict[int, Export] = {}
+
 
 class BGPSpeaker:
     """BGP state for one AS.
 
-    The speaker keeps an Adj-RIB-In per neighbor per prefix, runs the
-    decision process into a Loc-RIB, and produces export messages for
-    its neighbors.  Message transport and scheduling live in
+    The speaker keeps one :class:`_PrefixState` record per prefix
+    (Adj-RIB-In, local origination, Loc-RIB, decision step, advertised
+    exports), runs the decision process on it, and produces the export
+    messages for its neighbors in one pass per best-route change
+    (:meth:`exports`), in ascending-ASN order.  Route-flap counters and
+    the frozen set are per convergence epoch, across prefixes.  Message
+    transport and scheduling live in
     :class:`repro.bgp.simulator.BGPSimulator`.
     """
 
@@ -38,6 +74,9 @@ class BGPSpeaker:
         self.asn = asn
         self.policy = policy
         self.neighbors = dict(neighbors)
+        #: (neighbor, relationship) in ascending-ASN order, the order
+        #: updates go out in.
+        self._sessions = tuple(sorted(self.neighbors.items()))
         #: Global relationship oracle used to classify routes arriving
         #: over sibling links (stand-in for org-wide communities).
         self._resolve_relationship = relationship_resolver
@@ -46,14 +85,13 @@ class BGPSpeaker:
         self._flap_limit = flap_limit
         self._flap_count: Dict[Prefix, int] = {}
         self._frozen: set = set()
-        #: prefix -> neighbor ASN -> route
-        self._adj_rib_in: Dict[Prefix, Dict[int, Route]] = {}
-        self._loc_rib: Dict[Prefix, Route] = {}
-        self._decision_steps: Dict[Prefix, DecisionStep] = {}
-        self._local_routes: Dict[Prefix, LocalRoute] = {}
-        #: What we last told each neighbor:
-        #: (prefix, neighbor) -> (AS path, communities).
-        self._advertised: Dict[Tuple[Prefix, int], Tuple[ASPathAttribute, frozenset]] = {}
+        self._prefixes: Dict[Prefix, _PrefixState] = {}
+
+    def _state(self, prefix: Prefix) -> _PrefixState:
+        state = self._prefixes.get(prefix)
+        if state is None:
+            state = self._prefixes[prefix] = _PrefixState()
+        return state
 
     # ------------------------------------------------------------------
     # Origination
@@ -65,23 +103,26 @@ class BGPSpeaker:
                 f"AS{self.asn} cannot originate a route owned by "
                 f"AS{local_route.origin_asn}"
             )
-        existing = self._local_routes.get(local_route.prefix)
-        if existing == local_route:
+        state = self._state(local_route.prefix)
+        if state.local == local_route:
             return False
-        self._local_routes[local_route.prefix] = local_route
-        self._run_decision(local_route.prefix)
+        state.local = local_route
+        state.self_route = local_route.to_route()
+        self._run_decision(state, local_route.prefix)
         return True
 
     def withdraw_origin(self, prefix: Prefix) -> bool:
         """Stop originating ``prefix``; returns whether state changed."""
-        if prefix not in self._local_routes:
+        state = self._prefixes.get(prefix)
+        if state is None or state.local is None:
             return False
-        del self._local_routes[prefix]
-        self._run_decision(prefix)
+        state.local = state.self_route = None
+        self._run_decision(state, prefix)
         return True
 
     def originates(self, prefix: Prefix) -> bool:
-        return prefix in self._local_routes
+        state = self._prefixes.get(prefix)
+        return state is not None and state.local is not None
 
     def forget(self, prefix: Prefix) -> bool:
         """Drop the routing state held for ``prefix``; returns whether any was.
@@ -92,12 +133,13 @@ class BGPSpeaker:
         originates the prefix.  The simulator calls it on every speaker
         instead of delivering that withdrawal message by message.
         """
-        held = bool(self._adj_rib_in.pop(prefix, None))
-        held |= self._loc_rib.pop(prefix, None) is not None
-        self._decision_steps.pop(prefix, None)
-        for neighbor in self.neighbors:
-            held |= self._advertised.pop((prefix, neighbor), None) is not None
-        return held
+        state = self._prefixes.pop(prefix, None)
+        if state is None:
+            return False
+        if state.local is not None:
+            kept = self._prefixes[prefix] = _PrefixState()
+            kept.local, kept.self_route = state.local, state.self_route
+        return bool(state.rib_in) or state.best is not None or bool(state.advertised)
 
     # ------------------------------------------------------------------
     # Message processing
@@ -109,7 +151,7 @@ class BGPSpeaker:
         country_of: Optional[CountryLookup] = None,
     ) -> bool:
         """Process an update; returns whether the best route changed."""
-        if message.prefix in self._frozen:
+        if self._frozen and message.prefix in self._frozen:
             return False
         if isinstance(message, Announcement):
             return self._receive_announcement(message, clock, country_of)
@@ -117,7 +159,7 @@ class BGPSpeaker:
             return self._receive_withdrawal(message)
         raise TypeError(f"unknown BGP message type: {type(message).__name__}")
 
-    def _effective_class(
+    def _sibling_entry_class(
         self, neighbor: int, as_path, communities=frozenset()
     ) -> Relationship:
         """Class of a route entering over a sibling link.
@@ -129,14 +171,11 @@ class BGPSpeaker:
         route originated inside the organization counts as a customer
         route.
         """
-        relationship = self.neighbors[neighbor]
-        if relationship is not Relationship.SIBLING:
-            return relationship
         tagged = read_entry_class(communities)
         if tagged is not None:
             return tagged
         if self._resolve_relationship is None:
-            return relationship
+            return Relationship.SIBLING
         hops = as_path.sequence()
         current = neighbor
         for next_hop in hops[1:]:
@@ -160,15 +199,17 @@ class BGPSpeaker:
         relationship = self.neighbors.get(neighbor)
         if relationship is None:
             raise ValueError(f"AS{self.asn} has no session with AS{neighbor}")
-        per_prefix = self._adj_rib_in.setdefault(announcement.prefix, {})
+        prefix = announcement.prefix
+        state = self._prefixes.get(prefix)
         if not self.policy.accepts(announcement.as_path):
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
-            removed = per_prefix.pop(neighbor, None) is not None
-            if removed:
-                return self._run_decision(announcement.prefix)
+            if state is not None and state.rib_in.pop(neighbor, None) is not None:
+                return self._run_decision(state, prefix)
             return False
-        previous = per_prefix.get(neighbor)
+        if state is None:
+            state = self._prefixes[prefix] = _PrefixState()
+        previous = state.rib_in.get(neighbor)
         if (
             previous is not None
             and previous.as_path == announcement.as_path
@@ -176,18 +217,20 @@ class BGPSpeaker:
         ):
             # Duplicate announcement: no state change, age preserved.
             return False
-        effective = self._effective_class(
-            neighbor, announcement.as_path, announcement.communities
-        )
-        route = Route(
-            prefix=announcement.prefix,
+        effective = relationship
+        if relationship is Relationship.SIBLING:
+            effective = self._sibling_entry_class(
+                neighbor, announcement.as_path, announcement.communities
+            )
+        state.rib_in[neighbor] = Route(
+            prefix=prefix,
             as_path=announcement.as_path,
             learned_from=neighbor,
             relationship=relationship,
             local_pref=self.policy.local_pref_for(
                 neighbor,
                 effective,
-                announcement.prefix,
+                prefix,
                 announcement.as_path,
                 country_of,
             ),
@@ -197,44 +240,50 @@ class BGPSpeaker:
             export_class=effective,
             communities=announcement.communities,
         )
-        per_prefix[neighbor] = route
-        return self._run_decision(announcement.prefix)
+        return self._run_decision(state, prefix)
 
     def _receive_withdrawal(self, withdrawal: Withdrawal) -> bool:
-        per_prefix = self._adj_rib_in.get(withdrawal.prefix, {})
-        if per_prefix.pop(withdrawal.sender, None) is None:
+        state = self._prefixes.get(withdrawal.prefix)
+        if state is None or state.rib_in.pop(withdrawal.sender, None) is None:
             return False
-        return self._run_decision(withdrawal.prefix)
+        return self._run_decision(state, withdrawal.prefix)
 
     # ------------------------------------------------------------------
     # Decision process
     # ------------------------------------------------------------------
     def candidates(self, prefix: Prefix) -> List[Route]:
         """All usable routes toward ``prefix`` (learned plus local)."""
-        routes = list(self._adj_rib_in.get(prefix, {}).values())
-        local = self._local_routes.get(prefix)
-        if local is not None:
-            routes.append(local.to_route())
+        state = self._prefixes.get(prefix)
+        if state is None:
+            return []
+        routes = list(state.rib_in.values())
+        if state.self_route is not None:
+            routes.append(state.self_route)
         return routes
 
-    def _run_decision(self, prefix: Prefix) -> bool:
-        previous = self._loc_rib.get(prefix)
-        winner, step = best_route(self.candidates(prefix))
-        if winner is None:
-            self._loc_rib.pop(prefix, None)
-            self._decision_steps.pop(prefix, None)
+    def _run_decision(self, state: _PrefixState, prefix: Prefix) -> bool:
+        """Re-select the best route; returns whether it changed."""
+        rib_in = state.rib_in
+        if state.self_route is not None:
+            winner, step = best_route([*rib_in.values(), state.self_route])
+        elif len(rib_in) == 1:
+            (winner,) = rib_in.values()
+            step = DecisionStep.ONLY_ROUTE
         else:
-            self._loc_rib[prefix] = winner
-            self._decision_steps[prefix] = step
-        changed = previous != winner
-        if changed and self._flap_limit:
+            winner, step = best_route(rib_in.values())
+        previous = state.best
+        state.best = winner
+        state.step = step
+        if previous is winner or previous == winner:
+            return False
+        if self._flap_limit:
             flaps = self._flap_count.get(prefix, 0) + 1
             self._flap_count[prefix] = flaps
             if flaps > self._flap_limit:
                 # Route-flap damping: freeze this prefix's state so a
                 # policy dispute wheel cannot livelock the network.
                 self._frozen.add(prefix)
-        return changed
+        return True
 
     def reset_damping(self) -> None:
         """Start a new convergence epoch: clear flap counters and thaw.
@@ -251,84 +300,126 @@ class BGPSpeaker:
         return frozenset(self._frozen)
 
     def best(self, prefix: Prefix) -> Optional[Route]:
-        return self._loc_rib.get(prefix)
+        state = self._prefixes.get(prefix)
+        return None if state is None else state.best
 
     def decision_step(self, prefix: Prefix) -> Optional[DecisionStep]:
-        return self._decision_steps.get(prefix)
+        state = self._prefixes.get(prefix)
+        return None if state is None else state.step
 
-    def advertised(
-        self, prefix: Prefix
-    ) -> Dict[int, Tuple[ASPathAttribute, frozenset]]:
+    def advertised(self, prefix: Prefix) -> Dict[int, Export]:
         """Neighbor -> (AS path, communities) last announced for ``prefix``."""
+        state = self._prefixes.get(prefix)
+        if state is None:
+            return {}
         return {
-            neighbor: self._advertised[(prefix, neighbor)]
+            neighbor: state.advertised[neighbor]
             for neighbor in self.neighbors
-            if (prefix, neighbor) in self._advertised
+            if neighbor in state.advertised
         }
 
     def prefixes(self) -> List[Prefix]:
         return sorted(
-            set(self._loc_rib) | set(self._local_routes), key=lambda p: (p.network, p.length)
+            (
+                prefix
+                for prefix, state in self._prefixes.items()
+                if state.best is not None or state.local is not None
+            ),
+            key=lambda p: (p.network, p.length),
         )
 
     # ------------------------------------------------------------------
     # Export side
     # ------------------------------------------------------------------
-    def _export_route(self, prefix: Prefix, to_neighbor: int):
-        """The (path, communities) to advertise to ``to_neighbor``."""
-        relationship = self.neighbors[to_neighbor]
-        local = self._local_routes.get(prefix)
-        best = self._loc_rib.get(prefix)
-        if local is not None and best is not None and best.learned_from == self.asn:
-            if not self.policy.exports_origin_prefix(prefix, to_neighbor):
-                return None
-            path = local.exported_path()
-            prepends = self.policy.export_prepend.get((prefix, to_neighbor), 0)
-            for _ in range(prepends):
-                path = path.prepend(self.asn)
-            communities = frozenset()
-            if relationship is Relationship.SIBLING:
-                # An org-internal origination counts as a customer route.
-                communities = frozenset(
-                    {entry_class_community(self.asn, Relationship.CUSTOMER)}
-                )
-            return path, communities
-        if best is None:
-            return None
-        if not self.policy.should_export(best, to_neighbor, relationship):
-            return None
-        if relationship is Relationship.SIBLING:
-            # Tag the entry class for the rest of the organization,
-            # unless an earlier member already did.
-            communities = best.communities
-            if read_entry_class(communities) is None:
-                communities = communities | {
-                    entry_class_community(self.asn, best.effective_class)
-                }
-        else:
-            # Org-internal tags never leave the organization.
-            communities = strip_entry_class(best.communities)
-        return best.as_path.prepend(self.asn), communities
+    def exports(self, prefix: Prefix) -> List[Tuple[int, object]]:
+        """The updates owed to neighbors for ``prefix``, in ascending-ASN order.
 
-    def pending_export(self, prefix: Prefix, to_neighbor: int):
-        """The message to send to ``to_neighbor`` now, or ``None``.
-
-        Compares the currently exportable route against what the
-        neighbor was last told, producing an announcement, a
-        withdrawal, or nothing.
+        Compares what each neighbor should hear now with what it was
+        last told, records the new advertisement, and returns one
+        ``(neighbor, message)`` pair — an announcement or a withdrawal —
+        per neighbor whose view changed.  A learned best route is
+        prepended and stripped once; every non-sibling neighbor shares
+        that immutable export and its announcement.
         """
-        export = self._export_route(prefix, to_neighbor)
-        key = (prefix, to_neighbor)
-        advertised = self._advertised.get(key)
-        if export is None:
-            if advertised is None:
-                return None
-            del self._advertised[key]
-            return Withdrawal(prefix=prefix, sender=self.asn)
-        if advertised == export:
-            return None
-        self._advertised[key] = export
+        state = self._prefixes.get(prefix)
+        if state is None:
+            return []
+        best = state.best
+        advertised = state.advertised
+        originated = best is not None and best.learned_from == self.asn
+        targets = shared = announcement = withdrawal = None
+        if best is not None and not originated:
+            targets = self.policy.export_targets(best, self._sessions)
+        if not (originated or targets or advertised):
+            return []
+        if targets:
+            shared = (
+                best.as_path.prepend(self.asn),
+                strip_entry_class(best.communities),
+            )
+            announcement = self._announcement(prefix, shared)
+        updates = []
+        for neighbor, relationship in self._sessions:
+            if originated:
+                export = self._origin_export(state, prefix, neighbor, relationship)
+            elif not targets or neighbor not in targets:
+                export = None
+            elif relationship is Relationship.SIBLING:
+                export = self._sibling_export(best)
+            else:
+                export = shared
+            told = advertised.get(neighbor)
+            if export is None:
+                if told is not None:
+                    del advertised[neighbor]
+                    if withdrawal is None:
+                        withdrawal = Withdrawal(prefix=prefix, sender=self.asn)
+                    updates.append((neighbor, withdrawal))
+            elif told != export:
+                advertised[neighbor] = export
+                message = (
+                    announcement
+                    if export is shared
+                    else self._announcement(prefix, export)
+                )
+                updates.append((neighbor, message))
+        return updates
+
+    def _announcement(self, prefix: Prefix, export: Export) -> Announcement:
         path, communities = export
         return Announcement(
             prefix=prefix, as_path=path, sender=self.asn, communities=communities
         )
+
+    def _origin_export(
+        self,
+        state: _PrefixState,
+        prefix: Prefix,
+        neighbor: int,
+        relationship: Relationship,
+    ) -> Optional[Export]:
+        """What the origin tells ``neighbor``: selective export, prepends
+        and the poison set."""
+        if not self.policy.exports_origin_prefix(prefix, neighbor):
+            return None
+        path = state.local.exported_path()
+        for _ in range(self.policy.export_prepend.get((prefix, neighbor), 0)):
+            path = path.prepend(self.asn)
+        communities = frozenset()
+        if relationship is Relationship.SIBLING:
+            # An org-internal origination counts as a customer route.
+            communities = frozenset(
+                {entry_class_community(self.asn, Relationship.CUSTOMER)}
+            )
+        return path, communities
+
+    def _sibling_export(self, best: Route) -> Export:
+        """A learned route as told to a sibling: the entry class tagged
+        for the rest of the organization, unless an earlier member
+        already did."""
+        communities = best.communities
+        if read_entry_class(communities) is None:
+            communities = communities | {
+                entry_class_community(self.asn, best.effective_class)
+            }
+        return best.as_path.prepend(self.asn), communities

@@ -44,6 +44,7 @@ from repro.check.oracles import (
     RoutingInfo,
     compute_routing_info,
     oracle_best_route,
+    oracle_export,
     oracle_label,
     oracle_routing_info,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "generate_scenario",
     "golden_path",
     "oracle_best_route",
+    "oracle_export",
     "oracle_label",
     "oracle_labels",
     "oracle_routing_info",

@@ -19,6 +19,9 @@ path it validates:
 * :func:`oracle_best_route` — the BGP decision process as an explicit
   attribute-by-attribute tournament (no sort key), validating
   :func:`repro.bgp.decision.best_route`.
+* :func:`oracle_export` — the export rule for one neighbor at a time,
+  attribute by attribute, validating the single export pass of
+  :meth:`repro.bgp.speaker.BGPSpeaker.exports`.
 * :func:`OracleLPM` — longest-prefix match by linear scan over the
   stored prefixes, validating :class:`repro.net.trie.PrefixTrie`.
 
@@ -33,6 +36,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.bgp.attributes import ASPathAttribute
+from repro.bgp.communities import entry_class_community, read_entry_class
+from repro.bgp.policy import Policy
 from repro.bgp.routes import Route
 from repro.core.classification import Decision, DecisionLabel
 from repro.net.ip import IPAddress, Prefix
@@ -506,6 +512,74 @@ def oracle_best_route(routes: List[Route]) -> Tuple[Optional[Route], Optional[st
     # A full tie falls through every attribute; the optimized path
     # reports the last step (router id) in that case.
     return winner, step if step is not None else "router id"
+
+
+# ---------------------------------------------------------------------------
+# BGP export rule
+# ---------------------------------------------------------------------------
+
+#: Neighbor classes that receive every route: customers pay for a full
+#: feed, siblings belong to the same organization.
+_FULL_FEED = (Relationship.CUSTOMER, Relationship.SIBLING)
+
+
+def oracle_export(
+    policy: Policy,
+    neighbors: Dict[int, Relationship],
+    best: Optional[Route],
+    neighbor: int,
+    poisoned: FrozenSet[int] = frozenset(),
+) -> Optional[Tuple[ASPathAttribute, FrozenSet]]:
+    """What AS ``policy.asn`` tells ``neighbor`` about its Loc-RIB route.
+
+    Returns the advertised ``(AS path, communities)``, or ``None`` when
+    the neighbor hears nothing.  ``neighbors`` maps each neighbor to its
+    relationship; ``poisoned`` is the poison set of the AS's own
+    origination, when ``best`` is that origination.  Each attribute is
+    built from its definition, one neighbor at a time.
+    """
+    if best is None:
+        return None
+    asn = policy.asn
+    relationship = neighbors[neighbor]
+    prefix = best.prefix
+    if best.learned_from == asn:
+        # Our own prefix: selective announcement, poison set, prepends.
+        allowed = policy.selective_export.get(prefix)
+        if allowed is not None and neighbor not in allowed:
+            return None
+        segments = [asn]
+        if poisoned:
+            segments = [asn, frozenset(poisoned), asn]
+        prepends = policy.export_prepend.get((prefix, neighbor), 0)
+        path = ASPathAttribute(tuple([asn] * prepends + segments))
+        communities = frozenset()
+        if relationship is Relationship.SIBLING:
+            # An org-internal origination enters the org as a customer route.
+            communities = frozenset(
+                {entry_class_community(asn, Relationship.CUSTOMER)}
+            )
+        return path, communities
+    if neighbor == best.learned_from:
+        return None  # never back to the sender
+    route_class = best.export_class or best.relationship
+    if route_class not in _FULL_FEED and relationship not in _FULL_FEED:
+        return None  # peer and provider routes go to customers and siblings
+    if route_class is Relationship.PROVIDER and neighbor in policy.partial_transit_to:
+        return None  # partial transit: no provider routes
+    path = ASPathAttribute((asn,) + best.as_path.segments)
+    tags = frozenset(
+        community
+        for community in best.communities
+        if read_entry_class(frozenset({community})) is not None
+    )
+    if relationship is not Relationship.SIBLING:
+        communities = best.communities - tags  # org tags stay inside the org
+    elif tags:
+        communities = best.communities  # an earlier member tagged it
+    else:
+        communities = best.communities | {entry_class_community(asn, route_class)}
+    return path, communities
 
 
 # ---------------------------------------------------------------------------

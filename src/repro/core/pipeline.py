@@ -69,7 +69,7 @@ from repro.peering.experiments import (
     run_magnet_experiments,
 )
 from repro.obs.context import get_obs
-from repro.obs.manifest import RunManifest, _primitive, build_manifest
+from repro.obs.manifest import RunManifest, _primitive, build_manifest, peak_rss_mb
 from repro.obs.trace import Tracer
 from repro.peering.testbed import PeeringTestbed
 from repro.topogen.config import TopologyConfig
@@ -337,6 +337,17 @@ class Study:
         obs = get_obs()
         if obs.enabled:
             plan = config.fault_plan
+            meta = {
+                "decisions": len(results.decisions),
+                "measurements": len(results.dataset.measurements),
+                "selected_probes": len(results.selected_probes),
+                "active_experiments": config.active_experiments,
+                "resumed": config.resume,
+                "run_dir": config.run_dir,
+            }
+            peak = peak_rss_mb()
+            if peak is not None:
+                meta["peak_rss_mb"] = peak
             results.manifest = build_manifest(
                 obs,
                 tracer,
@@ -347,14 +358,7 @@ class Study:
                 fault_plan_fingerprint=(
                     plan.fingerprint() if plan is not None else None
                 ),
-                meta={
-                    "decisions": len(results.decisions),
-                    "measurements": len(results.dataset.measurements),
-                    "selected_probes": len(results.selected_probes),
-                    "active_experiments": config.active_experiments,
-                    "resumed": config.resume,
-                    "run_dir": config.run_dir,
-                },
+                meta=meta,
             )
         if self._ledger is not None:
             self._ledger.finalize()

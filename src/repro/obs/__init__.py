@@ -62,6 +62,7 @@ from repro.obs.manifest import (
     RunManifest,
     build_manifest,
     config_digest,
+    peak_rss_mb,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -118,6 +119,7 @@ __all__ = [
     "RunManifest",
     "build_manifest",
     "config_digest",
+    "peak_rss_mb",
     "MANIFEST_SCHEMA",
     # metrics
     "MetricsRegistry",

@@ -207,7 +207,11 @@ def _render_span(span: Dict, total: float, depth: int, lines: List[str]) -> None
 
 
 def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
-    """A terminal report of one manifest (what ``repro obs report`` prints)."""
+    """A terminal report of one manifest (what ``repro obs report`` prints).
+
+    Every metric is named; at most ``top_metrics`` series of each are
+    listed, so one metric with many label sets cannot crowd out the rest.
+    """
     lines: List[str] = []
     lines.append(f"== run manifest ({manifest.kind}) ==")
     identity = [f"config={manifest.config_digest or '-'}"]
@@ -237,16 +241,15 @@ def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
             f"metrics ({len(counters)} counters, {len(gauges)} gauges, "
             f"{len(histograms)} histograms):"
         )
-        rows: List[str] = []
-        for name, data in sorted(counters.items()):
+        per_metric: List[List[str]] = []
+        for name, data in sorted(counters.items()) + sorted(gauges.items()):
+            rows = []
             for key, value in sorted(data.get("series", {}).items()):
                 label = f"{name}{{{key}}}" if key else name
                 rows.append(f"  {label:<52} {_format_value(value):>12}")
-        for name, data in sorted(gauges.items()):
-            for key, value in sorted(data.get("series", {}).items()):
-                label = f"{name}{{{key}}}" if key else name
-                rows.append(f"  {label:<52} {_format_value(value):>12}")
+            per_metric.append(rows)
         for name, data in sorted(histograms.items()):
+            rows = []
             for key, row in sorted(data.get("series", {}).items()):
                 label = f"{name}{{{key}}}" if key else name
                 count = row.get("count", 0.0)
@@ -255,10 +258,11 @@ def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
                     f"  {label:<52} {_format_value(count):>12}"
                     f"  (mean {mean:.6f})"
                 )
-        shown = rows[:top_metrics]
-        lines.extend(shown)
-        if len(rows) > len(shown):
-            lines.append(f"  ... {len(rows) - len(shown)} more series")
+            per_metric.append(rows)
+        for rows in per_metric:
+            lines.extend(rows[:top_metrics])
+            if len(rows) > top_metrics:
+                lines.append(f"  ... {len(rows) - top_metrics} more series")
 
     if manifest.event_counts:
         lines.append("")

@@ -19,13 +19,32 @@ import dataclasses
 import enum
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform (Windows)
+    resource = None
 
 from repro.obs.context import Observability
 from repro.obs.trace import Tracer
 
 MANIFEST_SCHEMA = 1
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set size in MiB, or ``None`` where
+    the platform has no :mod:`resource` module.
+
+    ``ru_maxrss`` counts bytes on macOS and kibibytes elsewhere.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1 if sys.platform == "darwin" else 1024
+    return round(peak * unit / (1024 * 1024), 1)
 
 
 def _primitive(value):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp import BGPSimulator, Policy
+from repro.bgp import BGPSimulator, Policy, Withdrawal
 from repro.bgp.simulator import ConvergenceError
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
@@ -237,6 +237,58 @@ class TestAnycastAndAge:
         sim.originate(4, PFX)
         assert sim.best_route(1, PFX) is not None
         assert sim.best_route(2, PFX) is None
+
+
+def _partial_transit():
+    """AS10 sells AS20 partial transit; AS30 is a full-transit customer,
+    AS40 a peer and AS50 AS10's provider."""
+    graph = _graph(
+        (10, 20, Relationship.CUSTOMER),
+        (10, 30, Relationship.CUSTOMER),
+        (10, 40, Relationship.PEER),
+        (50, 10, Relationship.CUSTOMER),
+    )
+    return BGPSimulator(graph, policies={10: Policy(asn=10, partial_transit_to={20})})
+
+
+class TestPartialTransit:
+    CUSTOMER_PFX = Prefix.parse("203.0.113.0/24")
+    PEER_PFX = Prefix.parse("192.0.2.0/24")
+    PROVIDER_PFX = Prefix.parse("198.18.0.0/24")
+
+    def test_customer_gets_customer_and_peer_routes_only(self):
+        sim = _partial_transit()
+        sim.originate(30, self.CUSTOMER_PFX)
+        sim.originate(40, self.PEER_PFX)
+        sim.originate(50, self.PROVIDER_PFX)
+        assert sim.forwarding_path(20, self.CUSTOMER_PFX) == (20, 10, 30)
+        assert sim.forwarding_path(20, self.PEER_PFX) == (20, 10, 40)
+        assert sim.best_route(10, self.PROVIDER_PFX).learned_from == 50
+        assert sim.best_route(20, self.PROVIDER_PFX) is None
+        assert 20 not in sim.speakers[10].advertised(self.PROVIDER_PFX)
+        # The restriction is per customer: AS30 buys full transit.
+        assert sim.forwarding_path(30, self.PROVIDER_PFX) == (30, 10, 50)
+
+    def test_withdrawn_when_best_turns_provider_learned(self):
+        sim = _partial_transit()
+        sim.originate(40, PFX)
+        sim.originate(50, PFX)
+        assert sim.best_route(10, PFX).learned_from == 40  # peer over provider
+        assert sim.forwarding_path(20, PFX) == (20, 10, 40)
+        customer = sim.speakers[20]
+        receive = customer.receive
+        delivered = []
+
+        def recording(message, clock, country_of=None):
+            delivered.append(message)
+            return receive(message, clock, country_of)
+
+        customer.receive = recording
+        sim.withdraw(40, PFX)  # AS50 still originates: event-driven
+        assert sim.best_route(10, PFX).learned_from == 50
+        assert delivered == [Withdrawal(prefix=PFX, sender=10)]
+        assert sim.best_route(20, PFX) is None
+        assert sim.forwarding_path(30, PFX) == (30, 10, 50)
 
 
 class TestConvergenceFailure:

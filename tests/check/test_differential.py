@@ -195,14 +195,16 @@ class TestMutationsAreCaught:
 
     @pytest.mark.parametrize("table", ["_advertised", "_decision_steps"])
     def test_incomplete_reset_flagged(self, monkeypatch, table):
-        """A ``forget`` that keeps one of the four tables is caught."""
+        """A ``forget`` that keeps the prefix's advertised exports or its
+        decision step is caught."""
         real = BGPSpeaker.forget
+        field = {"_advertised": "advertised", "_decision_steps": "step"}[table]
 
         def forget_but_keep(self, prefix):
-            entries = getattr(self, table)
-            kept = dict(entries)
+            state = self._prefixes.get(prefix)
             held = real(self, prefix)
-            entries.update(kept)
+            if state is not None:
+                setattr(self._state(prefix), field, getattr(state, field))
             return held
 
         monkeypatch.setattr(BGPSpeaker, "forget", forget_but_keep)

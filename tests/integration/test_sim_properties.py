@@ -3,13 +3,16 @@
 Under pure Gao-Rexford policies over random acyclic-hierarchy graphs:
 the simulator must converge, its data-plane paths must be valley-free,
 and its route lengths must match the analytical engine — for *every*
-generated topology, not just the crafted ones.
+generated topology, not just the crafted ones.  With partial transit,
+selective export and prepending drawn on top, every speaker must have
+told each neighbor what the naive export rule derives from its route.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import BGPSimulator
+from repro.bgp import BGPSimulator, Policy
+from repro.check.oracles import oracle_export
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
@@ -141,3 +144,75 @@ class TestSimulatorProperties:
                     asn, PFX
                 ) == reference.decision_step(asn, PFX)
             assert production.reachable_ases(PFX) == reference.reachable_ases(PFX)
+
+    @given(hierarchy_graphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_advertised_matches_oracle_export(self, graph, data):
+        """After every originate, poison or withdraw, each speaker's
+        advertised exports equal :func:`oracle_export` of its Loc-RIB
+        route, neighbor by neighbor."""
+        asns = sorted(graph.asns())
+        for _ in range(data.draw(st.integers(0, 2), label="sibling links")):
+            pair = st.lists(st.sampled_from(asns), min_size=2, max_size=2, unique=True)
+            graph.add_link(*data.draw(pair), Relationship.SIBLING)
+        policies = {}
+        for asn in asns:
+            customers = sorted(
+                neighbor
+                for neighbor, rel in graph.neighbors(asn).items()
+                if rel is Relationship.CUSTOMER
+            )
+            partial = data.draw(
+                st.sets(st.sampled_from(customers)) if customers else st.just(set()),
+                label=f"AS{asn} partial-transit customers",
+            )
+            policies[asn] = Policy(asn=asn, partial_transit_to=set(partial))
+        origins = data.draw(
+            st.lists(st.sampled_from(asns), min_size=1, max_size=2, unique=True),
+            label="origins",
+        )
+        for origin in origins:
+            neighbors = sorted(graph.neighbors(origin))
+            if not neighbors:
+                continue
+            policy = policies[origin]
+            if data.draw(st.booleans(), label=f"AS{origin} selective"):
+                policy.selective_export[PFX] = frozenset(
+                    data.draw(st.sets(st.sampled_from(neighbors)))
+                )
+            for neighbor in sorted(data.draw(st.sets(st.sampled_from(neighbors)))):
+                policy.export_prepend[(PFX, neighbor)] = data.draw(st.integers(1, 3))
+        operations = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["originate", "poison", "withdraw"]),
+                    st.sampled_from(origins),
+                    st.frozensets(st.sampled_from(asns), min_size=1, max_size=3),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            label="operations",
+        )
+        simulator = BGPSimulator(graph, policies=policies)
+        poisoned = {}
+        for action, origin, poison in operations:
+            if action == "withdraw":
+                simulator.withdraw(origin, PFX)
+            else:
+                poisoned[origin] = poison if action == "poison" else frozenset()
+                simulator.originate(origin, PFX, poisoned=poisoned[origin])
+            for asn, speaker in simulator.speakers.items():
+                neighbors = graph.neighbors(asn)
+                expected = {}
+                for neighbor in neighbors:
+                    export = oracle_export(
+                        policies[asn],
+                        neighbors,
+                        speaker.best(PFX),
+                        neighbor,
+                        poisoned.get(asn, frozenset()),
+                    )
+                    if export is not None:
+                        expected[neighbor] = export
+                assert speaker.advertised(PFX) == expected, f"AS{asn} after {action}"

@@ -67,6 +67,17 @@ class TestManifestProduction:
         supervised = obs_study.active_robustness.withdrawals
         assert manifest.event_counts["bgp:withdraw_reset"] >= supervised > 0
 
+    def test_manifest_records_bgp_convergence_and_peak_rss(self, obs_study):
+        manifest = obs_study.manifest
+        assert manifest.meta["peak_rss_mb"] > 0
+        delivered = manifest.metrics["counters"]["bgp_events_delivered_total"]
+        runs = manifest.metrics["histograms"]["bgp_convergence_events"]
+        for kind, total in delivered["series"].items():
+            assert runs["series"][kind]["sum"] == total
+        originate = 'kind="originate"'
+        assert delivered["series"][originate] > 0
+        assert runs["series"][originate]["count"] > 0
+
     def test_no_manifest_when_disabled(self, study):
         assert study.manifest is None
         # ... but stage timings are recorded regardless.
