@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, Tuple, Union
 Segment = Union[int, FrozenSet[int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ASPathAttribute:
     """An AS_PATH: a tuple of ASNs and AS-set segments, origin last."""
 

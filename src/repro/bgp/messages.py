@@ -9,7 +9,7 @@ from repro.bgp.attributes import ASPathAttribute
 from repro.net.ip import Prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Announcement:
     """A route announcement for one prefix.
 
@@ -29,7 +29,7 @@ class Announcement:
         return f"A {self.prefix} path=[{self.as_path}] from AS{self.sender}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Withdrawal:
     """Withdrawal of the sender's route for one prefix."""
 

@@ -14,6 +14,12 @@ layers on the real-world deviations the paper investigates:
 * preference for domestic paths (Section 6, Table 3),
 * poisoned-announcement filtering and disabled loop prevention
   (the limitations noted in Section 4.4).
+
+The three prefix-keyed fields are read through one method,
+:meth:`Policy.prefix_inputs`, which returns a prefix-free
+:class:`PrefixInputs`.  The speaker converges a prefix on those inputs
+and the simulator keys converged states on them, so prefixes whose
+inputs are equal at every AS converge alike.
 """
 
 from __future__ import annotations
@@ -46,6 +52,45 @@ _EXPORTABLE_TO = {
     learned: tuple(to for to in Relationship if can_export(learned, to))
     for learned in Relationship
 }
+
+
+@dataclass(frozen=True, slots=True)
+class PrefixInputs:
+    """What one AS's policy says about one prefix alone.
+
+    The prefix-keyed policy fields restricted to one prefix, without
+    the prefix: local-preference overrides by neighbor, the origin's
+    selective-export set (``None``: every neighbor) and its AS-path
+    prepends by neighbor.  Pairs are sorted by neighbor, so equal
+    policies give equal (and equally hashed) inputs.
+    """
+
+    local_pref: Tuple[Tuple[int, int], ...] = ()
+    selective_export: Optional[FrozenSet[int]] = None
+    prepends: Tuple[Tuple[int, int], ...] = ()
+
+    def local_pref_from(self, neighbor: int) -> Optional[int]:
+        """The local-preference override for routes from ``neighbor``."""
+        for other, pref in self.local_pref:
+            if other == neighbor:
+                return pref
+        return None
+
+    def exports_to(self, neighbor: int) -> bool:
+        """Whether the origin announces the prefix to ``neighbor``."""
+        allowed = self.selective_export
+        return allowed is None or neighbor in allowed
+
+    def prepends_to(self, neighbor: int) -> int:
+        """Extra copies of the origin's ASN announced to ``neighbor``."""
+        for other, count in self.prepends:
+            if other == neighbor:
+                return count
+        return 0
+
+
+#: The inputs of a prefix the policy says nothing about.
+NO_PREFIX_INPUTS = PrefixInputs()
 
 
 @dataclass
@@ -88,6 +133,36 @@ class Policy:
             return False
         return True
 
+    def prefix_inputs(self, prefix: Prefix) -> PrefixInputs:
+        """Everything this policy says about ``prefix`` alone.
+
+        The one reader of the prefix-keyed fields (``prefix_local_pref``,
+        ``selective_export``, ``export_prepend``).  A prefix-keyed field
+        these inputs missed would let two prefixes that converge
+        differently share one converged state.
+        """
+        local_pref = prepends = ()
+        if self.prefix_local_pref:
+            local_pref = tuple(
+                sorted(
+                    (neighbor, pref)
+                    for (neighbor, keyed), pref in self.prefix_local_pref.items()
+                    if keyed == prefix
+                )
+            )
+        if self.export_prepend:
+            prepends = tuple(
+                sorted(
+                    (neighbor, count)
+                    for (keyed, neighbor), count in self.export_prepend.items()
+                    if keyed == prefix
+                )
+            )
+        allowed = self.selective_export.get(prefix) if self.selective_export else None
+        if not local_pref and not prepends and allowed is None:
+            return NO_PREFIX_INPUTS
+        return PrefixInputs(local_pref, allowed, prepends)
+
     def local_pref_for(
         self,
         neighbor: int,
@@ -96,12 +171,21 @@ class Policy:
         as_path: ASPathAttribute,
         country_of: Optional[CountryLookup] = None,
     ) -> int:
-        """Local preference assigned to a route from ``neighbor``."""
-        override = (
-            self.prefix_local_pref.get((neighbor, prefix))
-            if self.prefix_local_pref
-            else None
+        """Local preference assigned to a route from ``neighbor`` for ``prefix``."""
+        return self.import_local_pref(
+            neighbor, relationship, self.prefix_inputs(prefix), as_path, country_of
         )
+
+    def import_local_pref(
+        self,
+        neighbor: int,
+        relationship: Relationship,
+        inputs: PrefixInputs,
+        as_path: ASPathAttribute,
+        country_of: Optional[CountryLookup] = None,
+    ) -> int:
+        """:meth:`local_pref_for` given the prefix's :class:`PrefixInputs`."""
+        override = inputs.local_pref_from(neighbor) if inputs.local_pref else None
         if override is not None:
             base = override
         elif neighbor in self.neighbor_local_pref:
@@ -132,8 +216,7 @@ class Policy:
     # ------------------------------------------------------------------
     def exports_origin_prefix(self, prefix: Prefix, to_neighbor: int) -> bool:
         """Selective prefix announcement for locally originated prefixes."""
-        allowed = self.selective_export.get(prefix)
-        return allowed is None or to_neighbor in allowed
+        return self.prefix_inputs(prefix).exports_to(to_neighbor)
 
     def should_export(
         self, route: Route, to_neighbor: int, to_relationship: Relationship

@@ -10,11 +10,14 @@ from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A candidate route at one AS toward one prefix.
 
-    ``local_pref`` is assigned by the receiving AS's import policy;
+    A route does not name its prefix: the speaker's record it sits in
+    does, so equal-policy prefixes can share one converged set of
+    routes (:mod:`repro.bgp.states`).  ``local_pref`` is assigned by
+    the receiving AS's import policy;
     ``igp_cost`` is the intradomain distance to the egress toward
     ``learned_from`` (the hot-potato tie-breaker); ``age`` is the
     logical time the route was installed (lower = older, preferred);
@@ -22,7 +25,6 @@ class Route:
     router (we use the neighbor ASN, lowest wins).
     """
 
-    prefix: Prefix
     as_path: ASPathAttribute
     learned_from: int
     relationship: Relationship
@@ -58,13 +60,13 @@ class Route:
 
     def __str__(self) -> str:
         return (
-            f"{self.prefix} via AS{self.learned_from} "
+            f"via AS{self.learned_from} "
             f"({self.relationship.value}, lp={self.local_pref}, "
             f"len={self.path_length()}) path=[{self.as_path}]"
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalRoute:
     """A locally originated route (the AS owns the prefix)."""
 
@@ -81,7 +83,6 @@ class LocalRoute:
         """
         path = ASPathAttribute.origin(self.origin_asn)
         return Route(
-            prefix=self.prefix,
             as_path=path,
             learned_from=self.origin_asn,
             relationship=Relationship.CUSTOMER,

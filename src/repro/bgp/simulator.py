@@ -14,6 +14,13 @@ freeze it part-way, and a speaker frozen during an earlier epoch keeps
 Adj-RIB-In entries its neighbors have since withdrawn (ghost routes);
 the reset clears both.  The ``bgp-withdraw`` check in
 :mod:`repro.check.differential` holds the two paths together.
+
+An origination that leads a prefix to a converged state the simulator
+has already computed skips the message exchange too: every speaker's
+record is copied from a prefix in that state or from a snapshot of it
+(:mod:`repro.bgp.states`), and the clock advances by the messages that
+state's convergence delivered.  The ``bgp-reuse`` check holds every
+such copy to event delivery.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.policy import CountryLookup, Policy
+from repro.bgp.policy import NO_PREFIX_INPUTS, CountryLookup, Policy
 from repro.bgp.routes import LocalRoute, Route
 from repro.bgp.speaker import BGPSpeaker
+from repro.bgp.states import ConvergedStates, EdgeKey, StateNode
 from repro.net.ip import Prefix
 from repro.obs.context import events_enabled, get_obs, publish
 from repro.obs.events import CATEGORY_BGP
@@ -101,6 +108,10 @@ class BGPSimulator:
         self._convergence_kind = "originate"
         #: FIFO of (destination ASN, message) awaiting delivery.
         self._queue: Deque[Tuple[int, object]] = deque()
+        #: The converged state each prefix is in (see repro.bgp.states).
+        self._states = ConvergedStates()
+        #: Originations converged by copying a known state.
+        self.reused = 0
 
     # ------------------------------------------------------------------
     # Origination API
@@ -116,19 +127,118 @@ class BGPSimulator:
         ``poisoned`` ASNs are carried in an AS-set wrapped by the
         origin's ASN (the paper's poisoning mechanism); those ASes will
         reject the announcement through loop prevention.
+
+        When the origination leads the prefix to a converged state that
+        a prefix holds or a snapshot keeps (:mod:`repro.bgp.states`),
+        every speaker's record is copied from it instead of delivering
+        messages.  The epoch advances, the clock advances by the
+        messages that state's convergence delivered, its damped set is
+        restored and its soft-limit warning replayed, so RIBs, clock,
+        epoch and a supervisor's breaker end where event delivery
+        leaves them.  Copied routes keep their install ages, whose order
+        at each speaker is all the decision process reads.
         """
         speaker = self._speaker(asn)
-        speaker.originate(
-            LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned))
+        local = LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned))
+        parent, key, node = self._lookup(local)
+        if node is not None and node.reusable():
+            self._reuse(prefix, node)
+            return
+        self._states.leave(prefix, self.speakers)
+        delivered = self._deliver_origination(speaker, local)
+        if parent is None:
+            return  # delivered together with messages in flight: unknown
+        if node is None:
+            node = parent.children[key] = StateNode(
+                delivered, tuple(self.damped_ases())
+            )
+        self._states.arrive(prefix, node)
+
+    def _lookup(
+        self, local: LocalRoute
+    ) -> Tuple[Optional[StateNode], EdgeKey, Optional[StateNode]]:
+        """The prefix's state, the edge ``local`` takes from it, and the
+        known state that edge leads to (``None`` when not known)."""
+        key: EdgeKey = (
+            local.origin_asn,
+            local.poisoned,
+            self._load_inputs(local.prefix),
         )
+        parent = None if self._queue else self._states.node(local.prefix)
+        node = None if parent is None else parent.children.get(key)
+        return parent, key, node
+
+    def _originate_by_events(
+        self, asn: int, prefix: Prefix, poisoned: Iterable[int] = ()
+    ) -> None:
+        """Deliver an origination message by message, leaving the
+        prefix's state unknown: the oracle the ``bgp-reuse`` check
+        holds every copied state to."""
+        speaker = self._speaker(asn)
+        self._load_inputs(prefix)
+        self._states.leave(prefix, self.speakers)
+        self._deliver_origination(
+            speaker,
+            LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned)),
+        )
+
+    def _deliver_origination(self, speaker: BGPSpeaker, local: LocalRoute) -> int:
+        speaker.originate(local)
         # Exports are re-evaluated even when the local route is
         # unchanged: the origin's export policy may have been edited
         # (e.g. PEERING steering announcements to a different mux set).
+        self._origination_prefix = local.prefix
+        self._convergence_kind = "originate"
+        self._new_epoch()
+        self._queue.extend(speaker.exports(local.prefix))
+        return self.run()
+
+    def _reuse(self, prefix: Prefix, node: StateNode) -> None:
+        """Converge ``prefix`` to ``node``'s state by copying records."""
+        source = self._states.source(node, self.speakers)
+        self._states.leave(prefix, self.speakers)
         self._origination_prefix = prefix
         self._convergence_kind = "originate"
         self._new_epoch()
-        self._queue.extend(speaker.exports(prefix))
-        self.run()
+        for asn, speaker in self.speakers.items():
+            speaker.adopt(prefix, source(asn))
+        for asn in node.damped:
+            self.speakers[asn].freeze(prefix)
+        self.clock += node.delivered
+        self.reused += 1
+        self._states.arrive(prefix, node)
+        if node.delivered > self._soft_events:
+            self._soft_limit(self._soft_events)
+        if events_enabled():
+            publish(
+                CATEGORY_BGP,
+                "converged",
+                epoch=self.epoch,
+                delivered=0,
+                reused=True,
+                skipped=node.delivered,
+            )
+        metrics = get_obs().metrics
+        if metrics.enabled:
+            metrics.counter(
+                "bgp_convergences_reused_total",
+                "Convergences copied from a known converged state "
+                "instead of delivered.",
+            ).labels(kind=self._convergence_kind).inc()
+
+    def _load_inputs(self, prefix: Prefix) -> Tuple:
+        """Load every speaker's prefix inputs for ``prefix`` — and for
+        any prefix still in flight, whose messages the next run delivers
+        too — and return ``prefix``'s non-empty ones by AS."""
+        for other in {message.prefix for _, message in self._queue} - {prefix}:
+            for speaker in self.speakers.values():
+                speaker.load_inputs(other)
+        loaded = []
+        for asn, speaker in self.speakers.items():
+            inputs = speaker.load_inputs(prefix)
+            if inputs is not NO_PREFIX_INPUTS:
+                loaded.append((asn, inputs))
+        return tuple(loaded)
 
     def withdraw(self, asn: int, prefix: Prefix) -> None:
         """Withdraw ``asn``'s origination of ``prefix`` and converge.
@@ -140,8 +250,12 @@ class BGPSimulator:
         stays put: route ages are only compared within one prefix at
         one speaker, and a clock that never goes back keeps every age
         tie-break.  Otherwise (a second origin, or an unconverged
-        queue) the withdrawal is delivered event by event.
+        queue) the withdrawal is delivered event by event.  With
+        nothing in flight, a withdrawal by an AS that does not
+        originate the prefix changes nothing and records nothing.
         """
+        if not self._queue and not self._speaker(asn).originates(prefix):
+            return
         origins = [
             other
             for other, speaker in self.speakers.items()
@@ -150,10 +264,12 @@ class BGPSimulator:
         if self._queue or origins != [asn]:
             self._withdraw_by_events(asn, prefix)
             return
+        self._states.leave(prefix, self.speakers)
         self.speakers[asn].withdraw_origin(prefix)
         self._origination_prefix = prefix
         self._new_epoch()
         cleared = sum(speaker.forget(prefix) for speaker in self.speakers.values())
+        self._states.arrive(prefix, self._states.root)
         if events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -167,9 +283,12 @@ class BGPSimulator:
         """Deliver the withdrawal message by message.
 
         The fallback of :meth:`withdraw`, and the oracle the
-        ``bgp-withdraw`` check holds its direct reset to.
+        ``bgp-withdraw`` check holds its direct reset to.  It leaves the
+        prefix's state unknown.
         """
         speaker = self._speaker(asn)
+        self._load_inputs(prefix)
+        self._states.leave(prefix, self.speakers)
         self._origination_prefix = prefix
         self._convergence_kind = "withdraw"
         if speaker.withdraw_origin(prefix):
@@ -216,17 +335,7 @@ class BGPSimulator:
                 )
             if not warned and delivered >= self._soft_events:
                 warned = True
-                publish(
-                    CATEGORY_BGP,
-                    "soft_limit",
-                    prefix=str(self._origination_prefix),
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-                if self.on_soft_limit is not None:
-                    self.on_soft_limit(
-                        self._origination_prefix, self.epoch, delivered
-                    )
+                self._soft_limit(delivered)
             target, message = queue.popleft()
             self.clock += 1
             delivered += 1
@@ -242,6 +351,17 @@ class BGPSimulator:
             )
         self._record_convergence(delivered)
         return delivered
+
+    def _soft_limit(self, delivered: int) -> None:
+        publish(
+            CATEGORY_BGP,
+            "soft_limit",
+            prefix=str(self._origination_prefix),
+            epoch=self.epoch,
+            delivered=delivered,
+        )
+        if self.on_soft_limit is not None:
+            self.on_soft_limit(self._origination_prefix, self.epoch, delivered)
 
     def _record_convergence(self, delivered: int) -> None:
         metrics = get_obs().metrics
@@ -269,7 +389,9 @@ class BGPSimulator:
         caller should follow up with a withdraw/re-announce to restore
         a known-good state.  With the queue empty, a withdrawal by the
         sole origin takes the direct reset, which clears that
-        half-propagated state completely.
+        half-propagated state completely.  Every prefix with a dropped
+        message is already in an unknown state (the run that queued it
+        never converged), so none of them reuses a converged state.
         """
         dropped = len(self._queue)
         self._queue.clear()

@@ -9,10 +9,18 @@ computes every neighbor's update in one pass: the export rule is
 evaluated once for the route (:meth:`~repro.bgp.policy.Policy.export_targets`),
 and all non-sibling neighbors that receive a learned route share one
 immutable ``(path, communities)`` export and one announcement.
+
+A speaker reads its policy's prefix-keyed fields only through the
+:class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
+converges a prefix (:meth:`BGPSpeaker.load_inputs`).  Routes and
+exports do not name their prefix, so a record can be copied to another
+prefix in one pass (:meth:`BGPSpeaker.adopt`); only the local
+origination is rebuilt for it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bgp.attributes import ASPathAttribute
@@ -23,7 +31,7 @@ from repro.bgp.communities import (
 )
 from repro.bgp.decision import DecisionStep, best_route
 from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.policy import CountryLookup, Policy
+from repro.bgp.policy import NO_PREFIX_INPUTS, CountryLookup, Policy, PrefixInputs
 from repro.bgp.routes import LocalRoute, Route
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
@@ -48,6 +56,19 @@ class _PrefixState:
         self.step: Optional[DecisionStep] = None
         #: What each neighbor was last told: neighbor ASN -> export.
         self.advertised: Dict[int, Export] = {}
+
+    def copy_for(self, prefix: Prefix) -> "_PrefixState":
+        """This record as ``prefix``'s: its tables copied, its immutable
+        routes and exports shared, its local origination rebuilt."""
+        copy = _PrefixState()
+        copy.rib_in = dict(self.rib_in)
+        if self.local is not None:
+            copy.local = replace(self.local, prefix=prefix)
+            copy.self_route = self.self_route
+        copy.best = self.best
+        copy.step = self.step
+        copy.advertised = dict(self.advertised)
+        return copy
 
 
 class BGPSpeaker:
@@ -86,12 +107,44 @@ class BGPSpeaker:
         self._flap_count: Dict[Prefix, int] = {}
         self._frozen: set = set()
         self._prefixes: Dict[Prefix, _PrefixState] = {}
+        #: The policy's non-empty prefix inputs, as last loaded.
+        self._inputs: Dict[Prefix, PrefixInputs] = {}
 
     def _state(self, prefix: Prefix) -> _PrefixState:
         state = self._prefixes.get(prefix)
         if state is None:
             state = self._prefixes[prefix] = _PrefixState()
         return state
+
+    def load_inputs(self, prefix: Prefix) -> PrefixInputs:
+        """Read the policy's inputs for ``prefix``; they hold until the
+        next load.  The simulator loads them before every run that may
+        deliver the prefix's messages."""
+        inputs = self.policy.prefix_inputs(prefix)
+        if inputs is not NO_PREFIX_INPUTS:
+            self._inputs[prefix] = inputs
+        elif self._inputs:
+            self._inputs.pop(prefix, None)
+        return inputs
+
+    # ------------------------------------------------------------------
+    # Whole-record copies (converged-state reuse)
+    # ------------------------------------------------------------------
+    def record(self, prefix: Prefix) -> Optional[_PrefixState]:
+        """The routing record held for ``prefix``, if any (not a copy)."""
+        return self._prefixes.get(prefix)
+
+    def adopt(self, prefix: Prefix, record: Optional[_PrefixState]) -> None:
+        """Replace ``prefix``'s state with a copy of ``record`` (``None``:
+        hold nothing), as if the prefix had converged to it."""
+        if record is None:
+            self._prefixes.pop(prefix, None)
+        else:
+            self._prefixes[prefix] = record.copy_for(prefix)
+
+    def freeze(self, prefix: Prefix) -> None:
+        """Mark ``prefix`` damped for the rest of this epoch."""
+        self._frozen.add(prefix)
 
     # ------------------------------------------------------------------
     # Origination
@@ -123,6 +176,11 @@ class BGPSpeaker:
     def originates(self, prefix: Prefix) -> bool:
         state = self._prefixes.get(prefix)
         return state is not None and state.local is not None
+
+    def origination(self, prefix: Prefix) -> Optional[LocalRoute]:
+        """The local origination of ``prefix``, if this AS originates it."""
+        state = self._prefixes.get(prefix)
+        return None if state is None else state.local
 
     def forget(self, prefix: Prefix) -> bool:
         """Drop the routing state held for ``prefix``; returns whether any was.
@@ -222,15 +280,17 @@ class BGPSpeaker:
             effective = self._sibling_entry_class(
                 neighbor, announcement.as_path, announcement.communities
             )
+        inputs = NO_PREFIX_INPUTS
+        if self._inputs:
+            inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
         state.rib_in[neighbor] = Route(
-            prefix=prefix,
             as_path=announcement.as_path,
             learned_from=neighbor,
             relationship=relationship,
-            local_pref=self.policy.local_pref_for(
+            local_pref=self.policy.import_local_pref(
                 neighbor,
                 effective,
-                prefix,
+                inputs,
                 announcement.as_path,
                 country_of,
             ),
@@ -347,8 +407,10 @@ class BGPSpeaker:
         best = state.best
         advertised = state.advertised
         originated = best is not None and best.learned_from == self.asn
-        targets = shared = announcement = withdrawal = None
-        if best is not None and not originated:
+        targets = shared = announcement = withdrawal = inputs = None
+        if originated:
+            inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
+        elif best is not None:
             targets = self.policy.export_targets(best, self._sessions)
         if not (originated or targets or advertised):
             return []
@@ -361,7 +423,7 @@ class BGPSpeaker:
         updates = []
         for neighbor, relationship in self._sessions:
             if originated:
-                export = self._origin_export(state, prefix, neighbor, relationship)
+                export = self._origin_export(state, inputs, neighbor, relationship)
             elif not targets or neighbor not in targets:
                 export = None
             elif relationship is Relationship.SIBLING:
@@ -394,16 +456,16 @@ class BGPSpeaker:
     def _origin_export(
         self,
         state: _PrefixState,
-        prefix: Prefix,
+        inputs: PrefixInputs,
         neighbor: int,
         relationship: Relationship,
     ) -> Optional[Export]:
         """What the origin tells ``neighbor``: selective export, prepends
         and the poison set."""
-        if not self.policy.exports_origin_prefix(prefix, neighbor):
+        if not inputs.exports_to(neighbor):
             return None
         path = state.local.exported_path()
-        for _ in range(self.policy.export_prepend.get((prefix, neighbor), 0)):
+        for _ in range(inputs.prepends_to(neighbor)):
             path = path.prepend(self.asn)
         communities = frozenset()
         if relationship is Relationship.SIBLING:

@@ -10,7 +10,8 @@ The check subsystem is the safety net under the optimized pipeline:
   perturbed topologies and decision batches;
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
   plus metamorphic invariants, including the simulator's withdrawal
-  reset against its own event-driven delivery;
+  reset and its converged-state copies against its own event-driven
+  delivery;
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.
@@ -19,6 +20,7 @@ The check subsystem is the safety net under the optimized pipeline:
 from repro.check.differential import (
     Disagreement,
     check_bgp_decision,
+    check_bgp_reuse,
     check_bgp_withdraw,
     check_gr_trees,
     check_labels,
@@ -65,6 +67,7 @@ __all__ = [
     "bless",
     "check_against_golden",
     "check_bgp_decision",
+    "check_bgp_reuse",
     "check_bgp_withdraw",
     "check_gr_trees",
     "check_labels",

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.decision import best_route, rank_routes
 from repro.bgp.policy import Policy
-from repro.bgp.routes import Route
+from repro.bgp.routes import LocalRoute, Route
 from repro.bgp.simulator import BGPSimulator, ConvergenceError
 from repro.check.oracles import (
     OracleLPM,
@@ -647,9 +647,6 @@ def check_metamorphic(scenario: Scenario) -> List[Disagreement]:
 # BGP decision process fuzz
 # ---------------------------------------------------------------------------
 
-_PFX = Prefix.parse("203.0.113.0/24")
-
-
 def _random_routes(rng: random.Random) -> List[Route]:
     count = rng.randint(1, 8)
     # Small value pools force ties at every decision step; router ids
@@ -660,7 +657,6 @@ def _random_routes(rng: random.Random) -> List[Route]:
         path_len = rng.randint(1, 4)
         routes.append(
             Route(
-                prefix=_PFX,
                 as_path=ASPathAttribute.from_sequence(
                     rng.sample(range(64500, 64600), k=path_len)
                 ),
@@ -822,10 +818,11 @@ _WITHDRAW_PFX = Prefix.parse("100.64.0.0/24")
 def _rib_state(simulator: BGPSimulator, prefix: Prefix) -> Dict[int, Tuple]:
     """Every speaker's tables for ``prefix``, with ages by order only.
 
-    Per speaker: the Adj-RIB-In (plus any local route) by neighbor, the
-    neighbors in age order, the Loc-RIB route, the decision step and
-    the advertised exports.  The reset keeps the clock while
-    event-driven delivery advances it, so only relative ages compare.
+    Per speaker: the local origination, the Adj-RIB-In (plus any local
+    route) by neighbor, the neighbors in age order, the Loc-RIB route,
+    the decision step and the advertised exports.  The reset keeps the
+    clock while event-driven delivery advances it, and a copied state
+    keeps the ages it was installed with, so only relative ages compare.
     """
     state = {}
     for asn, speaker in simulator.speakers.items():
@@ -833,6 +830,7 @@ def _rib_state(simulator: BGPSimulator, prefix: Prefix) -> Dict[int, Tuple]:
         best = speaker.best(prefix)
         by_age = sorted(routes, key=lambda route: (route.age, route.learned_from))
         state[asn] = (
+            speaker.origination(prefix),
             {route.learned_from: route.aged(0) for route in routes},
             [route.learned_from for route in by_age],
             None if best is None else best.aged(0),
@@ -1023,6 +1021,183 @@ def check_bgp_withdraw(
 
 
 # ---------------------------------------------------------------------------
+# BGP converged-state reuse: copied records vs event-by-event delivery
+# ---------------------------------------------------------------------------
+
+#: Campaign-style prefixes of one origin: a base, its equal-policy twin,
+#: then one each differing from the base in a single prefix input.
+_REUSE_BASE, _REUSE_TWIN, _REUSE_PREPEND, _REUSE_SELECTIVE, _REUSE_LOCAL_PREF = (
+    Prefix.parse(f"100.65.{index}.0/24") for index in range(5)
+)
+#: The prefix the discovery-style units re-announce.
+_REUSE_ACTIVE = Prefix.parse("100.66.0.0/24")
+_REUSE_PREFIXES = (
+    _REUSE_BASE,
+    _REUSE_TWIN,
+    _REUSE_PREPEND,
+    _REUSE_SELECTIVE,
+    _REUSE_LOCAL_PREF,
+    _REUSE_ACTIVE,
+)
+
+
+def _originate_checked(
+    seed: int,
+    simulator: BGPSimulator,
+    asn: int,
+    prefix: Prefix,
+    poisoned: FrozenSet[int],
+    label: str,
+    tally: Counter,
+) -> List[Disagreement]:
+    """Production ``originate``; when it copies a known state, a deep
+    copy delivers the origination by events and both must agree."""
+    _, _, node = simulator._lookup(
+        LocalRoute(prefix=prefix, origin_asn=asn, poisoned=poisoned)
+    )
+    if node is None or not node.reusable():
+        simulator.originate(asn, prefix, poisoned)
+        return []
+    twin = next(iter(node.holders), None)
+    tally["bgp-reuse copies"] += 1
+    tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
+    tally["bgp-reuse damped copies"] += bool(node.damped)
+    # The fork shares what an origination never mutates: the topology,
+    # the policies, and the immutable routes and exports.
+    shared: List[object] = [simulator.graph, *_REUSE_PREFIXES]
+    for speaker in simulator.speakers.values():
+        shared.extend((speaker.policy, speaker.neighbors, speaker._sessions))
+        for other in _REUSE_PREFIXES:
+            shared.extend(speaker.candidates(other))
+            shared.extend(speaker.advertised(other).values())
+    fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
+    warnings: List[Tuple] = []
+    fork_warnings: List[Tuple] = []
+    simulator.on_soft_limit = lambda *args: warnings.append(args)
+    fork.on_soft_limit = lambda *args: fork_warnings.append(args)
+    fork._originate_by_events(asn, prefix, poisoned)
+    simulator.originate(asn, prefix, poisoned)
+    tally["bgp-reuse soft limits replayed"] += len(warnings)
+    problems: List[Disagreement] = []
+    # The copied prefix, and the twin it was copied from (left as is).
+    for other in (prefix,) if twin is None else (prefix, twin):
+        detail = _diff_rib_states(
+            _rib_state(simulator, other), _rib_state(fork, other)
+        )
+        if detail is not None:
+            problems.append(
+                Disagreement("bgp-reuse", seed, f"{label}: {other} {detail}")
+            )
+    produced = (simulator.clock, simulator.epoch, simulator.damped_ases(), warnings)
+    expected = (fork.clock, fork.epoch, fork.damped_ases(), fork_warnings)
+    if produced != expected:
+        problems.append(
+            Disagreement(
+                "bgp-reuse",
+                seed,
+                f"{label}: clock, epoch, damping or soft-limit warnings "
+                f"{produced} vs event-driven {expected}",
+            )
+        )
+    return problems
+
+
+def check_bgp_reuse(seed: int, tally: Optional[Counter] = None) -> List[Disagreement]:
+    """Every converged-state copy vs event-by-event delivery.
+
+    Mirrors the study on the seed's scenario graph.  Campaign-style:
+    one origin announces a base prefix, its equal-policy twin, and three
+    prefixes that each differ from the base in one prefix input — a
+    prepend, the selective-export set, or one AS's local-preference
+    override on a route it holds.  Discovery-style: another origin's
+    prefix goes through a few units of reset, baseline and poison
+    rounds drawn from a small pool (so states recur and snapshots are
+    copied), each unit ending on a selective re-announcement; in some
+    units the first origin anycasts the prefix too, and sometimes
+    withdraws it again by events.  Every
+    origination that copies a state is compared with
+    :meth:`BGPSimulator._originate_by_events` on a deep copy
+    (:func:`_originate_checked`): every speaker's tables for the copied
+    prefix and for the twin it was copied from, ages by order, and the
+    clock, epoch, damped set and soft-limit warnings.  Every fourth
+    seed runs at ``flap_limit=2`` so damped states are copied too, and
+    a low soft limit makes copies replay the warning.
+    """
+    tally = Counter() if tally is None else tally
+    rng = random.Random(seed ^ 0x5E5)
+    graph = generate_scenario(seed).graph
+    asns = sorted(graph.asns())
+    policies = {asn: Policy(asn=asn) for asn in asns}
+    simulator = BGPSimulator(
+        graph,
+        policies=policies,
+        flap_limit=2 if seed % 4 == 0 else 60,
+        soft_limit_fraction=0.002,
+    )
+    multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
+    origin, active = rng.sample(multihomed, k=2)
+    neighbors = sorted(graph.neighbors(origin))
+    problems: List[Disagreement] = []
+
+    def originate(asn: int, prefix: Prefix, poisoned=frozenset(), label="") -> None:
+        problems.extend(
+            _originate_checked(
+                seed, simulator, asn, prefix, frozenset(poisoned),
+                label or f"AS{asn} {prefix}", tally,
+            )
+        )
+
+    try:
+        origin_policy = policies[origin]
+        origin_policy.export_prepend[(_REUSE_PREPEND, rng.choice(neighbors))] = 2
+        origin_policy.selective_export[_REUSE_SELECTIVE] = frozenset(
+            rng.sample(neighbors, k=len(neighbors) - 1)
+        )
+        originate(origin, _REUSE_BASE)
+        # Override the local preference of a route the base converged to.
+        holders = [
+            asn
+            for asn in asns
+            if asn != origin and simulator.best_route(asn, _REUSE_BASE)
+        ]
+        if holders:
+            holder = rng.choice(holders)
+            route = rng.choice(simulator.candidate_routes(holder, _REUSE_BASE))
+            override = (route.learned_from, _REUSE_LOCAL_PREF)
+            policies[holder].prefix_local_pref[override] = (
+                route.local_pref + rng.choice((-150, 150))
+            )
+        for prefix in _REUSE_PREFIXES[1:5]:
+            originate(origin, prefix)
+
+        others = [asn for asn in asns if asn != active]
+        pool = [frozenset(rng.sample(others, k=rng.randint(1, 2))) for _ in range(3)]
+        active_neighbors = sorted(graph.neighbors(active))
+        for unit in range(rng.randint(3, 5)):
+            simulator.withdraw(origin, _REUSE_ACTIVE)  # by events, if anycast
+            simulator.withdraw(active, _REUSE_ACTIVE)
+            originate(active, _REUSE_ACTIVE, label=f"unit {unit} baseline")
+            if rng.random() < 0.5:
+                originate(origin, _REUSE_ACTIVE, label=f"unit {unit} anycast")
+                if rng.random() < 0.5:
+                    # Delivered by events: the state becomes unknown.
+                    simulator.withdraw(origin, _REUSE_ACTIVE)
+            for round_no in range(rng.randint(1, 2)):
+                originate(
+                    active, _REUSE_ACTIVE, rng.choice(pool),
+                    label=f"unit {unit} poison round {round_no}",
+                )
+            policies[active].selective_export[_REUSE_ACTIVE] = frozenset(
+                rng.sample(active_neighbors, k=1)
+            )
+            originate(active, _REUSE_ACTIVE, label=f"unit {unit} selective")
+            del policies[active].selective_export[_REUSE_ACTIVE]
+    except ConvergenceError:
+        tally["bgp-reuse unconverged"] += 1
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Ledger resume vs fresh (heavy, opt-in)
 # ---------------------------------------------------------------------------
 
@@ -1142,6 +1317,7 @@ SEED_CHECKS = {
     "bgp-decision": check_bgp_decision,
     "lpm": check_lpm,
     "bgp-withdraw": check_bgp_withdraw,
+    "bgp-reuse": check_bgp_reuse,
 }
 
 #: Heavy scenario checks: known to the runner but excluded from the

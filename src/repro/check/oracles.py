@@ -526,23 +526,25 @@ _FULL_FEED = (Relationship.CUSTOMER, Relationship.SIBLING)
 def oracle_export(
     policy: Policy,
     neighbors: Dict[int, Relationship],
+    prefix: Prefix,
     best: Optional[Route],
     neighbor: int,
     poisoned: FrozenSet[int] = frozenset(),
 ) -> Optional[Tuple[ASPathAttribute, FrozenSet]]:
-    """What AS ``policy.asn`` tells ``neighbor`` about its Loc-RIB route.
+    """What AS ``policy.asn`` tells ``neighbor`` about its Loc-RIB route
+    toward ``prefix``.
 
     Returns the advertised ``(AS path, communities)``, or ``None`` when
     the neighbor hears nothing.  ``neighbors`` maps each neighbor to its
     relationship; ``poisoned`` is the poison set of the AS's own
     origination, when ``best`` is that origination.  Each attribute is
-    built from its definition, one neighbor at a time.
+    built from its definition, one neighbor at a time, reading the
+    policy's prefix-keyed fields directly.
     """
     if best is None:
         return None
     asn = policy.asn
     relationship = neighbors[neighbor]
-    prefix = best.prefix
     if best.learned_from == asn:
         # Our own prefix: selective announcement, poison set, prepends.
         allowed = policy.selective_export.get(prefix)

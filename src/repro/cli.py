@@ -74,7 +74,7 @@ import json
 import sys
 from typing import Dict, Optional
 
-from repro.core.pipeline import Study, StudyConfig, StudyResults
+from repro.core.pipeline import Study, StudyConfig, StudyResults, build_study_config
 from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
 from repro.topogen.inference import infer_topology
@@ -109,8 +109,6 @@ def _run_study(
     durability: Optional[str] = None,
 ) -> StudyResults:
     """Build and run a study from CLI-shaped arguments."""
-    from repro.serve.protocol import build_study_config
-
     config = build_study_config(seed=seed, scale="small" if small else "full")
     if fault_plan is not None:
         from repro.faults import FaultPlan

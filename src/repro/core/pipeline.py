@@ -72,7 +72,7 @@ from repro.obs.context import get_obs
 from repro.obs.manifest import RunManifest, _primitive, build_manifest, peak_rss_mb
 from repro.obs.trace import Tracer
 from repro.peering.testbed import PeeringTestbed
-from repro.topogen.config import TopologyConfig
+from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
 from repro.topogen.inference import InferenceConfig, inferred_snapshots
 from repro.topogen.internet import Internet
@@ -170,6 +170,32 @@ _PERSISTENCE_FIELDS = frozenset(
         "durability",
     }
 )
+
+
+#: The study scales :func:`build_study_config` knows.
+SCALES: Tuple[str, ...] = ("small", "full")
+
+
+def build_study_config(seed: int = 0, scale: str = "small") -> StudyConfig:
+    """The canonical study configuration for one (seed, scale).
+
+    This is the one place the quick-scale parameter block lives:
+    ``repro study --small``, :func:`repro.experiments.scenario.quick_study`
+    and every daemon study worker call through here, so they cannot
+    drift apart.
+    """
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r} (expected one of {SCALES})")
+    if scale == "small":
+        return StudyConfig(
+            topology=small_config(),
+            seed=seed,
+            num_probes=400,
+            probes_per_continent=25,
+            active_vp_budget=40,
+            max_discovery_targets=20,
+        )
+    return StudyConfig(seed=seed)
 
 
 def study_fingerprint(config: StudyConfig) -> str:

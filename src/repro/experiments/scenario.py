@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.pipeline import Study, StudyConfig, StudyResults
+from repro.core.pipeline import Study, StudyConfig, StudyResults, build_study_config
 
 #: The seed every reported experiment uses.
 DEFAULT_SEED = 0
@@ -25,11 +25,9 @@ def default_study(seed: int = DEFAULT_SEED) -> StudyResults:
 def quick_study(seed: int = DEFAULT_SEED) -> StudyResults:
     """A small scenario for fast tests (seconds, not half a minute).
 
-    Delegates to :func:`repro.serve.protocol.build_study_config` so the
+    Delegates to :func:`repro.core.pipeline.build_study_config` so the
     quick parameter block has exactly one home — the CLI, the serve
     daemon and this helper cannot drift apart.
     """
-    from repro.serve.protocol import build_study_config
-
     config = build_study_config(seed=seed, scale="small")
     return Study(config).run()

@@ -455,6 +455,12 @@ def discover_alternate_routes(
     AS without loop prevention, Section 4.4); it ends censored with
     reason ``poison-ineffective`` rather than re-announcing the same
     poison set until ``max_rounds``.
+
+    Each target runs in a ``discovery_target`` span whose attributes
+    give its rounds, its status and how many of its convergences the
+    simulator copied from a known state (``reused``): every target
+    re-announces the same baseline, and targets with one next hop
+    share their first poison round.
     """
     prefix = prefix or testbed.prefixes[0]
     supervisor = supervisor or ActiveSupervisor()
@@ -487,115 +493,124 @@ def discover_alternate_routes(
                     )
                     continue
 
-                observation = AlternateRouteObservation(target=target)
-                watchdog = Watchdog(supervisor.config.watchdog_budget)
-                status, reason = COMPLETED, None
-                baseline_ok = False
-                target_baseline: Set[Tuple[int, int]] = set()
-                target_links: Set[Tuple[int, int]] = set()
-                poisoned: Set[int] = set()
-                try:
-                    # Reset the prefix to a history-independent state.
-                    supervisor.withdraw(testbed, simulator, prefix)
-                    supervisor.announce(
-                        testbed,
-                        simulator,
-                        prefix,
-                        key=(DISCOVERY_UNIT, target, "baseline"),
-                        watchdog=watchdog,
-                    )
-                    baseline_ok = True
-                    announcement_configs.add(frozenset())
-                    target_baseline = _monitored_links(
-                        simulator, prefix, monitors + [target]
-                    )
-                    for round_no in range(max_rounds):
-                        route = simulator.best_route(target, prefix)
-                        if route is None or route.learned_from == target:
-                            break
-                        next_hop = route.learned_from
-                        if next_hop in poisoned:
-                            # The poison did not take: the next hop
-                            # ignores it (Section 4.4).  Re-announcing
-                            # the same set would only repeat this route.
-                            status, reason = CENSORED, "poison-ineffective"
-                            break
-                        observation.routes.append(
-                            RouteView(
-                                next_hop=next_hop, path=route.as_path.sequence()
-                            )
-                        )
-                        if next_hop == testbed.asn:
-                            break
-                        poisoned.add(next_hop)
-                        config = frozenset(poisoned)
+                with span("discovery_target", target=target) as target_span:
+                    reused_before = simulator.reused
+                    observation = AlternateRouteObservation(target=target)
+                    watchdog = Watchdog(supervisor.config.watchdog_budget)
+                    status, reason = COMPLETED, None
+                    baseline_ok = False
+                    target_baseline: Set[Tuple[int, int]] = set()
+                    target_links: Set[Tuple[int, int]] = set()
+                    poisoned: Set[int] = set()
+                    try:
+                        # Reset the prefix to a history-independent state.
+                        supervisor.withdraw(testbed, simulator, prefix)
                         supervisor.announce(
                             testbed,
                             simulator,
                             prefix,
-                            poisoned=poisoned,
-                            key=(DISCOVERY_UNIT, target, round_no),
+                            key=(DISCOVERY_UNIT, target, "baseline"),
                             watchdog=watchdog,
                         )
-                        observation.poison_rounds.append(config)
-                        announcement_configs.add(config)
-                        target_links.update(
-                            _monitored_links(
-                                simulator, prefix, monitors + [target]
-                            )
+                        baseline_ok = True
+                        announcement_configs.add(frozenset())
+                        target_baseline = _monitored_links(
+                            simulator, prefix, monitors + [target]
                         )
-                except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
-                    # The control plane refused to go deeper; what was
-                    # discovered so far is a valid partial order.
-                    status, reason = CENSORED, error.reason
-                except BreakerOpen as error:
-                    status, reason = QUARANTINED, error.reason
-                except ConvergenceError:
-                    # The epoch never converged: the observed routes for
-                    # this target may reflect a half-propagated network.
-                    report.convergence_failures += 1
-                    status, reason = QUARANTINED, "convergence-error"
-                    simulator.discard_pending()
+                        for round_no in range(max_rounds):
+                            route = simulator.best_route(target, prefix)
+                            if route is None or route.learned_from == target:
+                                break
+                            next_hop = route.learned_from
+                            if next_hop in poisoned:
+                                # The poison did not take: the next hop
+                                # ignores it (Section 4.4).  Re-announcing
+                                # the same set would only repeat this route.
+                                status, reason = CENSORED, "poison-ineffective"
+                                break
+                            observation.routes.append(
+                                RouteView(
+                                    next_hop=next_hop, path=route.as_path.sequence()
+                                )
+                            )
+                            if next_hop == testbed.asn:
+                                break
+                            poisoned.add(next_hop)
+                            config = frozenset(poisoned)
+                            supervisor.announce(
+                                testbed,
+                                simulator,
+                                prefix,
+                                poisoned=poisoned,
+                                key=(DISCOVERY_UNIT, target, round_no),
+                                watchdog=watchdog,
+                            )
+                            observation.poison_rounds.append(config)
+                            announcement_configs.add(config)
+                            target_links.update(
+                                _monitored_links(
+                                    simulator, prefix, monitors + [target]
+                                )
+                            )
+                    except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
+                        # The control plane refused to go deeper; what was
+                        # discovered so far is a valid partial order.
+                        status, reason = CENSORED, error.reason
+                    except BreakerOpen as error:
+                        status, reason = QUARANTINED, error.reason
+                    except ConvergenceError:
+                        # The epoch never converged: the observed routes for
+                        # this target may reflect a half-propagated network.
+                        report.convergence_failures += 1
+                        status, reason = QUARANTINED, "convergence-error"
+                        simulator.discard_pending()
 
-                dispositions[target] = status
-                publish(
-                    CATEGORY_ACTIVE,
-                    "discovery_target",
-                    target=target,
-                    status=status,
-                    reason=reason,
-                )
-                if status == QUARANTINED:
-                    report.record_quarantined(reason)
-                elif status == CENSORED:
-                    observation.censored = True
-                    observation.censor_reason = reason
-                    observations.append(observation)
-                    report.record_censored(reason)
-                else:
-                    observations.append(observation)
-                    report.record_completed()
-                baseline_links.update(target_baseline)
-                observed_links.update(target_links)
-                poisoned_links.update(target_links)
-                supervisor.finalize(
-                    DISCOVERY_UNIT,
-                    target,
-                    {
-                        "status": status,
-                        "reason": reason,
-                        "baseline_ok": baseline_ok,
-                        "routes": [
-                            _route_view_to_json(view)
-                            for view in observation.routes
-                        ],
-                        "poison_rounds": [
-                            sorted(poison) for poison in observation.poison_rounds
-                        ],
-                        "baseline_links": _links_to_json(target_baseline),
-                        "round_links": _links_to_json(target_links),
-                    },
-                )
+                    dispositions[target] = status
+                    if target_span is not None:
+                        target_span.attrs.update(
+                            rounds=len(observation.poison_rounds),
+                            status=status,
+                            reused=simulator.reused - reused_before,
+                        )
+                    publish(
+                        CATEGORY_ACTIVE,
+                        "discovery_target",
+                        target=target,
+                        status=status,
+                        reason=reason,
+                    )
+                    if status == QUARANTINED:
+                        report.record_quarantined(reason)
+                    elif status == CENSORED:
+                        observation.censored = True
+                        observation.censor_reason = reason
+                        observations.append(observation)
+                        report.record_censored(reason)
+                    else:
+                        observations.append(observation)
+                        report.record_completed()
+                    baseline_links.update(target_baseline)
+                    observed_links.update(target_links)
+                    poisoned_links.update(target_links)
+                    supervisor.finalize(
+                        DISCOVERY_UNIT,
+                        target,
+                        {
+                            "status": status,
+                            "reason": reason,
+                            "baseline_ok": baseline_ok,
+                            "routes": [
+                                _route_view_to_json(view)
+                                for view in observation.routes
+                            ],
+                            "poison_rounds": [
+                                sorted(poison)
+                                for poison in observation.poison_rounds
+                            ],
+                            "baseline_links": _links_to_json(target_baseline),
+                            "round_links": _links_to_json(target_links),
+                        },
+                    )
         finally:
             # No escape — fault, kill drill, KeyboardInterrupt — leaves
             # the testbed announcing a poisoned prefix.
@@ -772,7 +787,8 @@ def run_magnet_experiments(
     origin — so no route survives from an earlier round and journaled
     rounds can be skipped on resume without perturbing the rest.  The
     reset never moves the simulator clock back, so magnet routes stay
-    older than anycast routes, as the age tie-breaker expects.
+    older than anycast routes, as the age tie-breaker expects.  Each
+    round runs in a ``magnet_round`` span (mux, status, ``reused``).
     """
     prefix = prefix or testbed.prefixes[-1]
     supervisor = supervisor or ActiveSupervisor()
@@ -802,99 +818,105 @@ def run_magnet_experiments(
                             report.record_magnet_completed()
                     continue
 
-                watchdog = Watchdog(supervisor.config.watchdog_budget)
-                status, reason = COMPLETED, None
-                observation: Optional[MagnetObservation] = None
-                try:
-                    supervisor.withdraw(testbed, simulator, prefix)
-                    supervisor.announce(
-                        testbed,
-                        simulator,
-                        prefix,
-                        muxes=[mux.host_asn],
-                        key=(MAGNET_UNIT, mux.host_asn, "magnet"),
-                        watchdog=watchdog,
-                    )
-                    magnet_routes = _route_views(simulator, prefix)
-                    supervisor.announce(
-                        testbed,
-                        simulator,
-                        prefix,
-                        key=(MAGNET_UNIT, mux.host_asn, "anycast"),
-                        watchdog=watchdog,
-                    )
-                    feed_gap = supervisor.plan.fires(
-                        FaultSite.COLLECTOR_FEED_GAP, MAGNET_UNIT, mux.host_asn
-                    )
-                    if feed_gap:
-                        report.feed_gaps += 1
-                        status, reason = CENSORED, "feed-gap"
-                    else:
-                        feeds.record(simulator, [prefix])
-                    anycast_routes = _route_views(simulator, prefix)
-                    truth_steps = {
-                        asn: simulator.decision_step(asn, prefix)
-                        for asn in anycast_routes
-                        if simulator.decision_step(asn, prefix) is not None
-                    }
-                    feed_peers = {
-                        peer
-                        for collector in feeds.collectors
-                        for peer in collector.peer_asns
-                    }
-                    observation = MagnetObservation(
-                        magnet_mux=mux.host_asn,
-                        prefix=prefix,
-                        magnet_routes=magnet_routes,
-                        anycast_routes=anycast_routes,
-                        truth_decision_steps=truth_steps,
-                        feed_visible=(
-                            frozenset()
-                            if feed_gap
-                            else _path_visibility(simulator, prefix, feed_peers)
-                        ),
-                        vp_visible=_path_visibility(simulator, prefix, vp_asns),
-                        censored=feed_gap,
-                        censor_reason="feed-gap" if feed_gap else None,
-                    )
-                except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
-                    status, reason = QUARANTINED, error.reason
-                except BreakerOpen as error:
-                    status, reason = QUARANTINED, error.reason
-                except ConvergenceError:
-                    report.convergence_failures += 1
-                    status, reason = QUARANTINED, "convergence-error"
-                    simulator.discard_pending()
+                with span("magnet_round", mux=mux.host_asn) as round_span:
+                    reused_before = simulator.reused
+                    watchdog = Watchdog(supervisor.config.watchdog_budget)
+                    status, reason = COMPLETED, None
+                    observation: Optional[MagnetObservation] = None
+                    try:
+                        supervisor.withdraw(testbed, simulator, prefix)
+                        supervisor.announce(
+                            testbed,
+                            simulator,
+                            prefix,
+                            muxes=[mux.host_asn],
+                            key=(MAGNET_UNIT, mux.host_asn, "magnet"),
+                            watchdog=watchdog,
+                        )
+                        magnet_routes = _route_views(simulator, prefix)
+                        supervisor.announce(
+                            testbed,
+                            simulator,
+                            prefix,
+                            key=(MAGNET_UNIT, mux.host_asn, "anycast"),
+                            watchdog=watchdog,
+                        )
+                        feed_gap = supervisor.plan.fires(
+                            FaultSite.COLLECTOR_FEED_GAP, MAGNET_UNIT, mux.host_asn
+                        )
+                        if feed_gap:
+                            report.feed_gaps += 1
+                            status, reason = CENSORED, "feed-gap"
+                        else:
+                            feeds.record(simulator, [prefix])
+                        anycast_routes = _route_views(simulator, prefix)
+                        truth_steps = {
+                            asn: simulator.decision_step(asn, prefix)
+                            for asn in anycast_routes
+                            if simulator.decision_step(asn, prefix) is not None
+                        }
+                        feed_peers = {
+                            peer
+                            for collector in feeds.collectors
+                            for peer in collector.peer_asns
+                        }
+                        observation = MagnetObservation(
+                            magnet_mux=mux.host_asn,
+                            prefix=prefix,
+                            magnet_routes=magnet_routes,
+                            anycast_routes=anycast_routes,
+                            truth_decision_steps=truth_steps,
+                            feed_visible=(
+                                frozenset()
+                                if feed_gap
+                                else _path_visibility(simulator, prefix, feed_peers)
+                            ),
+                            vp_visible=_path_visibility(simulator, prefix, vp_asns),
+                            censored=feed_gap,
+                            censor_reason="feed-gap" if feed_gap else None,
+                        )
+                    except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
+                        status, reason = QUARANTINED, error.reason
+                    except BreakerOpen as error:
+                        status, reason = QUARANTINED, error.reason
+                    except ConvergenceError:
+                        report.convergence_failures += 1
+                        status, reason = QUARANTINED, "convergence-error"
+                        simulator.discard_pending()
 
-                publish(
-                    CATEGORY_ACTIVE,
-                    "magnet_round",
-                    mux=mux.host_asn,
-                    status=status,
-                    reason=reason,
-                )
-                if status == QUARANTINED:
-                    report.record_magnet_quarantined(reason)
-                else:
-                    assert observation is not None
-                    observations.append(observation)
-                    if status == CENSORED:
-                        report.record_magnet_censored(reason)
+                    if round_span is not None:
+                        round_span.attrs.update(
+                            status=status, reused=simulator.reused - reused_before
+                        )
+                    publish(
+                        CATEGORY_ACTIVE,
+                        "magnet_round",
+                        mux=mux.host_asn,
+                        status=status,
+                        reason=reason,
+                    )
+                    if status == QUARANTINED:
+                        report.record_magnet_quarantined(reason)
                     else:
-                        report.record_magnet_completed()
-                supervisor.finalize(
-                    MAGNET_UNIT,
-                    mux.host_asn,
-                    {
-                        "status": status,
-                        "reason": reason,
-                        "observation": (
-                            None
-                            if observation is None
-                            else _magnet_observation_to_json(observation)
-                        ),
-                    },
-                )
+                        assert observation is not None
+                        observations.append(observation)
+                        if status == CENSORED:
+                            report.record_magnet_censored(reason)
+                        else:
+                            report.record_magnet_completed()
+                    supervisor.finalize(
+                        MAGNET_UNIT,
+                        mux.host_asn,
+                        {
+                            "status": status,
+                            "reason": reason,
+                            "observation": (
+                                None
+                                if observation is None
+                                else _magnet_observation_to_json(observation)
+                            ),
+                        },
+                    )
         finally:
             simulator.discard_pending()
             try:

@@ -10,9 +10,11 @@ one-shot CLI rebuilds from scratch on every invocation:
   memoized study snapshots, shared across tenants.
 * :mod:`repro.serve.tenants` — per-tenant admission budgets built on
   :class:`repro.atlas.budget.CreditLedger`.
-* :mod:`repro.serve.protocol` — request parsing/validation and the
-  one :func:`build_study_config` both the daemon and the CLI use, so
-  a daemon-submitted study is byte-identical to ``repro study``.
+* :mod:`repro.serve.protocol` — request parsing/validation, and
+  :func:`~repro.core.pipeline.build_study_config` (the one config
+  constructor the daemon and the CLI both use, so a daemon-submitted
+  study is byte-identical to ``repro study``) with an unknown scale
+  rejected as a protocol error.
 * :mod:`repro.serve.daemon` — the asyncio HTTP server: bounded
   admission queue (429 + ``Retry-After``), NDJSON progress streaming,
   ``/metrics`` (Prometheus) and ``/healthz``, graceful SIGTERM drain.

@@ -31,8 +31,7 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.gao_rexford import GaoRexfordEngine
-from repro.core.pipeline import Study, StudyResults
-from repro.serve.protocol import build_study_config
+from repro.core.pipeline import Study, StudyResults, build_study_config
 
 #: Bound on retained StudyResults (snapshot strings are tiny and kept
 #: unbounded; full results hold the world and are the heavy part).

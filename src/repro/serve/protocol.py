@@ -3,10 +3,10 @@
 The daemon speaks newline-free JSON request bodies over HTTP POST and
 answers either one JSON document or a chunked NDJSON stream (progress
 events, then the result).  Everything the daemon and the CLI must
-agree on byte-for-byte lives here — most importantly
-:func:`build_study_config`, the **single** constructor of study
-configurations used by ``repro study``, ``repro query`` and the daemon
-workers, so a daemon-submitted study cannot drift from the CLI path.
+agree on byte-for-byte lives here.  Study configurations come from
+:func:`repro.core.pipeline.build_study_config`, the **single**
+constructor ``repro study``, ``repro query`` and the daemon workers
+share, so a daemon-submitted study cannot drift from the CLI path.
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.pipeline import StudyConfig
-from repro.topogen.config import small_config
+from repro.core import pipeline
+from repro.core.pipeline import SCALES, StudyConfig
 
 #: Bumped when the request/response shape changes incompatibly.
 PROTOCOL_VERSION = 1
 
 #: The workloads a daemon accepts, in documentation order.
 WORKLOADS: Tuple[str, ...] = ("study", "classify", "check", "bench")
-
-#: Study scales a request may name.
-SCALES: Tuple[str, ...] = ("small", "full")
 
 #: Event category for the daemon's own lifecycle events.
 CATEGORY_SERVE = "serve"
@@ -65,26 +62,12 @@ class ServeRequest:
 
 
 def build_study_config(seed: int = 0, scale: str = "small") -> StudyConfig:
-    """The canonical study configuration for one (seed, scale).
-
-    This is the one place the quick-scale parameter block lives:
-    ``repro study --small``, :func:`repro.experiments.scenario.quick_study`
-    and every daemon study worker call through here, which is what makes
-    the daemon-vs-CLI byte-identity differential meaningful rather than
-    a coincidence of copy-pasted numbers.
-    """
-    if scale not in SCALES:
-        raise ProtocolError(f"unknown scale {scale!r} (expected one of {SCALES})")
-    if scale == "small":
-        return StudyConfig(
-            topology=small_config(),
-            seed=seed,
-            num_probes=400,
-            probes_per_continent=25,
-            active_vp_budget=40,
-            max_discovery_targets=20,
-        )
-    return StudyConfig(seed=seed)
+    """:func:`repro.core.pipeline.build_study_config`, with an unknown
+    scale a :class:`ProtocolError` (HTTP 400)."""
+    try:
+        return pipeline.build_study_config(seed, scale)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
 
 
 def _require_int(value: object, name: str, minimum: int, maximum: int) -> int:

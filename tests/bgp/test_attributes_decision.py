@@ -12,7 +12,6 @@ PFX = Prefix.parse("198.51.100.0/24")
 
 def _route(lp=100, path=(1, 2), igp=0, age=0, rid=1, rel=Relationship.PROVIDER):
     return Route(
-        prefix=PFX,
         as_path=ASPathAttribute.from_sequence(path),
         learned_from=path[0],
         relationship=rel,

@@ -1,7 +1,9 @@
 """Tests for per-AS routing policy."""
 
+from dataclasses import fields
+
 from repro.bgp import ASPathAttribute, Policy, Route
-from repro.bgp.policy import DEFAULT_LOCAL_PREF, DOMESTIC_BONUS
+from repro.bgp.policy import DEFAULT_LOCAL_PREF, DOMESTIC_BONUS, NO_PREFIX_INPUTS
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
@@ -10,7 +12,6 @@ PFX = Prefix.parse("198.51.100.0/24")
 
 def _route(learned_from, rel, path):
     return Route(
-        prefix=PFX,
         as_path=ASPathAttribute.from_sequence(path),
         learned_from=learned_from,
         relationship=rel,
@@ -123,3 +124,44 @@ class TestExportPolicy:
         assert not policy.exports_origin_prefix(PFX, 3)
         other = Prefix.parse("203.0.113.0/24")
         assert policy.exports_origin_prefix(other, 3)
+
+
+#: One sample entry per prefix-keyed ``Policy`` field, all about ``PFX``.
+PREFIX_KEYED_SAMPLES = {
+    "prefix_local_pref": {(2, PFX): 250},
+    "selective_export": {PFX: frozenset({1, 2})},
+    "export_prepend": {(PFX, 2): 2},
+}
+
+
+class TestPrefixInputs:
+    def test_every_prefix_keyed_field_is_covered(self):
+        """A new ``Policy`` field keyed by ``Prefix`` must be read by
+        ``prefix_inputs``: converged states are keyed on the inputs, so
+        a field they missed would let unequal prefixes share a state."""
+        keyed = {f.name for f in fields(Policy) if "Prefix" in str(f.type)}
+        assert keyed == set(PREFIX_KEYED_SAMPLES)
+        other = Prefix.parse("203.0.113.0/24")
+        for name, sample in PREFIX_KEYED_SAMPLES.items():
+            policy = Policy(asn=10, **{name: dict(sample)})
+            assert policy.prefix_inputs(PFX) != NO_PREFIX_INPUTS, name
+            assert policy.prefix_inputs(other) == NO_PREFIX_INPUTS, name
+
+    def test_inputs_are_prefix_free_and_order_independent(self):
+        other = Prefix.parse("203.0.113.0/24")
+        policy = Policy(
+            asn=10,
+            prefix_local_pref={
+                (3, PFX): 80,
+                (2, PFX): 250,
+                (2, other): 250,
+                (3, other): 80,
+            },
+            export_prepend={(PFX, 2): 1, (other, 2): 1},
+        )
+        assert policy.prefix_inputs(PFX) == policy.prefix_inputs(other)
+        inputs = policy.prefix_inputs(PFX)
+        assert inputs.local_pref == ((2, 250), (3, 80))
+        assert inputs.local_pref_from(3) == 80 and inputs.local_pref_from(4) is None
+        assert inputs.prepends_to(2) == 1 and inputs.prepends_to(3) == 0
+        assert inputs.exports_to(7)

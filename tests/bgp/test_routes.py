@@ -13,7 +13,6 @@ PFX = Prefix.parse("198.51.100.0/24")
 class TestRoute:
     def test_effective_class_defaults_to_relationship(self):
         route = Route(
-            prefix=PFX,
             as_path=ASPathAttribute.from_sequence([2, 9]),
             learned_from=2,
             relationship=Relationship.PEER,
@@ -26,7 +25,6 @@ class TestRoute:
 
     def test_explicit_export_class_wins(self):
         route = Route(
-            prefix=PFX,
             as_path=ASPathAttribute.from_sequence([2, 9]),
             learned_from=2,
             relationship=Relationship.SIBLING,
@@ -37,7 +35,6 @@ class TestRoute:
 
     def test_aged_copy(self):
         route = Route(
-            prefix=PFX,
             as_path=ASPathAttribute.origin(9),
             learned_from=9,
             relationship=Relationship.CUSTOMER,
@@ -50,14 +47,13 @@ class TestRoute:
 
     def test_str_contains_key_facts(self):
         route = Route(
-            prefix=PFX,
             as_path=ASPathAttribute.from_sequence([2, 9]),
             learned_from=2,
             relationship=Relationship.PEER,
             local_pref=200,
         )
         text = str(route)
-        assert "AS2" in text and "peer" in text and str(PFX) in text
+        assert "AS2" in text and "peer" in text and "lp=200" in text
 
 
 class TestLocalRoute:

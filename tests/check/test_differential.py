@@ -8,16 +8,19 @@ The mutation tests at the bottom prove the checks are not vacuous: an
 injected bug in the optimized path must surface as a disagreement.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from repro.bgp.decision import best_route
+from repro.bgp.policy import NO_PREFIX_INPUTS
 from repro.bgp.simulator import BGPSimulator
-from repro.bgp.speaker import BGPSpeaker
+from repro.bgp.speaker import BGPSpeaker, _PrefixState
 from repro.check import (
     ALL_CHECKS,
     check_bgp_decision,
+    check_bgp_reuse,
     check_bgp_withdraw,
     check_gr_trees,
     check_labels,
@@ -141,6 +144,37 @@ class TestWithdrawCheckCoverage:
         assert tally["bgp-withdraw resets"] > tally["bgp-withdraw fork left routes"]
 
 
+class TestReuseCheckCoverage:
+    def test_twins_snapshots_damping_and_soft_limits_are_exercised(self):
+        """Seeds divisible by four run at flap_limit=2."""
+        tally = Counter()
+        for seed in range(0, 40, 4):
+            assert check_bgp_reuse(seed, tally=tally) == []
+        assert tally["bgp-reuse copies from a twin"] > 0
+        assert tally["bgp-reuse copies from a snapshot"] > 0
+        assert tally["bgp-reuse damped copies"] > 0
+        assert tally["bgp-reuse soft limits replayed"] > 0
+
+
+def _key_without(field: str, ases: int = 0):
+    """A reuse key that drops ``field`` from the prefix inputs (from the
+    first ``ases`` ASes that have one; 0: from all of them)."""
+    real = BGPSimulator._load_inputs
+    empty = getattr(NO_PREFIX_INPUTS, field)
+
+    def blind(self, prefix):
+        kept, dropped = [], 0
+        for asn, inputs in real(self, prefix):
+            if getattr(inputs, field) != empty and (not ases or dropped < ases):
+                inputs = dataclasses.replace(inputs, **{field: empty})
+                dropped += 1
+            if inputs != NO_PREFIX_INPUTS:
+                kept.append((asn, inputs))
+        return tuple(kept)
+
+    return blind
+
+
 class TestMutationsAreCaught:
     """Inject a bug into each optimized path; the checker must see it."""
 
@@ -212,6 +246,53 @@ class TestMutationsAreCaught:
         for seed in range(1, 4):
             problems.extend(check_bgp_withdraw(seed))
         assert any(p.check == "bgp-withdraw" for p in problems)
+
+    @pytest.mark.parametrize(
+        "field, ases",
+        [("prepends", 0), ("selective_export", 0), ("local_pref", 1)],
+        ids=["prepends", "selective-export", "one-AS-local-pref"],
+    )
+    def test_incomplete_reuse_key_flagged(self, monkeypatch, field, ases):
+        """A key blind to one prefix input copies a twin's state onto a
+        prefix that converges differently."""
+        monkeypatch.setattr(BGPSimulator, "_load_inputs", _key_without(field, ases))
+        problems = []
+        for seed in range(1, 4):
+            problems.extend(check_bgp_reuse(seed))
+        assert any(p.check == "bgp-reuse" for p in problems)
+
+    def test_state_kept_known_after_a_fallback_withdrawal_flagged(
+        self, monkeypatch
+    ):
+        """A withdrawal delivered by events must leave the state unknown;
+        one that keeps it lets later originations copy a stale state."""
+        real = BGPSimulator._withdraw_by_events
+
+        def keep_state(self, asn, prefix):
+            node = self._states.node(prefix)
+            real(self, asn, prefix)
+            if node is not None and node is not self._states.root:
+                self._states.arrive(prefix, node)
+
+        monkeypatch.setattr(BGPSimulator, "_withdraw_by_events", keep_state)
+        problems = []
+        for seed in range(1, 4):
+            problems.extend(check_bgp_reuse(seed))
+        assert any(p.check == "bgp-reuse" for p in problems)
+
+    def test_twin_copy_keeping_the_source_origination_flagged(self, monkeypatch):
+        real = _PrefixState.copy_for
+
+        def keep_local(self, prefix):
+            copied = real(self, prefix)
+            copied.local = self.local
+            return copied
+
+        monkeypatch.setattr(_PrefixState, "copy_for", keep_local)
+        problems = []
+        for seed in range(1, 4):
+            problems.extend(check_bgp_reuse(seed))
+        assert any(p.check == "bgp-reuse" for p in problems)
 
     def test_unexplained_leftovers_flagged(self, monkeypatch):
         """Without the damping excuse, frozen speakers' routes are

@@ -196,7 +196,6 @@ class TestOracleLabel:
 
 def _route(local_pref=100, path=(64501,), igp_cost=0, age=0, router_id=1):
     return Route(
-        prefix=PFX,
         as_path=ASPathAttribute.from_sequence(path),
         learned_from=path[0],
         relationship=Relationship.PEER,

@@ -6,12 +6,15 @@ and its route lengths must match the analytical engine — for *every*
 generated topology, not just the crafted ones.  With partial transit,
 selective export and prepending drawn on top, every speaker must have
 told each neighbor what the naive export rule derives from its route.
+Converged-state reuse (twins and snapshots) must leave every table
+where event-by-event delivery leaves it.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import BGPSimulator, Policy
+from repro.check.differential import _rib_state
 from repro.check.oracles import oracle_export
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
@@ -209,6 +212,7 @@ class TestSimulatorProperties:
                     export = oracle_export(
                         policies[asn],
                         neighbors,
+                        PFX,
                         speaker.best(PFX),
                         neighbor,
                         poisoned.get(asn, frozenset()),
@@ -216,3 +220,93 @@ class TestSimulatorProperties:
                     if export is not None:
                         expected[neighbor] = export
                 assert speaker.advertised(PFX) == expected, f"AS{asn} after {action}"
+
+
+REUSE_PREFIXES = [Prefix.parse(f"198.51.{index}.0/24") for index in range(3)]
+REUSE_STEPS = (
+    "originate",
+    "poison",
+    "selective",
+    "prepend",
+    "withdraw",
+    "second-origin",
+    "withdraw-second",
+)
+
+
+class TestConvergedStateReuse:
+    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @settings(max_examples=100, deadline=None)
+    def test_reuse_matches_event_delivery(self, graph, data, flap_limit):
+        """Production originations, which copy known converged states,
+        leave every speaker's tables for every prefix (ages by order),
+        the damped set, the clock and the epoch where event delivery
+        leaves them.  The main origin first announces all three
+        prefixes: two start with equal prefix inputs, the third with a
+        local-preference override.  Poison sets, selective-export sets
+        and prepends come from a pool of two, so histories recur."""
+        asns = sorted(graph.asns())
+        main, second = data.draw(
+            st.lists(st.sampled_from(asns), min_size=2, max_size=2, unique=True),
+            label="origins",
+        )
+        policies = {asn: Policy(asn=asn) for asn in asns}
+        overriding = data.draw(st.sampled_from(asns), label="override AS")
+        for neighbor in sorted(graph.neighbors(overriding))[:2]:
+            policies[overriding].prefix_local_pref[(neighbor, REUSE_PREFIXES[2])] = 350
+        pool = data.draw(
+            st.lists(
+                st.frozensets(st.sampled_from(asns), min_size=1, max_size=2),
+                min_size=2,
+                max_size=2,
+            ),
+            label="pool",
+        )
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(REUSE_STEPS),
+                    st.sampled_from(REUSE_PREFIXES),
+                    st.sampled_from([None, 0, 1]),
+                ),
+                min_size=1,
+                max_size=14,
+            ),
+            label="steps",
+        )
+        production = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        reference = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        origin_policy = policies[main]
+        neighbors = sorted(graph.neighbors(main))
+        prelude = [("originate", prefix, None) for prefix in REUSE_PREFIXES]
+        for action, prefix, choice in prelude + steps:
+            chosen = frozenset() if choice is None else pool[choice]
+            if action in ("withdraw", "withdraw-second"):
+                origin = main if action == "withdraw" else second
+                for sim in (production, reference):
+                    sim.withdraw(origin, prefix)
+            else:
+                origin = second if action == "second-origin" else main
+                if action == "selective":
+                    origin_policy.selective_export.pop(prefix, None)
+                    if choice is not None:
+                        origin_policy.selective_export[prefix] = frozenset(
+                            neighbors[choice:]
+                        )
+                elif action == "prepend":
+                    for neighbor in neighbors:
+                        origin_policy.export_prepend.pop((prefix, neighbor), None)
+                    for neighbor in neighbors[: 0 if choice is None else 1]:
+                        origin_policy.export_prepend[(prefix, neighbor)] = choice + 1
+                poisoned = chosen if action == "poison" else frozenset()
+                production.originate(origin, prefix, poisoned)
+                reference._originate_by_events(origin, prefix, poisoned)
+            for other in REUSE_PREFIXES:
+                assert _rib_state(production, other) == _rib_state(
+                    reference, other
+                ), f"{other} after {action} {prefix}"
+            assert production.damped_ases() == reference.damped_ases()
+            assert (production.clock, production.epoch) == (
+                reference.clock,
+                reference.epoch,
+            )

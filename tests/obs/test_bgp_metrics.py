@@ -8,7 +8,14 @@ import pytest
 from repro.bgp import BGPSimulator
 from repro.cli import main
 from repro.net.ip import Prefix
-from repro.obs import Observability, build_manifest, manifest, peak_rss_mb, using
+from repro.obs import (
+    CATEGORY_BGP,
+    Observability,
+    build_manifest,
+    manifest,
+    peak_rss_mb,
+    using,
+)
 from repro.topology import ASGraph, Relationship
 
 pytestmark = pytest.mark.obs
@@ -48,6 +55,49 @@ class TestConvergenceMetrics:
             simulator.withdraw(2, PFX)  # sole origin: direct reset
         assert obs.metrics.snapshot()["counters"] == {}
         assert obs.metrics.snapshot()["histograms"] == {}
+
+    def test_withdraw_by_a_non_origin_is_a_no_op(self):
+        """Nothing to withdraw and nothing in flight: no observation, no
+        epoch, and the prefix's converged state stays known."""
+        simulator = _anycast_simulator()
+        with using(Observability()) as obs:
+            simulator.withdraw(2, PFX)  # never announced
+        assert obs.metrics.snapshot()["histograms"] == {}
+        assert simulator.epoch == 0
+        simulator.originate(2, PFX)
+        before = (simulator.clock, simulator.epoch)
+        with using(Observability()) as obs:
+            simulator.withdraw(3, PFX)  # AS3 does not originate it
+        assert obs.metrics.snapshot()["histograms"] == {}
+        assert (simulator.clock, simulator.epoch) == before
+        assert simulator._states.node(PFX) is not None
+
+    def test_reuse_counted_apart_from_delivered_messages(self):
+        twin = Prefix.parse("198.51.101.0/24")
+        simulator = _anycast_simulator()
+        with using(Observability()) as obs:
+            simulator.originate(2, PFX)
+            delivered = simulator.clock
+            simulator.originate(2, twin)  # equal policy: copied
+        snapshot = obs.metrics.snapshot()
+        originate = 'kind="originate"'
+        reused = snapshot["counters"]["bgp_convergences_reused_total"]
+        assert reused["series"][originate] == 1
+        assert (
+            snapshot["counters"]["bgp_events_delivered_total"]["series"][originate]
+            == delivered
+        )
+        assert snapshot["histograms"]["bgp_convergence_events"]["series"][originate][
+            "count"
+        ] == 1
+        converged = [
+            event
+            for event in obs.events.of_category(CATEGORY_BGP)
+            if event.name == "converged"
+        ]
+        assert [event.attr("reused", False) for event in converged] == [False, True]
+        assert converged[1].attr("skipped") == delivered
+        assert simulator.clock == 2 * delivered
 
     def test_disabled_telemetry_registers_nothing(self):
         simulator = _anycast_simulator()
@@ -92,3 +142,13 @@ def test_report_prints_convergence_metrics_and_peak_rss(tmp_path, capsys):
     assert "peak_rss_mb: 42.5" in output
     assert 'bgp_events_delivered_total{kind="originate"}' in output
     assert 'bgp_convergence_events{kind="originate"}' in output
+
+
+def test_report_names_reused_convergences(tmp_path, capsys):
+    simulator = _anycast_simulator()
+    with using(Observability()) as obs:
+        simulator.originate(2, PFX)
+        simulator.originate(2, Prefix.parse("198.51.101.0/24"))
+    path = build_manifest(obs).save(str(tmp_path / "run.json"))
+    assert main(["obs", "report", path]) == 0
+    assert 'bgp_convergences_reused_total{kind="originate"}' in capsys.readouterr().out

@@ -78,6 +78,31 @@ class TestManifestProduction:
         assert delivered["series"][originate] > 0
         assert runs["series"][originate]["count"] > 0
 
+    def test_spans_per_discovery_target_and_magnet_round(self, obs_study):
+        """Each unit of the active phase is a span that says how many of
+        its convergences were copied from a known converged state."""
+        spans, stack = {}, list(obs_study.manifest.spans)
+        while stack:
+            span = stack.pop()
+            spans.setdefault(span["name"], []).append(span)
+            stack.extend(span.get("children", []))
+        (discovery,) = spans["discovery"]
+        targets = [c for c in discovery["children"] if c["name"] == "discovery_target"]
+        assert [t["attrs"]["target"] for t in targets] == sorted(
+            obs_study.discovery.dispositions
+        )
+        for target in targets:
+            attrs = target["attrs"]
+            assert attrs["status"] == obs_study.discovery.dispositions[attrs["target"]]
+            assert attrs["rounds"] >= 0
+        (magnet,) = spans["magnet_rounds"]
+        rounds = [c for c in magnet["children"] if c["name"] == "magnet_round"]
+        assert len(rounds) == len(obs_study.magnet_observations)
+        reused = sum(s["attrs"]["reused"] for s in targets + rounds)
+        counters = obs_study.manifest.metrics["counters"]
+        copied = counters["bgp_convergences_reused_total"]["series"]
+        assert 0 < reused <= copied['kind="originate"']
+
     def test_no_manifest_when_disabled(self, study):
         assert study.manifest is None
         # ... but stage timings are recorded regardless.
