@@ -1,10 +1,9 @@
 """Classification throughput: batched + precomputed vs per-decision.
 
 Reports decisions/second for a single layer (Simple, All-2) and for
-the full seven-layer Figure-1 pass, asserts the batched path is no
-slower anywhere and at least 2x faster on the seven-layer pass, and
-records the seven-layer measurement in ``BENCH_pipeline.json`` via the
-same helpers the ``python -m repro.perf.bench`` CLI uses.
+the full seven-layer Figure-1 pass, and asserts the batched path is no
+slower anywhere and at least 2x faster on the seven-layer pass.  The
+seven-layer legs come from :mod:`seven_layer`.
 """
 
 import time
@@ -16,16 +15,12 @@ from repro.core.classification import (
     classify_decisions_serial,
 )
 from repro.core.pipeline import FIGURE1_LAYERS
-from repro.perf.bench import (
-    _fresh_engines,
-    _layer_configs,
-    run_benchmark,
-    write_bench_file,
-)
+from repro.perf.parallel import ParallelClassifier
+from seven_layer import compare_seven_layers, layer_configs
 
 pytestmark = pytest.mark.bench
 
-#: Best-of repetitions for the hand-rolled single-layer timings.
+#: Best-of repetitions for every timing in this file.
 REPEATS = 3
 
 
@@ -43,8 +38,7 @@ def _single_layer_times(study, layer_name):
     """(serial_seconds, batched_seconds) for one layer, cold engines."""
 
     def serial():
-        engine_simple, engine_complex = _fresh_engines(study, canonical_keys=False)
-        layer = _layer_configs(study, engine_simple, engine_complex)[layer_name]
+        layer = layer_configs(study, canonical_keys=False)[layer_name]
         return classify_decisions_serial(
             study.decisions,
             layer.engine,
@@ -54,8 +48,7 @@ def _single_layer_times(study, layer_name):
         )
 
     def batched():
-        engine_simple, engine_complex = _fresh_engines(study, canonical_keys=True)
-        layer = _layer_configs(study, engine_simple, engine_complex)[layer_name]
+        layer = layer_configs(study, canonical_keys=True)[layer_name]
         return classify_decisions(
             study.decisions,
             layer.engine,
@@ -84,33 +77,31 @@ def test_single_layer_batched_not_slower(study, layer_name):
     assert batched_s <= serial_s * 1.05
 
 
-def test_seven_layer_speedup_and_trajectory(study):
-    payload = run_benchmark(study, repeats=REPEATS)
-    cls = payload["classification"]
+def test_seven_layer_speedup(study):
+    comparison = compare_seven_layers(study, repeats=REPEATS)
+    graded = len(study.decisions) * len(FIGURE1_LAYERS)
     print()
     print(
-        f"seven layers: serial {cls['serial_seconds']:.3f}s, "
-        f"batched {cls['batched_seconds']:.3f}s -> {cls['speedup']:.2f}x "
-        f"({cls['batched_decisions_per_second']:,.0f} decisions/s, "
-        f"trees computed={cls['trees_computed']}, reused={cls['trees_reused']})"
+        f"seven layers: serial {comparison.serial_s:.3f}s, "
+        f"batched {comparison.batched_s:.3f}s -> {comparison.speedup:.2f}x "
+        f"({graded / comparison.batched_s:,.0f} decisions/s, "
+        f"trees computed={comparison.report.trees_computed}, "
+        f"reused={comparison.report.trees_reused})"
     )
-    assert cls["results_identical"], "batched classification diverged from serial"
-    assert set(cls["layers"]) == set(FIGURE1_LAYERS)
-    assert cls["speedup"] >= 2.0, (
-        f"batched seven-layer classification only {cls['speedup']:.2f}x faster"
+    assert set(comparison.batched) == set(FIGURE1_LAYERS)
+    assert comparison.batched == comparison.serial, (
+        "batched classification diverged from serial"
     )
-    path = write_bench_file(payload)
-    print(f"wrote {path}")
+    assert comparison.speedup >= 2.0, (
+        f"batched seven-layer classification only {comparison.speedup:.2f}x faster"
+    )
 
 
 def test_throughput_benchmark_harness(benchmark, study):
     """pytest-benchmark timing for the batched seven-layer pass."""
 
     def batched_pass():
-        engine_simple, engine_complex = _fresh_engines(study, canonical_keys=True)
-        layers = _layer_configs(study, engine_simple, engine_complex)
-        from repro.perf.parallel import ParallelClassifier
-
+        layers = layer_configs(study, canonical_keys=True)
         return ParallelClassifier().classify_layers(study.decisions, layers)
 
     figure1 = benchmark(batched_pass)

@@ -39,10 +39,9 @@ class CreditLedger:
     def __post_init__(self) -> None:
         if self.daily_budget < 0:
             raise ValueError("budget must be non-negative")
-        # charge() is check-then-act; concurrent spenders (the serve
-        # daemon charges one ledger per tenant from many request
-        # threads) must not be able to overdraw between the check and
-        # the debit.
+        # charge() is check-then-act; the lock makes the check and the
+        # debit one step, so no interleaving of charges can overdraw
+        # the ledger.
         self._lock = threading.Lock()
 
     def __getstate__(self) -> Dict:

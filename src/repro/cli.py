@@ -24,7 +24,8 @@ Usage::
         run.  Persisting changes only how a study runs, never what it
         computes: a plain study and a --run-dir study print the same
         results.  --durability picks the fsync policy run-directory
-        writes use (see DESIGN.md §12).
+        writes use (see DESIGN.md §12); like --resume, it requires
+        --run-dir.
 
     repro temporal [--seed N] [--small]
           [--snapshots N] [--churn F] [--run-dir DIR] [--resume]
@@ -45,26 +46,6 @@ Usage::
         Render a run manifest (produced by `repro study --obs-out`)
         as a terminal summary; optionally export it as Prometheus
         text or JSONL.
-
-    repro perf bench [flags...]
-        Run the pipeline benchmark (forwards to repro.perf.bench):
-        `repro perf bench --quick --section obs --json` measures the
-        telemetry overhead on the Figure-1 classification.
-
-    repro serve [--host H] [--port P] [--workers N] [--max-queue N]
-          [--tenant-budget CREDITS | --unmetered] [--run-dir DIR]
-        Run the study-as-a-service daemon: JSON-over-HTTP study /
-        classify / check / bench workloads with shared warm caches,
-        per-tenant credit budgets, /metrics and /healthz.  SIGTERM or
-        SIGINT drains in-flight requests before exit (see DESIGN.md
-        §13).
-
-    repro query WORKLOAD [--host H] [--port P] [--tenant NAME]
-          [--seed N] [--scale small|full]
-          [--stream | --out FILE] [--seeds N] [--rounds N]
-        Submit one workload to a running daemon.  --stream prints the
-        NDJSON progress events as they arrive; otherwise the final
-        JSON response is printed (or written to --out FILE).
 """
 
 from __future__ import annotations
@@ -72,7 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.pipeline import Study, StudyConfig, StudyResults, build_study_config
 from repro.topogen.config import TopologyConfig, small_config
@@ -171,7 +152,7 @@ def _render_markdown(results: StudyResults, reports) -> str:
         "Absolute numbers are not expected to match — the substrate is a",
         "synthetic Internet, not the authors' 2015 testbed — but every",
         "shape claim of the paper is asserted by the benchmark suite",
-        "(`pytest benchmarks/ --benchmark-only`); a failed shape check",
+        "(`pytest benchmarks/`); a failed shape check",
         "fails the corresponding benchmark.",
         "",
     ]
@@ -251,63 +232,31 @@ def _write_figures(results: StudyResults, directory: str) -> list:
     return written
 
 
-def _conflict_message(flag_a: str, flag_b: str, reason: str) -> str:
-    """The one wording every mutually-exclusive-flag error uses."""
-    return f"{flag_a} and {flag_b} are mutually exclusive: {reason}"
+def _run_dir_missing(args: argparse.Namespace) -> bool:
+    """Report (and return True for) a run-dir flag given without one.
 
-
-#: command -> ((flag_a, flag_b, reason), ...) pairwise flag exclusions.
-#: Every command's handler routes its pairs through
-#: :func:`_table_conflict` so new flags inherit the same error shape
-#: instead of inventing their own wording.  Order matters: the first
-#: violated pair wins.
-_FLAG_EXCLUSIONS = {
-    "serve": (
-        (
-            "--tenant-budget",
-            "--unmetered",
-            "an unmetered daemon has no per-tenant ledger to size",
-        ),
-    ),
-    "query": (
-        (
-            "--stream",
-            "--out",
-            "a streamed NDJSON response has no single result document to "
-            "write to FILE",
-        ),
-    ),
-}
-
-
-def _flag_is_set(value: object) -> bool:
-    return value is not None and value is not False
-
-
-def _table_conflict(command: str, args: argparse.Namespace) -> Optional[str]:
-    """The first violated exclusion for ``command``, or ``None``."""
-    for flag_a, flag_b, reason in _FLAG_EXCLUSIONS.get(command, ()):
-        value_a = getattr(args, flag_a.lstrip("-").replace("-", "_"), None)
-        value_b = getattr(args, flag_b.lstrip("-").replace("-", "_"), None)
-        if _flag_is_set(value_a) and _flag_is_set(value_b):
-            return _conflict_message(flag_a, flag_b, reason)
-    return None
-
-
-def _resume_without_run_dir(args: argparse.Namespace) -> bool:
-    """Report (and return True for) a --resume that has no journals."""
-    if args.resume and args.run_dir is None:
-        print(
-            "error: --resume requires --run-dir DIR (the journals live in "
-            "the ledger-managed run directory)",
-            file=sys.stderr,
-        )
-        return True
+    ``--resume`` replays the run directory's journals and
+    ``--durability`` picks how they are written, so neither means
+    anything without ``--run-dir``.
+    """
+    if args.run_dir is not None:
+        return False
+    for flag, value in (
+        ("--resume", args.resume),
+        ("--durability", getattr(args, "durability", None)),
+    ):
+        if value:
+            print(
+                f"error: {flag} requires --run-dir DIR (the journals live "
+                "in the ledger-managed run directory)",
+                file=sys.stderr,
+            )
+            return True
     return False
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    if _resume_without_run_dir(args):
+    if _run_dir_missing(args):
         return 2
     obs_out = getattr(args, "obs_out", None)
     results = _run_study(
@@ -401,7 +350,7 @@ def _attach_temporal(results: StudyResults, args: argparse.Namespace):
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
     """Standalone longitudinal study over a snapshot series."""
-    if _resume_without_run_dir(args):
+    if _run_dir_missing(args):
         return 2
     import dataclasses
 
@@ -483,13 +432,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    """Forward to the benchmark CLI (``python -m repro.perf.bench``)."""
-    from repro.perf.bench import main as bench_main
-
-    return bench_main(list(args.bench_args))
-
-
 def _cmd_check_run(args: argparse.Namespace) -> int:
     """Differential checks: optimized implementations vs oracles."""
     from repro.check import run_checks
@@ -536,133 +478,6 @@ def _cmd_check_bless(args: argparse.Namespace) -> int:
     path = bless(compute_snapshot(args.seed), directory=directory, seed=args.seed)
     print(f"blessed golden written to {path}")
     return 0
-
-
-def _default_budget() -> int:
-    from repro.serve.protocol import DEFAULT_TENANT_BUDGET
-
-    return DEFAULT_TENANT_BUDGET
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the study-as-a-service daemon until SIGTERM/SIGINT drain."""
-    conflict = _table_conflict("serve", args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
-    import asyncio
-
-    from repro.serve.daemon import ReproDaemon, ServeConfig
-    from repro.serve.protocol import DEFAULT_TENANT_BUDGET
-
-    if args.unmetered:
-        # Effectively infinite per-tenant credit; admission control
-        # still bounds concurrency via the request queue.
-        budget = 10**9
-    elif args.tenant_budget is not None:
-        budget = args.tenant_budget
-    else:
-        budget = DEFAULT_TENANT_BUDGET
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        tenant_budget=budget,
-        run_dir=args.run_dir,
-    )
-    daemon = ReproDaemon(config)
-
-    async def _run_and_announce() -> None:
-        task = asyncio.ensure_future(daemon.run())
-        while daemon.bound_port is None and not task.done():
-            await asyncio.sleep(0.01)
-        if daemon.bound_port is not None:
-            print(
-                f"repro serve listening on http://{config.host}:"
-                f"{daemon.bound_port} (workers={config.workers}, "
-                f"queue={config.max_queue}, "
-                f"budget={'unmetered' if args.unmetered else budget}); "
-                "SIGTERM/SIGINT drains",
-                flush=True,
-            )
-        await task
-
-    try:
-        asyncio.run(_run_and_announce())
-    except KeyboardInterrupt:
-        # Loops without signal-handler support (rare) fall back to the
-        # default SIGINT behavior; treat it as an operator-driven stop.
-        pass
-    except OSError as error:
-        print(f"error: cannot start daemon: {error}", file=sys.stderr)
-        return 1
-    if daemon.startup_error is not None:
-        print(f"error: {daemon.startup_error}", file=sys.stderr)
-        return 1
-    print("repro serve drained cleanly")
-    return 0
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
-    """Submit one workload to a running daemon and print the response."""
-    conflict = _table_conflict("query", args)
-    if conflict is not None:
-        print(f"error: {conflict}", file=sys.stderr)
-        return 2
-    from repro.serve.client import ServeClient, ServeError
-
-    params = {}
-    if args.seeds is not None:
-        params["seeds"] = args.seeds
-    if args.rounds is not None:
-        params["rounds"] = args.rounds
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    try:
-        if args.stream:
-            result_doc = None
-            for doc in client.stream(
-                args.workload,
-                tenant=args.tenant,
-                seed=args.seed,
-                scale=args.scale,
-                params=params or None,
-            ):
-                print(json.dumps(doc, sort_keys=True), flush=True)
-                if doc.get("kind") == "result":
-                    result_doc = doc
-            ok = bool(result_doc and result_doc.get("ok"))
-            return 0 if ok else 1
-        payload = client.submit(
-            args.workload,
-            tenant=args.tenant,
-            seed=args.seed,
-            scale=args.scale,
-            params=params or None,
-        )
-    except ServeError as error:
-        hint = (
-            f" (Retry-After: {error.retry_after}s)"
-            if error.retry_after is not None
-            else ""
-        )
-        print(f"error: {error}{hint}", file=sys.stderr)
-        return 1
-    except OSError as error:
-        print(
-            f"error: cannot reach daemon at {args.host}:{args.port}: {error}",
-            file=sys.stderr,
-        )
-        return 1
-    client.expect_protocol(payload)
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote response to {args.out}")
-    else:
-        print(rendered)
-    return 0 if payload.get("ok") else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -858,20 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(handler=_cmd_obs_report)
 
-    perf = subparsers.add_parser(
-        "perf", help="performance tooling (pipeline benchmarks)"
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    bench = perf_sub.add_parser(
-        "bench",
-        help="run the pipeline benchmark (flags forwarded to "
-        "repro.perf.bench: --quick, --section, --json, "
-        "--check-obs-overhead, ...)",
-        add_help=False,
-    )
-    bench.add_argument("bench_args", nargs=argparse.REMAINDER)
-    bench.set_defaults(handler=_cmd_perf_bench)
-
     check = subparsers.add_parser(
         "check",
         help="correctness tooling: differential oracles and golden runs",
@@ -917,98 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_diff.set_defaults(handler=_cmd_check_diff)
     check_bless.set_defaults(handler=_cmd_check_bless)
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the concurrent multi-tenant study-as-a-service daemon",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8151,
-        help="bind port (0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4, help="data-plane worker threads"
-    )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=16,
-        help="queued requests beyond the workers before 429 backpressure",
-    )
-    serve.add_argument(
-        "--tenant-budget",
-        type=int,
-        default=None,
-        metavar="CREDITS",
-        help="per-tenant credit budget (default %d)" % _default_budget(),
-    )
-    serve.add_argument(
-        "--unmetered",
-        action="store_true",
-        help="disable per-tenant credit budgets",
-    )
-    serve.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="write per-request run manifests under DIR (advisory-locked)",
-    )
-    serve.set_defaults(handler=_cmd_serve)
-
-    query = subparsers.add_parser(
-        "query", help="submit one workload to a running serve daemon"
-    )
-    query.add_argument(
-        "workload",
-        choices=("study", "classify", "check", "bench"),
-        help="workload to submit",
-    )
-    query.add_argument("--host", default="127.0.0.1", help="daemon address")
-    query.add_argument("--port", type=int, default=8151, help="daemon port")
-    query.add_argument(
-        "--tenant", default="cli", help="tenant name for budget accounting"
-    )
-    query.add_argument("--seed", type=int, default=0)
-    query.add_argument(
-        "--scale",
-        choices=("small", "full"),
-        default="small",
-        help="study scale (small matches `repro study --small`)",
-    )
-    query.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream NDJSON progress events instead of one JSON document",
-    )
-    query.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the response JSON to FILE instead of stdout",
-    )
-    query.add_argument(
-        "--timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="client-side request timeout",
-    )
-    query.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        help="check workload: number of differential seeds",
-    )
-    query.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="bench workload: number of timing rounds",
-    )
-    query.set_defaults(handler=_cmd_query)
-
     validate = subparsers.add_parser(
         "validate", help="run every experiment's shape check"
     )
@@ -1019,14 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse.REMAINDER mis-parses leading options, so the forwarding
-    # subcommand is dispatched before the parser sees its flags.
-    if list(argv[:2]) == ["perf", "bench"]:
-        from repro.perf.bench import main as bench_main
-
-        return bench_main(list(argv[2:]))
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

@@ -29,7 +29,6 @@ dict construction it is checked against lives in
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -41,8 +40,8 @@ if TYPE_CHECKING:
     from repro.core.hotpath.info import ArrayRoutingInfo
 
 #: Default bound on the per-engine routing-tree cache.  Far above what
-#: one study needs (a few hundred trees) but keeps long-lived engines
-#: serving many destinations from growing without limit.
+#: one study needs (a few hundred trees) but keeps an engine asked for
+#: many more destinations from growing without limit.
 DEFAULT_CACHE_SIZE = 4096
 
 #: Cache key: (destination, allowed first hops or None).
@@ -109,20 +108,6 @@ class RoutingCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Optional lock for caches shared across threads (serve
-        #: daemon).  ``None`` on the single-threaded path so the hot
-        #: loop pays nothing beyond one branch.
-        self._lock: Optional[threading.RLock] = None
-
-    def make_thread_safe(self) -> None:
-        """Guard every mutation with an RLock (idempotent).
-
-        The serve daemon shares one warm cache across concurrent
-        request threads; the LRU reorder + evict sequence must then be
-        atomic or two threads can interleave mid-eviction.
-        """
-        if self._lock is None:
-            self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -131,13 +116,6 @@ class RoutingCache:
         return key in self._data
 
     def get(self, key: CacheKey) -> Optional[ArrayRoutingInfo]:
-        lock = self._lock
-        if lock is None:
-            return self._get(key)
-        with lock:
-            return self._get(key)
-
-    def _get(self, key: CacheKey) -> Optional[ArrayRoutingInfo]:
         info = self._data.get(key)
         if info is None:
             self.misses += 1
@@ -147,14 +125,6 @@ class RoutingCache:
         return info
 
     def put(self, key: CacheKey, info: ArrayRoutingInfo) -> None:
-        lock = self._lock
-        if lock is None:
-            self._put(key, info)
-        else:
-            with lock:
-                self._put(key, info)
-
-    def _put(self, key: CacheKey, info: ArrayRoutingInfo) -> None:
         data = self._data
         if key in data:
             data.move_to_end(key)
@@ -209,16 +179,6 @@ class GaoRexfordEngine:
         self._graph_version = graph._version
         #: How many times a graph mutation forced a full cache flush.
         self.stale_flushes = 0
-
-    def make_thread_safe(self) -> "GaoRexfordEngine":
-        """Make the routing cache safe to share across threads.
-
-        Required before handing one engine to concurrent graders (the
-        serve daemon's shared warm state); a no-op lock-free cache
-        serves everything else.  Returns ``self`` for chaining.
-        """
-        self._cache.make_thread_safe()
-        return self
 
     def compiled_topology(self) -> "CSRTopology":
         """The graph's shared CSR compilation: the kernel's input and
@@ -302,12 +262,7 @@ class GaoRexfordEngine:
             return 0
         for key, info in zip(missing, self._compute_batch(missing)):
             self._cache.put(key, info)
-        lock = self._cache._lock
-        if lock is None:
-            self._cache.misses += len(missing)
-        else:
-            with lock:
-                self._cache.misses += len(missing)
+        self._cache.misses += len(missing)
         return len(missing)
 
     def cache_stats(self) -> CacheStats:

@@ -180,9 +180,9 @@ def build_study_config(seed: int = 0, scale: str = "small") -> StudyConfig:
     """The canonical study configuration for one (seed, scale).
 
     This is the one place the quick-scale parameter block lives:
-    ``repro study --small``, :func:`repro.experiments.scenario.quick_study`
-    and every daemon study worker call through here, so they cannot
-    drift apart.
+    ``repro study --small`` and
+    :func:`repro.experiments.scenario.quick_study` both call through
+    here, so they cannot drift apart.
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r} (expected one of {SCALES})")
@@ -323,19 +323,9 @@ class Study:
         self,
         config: Optional[StudyConfig] = None,
         internet: Optional[Internet] = None,
-        artifacts=None,
     ) -> None:
-        """``artifacts`` is an optional provider of shared warm build
-        artifacts (duck-typed to
-        :class:`repro.serve.cache.ArtifactStore`): when set, the
-        classification engines come from ``artifacts.engine_for(...)``
-        instead of being built cold, so a long-lived process (the serve
-        daemon) reuses routing trees across studies of the same
-        topology snapshot.  Results are unchanged — trees are a pure
-        function of the graph — only the warm/cold split moves."""
         self.config = config or StudyConfig()
         self._internet = internet
-        self._artifacts = artifacts
         self._results: Optional[StudyResults] = None
         self._ledger: Optional[RunLedger] = None
 
@@ -537,14 +527,8 @@ class Study:
                 (entry.provider, entry.customer)
                 for entry in known_complex.partial_transit_entries()
             )
-            if self._artifacts is not None:
-                engine_simple = self._artifacts.engine_for(inferred)
-                engine_complex = self._artifacts.engine_for(
-                    inferred, partial_transit=partial
-                )
-            else:
-                engine_simple = GaoRexfordEngine(inferred)
-                engine_complex = GaoRexfordEngine(inferred, partial_transit=partial)
+            engine_simple = GaoRexfordEngine(inferred)
+            engine_complex = GaoRexfordEngine(inferred, partial_transit=partial)
             origins: Dict[Prefix, int] = {}
             for asn, prefixes in dataset.destination_prefixes.items():
                 for prefix in prefixes:

@@ -26,8 +26,8 @@ def quick_study(seed: int = DEFAULT_SEED) -> StudyResults:
     """A small scenario for fast tests (seconds, not half a minute).
 
     Delegates to :func:`repro.core.pipeline.build_study_config` so the
-    quick parameter block has exactly one home — the CLI, the serve
-    daemon and this helper cannot drift apart.
+    quick parameter block has exactly one home — the CLI and this
+    helper cannot drift apart.
     """
     config = build_study_config(seed=seed, scale="small")
     return Study(config).run()

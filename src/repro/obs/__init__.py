@@ -6,7 +6,7 @@ faults fired" for every run in the study:
 * :mod:`repro.obs.trace` — nestable spans on a monotonic clock, whose
   top-level spans are the per-stage timings.
 * :mod:`repro.obs.metrics` — process-wide registry of counters,
-  gauges, and fixed-bucket histograms with mergeable snapshots.
+  gauges, and fixed-bucket histograms with plain-JSON snapshots.
 * :mod:`repro.obs.events` — typed, deterministic event stream for the
   faults layer and the BGP simulator.
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` JSON artifact
@@ -70,10 +70,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    empty_snapshot,
     escape_label_value,
     label_key,
-    merge_snapshots,
 )
 from repro.obs.trace import (
     NullSpan,
@@ -127,8 +125,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "merge_snapshots",
-    "empty_snapshot",
     "escape_label_value",
     "label_key",
     # trace

@@ -8,19 +8,12 @@ plumbing changes to their call signatures, while the default disabled
 context keeps those sites at one-boolean-check overhead.
 
 ``Study.run`` / the CLI enable a real context for the duration of a
-run; tests use :func:`using` to install a scoped context.
-
-The installed context is **per-thread**: :func:`set_obs` (and therefore
-:func:`using`) binds the context to the calling thread, falling back to
-a process-wide default when a thread never installed one.  Single-
-threaded callers see exactly the old semantics; the serve daemon relies
-on the isolation to run one :class:`Observability` per concurrent
-request without requests stomping each other's metrics and events.
+run; tests use :func:`using` to install a scoped context.  The program
+runs on one thread, so the current context is plain module state.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -50,30 +43,25 @@ class Observability:
         )
 
 
-#: The process-wide fallback context.  Disabled by default: the
-#: fault-free reference paths must stay at reference speed unless
-#: telemetry is explicitly requested (CLI ``--obs`` or :func:`enable`).
-_default = Observability.disabled()
-
-#: Per-thread override installed by :func:`set_obs` / :func:`using`.
-_local = threading.local()
+#: The current context.  Disabled by default: the fault-free reference
+#: paths must stay at reference speed unless telemetry is explicitly
+#: requested (CLI ``--obs`` or :func:`enable`).
+_current = Observability.disabled()
 
 
 def get_obs() -> Observability:
-    obs = getattr(_local, "obs", None)
-    return obs if obs is not None else _default
+    return _current
 
 
 def set_obs(obs: Observability) -> Observability:
-    """Install ``obs`` as the calling thread's context.
+    """Install ``obs`` as the current context.
 
-    Returns the previously effective context so callers (and
-    :func:`using`) can restore it.  Threads that never call this keep
-    seeing the process-wide default, preserving the old single-threaded
-    semantics exactly.
+    Returns the previous context so callers (and :func:`using`) can
+    restore it.
     """
-    previous = get_obs()
-    _local.obs = obs
+    global _current
+    previous = _current
+    _current = obs
     return previous
 
 

@@ -21,7 +21,7 @@ aggregate accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Event categories used across the study (free-form, these are the
 #: conventional ones).
@@ -91,7 +91,6 @@ class EventStream:
         self.counts: Dict[str, int] = {}
         self.dropped = 0
         self._seq = 0
-        self._subscribers: List[Callable[[Event], None]] = []
 
     def publish(
         self, category: str, name: str, /, **attrs: object
@@ -116,13 +115,7 @@ class EventStream:
             self.events.append(event)
         else:
             self.dropped += 1
-        for subscriber in self._subscribers:
-            subscriber(event)
         return event
-
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        """Call ``callback`` for every event published after this point."""
-        self._subscribers.append(callback)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -6,10 +6,9 @@ digest and seeds that identify the run, the span tree (where time
 went), the metric snapshot (what was counted), and the event log (what
 happened, including every fault firing and quarantine decision).
 
-Manifests are produced per study run (``repro study --obs-out``), per
-benchmark run (recorded into ``BENCH_pipeline.json``), and can be built
-for any instrumented region via :func:`build_manifest`.  They round-trip
-losslessly through JSON and through the JSONL exporter
+Manifests are produced per study run (``repro study --obs-out``) and
+can be built for any instrumented region via :func:`build_manifest`.
+They round-trip losslessly through JSON and through the JSONL exporter
 (:mod:`repro.obs.export`), which the exporter tests assert.
 """
 

@@ -10,12 +10,9 @@ Two properties the rest of the study relies on:
 * **Cheap when disabled** — a disabled registry hands out shared no-op
   instruments; instrumented code pays one attribute check and nothing
   else, so the fault-free hot paths stay at reference speed.
-* **Mergeable snapshots** — :meth:`MetricsRegistry.snapshot` produces a
-  plain-JSON document and :func:`merge_snapshots` combines two of them
-  associatively and commutatively (counters/histograms sum, gauges take
-  the max), so concurrent work (the serve daemon's request threads) can
-  record into private registries and fold the snapshots back in
-  regardless of completion order.
+* **Plain-JSON snapshots** — :meth:`MetricsRegistry.snapshot` produces
+  a sorted, plain-JSON document, which the run manifest embeds and the
+  exporters render.
 
 This module imports nothing from the rest of :mod:`repro`, so every
 layer (including :mod:`repro.faults`) can depend on it without cycles.
@@ -336,124 +333,3 @@ class MetricsRegistry:
                     "series": dict(sorted(instrument.series().items())),
                 }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def merge_snapshot(self, snapshot: Dict) -> None:
-        """Fold an external snapshot (e.g. from a request's registry) in.
-
-        Uses the same semantics as :func:`merge_snapshots`: counter and
-        histogram series add, gauge series take the max.
-        """
-        if not self.enabled:
-            return
-        for name, data in snapshot.get("counters", {}).items():
-            counter = self.counter(name, data.get("help", ""))
-            for key, value in data.get("series", {}).items():
-                counter.inc(float(value), _key=key)
-        for name, data in snapshot.get("gauges", {}).items():
-            gauge = self.gauge(name, data.get("help", ""))
-            for key, value in data.get("series", {}).items():
-                current = gauge._series.get(key)
-                if current is None or value > current:
-                    gauge.set(float(value), _key=key)
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(
-                name, data.get("help", ""), buckets=data.get("buckets", DEFAULT_BUCKETS)
-            )
-            if list(histogram.buckets) != [float(b) for b in data.get("buckets", [])]:
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch while merging snapshot"
-                )
-            for key, row in data.get("series", {}).items():
-                dest = histogram._series.get(key)
-                counts = [float(c) for c in row.get("counts", [])]
-                if dest is None:
-                    histogram._series[key] = counts + [
-                        float(row.get("sum", 0.0)),
-                        float(row.get("count", 0.0)),
-                    ]
-                    continue
-                for index, count in enumerate(counts):
-                    dest[index] += count
-                dest[-2] += float(row.get("sum", 0.0))
-                dest[-1] += float(row.get("count", 0.0))
-
-
-def _merge_value_series(
-    into: Dict[str, Dict], data: Dict[str, Dict], combine
-) -> None:
-    for name, payload in data.items():
-        dest = into.get(name)
-        if dest is None:
-            into[name] = {
-                "help": payload.get("help", ""),
-                "series": dict(payload.get("series", {})),
-            }
-            continue
-        if not dest.get("help"):
-            dest["help"] = payload.get("help", "")
-        series = dest["series"]
-        for key, value in payload.get("series", {}).items():
-            if key in series:
-                series[key] = combine(series[key], value)
-            else:
-                series[key] = value
-
-
-def merge_snapshots(left: Dict, right: Dict) -> Dict:
-    """Combine two snapshots; associative and commutative.
-
-    Counters sum, gauges take the max, histogram bucket counts / sums /
-    counts add elementwise.  Mismatched histogram buckets raise — two
-    runs disagreeing on bucket layout cannot be combined meaningfully.
-    """
-    merged: Dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for source in (left, right):
-        _merge_value_series(
-            merged["counters"], source.get("counters", {}), lambda a, b: a + b
-        )
-        _merge_value_series(
-            merged["gauges"], source.get("gauges", {}), lambda a, b: max(a, b)
-        )
-        for name, payload in source.get("histograms", {}).items():
-            dest = merged["histograms"].get(name)
-            if dest is None:
-                merged["histograms"][name] = {
-                    "help": payload.get("help", ""),
-                    "buckets": list(payload.get("buckets", [])),
-                    "series": {
-                        key: {
-                            "counts": list(row.get("counts", [])),
-                            "sum": row.get("sum", 0.0),
-                            "count": row.get("count", 0.0),
-                        }
-                        for key, row in payload.get("series", {}).items()
-                    },
-                }
-                continue
-            if dest["buckets"] != list(payload.get("buckets", [])):
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch while merging snapshots"
-                )
-            if not dest.get("help"):
-                dest["help"] = payload.get("help", "")
-            series = dest["series"]
-            for key, row in payload.get("series", {}).items():
-                if key not in series:
-                    series[key] = {
-                        "counts": list(row.get("counts", [])),
-                        "sum": row.get("sum", 0.0),
-                        "count": row.get("count", 0.0),
-                    }
-                    continue
-                dest_row = series[key]
-                dest_row["counts"] = [
-                    a + b for a, b in zip(dest_row["counts"], row.get("counts", []))
-                ]
-                dest_row["sum"] += row.get("sum", 0.0)
-                dest_row["count"] += row.get("count", 0.0)
-    return merged
-
-
-def empty_snapshot() -> Dict:
-    """The identity element of :func:`merge_snapshots`."""
-    return {"counters": {}, "gauges": {}, "histograms": {}}

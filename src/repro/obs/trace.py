@@ -21,7 +21,6 @@ carries no wall-clock timestamps.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -106,17 +105,12 @@ class Tracer:
 
     @contextmanager
     def activate(self) -> Iterator["Tracer"]:
-        """Install this tracer as the ambient target of :func:`span`.
-
-        The active-tracer stack is per-thread, so a tracer activated on
-        one thread is invisible to spans opened on another.
-        """
-        stack = _active_stack()
-        stack.append(self)
+        """Install this tracer as the ambient target of :func:`span`."""
+        _ACTIVE.append(self)
         try:
             yield self
         finally:
-            stack.pop()
+            _ACTIVE.pop()
 
     # ------------------------------------------------------------------
     # Stage views
@@ -167,23 +161,12 @@ class NullSpan:
 
 _NULL_SPAN = NullSpan()
 
-#: Per-thread stack of active tracers; :func:`span` targets the
-#: innermost one.  Thread-local so the serve daemon can trace many
-#: concurrent requests without their span trees interleaving.
-_ACTIVE_LOCAL = threading.local()
-
-
-def _active_stack() -> List[Tracer]:
-    stack = getattr(_ACTIVE_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE_LOCAL.stack = stack
-    return stack
+#: Stack of active tracers; :func:`span` targets the innermost one.
+_ACTIVE: List[Tracer] = []
 
 
 def current_tracer() -> Optional[Tracer]:
-    stack = getattr(_ACTIVE_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 def span(name: str, **attrs: object):

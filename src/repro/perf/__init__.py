@@ -1,16 +1,14 @@
-"""Performance subsystem: batched precompute and the pipeline benchmark.
+"""Batched precompute for the Figure-1 classification.
 
 The classification pipeline's hot path is Gao-Rexford routing-tree
 construction (one tree per destination per refinement layer) followed
-by per-decision grading.  This package provides:
+by per-decision grading.  :mod:`repro.perf.parallel` provides
+:class:`ParallelClassifier`, which precomputes the routing trees of
+every refinement layer in one kernel sweep per engine and grades
+decisions through the arena grader.
 
-* :mod:`repro.perf.parallel` — :class:`ParallelClassifier`, which
-  precomputes the routing trees of every refinement layer in one kernel
-  sweep per engine and grades decisions through the arena grader.
-* :mod:`repro.perf.bench` — the ``python -m repro.perf.bench`` entry
-  point producing ``BENCH_pipeline.json``.
-
-Stage timings come from the tracer in :mod:`repro.obs.trace`.
+Stage timings come from the tracer in :mod:`repro.obs.trace`; the
+benchmark of record is ``perfbench/`` (see ``BENCHMARK.json``).
 """
 
 from repro.perf.parallel import LayerConfig, ParallelClassifier, PrecomputeReport

@@ -221,10 +221,9 @@ class ASGraph:
         """Hash of the full link set, cached until the graph mutates.
 
         Graphs with the same links share a fingerprint, whatever object
-        holds them; the run ledger, the temporal journal and the serve
-        daemon's shared engines key on it.  The cache lives on the
-        instance (like :meth:`routing_adjacency`), so a copy never
-        inherits another graph's digest.
+        holds them; the run ledger and the temporal journal key on it.
+        The cache lives on the instance (like :meth:`routing_adjacency`),
+        so a copy never inherits another graph's digest.
         """
         cache = self._fingerprint_cache
         if cache is not None and cache[0] == self._version:

@@ -51,10 +51,10 @@ class TestCreditLedger:
 class TestCreditLedgerConcurrency:
     """Regression: charge() must be atomic under concurrent spenders.
 
-    The serve daemon charges one tenant's ledger from many worker
-    threads at once.  Before the lock, the affordability check and the
-    debit were separate steps, so two racing threads could both pass
-    the check and jointly overdraw the budget.
+    The ledger keeps its lock although the study charges it from one
+    thread.  Without it, the affordability check and the debit would be
+    separate steps, so two racing threads could both pass the check and
+    jointly overdraw the budget.
     """
 
     def test_racing_charges_never_overdraw(self):

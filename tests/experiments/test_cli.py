@@ -67,33 +67,9 @@ class TestStudyFlagConflicts:
         err = self._err(capsys, ["study", "--small", "--resume"])
         assert "--run-dir" in err
 
+    def test_durability_without_run_dir_rejected(self, capsys):
+        # Only run-directory writes have a durability policy; without a
+        # run dir the flag would be silently ignored.
+        err = self._err(capsys, ["study", "--small", "--durability", "none"])
+        assert "--durability requires --run-dir DIR" in err
 
-class TestServeQueryFlagConflicts:
-    """The serve/query commands share one error shape: every pair lives
-    in the one exclusion table, so the wording stays `X and Y are
-    mutually exclusive: reason` everywhere."""
-
-    def _err(self, capsys, argv):
-        assert main(argv) == 2
-        return capsys.readouterr().err
-
-    def test_tenant_budget_plus_unmetered_rejected(self, capsys):
-        err = self._err(
-            capsys, ["serve", "--tenant-budget", "100", "--unmetered"]
-        )
-        assert "--tenant-budget and --unmetered are mutually exclusive" in err
-
-    def test_stream_plus_out_rejected(self, capsys):
-        err = self._err(
-            capsys, ["query", "study", "--stream", "--out", "r.json"]
-        )
-        assert "--stream and --out are mutually exclusive" in err
-
-    def test_every_table_entry_formats_consistently(self):
-        from repro.cli import _FLAG_EXCLUSIONS, _conflict_message
-
-        for command, pairs in _FLAG_EXCLUSIONS.items():
-            for flag_a, flag_b, reason in pairs:
-                message = _conflict_message(flag_a, flag_b, reason)
-                assert message.startswith(f"{flag_a} and {flag_b} are ")
-                assert "mutually exclusive: " in message

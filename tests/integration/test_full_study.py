@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.classification import DecisionLabel
-from repro.core.pipeline import FIGURE1_LAYERS, Study, StudyConfig
+from repro.core.pipeline import (
+    FIGURE1_LAYERS,
+    Study,
+    StudyConfig,
+    build_study_config,
+)
 from repro.ipmap import IPToASMapper, convert_traceroute
 from repro.topogen.config import small_config
 
@@ -116,3 +121,27 @@ class TestStudyDeterminism:
         for layer in FIGURE1_LAYERS:
             assert first.figure1[layer].counts == second.figure1[layer].counts
         assert len(first.decisions) == len(second.decisions)
+
+
+class TestBuildStudyConfig:
+    def test_small_matches_cli_small_path(self):
+        """The quick config must equal `repro study --small`'s.
+
+        ``build_study_config`` is the one home of the quick parameter
+        block; the CLI and ``quick_study`` both call it, so this pins
+        what ``--small`` means.
+        """
+        expected = StudyConfig(topology=small_config(), seed=7)
+        expected.num_probes = 400
+        expected.probes_per_continent = 25
+        expected.active_vp_budget = 40
+        expected.max_discovery_targets = 20
+        assert build_study_config(seed=7, scale="small") == expected
+
+    def test_full_scale_keeps_defaults(self):
+        config = build_study_config(seed=3, scale="full")
+        assert config == StudyConfig(seed=3)
+
+    def test_unknown_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            build_study_config(seed=0, scale="medium")

@@ -1,10 +1,8 @@
-"""Unit tests for the metrics registry and snapshot merging."""
-
-import random
+"""Unit tests for the metrics registry."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, empty_snapshot, merge_snapshots
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import NOOP_INSTRUMENT, label_key
 
 pytestmark = pytest.mark.obs
@@ -71,87 +69,9 @@ class TestDisabled:
         counter.set(2.0)
         assert counter.value() == 0.0
         assert len(registry) == 0
-        assert registry.snapshot() == empty_snapshot()
+        assert registry.snapshot() == {
+            "counters": {},
+            "gauges": {},
+            "histograms": {},
+        }
 
-    def test_disabled_merge_is_noop(self):
-        enabled = MetricsRegistry()
-        enabled.counter("c").inc()
-        disabled = MetricsRegistry(enabled=False)
-        disabled.merge_snapshot(enabled.snapshot())
-        assert disabled.snapshot() == empty_snapshot()
-
-
-def _random_snapshot(rng):
-    registry = MetricsRegistry()
-    for name in ("a_total", "b_total"):
-        counter = registry.counter(name)
-        for layer in ("x", "y"):
-            if rng.random() < 0.8:
-                counter.labels(layer=layer).inc(rng.randint(1, 5))
-    gauge = registry.gauge("depth")
-    gauge.set(rng.randint(0, 10))
-    hist = registry.histogram("lat", buckets=[0.25, 1.0])
-    for _ in range(rng.randint(0, 6)):
-        # Dyadic values keep float sums exact regardless of add order,
-        # so snapshot equality is a fair associativity check.
-        hist.observe(rng.choice([0.125, 0.5, 4.0]))
-    return registry.snapshot()
-
-
-class TestMerge:
-    def test_empty_is_identity(self):
-        rng = random.Random(7)
-        snap = _random_snapshot(rng)
-        assert merge_snapshots(snap, empty_snapshot()) == snap
-        assert merge_snapshots(empty_snapshot(), snap) == snap
-
-    def test_counters_sum_gauges_max(self):
-        left = MetricsRegistry()
-        left.counter("c").inc(2)
-        left.gauge("g").set(5)
-        right = MetricsRegistry()
-        right.counter("c").inc(3)
-        right.gauge("g").set(4)
-        merged = merge_snapshots(left.snapshot(), right.snapshot())
-        assert merged["counters"]["c"]["series"][""] == 5
-        assert merged["gauges"]["g"]["series"][""] == 5
-
-    def test_histogram_bucket_mismatch_rejected(self):
-        left = MetricsRegistry()
-        left.histogram("h", buckets=[1.0]).observe(0.5)
-        right = MetricsRegistry()
-        right.histogram("h", buckets=[2.0]).observe(0.5)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            merge_snapshots(left.snapshot(), right.snapshot())
-
-    def test_merge_snapshot_folds_into_registry(self):
-        worker = MetricsRegistry()
-        worker.counter("trees_total").labels(engine="0").inc(4)
-        parent = MetricsRegistry()
-        parent.counter("trees_total").labels(engine="0").inc(1)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counter("trees_total").value(engine="0") == 5
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_fuzz_merge_associative_and_commutative(self, seed):
-        """Worker snapshots can be folded in any completion order."""
-        rng = random.Random(seed)
-        snaps = [_random_snapshot(rng) for _ in range(rng.randint(2, 5))]
-
-        def fold(order):
-            merged = empty_snapshot()
-            for index in order:
-                merged = merge_snapshots(merged, snaps[index])
-            return merged
-
-        reference = fold(range(len(snaps)))
-        for _ in range(5):
-            order = list(range(len(snaps)))
-            rng.shuffle(order)
-            assert fold(order) == reference
-        # Associativity: ((a+b)+c) == (a+(b+c)) on the first three.
-        if len(snaps) >= 3:
-            a, b, c = snaps[:3]
-            left = merge_snapshots(merge_snapshots(a, b), c)
-            right = merge_snapshots(a, merge_snapshots(b, c))
-            assert left == right

@@ -1,9 +1,8 @@
 """Prometheus exposition tests: escaping, content type, round-trip.
 
-The exporter used to feed files read by humans; the serve daemon now
-serves it over a network socket to real scrapers, where a raw newline
-inside a label value would end a sample early and silently corrupt
-every series after it.
+``repro obs report --prometheus`` writes the text format for
+Prometheus tooling to read, where a raw newline inside a label value
+would end a sample early and silently corrupt every series after it.
 """
 
 import pytest

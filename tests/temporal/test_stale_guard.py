@@ -2,7 +2,7 @@
 
 Regression battery for the version-stamped routing cache.  A graph
 mutation must flush the cache (counted in ``stale_flushes``), never
-serve a tree of a topology that no longer exists.
+return a tree of a topology that no longer exists.
 """
 
 import pytest
