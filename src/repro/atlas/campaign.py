@@ -325,179 +325,180 @@ def run_campaign(
                 completed_pairs=finalized_this_run,
             )
 
-    for probe in probes:
-        probe_skipped = False
-        if ledger is not None:
-            sweep_cost = ledger.cost_of("dns", len(names)) + ledger.cost_of(
-                "traceroute", len(names)
-            )
-            if sweep_cost > ledger.remaining:
-                probe_skipped = True
-                budget_skipped.append(probe)
-                report.budget_skipped_probes.append(probe.probe_id)
-        probe_down = plan.fires(FaultSite.PROBE_DROPOUT, probe.probe_id)
-        for dns_name in names:
-            pid = probe.probe_id
-            # Ground-truth resolution: per-pair stream, no charge.  It
-            # pins down what the fault-free campaign would measure, so
-            # every loss can be attributed to its destination AS even
-            # when the faulted campaign never learns the replica.
-            pair_rng = random.Random(derive_seed(config.seed, "resolve", pid, dns_name))
-            replica = resolver.resolve(dns_name, probe, rng=pair_rng)
-            if replica is None:
-                continue
-            report.expect(replica.asn)
+    with span("probe_sweep"):
+        for probe in probes:
+            probe_skipped = False
+            if ledger is not None:
+                sweep_cost = ledger.cost_of("dns", len(names)) + ledger.cost_of(
+                    "traceroute", len(names)
+                )
+                if sweep_cost > ledger.remaining:
+                    probe_skipped = True
+                    budget_skipped.append(probe)
+                    report.budget_skipped_probes.append(probe.probe_id)
+            probe_down = plan.fires(FaultSite.PROBE_DROPOUT, probe.probe_id)
+            for dns_name in names:
+                pid = probe.probe_id
+                # Ground-truth resolution: per-pair stream, no charge.  It
+                # pins down what the fault-free campaign would measure, so
+                # every loss can be attributed to its destination AS even
+                # when the faulted campaign never learns the replica.
+                pair_rng = random.Random(derive_seed(config.seed, "resolve", pid, dns_name))
+                replica = resolver.resolve(dns_name, probe, rng=pair_rng)
+                if replica is None:
+                    continue
+                report.expect(replica.asn)
 
-            key = (pid, dns_name)
-            if key in journaled:
-                record = journaled[key]
-                report.resumed_pairs += 1
-                status = record.get("status")
-                reason = record.get("reason")
-                if status in (_COMPLETED, _DEGRADED):
-                    measurement = _measurement_from_document(
-                        record["document"], probe, dns_name, replica
+                key = (pid, dns_name)
+                if key in journaled:
+                    record = journaled[key]
+                    report.resumed_pairs += 1
+                    status = record.get("status")
+                    reason = record.get("reason")
+                    if status in (_COMPLETED, _DEGRADED):
+                        measurement = _measurement_from_document(
+                            record["document"], probe, dns_name, replica
+                        )
+                        measurements.append(measurement)
+                        if status == _COMPLETED:
+                            report.record_completed(replica.asn)
+                        else:
+                            report.record_degraded(reason or "degraded")
+                    elif status == _QUARANTINED:
+                        report.record_quarantined(reason or "malformed-result")
+                    else:
+                        report.record_lost(reason or "lost")
+                    continue
+
+                if probe_skipped:
+                    finalize(probe, dns_name, _LOST, "budget", 0, 0, None)
+                    report.record_lost("budget")
+                    continue
+                if probe_down:
+                    finalize(probe, dns_name, _LOST, "probe-dropout", 0, 0, None)
+                    report.record_lost("probe-dropout")
+                    continue
+
+                state = {"charged": 0, "dns": False, "traceroute": False}
+
+                def attempt(attempt_no: int, probe=probe, dns_name=dns_name,
+                            replica=replica, state=state, pid=pid):
+                    # --- probe scheduling -----------------------------------
+                    if plan.fires(FaultSite.PROBE_FLAP, pid, dns_name, attempt_no):
+                        raise ProbeFlapError(f"probe {pid} missed round {attempt_no}")
+                    # --- DNS ------------------------------------------------
+                    # SERVFAIL is keyed per pair (persistent: retries will
+                    # exhaust); timeouts per attempt (transient: clear).
+                    if plan.fires(FaultSite.DNS_SERVFAIL, pid, dns_name):
+                        raise DnsServfail(f"SERVFAIL resolving {dns_name!r}")
+                    if plan.fires(FaultSite.DNS_TIMEOUT, pid, dns_name, attempt_no):
+                        raise DnsTimeout(f"timeout resolving {dns_name!r}")
+                    if ledger is not None and not state["dns"]:
+                        state["charged"] += ledger.charge("dns")
+                        state["dns"] = True
+                    # --- traceroute -----------------------------------------
+                    if ledger is not None and not state["traceroute"]:
+                        state["charged"] += ledger.charge("traceroute")
+                        state["traceroute"] = True
+                    trace = engine.trace(
+                        probe.asn,
+                        probe.ip,
+                        probe.city,
+                        replica.ip,
+                        rng=random.Random(derive_seed(config.seed, "trace", pid, dns_name)),
                     )
-                    measurements.append(measurement)
+                    status, reason = _COMPLETED, None
+                    if plan.fires(FaultSite.TRACEROUTE_TRUNCATE, pid, dns_name):
+                        _truncate_hops(
+                            trace, plan.roll(FaultSite.TRACEROUTE_TRUNCATE, pid, dns_name, "cut")
+                        )
+                        status, reason = _DEGRADED, "truncated"
+                    elif plan.fires(FaultSite.TRACEROUTE_LOOP, pid, dns_name):
+                        _inject_loop(
+                            trace, plan.roll(FaultSite.TRACEROUTE_LOOP, pid, dns_name, "at")
+                        )
+                        status, reason = _DEGRADED, "loop"
+                    # --- result fetch (Atlas API) ---------------------------
+                    if plan.fires(FaultSite.API_RATE_LIMIT, pid, dns_name, attempt_no):
+                        raise ApiRateLimit(f"429 fetching results for probe {pid}")
+                    if plan.fires(FaultSite.API_SERVER_ERROR, pid, dns_name, attempt_no):
+                        raise ApiServerError(f"503 fetching results for probe {pid}")
+                    document = traceroute_to_json(trace, probe_id=pid)
+                    document["dns_name"] = dns_name
+                    if plan.fires(FaultSite.TRACEROUTE_GARBLE, pid, dns_name):
+                        document = _garble(
+                            document,
+                            plan.roll(FaultSite.TRACEROUTE_GARBLE, pid, dns_name, "how"),
+                        )
+                    parsed = traceroute_from_json(document)  # may raise Malformed...
+                    parsed.truth_as_path = trace.truth_as_path
+                    return status, reason, parsed, document
+
+                call_stats = RetryStats()
+                try:
+                    status, reason, parsed, document = retry.execute(
+                        attempt, key=(pid, dns_name), stats=call_stats
+                    )
+                except MalformedResultError as error:
+                    report.retry.merge(call_stats)
+                    report.record_quarantined(error.reason)
+                    publish(
+                        CATEGORY_QUARANTINE,
+                        "pair",
+                        probe=pid,
+                        name=dns_name,
+                        reason=error.reason,
+                    )
+                    finalize(
+                        probe, dns_name, _QUARANTINED, error.reason,
+                        state["charged"], call_stats.attempts, None,
+                    )
+                except RetryExhausted as error:
+                    report.retry.merge(call_stats)
+                    report.record_lost(error.reason)
+                    publish(
+                        CATEGORY_CAMPAIGN,
+                        "pair_lost",
+                        probe=pid,
+                        name=dns_name,
+                        reason=error.reason,
+                    )
+                    finalize(
+                        probe, dns_name, _LOST, error.reason,
+                        state["charged"], call_stats.attempts, None,
+                    )
+                except BudgetExceeded:
+                    report.retry.merge(call_stats)
+                    report.record_lost("budget")
+                    publish(
+                        CATEGORY_CAMPAIGN,
+                        "pair_lost",
+                        probe=pid,
+                        name=dns_name,
+                        reason="budget",
+                    )
+                    finalize(
+                        probe, dns_name, _LOST, "budget",
+                        state["charged"], call_stats.attempts, None,
+                    )
+                else:
+                    report.retry.merge(call_stats)
+                    measurements.append(
+                        Measurement(
+                            probe=probe,
+                            dns_name=dns_name,
+                            replica=replica,
+                            traceroute=parsed,
+                        )
+                    )
                     if status == _COMPLETED:
                         report.record_completed(replica.asn)
                     else:
                         report.record_degraded(reason or "degraded")
-                elif status == _QUARANTINED:
-                    report.record_quarantined(reason or "malformed-result")
-                else:
-                    report.record_lost(reason or "lost")
-                continue
-
-            if probe_skipped:
-                finalize(probe, dns_name, _LOST, "budget", 0, 0, None)
-                report.record_lost("budget")
-                continue
-            if probe_down:
-                finalize(probe, dns_name, _LOST, "probe-dropout", 0, 0, None)
-                report.record_lost("probe-dropout")
-                continue
-
-            state = {"charged": 0, "dns": False, "traceroute": False}
-
-            def attempt(attempt_no: int, probe=probe, dns_name=dns_name,
-                        replica=replica, state=state, pid=pid):
-                # --- probe scheduling -----------------------------------
-                if plan.fires(FaultSite.PROBE_FLAP, pid, dns_name, attempt_no):
-                    raise ProbeFlapError(f"probe {pid} missed round {attempt_no}")
-                # --- DNS ------------------------------------------------
-                # SERVFAIL is keyed per pair (persistent: retries will
-                # exhaust); timeouts per attempt (transient: clear).
-                if plan.fires(FaultSite.DNS_SERVFAIL, pid, dns_name):
-                    raise DnsServfail(f"SERVFAIL resolving {dns_name!r}")
-                if plan.fires(FaultSite.DNS_TIMEOUT, pid, dns_name, attempt_no):
-                    raise DnsTimeout(f"timeout resolving {dns_name!r}")
-                if ledger is not None and not state["dns"]:
-                    state["charged"] += ledger.charge("dns")
-                    state["dns"] = True
-                # --- traceroute -----------------------------------------
-                if ledger is not None and not state["traceroute"]:
-                    state["charged"] += ledger.charge("traceroute")
-                    state["traceroute"] = True
-                trace = engine.trace(
-                    probe.asn,
-                    probe.ip,
-                    probe.city,
-                    replica.ip,
-                    rng=random.Random(derive_seed(config.seed, "trace", pid, dns_name)),
-                )
-                status, reason = _COMPLETED, None
-                if plan.fires(FaultSite.TRACEROUTE_TRUNCATE, pid, dns_name):
-                    _truncate_hops(
-                        trace, plan.roll(FaultSite.TRACEROUTE_TRUNCATE, pid, dns_name, "cut")
+                    finalize(
+                        probe, dns_name, status, reason,
+                        state["charged"], call_stats.attempts, document,
                     )
-                    status, reason = _DEGRADED, "truncated"
-                elif plan.fires(FaultSite.TRACEROUTE_LOOP, pid, dns_name):
-                    _inject_loop(
-                        trace, plan.roll(FaultSite.TRACEROUTE_LOOP, pid, dns_name, "at")
-                    )
-                    status, reason = _DEGRADED, "loop"
-                # --- result fetch (Atlas API) ---------------------------
-                if plan.fires(FaultSite.API_RATE_LIMIT, pid, dns_name, attempt_no):
-                    raise ApiRateLimit(f"429 fetching results for probe {pid}")
-                if plan.fires(FaultSite.API_SERVER_ERROR, pid, dns_name, attempt_no):
-                    raise ApiServerError(f"503 fetching results for probe {pid}")
-                document = traceroute_to_json(trace, probe_id=pid)
-                document["dns_name"] = dns_name
-                if plan.fires(FaultSite.TRACEROUTE_GARBLE, pid, dns_name):
-                    document = _garble(
-                        document,
-                        plan.roll(FaultSite.TRACEROUTE_GARBLE, pid, dns_name, "how"),
-                    )
-                parsed = traceroute_from_json(document)  # may raise Malformed...
-                parsed.truth_as_path = trace.truth_as_path
-                return status, reason, parsed, document
-
-            call_stats = RetryStats()
-            try:
-                status, reason, parsed, document = retry.execute(
-                    attempt, key=(pid, dns_name), stats=call_stats
-                )
-            except MalformedResultError as error:
-                report.retry.merge(call_stats)
-                report.record_quarantined(error.reason)
-                publish(
-                    CATEGORY_QUARANTINE,
-                    "pair",
-                    probe=pid,
-                    name=dns_name,
-                    reason=error.reason,
-                )
-                finalize(
-                    probe, dns_name, _QUARANTINED, error.reason,
-                    state["charged"], call_stats.attempts, None,
-                )
-            except RetryExhausted as error:
-                report.retry.merge(call_stats)
-                report.record_lost(error.reason)
-                publish(
-                    CATEGORY_CAMPAIGN,
-                    "pair_lost",
-                    probe=pid,
-                    name=dns_name,
-                    reason=error.reason,
-                )
-                finalize(
-                    probe, dns_name, _LOST, error.reason,
-                    state["charged"], call_stats.attempts, None,
-                )
-            except BudgetExceeded:
-                report.retry.merge(call_stats)
-                report.record_lost("budget")
-                publish(
-                    CATEGORY_CAMPAIGN,
-                    "pair_lost",
-                    probe=pid,
-                    name=dns_name,
-                    reason="budget",
-                )
-                finalize(
-                    probe, dns_name, _LOST, "budget",
-                    state["charged"], call_stats.attempts, None,
-                )
-            else:
-                report.retry.merge(call_stats)
-                measurements.append(
-                    Measurement(
-                        probe=probe,
-                        dns_name=dns_name,
-                        replica=replica,
-                        traceroute=parsed,
-                    )
-                )
-                if status == _COMPLETED:
-                    report.record_completed(replica.asn)
-                else:
-                    report.record_degraded(reason or "degraded")
-                finalize(
-                    probe, dns_name, status, reason,
-                    state["charged"], call_stats.attempts, document,
-                )
 
     if journal is not None:
         journal.close()

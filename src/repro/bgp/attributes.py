@@ -7,6 +7,12 @@ lets operators spot the experiment.  We model an AS path as a sequence
 of segments: plain ASNs (AS_SEQUENCE members) and frozensets of ASNs
 (AS_SET segments).  Per RFC 4271, an AS_SET counts as one hop for path
 length.
+
+Paths are built on every delivered update, so :class:`ASPathAttribute`
+is a plain slotted dataclass rather than a frozen one (a frozen
+dataclass sets each field through ``object.__setattr__``).  It is
+immutable by convention: nothing assigns to a path once built, routes
+and exports share paths freely, and equality and hashing are by value.
 """
 
 from __future__ import annotations
@@ -17,9 +23,12 @@ from typing import FrozenSet, Iterable, Tuple, Union
 Segment = Union[int, FrozenSet[int]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ASPathAttribute:
-    """An AS_PATH: a tuple of ASNs and AS-set segments, origin last."""
+    """An AS_PATH: a tuple of ASNs and AS-set segments, origin last.
+
+    Immutable by convention (see the module docstring).
+    """
 
     segments: Tuple[Segment, ...] = ()
 
@@ -53,15 +62,20 @@ class ASPathAttribute:
         """Path length for the decision process; AS-sets count as one."""
         return len(self.segments)
 
+    def has_as_set(self) -> bool:
+        """Whether any segment is an AS-set (a poisoned announcement)."""
+        return frozenset in map(type, self.segments)
+
     def contains(self, asn: int) -> bool:
         """Loop-prevention membership test, looking inside AS-sets."""
-        for segment in self.segments:
-            if isinstance(segment, frozenset):
-                if asn in segment:
-                    return True
-            elif segment == asn:
-                return True
-        return False
+        segments = self.segments
+        if asn in segments:
+            return True
+        if not self.has_as_set():
+            return False  # the C-level test above was exact
+        return any(
+            asn in segment for segment in segments if isinstance(segment, frozenset)
+        )
 
     def all_asns(self) -> FrozenSet[int]:
         """Every ASN mentioned anywhere on the path."""

@@ -52,6 +52,8 @@ def read_entry_class(
 
 def strip_entry_class(communities: FrozenSet[Community]) -> FrozenSet[Community]:
     """Remove org-internal tags before exporting outside the org."""
+    if not communities:
+        return communities
     return frozenset(
         (asn, value)
         for asn, value in communities

@@ -1,4 +1,11 @@
-"""BGP update messages exchanged between simulated speakers."""
+"""BGP update messages exchanged between simulated speakers.
+
+An :class:`Announcement` is built on every export pass, so it is a
+plain slotted dataclass, immutable by convention like the routes and
+paths it carries (:mod:`repro.bgp.routes`); one announcement is shared
+by every neighbor that hears the same export.  :class:`Withdrawal` is
+built at most once per pass and stays frozen.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ from repro.bgp.attributes import ASPathAttribute
 from repro.net.ip import Prefix
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Announcement:
     """A route announcement for one prefix.
 

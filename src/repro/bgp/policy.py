@@ -25,12 +25,12 @@ inputs are equal at every AS converge alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.routes import Route
 from repro.net.ip import Prefix
-from repro.topology.relationships import Relationship, can_export
+from repro.topology.relationships import Relationship
 
 #: Default local-preference bands for the Gao-Rexford ordering.
 DEFAULT_LOCAL_PREF = {
@@ -40,18 +40,18 @@ DEFAULT_LOCAL_PREF = {
     Relationship.PROVIDER: 100,
 }
 
+#: :data:`DEFAULT_LOCAL_PREF` keyed by each relationship's value: an
+#: import reads it once per update, and hashing an enum member calls
+#: Python code where hashing its (interned) value string does not.
+_DEFAULT_LOCAL_PREF_BY_VALUE = {
+    relationship.value: pref for relationship, pref in DEFAULT_LOCAL_PREF.items()
+}
+
 #: Bonus added to routes whose every hop stays in the home country when
 #: the AS prefers domestic paths.
 DOMESTIC_BONUS = 50
 
 CountryLookup = Callable[[int], Optional[str]]
-
-#: Route class -> the neighbor classes the Gao-Rexford rule
-#: (:func:`~repro.topology.relationships.can_export`) exports it to.
-_EXPORTABLE_TO = {
-    learned: tuple(to for to in Relationship if can_export(learned, to))
-    for learned in Relationship
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +125,7 @@ class Policy:
     # ------------------------------------------------------------------
     def accepts(self, as_path: ASPathAttribute) -> bool:
         """Import filter: loop prevention and poison filtering."""
-        if self.filters_poisoned and any(
-            isinstance(segment, frozenset) for segment in as_path.segments
-        ):
+        if self.filters_poisoned and as_path.has_as_set():
             return False
         if not self.loop_prevention_disabled and as_path.contains(self.asn):
             return False
@@ -191,7 +189,7 @@ class Policy:
         elif neighbor in self.neighbor_local_pref:
             base = self.neighbor_local_pref[neighbor]
         else:
-            base = DEFAULT_LOCAL_PREF[relationship]
+            base = _DEFAULT_LOCAL_PREF_BY_VALUE[relationship._value_]
         if self.prefers_domestic and self.home_country and country_of is not None:
             if self._is_domestic(as_path, country_of):
                 base += DOMESTIC_BONUS
@@ -223,32 +221,41 @@ class Policy:
     ) -> bool:
         """Whether a learned route is exported to ``to_neighbor``.
 
-        The one-neighbor form of :meth:`export_targets`.
+        The one-neighbor form of :meth:`export_scope`.
         """
-        return bool(self.export_targets(route, ((to_neighbor, to_relationship),)))
-
-    def export_targets(
-        self, route: Route, sessions: Iterable[Tuple[int, Relationship]]
-    ) -> Set[int]:
-        """The neighbors among ``sessions`` a learned route is exported to.
-
-        ``sessions`` are ``(neighbor, relationship)`` pairs.  Applies the
-        Gao-Rexford rule, never back to the neighbor the route came
-        from, then the partial-transit restriction: customers buying
-        partial transit never receive provider-learned routes.  The
-        route's side of the rule is read once, so a speaker's export
-        pass costs one call per best-route change.
-        """
-        learned_from = route.learned_from
-        route_class = route.effective_class
-        allowed = _EXPORTABLE_TO[route_class]
-        blocked = (
-            self.partial_transit_to if route_class is Relationship.PROVIDER else ()
+        full_feed = (to_neighbor,) if to_relationship.exports_all() else ()
+        scope, blocked = self.export_scope(route, (to_neighbor,), full_feed)
+        return (
+            to_neighbor in scope
+            and to_neighbor not in blocked
+            and to_neighbor != route.learned_from
         )
-        return {
-            neighbor
-            for neighbor, relationship in sessions
-            if relationship in allowed
-            and neighbor != learned_from
-            and neighbor not in blocked
-        }
+
+    def export_scope(
+        self,
+        route: Route,
+        neighbors: Collection[int],
+        full_feed: Collection[int],
+    ) -> Tuple[Collection[int], Collection[int]]:
+        """Where a learned route is exported: ``(scope, blocked)``.
+
+        The route goes to every neighbor in ``scope`` that is not in
+        ``blocked`` and is not the neighbor it came from.  ``neighbors``
+        holds every neighbor and ``full_feed`` the customers and
+        siblings (the classes that receive every route).  This is the
+        Gao-Rexford rule: customer- and sibling-class routes go to every
+        neighbor, peer- and provider-class routes to customers and
+        siblings only.  Then the partial-transit restriction: customers
+        buying partial transit never receive provider-class routes.
+
+        It reads only the route's class, and returns the caller's own
+        collections, so a speaker's export pass builds no set: the
+        speaker passes its neighbor map and one customers-plus-siblings
+        set it keeps for every prefix.
+        """
+        route_class = route.effective_class
+        if route_class is Relationship.CUSTOMER or route_class is Relationship.SIBLING:
+            return neighbors, ()
+        if route_class is Relationship.PROVIDER:
+            return full_feed, self.partial_transit_to
+        return full_feed, ()

@@ -1,4 +1,14 @@
-"""Routes as installed in a speaker's Adj-RIB-In."""
+"""Routes as installed in a speaker's Adj-RIB-In.
+
+A :class:`Route` is built for every accepted update, so it is a plain
+slotted dataclass, not a frozen one: a frozen dataclass sets each of
+its nine fields through ``object.__setattr__``, which made building a
+route cost three times as much.  Routes are immutable by convention:
+nothing assigns to a route once built, and speakers share them across
+prefixes (:meth:`repro.bgp.speaker.BGPSpeaker.adopt`) and with forks.
+Equality and hashing stay by value.  :class:`LocalRoute` is off the
+per-update path and stays frozen.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +20,10 @@ from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Route:
-    """A candidate route at one AS toward one prefix.
+    """A candidate route at one AS toward one prefix (immutable by
+    convention; see the module docstring).
 
     A route does not name its prefix: the speaker's record it sits in
     does, so equal-policy prefixes can share one converged set of

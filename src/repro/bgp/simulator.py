@@ -25,6 +25,7 @@ such copy to event delivery.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -40,6 +41,8 @@ from repro.topology.graph import ASGraph
 
 #: ``bgp_convergence_events`` histogram buckets (messages per run).
 _CONVERGENCE_EVENT_BUCKETS = (0, 10, 100, 300, 1000, 3000, 10000, 30000, 100000)
+#: ``bgp_convergence_seconds`` histogram buckets (seconds per run).
+_CONVERGENCE_SECONDS_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -78,7 +81,11 @@ class BGPSimulator:
         soft_limit_fraction: float = 0.8,
     ) -> None:
         self.graph = graph
-        self._country_of = country_of
+        #: Whois country by ASN, read once here: a domestic-preference
+        #: import looks up every hop of every path it is offered.
+        self._country_of: Optional[CountryLookup] = None
+        if country_of is not None:
+            self._country_of = {asn: country_of(asn) for asn in graph.asns()}.get
         policies = policies or {}
         self.speakers: Dict[int, BGPSpeaker] = {}
         for asn in graph.asns():
@@ -309,39 +316,36 @@ class BGPSimulator:
 
         With telemetry on, a converged run adds its event count to
         ``bgp_events_delivered_total`` and ``bgp_convergence_events``,
-        labelled with the kind of origination change that started it.
+        and its wall time to ``bgp_convergence_seconds``, labelled with
+        the kind of origination change that started it.
         """
+        started = time.perf_counter()
         queue = self._queue
+        pop = queue.popleft
+        push = queue.extend
         speakers = self.speakers
         country_of = self._country_of
+        max_events = self._max_events
+        # The next limit to test: the soft warning (once), then the hard.
+        limit = min(self._soft_events, max_events)
+        clock = self.clock
         delivered = 0
-        warned = False
-        while queue:
-            if delivered >= self._max_events:
-                publish(
-                    CATEGORY_BGP,
-                    "convergence_error",
-                    prefix=str(self._origination_prefix),
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-                raise ConvergenceError(
-                    f"no convergence after {delivered} events for "
-                    f"{self._origination_prefix} (epoch {self.epoch}); "
-                    "likely a policy dispute wheel",
-                    prefix=self._origination_prefix,
-                    epoch=self.epoch,
-                    delivered=delivered,
-                )
-            if not warned and delivered >= self._soft_events:
-                warned = True
-                self._soft_limit(delivered)
-            target, message = queue.popleft()
-            self.clock += 1
-            delivered += 1
-            speaker = speakers[target]
-            if speaker.receive(message, self.clock, country_of):
-                queue.extend(speaker.exports(message.prefix))
+        try:
+            while queue:
+                if delivered >= limit:
+                    if delivered >= max_events:
+                        self._raise_unconverged(delivered)
+                    self.clock = clock
+                    self._soft_limit(delivered)
+                    limit = max_events
+                target, message = pop()
+                clock += 1
+                delivered += 1
+                speaker = speakers[target]
+                if speaker.receive(message, clock, country_of):
+                    push(speaker.exports(message.prefix))
+        finally:
+            self.clock = clock
         if delivered and events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -349,8 +353,26 @@ class BGPSimulator:
                 epoch=self.epoch,
                 delivered=delivered,
             )
-        self._record_convergence(delivered)
+        self._record_convergence(delivered, time.perf_counter() - started)
         return delivered
+
+    def _raise_unconverged(self, delivered: int) -> None:
+        """Raise the hard event limit's :class:`ConvergenceError`."""
+        publish(
+            CATEGORY_BGP,
+            "convergence_error",
+            prefix=str(self._origination_prefix),
+            epoch=self.epoch,
+            delivered=delivered,
+        )
+        raise ConvergenceError(
+            f"no convergence after {delivered} events for "
+            f"{self._origination_prefix} (epoch {self.epoch}); "
+            "likely a policy dispute wheel",
+            prefix=self._origination_prefix,
+            epoch=self.epoch,
+            delivered=delivered,
+        )
 
     def _soft_limit(self, delivered: int) -> None:
         publish(
@@ -363,7 +385,7 @@ class BGPSimulator:
         if self.on_soft_limit is not None:
             self.on_soft_limit(self._origination_prefix, self.epoch, delivered)
 
-    def _record_convergence(self, delivered: int) -> None:
+    def _record_convergence(self, delivered: int, seconds: float) -> None:
         metrics = get_obs().metrics
         if not metrics.enabled:
             return
@@ -377,6 +399,12 @@ class BGPSimulator:
             "BGP update messages delivered per converged run.",
             buckets=_CONVERGENCE_EVENT_BUCKETS,
         ).labels(kind=kind).observe(delivered)
+        metrics.histogram(
+            "bgp_convergence_seconds",
+            "Wall time per converged run of event delivery (copied "
+            "convergences are counted by bgp_convergences_reused_total).",
+            buckets=_CONVERGENCE_SECONDS_BUCKETS,
+        ).labels(kind=kind).observe(seconds)
 
     def discard_pending(self) -> int:
         """Drop all undelivered messages; returns how many were dropped.

@@ -4,11 +4,26 @@ Everything a speaker holds for one prefix lives in one record: the
 Adj-RIB-In by neighbor, the local origination, the Loc-RIB route and
 the decision step that picked it, and what each neighbor was last
 told.  Delivering a message therefore costs one prefix lookup, not one
-per table.  After a best-route change, :meth:`BGPSpeaker.exports`
-computes every neighbor's update in one pass: the export rule is
-evaluated once for the route (:meth:`~repro.bgp.policy.Policy.export_targets`),
-and all non-sibling neighbors that receive a learned route share one
-immutable ``(path, communities)`` export and one announcement.
+per table.
+
+The decision process is incremental.  An update from a neighbor whose
+route is not the current best only has to beat the best: preference
+keys are unique per candidate (the router id is the neighbor's ASN),
+so the new best is whichever of the two has the smaller
+:func:`~repro.bgp.decision.preference_key`.  The full tournament
+(:func:`~repro.bgp.decision.best_route`) runs only when the best
+route's own neighbor updates or withdraws, when a rejected update drops
+a route, and when the AS originates or stops originating the prefix.
+An incremental update can change the runner-up, so it leaves the
+decision step stale (``None`` beside a best route), and
+:meth:`BGPSpeaker.decision_step` recomputes it from the candidates.
+
+After a best-route change, :meth:`BGPSpeaker.exports` computes every
+neighbor's update in one pass: the export rule is read once for the
+route (:meth:`~repro.bgp.policy.Policy.export_scope`) and returns
+collections the speaker already holds, and all non-sibling neighbors
+that receive a learned route share one ``(path, communities)`` export
+and one announcement.
 
 A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
@@ -29,7 +44,7 @@ from repro.bgp.communities import (
     read_entry_class,
     strip_entry_class,
 )
-from repro.bgp.decision import DecisionStep, best_route
+from repro.bgp.decision import DecisionStep, best_route, preference_key
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.policy import NO_PREFIX_INPUTS, CountryLookup, Policy, PrefixInputs
 from repro.bgp.routes import LocalRoute, Route
@@ -38,6 +53,10 @@ from repro.topology.relationships import Relationship
 
 #: What a neighbor is told about a prefix: (AS path, communities).
 Export = Tuple[ASPathAttribute, frozenset]
+
+#: Read on every delivered update; a module constant spares the class
+#: attribute lookup.
+_SIBLING = Relationship.SIBLING
 
 
 class _PrefixState:
@@ -51,7 +70,9 @@ class _PrefixState:
         #: The local origination and the self-route it installs.
         self.local: Optional[LocalRoute] = None
         self.self_route: Optional[Route] = None
-        #: Loc-RIB: the best route and the decision step that chose it.
+        #: Loc-RIB: the best route and the decision step that chose it;
+        #: a ``None`` step beside a best route is stale (see the module
+        #: docstring).  ``None`` survives every copy of the record.
         self.best: Optional[Route] = None
         self.step: Optional[DecisionStep] = None
         #: What each neighbor was last told: neighbor ASN -> export.
@@ -98,6 +119,13 @@ class BGPSpeaker:
         #: (neighbor, relationship) in ascending-ASN order, the order
         #: updates go out in.
         self._sessions = tuple(sorted(self.neighbors.items()))
+        #: The customers and siblings: the neighbors that hear every
+        #: route (:meth:`~repro.bgp.policy.Policy.export_scope`).
+        self._full_feed = frozenset(
+            neighbor
+            for neighbor, relationship in self._sessions
+            if relationship.exports_all()
+        )
         #: Global relationship oracle used to classify routes arriving
         #: over sibling links (stand-in for org-wide communities).
         self._resolve_relationship = relationship_resolver
@@ -259,7 +287,9 @@ class BGPSpeaker:
             raise ValueError(f"AS{self.asn} has no session with AS{neighbor}")
         prefix = announcement.prefix
         state = self._prefixes.get(prefix)
-        if not self.policy.accepts(announcement.as_path):
+        as_path = announcement.as_path
+        policy = self.policy
+        if not policy.accepts(as_path):
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
             if state is not None and state.rib_in.pop(neighbor, None) is not None:
@@ -267,44 +297,50 @@ class BGPSpeaker:
             return False
         if state is None:
             state = self._prefixes[prefix] = _PrefixState()
+        communities = announcement.communities
         previous = state.rib_in.get(neighbor)
         if (
             previous is not None
-            and previous.as_path == announcement.as_path
-            and previous.communities == announcement.communities
+            and previous.as_path == as_path
+            and previous.communities == communities
         ):
             # Duplicate announcement: no state change, age preserved.
             return False
         effective = relationship
-        if relationship is Relationship.SIBLING:
-            effective = self._sibling_entry_class(
-                neighbor, announcement.as_path, announcement.communities
-            )
+        if relationship is _SIBLING:
+            effective = self._sibling_entry_class(neighbor, as_path, communities)
         inputs = NO_PREFIX_INPUTS
         if self._inputs:
             inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
-        state.rib_in[neighbor] = Route(
-            as_path=announcement.as_path,
-            learned_from=neighbor,
-            relationship=relationship,
-            local_pref=self.policy.import_local_pref(
-                neighbor,
-                effective,
-                inputs,
-                announcement.as_path,
-                country_of,
-            ),
-            igp_cost=self.policy.igp_cost_for(neighbor),
-            age=clock,
-            router_id=neighbor,
-            export_class=effective,
-            communities=announcement.communities,
+        # Positional, in field order: keyword arguments would double
+        # the cost of building the route.
+        route = state.rib_in[neighbor] = Route(
+            as_path,
+            neighbor,
+            relationship,
+            policy.import_local_pref(neighbor, effective, inputs, as_path, country_of),
+            policy.igp_cost_for(neighbor),
+            clock,
+            neighbor,
+            effective,
+            communities,
         )
-        return self._run_decision(state, prefix)
+        best = state.best
+        if best is None or best.learned_from == neighbor:
+            return self._run_decision(state, prefix)
+        # The best route stands unless the new one beats it.
+        state.step = None
+        if preference_key(route) < preference_key(best):
+            state.best = route
+            return self._best_changed(prefix)
+        return False
 
     def _receive_withdrawal(self, withdrawal: Withdrawal) -> bool:
         state = self._prefixes.get(withdrawal.prefix)
         if state is None or state.rib_in.pop(withdrawal.sender, None) is None:
+            return False
+        if state.best is not None and state.best.learned_from != withdrawal.sender:
+            state.step = None  # the best stands; the runner-up may not
             return False
         return self._run_decision(state, withdrawal.prefix)
 
@@ -322,7 +358,7 @@ class BGPSpeaker:
         return routes
 
     def _run_decision(self, state: _PrefixState, prefix: Prefix) -> bool:
-        """Re-select the best route; returns whether it changed."""
+        """Run the full tournament; returns whether the best route changed."""
         rib_in = state.rib_in
         if state.self_route is not None:
             winner, step = best_route([*rib_in.values(), state.self_route])
@@ -336,6 +372,10 @@ class BGPSpeaker:
         state.step = step
         if previous is winner or previous == winner:
             return False
+        return self._best_changed(prefix)
+
+    def _best_changed(self, prefix: Prefix) -> bool:
+        """Count a best-route change toward flap damping; returns True."""
         if self._flap_limit:
             flaps = self._flap_count.get(prefix, 0) + 1
             self._flap_count[prefix] = flaps
@@ -364,8 +404,17 @@ class BGPSpeaker:
         return None if state is None else state.best
 
     def decision_step(self, prefix: Prefix) -> Optional[DecisionStep]:
+        """The step that picked the Loc-RIB route (``None``: no route).
+
+        A stale step is recomputed from the candidates, so this is
+        always what the full tournament reports for them.
+        """
         state = self._prefixes.get(prefix)
-        return None if state is None else state.step
+        if state is None:
+            return None
+        if state.step is None and state.best is not None:
+            return best_route(self.candidates(prefix))[1]
+        return state.step
 
     def advertised(self, prefix: Prefix) -> Dict[int, Export]:
         """Neighbor -> (AS path, communities) last announced for ``prefix``."""
@@ -399,7 +448,7 @@ class BGPSpeaker:
         ``(neighbor, message)`` pair — an announcement or a withdrawal —
         per neighbor whose view changed.  A learned best route is
         prepended and stripped once; every non-sibling neighbor shares
-        that immutable export and its announcement.
+        that export and its announcement.
         """
         state = self._prefixes.get(prefix)
         if state is None:
@@ -407,30 +456,37 @@ class BGPSpeaker:
         best = state.best
         advertised = state.advertised
         originated = best is not None and best.learned_from == self.asn
-        targets = shared = announcement = withdrawal = inputs = None
+        scope = blocked = ()
+        sender = inputs = None
         if originated:
             inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
         elif best is not None:
-            targets = self.policy.export_targets(best, self._sessions)
-        if not (originated or targets or advertised):
-            return []
-        if targets:
-            shared = (
-                best.as_path.prepend(self.asn),
-                strip_entry_class(best.communities),
+            sender = best.learned_from
+            scope, blocked = self.policy.export_scope(
+                best, self.neighbors, self._full_feed
             )
-            announcement = self._announcement(prefix, shared)
+        if not (originated or scope or advertised):
+            return []
+        shared = announcement = withdrawal = None
+        told_before = advertised.get
         updates = []
         for neighbor, relationship in self._sessions:
             if originated:
                 export = self._origin_export(state, inputs, neighbor, relationship)
-            elif not targets or neighbor not in targets:
-                export = None
-            elif relationship is Relationship.SIBLING:
-                export = self._sibling_export(best)
+            elif neighbor in scope and neighbor != sender and neighbor not in blocked:
+                if relationship is _SIBLING:
+                    export = self._sibling_export(best)
+                else:
+                    if shared is None:
+                        shared = (
+                            best.as_path.prepend(self.asn),
+                            strip_entry_class(best.communities),
+                        )
+                        announcement = self._announcement(prefix, shared)
+                    export = shared
             else:
-                export = shared
-            told = advertised.get(neighbor)
+                export = None
+            told = told_before(neighbor)
             if export is None:
                 if told is not None:
                     del advertised[neighbor]
@@ -449,9 +505,7 @@ class BGPSpeaker:
 
     def _announcement(self, prefix: Prefix, export: Export) -> Announcement:
         path, communities = export
-        return Announcement(
-            prefix=prefix, as_path=path, sender=self.asn, communities=communities
-        )
+        return Announcement(prefix, path, self.asn, communities)
 
     def _origin_export(
         self,

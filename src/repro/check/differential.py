@@ -1041,6 +1041,30 @@ _REUSE_PREFIXES = (
 )
 
 
+def _tournament_faults(
+    seed: int, simulator: BGPSimulator, prefix: Prefix, label: str
+) -> List[Disagreement]:
+    """Speakers whose Loc-RIB route or decision step for ``prefix`` is
+    not what the full tournament picks from their candidates.  The
+    speaker decides most updates incrementally and reads a stale step
+    back through :func:`best_route`; this holds both to the tournament."""
+    faulty = []
+    for asn, speaker in simulator.speakers.items():
+        expected = best_route(speaker.candidates(prefix))
+        if (speaker.best(prefix), speaker.decision_step(prefix)) != expected:
+            faulty.append(asn)
+    if not faulty:
+        return []
+    return [
+        Disagreement(
+            "bgp-reuse",
+            seed,
+            f"{label}: {prefix} Loc-RIB or decision step differs from the "
+            f"full tournament at {len(faulty)} speaker(s), first AS{faulty[0]}",
+        )
+    ]
+
+
 def _originate_checked(
     seed: int,
     simulator: BGPSimulator,
@@ -1051,13 +1075,14 @@ def _originate_checked(
     tally: Counter,
 ) -> List[Disagreement]:
     """Production ``originate``; when it copies a known state, a deep
-    copy delivers the origination by events and both must agree."""
+    copy delivers the origination by events and both must agree.
+    Either way, every speaker's decision must be the full tournament's."""
     _, _, node = simulator._lookup(
         LocalRoute(prefix=prefix, origin_asn=asn, poisoned=poisoned)
     )
     if node is None or not node.reusable():
         simulator.originate(asn, prefix, poisoned)
-        return []
+        return _tournament_faults(seed, simulator, prefix, label)
     twin = next(iter(node.holders), None)
     tally["bgp-reuse copies"] += 1
     tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
@@ -1078,7 +1103,8 @@ def _originate_checked(
     fork._originate_by_events(asn, prefix, poisoned)
     simulator.originate(asn, prefix, poisoned)
     tally["bgp-reuse soft limits replayed"] += len(warnings)
-    problems: List[Disagreement] = []
+    problems = _tournament_faults(seed, simulator, prefix, label)
+    problems += _tournament_faults(seed, fork, prefix, f"{label} (event-driven)")
     # The copied prefix, and the twin it was copied from (left as is).
     for other in (prefix,) if twin is None else (prefix, twin):
         detail = _diff_rib_states(
@@ -1119,7 +1145,10 @@ def check_bgp_reuse(seed: int, tally: Optional[Counter] = None) -> List[Disagree
     :meth:`BGPSimulator._originate_by_events` on a deep copy
     (:func:`_originate_checked`): every speaker's tables for the copied
     prefix and for the twin it was copied from, ages by order, and the
-    clock, epoch, damped set and soft-limit warnings.  Every fourth
+    clock, epoch, damped set and soft-limit warnings.  After every
+    origination, copied or delivered, and on the event-driven fork,
+    each speaker's Loc-RIB route and decision step must be what the
+    full tournament picks (:func:`_tournament_faults`).  Every fourth
     seed runs at ``flap_limit=2`` so damped states are copied too, and
     a low soft limit makes copies replay the warning.
     """

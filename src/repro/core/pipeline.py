@@ -316,7 +316,9 @@ class Study:
     Pass a pre-built ``internet`` (e.g. loaded with
     :func:`repro.topogen.load_internet`) to study a shared dataset
     instead of regenerating one; note the study mutates it when active
-    experiments are enabled (the PEERING testbed installs itself).
+    experiments are enabled (the PEERING testbed installs itself), so
+    a second active study of the same object is refused: study a fresh
+    or reloaded world instead.
     """
 
     def __init__(
@@ -540,7 +542,10 @@ class Study:
         with timer.span("figure1"):
             # Imported lazily: repro.perf.parallel itself imports from
             # repro.core, so a module-level import here would cycle.
-            from repro.perf.parallel import ParallelClassifier
+            # The first import (numpy and the kernel) is most of
+            # figure1's time outside its classification spans.
+            with timer.span("import_classifier"):
+                from repro.perf.parallel import ParallelClassifier
 
             classifier = ParallelClassifier()
             layer_configs = figure1_layer_configs(

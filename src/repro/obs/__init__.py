@@ -48,7 +48,6 @@ from repro.obs.events import (
     EventStream,
 )
 from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
     from_jsonl,
     metrics_to_prometheus,
     render_summary,
@@ -109,7 +108,6 @@ __all__ = [
     "from_jsonl",
     "to_prometheus",
     "metrics_to_prometheus",
-    "PROMETHEUS_CONTENT_TYPE",
     "render_summary",
     "write_jsonl",
     "write_prometheus",

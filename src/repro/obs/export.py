@@ -114,10 +114,6 @@ def from_jsonl(text: str) -> RunManifest:
 # Prometheus text exposition
 # ---------------------------------------------------------------------------
 
-#: The content type a scrape endpoint must serve with the text format.
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
 def _escape_help(text: str) -> str:
     """``# HELP`` lines escape backslash and newline (not quotes)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
@@ -144,10 +140,9 @@ def metrics_to_prometheus(metrics: Dict) -> str:
     """A metric snapshot (``MetricsRegistry.snapshot()`` shape) in
     Prometheus text exposition format.
 
-    This is the function a live scrape endpoint serves (paired with
-    :data:`PROMETHEUS_CONTENT_TYPE`); :func:`to_prometheus` is the
-    manifest-file view of the same rendering.  Help text is escaped per
-    the exposition rules so multi-line help cannot corrupt the stream.
+    :func:`to_prometheus` is the manifest-file view of the same
+    rendering.  Help text is escaped per the exposition rules so
+    multi-line help cannot corrupt the stream.
     """
     lines: List[str] = []
     for name, data in sorted(metrics.get("counters", {}).items()):

@@ -83,6 +83,9 @@ class FeedArchive:
         self._collectors = list(collectors)
         #: prefix -> set of feed paths.
         self._paths: Dict[Prefix, Set[PathSeq]] = {}
+        #: (neighbor, origin) -> the prefixes with a feed path ending in
+        #: that edge: the index the origin-edge queries read.
+        self._edges: Dict[Tuple[int, int], Set[Prefix]] = {}
 
     @property
     def collectors(self) -> List[RouteCollector]:
@@ -91,10 +94,16 @@ class FeedArchive:
     def record(self, simulator: BGPSimulator, prefixes: Iterable[Prefix]) -> None:
         """Snapshot feeds for ``prefixes`` from the converged simulator."""
         for prefix in prefixes:
-            bucket = self._paths.setdefault(prefix, set())
+            self._paths.setdefault(prefix, set())
             for collector in self._collectors:
                 for path in collector.collect(simulator, prefix).values():
-                    bucket.add(path)
+                    self.add_path(prefix, path)
+
+    def add_path(self, prefix: Prefix, path: PathSeq) -> None:
+        """Archive one feed path for ``prefix`` and index its last edge."""
+        self._paths.setdefault(prefix, set()).add(path)
+        if len(path) >= 2:
+            self._edges.setdefault((path[-2], path[-1]), set()).add(prefix)
 
     def prefixes(self) -> List[Prefix]:
         return sorted(self._paths, key=lambda p: (p.network, p.length))
@@ -118,15 +127,9 @@ class FeedArchive:
         True when a feed path for ``prefix`` ends with ``neighbor,
         origin``.
         """
-        for path in self._paths.get(prefix, set()):
-            if len(path) >= 2 and path[-1] == origin and path[-2] == neighbor:
-                return True
-        return False
+        return prefix in self._edges.get((neighbor, origin), ())
 
     def any_prefix_via_edge(self, neighbor: int, origin: int) -> bool:
         """Did feeds show *any* prefix announced from ``origin`` to
         ``neighbor``?  (Criteria 2's visibility prerequisite.)"""
-        for prefix in self._paths:
-            if self.origin_edge_observed(prefix, neighbor, origin):
-                return True
-        return False
+        return (neighbor, origin) in self._edges

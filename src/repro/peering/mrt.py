@@ -89,5 +89,5 @@ def load_feed(source: Union[str, Path, TextIO]) -> FeedArchive:
         records = parse_feed_lines(source)
     archive = FeedArchive([])
     for prefix, path in records:
-        archive._paths.setdefault(prefix, set()).add(path)
+        archive.add_path(prefix, path)
     return archive

@@ -59,6 +59,14 @@ class PeeringTestbed:
         fault_plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
+        if peering_asn in internet.graph:
+            # A second install would pick PEERING itself as a mux host
+            # (an education AS with providers) and self-link it.
+            raise ValueError(
+                f"the world already holds AS{peering_asn}: PEERING was "
+                "installed into it by an earlier study; study a fresh or "
+                "reloaded world instead"
+            )
         self.internet = internet
         self.asn = peering_asn
         rng = random.Random(seed)

@@ -320,6 +320,21 @@ class TestConvergenceFailure:
         # gets a head start on the breaker.
         assert delivered < excinfo.value.delivered
 
+    def test_clock_is_exact_when_a_limit_fires(self):
+        """The run loop keeps the clock in a local: the soft-limit hook
+        and the caller of a failed run still read one tick per
+        delivered message."""
+        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
+        seen = []
+        sim.on_soft_limit = lambda prefix, epoch, delivered: seen.append(
+            (sim.clock, delivered)
+        )
+        with pytest.raises(ConvergenceError) as excinfo:
+            sim.originate(6, PFX)
+        ((clock, delivered),) = seen
+        assert clock == delivered
+        assert sim.clock == excinfo.value.delivered
+
     def test_soft_limit_hook_can_fire_without_hard_failure(self):
         # The chain needs 3 deliveries against a budget of 3 (soft at 2):
         # the warning fires but convergence still completes.

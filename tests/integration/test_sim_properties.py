@@ -7,13 +7,17 @@ generated topology, not just the crafted ones.  With partial transit,
 selective export and prepending drawn on top, every speaker must have
 told each neighbor what the naive export rule derives from its route.
 Converged-state reuse (twins and snapshots) must leave every table
-where event-by-event delivery leaves it.
+where event-by-event delivery leaves it.  The incremental decision
+process must pick what the full tournament picks, message by message.
 """
+
+import copy
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import BGPSimulator, Policy
+from repro.bgp import BGPSimulator, BGPSpeaker, Policy, best_route
 from repro.check.differential import _rib_state
 from repro.check.oracles import oracle_export
 from repro.core.gao_rexford import GaoRexfordEngine
@@ -310,3 +314,96 @@ class TestConvergedStateReuse:
                 reference.clock,
                 reference.epoch,
             )
+
+
+def _assert_decisions_exact(speakers, prefixes, where):
+    """Each speaker's Loc-RIB route and decision step are what the full
+    tournament picks from its candidates."""
+    for asn, speaker in speakers.items():
+        for prefix in prefixes:
+            winner, step = best_route(speaker.candidates(prefix))
+            assert speaker.best(prefix) == winner, f"AS{asn} {prefix} {where}"
+            assert speaker.decision_step(prefix) == step, (
+                f"AS{asn} {prefix} step {where}"
+            )
+
+
+DECISION_STEPS = ("originate", "poison", "withdraw", "second-origin", "withdraw-second")
+
+
+class TestIncrementalDecision:
+    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @settings(max_examples=100, deadline=None)
+    def test_loc_rib_and_step_match_the_full_tournament(
+        self, graph, data, flap_limit
+    ):
+        """After every delivered message the receiving speaker's Loc-RIB
+        route and decision step equal :func:`best_route` over its
+        candidates, although most updates are only compared with the
+        best.  After every origination, copied (``adopt``) or delivered,
+        the same holds at every speaker, and on a deep copy of the
+        simulator, which then carries on in its place.  Per-neighbor
+        local preferences and IGP costs make every decision step
+        reachable."""
+        asns = sorted(graph.asns())
+        policies = {}
+        for asn in asns:
+            neighbors = sorted(graph.neighbors(asn))
+            policies[asn] = Policy(
+                asn=asn,
+                neighbor_local_pref={
+                    neighbor: data.draw(st.sampled_from([100, 200, 300]))
+                    for neighbor in data.draw(st.sets(st.sampled_from(neighbors)))
+                }
+                if neighbors
+                else {},
+                igp_cost={
+                    neighbor: data.draw(st.sampled_from([0, 5]))
+                    for neighbor in neighbors
+                },
+            )
+        main, second = data.draw(
+            st.lists(st.sampled_from(asns), min_size=2, max_size=2, unique=True),
+            label="origins",
+        )
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(DECISION_STEPS),
+                    st.sampled_from(REUSE_PREFIXES[:2]),
+                    st.frozensets(st.sampled_from(asns), min_size=1, max_size=2),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=10,
+            ),
+            label="steps",
+        )
+        receive = BGPSpeaker.receive
+
+        def checked_receive(speaker, message, clock, country_of=None):
+            changed = receive(speaker, message, clock, country_of)
+            _assert_decisions_exact(
+                {speaker.asn: speaker},
+                (message.prefix,),
+                f"after {message} at clock {clock}",
+            )
+            return changed
+
+        simulator = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        prefixes = REUSE_PREFIXES[:2]
+        prelude = [("originate", prefix, frozenset(), False) for prefix in prefixes]
+        with mock.patch.object(BGPSpeaker, "receive", checked_receive):
+            for action, prefix, poison, fork in prelude + steps:
+                origin = second if "second" in action else main
+                if action.startswith("withdraw"):
+                    simulator.withdraw(origin, prefix)
+                else:
+                    poisoned = poison if action == "poison" else frozenset()
+                    simulator.originate(origin, prefix, poisoned)
+                where = f"after {action} {prefix}"
+                _assert_decisions_exact(simulator.speakers, prefixes, where)
+                copied = copy.deepcopy(simulator)
+                _assert_decisions_exact(copied.speakers, prefixes, f"copied {where}")
+                if fork:
+                    simulator = copied

@@ -1,7 +1,10 @@
 """Running a study over a serialized, reloaded dataset."""
 
+import pytest
+
+from repro.check.golden import snapshot_study
 from repro.core.classification import DecisionLabel
-from repro.core.pipeline import FIGURE1_LAYERS, Study, StudyConfig
+from repro.core.pipeline import FIGURE1_LAYERS, Study, StudyConfig, build_study_config
 from repro.topogen import generate_internet, load_internet, save_internet
 from repro.topogen.config import small_config
 
@@ -30,3 +33,17 @@ def test_study_over_reloaded_internet_matches_generated(tmp_path):
     for layer in FIGURE1_LAYERS:
         assert fresh.figure1[layer].counts == reloaded.figure1[layer].counts
     assert fresh.figure1["Simple"].percent(DecisionLabel.BEST_SHORT) > 0
+
+
+def test_second_active_study_on_one_world_is_refused(study):
+    """An active study installs PEERING into the world it is given; a
+    second one on the same object is refused before touching it, and
+    the first study computes what a study of its own world does."""
+    config = build_study_config(study.config.seed, "small")
+    world = generate_internet(config.topology, seed=config.seed)
+    first = Study(config, internet=world).run()
+    assert snapshot_study(first) == snapshot_study(study)
+    fingerprint = world.graph.fingerprint()
+    with pytest.raises(ValueError, match="fresh or reloaded world"):
+        Study(config, internet=world).run()
+    assert world.graph.fingerprint() == fingerprint

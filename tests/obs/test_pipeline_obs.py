@@ -40,11 +40,19 @@ class TestManifestProduction:
         # Core stages are present as top-level spans.
         for stage in ("topology", "campaign", "figure1", "label_decisions"):
             assert stage in manifest.stage_timings()
-        # The classifier's nested spans landed under figure1.
+        # The classifier's nested spans landed under figure1, after the
+        # span of its first-use import.
         figure1 = next(s for s in manifest.spans if s["name"] == "figure1")
-        child_names = {child["name"] for child in figure1.get("children", [])}
+        child_names = [child["name"] for child in figure1.get("children", [])]
+        assert child_names[0] == "import_classifier"
         assert "precompute" in child_names
         assert "classify_layer" in child_names
+        # The campaign's two phases: originations, then the probe sweep.
+        campaign = next(s for s in manifest.spans if s["name"] == "campaign")
+        assert [child["name"] for child in campaign["children"]] == [
+            "originate_destinations",
+            "probe_sweep",
+        ]
 
     def test_manifest_metrics_recorded(self, obs_study):
         counters = obs_study.manifest.metrics["counters"]
@@ -77,6 +85,12 @@ class TestManifestProduction:
         originate = 'kind="originate"'
         assert delivered["series"][originate] > 0
         assert runs["series"][originate]["count"] > 0
+        # Every delivered run is timed too; copies are counted apart.
+        seconds = manifest.metrics["histograms"]["bgp_convergence_seconds"]
+        assert set(seconds["series"]) == set(runs["series"])
+        for kind, series in seconds["series"].items():
+            assert series["count"] == runs["series"][kind]["count"]
+            assert series["sum"] > 0
 
     def test_spans_per_discovery_target_and_magnet_round(self, obs_study):
         """Each unit of the active phase is a span that says how many of

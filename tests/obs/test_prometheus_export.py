@@ -1,4 +1,4 @@
-"""Prometheus exposition tests: escaping, content type, round-trip.
+"""Prometheus exposition tests: label and help escaping, metric types.
 
 ``repro obs report --prometheus`` writes the text format for
 Prometheus tooling to read, where a raw newline inside a label value
@@ -7,10 +7,7 @@ would end a sample early and silently corrupt every series after it.
 
 import pytest
 
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    metrics_to_prometheus,
-)
+from repro.obs.export import metrics_to_prometheus
 from repro.obs.metrics import MetricsRegistry, escape_label_value, label_key
 
 pytestmark = pytest.mark.obs
@@ -39,11 +36,6 @@ class TestLabelEscaping:
 
 
 class TestExposition:
-    def test_content_type_is_the_text_format_004(self):
-        assert PROMETHEUS_CONTENT_TYPE == (
-            "text/plain; version=0.0.4; charset=utf-8"
-        )
-
     def test_hostile_label_values_stay_on_one_sample_line(self):
         registry = MetricsRegistry()
         counter = registry.counter("serve_requests_total", "Requests.")
@@ -76,14 +68,3 @@ class TestExposition:
         assert "# TYPE latency_seconds histogram" in text
         assert 'latency_seconds_bucket{le="+Inf"} 1' in text
         assert "latency_seconds_count 1" in text
-
-    def test_round_trip_through_http_headers_preserves_content_type(self):
-        """A scrape response's Content-Type must survive header parsing."""
-        import email.parser
-
-        raw = f"Content-Type: {PROMETHEUS_CONTENT_TYPE}\r\n\r\n"
-        parsed = email.parser.Parser().parsestr(raw)
-        assert parsed["Content-Type"] == PROMETHEUS_CONTENT_TYPE
-        assert parsed.get_content_type() == "text/plain"
-        assert parsed.get_param("version") == "0.0.4"
-        assert parsed.get_param("charset") == "utf-8"

@@ -1,8 +1,12 @@
 """Tests for route collectors and the PEERING testbed."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.bgp import BGPSimulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp import ASPathAttribute, BGPSimulator
 from repro.net.ip import Prefix
 from repro.peering import FeedArchive, PeeringTestbed, RouteCollector, default_collectors
 from repro.topogen import generate_internet
@@ -19,6 +23,23 @@ def _world():
     sim = BGPSimulator(graph)
     sim.originate(3, P1)
     return graph, sim
+
+
+FEED_PREFIXES = [Prefix.parse(f"203.0.113.{64 * index}/26") for index in range(3)]
+
+
+class _FeedView:
+    """A stand-in for a converged simulator: each (peer, prefix)'s best
+    route is one with the given AS path."""
+
+    def __init__(self, paths):
+        self._paths = paths
+
+    def best_route(self, peer, prefix):
+        path = self._paths.get((peer, prefix))
+        if path is None:
+            return None
+        return SimpleNamespace(as_path=ASPathAttribute.from_sequence(path))
 
 
 class TestRouteCollector:
@@ -46,6 +67,41 @@ class TestRouteCollector:
         assert feeds.any_prefix_via_edge(2, 3)
         assert feeds.prefixes() == [P1]
 
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(1, 3), st.sampled_from(FEED_PREFIXES)),
+                st.lists(st.integers(1, 6), max_size=4),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edge_index_answers_like_a_scan_of_every_path(self, rounds, recorded):
+        """The origin-edge index answers what scanning every feed path
+        answers, after each ``record`` (the magnet rounds record
+        PEERING prefixes into the study's archive)."""
+        feeds = FeedArchive([RouteCollector(name="rv", peer_asns=(1, 2, 3))])
+        for views in rounds:
+            feeds.record(_FeedView(views), FEED_PREFIXES[:recorded])
+            for neighbor in range(1, 7):
+                for origin in range(1, 7):
+                    scans = [
+                        any(
+                            path[-2:] == (neighbor, origin)
+                            for path in feeds.paths_for(prefix)
+                        )
+                        for prefix in FEED_PREFIXES
+                    ]
+                    indexed = [
+                        feeds.origin_edge_observed(prefix, neighbor, origin)
+                        for prefix in FEED_PREFIXES
+                    ]
+                    assert indexed == scans
+                    assert feeds.any_prefix_via_edge(neighbor, origin) == any(scans)
+
     def test_default_collectors_peer_with_core(self):
         internet = generate_internet(small_config(), seed=2)
         collectors = default_collectors(internet, seed=2)
@@ -68,6 +124,15 @@ def testbed_world():
 
 
 class TestPeeringTestbed:
+    def test_second_install_is_refused_before_touching_the_world(
+        self, testbed_world
+    ):
+        internet, _testbed, _sim = testbed_world
+        fingerprint = internet.graph.fingerprint()
+        with pytest.raises(ValueError, match="fresh or reloaded world"):
+            PeeringTestbed(internet, num_muxes=5, seed=13)
+        assert internet.graph.fingerprint() == fingerprint
+
     def test_installation(self, testbed_world):
         internet, testbed, _sim = testbed_world
         assert testbed.asn in internet.graph
