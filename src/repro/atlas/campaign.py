@@ -30,12 +30,11 @@ from repro.dataplane.traceroute import TracerouteEngine, TracerouteResult
 from repro.faults import (
     ApiRateLimit,
     ApiServerError,
-    CampaignInterrupted,
-    CheckpointJournal,
     DnsServfail,
     DnsTimeout,
     FaultPlan,
     FaultSite,
+    JournaledUnits,
     MalformedResultError,
     ProbeFlapError,
     RetryExhausted,
@@ -44,7 +43,6 @@ from repro.faults import (
     RobustnessReport,
     StoragePolicy,
     derive_seed,
-    pair_key,
 )
 from repro.net.ip import Prefix
 from repro.net.trie import PrefixTrie
@@ -84,9 +82,6 @@ class CampaignConfig:
     #: defaults to the process-wide durability with this campaign's
     #: fault plan (so storage fault sites fire even without a ledger).
     storage: Optional[StoragePolicy] = None
-
-    def journal_storage(self) -> StoragePolicy:
-        return self.storage or StoragePolicy(fault_plan=self.fault_plan)
 
 
 @dataclass(frozen=True)
@@ -185,29 +180,6 @@ def _inject_loop(trace: TracerouteResult, roll: float) -> None:
     trace.hops = trace.hops[: start + 2] + window * 2 + trace.hops[start + 2 :]
 
 
-def _journal_header(config: CampaignConfig, plan: FaultPlan) -> Dict:
-    return {
-        "campaign_seed": config.seed,
-        "plan_fingerprint": plan.fingerprint(),
-    }
-
-
-def _measurement_from_document(
-    document: Dict, probe: Probe, dns_name: str, replica: Replica
-) -> Measurement:
-    """Rebuild a journaled measurement without re-running anything.
-
-    Imported lazily: :mod:`repro.atlas.api` imports ``Measurement``
-    from this module at import time.
-    """
-    from repro.atlas.api import traceroute_from_json
-
-    trace = traceroute_from_json(document)
-    return Measurement(
-        probe=probe, dns_name=dns_name, replica=replica, traceroute=trace
-    )
-
-
 def run_campaign(
     internet: Internet,
     probes: List[Probe],
@@ -226,12 +198,15 @@ def run_campaign(
     * finalized pairs are journaled to ``config.checkpoint_path`` with
       their credit charges, and ``config.resume`` skips journaled work
       without double-charging the ledger;
-    * every pair, journaled or not, goes through the Atlas JSON round
-      trip, so a freshly measured pair and a replayed journal pair are
-      the same object;
+    * a fresh pair and a replayed journal pair are accounted by one
+      function from the same record, and every measurement goes through
+      the Atlas JSON round trip (parsed once: a fresh pair's document
+      when it is fetched, a replayed pair's from the journal), so the
+      two are the same object;
     * the returned dataset carries a :class:`RobustnessReport` in which
       every fault-free pair is accounted for exactly once.
     """
+    # Imported lazily: repro.atlas.api imports Measurement from here.
     from repro.atlas.api import traceroute_from_json, traceroute_to_json
 
     config = config or CampaignConfig()
@@ -257,75 +232,75 @@ def run_campaign(
 
     report = RobustnessReport()
     ledger = config.ledger
-    journal: Optional[CheckpointJournal] = None
-    journaled: Dict[Tuple[int, str], Dict] = {}
-    if config.checkpoint_path is not None:
-        journal = CheckpointJournal(
-            config.checkpoint_path, storage=config.journal_storage()
-        )
-        if config.resume and journal.exists():
-            header, records = journal.load()
-            expected = _journal_header(config, plan)
-            if header is not None:
-                for key in ("campaign_seed", "plan_fingerprint"):
-                    if header.get(key) != expected[key]:
-                        raise ValueError(
-                            f"checkpoint {config.checkpoint_path} was written "
-                            f"under a different {key.replace('_', ' ')}; "
-                            "refusing to resume"
-                        )
-            journaled = {pair_key(record): record for record in records}
-            if ledger is not None:
-                # Restore prior spend so resumed work is not re-charged
-                # and the budget cutoff lands on the same probe.
-                ledger.spent += sum(
-                    int(record.get("charged", 0)) for record in records
-                )
-        fresh = not journal.exists()
-        journal.open_append()
-        if fresh:
-            journal.write_header(_journal_header(config, plan))
-
+    units = JournaledUnits(
+        config.checkpoint_path,
+        {"campaign_seed": config.seed, "plan_fingerprint": plan.fingerprint()},
+        resume=config.resume,
+        storage=config.storage or StoragePolicy(fault_plan=config.fault_plan),
+        abort_after=config.abort_after,
+    )
     measurements: List[Measurement] = []
     budget_skipped: List[Probe] = []
     names = resolver.names()
-    finalized_this_run = 0
+
+    def apply(
+        record: Dict,
+        probe: Probe,
+        replica: Replica,
+        trace: Optional[TracerouteResult] = None,
+    ) -> None:
+        """Account one finalized pair from its journal record.
+
+        A fresh pair passes the traceroute it already parsed; a
+        replayed one is parsed from the record's document.
+        """
+        status = record.get("status")
+        reason = record.get("reason")
+        if status in (_COMPLETED, _DEGRADED):
+            if trace is None:
+                trace = traceroute_from_json(record["document"])
+            measurements.append(
+                Measurement(
+                    probe=probe,
+                    dns_name=record["name"],
+                    replica=replica,
+                    traceroute=trace,
+                )
+            )
+            if status == _COMPLETED:
+                report.record_completed(replica.asn)
+            else:
+                report.record_degraded(reason or "degraded")
+        elif status == _QUARANTINED:
+            report.record_quarantined(reason or "malformed-result")
+        else:
+            report.record_lost(reason or "lost")
 
     def finalize(
         probe: Probe,
         dns_name: str,
+        replica: Replica,
         status: str,
         reason: Optional[str],
-        charged: int,
-        attempts: int,
-        document: Optional[Dict],
+        charged: int = 0,
+        attempts: int = 0,
+        document: Optional[Dict] = None,
+        trace: Optional[TracerouteResult] = None,
     ) -> None:
-        nonlocal finalized_this_run
-        if journal is not None:
-            record = {
-                "probe": probe.probe_id,
-                "name": dns_name,
-                "status": status,
-                "reason": reason,
-                "charged": charged,
-                "attempts": attempts,
-            }
-            if document is not None:
-                record["document"] = document
-            journal.append(record)
-        finalized_this_run += 1
-        if (
-            config.abort_after is not None
-            and finalized_this_run >= config.abort_after
-        ):
-            if journal is not None:
-                journal.close()
-            raise CampaignInterrupted(
-                f"campaign killed after {finalized_this_run} finalized pair(s)",
-                completed_pairs=finalized_this_run,
-            )
+        record = {
+            "probe": probe.probe_id,
+            "name": dns_name,
+            "status": status,
+            "reason": reason,
+            "charged": charged,
+            "attempts": attempts,
+        }
+        if document is not None:
+            record["document"] = document
+        apply(record, probe, replica, trace)
+        units.finalize(record)
 
-    with span("probe_sweep"):
+    with span("probe_sweep"), units:
         for probe in probes:
             probe_skipped = False
             if ledger is not None:
@@ -349,34 +324,21 @@ def run_campaign(
                     continue
                 report.expect(replica.asn)
 
-                key = (pid, dns_name)
-                if key in journaled:
-                    record = journaled[key]
+                record = units.replayed.get((pid, dns_name))
+                if record is not None:
+                    # Restore the journaled charge where the sweep reaches
+                    # the pair, so a budget cutoff lands on the same probe
+                    # as without the restart.
                     report.resumed_pairs += 1
-                    status = record.get("status")
-                    reason = record.get("reason")
-                    if status in (_COMPLETED, _DEGRADED):
-                        measurement = _measurement_from_document(
-                            record["document"], probe, dns_name, replica
-                        )
-                        measurements.append(measurement)
-                        if status == _COMPLETED:
-                            report.record_completed(replica.asn)
-                        else:
-                            report.record_degraded(reason or "degraded")
-                    elif status == _QUARANTINED:
-                        report.record_quarantined(reason or "malformed-result")
-                    else:
-                        report.record_lost(reason or "lost")
+                    if ledger is not None:
+                        ledger.spent += int(record.get("charged", 0))
+                    apply(record, probe, replica)
                     continue
-
                 if probe_skipped:
-                    finalize(probe, dns_name, _LOST, "budget", 0, 0, None)
-                    report.record_lost("budget")
+                    finalize(probe, dns_name, replica, _LOST, "budget")
                     continue
                 if probe_down:
-                    finalize(probe, dns_name, _LOST, "probe-dropout", 0, 0, None)
-                    report.record_lost("probe-dropout")
+                    finalize(probe, dns_name, replica, _LOST, "probe-dropout")
                     continue
 
                 state = {"charged": 0, "dns": False, "traceroute": False}
@@ -435,73 +397,38 @@ def run_campaign(
                     return status, reason, parsed, document
 
                 call_stats = RetryStats()
+                parsed = document = None
                 try:
                     status, reason, parsed, document = retry.execute(
                         attempt, key=(pid, dns_name), stats=call_stats
                     )
                 except MalformedResultError as error:
-                    report.retry.merge(call_stats)
-                    report.record_quarantined(error.reason)
+                    status, reason = _QUARANTINED, error.reason
                     publish(
                         CATEGORY_QUARANTINE,
                         "pair",
                         probe=pid,
                         name=dns_name,
-                        reason=error.reason,
-                    )
-                    finalize(
-                        probe, dns_name, _QUARANTINED, error.reason,
-                        state["charged"], call_stats.attempts, None,
+                        reason=reason,
                     )
                 except RetryExhausted as error:
-                    report.retry.merge(call_stats)
-                    report.record_lost(error.reason)
-                    publish(
-                        CATEGORY_CAMPAIGN,
-                        "pair_lost",
-                        probe=pid,
-                        name=dns_name,
-                        reason=error.reason,
-                    )
-                    finalize(
-                        probe, dns_name, _LOST, error.reason,
-                        state["charged"], call_stats.attempts, None,
-                    )
+                    status, reason = _LOST, error.reason
                 except BudgetExceeded:
-                    report.retry.merge(call_stats)
-                    report.record_lost("budget")
+                    status, reason = _LOST, "budget"
+                if status == _LOST:
                     publish(
                         CATEGORY_CAMPAIGN,
                         "pair_lost",
                         probe=pid,
                         name=dns_name,
-                        reason="budget",
+                        reason=reason,
                     )
-                    finalize(
-                        probe, dns_name, _LOST, "budget",
-                        state["charged"], call_stats.attempts, None,
-                    )
-                else:
-                    report.retry.merge(call_stats)
-                    measurements.append(
-                        Measurement(
-                            probe=probe,
-                            dns_name=dns_name,
-                            replica=replica,
-                            traceroute=parsed,
-                        )
-                    )
-                    if status == _COMPLETED:
-                        report.record_completed(replica.asn)
-                    else:
-                        report.record_degraded(reason or "degraded")
-                    finalize(
-                        probe, dns_name, status, reason,
-                        state["charged"], call_stats.attempts, document,
-                    )
+                report.retry.merge(call_stats)
+                finalize(
+                    probe, dns_name, replica, status, reason,
+                    state["charged"], call_stats.attempts, document, parsed,
+                )
 
-    if journal is not None:
-        journal.close()
     _record_campaign_metrics(report, len(measurements))
     return CampaignDataset(
         measurements=measurements,

@@ -50,10 +50,6 @@ def preference_key(route: Route) -> Tuple[int, int, int, int, int]:
     )
 
 
-#: Back-compat alias for the pre-seam private name.
-_preference_key = preference_key
-
-
 def compare_routes(a: Route, b: Route) -> int:
     """Negative if ``a`` is preferred over ``b``, positive if worse, 0 if tied."""
     key_a, key_b = preference_key(a), preference_key(b)

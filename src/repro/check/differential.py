@@ -1241,10 +1241,15 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     crashes and stale locks fire at seeded points, each crash is
     "rebooted" by re-opening the study with ``resume=True``, and the
     final results are compared through the byte-deterministic golden
-    serializer.  Persistence changes only how a study runs, so the two
-    must agree.  Heavy — every seed runs several end-to-end studies —
-    so the runner only includes it when named via ``--only
-    ledger-resume``.
+    serializer.  The study's snapshot series then runs into the same
+    directory the way ``repro temporal --run-dir DIR --resume`` does —
+    the ledger re-opened with ``resume=True`` on every attempt, its
+    storage policy carrying the same faults onto ``temporal.jsonl`` —
+    and its Figure-1 series must equal a plain run's.  The ledger must
+    read ``completed`` after each of the two legs.  Persistence
+    changes only how a study runs, so the two must agree.  Heavy —
+    every seed runs several end-to-end studies — so the runner only
+    includes it when named via ``--only ledger-resume``.
     """
     import shutil
     import tempfile
@@ -1253,6 +1258,7 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
     from repro.core.pipeline import Study, StudyConfig
     from repro.faults import CampaignInterrupted, RunLedger
     from repro.faults.plan import FaultPlan, FaultSite
+    from repro.temporal import TemporalInputs, run_incremental, run_series
     from repro.topogen.config import small_config
 
     seed = scenario.seed
@@ -1278,7 +1284,21 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
         )
 
     problems: List[Disagreement] = []
-    fresh = serialize(snapshot_study(Study(base_config()).run()))
+
+    def ledger_status(leg: str) -> None:
+        ledger = RunLedger.read(run_dir)
+        if ledger is None or ledger.get("status") != "completed":
+            problems.append(
+                Disagreement(
+                    "ledger-resume",
+                    seed,
+                    f"ledger status after the {leg} is "
+                    f"{ledger and ledger.get('status')!r}, expected 'completed'",
+                )
+            )
+
+    plain = Study(base_config()).run()
+    fresh = serialize(snapshot_study(plain))
     run_dir = tempfile.mkdtemp(prefix="repro-ledger-check-")
     try:
         chaos: Optional[str] = None
@@ -1314,16 +1334,46 @@ def check_ledger_resume(scenario: Scenario) -> List[Disagreement]:
                     f"after {crashes} crash(es)",
                 )
             )
-        ledger = RunLedger.read(run_dir)
-        if ledger is None or ledger.get("status") != "completed":
+        ledger_status("study")
+        inputs = TemporalInputs.from_study(results)
+        series = None
+        series_crashes = 0
+        for _ in range(max_attempts):
+            try:
+                series = run_series(
+                    results.snapshots,
+                    inputs,
+                    run_dir,
+                    resume=True,
+                    durability="flush",
+                    fault_plan=plan,
+                ).figure1_series()
+                break
+            except (CampaignInterrupted, OSError):
+                series_crashes += 1
+        if series is None:
             problems.append(
                 Disagreement(
                     "ledger-resume",
                     seed,
-                    f"ledger status is {ledger and ledger.get('status')!r}, "
-                    "expected 'completed'",
+                    f"snapshot series never completed within {max_attempts} "
+                    f"resume attempts ({series_crashes} crashes)",
                 )
             )
+        else:
+            plain_series = run_incremental(
+                plain.snapshots, TemporalInputs.from_study(plain)
+            ).figure1_series()
+            if series != plain_series:
+                problems.append(
+                    Disagreement(
+                        "ledger-resume",
+                        seed,
+                        "resumed snapshot series diverges from the plain run "
+                        f"after {series_crashes} crash(es)",
+                    )
+                )
+            ledger_status("snapshot series")
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     return problems

@@ -35,9 +35,7 @@ Usage::
         Figure-1 violation counts are reported as a time-series next
         to each epoch's link churn.  --run-dir journals every
         completed epoch durably (DIR/temporal.jsonl) and --resume
-        replays the journaled prefix verbatim before continuing.
-        `repro study --temporal` attaches the same time-series to a
-        full study run.
+        replays the journaled epochs verbatim and grades the rest.
 
     repro list
         List available experiment ids.
@@ -279,9 +277,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         if results.active_robustness is not None:
             print(results.active_robustness.render())
             print()
-    if getattr(args, "temporal", False):
-        print(_render_temporal(_attach_temporal(results, args)))
-        print()
     if args.figures:
         for path in _write_figures(results, args.figures):
             print(f"wrote {path}")
@@ -321,40 +316,13 @@ def _render_temporal(temporal) -> str:
     return "\n".join(lines)
 
 
-def _attach_temporal(results: StudyResults, args: argparse.Namespace):
-    """Run the longitudinal time-series over a study's own snapshots.
-
-    Journals to the run ledger's ``temporal.jsonl`` when the study has
-    a ``--run-dir``; a bare ``--resume`` then replays the journaled
-    epoch prefix verbatim before continuing.
-    """
-    import os
-
-    from repro.temporal import TemporalInputs, run_incremental
-
-    journal_path = None
-    run_dir = getattr(args, "run_dir", None)
-    if run_dir is not None:
-        from repro.faults.ledger import TEMPORAL_JOURNAL
-
-        journal_path = os.path.join(run_dir, TEMPORAL_JOURNAL)
-    temporal = run_incremental(
-        results.snapshots,
-        TemporalInputs.from_study(results),
-        journal_path=journal_path,
-        resume=bool(getattr(args, "resume", None)),
-    )
-    results.temporal = temporal
-    return temporal
-
-
 def _cmd_temporal(args: argparse.Namespace) -> int:
     """Standalone longitudinal study over a snapshot series."""
     if _run_dir_missing(args):
         return 2
     import dataclasses
 
-    from repro.temporal import TemporalInputs, run_incremental, series_fingerprint
+    from repro.temporal import TemporalInputs, run_series
 
     results = _run_study(args.seed, args.small)
     inputs = TemporalInputs.from_study(results)
@@ -371,33 +339,7 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
             results.internet, inference, seed=results.config.seed + 1
         )
 
-    ledger = None
-    journal_path = None
-    storage = None
-    if args.run_dir is not None:
-        from repro.faults.ledger import RunLedger
-
-        ledger = RunLedger(args.run_dir)
-        ledger.open(
-            {"temporal-series": series_fingerprint(snapshots, inputs)},
-            resume=bool(args.resume),
-        )
-        journal_path = ledger.temporal_path
-        storage = ledger.storage()
-    try:
-        temporal = run_incremental(
-            snapshots,
-            inputs,
-            journal_path=journal_path,
-            resume=bool(args.resume),
-            storage=storage,
-        )
-        if ledger is not None:
-            ledger.finalize()
-    finally:
-        if ledger is not None:
-            ledger.close()
-    results.temporal = temporal
+    temporal = run_series(snapshots, inputs, args.run_dir, resume=bool(args.resume))
     if args.json:
         print(json.dumps(temporal.as_dict(), indent=2, sort_keys=True))
         return 0
@@ -595,13 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run manifest JSON to FILE (implies --obs); "
         "render it later with `repro obs report FILE`",
     )
-    study.add_argument(
-        "--temporal",
-        action="store_true",
-        help="also run the longitudinal study over the "
-        "monthly snapshot series (journals epochs to the --run-dir "
-        "ledger; see `repro temporal` for the standalone command)",
-    )
     study.set_defaults(handler=_cmd_study)
 
     temporal = subparsers.add_parser(
@@ -638,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     temporal.add_argument(
         "--resume",
         action="store_true",
-        help="replay the journaled epoch prefix verbatim and continue "
-        "from the first missing epoch (requires --run-dir)",
+        help="replay the journaled epochs verbatim and grade the "
+        "missing ones (requires --run-dir)",
     )
     temporal.add_argument(
         "--json",

@@ -286,11 +286,6 @@ class StudyResults:
     #: Per-target/per-round accounting for the active experiments
     #: (populated whenever the active phase runs).
     active_robustness: Optional[ActiveRobustnessReport] = None
-    #: Longitudinal violation time-series over the snapshot series —
-    #: a :class:`repro.temporal.study.TemporalResults`, attached by
-    #: ``repro study --temporal`` / ``repro temporal`` (typed loosely
-    #: to keep :mod:`repro.temporal` out of the core import graph).
-    temporal: Optional[object] = None
 
     def figure1_counts(self) -> Dict[str, Dict[str, int]]:
         """Raw Figure-1 label counts per layer, as plain JSON-able data.

@@ -17,7 +17,9 @@ survive all of that:
   that stop an active experiment from hammering a failing control
   plane (see :mod:`repro.faults.supervisor`),
 * :class:`CheckpointJournal` — append-only JSONL checkpointing with
-  torn-tail recovery for resumable campaigns,
+  torn-tail recovery, and :class:`JournaledUnits`, the one way a
+  campaign, an active phase or a temporal series journals, resumes
+  and kill-drills its units of work,
 * :class:`StoragePolicy` / :func:`durable_append` /
   :func:`atomic_replace` / :class:`RunLock` — the crash-consistent
   storage primitives every persistent artifact is written through
@@ -40,7 +42,6 @@ from repro.faults.errors import (
     AtlasApiError,
     BreakerOpen,
     CampaignInterrupted,
-    CollectorFeedGap,
     ConvergenceStall,
     DnsServfail,
     DnsTimeout,
@@ -49,14 +50,18 @@ from repro.faults.errors import (
     MalformedResultError,
     MuxSessionReset,
     PoisonFiltered,
-    ProbeDownError,
     ProbeFlapError,
     RetryExhausted,
     RouteFlapDamped,
     WatchdogExpired,
     WithdrawalLost,
 )
-from repro.faults.journal import CheckpointJournal, JournalCorrupted, pair_key
+from repro.faults.journal import (
+    CheckpointJournal,
+    JournalCorrupted,
+    JournaledUnits,
+    pair_key,
+)
 from repro.faults.ledger import RunLedger
 from repro.faults.plan import FaultPlan, FaultSite, derive_seed
 from repro.faults.report import ActiveRobustnessReport, RobustnessReport
@@ -81,7 +86,6 @@ __all__ = [
     "CampaignInterrupted",
     "CheckpointJournal",
     "CircuitBreaker",
-    "CollectorFeedGap",
     "ConvergenceStall",
     "DnsServfail",
     "DnsTimeout",
@@ -89,12 +93,12 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "JournalCorrupted",
+    "JournaledUnits",
     "LockHeldError",
     "LongPathRejected",
     "MalformedResultError",
     "MuxSessionReset",
     "PoisonFiltered",
-    "ProbeDownError",
     "ProbeFlapError",
     "RetryExhausted",
     "RetryPolicy",

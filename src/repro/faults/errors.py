@@ -40,17 +40,6 @@ class FaultError(Exception):
         return cls.__name__
 
 
-class ProbeDownError(FaultError):
-    """The probe went dark for the whole campaign (permanent dropout)."""
-
-    site = "atlas/probes"
-    retryable = False
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "probe-dropout"
-
-
 class ProbeFlapError(FaultError):
     """The probe missed this scheduling round but is expected back."""
 
@@ -201,22 +190,6 @@ class ConvergenceStall(FaultError):
     @classmethod
     def default_reason(cls) -> str:
         return "convergence-stall"
-
-
-class CollectorFeedGap(FaultError):
-    """The route collectors produced no feed for this observation round.
-
-    RouteViews/RIS dumps arrive on a schedule and sometimes not at all;
-    the magnet round still happened, so the observation is kept but its
-    feed channel is censored rather than the round re-run.
-    """
-
-    site = "peering/collectors"
-    retryable = False
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "feed-gap"
 
 
 class WithdrawalLost(FaultError):

@@ -22,6 +22,12 @@ torn bytes before appending, so the next record starts on a clean line
 instead of gluing onto the fragment and corrupting the *interior* of
 the file.  Corruption before the tail (which a crash cannot produce on
 an append-only log) raises :class:`JournalCorrupted`.
+
+:class:`JournaledUnits` is the one way units of work are journaled —
+campaign pairs, active discovery targets and magnet rounds, temporal
+epochs: it starts a fresh journal or continues a checked one,
+hands back the replayed records by key, and finalizes each new unit
+(append, then the ``abort_after`` kill drill).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import errno
 import json
 import os
-from typing import IO, Dict, List, Optional, Tuple
+from typing import IO, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.faults.errors import CampaignInterrupted
 from repro.faults.plan import FaultSite
@@ -45,7 +51,11 @@ from repro.faults.storage import (
 JOURNAL_SCHEMA = 1
 
 KIND_HEADER = "header"
+#: A (probe, name) unit: a campaign pair, or an active discovery
+#: target or magnet round (probe = target or mux, name = the unit).
 KIND_PAIR = "pair"
+#: One graded epoch of the temporal series.
+KIND_EPOCH = "epoch"
 
 
 class JournalCorrupted(ValueError):
@@ -57,25 +67,37 @@ def pair_key(record: Dict) -> Tuple[int, str]:
     return int(record["probe"]), str(record["name"])
 
 
-class CheckpointJournal:
-    """One campaign's checkpoint file.
+def epoch_key(record: Dict) -> int:
+    """The index of a journaled epoch."""
+    return int(record["epoch"])
 
-    Subclasses may override ``record_kind`` (the ``kind`` tag stamped
-    on appended records and selected by ``load``) and
-    ``required_fields`` (keys every record must carry — a record
-    missing one raises :class:`JournalCorrupted`); the defaults keep
-    the original (probe, name) pair-journal behavior.
+
+#: Per data-record kind: the keys every record must carry (a record
+#: missing one raises :class:`JournalCorrupted`) and the unit identity
+#: a resumed run looks records up by.
+RECORD_KINDS: Dict[str, Tuple[Tuple[str, ...], Callable[[Dict], Hashable]]] = {
+    KIND_PAIR: (("probe", "name"), pair_key),
+    KIND_EPOCH: (("epoch", "figure1"), epoch_key),
+}
+
+
+class CheckpointJournal:
+    """One run's checkpoint file.
+
+    ``record_kind`` is the ``kind`` tag stamped on appended records and
+    selected by ``load`` (header records are always ``KIND_HEADER``).
     """
 
-    #: ``kind`` tag for data records (header records are always
-    #: ``KIND_HEADER``).
-    record_kind = KIND_PAIR
-    #: Keys every data record must carry.
-    required_fields = ("probe", "name")
-
-    def __init__(self, path: str, storage: Optional[StoragePolicy] = None) -> None:
+    def __init__(
+        self,
+        path: str,
+        storage: Optional[StoragePolicy] = None,
+        record_kind: str = KIND_PAIR,
+    ) -> None:
         self.path = path
         self.storage = storage or StoragePolicy()
+        self.record_kind = record_kind
+        self.required_fields = RECORD_KINDS[record_kind][0]
         self._handle: Optional[IO[str]] = None
         #: Torn trailing lines dropped by the last ``load`` call.
         self.torn_lines = 0
@@ -267,6 +289,84 @@ class CheckpointJournal:
 
     def __enter__(self) -> "CheckpointJournal":
         self.open_append()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class JournaledUnits:
+    """One run's journaled units of work, fresh or resumed.
+
+    With a ``path`` the journal there is continued when ``resume`` is
+    set — its stored header must match ``header`` on every key, and its
+    intact records come back in :attr:`replayed`, by unit key — and
+    otherwise replaced by a fresh file under ``header``.  A journal
+    without a stored header (missing, or only a torn header line) gets
+    ``header`` written.  Without a path nothing is written, but
+    :meth:`finalize` still runs the kill drill.
+
+    The caller looks each unit up in :attr:`replayed`, applies a
+    replayed record instead of recomputing the unit, and passes every
+    new unit's record to :meth:`finalize`.
+    """
+
+    def __init__(
+        self,
+        path: Optional[str],
+        header: Dict,
+        *,
+        resume: bool = False,
+        storage: Optional[StoragePolicy] = None,
+        abort_after: Optional[int] = None,
+        kind: str = KIND_PAIR,
+    ) -> None:
+        #: Unit key -> journaled record, for a resumed run.
+        self.replayed: Dict[Hashable, Dict] = {}
+        #: Crash drill: kill the run after this many finalized units.
+        self.abort_after = abort_after
+        #: Units finalized by this run (replayed units excluded).
+        self.finalized = 0
+        self.journal: Optional[CheckpointJournal] = None
+        if path is None:
+            return
+        journal = CheckpointJournal(path, storage=storage, record_kind=kind)
+        stored: Optional[Dict] = None
+        if resume:
+            stored, records = journal.load()
+            for name, value in header.items():
+                if stored is not None and stored.get(name) != value:
+                    raise ValueError(
+                        f"{path} was written under a different "
+                        f"{name.replace('_', ' ')} ({stored.get(name)!r}, "
+                        f"expected {value!r}); refusing to resume"
+                    )
+            unit_key = RECORD_KINDS[kind][1]
+            self.replayed = {unit_key(record): record for record in records}
+        elif journal.exists():
+            os.remove(path)
+        journal.open_append()
+        if stored is None:
+            journal.write_header(header)
+        self.journal = journal
+
+    def finalize(self, record: Dict) -> None:
+        """Journal one newly finalized unit, then run the kill drill."""
+        if self.journal is not None:
+            self.journal.append(record)
+        self.finalized += 1
+        if self.abort_after is not None and self.finalized >= self.abort_after:
+            self.close()
+            raise CampaignInterrupted(
+                f"run killed after {self.finalized} finalized unit(s)",
+                completed_pairs=self.finalized,
+            )
+
+    def close(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
+
+    def __enter__(self) -> "JournaledUnits":
         return self
 
     def __exit__(self, *_exc) -> None:

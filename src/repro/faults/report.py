@@ -25,13 +25,6 @@ from typing import Dict, List
 from repro.faults.retry import RetryStats
 from repro.faults.supervisor import BreakerStats
 
-#: Disposition names, in reporting order.
-DISPOSITIONS = ("completed", "degraded", "quarantined", "lost")
-
-#: Active-experiment disposition names, in reporting order.
-ACTIVE_DISPOSITIONS = ("completed", "censored", "quarantined")
-
-
 @dataclass
 class RobustnessReport:
     """Full accounting of one campaign under faults."""

@@ -15,7 +15,6 @@ from repro.peering.schedule import (
     ExperimentSchedule,
     schedule_discovery,
     schedule_magnet_rounds,
-    schedule_supervised_run,
 )
 from repro.peering.experiments import (
     ActiveRunConfig,
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentSchedule",
     "schedule_discovery",
     "schedule_magnet_rounds",
-    "schedule_supervised_run",
     "ActiveRunConfig",
     "ActiveSupervisor",
     "AlternateRouteObservation",

@@ -20,8 +20,8 @@ Both drivers are *supervised*: an :class:`ActiveSupervisor` owns the
 fault plan (poison filtering, long-path rejection, route-flap damping,
 convergence stalls, collector feed gaps, withdrawal loss), a
 :class:`~repro.faults.CircuitBreaker` over announcement operations, a
-per-target :class:`~repro.faults.Watchdog` budget, and a
-:class:`~repro.faults.CheckpointJournal` so a killed run resumes
+per-target :class:`~repro.faults.Watchdog` budget, and
+:class:`~repro.faults.JournaledUnits` so a killed run resumes
 byte-identically.  A fault that cuts discovery short *censors* the
 target (its partial preference order is kept and flagged); a control
 plane that fails hard — a :class:`~repro.bgp.simulator.ConvergenceError`
@@ -45,13 +45,12 @@ from repro.bgp.simulator import BGPSimulator, ConvergenceError
 from repro.faults import (
     ActiveRobustnessReport,
     BreakerOpen,
-    CampaignInterrupted,
-    CheckpointJournal,
     CircuitBreaker,
     ConvergenceStall,
     FaultError,
     FaultPlan,
     FaultSite,
+    JournaledUnits,
     LongPathRejected,
     PoisonFiltered,
     RetryExhausted,
@@ -60,7 +59,6 @@ from repro.faults import (
     StoragePolicy,
     Watchdog,
     WatchdogExpired,
-    pair_key,
 )
 from repro.net.ip import Prefix
 from repro.obs.context import publish
@@ -112,9 +110,6 @@ class ActiveRunConfig:
     #: Durability/fault policy for the checkpoint journal.
     storage: Optional[StoragePolicy] = None
 
-    def journal_storage(self) -> StoragePolicy:
-        return self.storage or StoragePolicy(fault_plan=self.fault_plan)
-
 
 class ActiveSupervisor:
     """Shared supervision state for one active phase (both drivers).
@@ -136,75 +131,38 @@ class ActiveSupervisor:
         )
         self.report = ActiveRobustnessReport()
         self.report.breaker = self.breaker.stats
-        self.journal: Optional[CheckpointJournal] = None
-        self.journaled: Dict[Tuple[int, str], Dict] = {}
-        self._finalized_this_run = 0
         self._soft_fired = False
-        self._open_journal()
+        self.units = JournaledUnits(
+            self.config.checkpoint_path,
+            {"phase": "active", "plan_fingerprint": self.plan.fingerprint()},
+            resume=self.config.resume,
+            storage=self.config.storage
+            or StoragePolicy(fault_plan=self.config.fault_plan),
+            abort_after=self.config.abort_after,
+        )
 
     # ------------------------------------------------------------------
     # Journal
     # ------------------------------------------------------------------
-    def _header(self) -> Dict:
-        return {"phase": "active", "plan_fingerprint": self.plan.fingerprint()}
+    def replayed(self, unit: str, key: int) -> Optional[Dict]:
+        """The journaled record of one unit, or ``None`` when it must run.
 
-    def _open_journal(self) -> None:
-        if self.config.checkpoint_path is None:
-            return
-        journal = CheckpointJournal(
-            self.config.checkpoint_path, storage=self.config.journal_storage()
-        )
-        if self.config.resume and journal.exists():
-            header, records = journal.load()
-            expected = self._header()
-            if header is not None and header.get("plan_fingerprint") != expected[
-                "plan_fingerprint"
-            ]:
-                raise ValueError(
-                    f"active checkpoint {self.config.checkpoint_path} was "
-                    "written under a different fault plan; refusing to resume"
-                )
-            self.journaled = {pair_key(record): record for record in records}
-            if records:
-                snapshot = records[-1].get("breaker")
-                if snapshot:
-                    # The breaker is sequential state shared across
-                    # targets; restoring the journaled snapshot keeps a
-                    # resumed run byte-identical to an uninterrupted one.
-                    self.breaker.restore(snapshot)
-                    self.report.breaker = self.breaker.stats
-        fresh = not journal.exists()
-        journal.open_append()
-        if fresh:
-            journal.write_header(self._header())
-        self.journal = journal
+        The breaker is sequential state shared across units, so a
+        replayed unit restores the breaker snapshot its record carries:
+        the next fresh unit sees the breaker an uninterrupted run left.
+        """
+        record = self.units.replayed.get((key, unit))
+        if record is not None and record.get("breaker"):
+            self.breaker.restore(record["breaker"])
+            self.report.breaker = self.breaker.stats
+        return record
 
-    def resume_record(self, unit: str, key: int) -> Optional[Dict]:
-        return self.journaled.get((key, unit))
-
-    def finalize(self, unit: str, key: int, record: Dict) -> None:
-        """Journal one finalized unit; may raise the kill drill."""
-        if self.journal is not None:
-            line = dict(record)
-            line["probe"] = key
-            line["name"] = unit
-            line["breaker"] = self.breaker.as_dict()
-            self.journal.append(line)
-        self._finalized_this_run += 1
-        if (
-            self.config.abort_after is not None
-            and self._finalized_this_run >= self.config.abort_after
-        ):
-            self.close()
-            raise CampaignInterrupted(
-                f"active run killed after {self._finalized_this_run} "
-                "finalized unit(s)",
-                completed_pairs=self._finalized_this_run,
-            )
+    def record(self, unit: str, key: int, fields: Dict) -> Dict:
+        """The journal record of one finalized unit, breaker included."""
+        return dict(fields, probe=key, name=unit, breaker=self.breaker.as_dict())
 
     def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
+        self.units.close()
 
     # ------------------------------------------------------------------
     # Soft-limit wiring
@@ -473,24 +431,56 @@ def discover_alternate_routes(
     baseline_links: Set[Tuple[int, int]] = set()
     poisoned_links: Set[Tuple[int, int]] = set()
 
+    def apply(
+        record: Dict, observation: Optional[AlternateRouteObservation] = None
+    ) -> None:
+        """Account one finalized target from its journal record; a fresh
+        target passes the observation it built, a replayed one is
+        rebuilt from the record."""
+        target = int(record["probe"])
+        status = record.get("status", COMPLETED)
+        reason = record.get("reason")
+        dispositions[target] = status
+        poison_rounds = [
+            frozenset(int(asn) for asn in poison)
+            for poison in record.get("poison_rounds", [])
+        ]
+        if record.get("baseline_ok"):
+            announcement_configs.add(frozenset())
+        announcement_configs.update(poison_rounds)
+        round_links = _links_from_json(record.get("round_links", []))
+        baseline_links.update(_links_from_json(record.get("baseline_links", [])))
+        observed_links.update(round_links)
+        poisoned_links.update(round_links)
+        if status == QUARANTINED:
+            report.record_quarantined(reason or "quarantined")
+            return
+        if observation is None:
+            observation = AlternateRouteObservation(
+                target=target,
+                routes=[
+                    _route_view_from_json(view) for view in record.get("routes", [])
+                ],
+                poison_rounds=poison_rounds,
+            )
+        if status == CENSORED:
+            observation.censored = True
+            observation.censor_reason = reason
+            report.record_censored(reason or "censored")
+        else:
+            report.record_completed()
+        observations.append(observation)
+
     with span("discovery", targets=len(targets)), supervisor.supervising(
         simulator
     ):
         try:
             for target in targets:
                 report.expect_target()
-                record = supervisor.resume_record(DISCOVERY_UNIT, target)
+                record = supervisor.replayed(DISCOVERY_UNIT, target)
                 if record is not None:
-                    _replay_discovery_record(
-                        record,
-                        report,
-                        observations,
-                        dispositions,
-                        announcement_configs,
-                        baseline_links,
-                        observed_links,
-                        poisoned_links,
-                    )
+                    report.resumed_targets += 1
+                    apply(record)
                     continue
 
                 with span("discovery_target", target=target) as target_span:
@@ -513,7 +503,6 @@ def discover_alternate_routes(
                             watchdog=watchdog,
                         )
                         baseline_ok = True
-                        announcement_configs.add(frozenset())
                         target_baseline = _monitored_links(
                             simulator, prefix, monitors + [target]
                         )
@@ -536,7 +525,6 @@ def discover_alternate_routes(
                             if next_hop == testbed.asn:
                                 break
                             poisoned.add(next_hop)
-                            config = frozenset(poisoned)
                             supervisor.announce(
                                 testbed,
                                 simulator,
@@ -545,8 +533,7 @@ def discover_alternate_routes(
                                 key=(DISCOVERY_UNIT, target, round_no),
                                 watchdog=watchdog,
                             )
-                            observation.poison_rounds.append(config)
-                            announcement_configs.add(config)
+                            observation.poison_rounds.append(frozenset(poisoned))
                             target_links.update(
                                 _monitored_links(
                                     simulator, prefix, monitors + [target]
@@ -565,7 +552,6 @@ def discover_alternate_routes(
                         status, reason = QUARANTINED, "convergence-error"
                         simulator.discard_pending()
 
-                    dispositions[target] = status
                     if target_span is not None:
                         target_span.attrs.update(
                             rounds=len(observation.poison_rounds),
@@ -579,20 +565,7 @@ def discover_alternate_routes(
                         status=status,
                         reason=reason,
                     )
-                    if status == QUARANTINED:
-                        report.record_quarantined(reason)
-                    elif status == CENSORED:
-                        observation.censored = True
-                        observation.censor_reason = reason
-                        observations.append(observation)
-                        report.record_censored(reason)
-                    else:
-                        observations.append(observation)
-                        report.record_completed()
-                    baseline_links.update(target_baseline)
-                    observed_links.update(target_links)
-                    poisoned_links.update(target_links)
-                    supervisor.finalize(
+                    record = supervisor.record(
                         DISCOVERY_UNIT,
                         target,
                         {
@@ -611,6 +584,8 @@ def discover_alternate_routes(
                             "round_links": _links_to_json(target_links),
                         },
                     )
+                    apply(record, observation)
+                    supervisor.units.finalize(record)
         finally:
             # No escape — fault, kill drill, KeyboardInterrupt — leaves
             # the testbed announcing a poisoned prefix.
@@ -624,51 +599,6 @@ def discover_alternate_routes(
         poisoned_only_links=poisoned_links - baseline_links,
         dispositions=dispositions,
     )
-
-
-def _replay_discovery_record(
-    record: Dict,
-    report: ActiveRobustnessReport,
-    observations: List[AlternateRouteObservation],
-    dispositions: Dict[int, str],
-    announcement_configs: Set[FrozenSet[int]],
-    baseline_links: Set[Tuple[int, int]],
-    observed_links: Set[Tuple[int, int]],
-    poisoned_links: Set[Tuple[int, int]],
-) -> None:
-    """Restore one journaled target without touching the testbed."""
-    target = int(record["probe"])
-    status = record.get("status", COMPLETED)
-    reason = record.get("reason")
-    report.resumed_targets += 1
-    dispositions[target] = status
-    poison_rounds = [
-        frozenset(int(asn) for asn in poison)
-        for poison in record.get("poison_rounds", [])
-    ]
-    if record.get("baseline_ok"):
-        announcement_configs.add(frozenset())
-    announcement_configs.update(poison_rounds)
-    target_baseline = _links_from_json(record.get("baseline_links", []))
-    target_links = _links_from_json(record.get("round_links", []))
-    baseline_links.update(target_baseline)
-    observed_links.update(target_links)
-    poisoned_links.update(target_links)
-    if status == QUARANTINED:
-        report.record_quarantined(reason or "quarantined")
-        return
-    observation = AlternateRouteObservation(
-        target=target,
-        routes=[_route_view_from_json(view) for view in record.get("routes", [])],
-        poison_rounds=poison_rounds,
-        censored=(status == CENSORED),
-        censor_reason=reason if status == CENSORED else None,
-    )
-    observations.append(observation)
-    if status == CENSORED:
-        report.record_censored(reason or "censored")
-    else:
-        report.record_completed()
 
 
 # ---------------------------------------------------------------------------
@@ -795,27 +725,33 @@ def run_magnet_experiments(
     report = supervisor.report
     observations: List[MagnetObservation] = []
 
+    def apply(record: Dict, observation: Optional[MagnetObservation] = None) -> None:
+        """Account one finalized round from its journal record; a fresh
+        round passes the observation it built, a replayed one is rebuilt
+        from the record."""
+        status = record.get("status", COMPLETED)
+        reason = record.get("reason")
+        if status == QUARANTINED:
+            report.record_magnet_quarantined(reason or "quarantined")
+            return
+        if observation is None:
+            observation = _magnet_observation_from_json(record["observation"])
+        observations.append(observation)
+        if status == CENSORED:
+            report.record_magnet_censored(reason or "censored")
+        else:
+            report.record_magnet_completed()
+
     with span("magnet_rounds", muxes=len(testbed.muxes)), supervisor.supervising(
         simulator
     ):
         try:
             for mux in testbed.muxes:
                 report.expect_magnet_round()
-                record = supervisor.resume_record(MAGNET_UNIT, mux.host_asn)
+                record = supervisor.replayed(MAGNET_UNIT, mux.host_asn)
                 if record is not None:
                     report.resumed_magnet_rounds += 1
-                    status = record.get("status", COMPLETED)
-                    reason = record.get("reason")
-                    if status == QUARANTINED:
-                        report.record_magnet_quarantined(reason or "quarantined")
-                    else:
-                        observations.append(
-                            _magnet_observation_from_json(record["observation"])
-                        )
-                        if status == CENSORED:
-                            report.record_magnet_censored(reason or "censored")
-                        else:
-                            report.record_magnet_completed()
+                    apply(record)
                     continue
 
                 with span("magnet_round", mux=mux.host_asn) as round_span:
@@ -895,16 +831,7 @@ def run_magnet_experiments(
                         status=status,
                         reason=reason,
                     )
-                    if status == QUARANTINED:
-                        report.record_magnet_quarantined(reason)
-                    else:
-                        assert observation is not None
-                        observations.append(observation)
-                        if status == CENSORED:
-                            report.record_magnet_censored(reason)
-                        else:
-                            report.record_magnet_completed()
-                    supervisor.finalize(
+                    record = supervisor.record(
                         MAGNET_UNIT,
                         mux.host_asn,
                         {
@@ -917,6 +844,8 @@ def run_magnet_experiments(
                             ),
                         },
                     )
+                    apply(record, observation)
+                    supervisor.units.finalize(record)
         finally:
             simulator.discard_pending()
             try:

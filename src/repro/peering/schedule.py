@@ -18,9 +18,6 @@ from typing import List, Tuple
 ANNOUNCEMENT_SPACING_MINUTES = 90
 #: Convergence wait inside one magnet round.
 CONVERGENCE_WAIT_MINUTES = 5
-#: Extra wait after a route-flap damping event before re-announcing
-#: (double the paper's standing guard: the suppression must decay).
-DAMPING_COOLDOWN_MINUTES = 180
 
 
 @dataclass(frozen=True)
@@ -71,31 +68,6 @@ def schedule_discovery(
     for index in range(num_announcements):
         schedule.add(f"poisoned announcement {index + 1}")
     return schedule
-
-
-def schedule_supervised_run(
-    report,
-    spacing_minutes: int = ANNOUNCEMENT_SPACING_MINUTES,
-    damping_cooldown: int = DAMPING_COOLDOWN_MINUTES,
-) -> Tuple[ExperimentSchedule, int]:
-    """Calendar a supervised active phase actually occupied.
-
-    Built from an :class:`~repro.faults.ActiveRobustnessReport` after
-    the fact: every announcement and withdrawal that reached the
-    testbed occupies a slot, every retry occupies an extra slot (the
-    re-announcement also obeys the spacing rule), and each route-flap
-    damping event adds a ``damping_cooldown`` wait on top — the
-    operational cost of running the campaign under faults.  Returns the
-    schedule and the total added damping wait in minutes.
-    """
-    schedule = ExperimentSchedule(spacing_minutes=spacing_minutes)
-    for index in range(report.announcements):
-        schedule.add(f"announcement {index + 1}")
-    for index in range(report.withdrawals):
-        schedule.add(f"withdrawal {index + 1}")
-    for index in range(report.retry.retries):
-        schedule.add(f"retry re-announcement {index + 1}")
-    return schedule, report.damping_events * damping_cooldown
 
 
 def schedule_magnet_rounds(

@@ -10,10 +10,10 @@ from repro.temporal.delta import GraphDelta, diff_graphs
 from repro.temporal.study import (
     EpochReport,
     TemporalInputs,
-    TemporalJournal,
     TemporalResults,
     epoch_snapshot,
     run_incremental,
+    run_series,
     serialize_epoch,
     series_fingerprint,
 )
@@ -23,10 +23,10 @@ __all__ = [
     "diff_graphs",
     "EpochReport",
     "TemporalInputs",
-    "TemporalJournal",
     "TemporalResults",
     "epoch_snapshot",
     "run_incremental",
+    "run_series",
     "serialize_epoch",
     "series_fingerprint",
 ]

@@ -11,8 +11,8 @@ only to report each epoch's link churn next to its counts.
 
 Epochs are journal-backed: with a journal path each completed epoch is
 appended as one durable record, and ``resume=True`` replays journaled
-epochs verbatim and continues from the first missing one.  Epochs are
-graded independently, so a resumed run needs no warm state to match an
+epochs verbatim and grades the missing ones.  Epochs are graded
+independently, so a resumed run needs no warm state to match an
 uninterrupted one.
 """
 
@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.classification import Decision, DecisionLabel, LabelCounts
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import FIGURE1_LAYERS, StudyResults, figure1_layer_configs
-from repro.faults.journal import CheckpointJournal
+from repro.faults.journal import KIND_EPOCH, JournaledUnits
+from repro.faults.ledger import RunLedger
+from repro.faults.plan import FaultPlan
 from repro.faults.storage import StoragePolicy
 from repro.net.ip import Prefix
 from repro.obs.context import get_obs
@@ -168,17 +169,6 @@ def _counts_dict(figure1: Dict[str, LabelCounts]) -> Dict[str, Dict[str, int]]:
 # ---------------------------------------------------------------------------
 
 
-class TemporalJournal(CheckpointJournal):
-    """Append-only epoch journal (one record per completed epoch).
-
-    Rides the campaign journal's CRC-framed, torn-tail-safe storage
-    layer; only the record schema differs.
-    """
-
-    record_kind = "epoch"
-    required_fields = ("epoch", "figure1")
-
-
 def series_fingerprint(snapshots: List[ASGraph], inputs: TemporalInputs) -> str:
     """Identity of one temporal run: the snapshots plus the decisions.
 
@@ -193,28 +183,25 @@ def series_fingerprint(snapshots: List[ASGraph], inputs: TemporalInputs) -> str:
     return digest.hexdigest()
 
 
-def _epoch_record(report: EpochReport) -> Dict[str, object]:
-    """The journal record for one computed epoch."""
-    return {
-        "epoch": report.index,
-        "schema": EPOCH_SCHEMA,
-        "delta": dict(report.delta),
-        "cache_misses": report.cache_misses,
-        "figure1": report.figure1,
-    }
-
-
-def _replayed_report(record: Dict[str, object]) -> EpochReport:
-    return EpochReport(
-        index=int(record["epoch"]),
-        delta={k: int(v) for k, v in dict(record.get("delta", {})).items()},
-        cache_misses=int(record.get("cache_misses", 0)),
-        figure1={
-            layer: {label: int(count) for label, count in counts.items()}
-            for layer, counts in dict(record["figure1"]).items()
-        },
-        resumed=True,
+def _apply_epoch(
+    results: TemporalResults, record: Dict[str, object], replayed: bool
+) -> None:
+    """Add one epoch to the series from its journal record (a fresh
+    epoch's record is built just before it is journaled)."""
+    results.epochs.append(
+        EpochReport(
+            index=int(record["epoch"]),
+            delta={k: int(v) for k, v in dict(record.get("delta", {})).items()},
+            cache_misses=int(record.get("cache_misses", 0)),
+            figure1={
+                layer: {label: int(count) for label, count in counts.items()}
+                for layer, counts in dict(record["figure1"]).items()
+            },
+            resumed=replayed,
+        )
     )
+    if replayed:
+        results.resumed_epochs += 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,73 +239,87 @@ def run_incremental(
     """Grade every snapshot of the series, one epoch at a time.
 
     With ``journal_path`` every completed epoch is appended durably;
-    ``resume=True`` replays the journaled epoch prefix verbatim and
-    continues from the first missing epoch.  Without ``resume`` an
-    existing journal is overwritten.
+    ``resume=True`` replays the journaled epochs verbatim and grades the
+    missing ones.  Without ``resume`` an existing journal is replaced.
     """
     if not snapshots:
         raise ValueError("temporal study needs at least one snapshot")
 
-    fingerprint = None
-    journal: Optional[TemporalJournal] = None
-    replayed: List[EpochReport] = []
+    header: Dict[str, object] = {}
     if journal_path is not None:
-        fingerprint = series_fingerprint(snapshots, inputs)
-        journal = TemporalJournal(journal_path, storage=storage)
-        if resume and journal.exists():
-            header, records = journal.load()
-            if header is not None:
-                stamped = header.get("fingerprint")
-                if stamped is not None and stamped != fingerprint:
-                    raise ValueError(
-                        f"{journal_path} was written for a different snapshot "
-                        f"series (fingerprint {stamped!r} != {fingerprint!r})"
-                    )
-            by_epoch = {int(record["epoch"]): record for record in records}
-            # Only an unbroken prefix is replayed, so the series stays in
-            # epoch order.
-            index = 0
-            while index in by_epoch and index < len(snapshots):
-                replayed.append(_replayed_report(by_epoch[index]))
-                index += 1
-        elif not resume and journal.exists():
-            os.remove(journal_path)
-
+        header = {
+            "fingerprint": series_fingerprint(snapshots, inputs),
+            "snapshots": len(snapshots),
+            "decisions": len(inputs.decisions),
+        }
+    units = JournaledUnits(
+        journal_path,
+        header,
+        resume=resume,
+        storage=storage,
+        kind=KIND_EPOCH,
+    )
     metrics = get_obs().metrics
-    results = TemporalResults(epochs=list(replayed), resumed_epochs=len(replayed))
-    if len(replayed) >= len(snapshots):
-        return results
-
-    try:
-        if journal is not None:
-            journal.open_append()
-            if not replayed:
-                journal.write_header(
-                    {
-                        "fingerprint": fingerprint,
-                        "snapshots": len(snapshots),
-                        "decisions": len(inputs.decisions),
-                    }
-                )
-        for index in range(len(replayed), len(snapshots)):
+    results = TemporalResults()
+    with units:
+        for index, snapshot in enumerate(snapshots):
+            record = units.replayed.get(index)
+            if record is not None:
+                _apply_epoch(results, record, replayed=True)
+                continue
             with span("temporal-epoch", index=index):
                 delta: Dict[str, int] = {}
                 if index > 0:
-                    churn = diff_graphs(snapshots[index - 1], snapshots[index])
-                    delta = churn.summary()
-                figure1, trees = _grade_snapshot(snapshots[index], inputs)
-            report = EpochReport(
-                index=index, delta=delta, cache_misses=trees, figure1=figure1
-            )
-            results.epochs.append(report)
-            if journal is not None:
-                journal.append(_epoch_record(report))
+                    delta = diff_graphs(snapshots[index - 1], snapshot).summary()
+                figure1, trees = _grade_snapshot(snapshot, inputs)
+            record = {
+                "epoch": index,
+                "schema": EPOCH_SCHEMA,
+                "delta": delta,
+                "cache_misses": trees,
+                "figure1": figure1,
+            }
+            _apply_epoch(results, record, replayed=False)
+            units.finalize(record)
             if metrics.enabled:
                 metrics.counter(
                     "repro_temporal_epochs_total",
                     "Temporal epochs graded.",
                 ).inc()
+    return results
+
+
+def run_series(
+    snapshots: List[ASGraph],
+    inputs: TemporalInputs,
+    run_dir: Optional[str] = None,
+    resume: bool = False,
+    durability: Optional[str] = None,
+    fault_plan: Optional[FaultPlan] = None,
+) -> TemporalResults:
+    """Grade the series, journaled under the run ledger of ``run_dir``.
+
+    What ``repro temporal [--run-dir DIR [--resume]]`` runs: the ledger
+    is opened under the series' fingerprint (``resume`` as for a
+    study), every epoch is journaled to its ``temporal.jsonl`` under
+    the ledger's storage policy, and the ledger is finalized once the
+    last epoch is graded.  Without ``run_dir`` nothing is written.
+    """
+    if run_dir is None:
+        return run_incremental(snapshots, inputs)
+    ledger = RunLedger(run_dir, durability=durability, fault_plan=fault_plan)
+    ledger.open(
+        {"temporal-series": series_fingerprint(snapshots, inputs)}, resume=resume
+    )
+    try:
+        results = run_incremental(
+            snapshots,
+            inputs,
+            journal_path=ledger.temporal_path,
+            resume=resume,
+            storage=ledger.storage(),
+        )
+        ledger.finalize()
     finally:
-        if journal is not None:
-            journal.close()
+        ledger.close()
     return results

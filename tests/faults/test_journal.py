@@ -1,10 +1,17 @@
-"""Tests for the append-only checkpoint journal."""
+"""Tests for the append-only checkpoint journal and its journaled units."""
 
 import json
 
 import pytest
 
-from repro.faults import CheckpointJournal, JournalCorrupted, pair_key
+from repro.faults import (
+    CampaignInterrupted,
+    CheckpointJournal,
+    JournalCorrupted,
+    JournaledUnits,
+    pair_key,
+)
+from repro.faults.journal import KIND_EPOCH
 
 pytestmark = pytest.mark.faults
 
@@ -130,3 +137,66 @@ class TestTornLines:
             handle.write(json.dumps(_record(1, "b", kind="pair")) + "\n")
         with pytest.raises(JournalCorrupted):
             CheckpointJournal(path).load()
+
+
+class TestJournaledUnits:
+    HEADER = {"campaign_seed": 1, "plan_fingerprint": "abc"}
+
+    def _units(self, path, header=None, **kwargs):
+        return JournaledUnits(path, header or self.HEADER, **kwargs)
+
+    def test_resume_replays_records_by_key(self, tmp_path):
+        path = str(tmp_path / "units.jsonl")
+        with self._units(path) as units:
+            units.finalize(_record(1, "a"))
+            units.finalize(_record(2, "b"))
+        with self._units(path, resume=True) as units:
+            assert sorted(units.replayed) == [(1, "a"), (2, "b")]
+            units.finalize(_record(3, "c"))
+        header, records = CheckpointJournal(path).load()
+        assert header["plan_fingerprint"] == "abc"
+        assert [pair_key(r) for r in records] == [(1, "a"), (2, "b"), (3, "c")]
+
+    def test_run_without_resume_replaces_the_journal(self, tmp_path):
+        path = str(tmp_path / "units.jsonl")
+        with self._units(path) as units:
+            units.finalize(_record(1, "a"))
+        other = dict(self.HEADER, plan_fingerprint="def")
+        with self._units(path, header=other) as units:
+            assert units.replayed == {}
+            units.finalize(_record(2, "b"))
+        header, records = CheckpointJournal(path).load()
+        assert header["plan_fingerprint"] == "def"
+        assert [pair_key(r) for r in records] == [(2, "b")]
+
+    def test_resume_refuses_a_different_header(self, tmp_path):
+        path = str(tmp_path / "units.jsonl")
+        self._units(path).close()
+        for key in ("campaign_seed", "plan_fingerprint"):
+            with pytest.raises(ValueError, match="refusing to resume"):
+                self._units(path, header=dict(self.HEADER, **{key: 2}), resume=True)
+
+    def test_torn_header_is_rewritten_on_resume(self, tmp_path):
+        path = str(tmp_path / "units.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"kind": "header", "campaign_se')
+        self._units(path, resume=True).close()
+        header, records = CheckpointJournal(path).load()
+        assert header["plan_fingerprint"] == "abc"
+        assert records == []
+
+    def test_kill_drill_runs_without_a_journal(self):
+        units = self._units(None, abort_after=2)
+        units.finalize(_record(1, "a"))
+        with pytest.raises(CampaignInterrupted) as excinfo:
+            units.finalize(_record(2, "b"))
+        assert excinfo.value.completed_pairs == 2
+
+    def test_epoch_units_are_keyed_by_index(self, tmp_path):
+        path = str(tmp_path / "temporal.jsonl")
+        header = {"fingerprint": "f"}
+        with JournaledUnits(path, header, kind=KIND_EPOCH) as units:
+            units.finalize({"epoch": 0, "figure1": {}})
+        units = JournaledUnits(path, header, resume=True, kind=KIND_EPOCH)
+        units.close()
+        assert list(units.replayed) == [0]

@@ -17,7 +17,7 @@ from repro.bgp import BGPSimulator
 from repro.core.active_analysis import classify_preference_orders
 from repro.core.pipeline import Study, StudyConfig
 from repro.experiments import alternate_routes
-from repro.faults import CampaignInterrupted, FaultPlan, FaultSite
+from repro.faults import CampaignInterrupted, CheckpointJournal, FaultPlan, FaultSite
 from repro.peering import (
     ActiveRunConfig,
     ActiveSupervisor,
@@ -128,6 +128,8 @@ class TestActiveKillAndResume:
         assert report.accounted()
         assert report.resumed_targets == 4
         assert ref_report.resumed_targets == 0
+        # Replayed units restore the breaker state their records carry.
+        assert report.breaker == ref_report.breaker
 
         # The graded preference orders are identical too.
         graph = resumed_world[0].graph
@@ -152,6 +154,35 @@ class TestActiveKillAndResume:
         ):
             assert getattr(report, field) == getattr(ref_report, field), field
         assert report.announcements < ref_report.announcements
+
+    def test_run_without_resume_starts_a_fresh_journal(self, tmp_path):
+        journal_path = str(tmp_path / "active.jsonl")
+        with pytest.raises(CampaignInterrupted):
+            _run_active_phase(
+                _build_world(), checkpoint=journal_path, abort_after=2
+            )
+        other_plan = FaultPlan(seed=99, rates={FaultSite.POISON_FILTERED: 0.5})
+        supervisor = ActiveSupervisor(
+            ActiveRunConfig(fault_plan=other_plan, checkpoint_path=journal_path)
+        )
+        internet, testbed, simulator, prefix, targets = _build_world()
+        try:
+            discover_alternate_routes(
+                testbed, simulator, targets, prefix=prefix, supervisor=supervisor
+            )
+        finally:
+            supervisor.close()
+        header, records = CheckpointJournal(journal_path).load()
+        assert header["plan_fingerprint"] == other_plan.fingerprint()
+        assert [record["probe"] for record in records] == targets
+
+        # The journal is the new plan's, so resuming under it is accepted.
+        resumed = ActiveSupervisor(
+            ActiveRunConfig(
+                fault_plan=other_plan, checkpoint_path=journal_path, resume=True
+            )
+        )
+        resumed.close()
 
     def test_resume_with_wrong_plan_rejected(self, tmp_path):
         journal_path = str(tmp_path / "active.jsonl")

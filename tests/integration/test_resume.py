@@ -123,6 +123,101 @@ class TestKillAndResume:
         # already-spent, landing on exactly the uninterrupted total.
         assert resume_ledger.spent == reference_ledger.spent
 
+    def test_budget_capped_resume_skips_the_same_probes(self, world, tmp_path):
+        """A replayed pair is charged where the sweep reaches it, so a
+        resumed budget-capped campaign runs out on the same probe as an
+        uninterrupted one."""
+        internet, probes = world
+        journal_path = str(tmp_path / "campaign.jsonl")
+        unbudgeted = CreditLedger(daily_budget=10**9)
+        run_campaign(internet, probes, CampaignConfig(seed=6, ledger=unbudgeted))
+        budget = unbudgeted.spent // 2
+
+        reference_ledger = CreditLedger(daily_budget=budget)
+        reference = run_campaign(
+            internet, probes, CampaignConfig(seed=6, ledger=reference_ledger)
+        )
+        assert reference.budget_skipped
+
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                internet,
+                probes,
+                CampaignConfig(
+                    seed=6,
+                    ledger=CreditLedger(daily_budget=budget),
+                    checkpoint_path=journal_path,
+                    abort_after=90,
+                ),
+            )
+        resume_ledger = CreditLedger(daily_budget=budget)
+        resumed = run_campaign(
+            internet,
+            probes,
+            CampaignConfig(
+                seed=6,
+                ledger=resume_ledger,
+                checkpoint_path=journal_path,
+                resume=True,
+            ),
+        )
+
+        assert [p.probe_id for p in resumed.budget_skipped] == [
+            p.probe_id for p in reference.budget_skipped
+        ]
+        skip = {"retry", "resumed_pairs"}
+        resumed_view = {
+            k: v for k, v in resumed.robustness.as_dict().items() if k not in skip
+        }
+        reference_view = {
+            k: v for k, v in reference.robustness.as_dict().items() if k not in skip
+        }
+        assert resumed_view == reference_view
+        assert dump_measurements(resumed.measurements) == dump_measurements(
+            reference.measurements
+        )
+        assert resume_ledger.spent == reference_ledger.spent
+
+    def test_run_without_resume_starts_a_fresh_journal(self, world, tmp_path):
+        internet, probes = world
+        journal_path = str(tmp_path / "campaign.jsonl")
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                internet,
+                probes,
+                CampaignConfig(
+                    seed=6, fault_plan=PLAN, checkpoint_path=journal_path,
+                    abort_after=5,
+                ),
+            )
+        other_plan = FaultPlan(seed=99, rates={FaultSite.DNS_TIMEOUT: 0.5})
+        fresh = run_campaign(
+            internet,
+            probes,
+            CampaignConfig(
+                seed=6, fault_plan=other_plan, checkpoint_path=journal_path
+            ),
+        )
+        header, records = CheckpointJournal(journal_path).load()
+        assert header["plan_fingerprint"] == other_plan.fingerprint()
+        assert len(records) == fresh.robustness.total_pairs
+
+        # The journal is the new plan's, so resuming under it is accepted.
+        resumed = run_campaign(
+            internet,
+            probes,
+            CampaignConfig(
+                seed=6,
+                fault_plan=other_plan,
+                checkpoint_path=journal_path,
+                resume=True,
+            ),
+        )
+        assert resumed.robustness.resumed_pairs == fresh.robustness.total_pairs
+        assert dump_measurements(resumed.measurements) == dump_measurements(
+            fresh.measurements
+        )
+
     def test_resume_with_wrong_plan_rejected(self, world, tmp_path):
         internet, probes = world
         journal_path = str(tmp_path / "campaign.jsonl")

@@ -1,5 +1,4 @@
-"""End-to-end tests for the ``repro temporal`` / ``repro study
---temporal`` CLI surfaces.
+"""End-to-end tests for the ``repro temporal`` CLI surface.
 
 The expensive study build is patched to reuse the session study
 fixture (itself the small scenario), so these exercise the whole
@@ -87,10 +86,7 @@ class TestTemporalCommand:
 
 
 class TestStudyTemporalFlag:
-    def test_attaches_series_to_study_output(self, patched_study, capsys):
-        assert cli.main(["study", "--small", "--temporal"]) == 0
-        out = capsys.readouterr().out
-        assert "longitudinal study:" in out
-        assert f"{len(patched_study.snapshots)} epoch(s)" in out
-        # The study's own reports still render after the series.
-        assert patched_study.temporal is not None
+    def test_flag_rejected(self, patched_study, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["study", "--small", "--temporal"])
+        assert "unrecognized arguments: --temporal" in capsys.readouterr().err

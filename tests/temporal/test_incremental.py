@@ -15,9 +15,9 @@ import pytest
 from repro.core.classification import classify_decisions_serial
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.pipeline import figure1_layer_configs
+from repro.faults.journal import KIND_EPOCH, CheckpointJournal
 from repro.temporal.study import (
     TemporalInputs,
-    TemporalJournal,
     _counts_dict,
     epoch_snapshot,
     run_incremental,
@@ -109,11 +109,11 @@ class TestJournalResume:
 
         # Truncate the journal to its first three epochs, as a crash
         # between epochs would leave it.
-        journal = TemporalJournal(journal_path)
+        journal = CheckpointJournal(journal_path, record_kind=KIND_EPOCH)
         header, records = journal.load()
         assert header["fingerprint"] == series_fingerprint(series, inputs)
         assert len(records) == len(series)
-        truncated = TemporalJournal(journal_path)
+        truncated = CheckpointJournal(journal_path, record_kind=KIND_EPOCH)
         os.remove(journal_path)
         truncated.open_append()
         truncated.write_header(header)
@@ -136,7 +136,9 @@ class TestJournalResume:
             full.figure1_series()
         )
         # The journal is whole again after the resumed run.
-        _header, completed = TemporalJournal(journal_path).load()
+        _header, completed = CheckpointJournal(
+            journal_path, record_kind=KIND_EPOCH
+        ).load()
         assert len(completed) == len(series)
 
     def test_resume_refuses_foreign_series(self, study, series, tmp_path):
@@ -145,7 +147,7 @@ class TestJournalResume:
         run_incremental(series, inputs, journal_path=journal_path)
         inference = InferenceConfig(num_snapshots=len(series), snapshot_churn=0.3)
         other, _known = inferred_snapshots(study.internet, inference, seed=99)
-        with pytest.raises(ValueError, match="different snapshot series"):
+        with pytest.raises(ValueError, match="refusing to resume"):
             run_incremental(
                 other, inputs, journal_path=journal_path, resume=True
             )
@@ -154,7 +156,9 @@ class TestJournalResume:
         inputs = TemporalInputs.from_study(study)
         journal_path = os.fspath(tmp_path / "temporal.jsonl")
         results = run_incremental(series, inputs, journal_path=journal_path)
-        _header, records = TemporalJournal(journal_path).load()
+        _header, records = CheckpointJournal(
+            journal_path, record_kind=KIND_EPOCH
+        ).load()
         for record, epoch in zip(records, results.epochs):
             assert record["epoch"] == epoch.index
             assert record["figure1"] == epoch.figure1
