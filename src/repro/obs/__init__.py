@@ -7,6 +7,8 @@ faults fired" for every run in the study:
   top-level spans are the per-stage timings.
 * :mod:`repro.obs.metrics` — process-wide registry of counters,
   gauges, and fixed-bucket histograms with plain-JSON snapshots.
+* :mod:`repro.obs.gc` — the cyclic garbage collector's pauses by
+  generation, counted while an enabled context is current.
 * :mod:`repro.obs.events` — typed, deterministic event stream for the
   faults layer and the BGP simulator.
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` JSON artifact

@@ -1,11 +1,12 @@
 """The ambient observability context.
 
-One :class:`Observability` object bundles the run's metrics registry
-and event stream.  A process-wide current context (disabled by
-default) lets deeply nested layers — the retry policy, the circuit
-breaker, the fault plan, the BGP simulator — publish without any
-plumbing changes to their call signatures, while the default disabled
-context keeps those sites at one-boolean-check overhead.
+One :class:`Observability` object bundles the run's metrics registry,
+event stream and garbage-collector pause counts.  A process-wide
+current context (disabled by default) lets deeply nested layers — the
+retry policy, the circuit breaker, the fault plan, the BGP simulator —
+publish without any plumbing changes to their call signatures, while
+the default disabled context keeps those sites at one-boolean-check
+overhead.
 
 ``Study.run`` / the CLI enable a real context for the duration of a
 run; tests use :func:`using` to install a scoped context.  The program
@@ -18,11 +19,13 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.events import DEFAULT_MAX_EVENTS, EventStream
+from repro.obs.gc import CollectorPauses
 from repro.obs.metrics import MetricsRegistry
 
 
 class Observability:
-    """Metrics + events for one run, plus the master enable switch."""
+    """Metrics, events and collector pauses for one run, plus the
+    master enable switch."""
 
     def __init__(
         self, enabled: bool = True, max_events: int = DEFAULT_MAX_EVENTS
@@ -30,6 +33,9 @@ class Observability:
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
         self.events = EventStream(enabled=enabled, max_events=max_events)
+        #: Counts collector pauses while this context is current and
+        #: enabled (:func:`set_obs` installs it).
+        self.collector = CollectorPauses()
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -41,6 +47,7 @@ class Observability:
         self.events = EventStream(
             enabled=self.enabled, max_events=self.events.max_events
         )
+        self.collector.clear()
 
 
 #: The current context.  Disabled by default: the fault-free reference
@@ -57,11 +64,14 @@ def set_obs(obs: Observability) -> Observability:
     """Install ``obs`` as the current context.
 
     Returns the previous context so callers (and :func:`using`) can
-    restore it.
+    restore it.  Only the current context counts collector pauses.
     """
     global _current
     previous = _current
+    previous.collector.uninstall()
     _current = obs
+    if obs.enabled:
+        obs.collector.install()
     return previous
 
 

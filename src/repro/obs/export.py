@@ -8,7 +8,8 @@ Three consumers of one :class:`~repro.obs.manifest.RunManifest`:
   exposition format (counters, gauges, histograms with ``_bucket`` /
   ``_sum`` / ``_count`` series) for scrape-style ingestion.
 * :func:`render_summary` — the human view ``repro obs report`` prints:
-  span tree with durations, metric highlights, fault/event accounting.
+  span tree with durations, collector pauses, metric highlights,
+  fault/event accounting.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 from typing import Dict, List, Optional
 
+from repro.obs.gc import COLLECTIONS_METRIC, GENERATION_SERIES, PAUSE_METRIC
 from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
 
 #: JSONL record kinds.
@@ -201,6 +203,26 @@ def _render_span(span: Dict, total: float, depth: int, lines: List[str]) -> None
         _render_span(child, total, depth + 1, lines)
 
 
+def _gc_pauses_line(counters: Dict, total: float) -> Optional[str]:
+    """Collector passes and pause seconds by generation, and their share
+    of the span total (``None``: the manifest counted no collector)."""
+    passes = counters.get(COLLECTIONS_METRIC, {}).get("series", {})
+    seconds = counters.get(PAUSE_METRIC, {}).get("series", {})
+    if not passes:
+        return None
+    by_generation = ", ".join(
+        f"gen{generation} {_format_value(passes.get(key, 0.0))}x "
+        f"{seconds.get(key, 0.0):.3f}s"
+        for generation, key in enumerate(GENERATION_SERIES)
+    )
+    paused = sum(seconds.values())
+    share = f"{paused / total * 100:.1f}%" if total > 0 else "-"
+    return (
+        f"gc pauses: {by_generation}; {paused:.3f}s, "
+        f"{share} of the span total"
+    )
+
+
 def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
     """A terminal report of one manifest (what ``repro obs report`` prints).
 
@@ -228,6 +250,10 @@ def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
             _render_span(span, total, 0, lines)
 
     counters = manifest.metrics.get("counters", {})
+    gc_line = _gc_pauses_line(counters, total)
+    if gc_line is not None:
+        lines.append("")
+        lines.append(gc_line)
     gauges = manifest.metrics.get("gauges", {})
     histograms = manifest.metrics.get("histograms", {})
     if counters or gauges or histograms:

@@ -219,7 +219,15 @@ def build_manifest(
     fault_plan_fingerprint: Optional[str] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> RunManifest:
-    """Bind the current telemetry state into one manifest."""
+    """Bind the current telemetry state into one manifest.
+
+    An enabled context's collector pauses join the metric snapshot's
+    counters.
+    """
+    metrics = obs.metrics.snapshot()
+    if obs.enabled:
+        counters = {**metrics["counters"], **obs.collector.counters()}
+        metrics["counters"] = dict(sorted(counters.items()))
     return RunManifest(
         kind=kind,
         config_digest=config_digest(config) if config is not None else "",
@@ -227,7 +235,7 @@ def build_manifest(
         fault_plan_seed=fault_plan_seed,
         fault_plan_fingerprint=fault_plan_fingerprint,
         spans=tracer.to_dicts() if tracer is not None else [],
-        metrics=obs.metrics.snapshot(),
+        metrics=metrics,
         events=obs.events.to_dicts(),
         event_counts=dict(obs.events.counts),
         events_dropped=obs.events.dropped,

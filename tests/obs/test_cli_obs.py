@@ -66,6 +66,21 @@ class TestObsReport:
         restored = RunManifest.load(str(jsonl))
         assert restored.to_dict() == RunManifest.load(path).to_dict()
 
+    def test_report_shows_collector_pauses(self, tmp_path, capsys):
+        """One line: passes and pause seconds by generation, and their
+        share of the span total."""
+        obs = Observability()
+        obs.collector.collections[:] = [12, 3, 1]
+        obs.collector.seconds[:] = [0.01, 0.02, 0.17]
+        manifest = build_manifest(obs)
+        manifest.spans = [{"name": "stage", "duration_s": 4.0}]
+        path = manifest.save(str(tmp_path / "run.json"))
+        assert main(["obs", "report", path]) == 0
+        assert (
+            "gc pauses: gen0 12x 0.010s, gen1 3x 0.020s, gen2 1x 0.170s; "
+            "0.200s, 5.0% of the span total"
+        ) in capsys.readouterr().out.splitlines()
+
     def test_report_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["obs", "report", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err.lower()
@@ -95,8 +110,12 @@ class TestStudyObsFlags:
         manifest = RunManifest.load(str(out))
         assert manifest.kind == "study"
         assert manifest.stage_timings()
+        counters = manifest.metrics["counters"]
+        assert counters["repro_gc_collections_total"]["series"]['generation="2"'] >= 1
+        assert "repro_gc_pause_seconds" in counters
         # The written manifest feeds straight back into the report command.
         assert main(["obs", "report", str(out)]) == 0
+        assert "gc pauses: gen0 " in capsys.readouterr().out
 
 
 class TestConsoleEntryPoint:
