@@ -252,13 +252,17 @@ def run_campaign(
         """Account one finalized pair from its journal record.
 
         A fresh pair passes the traceroute it already parsed; a
-        replayed one is parsed from the record's document.
+        replayed one is parsed from the record's document, and its
+        ground-truth path, which the journal does not carry, is read
+        from the data plane the destinations converged to before the
+        sweep.
         """
         status = record.get("status")
         reason = record.get("reason")
         if status in (_COMPLETED, _DEGRADED):
             if trace is None:
                 trace = traceroute_from_json(record["document"])
+                trace.truth_as_path = engine.truth_path(probe.asn, replica.ip) or ()
             measurements.append(
                 Measurement(
                     probe=probe,

@@ -342,8 +342,9 @@ class BGPSimulator:
                 clock += 1
                 delivered += 1
                 speaker = speakers[target]
-                if speaker.receive(message, clock, country_of):
-                    push(speaker.exports(message.prefix))
+                record = speaker.receive(message, clock, country_of)
+                if record is not None:
+                    push(speaker.exports(message.prefix, record))
         finally:
             self.clock = clock
         if delivered and events_enabled():

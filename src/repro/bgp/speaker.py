@@ -19,11 +19,13 @@ decision step stale (``None`` beside a best route), and
 :meth:`BGPSpeaker.decision_step` recomputes it from the candidates.
 
 After a best-route change, :meth:`BGPSpeaker.exports` computes every
-neighbor's update in one pass: the export rule is read once for the
-route (:meth:`~repro.bgp.policy.Policy.export_scope`) and returns
-collections the speaker already holds, and all non-sibling neighbors
-that receive a learned route share one ``(path, communities)`` export
-and one announcement.
+neighbor's update in one pass over the record :meth:`BGPSpeaker.receive`
+returned, so a delivered update looks its prefix up once, and the flap
+count damping reads is kept on that record too.  The export rule is
+read once for the route (:meth:`~repro.bgp.policy.Policy.export_scope`)
+and returns collections the speaker already holds, and all non-sibling
+neighbors that receive a learned route share one ``(path,
+communities)`` export and one announcement.
 
 A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
@@ -62,7 +64,16 @@ _SIBLING = Relationship.SIBLING
 class _PrefixState:
     """One speaker's routing state for one prefix."""
 
-    __slots__ = ("rib_in", "local", "self_route", "best", "step", "advertised")
+    __slots__ = (
+        "rib_in",
+        "local",
+        "self_route",
+        "best",
+        "step",
+        "advertised",
+        "flaps",
+        "flap_epoch",
+    )
 
     def __init__(self) -> None:
         #: Adj-RIB-In: neighbor ASN -> route, in arrival order.
@@ -77,10 +88,15 @@ class _PrefixState:
         self.step: Optional[DecisionStep] = None
         #: What each neighbor was last told: neighbor ASN -> export.
         self.advertised: Dict[int, Export] = {}
+        #: Best-route changes in the speaker's damping epoch
+        #: ``flap_epoch``; a count stamped with an older epoch is zero.
+        self.flaps = 0
+        self.flap_epoch = -1
 
     def copy_for(self, prefix: Prefix) -> "_PrefixState":
         """This record as ``prefix``'s: its tables copied, its immutable
-        routes and exports shared, its local origination rebuilt."""
+        routes and exports shared, its local origination rebuilt, and no
+        flap count."""
         copy = _PrefixState()
         copy.rib_in = dict(self.rib_in)
         if self.local is not None:
@@ -99,9 +115,9 @@ class BGPSpeaker:
     (Adj-RIB-In, local origination, Loc-RIB, decision step, advertised
     exports), runs the decision process on it, and produces the export
     messages for its neighbors in one pass per best-route change
-    (:meth:`exports`), in ascending-ASN order.  Route-flap counters and
-    the frozen set are per convergence epoch, across prefixes.  Message
-    transport and scheduling live in
+    (:meth:`exports`), in ascending-ASN order.  Route-flap counts (kept
+    on the records) and the frozen set are per convergence epoch.
+    Message transport and scheduling live in
     :class:`repro.bgp.simulator.BGPSimulator`.
     """
 
@@ -132,7 +148,8 @@ class BGPSpeaker:
         #: Route-flap damping: after this many best-route changes for a
         #: prefix the speaker freezes its state (0 disables).
         self._flap_limit = flap_limit
-        self._flap_count: Dict[Prefix, int] = {}
+        #: The damping epoch a record's flap count must carry to count.
+        self._damping_epoch = 0
         self._frozen: set = set()
         self._prefixes: Dict[Prefix, _PrefixState] = {}
         #: The policy's non-empty prefix inputs, as last loaded.
@@ -235,10 +252,11 @@ class BGPSpeaker:
         message,
         clock: int,
         country_of: Optional[CountryLookup] = None,
-    ) -> bool:
-        """Process an update; returns whether the best route changed."""
+    ) -> Optional[_PrefixState]:
+        """Process an update; returns the prefix's record when its best
+        route changed (pass it to :meth:`exports`), else ``None``."""
         if self._frozen and message.prefix in self._frozen:
-            return False
+            return None
         if isinstance(message, Announcement):
             return self._receive_announcement(message, clock, country_of)
         if isinstance(message, Withdrawal):
@@ -280,7 +298,7 @@ class BGPSpeaker:
         announcement: Announcement,
         clock: int,
         country_of: Optional[CountryLookup],
-    ) -> bool:
+    ) -> Optional[_PrefixState]:
         neighbor = announcement.sender
         relationship = self.neighbors.get(neighbor)
         if relationship is None:
@@ -293,8 +311,8 @@ class BGPSpeaker:
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
             if state is not None and state.rib_in.pop(neighbor, None) is not None:
-                return self._run_decision(state, prefix)
-            return False
+                return state if self._run_decision(state, prefix) else None
+            return None
         if state is None:
             state = self._prefixes[prefix] = _PrefixState()
         communities = announcement.communities
@@ -305,7 +323,7 @@ class BGPSpeaker:
             and previous.communities == communities
         ):
             # Duplicate announcement: no state change, age preserved.
-            return False
+            return None
         effective = relationship
         if relationship is _SIBLING:
             effective = self._sibling_entry_class(neighbor, as_path, communities)
@@ -327,22 +345,23 @@ class BGPSpeaker:
         )
         best = state.best
         if best is None or best.learned_from == neighbor:
-            return self._run_decision(state, prefix)
+            return state if self._run_decision(state, prefix) else None
         # The best route stands unless the new one beats it.
         state.step = None
         if preference_key(route) < preference_key(best):
             state.best = route
-            return self._best_changed(prefix)
-        return False
+            self._best_changed(state, prefix)
+            return state
+        return None
 
-    def _receive_withdrawal(self, withdrawal: Withdrawal) -> bool:
+    def _receive_withdrawal(self, withdrawal: Withdrawal) -> Optional[_PrefixState]:
         state = self._prefixes.get(withdrawal.prefix)
         if state is None or state.rib_in.pop(withdrawal.sender, None) is None:
-            return False
+            return None
         if state.best is not None and state.best.learned_from != withdrawal.sender:
             state.step = None  # the best stands; the runner-up may not
-            return False
-        return self._run_decision(state, withdrawal.prefix)
+            return None
+        return state if self._run_decision(state, withdrawal.prefix) else None
 
     # ------------------------------------------------------------------
     # Decision process
@@ -372,27 +391,31 @@ class BGPSpeaker:
         state.step = step
         if previous is winner or previous == winner:
             return False
-        return self._best_changed(prefix)
+        self._best_changed(state, prefix)
+        return True
 
-    def _best_changed(self, prefix: Prefix) -> bool:
-        """Count a best-route change toward flap damping; returns True."""
+    def _best_changed(self, state: _PrefixState, prefix: Prefix) -> None:
+        """Count a best-route change toward flap damping."""
         if self._flap_limit:
-            flaps = self._flap_count.get(prefix, 0) + 1
-            self._flap_count[prefix] = flaps
-            if flaps > self._flap_limit:
+            if state.flap_epoch == self._damping_epoch:
+                state.flaps += 1
+            else:
+                state.flap_epoch = self._damping_epoch
+                state.flaps = 1
+            if state.flaps > self._flap_limit:
                 # Route-flap damping: freeze this prefix's state so a
                 # policy dispute wheel cannot livelock the network.
                 self._frozen.add(prefix)
-        return True
 
     def reset_damping(self) -> None:
-        """Start a new convergence epoch: clear flap counters and thaw.
+        """Start a new convergence epoch: zero every flap count and thaw.
 
         Called by the simulator whenever an origination changes, so
         damping only fires on oscillation *within* one convergence run,
-        not across sequential experiments.
+        not across sequential experiments.  The counts live on the
+        records; bumping the epoch they are stamped with zeroes them all.
         """
-        self._flap_count.clear()
+        self._damping_epoch += 1
         self._frozen.clear()
 
     @property
@@ -440,7 +463,9 @@ class BGPSpeaker:
     # ------------------------------------------------------------------
     # Export side
     # ------------------------------------------------------------------
-    def exports(self, prefix: Prefix) -> List[Tuple[int, object]]:
+    def exports(
+        self, prefix: Prefix, state: Optional[_PrefixState] = None
+    ) -> List[Tuple[int, object]]:
         """The updates owed to neighbors for ``prefix``, in ascending-ASN order.
 
         Compares what each neighbor should hear now with what it was
@@ -448,11 +473,14 @@ class BGPSpeaker:
         ``(neighbor, message)`` pair — an announcement or a withdrawal —
         per neighbor whose view changed.  A learned best route is
         prepended and stripped once; every non-sibling neighbor shares
-        that export and its announcement.
+        that export and its announcement.  ``state`` is the prefix's
+        record when the caller holds it (what :meth:`receive` returned);
+        otherwise it is looked up.
         """
-        state = self._prefixes.get(prefix)
         if state is None:
-            return []
+            state = self._prefixes.get(prefix)
+            if state is None:
+                return []
         best = state.best
         advertised = state.advertised
         originated = best is not None and best.learned_from == self.asn

@@ -20,6 +20,7 @@ from repro.check.differential import (
     Disagreement,
     check_seed,
 )
+from repro.obs.gc import collector_scope
 
 #: The default battery, in report order.
 ALL_CHECKS = tuple(SCENARIO_CHECKS) + tuple(SEED_CHECKS)
@@ -103,7 +104,10 @@ def run_checks(
     started = time.monotonic()
     for offset in range(seeds):
         seed = base_seed + offset
-        scenario, problems = check_seed(seed, only=only, tally=report.tally)
+        # One scope per seed: each seed's closing collection scans only
+        # that seed's objects, and no seed's garbage outlives it.
+        with collector_scope():
+            scenario, problems = check_seed(seed, only=only, tally=report.tally)
         report.seeds_run += 1
         report.decisions_graded += len(scenario.decisions)
         report.trees_checked += len(scenario.destinations) + len(

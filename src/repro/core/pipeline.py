@@ -69,6 +69,7 @@ from repro.peering.experiments import (
     run_magnet_experiments,
 )
 from repro.obs.context import get_obs
+from repro.obs.gc import collector_scope
 from repro.obs.manifest import RunManifest, _primitive, build_manifest, peak_rss_mb
 from repro.obs.trace import Tracer
 from repro.peering.testbed import PeeringTestbed
@@ -341,7 +342,9 @@ class Study:
         config = self.config
         self._open_ledger()
         tracer = Tracer()
-        with tracer.activate():
+        # The stages run under one collector policy, whose closing
+        # collection the manifest below counts.
+        with collector_scope(), tracer.activate():
             # A crash (or injected crash drill) anywhere in here leaves
             # the ledger ``running`` and the run-directory lock in
             # place — exactly the state ``--resume`` recovers from.

@@ -73,6 +73,17 @@ class TracerouteEngine:
         match = self._announced.lookup_with_prefix(destination_ip)
         return None if match is None else match[0]
 
+    def truth_path(
+        self, source_asn: int, destination_ip: IPAddress
+    ) -> Optional[Tuple[int, ...]]:
+        """The data plane's AS path from ``source_asn`` toward the
+        announced prefix covering ``destination_ip`` (``None``: no such
+        prefix, or no loop-free route to it)."""
+        prefix = self.destination_prefix(destination_ip)
+        if prefix is None:
+            return None
+        return self._simulator.forwarding_path(source_asn, prefix)
+
     def trace(
         self,
         source_asn: int,
@@ -93,10 +104,7 @@ class TracerouteEngine:
             source_ip=source_ip,
             destination_ip=destination_ip,
         )
-        prefix = self.destination_prefix(destination_ip)
-        if prefix is None:
-            return result
-        as_path = self._simulator.forwarding_path(source_asn, prefix)
+        as_path = self.truth_path(source_asn, destination_ip)
         if as_path is None:
             return result
         result.truth_as_path = as_path

@@ -123,6 +123,29 @@ class TestKillAndResume:
         # already-spent, landing on exactly the uninterrupted total.
         assert resume_ledger.spent == reference_ledger.spent
 
+    def test_replayed_pairs_keep_their_ground_truth_path(self, world, tmp_path):
+        """The journal carries no ground-truth path, yet every resumed
+        measurement has the uninterrupted run's (``dump_measurements``
+        omits the field)."""
+        internet, probes = world
+        journal_path = str(tmp_path / "campaign.jsonl")
+        reference = run_campaign(internet, probes, CampaignConfig(seed=6))
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                internet,
+                probes,
+                CampaignConfig(seed=6, checkpoint_path=journal_path, abort_after=25),
+            )
+        resumed = run_campaign(
+            internet,
+            probes,
+            CampaignConfig(seed=6, checkpoint_path=journal_path, resume=True),
+        )
+        assert resumed.robustness.resumed_pairs == 25
+        truth = [m.traceroute.truth_as_path for m in resumed.measurements]
+        assert truth == [m.traceroute.truth_as_path for m in reference.measurements]
+        assert all(truth)
+
     def test_budget_capped_resume_skips_the_same_probes(self, world, tmp_path):
         """A replayed pair is charged where the sweep reaches it, so a
         resumed budget-capped campaign runs out on the same probe as an
