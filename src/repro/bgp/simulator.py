@@ -1,10 +1,15 @@
 """Event-driven BGP propagation over an AS graph.
 
 The simulator wires one :class:`~repro.bgp.speaker.BGPSpeaker` per AS in
-a ground-truth :class:`~repro.topology.graph.ASGraph`, delivers update
+a ground-truth :class:`~repro.topology.graph.ASGraph`, queues update
 messages in deterministic FIFO order, and runs the network to a fixed
-point after each origination change.  A logical clock advances once per
-delivered message; it is the time base for the route-age tie-breaker.
+point after each origination change.  A session delivers only its
+newest queued update for a prefix, as a router sending from its
+Adj-RIB-Out does (one entry per neighbor and prefix; RFC 4271 §3.2 and
+§9.2.1.1): an update that a newer one from the same sender to the same
+receiver superseded while it waited is dropped, never delivered.  A
+logical clock advances once per delivered message, not per dropped
+one; it is the time base for the route-age tie-breaker.
 
 A withdrawal by a prefix's only origin, with nothing in flight, skips
 the message exchange: its fixed point is known (no AS holds a route),
@@ -314,37 +319,64 @@ class BGPSimulator:
     def run(self) -> int:
         """Deliver queued messages to a fixed point; returns event count.
 
+        Each session delivers only its newest queued update for a
+        prefix.  A map local to the run, rebuilt from the queue when it
+        starts (so the tail a failed run left is coalesced too), holds
+        prefix -> (receiver, sender) -> newest queued entry; a popped
+        entry that a newer one has superseded is dropped without
+        advancing the clock or counting toward the event limits.  The
+        exports a delivered message causes are for its prefix, so they
+        are recorded under the map entry its lookup found.
+
         With telemetry on, a converged run adds its event count to
         ``bgp_events_delivered_total`` and ``bgp_convergence_events``,
-        and its wall time to ``bgp_convergence_seconds``, labelled with
-        the kind of origination change that started it.
+        its dropped updates to ``bgp_updates_coalesced_total``, and its
+        wall time to ``bgp_convergence_seconds``, labelled with the kind
+        of origination change that started it.
         """
         started = time.perf_counter()
         queue = self._queue
         pop = queue.popleft
         push = queue.extend
+        newest: Dict[Prefix, Dict[Tuple[int, int], Tuple[int, object]]] = {}
+        for entry in queue:
+            target, message = entry
+            sessions = newest.get(message.prefix)
+            if sessions is None:
+                sessions = newest[message.prefix] = {}
+            sessions[target, message.sender] = entry
         speakers = self.speakers
         country_of = self._country_of
         max_events = self._max_events
         # The next limit to test: the soft warning (once), then the hard.
         limit = min(self._soft_events, max_events)
         clock = self.clock
-        delivered = 0
+        delivered = coalesced = 0
         try:
             while queue:
+                entry = pop()
+                target, message = entry
+                prefix = message.prefix
+                sessions = newest[prefix]
+                if sessions[target, message.sender] is not entry:
+                    coalesced += 1
+                    continue
                 if delivered >= limit:
                     if delivered >= max_events:
+                        queue.appendleft(entry)  # the tail keeps it
                         self._raise_unconverged(delivered)
                     self.clock = clock
                     self._soft_limit(delivered)
                     limit = max_events
-                target, message = pop()
                 clock += 1
                 delivered += 1
                 speaker = speakers[target]
                 record = speaker.receive(message, clock, country_of)
                 if record is not None:
-                    push(speaker.exports(message.prefix, record))
+                    updates = speaker.exports(prefix, record)
+                    push(updates)
+                    for update in updates:
+                        sessions[update[0], target] = update
         finally:
             self.clock = clock
         if delivered and events_enabled():
@@ -353,8 +385,11 @@ class BGPSimulator:
                 "converged",
                 epoch=self.epoch,
                 delivered=delivered,
+                coalesced=coalesced,
             )
-        self._record_convergence(delivered, time.perf_counter() - started)
+        self._record_convergence(
+            delivered, coalesced, time.perf_counter() - started
+        )
         return delivered
 
     def _raise_unconverged(self, delivered: int) -> None:
@@ -386,7 +421,9 @@ class BGPSimulator:
         if self.on_soft_limit is not None:
             self.on_soft_limit(self._origination_prefix, self.epoch, delivered)
 
-    def _record_convergence(self, delivered: int, seconds: float) -> None:
+    def _record_convergence(
+        self, delivered: int, coalesced: int, seconds: float
+    ) -> None:
         metrics = get_obs().metrics
         if not metrics.enabled:
             return
@@ -395,6 +432,11 @@ class BGPSimulator:
             "bgp_events_delivered_total",
             "BGP update messages delivered by converged runs.",
         ).labels(kind=kind).inc(delivered)
+        metrics.counter(
+            "bgp_updates_coalesced_total",
+            "Queued BGP updates dropped by converged runs because a newer "
+            "update on the same session and prefix superseded them.",
+        ).labels(kind=kind).inc(coalesced)
         metrics.histogram(
             "bgp_convergence_events",
             "BGP update messages delivered per converged run.",
@@ -435,6 +477,10 @@ class BGPSimulator:
     # ------------------------------------------------------------------
     # Inspection API
     # ------------------------------------------------------------------
+    def in_flight(self) -> int:
+        """How many queued updates await delivery."""
+        return len(self._queue)
+
     def best_route(self, asn: int, prefix: Prefix) -> Optional[Route]:
         return self._speaker(asn).best(prefix)
 

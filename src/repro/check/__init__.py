@@ -11,7 +11,7 @@ The check subsystem is the safety net under the optimized pipeline:
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
   plus metamorphic invariants, including the simulator's withdrawal
   reset and its converged-state copies against its own event-driven
-  delivery;
+  delivery, and every convergence against the stable-state oracle;
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.
@@ -21,6 +21,7 @@ from repro.check.differential import (
     Disagreement,
     check_bgp_decision,
     check_bgp_reuse,
+    check_bgp_stable,
     check_bgp_withdraw,
     check_gr_trees,
     check_labels,
@@ -49,6 +50,7 @@ from repro.check.oracles import (
     oracle_export,
     oracle_label,
     oracle_routing_info,
+    oracle_stable_faults,
 )
 from repro.check.runner import ALL_CHECKS, KNOWN_CHECKS, CheckReport, run_checks
 from repro.check.scenarios import Scenario, generate_scenario
@@ -68,6 +70,7 @@ __all__ = [
     "check_against_golden",
     "check_bgp_decision",
     "check_bgp_reuse",
+    "check_bgp_stable",
     "check_bgp_withdraw",
     "check_gr_trees",
     "check_labels",
@@ -84,6 +87,7 @@ __all__ = [
     "oracle_label",
     "oracle_labels",
     "oracle_routing_info",
+    "oracle_stable_faults",
     "run_checks",
     "serialize",
     "snapshot_study",

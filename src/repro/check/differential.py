@@ -33,6 +33,7 @@ from repro.check.oracles import (
     oracle_best_route,
     oracle_label,
     oracle_routing_info,
+    oracle_stable_faults,
 )
 from repro.check.scenarios import Scenario, generate_scenario
 from repro.core.classification import (
@@ -1227,6 +1228,122 @@ def check_bgp_reuse(seed: int, tally: Optional[Counter] = None) -> List[Disagree
 
 
 # ---------------------------------------------------------------------------
+# BGP stable state: every convergence vs the order-independent oracle
+# ---------------------------------------------------------------------------
+
+#: The prefixes ``bgp-stable`` converges; the second carries prepends
+#: and selective export.
+_STABLE_PREFIXES = (Prefix.parse("100.67.0.0/24"), Prefix.parse("100.67.1.0/24"))
+_STABLE_STEPS = ("poison", "reannounce", "anycast", "withdraw-second", "withdraw")
+
+
+def _stable_faults(
+    simulator: BGPSimulator, stale: Dict[Prefix, set]
+) -> Dict[Prefix, List[str]]:
+    """:func:`oracle_stable_faults` for each prefix ``stale`` maps to the
+    speakers flap damping froze since the prefix was last empty, whose
+    ghost routes may outlive the freeze: the Adj-RIB-In check skips
+    them.  Adds this epoch's frozen speakers to ``stale``."""
+    damped = simulator.damped_ases()
+    faults = {}
+    for prefix, exempt in stale.items():
+        if not any(s.candidates(prefix) for s in simulator.speakers.values()):
+            exempt.clear()  # the prefix is empty: no ghost survives
+        faults[prefix] = oracle_stable_faults(simulator, prefix, frozenset(exempt))
+        exempt.update(asn for asn, frozen in damped.items() if prefix in frozen)
+    return faults
+
+
+def check_bgp_stable(seed: int, tally: Optional[Counter] = None) -> List[Disagreement]:
+    """Every convergence of the seed's scenario vs :func:`oracle_stable_faults`.
+
+    ``bgp-withdraw`` and ``bgp-reuse`` compare one delivery path with
+    another through the same :meth:`BGPSimulator.run`, so neither holds
+    its queue rule (each session delivers only its newest queued
+    update) to anything outside it.  This check reads only the tables a
+    run leaves: after every origination and withdrawal, each prefix
+    must be at a fixed point.  On the seed's scenario graph, a few ASes filter
+    poisoned announcements or ignore loop prevention (so imports are
+    rejected) and a few sell partial transit.  One origin announces
+    both prefixes, the second with prepends and selective export; then
+    random steps poison, re-announce, anycast from a second origin and
+    withdraw (by events while the second origin still announces, else
+    by reset).  Every fourth seed runs at ``flap_limit=2``; a speaker
+    damping froze keeps its Adj-RIB-In exempt until the prefix is next
+    empty, since its ghost routes may outlive the freeze
+    (:func:`_stable_faults`).
+    """
+    tally = Counter() if tally is None else tally
+    rng = random.Random(seed ^ 0x57A)
+    graph = generate_scenario(seed).graph
+    asns = sorted(graph.asns())
+    policies = {}
+    for asn in asns:
+        customers = sorted(
+            neighbor
+            for neighbor, relationship in graph.neighbors(asn).items()
+            if relationship is Relationship.CUSTOMER
+        )
+        policies[asn] = Policy(
+            asn=asn,
+            filters_poisoned=rng.random() < 0.1,
+            loop_prevention_disabled=rng.random() < 0.05,
+            partial_transit_to={c for c in customers if rng.random() < 0.1},
+        )
+    simulator = BGPSimulator(
+        graph, policies=policies, flap_limit=2 if seed % 4 == 0 else 60
+    )
+    multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
+    origin, second = rng.sample(multihomed, k=2)
+    neighbors = sorted(graph.neighbors(origin))
+    shaped = _STABLE_PREFIXES[1]
+    policies[origin].export_prepend[(shaped, rng.choice(neighbors))] = 2
+    policies[origin].selective_export[shaped] = frozenset(
+        rng.sample(neighbors, k=len(neighbors) - 1)
+    )
+    others = [asn for asn in asns if asn != origin]
+    stale: Dict[Prefix, set] = {prefix: set() for prefix in _STABLE_PREFIXES}
+    problems: List[Disagreement] = []
+
+    def converged(label: str) -> None:
+        tally["bgp-stable convergences"] += 1
+        for prefix, faults in _stable_faults(simulator, stale).items():
+            tally["bgp-stable damped speakers exempted"] += len(stale[prefix])
+            if faults:
+                problems.append(
+                    Disagreement(
+                        "bgp-stable",
+                        seed,
+                        f"{label}: {prefix} not stable, {len(faults)} fault(s), "
+                        f"first: {faults[0]}",
+                    )
+                )
+
+    try:
+        for prefix in _STABLE_PREFIXES:
+            simulator.originate(origin, prefix)
+            converged(f"AS{origin} announces {prefix}")
+        for step in range(rng.randint(3, 6)):
+            action = rng.choice(_STABLE_STEPS)
+            prefix = rng.choice(_STABLE_PREFIXES)
+            if action == "poison":
+                poisoned = rng.sample(others, k=rng.randint(1, 3))
+                simulator.originate(origin, prefix, poisoned=poisoned)
+            elif action == "reannounce":
+                simulator.originate(origin, prefix)
+            elif action == "anycast":
+                simulator.originate(second, prefix)
+            elif action == "withdraw-second":
+                simulator.withdraw(second, prefix)
+            else:
+                simulator.withdraw(origin, prefix)
+            converged(f"step {step} {action}")
+    except ConvergenceError:
+        tally["bgp-stable unconverged"] += 1
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Ledger resume vs fresh (heavy, opt-in)
 # ---------------------------------------------------------------------------
 
@@ -1397,6 +1514,7 @@ SEED_CHECKS = {
     "lpm": check_lpm,
     "bgp-withdraw": check_bgp_withdraw,
     "bgp-reuse": check_bgp_reuse,
+    "bgp-stable": check_bgp_stable,
 }
 
 #: Heavy scenario checks: known to the runner but excluded from the

@@ -22,6 +22,10 @@ path it validates:
 * :func:`oracle_export` — the export rule for one neighbor at a time,
   attribute by attribute, validating the single export pass of
   :meth:`repro.bgp.speaker.BGPSpeaker.exports`.
+* :func:`oracle_stable_faults` — the fixed point a converged network
+  must be in, read from its final tables alone, validating the
+  simulator's queue rule (:meth:`repro.bgp.simulator.BGPSimulator.run`)
+  whatever order it delivers updates in.
 * :func:`OracleLPM` — longest-prefix match by linear scan over the
   stored prefixes, validating :class:`repro.net.trie.PrefixTrie`.
 
@@ -40,6 +44,7 @@ from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.communities import entry_class_community, read_entry_class
 from repro.bgp.policy import Policy
 from repro.bgp.routes import Route
+from repro.bgp.simulator import BGPSimulator
 from repro.core.classification import Decision, DecisionLabel
 from repro.net.ip import IPAddress, Prefix
 from repro.topology.graph import ASGraph
@@ -582,6 +587,77 @@ def oracle_export(
     else:
         communities = best.communities | {entry_class_community(asn, route_class)}
     return path, communities
+
+
+# ---------------------------------------------------------------------------
+# BGP stable state
+# ---------------------------------------------------------------------------
+
+
+def oracle_stable_faults(
+    simulator: BGPSimulator, prefix: Prefix, stale: FrozenSet[int] = frozenset()
+) -> List[str]:
+    """Why ``simulator`` is not at a fixed point for ``prefix``.
+
+    A converged network is stable whatever order its updates were
+    delivered in, so this reads the final tables only:
+
+    * nothing is in flight;
+    * each speaker's Loc-RIB route is :func:`oracle_best_route` over its
+      candidates;
+    * each speaker has told every neighbor :func:`oracle_export` of that
+      route;
+    * each Adj-RIB-In entry is what its sender last told the speaker,
+      and there is none where the sender told it nothing or the
+      speaker's import filter (:meth:`~repro.bgp.policy.Policy.accepts`)
+      rejects what it was told.
+
+    A speaker whose flap damping froze ``prefix`` ignores what it is
+    sent, so the last check skips the speakers damping froze this
+    epoch and those in ``stale``: the speakers it froze in an earlier
+    epoch, whose ghost routes may outlive the freeze.  Returns one line
+    per fault; empty when the state is stable.
+    """
+    faults: List[str] = []
+    in_flight = simulator.in_flight()
+    if in_flight:
+        faults.append(f"{in_flight} update(s) in flight")
+    speakers = simulator.speakers
+    frozen = {
+        asn for asn, damped in simulator.damped_ases().items() if prefix in damped
+    }
+    told = {asn: speaker.advertised(prefix) for asn, speaker in speakers.items()}
+    for asn, speaker in speakers.items():
+        candidates = speaker.candidates(prefix)
+        best = speaker.best(prefix)
+        winner, _ = oracle_best_route(candidates)
+        if best != winner:
+            faults.append(f"AS{asn} holds {best}, not the best candidate {winner}")
+        origination = speaker.origination(prefix)
+        poisoned = frozenset() if origination is None else origination.poisoned
+        held = {route.learned_from: route for route in candidates}
+        exempt = asn in frozen or asn in stale
+        for neighbor in sorted(speaker.neighbors):
+            export = oracle_export(
+                speaker.policy, speaker.neighbors, prefix, best, neighbor, poisoned
+            )
+            if told[asn].get(neighbor) != export:
+                faults.append(
+                    f"AS{asn} told AS{neighbor} {told[asn].get(neighbor)}, "
+                    f"not {export}"
+                )
+            if exempt:
+                continue
+            sent = told[neighbor].get(asn)
+            if sent is not None and not speaker.policy.accepts(sent[0]):
+                sent = None
+            route = held.get(neighbor)
+            entry = None if route is None else (route.as_path, route.communities)
+            if entry != sent:
+                faults.append(
+                    f"AS{asn} holds {entry} from AS{neighbor}, which sent {sent}"
+                )
+    return faults
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Low-level networking primitives.
 
 This subpackage provides the IPv4 address and prefix types used
-throughout the library, and a binary radix trie implementing
-longest-prefix match, the lookup primitive behind IP-to-AS mapping and
-data-plane forwarding.
+throughout the library, and a prefix table (one dict per prefix
+length) implementing longest-prefix match, the lookup primitive behind
+IP-to-AS mapping and data-plane forwarding.
 """
 
 from repro.net.ip import IPAddress, Prefix

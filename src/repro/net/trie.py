@@ -1,73 +1,69 @@
-"""Binary radix trie with longest-prefix match.
+"""Longest-prefix match over per-length tables.
 
 This is the lookup structure behind both the simulated data plane
 (forwarding tables) and the measurement pipeline (IP-to-AS mapping).
-Values are arbitrary Python objects; inserting the same prefix twice
-replaces the value, matching how a routing table holds exactly one best
-route per prefix.
+Entries live in one table per prefix length, ``{length: {network:
+(prefix, value)}}``; a lookup masks the address to each length in use,
+longest first, and returns the first stored ``(prefix, value)`` it
+finds, so it builds no :class:`~repro.net.ip.Prefix` and costs one dict
+probe per length in use rather than one step per bit.  Values are
+arbitrary Python objects; inserting the same prefix twice replaces the
+value, matching how a routing table holds exactly one best route per
+prefix.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.net.ip import IPAddress, Prefix
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
+_ALL_ONES = (1 << 32) - 1
+#: The netmask of every prefix length, as a 32-bit integer.
+_MASKS = tuple((_ALL_ONES << (32 - length)) & _ALL_ONES for length in range(33))
 
 
 class PrefixTrie(Generic[V]):
     """Maps IPv4 prefixes to values with longest-prefix-match lookup."""
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
+        #: Prefix length -> network -> (prefix, value); no empty tables.
+        self._tables: Dict[int, Dict[int, Tuple[Prefix, V]]] = {}
+        #: (netmask, table) per length in use, longest first: the order
+        #: a lookup probes them in.
+        self._probes: List[Tuple[int, Dict[int, Tuple[Prefix, V]]]] = []
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def _reindex(self) -> None:
+        self._probes = [
+            (_MASKS[length], self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
+
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        for bit_index in range(prefix.length):
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        if prefix.network not in table:
             self._size += 1
-        node.value = value
-        node.has_value = True
+        table[prefix.network] = (prefix, value)
 
     def remove(self, prefix: Prefix) -> bool:
-        """Remove the entry at ``prefix``; returns whether it existed.
-
-        Interior nodes are left in place — the trie is rebuilt rather
-        than compacted in the workloads we run, so lazy deletion keeps
-        the code simple without a measurable memory cost.
-        """
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.length):
-            if node is None:
-                return False
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            node = node.children[bit]
-        if node is None or not node.has_value:
+        """Remove the entry at ``prefix``; returns whether it existed."""
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.network, None) is None:
             return False
-        node.value = None
-        node.has_value = False
         self._size -= 1
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def lookup(self, address: IPAddress) -> Optional[V]:
@@ -77,19 +73,12 @@ class PrefixTrie(Generic[V]):
 
     def lookup_with_prefix(self, address: IPAddress) -> Optional[Tuple[Prefix, V]]:
         """Like :meth:`lookup` but also returns the matched prefix."""
-        node: Optional[_Node[V]] = self._root
-        best: Optional[Tuple[Prefix, V]] = None
-        if self._root.has_value:
-            best = (Prefix(0, 0), self._root.value)  # type: ignore[arg-type]
-        for bit_index in range(32):
-            if node is None:
-                break
-            bit = (address.value >> (31 - bit_index)) & 1
-            node = node.children[bit]
-            if node is not None and node.has_value:
-                matched = Prefix.from_address(address, bit_index + 1)
-                best = (matched, node.value)  # type: ignore[assignment]
-        return best
+        value = address.value
+        for mask, table in self._probes:
+            match = table.get(value & mask)
+            if match is not None:
+                return match
+        return None
 
     def lookup_all(self, address: IPAddress) -> list:
         """Every stored prefix covering ``address``, shortest first.
@@ -99,46 +88,25 @@ class PrefixTrie(Generic[V]):
         coverage analyses and the longest-prefix-match oracle
         (:mod:`repro.check`) compare against.
         """
-        node: Optional[_Node[V]] = self._root
-        matches: list = []
-        if self._root.has_value:
-            matches.append((Prefix(0, 0), self._root.value))
-        for bit_index in range(32):
-            if node is None:
-                break
-            bit = (address.value >> (31 - bit_index)) & 1
-            node = node.children[bit]
-            if node is not None and node.has_value:
-                matches.append(
-                    (Prefix.from_address(address, bit_index + 1), node.value)
-                )
+        value = address.value
+        matches = []
+        for mask, table in reversed(self._probes):
+            match = table.get(value & mask)
+            if match is not None:
+                matches.append(match)
         return matches
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """The value stored at exactly ``prefix``, or ``None``."""
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.length):
-            if node is None:
-                return None
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            node = node.children[bit]
-        if node is None or not node.has_value:
-            return None
-        return node.value
+        match = self._tables.get(prefix.length, {}).get(prefix.network)
+        return None if match is None else match[1]
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate ``(prefix, value)`` pairs in preorder (shortest first)."""
-        stack: list[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, network, length = stack.pop()
-            if node.has_value:
-                yield Prefix(network, length), node.value  # type: ignore[misc]
-            # Push right child first so the left (0) branch pops first.
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    child_network = network | (bit << (31 - length))
-                    stack.append((child, child_network, length + 1))
+        """Iterate ``(prefix, value)`` pairs by (network, length): a
+        covering prefix comes before the prefixes it covers."""
+        entries = [match for table in self._tables.values() for match in table.values()]
+        entries.sort(key=lambda match: (match[0].network, match[0].length))
+        return iter(entries)
 
     def __contains__(self, prefix: Prefix) -> bool:
         return self.exact(prefix) is not None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp import BGPSimulator, Policy, Withdrawal
+from repro.bgp import ASPathAttribute, Announcement, BGPSimulator, Policy, Withdrawal
 from repro.bgp.simulator import ConvergenceError
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
@@ -465,6 +465,91 @@ class TestWithdrawReset:
         assert sim.clock > clock
         assert sim.rib_dump(PFX) == {}
         assert sim.discard_pending() == 0
+
+
+def _tail_graph():
+    """Origin 2 under provider 1 and over customer 3; 1 and 3 peer and
+    both sell transit to 4.  AS3 first takes its provider route via 2,
+    then the peer route via 1, so it tells AS4 twice while its first
+    update is still queued."""
+    return _graph(
+        (1, 2, Relationship.CUSTOMER),
+        (2, 3, Relationship.CUSTOMER),
+        (1, 3, Relationship.PEER),
+        (1, 4, Relationship.CUSTOMER),
+        (3, 4, Relationship.CUSTOMER),
+    )
+
+
+def _deliveries_to(sim, asn):
+    """The messages ``asn``'s speaker receives from now on, in order."""
+    speaker = sim.speakers[asn]
+    receive = speaker.receive
+    delivered = []
+
+    def recording(message, clock, country_of=None):
+        delivered.append(message)
+        return receive(message, clock, country_of)
+
+    speaker.receive = recording
+    return delivered
+
+
+class TestQueueCoalescing:
+    """A session delivers only its newest queued update for a prefix."""
+
+    OTHER = Prefix.parse("203.0.113.0/24")
+
+    def test_only_the_newer_of_two_queued_updates_is_delivered(self):
+        sim = BGPSimulator(_graph((1, 2, Relationship.CUSTOMER)))
+        delivered = _deliveries_to(sim, 1)
+        older = Announcement(PFX, ASPathAttribute((2,)), 2)
+        newer = Announcement(PFX, ASPathAttribute((2, 2)), 2)
+        sim._queue.extend([(1, older), (1, newer)])
+        assert sim.run() == 1
+        assert sim.clock == 1  # the dropped update advanced nothing
+        assert delivered == [newer]
+        assert sim.best_route(1, PFX).as_path == newer.as_path
+        assert sim.best_route(1, PFX).age == 1
+
+    def test_other_senders_prefixes_and_receivers_are_never_merged(self):
+        sim = BGPSimulator(
+            _graph((1, 2, Relationship.CUSTOMER), (1, 3, Relationship.CUSTOMER))
+        )
+        to_1, to_2, to_3 = (_deliveries_to(sim, asn) for asn in (1, 2, 3))
+        from_2 = Announcement(PFX, ASPathAttribute((2,)), 2)
+        from_3 = Announcement(PFX, ASPathAttribute((3,)), 3)
+        other_prefix = Announcement(self.OTHER, ASPathAttribute((2,)), 2)
+        from_1 = Announcement(PFX, ASPathAttribute((1,)), 1)
+        sim._queue.extend(
+            [(2, from_1), (3, from_1), (1, from_2), (1, from_3), (1, other_prefix)]
+        )
+        sim.run()
+        assert to_1 == [from_2, from_3, other_prefix]
+        assert to_2[0] is from_1 and to_3[0] is from_1
+
+    def test_a_superseded_update_is_dropped_within_a_run(self):
+        sim = BGPSimulator(_tail_graph())
+        delivered = _deliveries_to(sim, 4)
+        sim.originate(2, PFX)
+        from_3 = [message for message in delivered if message.sender == 3]
+        assert [message.as_path.sequence() for message in from_3] == [(3, 1, 2)]
+        assert sim.forwarding_path(4, PFX) == (4, 1, 2)
+
+    def test_the_tail_of_a_failed_run_is_coalesced_by_the_next(self):
+        sim = BGPSimulator(_tail_graph())
+        sim._max_events = 3
+        with pytest.raises(ConvergenceError):
+            sim.originate(2, PFX)
+        tail = [(target, message.sender) for target, message in sim._queue]
+        assert tail.count((4, 3)) == 2  # AS3's two updates to AS4
+        delivered = _deliveries_to(sim, 4)
+        sim._max_events = 10_000
+        clock = sim.clock
+        assert sim.run() == sim.clock - clock
+        from_3 = [message for message in delivered if message.sender == 3]
+        assert [message.as_path.sequence() for message in from_3] == [(3, 1, 2)]
+        assert sim.in_flight() == 0
 
 
 class TestFlapDamping:

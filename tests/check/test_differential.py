@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.bgp.decision import best_route
+from repro.bgp.messages import Withdrawal
 from repro.bgp.policy import NO_PREFIX_INPUTS
 from repro.bgp.simulator import BGPSimulator
 from repro.bgp.speaker import BGPSpeaker, _PrefixState
@@ -21,6 +22,7 @@ from repro.check import (
     ALL_CHECKS,
     check_bgp_decision,
     check_bgp_reuse,
+    check_bgp_stable,
     check_bgp_withdraw,
     check_gr_trees,
     check_labels,
@@ -175,6 +177,17 @@ def _key_without(field: str, ases: int = 0):
     return blind
 
 
+class TestStableCheckCoverage:
+    def test_every_seed_converges_to_a_fixed_point_damping_included(self):
+        """Seeds divisible by four run at flap_limit=2, where frozen
+        speakers are exempted from the Adj-RIB-In check."""
+        tally = Counter()
+        for seed in range(0, 40, 4):
+            assert check_bgp_stable(seed, tally=tally) == []
+        assert tally["bgp-stable convergences"] > 0
+        assert tally["bgp-stable damped speakers exempted"] > 0
+
+
 class TestMutationsAreCaught:
     """Inject a bug into each optimized path; the checker must see it."""
 
@@ -302,3 +315,28 @@ class TestMutationsAreCaught:
         for seed in range(0, 40, 4):
             problems.extend(check_bgp_withdraw(seed))
         assert any("neither ghost nor damped" in p.detail for p in problems)
+
+    def test_a_lost_withdrawal_flagged_as_unstable(self, monkeypatch):
+        """Speakers that never hear a withdrawal keep routes their
+        neighbors no longer advertise."""
+        receive = BGPSpeaker.receive
+
+        def deaf(self, message, clock, country_of=None):
+            if isinstance(message, Withdrawal):
+                return None
+            return receive(self, message, clock, country_of)
+
+        monkeypatch.setattr(BGPSpeaker, "receive", deaf)
+        problems = []
+        for seed in range(1, 8):
+            problems.extend(check_bgp_stable(seed))
+        assert any(p.check == "bgp-stable" for p in problems)
+
+    def test_frozen_speakers_need_their_exemption(self, monkeypatch):
+        """Without the damping exemption, frozen speakers' stale
+        Adj-RIB-In entries are faults: the exemption is not vacuous."""
+        monkeypatch.setattr(BGPSimulator, "damped_ases", lambda self: {})
+        problems = []
+        for seed in range(0, 40, 4):
+            problems.extend(check_bgp_stable(seed))
+        assert any("not stable" in p.detail for p in problems)

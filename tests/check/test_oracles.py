@@ -8,13 +8,17 @@ whose correct answers can be verified on paper.
 import pytest
 
 from repro.bgp.attributes import ASPathAttribute
+from repro.bgp.messages import Announcement
+from repro.bgp.policy import Policy
 from repro.bgp.routes import Route
+from repro.bgp.simulator import BGPSimulator
 from repro.check.oracles import (
     OracleLPM,
     oracle_best_route,
     oracle_label,
     oracle_prefers,
     oracle_routing_info,
+    oracle_stable_faults,
 )
 from repro.core.classification import Decision, DecisionLabel
 from repro.net.ip import IPAddress, Prefix
@@ -241,6 +245,45 @@ class TestOracleBestRoute:
 
     def test_empty_input(self):
         assert oracle_best_route([]) == (None, None)
+
+
+class TestOracleStableFaults:
+    def test_a_converged_network_is_stable(self):
+        simulator = BGPSimulator(_chain_graph())
+        simulator.originate(3, PFX, poisoned={4})
+        assert oracle_stable_faults(simulator, PFX) == []
+
+    def test_a_rejected_announcement_leaves_no_entry(self):
+        """AS4 filters poisoned paths: what AS2 tells it is rejected,
+        and the absent Adj-RIB-In entry is the stable one."""
+        policies = {4: Policy(asn=4, filters_poisoned=True)}
+        simulator = BGPSimulator(_chain_graph(), policies=policies)
+        simulator.originate(1, PFX, poisoned={3})
+        assert 4 in simulator.speakers[2].advertised(PFX)
+        assert simulator.best_route(4, PFX) is None
+        assert oracle_stable_faults(simulator, PFX) == []
+
+    def test_updates_in_flight_are_a_fault(self):
+        simulator = BGPSimulator(_chain_graph())
+        simulator.originate(3, PFX)
+        simulator._queue.append(
+            (2, Announcement(PFX, ASPathAttribute((3, 3)), 3))
+        )
+        assert oracle_stable_faults(simulator, PFX) == ["1 update(s) in flight"]
+
+    def test_an_entry_its_sender_no_longer_backs_is_a_fault(self):
+        """AS2 forgets telling AS1 its route: AS2's exports and AS1's
+        Adj-RIB-In are both faults, and exempting AS1 (a speaker damping
+        froze earlier) leaves only AS2's."""
+        simulator = BGPSimulator(_chain_graph())
+        simulator.originate(3, PFX)
+        del simulator.speakers[2].record(PFX).advertised[1]
+        faults = oracle_stable_faults(simulator, PFX)
+        told = [line for line in faults if line.startswith("AS2 told AS1 None")]
+        held = [line for line in faults if line.startswith("AS1 holds")]
+        assert len(told) == len(held) == 1 and len(faults) == 2
+        assert held[0].endswith("from AS2, which sent None")
+        assert oracle_stable_faults(simulator, PFX, stale=frozenset({1})) == told
 
 
 class TestOracleLPM:

@@ -9,6 +9,8 @@ told each neighbor what the naive export rule derives from its route.
 Converged-state reuse (twins and snapshots) must leave every table
 where event-by-event delivery leaves it.  The incremental decision
 process must pick what the full tournament picks, message by message.
+Whatever updates the queue rule drops, every convergence must end at
+the fixed point the stable-state oracle reads from the tables.
 """
 
 import copy
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import BGPSimulator, BGPSpeaker, Policy, best_route
-from repro.check.differential import _rib_state
+from repro.check.differential import _rib_state, _stable_faults
 from repro.check.oracles import oracle_export
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
@@ -407,3 +409,73 @@ class TestIncrementalDecision:
                 _assert_decisions_exact(copied.speakers, prefixes, f"copied {where}")
                 if fork:
                     simulator = copied
+
+
+
+class TestStableState:
+    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_convergence_reaches_a_fixed_point(self, graph, data, flap_limit):
+        """After every origination and withdrawal, on both prefixes,
+        nothing is in flight, each Loc-RIB route is the best candidate,
+        each speaker advertises the naive export of it, and each
+        Adj-RIB-In entry is what the neighbor last sent (or none, where
+        the import filter rejects it).  Filters, loop-prevention
+        exceptions, partial transit, prepends and selective export are
+        drawn; a speaker damping froze is exempt from the Adj-RIB-In
+        check until the prefix is next empty."""
+        asns = sorted(graph.asns())
+        policies = {}
+        for asn in asns:
+            customers = sorted(
+                neighbor
+                for neighbor, rel in graph.neighbors(asn).items()
+                if rel is Relationship.CUSTOMER
+            )
+            policies[asn] = Policy(
+                asn=asn,
+                filters_poisoned=data.draw(st.booleans(), label=f"AS{asn} filters"),
+                loop_prevention_disabled=data.draw(
+                    st.sampled_from([False, False, True]), label=f"AS{asn} loops"
+                ),
+                partial_transit_to=data.draw(
+                    st.sets(st.sampled_from(customers)) if customers else st.just(set()),
+                    label=f"AS{asn} partial-transit customers",
+                ),
+            )
+        main, second = data.draw(
+            st.lists(st.sampled_from(asns), min_size=2, max_size=2, unique=True),
+            label="origins",
+        )
+        neighbors = sorted(graph.neighbors(main))
+        shaped = REUSE_PREFIXES[1]
+        if neighbors:
+            policies[main].selective_export[shaped] = frozenset(
+                data.draw(st.sets(st.sampled_from(neighbors)), label="selective")
+            )
+            policies[main].export_prepend[(shaped, neighbors[0])] = 2
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(DECISION_STEPS),
+                    st.sampled_from(REUSE_PREFIXES[:2]),
+                    st.frozensets(st.sampled_from(asns), min_size=1, max_size=2),
+                ),
+                min_size=1,
+                max_size=10,
+            ),
+            label="steps",
+        )
+        simulator = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        prefixes = REUSE_PREFIXES[:2]
+        stale = {prefix: set() for prefix in prefixes}
+        prelude = [("originate", prefix, frozenset()) for prefix in prefixes]
+        for action, prefix, poison in prelude + steps:
+            origin = second if "second" in action else main
+            if action.startswith("withdraw"):
+                simulator.withdraw(origin, prefix)
+            else:
+                poisoned = poison if action == "poison" else frozenset()
+                simulator.originate(origin, prefix, poisoned)
+            for other, faults in _stable_faults(simulator, stale).items():
+                assert faults == [], f"{other} after {action} {prefix}"

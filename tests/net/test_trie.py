@@ -68,6 +68,17 @@ class TestPrefixTrieBasics:
         assert _prefix("10.0.0.0/24") in trie
         assert _prefix("10.0.0.0/25") not in trie
 
+    def test_a_length_emptied_and_refilled_still_matches(self):
+        trie = PrefixTrie()
+        trie.insert(_prefix("10.0.0.0/8"), "eight")
+        trie.insert(_prefix("10.1.0.0/16"), "sixteen")
+        assert trie.remove(_prefix("10.1.0.0/16"))
+        assert trie.lookup_all(IPAddress.parse("10.1.2.3")) == [
+            (_prefix("10.0.0.0/8"), "eight")
+        ]
+        trie.insert(_prefix("10.1.0.0/16"), "again")
+        assert trie.lookup(IPAddress.parse("10.1.2.3")) == "again"
+
     def test_items_yields_all_entries(self):
         trie = PrefixTrie()
         prefixes = ["10.0.0.0/8", "10.1.0.0/16", "192.0.2.0/24", "0.0.0.0/0"]
@@ -116,6 +127,11 @@ class TestPrefixTrieProperties:
             table[prefix] = value
         assert dict(trie.items()) == table
         assert len(trie) == len(table)
+        # By (network, length): every covering prefix before the
+        # prefixes it covers, the order of a bitwise trie's preorder.
+        assert [prefix for prefix, _ in trie.items()] == sorted(
+            table, key=lambda prefix: (prefix.network, prefix.length)
+        )
 
     @given(st.lists(prefixes(), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)

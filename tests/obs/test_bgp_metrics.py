@@ -31,6 +31,19 @@ def _anycast_simulator():
     return BGPSimulator(graph)
 
 
+def _tail_simulator():
+    """Origin 2 under provider 1 and over customer 3; 1 and 3 peer and
+    both sell transit to 4, so AS3's first update to AS4 is superseded
+    while it is queued."""
+    graph = ASGraph()
+    graph.add_link(1, 2, Relationship.CUSTOMER)
+    graph.add_link(2, 3, Relationship.CUSTOMER)
+    graph.add_link(1, 3, Relationship.PEER)
+    graph.add_link(1, 4, Relationship.CUSTOMER)
+    graph.add_link(3, 4, Relationship.CUSTOMER)
+    return BGPSimulator(graph)
+
+
 class TestConvergenceMetrics:
     def test_recorded_once_per_convergence_by_kind(self):
         simulator = _anycast_simulator()
@@ -99,6 +112,26 @@ class TestConvergenceMetrics:
         assert converged[1].attr("skipped") == delivered
         assert simulator.clock == 2 * delivered
 
+    def test_coalesced_updates_counted_beside_delivered_ones(self):
+        simulator = _tail_simulator()
+        with using(Observability()) as obs:
+            simulator.originate(2, PFX)
+        counters = obs.metrics.snapshot()["counters"]
+        originate = 'kind="originate"'
+        coalesced = counters["bgp_updates_coalesced_total"]["series"][originate]
+        assert coalesced >= 1
+        assert (
+            counters["bgp_events_delivered_total"]["series"][originate]
+            == simulator.clock
+        )
+        (converged,) = [
+            event
+            for event in obs.events.of_category(CATEGORY_BGP)
+            if event.name == "converged"
+        ]
+        assert converged.attr("coalesced") == coalesced
+        assert converged.attr("delivered") == simulator.clock
+
     def test_disabled_telemetry_registers_nothing(self):
         simulator = _anycast_simulator()
         with using(Observability.disabled()) as obs:
@@ -141,6 +174,7 @@ def test_report_prints_convergence_metrics_and_peak_rss(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "peak_rss_mb: 42.5" in output
     assert 'bgp_events_delivered_total{kind="originate"}' in output
+    assert 'bgp_updates_coalesced_total{kind="originate"}' in output
     assert 'bgp_convergence_events{kind="originate"}' in output
 
 
