@@ -16,13 +16,7 @@ from repro.atlas.campaign import (
     Measurement,
     run_campaign,
 )
-from repro.atlas.budget import BudgetExceeded, CreditLedger, plan_campaign
-from repro.atlas.api import (
-    QuarantinedLine,
-    dump_measurements,
-    load_measurements,
-    load_measurements_resilient,
-)
+from repro.atlas.api import dump_measurements
 
 __all__ = [
     "Probe",
@@ -34,11 +28,5 @@ __all__ = [
     "CampaignDataset",
     "Measurement",
     "run_campaign",
-    "BudgetExceeded",
-    "CreditLedger",
-    "plan_campaign",
-    "QuarantinedLine",
     "dump_measurements",
-    "load_measurements",
-    "load_measurements_resilient",
 ]

@@ -3,7 +3,7 @@
 Real Atlas traceroute results arrive as JSON with ``src_addr``,
 ``dst_addr``, ``prb_id`` and a ``result`` array of per-hop records.
 These converters let a campaign be exported in that shape and parsed
-back, so the analysis pipeline can also be fed from recorded files.
+back: every campaign measurement goes through the round trip.
 
 Documents in the wild are frequently malformed — truncated writes,
 missing keys, non-traceroute types mixed into a result stream.  Every
@@ -16,8 +16,7 @@ quarantine the document instead of crashing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 from repro.atlas.campaign import Measurement
 from repro.dataplane.traceroute import TracerouteHop, TracerouteResult
@@ -159,62 +158,3 @@ def dump_measurements(measurements: Iterable[Measurement]) -> str:
         document["dns_name"] = measurement.dns_name
         lines.append(json.dumps(document, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_measurements(text: str) -> List[TracerouteResult]:
-    """Parse JSON Lines back into traceroute results (strict).
-
-    The first malformed line raises; use
-    :func:`load_measurements_resilient` to quarantine instead.
-    """
-    results = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedResultError(
-                f"line {line_number}: invalid JSON", reason="invalid-json"
-            ) from exc
-        results.append(traceroute_from_json(document))
-    return results
-
-
-@dataclass(frozen=True)
-class QuarantinedLine:
-    """One input line that failed to parse, with its diagnosis."""
-
-    line_number: int
-    reason: str
-    detail: str
-
-
-def load_measurements_resilient(
-    text: str,
-) -> Tuple[List[TracerouteResult], List[QuarantinedLine]]:
-    """Parse JSON Lines, quarantining malformed lines instead of raising.
-
-    Returns ``(results, quarantined)``; every input line lands in
-    exactly one of the two.
-    """
-    results: List[TracerouteResult] = []
-    quarantined: List[QuarantinedLine] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        document: Optional[Dict] = None
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError as exc:
-            quarantined.append(
-                QuarantinedLine(line_number, "invalid-json", str(exc))
-            )
-            continue
-        try:
-            results.append(traceroute_from_json(document))
-        except MalformedResultError as exc:
-            quarantined.append(QuarantinedLine(line_number, exc.reason, str(exc)))
-    return results, quarantined

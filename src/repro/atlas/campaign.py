@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.atlas.budget import BudgetExceeded, CreditLedger
 from repro.atlas.dns import CDNResolver
 from repro.atlas.probes import Probe
 from repro.bgp.simulator import BGPSimulator
@@ -56,12 +55,6 @@ from repro.topogen.internet import Internet, Replica
 class CampaignConfig:
     """Knobs for one campaign run.
 
-    ``ledger`` caps the campaign by measurement credits (Section 3.1's
-    "maximum probing rate allowed by RIPE Atlas"): probes whose full
-    DNS+traceroute sweep no longer fits the budget are skipped (and
-    recorded in the dataset, so budget loss stays distinguishable from
-    fault loss).
-
     ``fault_plan`` injects failures (none when unset), ``retry``
     governs backoff, ``checkpoint_path`` journals finalized work (no
     journal when unset), ``resume`` restores a previous journal, and
@@ -72,7 +65,6 @@ class CampaignConfig:
     seed: int = 0
     missing_hop_rate: float = 0.04
     dns_locality: int = 2
-    ledger: Optional[CreditLedger] = None
     fault_plan: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
     checkpoint_path: Optional[str] = None
@@ -110,8 +102,6 @@ class CampaignDataset:
     #: Fault/retry/coverage accounting for every (probe, name) pair.
     robustness: RobustnessReport
     destination_prefixes: Dict[int, List[Prefix]] = field(default_factory=dict)
-    #: Probes never swept because the credit budget ran out first.
-    budget_skipped: List[Probe] = field(default_factory=list)
 
     def successful(self) -> List[Measurement]:
         return [m for m in self.measurements if m.traceroute.reached]
@@ -195,9 +185,8 @@ def run_campaign(
       byte-identical datasets;
     * faults from ``config.fault_plan`` fire at each substrate boundary
       and are retried per ``config.retry`` when transient;
-    * finalized pairs are journaled to ``config.checkpoint_path`` with
-      their credit charges, and ``config.resume`` skips journaled work
-      without double-charging the ledger;
+    * finalized pairs are journaled to ``config.checkpoint_path``, and
+      ``config.resume`` skips journaled work;
     * a fresh pair and a replayed journal pair are accounted by one
       function from the same record, and every measurement goes through
       the Atlas JSON round trip (parsed once: a fresh pair's document
@@ -231,7 +220,6 @@ def run_campaign(
     )
 
     report = RobustnessReport()
-    ledger = config.ledger
     units = JournaledUnits(
         config.checkpoint_path,
         {"campaign_seed": config.seed, "plan_fingerprint": plan.fingerprint()},
@@ -240,7 +228,6 @@ def run_campaign(
         abort_after=config.abort_after,
     )
     measurements: List[Measurement] = []
-    budget_skipped: List[Probe] = []
     names = resolver.names()
 
     def apply(
@@ -286,7 +273,6 @@ def run_campaign(
         replica: Replica,
         status: str,
         reason: Optional[str],
-        charged: int = 0,
         attempts: int = 0,
         document: Optional[Dict] = None,
         trace: Optional[TracerouteResult] = None,
@@ -296,7 +282,6 @@ def run_campaign(
             "name": dns_name,
             "status": status,
             "reason": reason,
-            "charged": charged,
             "attempts": attempts,
         }
         if document is not None:
@@ -306,20 +291,11 @@ def run_campaign(
 
     with span("probe_sweep"), units:
         for probe in probes:
-            probe_skipped = False
-            if ledger is not None:
-                sweep_cost = ledger.cost_of("dns", len(names)) + ledger.cost_of(
-                    "traceroute", len(names)
-                )
-                if sweep_cost > ledger.remaining:
-                    probe_skipped = True
-                    budget_skipped.append(probe)
-                    report.budget_skipped_probes.append(probe.probe_id)
             probe_down = plan.fires(FaultSite.PROBE_DROPOUT, probe.probe_id)
             for dns_name in names:
                 pid = probe.probe_id
-                # Ground-truth resolution: per-pair stream, no charge.  It
-                # pins down what the fault-free campaign would measure, so
+                # Ground-truth resolution on a per-pair stream.  It pins
+                # down what the fault-free campaign would measure, so
                 # every loss can be attributed to its destination AS even
                 # when the faulted campaign never learns the replica.
                 pair_rng = random.Random(derive_seed(config.seed, "resolve", pid, dns_name))
@@ -330,25 +306,15 @@ def run_campaign(
 
                 record = units.replayed.get((pid, dns_name))
                 if record is not None:
-                    # Restore the journaled charge where the sweep reaches
-                    # the pair, so a budget cutoff lands on the same probe
-                    # as without the restart.
                     report.resumed_pairs += 1
-                    if ledger is not None:
-                        ledger.spent += int(record.get("charged", 0))
                     apply(record, probe, replica)
-                    continue
-                if probe_skipped:
-                    finalize(probe, dns_name, replica, _LOST, "budget")
                     continue
                 if probe_down:
                     finalize(probe, dns_name, replica, _LOST, "probe-dropout")
                     continue
 
-                state = {"charged": 0, "dns": False, "traceroute": False}
-
                 def attempt(attempt_no: int, probe=probe, dns_name=dns_name,
-                            replica=replica, state=state, pid=pid):
+                            replica=replica, pid=pid):
                     # --- probe scheduling -----------------------------------
                     if plan.fires(FaultSite.PROBE_FLAP, pid, dns_name, attempt_no):
                         raise ProbeFlapError(f"probe {pid} missed round {attempt_no}")
@@ -359,13 +325,7 @@ def run_campaign(
                         raise DnsServfail(f"SERVFAIL resolving {dns_name!r}")
                     if plan.fires(FaultSite.DNS_TIMEOUT, pid, dns_name, attempt_no):
                         raise DnsTimeout(f"timeout resolving {dns_name!r}")
-                    if ledger is not None and not state["dns"]:
-                        state["charged"] += ledger.charge("dns")
-                        state["dns"] = True
                     # --- traceroute -----------------------------------------
-                    if ledger is not None and not state["traceroute"]:
-                        state["charged"] += ledger.charge("traceroute")
-                        state["traceroute"] = True
                     trace = engine.trace(
                         probe.asn,
                         probe.ip,
@@ -417,8 +377,6 @@ def run_campaign(
                     )
                 except RetryExhausted as error:
                     status, reason = _LOST, error.reason
-                except BudgetExceeded:
-                    status, reason = _LOST, "budget"
                 if status == _LOST:
                     publish(
                         CATEGORY_CAMPAIGN,
@@ -430,7 +388,7 @@ def run_campaign(
                 report.retry.merge(call_stats)
                 finalize(
                     probe, dns_name, replica, status, reason,
-                    state["charged"], call_stats.attempts, document, parsed,
+                    call_stats.attempts, document, parsed,
                 )
 
     _record_campaign_metrics(report, len(measurements))
@@ -440,7 +398,6 @@ def run_campaign(
         simulator=simulator,
         destination_asns=targets,
         destination_prefixes=destination_prefixes,
-        budget_skipped=budget_skipped,
         robustness=report,
     )
 

@@ -40,10 +40,9 @@ Usage::
     repro list
         List available experiment ids.
 
-    repro obs report MANIFEST [--prometheus FILE] [--jsonl FILE]
+    repro obs report MANIFEST [--jsonl FILE]
         Render a run manifest (produced by `repro study --obs-out`)
-        as a terminal summary; optionally export it as Prometheus
-        text or JSONL.
+        as a terminal summary; optionally export it as JSONL.
 """
 
 from __future__ import annotations
@@ -354,7 +353,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs import RunManifest, render_summary, write_jsonl, write_prometheus
+    from repro.obs import RunManifest, render_summary, write_jsonl
 
     try:
         manifest = RunManifest.load(args.manifest)
@@ -365,9 +364,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         )
         return 1
     print(render_summary(manifest))
-    if args.prometheus is not None:
-        write_prometheus(manifest, args.prometheus)
-        print(f"\nwrote Prometheus metrics to {args.prometheus}")
     if args.jsonl is not None:
         write_jsonl(manifest, args.jsonl)
         print(f"wrote JSONL export to {args.jsonl}")
@@ -507,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="resume a killed study from its --run-dir ledger (passive "
-        "and active together; skips journaled work without re-spending "
-        "credits)",
+        "and active together; skips journaled work)",
     )
     study.add_argument(
         "--run-dir",
@@ -594,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a run manifest produced by --obs-out"
     )
     report.add_argument("manifest", help="manifest file (JSON or JSONL)")
-    report.add_argument(
-        "--prometheus",
-        default=None,
-        metavar="FILE",
-        help="also export the metric snapshot in Prometheus text format",
-    )
     report.add_argument(
         "--jsonl",
         default=None,

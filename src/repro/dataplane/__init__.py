@@ -1,19 +1,15 @@
-"""Data-plane simulation: forwarding, latency, and traceroute.
+"""Data-plane simulation: traceroute and latency.
 
-Converts converged BGP state plus router-level topology detail into the
-measurement artifacts the paper's pipeline consumes: IP-level traceroute
-hops with realistic addressing (interconnect /30s owned by one side,
-occasional missing hops) and geography-driven round-trip times.
+Converts converged BGP state (the AS-level walk of
+:meth:`~repro.bgp.simulator.BGPSimulator.forwarding_path`) plus
+router-level topology detail into the measurement artifacts the
+paper's pipeline consumes: IP-level traceroute hops with realistic
+addressing (interconnect /30s owned by one side, occasional missing
+hops) and geography-driven round-trip times.
 """
 
 from repro.dataplane.latency import rtt_ms, propagation_delay_ms
 from repro.dataplane.traceroute import TracerouteEngine, TracerouteHop, TracerouteResult
-from repro.dataplane.forwarding import (
-    DataPath,
-    ForwardingTable,
-    build_fibs,
-    data_path,
-)
 
 __all__ = [
     "rtt_ms",
@@ -21,8 +17,4 @@ __all__ = [
     "TracerouteEngine",
     "TracerouteHop",
     "TracerouteResult",
-    "DataPath",
-    "ForwardingTable",
-    "build_fibs",
-    "data_path",
 ]

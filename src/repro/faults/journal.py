@@ -1,9 +1,8 @@
 """Append-only JSONL checkpoint journal for resumable campaigns.
 
 Every finalized (probe, dns-name) pair — completed, degraded,
-quarantined or lost — is appended as one JSON line together with the
-credits it charged, so a resumed campaign can skip the pair *and*
-restore the ledger spend without double-charging.
+quarantined or lost — is appended as one JSON line, so a resumed
+campaign skips the pair instead of measuring it again.
 
 Writes go through the durable-storage layer
 (:mod:`repro.faults.storage`): each line is CRC32-framed and pushed to

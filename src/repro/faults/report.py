@@ -20,7 +20,7 @@ silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.faults.retry import RetryStats
 from repro.faults.supervisor import BreakerStats
@@ -40,8 +40,6 @@ class RobustnessReport:
     quarantined: Dict[str, int] = field(default_factory=dict)
     #: Pairs that produced nothing at all (reason -> n).
     lost: Dict[str, int] = field(default_factory=dict)
-    #: Probes skipped whole because the credit budget ran out.
-    budget_skipped_probes: List[int] = field(default_factory=list)
     #: Pairs restored from the checkpoint journal instead of re-run.
     resumed_pairs: int = 0
     retry: RetryStats = field(default_factory=RetryStats)
@@ -110,13 +108,6 @@ class RobustnessReport:
             return 1.0
         return self.per_as_observed.get(asn, 0) / expected
 
-    def worst_covered_ases(self, count: int = 5) -> List[int]:
-        """Destination ASes with the lowest coverage, worst first."""
-        ranked = sorted(
-            self.per_as_expected, key=lambda asn: (self.as_coverage(asn), asn)
-        )
-        return ranked[:count]
-
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
@@ -127,7 +118,6 @@ class RobustnessReport:
             "degraded": dict(sorted(self.degraded.items())),
             "quarantined": dict(sorted(self.quarantined.items())),
             "lost": dict(sorted(self.lost.items())),
-            "budget_skipped_probes": list(self.budget_skipped_probes),
             "resumed_pairs": self.resumed_pairs,
             "coverage": round(self.coverage(), 4),
             "accounted": self.accounted(),
@@ -156,10 +146,6 @@ class RobustnessReport:
                 f"{reason}={count}" for reason, count in sorted(counts.items())
             )
             lines.append(f"  {label + ':':<18}{total}" + (f" ({detail})" if detail else ""))
-        if self.budget_skipped_probes:
-            lines.append(
-                f"  budget-skipped probes: {len(self.budget_skipped_probes)}"
-            )
         retry = self.retry
         lines.append(
             f"  retries:          {retry.retries} "

@@ -1,7 +1,8 @@
 """Longest-prefix match over per-length tables.
 
 This is the lookup structure behind both the simulated data plane
-(forwarding tables) and the measurement pipeline (IP-to-AS mapping).
+(the announced prefix a traceroute heads for) and the measurement
+pipeline (IP-to-AS mapping).
 Entries live in one table per prefix length, ``{length: {network:
 (prefix, value)}}``; a lookup masks the address to each length in use,
 longest first, and returns the first stored ``(prefix, value)`` it

@@ -14,8 +14,8 @@ faults fired" for every run in the study:
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` JSON artifact
   binding config digest, seeds, span tree, metric snapshot, and event
   log together.
-* :mod:`repro.obs.export` — JSONL / Prometheus exporters and the
-  terminal summary behind ``repro obs report``.
+* :mod:`repro.obs.export` — the JSONL exporter and the terminal
+  summary behind ``repro obs report``.
 
 Telemetry is disabled by default and deterministic-safe when enabled:
 no wall-clock values enter events or manifest-relevant state, and no
@@ -51,12 +51,9 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     from_jsonl,
-    metrics_to_prometheus,
     render_summary,
     to_jsonl,
-    to_prometheus,
     write_jsonl,
-    write_prometheus,
 )
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -108,11 +105,8 @@ __all__ = [
     # export
     "to_jsonl",
     "from_jsonl",
-    "to_prometheus",
-    "metrics_to_prometheus",
     "render_summary",
     "write_jsonl",
-    "write_prometheus",
     # manifest
     "RunManifest",
     "build_manifest",

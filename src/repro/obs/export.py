@@ -1,12 +1,9 @@
-"""Manifest exporters: JSONL, Prometheus text format, terminal summary.
+"""Manifest exporters: JSONL and the terminal summary.
 
-Three consumers of one :class:`~repro.obs.manifest.RunManifest`:
+Two consumers of one :class:`~repro.obs.manifest.RunManifest`:
 
 * :func:`to_jsonl` / :func:`from_jsonl` — a line-oriented form for log
   shippers; lossless (``from_jsonl(to_jsonl(m)) == m``).
-* :func:`to_prometheus` — the metric snapshot in Prometheus text
-  exposition format (counters, gauges, histograms with ``_bucket`` /
-  ``_sum`` / ``_count`` series) for scrape-style ingestion.
 * :func:`render_summary` — the human view ``repro obs report`` prints:
   span tree with durations, collector pauses, metric highlights,
   fault/event accounting.
@@ -113,12 +110,8 @@ def from_jsonl(text: str) -> RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Prometheus text exposition
+# Terminal summary
 # ---------------------------------------------------------------------------
-
-def _escape_help(text: str) -> str:
-    """``# HELP`` lines escape backslash and newline (not quotes)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
 def _format_value(value: float) -> str:
@@ -127,62 +120,6 @@ def _format_value(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-def _series_line(name: str, key: str, value: float, extra: str = "") -> str:
-    labels = key
-    if extra:
-        labels = f"{key},{extra}" if key else extra
-    if labels:
-        return f"{name}{{{labels}}} {_format_value(value)}"
-    return f"{name} {_format_value(value)}"
-
-
-def metrics_to_prometheus(metrics: Dict) -> str:
-    """A metric snapshot (``MetricsRegistry.snapshot()`` shape) in
-    Prometheus text exposition format.
-
-    :func:`to_prometheus` is the manifest-file view of the same
-    rendering.  Help text is escaped per the exposition rules so
-    multi-line help cannot corrupt the stream.
-    """
-    lines: List[str] = []
-    for name, data in sorted(metrics.get("counters", {}).items()):
-        lines.append(f"# HELP {name} {_escape_help(data.get('help', ''))}".rstrip())
-        lines.append(f"# TYPE {name} counter")
-        for key, value in sorted(data.get("series", {}).items()):
-            lines.append(_series_line(name, key, value))
-    for name, data in sorted(metrics.get("gauges", {}).items()):
-        lines.append(f"# HELP {name} {_escape_help(data.get('help', ''))}".rstrip())
-        lines.append(f"# TYPE {name} gauge")
-        for key, value in sorted(data.get("series", {}).items()):
-            lines.append(_series_line(name, key, value))
-    for name, data in sorted(metrics.get("histograms", {}).items()):
-        lines.append(f"# HELP {name} {_escape_help(data.get('help', ''))}".rstrip())
-        lines.append(f"# TYPE {name} histogram")
-        buckets = list(data.get("buckets", []))
-        for key, row in sorted(data.get("series", {}).items()):
-            counts = row.get("counts", [])
-            cumulative = 0.0
-            for bound, count in zip(buckets + [math.inf], counts):
-                cumulative += count
-                le = _format_value(bound)
-                lines.append(
-                    _series_line(f"{name}_bucket", key, cumulative, f'le="{le}"')
-                )
-            lines.append(_series_line(f"{name}_sum", key, row.get("sum", 0.0)))
-            lines.append(_series_line(f"{name}_count", key, row.get("count", 0.0)))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def to_prometheus(manifest: RunManifest) -> str:
-    """The manifest's metric snapshot in Prometheus text format."""
-    return metrics_to_prometheus(manifest.metrics)
-
-
-# ---------------------------------------------------------------------------
-# Terminal summary
-# ---------------------------------------------------------------------------
 
 
 def _render_span(span: Dict, total: float, depth: int, lines: List[str]) -> None:
@@ -312,9 +249,3 @@ def write_jsonl(manifest: RunManifest, path: str) -> str:
     from repro.faults.storage import write_text_atomic
 
     return write_text_atomic(path, to_jsonl(manifest))
-
-
-def write_prometheus(manifest: RunManifest, path: str) -> str:
-    from repro.faults.storage import write_text_atomic
-
-    return write_text_atomic(path, to_prometheus(manifest))

@@ -43,12 +43,12 @@ UNLABELED = ""
 
 
 def escape_label_value(value: object) -> str:
-    """Prometheus label-value escaping: backslash, quote and newline.
+    """Label-value escaping: backslash, quote and newline.
 
-    The exposition format is line-oriented, so a raw newline inside a
-    label value would end the sample early and corrupt every series
-    after it — which matters now that ``/metrics`` is network-served,
-    not just dumped to a file for humans.
+    A raw quote inside a label value would end the value early in its
+    series key, and a raw newline would split a key across lines of the
+    terminal summary, so both are escaped (and the backslash that
+    introduces an escape).
     """
     return (
         str(value)
@@ -61,8 +61,9 @@ def escape_label_value(value: object) -> str:
 def label_key(labels: Dict[str, object]) -> str:
     """Canonical series key for a label set: ``k1="v1",k2="v2"`` sorted.
 
-    The same format Prometheus exposition uses (including its escaping
-    rules), so exporters can emit series keys verbatim.
+    Values are escaped by :func:`escape_label_value`, so distinct label
+    sets always get distinct keys, which the manifest and the terminal
+    summary print verbatim.
     """
     if not labels:
         return UNLABELED

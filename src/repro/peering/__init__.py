@@ -10,7 +10,6 @@ model RouteViews/RIPE RIS: BGP feeds from a limited set of peer ASes.
 
 from repro.peering.collectors import FeedArchive, RouteCollector, default_collectors
 from repro.peering.testbed import PeeringTestbed, Mux
-from repro.peering.mrt import dump_feed, load_feed
 from repro.peering.schedule import (
     ExperimentSchedule,
     schedule_discovery,
@@ -32,8 +31,6 @@ __all__ = [
     "default_collectors",
     "PeeringTestbed",
     "Mux",
-    "dump_feed",
-    "load_feed",
     "ExperimentSchedule",
     "schedule_discovery",
     "schedule_magnet_rounds",

@@ -118,9 +118,6 @@ class TemporalResults:
     def figure1_series(self) -> List[Dict[str, Dict[str, int]]]:
         return [epoch.figure1 for epoch in self.epochs]
 
-    def violation_series(self) -> List[Dict[str, int]]:
-        return [epoch.violations() for epoch in self.epochs]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "resumed_epochs": self.resumed_epochs,

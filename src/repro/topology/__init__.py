@@ -17,7 +17,6 @@ from repro.topology.classify_as import classify_as_type
 from repro.topology.complex_rel import ComplexRelationships, HybridEntry, PartialTransitEntry
 from repro.topology.cables import CableRegistry, Cable
 from repro.topology.completeness import CompletenessReport, completeness
-from repro.topology.asrank import as_rank, cone_sizes, customer_cones, transit_degree
 
 __all__ = [
     "AS",
@@ -35,8 +34,4 @@ __all__ = [
     "Cable",
     "CompletenessReport",
     "completeness",
-    "as_rank",
-    "cone_sizes",
-    "customer_cones",
-    "transit_degree",
 ]

@@ -62,12 +62,6 @@ class AS:
         if not self.presence and self.country:
             object.__setattr__(self, "presence", frozenset({self.country}))
 
-    def is_multinational(self) -> bool:
-        return len(self.presence) > 1
-
-    def operates_in(self, country: str) -> bool:
-        return country in self.presence
-
     def __str__(self) -> str:
         return f"AS{self.asn}"
 

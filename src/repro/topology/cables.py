@@ -27,9 +27,6 @@ class Cable:
     operator_asn: Optional[int] = None
     owners: FrozenSet[str] = frozenset()
 
-    def is_independent(self) -> bool:
-        return self.operator_asn is not None
-
 
 class CableRegistry:
     """Queryable set of cables, indexed by operator ASN."""

@@ -7,16 +7,15 @@ CAIDA publishes inferred AS relationships as pipe-separated lines::
     <peer-asn>|<peer-asn>|0
     <sibling-asn>|<sibling-asn>|2   (serial-2 extension used here)
 
-We read and write this format so inferred topologies can be persisted,
-diffed and aggregated exactly like the paper handles CAIDA's five
-monthly snapshots.
+We read and write this format so inferred topologies can be persisted
+and reloaded like CAIDA's monthly snapshots the paper aggregates.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, TextIO, Tuple, Union
+from typing import Iterable, TextIO, Union
 
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -79,15 +78,8 @@ def dump_relationships(graph: ASGraph, sink: Union[str, Path, TextIO, None] = No
 
 
 def link_set(graph: ASGraph) -> frozenset:
-    """Normalized edge set for diffing two topologies.
+    """Normalized edge set for comparing two topologies.
 
     Each edge is ``(a, b, code)`` as produced by :meth:`ASGraph.links`.
     """
     return frozenset((a, b, _REL_TO_CODE[rel]) for a, b, rel in graph.links())
-
-
-def diff_topologies(old: ASGraph, new: ASGraph) -> Tuple[frozenset, frozenset]:
-    """Edges ``(added, removed)`` between two topologies."""
-    old_links = link_set(old)
-    new_links = link_set(new)
-    return new_links - old_links, old_links - new_links

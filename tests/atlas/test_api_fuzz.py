@@ -3,21 +3,14 @@
 Every mutation a hostile or lossy result feed can produce must either
 parse cleanly or raise the structured
 :class:`~repro.faults.errors.MalformedResultError` — never a bare
-``KeyError``/``AttributeError``/``TypeError`` — and the resilient
-loader must quarantine instead of crashing.
+``KeyError``/``AttributeError``/``TypeError``.
 """
 
-import json
 import random
 
 import pytest
 
-from repro.atlas.api import (
-    load_measurements,
-    load_measurements_resilient,
-    traceroute_from_json,
-    traceroute_to_json,
-)
+from repro.atlas.api import traceroute_from_json, traceroute_to_json
 from repro.dataplane.traceroute import TracerouteHop, TracerouteResult
 from repro.faults import MalformedResultError
 from repro.net.ip import IPAddress
@@ -129,31 +122,3 @@ class TestSeededFuzz:
             except MalformedResultError:
                 pass  # structured quarantine path: acceptable
             # Any other exception type fails the test by propagating.
-
-    @pytest.mark.parametrize("seed", [99, 100])
-    def test_fuzzed_jsonl_quarantined_not_crashed(self, seed):
-        rng = random.Random(seed)
-        names = sorted(MUTATIONS)
-        lines = []
-        good = 0
-        for index in range(100):
-            document = _document()
-            if rng.random() < 0.5:
-                document = MUTATIONS[rng.choice(names)](document)
-            else:
-                good += 1
-            lines.append(json.dumps(document))
-        lines.insert(10, "{torn json")
-        text = "\n".join(lines) + "\n"
-        results, quarantined = load_measurements_resilient(text)
-        assert len(results) + len(quarantined) == 101
-        # Benign mutations may parse too, so >=; every clean line must.
-        assert len(results) >= good
-        reasons = {q.reason for q in quarantined}
-        assert "invalid-json" in reasons
-
-    def test_strict_loader_still_raises_value_error(self):
-        with pytest.raises(ValueError):
-            load_measurements('{"type": "ping"}\n')
-        with pytest.raises(ValueError):
-            load_measurements("{not json}\n")

@@ -1,10 +1,9 @@
-"""Tests for the campaign runner under fault plans and credit budgets."""
+"""Tests for the campaign runner under fault plans."""
 
 import pytest
 
 from repro.atlas import (
     CampaignConfig,
-    CreditLedger,
     dump_measurements,
     generate_probes,
     run_campaign,
@@ -120,40 +119,3 @@ class TestFaultedCampaign:
             "truncated": dataset.robustness.total_pairs
         }
 
-
-class TestBudgetAccounting:
-    def test_budget_skips_recorded(self, world):
-        internet, probes = world
-        names = sum(len(p.dns_names) for p in internet.content)
-        ledger = CreditLedger(daily_budget=2 * names * 70 + 10)
-        dataset = run_campaign(
-            internet, probes, CampaignConfig(seed=1, ledger=ledger)
-        )
-        used = {m.probe.probe_id for m in dataset.measurements}
-        skipped = {p.probe_id for p in dataset.budget_skipped}
-        assert skipped, "budget-skipped probes must be recorded"
-        assert not used & skipped
-        assert used | skipped == {p.probe_id for p in probes}
-
-    def test_resilient_budget_loss_distinguished(self, world):
-        internet, probes = world
-        names = sum(len(p.dns_names) for p in internet.content)
-        ledger = CreditLedger(daily_budget=2 * names * 70 + 10)
-        dataset = run_campaign(
-            internet,
-            probes,
-            CampaignConfig(
-                seed=1,
-                ledger=ledger,
-                fault_plan=FaultPlan(
-                    seed=5, rates={FaultSite.PROBE_DROPOUT: 0.2}
-                ),
-            ),
-        )
-        report = dataset.robustness
-        assert report.budget_skipped_probes
-        assert report.lost.get("budget", 0) > 0
-        # Budget loss and fault loss stay separate in the accounting.
-        assert report.lost.get("probe-dropout", 0) > 0
-        assert report.accounted()
-        assert ledger.spent <= ledger.daily_budget

@@ -16,7 +16,6 @@ from repro.bgp import simulator as simulator_module
 from repro.check.golden import serialize, snapshot_study
 from repro.core.pipeline import Study, StudyConfig
 from repro.peering import FeedArchive, PeeringTestbed, run_magnet_experiments
-from repro.peering.mrt import dump_feed
 from repro.topogen import generate_internet
 from repro.topogen.config import small_config
 
@@ -40,9 +39,10 @@ def _outputs(run_dir):
     journals = {
         name: (run_dir / name).read_bytes() for name in sorted(os.listdir(run_dir))
     }
+    feeds = results.feeds
     return (
         serialize(snapshot_study(results)),
-        dump_feed(results.feeds),
+        {prefix: sorted(feeds.paths_for(prefix)) for prefix in feeds.prefixes()},
         results.discovery.observations,
         results.magnet_observations,
         journals,
@@ -50,8 +50,8 @@ def _outputs(run_dir):
 
 
 def test_no_output_carries_an_absolute_route_age(tmp_path, monkeypatch):
-    """Collector feeds, MRT dumps, RouteViews, journals and the golden
-    snapshot are unchanged when every route age is shifted."""
+    """Collector feeds, RouteViews, journals and the golden snapshot
+    are unchanged when every route age is shifted."""
     (tmp_path / "plain").mkdir()
     (tmp_path / "shifted").mkdir()
     plain, plain_clock = _outputs(tmp_path / "plain")

@@ -3,7 +3,7 @@
 These are the acceptance tests for the resilience work: a campaign
 killed mid-run and resumed from its checkpoint must produce the same
 final measurement set as an uninterrupted run with the same seed,
-without double-spending ledger credits; and a full ``Study.run`` under
+without measuring a journaled pair again; and a full ``Study.run`` under
 a non-trivial fault plan must complete without raising, with a
 ``RobustnessReport`` whose accounting balances.
 """
@@ -12,7 +12,6 @@ import pytest
 
 from repro.atlas import (
     CampaignConfig,
-    CreditLedger,
     dump_measurements,
     generate_probes,
     run_campaign,
@@ -60,16 +59,12 @@ class TestKillAndResume:
         journal_path = str(tmp_path / "campaign.jsonl")
 
         # Reference: uninterrupted run, no checkpointing.
-        reference_ledger = CreditLedger(daily_budget=10**9)
         reference = run_campaign(
-            internet,
-            probes,
-            CampaignConfig(seed=6, fault_plan=PLAN, ledger=reference_ledger),
+            internet, probes, CampaignConfig(seed=6, fault_plan=PLAN)
         )
         assert len(reference.measurements) > 40
 
         # First attempt: killed after 25 finalized pairs.
-        first_ledger = CreditLedger(daily_budget=10**9)
         with pytest.raises(CampaignInterrupted) as excinfo:
             run_campaign(
                 internet,
@@ -77,7 +72,6 @@ class TestKillAndResume:
                 CampaignConfig(
                     seed=6,
                     fault_plan=PLAN,
-                    ledger=first_ledger,
                     checkpoint_path=journal_path,
                     abort_after=25,
                 ),
@@ -89,14 +83,12 @@ class TestKillAndResume:
             handle.write('{"kind": "pair", "probe": 1, "na')
 
         # Resume: skips journaled pairs, finishes the rest.
-        resume_ledger = CreditLedger(daily_budget=10**9)
         resumed = run_campaign(
             internet,
             probes,
             CampaignConfig(
                 seed=6,
                 fault_plan=PLAN,
-                ledger=resume_ledger,
                 checkpoint_path=journal_path,
                 resume=True,
             ),
@@ -116,12 +108,9 @@ class TestKillAndResume:
         }
         assert resumed_view == reference_view
         # Replay count proves resumption actually skipped journaled work
-        # (the reference run replayed nothing).
+        # (the reference run replayed nothing): no pair is measured twice.
         assert resumed.robustness.resumed_pairs == 25
         assert reference.robustness.resumed_pairs == 0
-        # No double-spend: the resumed ledger charges journal replays as
-        # already-spent, landing on exactly the uninterrupted total.
-        assert resume_ledger.spent == reference_ledger.spent
 
     def test_replayed_pairs_keep_their_ground_truth_path(self, world, tmp_path):
         """The journal carries no ground-truth path, yet every resumed
@@ -145,61 +134,6 @@ class TestKillAndResume:
         truth = [m.traceroute.truth_as_path for m in resumed.measurements]
         assert truth == [m.traceroute.truth_as_path for m in reference.measurements]
         assert all(truth)
-
-    def test_budget_capped_resume_skips_the_same_probes(self, world, tmp_path):
-        """A replayed pair is charged where the sweep reaches it, so a
-        resumed budget-capped campaign runs out on the same probe as an
-        uninterrupted one."""
-        internet, probes = world
-        journal_path = str(tmp_path / "campaign.jsonl")
-        unbudgeted = CreditLedger(daily_budget=10**9)
-        run_campaign(internet, probes, CampaignConfig(seed=6, ledger=unbudgeted))
-        budget = unbudgeted.spent // 2
-
-        reference_ledger = CreditLedger(daily_budget=budget)
-        reference = run_campaign(
-            internet, probes, CampaignConfig(seed=6, ledger=reference_ledger)
-        )
-        assert reference.budget_skipped
-
-        with pytest.raises(CampaignInterrupted):
-            run_campaign(
-                internet,
-                probes,
-                CampaignConfig(
-                    seed=6,
-                    ledger=CreditLedger(daily_budget=budget),
-                    checkpoint_path=journal_path,
-                    abort_after=90,
-                ),
-            )
-        resume_ledger = CreditLedger(daily_budget=budget)
-        resumed = run_campaign(
-            internet,
-            probes,
-            CampaignConfig(
-                seed=6,
-                ledger=resume_ledger,
-                checkpoint_path=journal_path,
-                resume=True,
-            ),
-        )
-
-        assert [p.probe_id for p in resumed.budget_skipped] == [
-            p.probe_id for p in reference.budget_skipped
-        ]
-        skip = {"retry", "resumed_pairs"}
-        resumed_view = {
-            k: v for k, v in resumed.robustness.as_dict().items() if k not in skip
-        }
-        reference_view = {
-            k: v for k, v in reference.robustness.as_dict().items() if k not in skip
-        }
-        assert resumed_view == reference_view
-        assert dump_measurements(resumed.measurements) == dump_measurements(
-            reference.measurements
-        )
-        assert resume_ledger.spent == reference_ledger.spent
 
     def test_run_without_resume_starts_a_fresh_journal(self, world, tmp_path):
         internet, probes = world

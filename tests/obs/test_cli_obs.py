@@ -46,23 +46,8 @@ class TestObsReport:
 
     def test_report_writes_exports(self, tmp_path, capsys):
         path = _manifest_file(tmp_path)
-        prom = tmp_path / "metrics.prom"
         jsonl = tmp_path / "run.jsonl"
-        assert (
-            main(
-                [
-                    "obs",
-                    "report",
-                    path,
-                    "--prometheus",
-                    str(prom),
-                    "--jsonl",
-                    str(jsonl),
-                ]
-            )
-            == 0
-        )
-        assert "# TYPE repro_decisions_total counter" in prom.read_text()
+        assert main(["obs", "report", path, "--jsonl", str(jsonl)]) == 0
         restored = RunManifest.load(str(jsonl))
         assert restored.to_dict() == RunManifest.load(path).to_dict()
 

@@ -1,7 +1,6 @@
 """Round-trip tests for manifests and their exporters."""
 
 import json
-import re
 
 import pytest
 
@@ -15,7 +14,6 @@ from repro.obs import (
     from_jsonl,
     render_summary,
     to_jsonl,
-    to_prometheus,
     write_jsonl,
 )
 
@@ -109,43 +107,6 @@ class TestJsonl:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown JSONL manifest record"):
             from_jsonl('{"kind": "mystery"}\n')
-
-
-#: One Prometheus sample line: name{optional labels} value
-_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (\+Inf|-?[0-9.e+-]+)$"
-)
-
-
-class TestPrometheus:
-    def test_text_format_valid(self):
-        text = to_prometheus(_sample_manifest())
-        assert text.endswith("\n")
-        typed = set()
-        for line in text.splitlines():
-            if line.startswith("# TYPE"):
-                _, _, name, kind = line.split()
-                assert kind in {"counter", "gauge", "histogram"}
-                typed.add(name)
-            elif not line.startswith("#"):
-                assert _SAMPLE_RE.match(line), line
-        assert "repro_decisions_total" in typed
-        assert "repro_stage_seconds" in typed
-
-    def test_histogram_buckets_cumulative_with_inf(self):
-        text = to_prometheus(_sample_manifest())
-        buckets = [
-            line
-            for line in text.splitlines()
-            if line.startswith("repro_stage_seconds_bucket")
-        ]
-        assert [b.split()[-1] for b in buckets] == ["1", "2", "2"]
-        assert 'le="+Inf"' in buckets[-1]
-        assert "repro_stage_seconds_count 2" in text
-
-    def test_labeled_series_rendered(self):
-        text = to_prometheus(_sample_manifest())
-        assert 'repro_hits_total{layer="Simple"} 7' in text
 
 
 class TestSummary:

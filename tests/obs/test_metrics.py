@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import NOOP_INSTRUMENT, label_key
+from repro.obs.metrics import NOOP_INSTRUMENT, escape_label_value, label_key
 
 pytestmark = pytest.mark.obs
 
@@ -57,6 +57,28 @@ class TestInstruments:
 
     def test_label_key_sorted_and_escaped(self):
         assert label_key({"b": 1, "a": 'v"q'}) == 'a="v\\"q",b="1"'
+
+
+class TestLabelEscaping:
+    def test_backslash_quote_and_newline(self):
+        assert escape_label_value("a\\b") == "a\\\\b"
+        assert escape_label_value('say "hi"') == 'say \\"hi\\"'
+        assert escape_label_value("line1\nline2") == "line1\\nline2"
+
+    def test_escaping_order_does_not_double_escape(self):
+        # The backslash introduced by quote/newline escaping must not
+        # itself be re-escaped: \n -> \\n exactly, not \\\\n.
+        assert escape_label_value("\n") == "\\n"
+        assert escape_label_value('\\"') == '\\\\\\"'
+
+    def test_plain_values_unchanged(self):
+        assert escape_label_value("study") == "study"
+        assert escape_label_value(200) == "200"
+
+    def test_label_key_uses_exposition_escaping(self):
+        key = label_key({"tenant": 'evil"\n'})
+        assert key == 'tenant="evil\\"\\n"'
+        assert "\n" not in key
 
 
 class TestDisabled:

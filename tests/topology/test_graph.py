@@ -104,6 +104,21 @@ class TestASGraph:
         assert graph.customer_cone(1) == frozenset({1, 2, 3})
         assert graph.customer_cone(3) == frozenset({3})
 
+        # A customer shared by two providers is in both cones, once.
+        shared = ASGraph()
+        shared.add_link(1, 3, Relationship.CUSTOMER)
+        shared.add_link(2, 3, Relationship.CUSTOMER)
+        assert shared.customer_cone(1) == frozenset({1, 3})
+        assert shared.customer_cone(2) == frozenset({2, 3})
+
+        # A corrupted provider->customer cycle terminates.
+        cycle = ASGraph()
+        cycle.add_link(1, 2, Relationship.CUSTOMER)
+        cycle.add_link(2, 3, Relationship.CUSTOMER)
+        cycle.add_link(3, 1, Relationship.CUSTOMER)
+        for asn in (1, 2, 3):
+            assert cycle.customer_cone(asn) == frozenset({1, 2, 3})
+
     def test_copy_is_independent(self):
         graph = ASGraph()
         graph.add_link(1, 2, Relationship.PEER)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.topology import ASGraph, Relationship, aggregate_snapshots
 from repro.topology.serial import (
-    diff_topologies,
     dump_relationships,
     link_set,
     load_relationships,
@@ -53,16 +52,6 @@ class TestSerialFormat:
         dump_relationships(graph, path)
         reloaded = load_relationships(path)
         assert reloaded.relationship(10, 20) is Relationship.CUSTOMER
-
-    def test_diff(self):
-        old = ASGraph()
-        old.add_link(1, 2, Relationship.PEER)
-        new = ASGraph()
-        new.add_link(1, 2, Relationship.PEER)
-        new.add_link(1, 3, Relationship.CUSTOMER)
-        added, removed = diff_topologies(old, new)
-        assert added == {(1, 3, -1)}
-        assert removed == frozenset()
 
 
 def _graph(*links):
