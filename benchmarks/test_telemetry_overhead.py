@@ -40,7 +40,7 @@ LEG_SECONDS = 1.0
 def test_telemetry_overhead_within_bound():
     """An obs-disabled leg against an obs-enabled leg (fresh
     :class:`~repro.obs.Observability` plus an active tracer, what
-    ``repro study --obs`` turns on), pass for pass, so clock drift
+    ``repro study --obs-out FILE`` turns on), pass for pass, so clock drift
     cannot masquerade as overhead."""
     study = quick_study()
     one_pass = min(seven_layer_batched(study)[0] for _ in range(3))

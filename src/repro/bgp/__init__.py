@@ -17,7 +17,7 @@ from repro.bgp.communities import (
 )
 from repro.bgp.messages import Announcement, Withdrawal
 from repro.bgp.routes import Route
-from repro.bgp.decision import DecisionStep, best_route, compare_routes
+from repro.bgp.decision import DecisionStep, best_route
 from repro.bgp.policy import Policy, DEFAULT_LOCAL_PREF
 from repro.bgp.speaker import BGPSpeaker
 from repro.bgp.simulator import BGPSimulator, ConvergenceError
@@ -32,7 +32,6 @@ __all__ = [
     "Route",
     "DecisionStep",
     "best_route",
-    "compare_routes",
     "Policy",
     "DEFAULT_LOCAL_PREF",
     "BGPSpeaker",

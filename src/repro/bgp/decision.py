@@ -50,16 +50,6 @@ def preference_key(route: Route) -> Tuple[int, int, int, int, int]:
     )
 
 
-def compare_routes(a: Route, b: Route) -> int:
-    """Negative if ``a`` is preferred over ``b``, positive if worse, 0 if tied."""
-    key_a, key_b = preference_key(a), preference_key(b)
-    if key_a < key_b:
-        return -1
-    if key_a > key_b:
-        return 1
-    return 0
-
-
 def rank_routes(routes: Iterable[Route]) -> List[Route]:
     """Routes sorted most-preferred first."""
     return sorted(routes, key=preference_key)

@@ -99,7 +99,6 @@ class BGPSimulator:
                 asn,
                 policy,
                 graph.neighbors(asn),
-                relationship_resolver=graph.relationship,
                 flap_limit=flap_limit,
             )
         self.clock = 0

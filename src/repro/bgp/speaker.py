@@ -126,7 +126,6 @@ class BGPSpeaker:
         asn: int,
         policy: Policy,
         neighbors: Dict[int, Relationship],
-        relationship_resolver=None,
         flap_limit: int = 0,
     ) -> None:
         self.asn = asn
@@ -142,9 +141,6 @@ class BGPSpeaker:
             for neighbor, relationship in self._sessions
             if relationship.exports_all()
         )
-        #: Global relationship oracle used to classify routes arriving
-        #: over sibling links (stand-in for org-wide communities).
-        self._resolve_relationship = relationship_resolver
         #: Route-flap damping: after this many best-route changes for a
         #: prefix the speaker freezes its state (0 disables).
         self._flap_limit = flap_limit
@@ -263,35 +259,18 @@ class BGPSpeaker:
             return self._receive_withdrawal(message)
         raise TypeError(f"unknown BGP message type: {type(message).__name__}")
 
-    def _sibling_entry_class(
-        self, neighbor: int, as_path, communities=frozenset()
-    ) -> Relationship:
+    @staticmethod
+    def _sibling_entry_class(communities) -> Relationship:
         """Class of a route entering over a sibling link.
 
         Sibling announcements carry the entry class in an org-internal
-        community (how real multi-ASN organizations do it); when the
-        tag is present it is authoritative.  Without a tag, fall back
-        to walking the sibling chain with the relationship oracle.  A
-        route originated inside the organization counts as a customer
-        route.
+        community (how real multi-ASN organizations do it), and every
+        export over a sibling link is tagged; a route originated inside
+        the organization is tagged as a customer route.  An untagged
+        sibling route keeps class ``SIBLING``.
         """
         tagged = read_entry_class(communities)
-        if tagged is not None:
-            return tagged
-        if self._resolve_relationship is None:
-            return Relationship.SIBLING
-        hops = as_path.sequence()
-        current = neighbor
-        for next_hop in hops[1:]:
-            if next_hop == current:
-                continue  # prepending repeats
-            hop_relationship = self._resolve_relationship(current, next_hop)
-            if hop_relationship is None:
-                return Relationship.SIBLING
-            if hop_relationship is not Relationship.SIBLING:
-                return hop_relationship
-            current = next_hop
-        return Relationship.CUSTOMER
+        return Relationship.SIBLING if tagged is None else tagged
 
     def _receive_announcement(
         self,
@@ -326,7 +305,7 @@ class BGPSpeaker:
             return None
         effective = relationship
         if relationship is _SIBLING:
-            effective = self._sibling_entry_class(neighbor, as_path, communities)
+            effective = self._sibling_entry_class(communities)
         inputs = NO_PREFIX_INPUTS
         if self._inputs:
             inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)

@@ -40,6 +40,7 @@ from repro.core.classification import (
     Decision,
     DecisionLabel,
     LabelCounts,
+    LayerConfig,
     classify_decision,
     classify_decisions,
     classify_decisions_serial,
@@ -49,6 +50,7 @@ from repro.core.classification import (
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import IPAddress, Prefix
 from repro.net.trie import PrefixTrie
+from repro.perf.parallel import ParallelClassifier
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship
 
@@ -258,14 +260,12 @@ def oracle_labels(scenario: Scenario) -> List[DecisionLabel]:
     return labels
 
 
-def check_labels(
-    scenario: Scenario, classifier: Optional[object] = None
-) -> List[Disagreement]:
+def check_labels(scenario: Scenario) -> List[Disagreement]:
     """Oracle vs every optimized grading path on one scenario.
 
-    ``classifier`` optionally supplies a
-    :class:`repro.perf.parallel.ParallelClassifier` whose precompute +
-    batched path is included in the comparison.
+    The paths include the one ``Study.run`` grades with: a
+    :class:`~repro.perf.parallel.ParallelClassifier` precompute and
+    arena pass over a cold engine.
     """
     problems: List[Disagreement] = []
     engine = GaoRexfordEngine(
@@ -304,22 +304,19 @@ def check_labels(
             siblings=scenario.siblings,
         )
     ]
-    if classifier is not None:
-        from repro.core.classification import LayerConfig
-
-        cold_engine = GaoRexfordEngine(
-            scenario.graph, partial_transit=scenario.partial_transit
-        )
-        layer = LayerConfig(
-            engine=cold_engine,
-            first_hops_for=scenario.first_hops_for or None,
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-        paths["parallel-classifier"] = [
-            label
-            for _d, label in classifier.label_layer(scenario.decisions, layer)
-        ]
+    cold_engine = GaoRexfordEngine(
+        scenario.graph, partial_transit=scenario.partial_transit
+    )
+    layer = LayerConfig(
+        engine=cold_engine,
+        first_hops_for=scenario.first_hops_for or None,
+        complex_rel=scenario.complex_rel,
+        siblings=scenario.siblings,
+    )
+    paths["parallel-classifier"] = [
+        label
+        for _d, label in ParallelClassifier().label_layer(scenario.decisions, layer)
+    ]
 
     for name, labels in paths.items():
         for index, (got, want) in enumerate(zip(labels, reference)):

@@ -261,7 +261,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         args.small,
         fault_plan=args.fault_plan,
         resume=args.resume,
-        obs=bool(getattr(args, "obs", False)) or obs_out is not None,
+        obs=obs_out is not None,
         run_dir=args.run_dir,
         durability=getattr(args, "durability", None),
     )
@@ -521,16 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
         "the REPRO_DURABILITY environment variable)",
     )
     study.add_argument(
-        "--obs",
-        action="store_true",
-        help="enable telemetry (spans, metrics, events) for this run",
-    )
-    study.add_argument(
         "--obs-out",
         default=None,
         metavar="FILE",
-        help="write the run manifest JSON to FILE (implies --obs); "
-        "render it later with `repro obs report FILE`",
+        help="enable telemetry (spans, metrics, events) and write the "
+        "run manifest JSON to FILE; render it later with "
+        "`repro obs report FILE`",
     )
     study.set_defaults(handler=_cmd_study)
 
@@ -617,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="CHECK",
         help="restrict to one check (repeatable): gr-tree, labels, "
-        "metamorphic, bgp-decision, lpm; the heavy opt-in check "
-        "ledger-resume runs only when named here",
+        "metamorphic, bgp-decision, lpm, bgp-withdraw, bgp-reuse, "
+        "bgp-stable; the heavy opt-in check ledger-resume runs only "
+        "when named here",
     )
     check_run.add_argument(
         "--progress", action="store_true", help="print progress to stderr"

@@ -140,8 +140,11 @@ class StudyConfig:
     num_muxes: int = 7
     active_vp_budget: int = 96
     max_discovery_targets: int = 36
-    #: Resilience: inject faults into the campaign (and mux sessions)
-    #: and retry transient ones.
+    #: Resilience: inject faults into the passive campaign and the
+    #: active phase, and retry transient ones.  Every active-phase
+    #: fault, mux session resets and lost withdrawals included, is
+    #: drawn by the phase's ``ActiveSupervisor``; the testbed never
+    #: fails.
     fault_plan: Optional[FaultPlan] = None
     retry_policy: Optional[RetryPolicy] = None
     #: Continue the journals in ``run_dir`` instead of starting fresh.
@@ -282,7 +285,7 @@ class StudyResults:
         default_factory=dict
     )
     #: Telemetry manifest — populated when observability is enabled
-    #: (CLI ``--obs`` or an installed repro.obs context).
+    #: (``repro study --obs-out FILE`` or an installed repro.obs context).
     manifest: Optional[RunManifest] = None
     #: Per-target/per-round accounting for the active experiments
     #: (populated whenever the active phase runs).
@@ -448,11 +451,7 @@ class Study:
         if config.active_experiments:
             with timer.span("testbed"):
                 testbed = PeeringTestbed(
-                    internet,
-                    num_muxes=config.num_muxes,
-                    seed=seed + 2,
-                    fault_plan=config.fault_plan,
-                    retry=config.retry_policy,
+                    internet, num_muxes=config.num_muxes, seed=seed + 2
                 )
 
         # Stage 3: probes and the passive campaign.
@@ -634,8 +633,6 @@ class Study:
         if testbed is not None:
             with timer.span("active_experiments"):
                 self._run_active(results, testbed, probes, inferred, internet, seed)
-            robustness.mux_session_resets = testbed.session_resets
-            robustness.retry.merge(testbed.retry_stats)
 
         return results
 
@@ -831,6 +828,5 @@ class Study:
             results.magnet_observations = observations
             results.magnet_table = infer_magnet_decisions(observations, inferred)
         finally:
-            supervisor.report.withdrawal_losses = testbed.withdrawal_losses
             results.active_robustness = supervisor.report
             supervisor.close()

@@ -8,31 +8,10 @@ log, with no plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 #: Fill characters for stacked segments, in category order.
 _SEGMENT_CHARS = "#=+."
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    max_value: float = 100.0,
-    unit: str = "%",
-) -> str:
-    """Horizontal bars, one per labeled value."""
-    if width < 1:
-        raise ValueError("width must be positive")
-    if max_value <= 0:
-        raise ValueError("max_value must be positive")
-    label_width = max((len(label) for label in values), default=0)
-    lines = []
-    for label, value in values.items():
-        clamped = max(0.0, min(value, max_value))
-        filled = round(width * clamped / max_value)
-        bar = "#" * filled + " " * (width - filled)
-        lines.append(f"{label:<{label_width}} |{bar}| {value:.1f}{unit}")
-    return "\n".join(lines)
 
 
 def stacked_bar_chart(

@@ -13,9 +13,11 @@ survive all of that:
   per substrate boundary (:class:`FaultSite`),
 * :class:`RetryPolicy` / :class:`RetryStats` — seeded exponential
   backoff with full jitter on a virtual clock,
-* :class:`CircuitBreaker` / :class:`Watchdog` — supervision primitives
-  that stop an active experiment from hammering a failing control
-  plane (see :mod:`repro.faults.supervisor`),
+* :class:`CircuitBreaker` — the supervision primitive that stops an
+  active experiment from hammering a failing control plane (see
+  :mod:`repro.faults.supervisor`); the active phase's one owner of
+  faults, :class:`repro.peering.ActiveSupervisor`, draws, retries and
+  counts every control-plane and mux fault around it,
 * :class:`CheckpointJournal` — append-only JSONL checkpointing with
   torn-tail recovery, and :class:`JournaledUnits`, the one way a
   campaign, an active phase or a temporal series journals, resumes
@@ -53,7 +55,6 @@ from repro.faults.errors import (
     ProbeFlapError,
     RetryExhausted,
     RouteFlapDamped,
-    WatchdogExpired,
     WithdrawalLost,
 )
 from repro.faults.journal import (
@@ -74,7 +75,7 @@ from repro.faults.storage import (
     durable_append,
     write_text_atomic,
 )
-from repro.faults.supervisor import BreakerStats, CircuitBreaker, Watchdog
+from repro.faults.supervisor import BreakerStats, CircuitBreaker
 
 __all__ = [
     "ActiveRobustnessReport",
@@ -108,8 +109,6 @@ __all__ = [
     "RunLedger",
     "RunLock",
     "StoragePolicy",
-    "Watchdog",
-    "WatchdogExpired",
     "WithdrawalLost",
     "atomic_replace",
     "derive_seed",

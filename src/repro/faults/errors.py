@@ -224,21 +224,6 @@ class BreakerOpen(FaultError):
         return "breaker-open"
 
 
-class WatchdogExpired(FaultError):
-    """A target exhausted its per-target announcement budget.
-
-    Bounds how much testbed time one pathological target can burn; the
-    routes discovered so far are kept as a censored partial order.
-    """
-
-    site = "supervisor"
-    retryable = False
-
-    @classmethod
-    def default_reason(cls) -> str:
-        return "watchdog-budget"
-
-
 class MalformedResultError(FaultError, ValueError):
     """A result document that cannot be parsed into a traceroute.
 

@@ -47,8 +47,6 @@ class RobustnessReport:
     per_as_expected: Dict[int, int] = field(default_factory=dict)
     #: Clean measurements per destination AS under faults.
     per_as_observed: Dict[int, int] = field(default_factory=dict)
-    #: PEERING mux session resets survived (active experiments).
-    mux_session_resets: int = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -122,7 +120,6 @@ class RobustnessReport:
             "coverage": round(self.coverage(), 4),
             "accounted": self.accounted(),
             "retry": self.retry.as_dict(),
-            "mux_session_resets": self.mux_session_resets,
             "ases_expected": len(self.per_as_expected),
             "ases_fully_covered": sum(
                 1 for asn in self.per_as_expected if self.as_coverage(asn) >= 1.0
@@ -152,8 +149,6 @@ class RobustnessReport:
             f"(recovered {retry.succeeded_after_retry}, exhausted {retry.exhausted}, "
             f"~{retry.simulated_wait_s:.0f}s simulated wait)"
         )
-        if self.mux_session_resets:
-            lines.append(f"  mux session resets survived: {self.mux_session_resets}")
         covered = sum(
             1 for asn in self.per_as_expected if self.as_coverage(asn) >= 1.0
         )
@@ -201,6 +196,8 @@ class ActiveRobustnessReport:
     announcements: int = 0
     withdrawals: int = 0
     feed_gaps: int = 0
+    #: PEERING mux session resets and lost withdrawals, drawn per attempt.
+    mux_session_resets: int = 0
     withdrawal_losses: int = 0
     damping_events: int = 0
     convergence_failures: int = 0
@@ -291,6 +288,7 @@ class ActiveRobustnessReport:
             "announcements": self.announcements,
             "withdrawals": self.withdrawals,
             "feed_gaps": self.feed_gaps,
+            "mux_session_resets": self.mux_session_resets,
             "withdrawal_losses": self.withdrawal_losses,
             "damping_events": self.damping_events,
             "convergence_failures": self.convergence_failures,
@@ -352,6 +350,7 @@ class ActiveRobustnessReport:
         for label, count in (
             ("damping", self.damping_events),
             ("feed gaps", self.feed_gaps),
+            ("mux session resets", self.mux_session_resets),
             ("withdrawal losses", self.withdrawal_losses),
             ("convergence failures", self.convergence_failures),
             ("soft-limit warnings", self.soft_limit_warnings),

@@ -3,30 +3,30 @@
 The passive campaign can shrug off a lost measurement; an active
 experiment cannot shrug off a control plane that is actively failing —
 every announcement costs real convergence time and pollutes routing
-state for everyone downstream.  Two primitives bound the damage:
+state for everyone downstream.  :class:`CircuitBreaker` bounds the
+damage: a classic closed/open/half-open breaker over announcement
+operations.  Consecutive failures open it; while open, operations are
+rejected (the caller quarantines the current target instead of
+hammering a broken substrate); after a cooldown one probe operation is
+allowed through, and its outcome decides whether the breaker closes
+again.
 
-* :class:`CircuitBreaker` — classic closed/open/half-open breaker over
-  announcement operations.  Consecutive failures open it; while open,
-  operations are rejected (the caller quarantines the current target
-  instead of hammering a broken substrate); after a cooldown one probe
-  operation is allowed through, and its outcome decides whether the
-  breaker closes again.
-* :class:`Watchdog` — a per-target announcement budget, so one
-  pathological target cannot burn the whole campaign's testbed calendar.
-
-Both are deterministic: the breaker advances on operation counts (not
+The breaker is deterministic: it advances on operation counts (not
 wall clock) and serializes its full state to/from JSON, so a resumed
-run restores the exact breaker the killed run left behind.
+run restores the exact breaker the killed run left behind.  The faults
+it counts — every active-phase fault, mux session resets and lost
+withdrawals included — are drawn and retried by
+:class:`repro.peering.experiments.ActiveSupervisor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.faults.errors import BreakerOpen, WatchdogExpired
+from repro.faults.errors import BreakerOpen
 from repro.obs.context import publish
-from repro.obs.events import CATEGORY_BREAKER, CATEGORY_WATCHDOG
+from repro.obs.events import CATEGORY_BREAKER
 
 #: Breaker state names.
 CLOSED = "closed"
@@ -162,30 +162,3 @@ class CircuitBreaker:
             rejected=int(stats.get("rejected", 0)),
             half_open_probes=int(stats.get("half_open_probes", 0)),
         )
-
-
-@dataclass
-class Watchdog:
-    """A per-target budget of announcement operations."""
-
-    budget: int
-    spent: int = 0
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"watchdog budget must be >= 1, got {self.budget}")
-
-    @property
-    def remaining(self) -> int:
-        return max(self.budget - self.spent, 0)
-
-    def charge(self, amount: int = 1) -> None:
-        """Spend budget; raises :class:`WatchdogExpired` when exhausted."""
-        self.spent += amount
-        if self.spent > self.budget:
-            publish(
-                CATEGORY_WATCHDOG, "expired", budget=self.budget, spent=self.spent
-            )
-            raise WatchdogExpired(
-                f"target exceeded its {self.budget}-announcement watchdog budget"
-            )

@@ -10,12 +10,11 @@ the generated ground truth behind a configurable error model).
 
 from repro.ipmap.ip2as import IPToASMapper
 from repro.ipmap.geolocation import GeoDatabase
-from repro.ipmap.path_conversion import ASLevelPath, convert_traceroute, path_decisions
+from repro.ipmap.path_conversion import ASLevelPath, convert_traceroute
 
 __all__ = [
     "IPToASMapper",
     "GeoDatabase",
     "ASLevelPath",
     "convert_traceroute",
-    "path_decisions",
 ]

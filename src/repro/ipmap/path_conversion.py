@@ -87,13 +87,3 @@ def convert_traceroute(
         hops=tuple(hops),
         complete=not bridged,
     )
-
-
-def path_decisions(path: ASLevelPath) -> List[Tuple[int, int]]:
-    """The routing decisions observable on one AS path.
-
-    Interdomain routing is destination-based, so every AS on the path
-    (except the destination) reveals its next-hop choice toward the
-    destination: ``[(asn, next_hop), ...]``.
-    """
-    return list(zip(path.hops[:-1], path.hops[1:]))

@@ -44,7 +44,6 @@ from repro.obs.events import (
     CATEGORY_FAULT,
     CATEGORY_QUARANTINE,
     CATEGORY_RETRY,
-    CATEGORY_WATCHDOG,
     DEFAULT_MAX_EVENTS,
     Event,
     EventStream,
@@ -96,7 +95,6 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "CATEGORY_RETRY",
     "CATEGORY_BREAKER",
-    "CATEGORY_WATCHDOG",
     "CATEGORY_FAULT",
     "CATEGORY_QUARANTINE",
     "CATEGORY_BGP",

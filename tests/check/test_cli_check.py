@@ -3,7 +3,7 @@
 import pytest
 
 from repro import cli
-from repro.check import serialize
+from repro.check import KNOWN_CHECKS, serialize
 
 pytestmark = pytest.mark.check
 
@@ -35,6 +35,18 @@ class TestCheckRun:
         out = capsys.readouterr().out
         assert "lpm" in out
         assert "gr-tree" not in out
+
+    def test_only_help_names_every_check(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")  # one help line per option
+        with pytest.raises(SystemExit):
+            cli.main(["check", "run", "--help"])
+        [only_help] = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("--only")
+        ]
+        missing = [name for name in KNOWN_CHECKS if name not in only_help]
+        assert missing == []
 
     def test_unknown_only_exits_two(self, capsys):
         assert cli.main(["check", "run", "--seeds", "1", "--only", "bogus"]) == 2

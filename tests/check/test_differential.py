@@ -83,9 +83,10 @@ class TestEngineVsOracle:
 class TestParallelClassifierVsOracle:
     @pytest.mark.parametrize("seed", PARALLEL_SEEDS)
     def test_serial_precompute_path(self, seed):
-        """In-process precompute (one kernel sweep) + arena grading."""
+        """In-process precompute (one kernel sweep) + arena grading, which
+        ``check_labels`` grades on every scenario."""
         scenario = generate_scenario(seed)
-        problems = check_labels(scenario, classifier=ParallelClassifier())
+        problems = check_labels(scenario)
         assert problems == [], "\n".join(str(p) for p in problems)
 
 
@@ -217,6 +218,18 @@ class TestMutationsAreCaught:
         )
         problems = check_labels(scenario)
         assert any("per-decision" in p.detail for p in problems)
+
+    def test_broken_classifier_flagged(self, monkeypatch):
+        """The labels check grades the classifier ``Study.run`` uses."""
+        monkeypatch.setattr(
+            ParallelClassifier,
+            "label_layer",
+            lambda self, decisions, layer: [
+                (decision, DecisionLabel.BEST_SHORT) for decision in decisions
+            ],
+        )
+        problems = check_labels(generate_scenario(3))
+        assert any("parallel-classifier" in p.detail for p in problems)
 
     def test_broken_decision_process_flagged(self, monkeypatch):
         def worst_route(routes):

@@ -5,12 +5,7 @@ import pytest
 from repro.core.active_analysis import PreferenceViolation
 from repro.core.case_studies import build_case_studies, build_case_study
 from repro.peering.experiments import RouteView
-from repro.peering.schedule import (
-    ANNOUNCEMENT_SPACING_MINUTES,
-    ExperimentSchedule,
-    schedule_discovery,
-    schedule_magnet_rounds,
-)
+from repro.peering.schedule import ExperimentSchedule, schedule_discovery
 from repro.topology import ASGraph, Relationship
 
 
@@ -101,17 +96,9 @@ class TestSchedule:
         schedule = schedule_discovery(188)
         assert 11 < schedule.total_days < 13
 
-    def test_magnet_schedule(self):
-        schedule, wait = schedule_magnet_rounds(7)
-        assert len(schedule.events) == 21
-        assert wait == 35
-        assert schedule.events[1].minute == ANNOUNCEMENT_SPACING_MINUTES
-
     def test_guards(self):
         with pytest.raises(ValueError):
             schedule_discovery(-1)
-        with pytest.raises(ValueError):
-            schedule_magnet_rounds(-1)
         with pytest.raises(ValueError):
             ExperimentSchedule(spacing_minutes=0)
 

@@ -2,29 +2,7 @@
 
 import pytest
 
-from repro.experiments.plots import bar_chart, cdf_plot, stacked_bar_chart
-
-
-class TestBarChart:
-    def test_renders_all_labels(self):
-        text = bar_chart({"alpha": 50.0, "beta": 100.0})
-        assert "alpha" in text and "beta" in text
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") > lines[0].count("#")
-
-    def test_values_clamped(self):
-        text = bar_chart({"over": 150.0}, width=10)
-        assert text.count("#") == 10
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError):
-            bar_chart({"x": 1.0}, width=0)
-        with pytest.raises(ValueError):
-            bar_chart({"x": 1.0}, max_value=0)
-
-    def test_empty(self):
-        assert bar_chart({}) == ""
+from repro.experiments.plots import cdf_plot, stacked_bar_chart
 
 
 class TestStackedBarChart:

@@ -1,8 +1,8 @@
-"""Unit tests for the circuit breaker and watchdog primitives."""
+"""Unit tests for the circuit breaker."""
 
 import pytest
 
-from repro.faults import BreakerOpen, CircuitBreaker, Watchdog, WatchdogExpired
+from repro.faults import BreakerOpen, CircuitBreaker
 from repro.faults.supervisor import CLOSED, HALF_OPEN, OPEN
 
 
@@ -89,29 +89,3 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(cooldown=0)
-
-
-class TestWatchdog:
-    def test_charges_within_budget(self):
-        watchdog = Watchdog(budget=3)
-        for _ in range(3):
-            watchdog.charge()
-        assert watchdog.remaining == 0
-
-    def test_expires_past_budget(self):
-        watchdog = Watchdog(budget=2)
-        watchdog.charge()
-        watchdog.charge()
-        with pytest.raises(WatchdogExpired):
-            watchdog.charge()
-
-    def test_bulk_charge(self):
-        watchdog = Watchdog(budget=5)
-        watchdog.charge(4)
-        assert watchdog.remaining == 1
-        with pytest.raises(WatchdogExpired):
-            watchdog.charge(2)
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Watchdog(budget=0)

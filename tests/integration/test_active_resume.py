@@ -4,9 +4,11 @@ Acceptance criteria for the control-plane resilience layer: a discovery
 run killed mid-flight and resumed from its journal must reproduce the
 uninterrupted run's :class:`DiscoveryResult` and preference summaries
 byte-for-byte; and a full ``Study.run`` under an active fault plan
-(poison filtering, damping, convergence stalls, feed gaps, withdrawal
-loss) must complete without raising, with every target and magnet round
-accounted in the :class:`ActiveRobustnessReport`.
+(poison filtering, damping, convergence stalls, feed gaps, mux session
+resets, withdrawal loss) must complete without raising, with every
+target and magnet round accounted in the :class:`ActiveRobustnessReport`.
+The testbed is built without a plan: the supervisor draws every active
+fault, the mux sites included.
 """
 
 import os
@@ -15,7 +17,7 @@ import pytest
 
 from repro.bgp import BGPSimulator
 from repro.core.active_analysis import classify_preference_orders
-from repro.core.pipeline import Study, StudyConfig
+from repro.core.pipeline import Study, StudyConfig, build_study_config
 from repro.experiments import alternate_routes
 from repro.faults import CampaignInterrupted, CheckpointJournal, FaultPlan, FaultSite
 from repro.peering import (
@@ -60,7 +62,7 @@ STUDY_PLAN = FaultPlan(
 
 def _build_world():
     internet = generate_internet(small_config(), seed=3)
-    testbed = PeeringTestbed(internet, num_muxes=4, seed=5, fault_plan=ACTIVE_PLAN)
+    testbed = PeeringTestbed(internet, num_muxes=4, seed=5)
     simulator = BGPSimulator(
         internet.graph, policies=internet.policies, country_of=internet.country_of
     )
@@ -91,6 +93,32 @@ def _run_active_phase(world, checkpoint=None, resume=False, abort_after=None):
     finally:
         supervisor.close()
     return discovery, magnets, supervisor.report
+
+
+class TestMuxFaultsPerAnnouncement:
+    def test_mux_faults_are_drawn_per_announcement(self):
+        """A reset or a lost withdrawal hits one announcement, not every
+        announcement of the prefix."""
+        losses = []
+        for seed in range(6):
+            plan = FaultPlan(
+                seed=seed,
+                rates={FaultSite.MUX_RESET: 0.3, FaultSite.MUX_WITHDRAWAL_LOSS: 0.3},
+            )
+            _internet, testbed, simulator, prefix, targets = _build_world()
+            supervisor = ActiveSupervisor(ActiveRunConfig(fault_plan=plan))
+            discover_alternate_routes(
+                testbed, simulator, targets, prefix=prefix, supervisor=supervisor
+            )
+            report = supervisor.report
+            assert report.accounted()
+            # Some announcements were reset, and some went through.
+            assert report.mux_session_resets > 0, seed
+            assert report.announcements > 0, seed
+            # Some withdrawals were confirmed.
+            assert report.withdrawals > 0, seed
+            losses.append(report.withdrawal_losses)
+        assert sum(losses) > 0
 
 
 class TestActiveKillAndResume:
@@ -218,6 +246,24 @@ def faulted_study(tmp_path_factory):
 
 
 class TestStudyWithActiveFaults:
+    def test_mux_faults_counted_by_the_active_report_only(self, faulted_study):
+        _config, _run_dir, results = faulted_study
+        active = results.active_robustness
+        assert active.mux_session_resets > 0
+        assert active.withdrawal_losses > 0
+        assert active.retry.retries_by_site.get("peering/testbed", 0) > 0
+        assert "peering/testbed" not in results.robustness.retry.retries_by_site
+
+    def test_mux_reset_plan_completes(self):
+        """Resets drawn per announcement retry and quarantine; they never
+        escape the study."""
+        config = build_study_config(0, "small")
+        config.fault_plan = FaultPlan(seed=63, rates={FaultSite.MUX_RESET: 0.3})
+        results = Study(config).run()  # must not raise
+        report = results.active_robustness
+        assert report.accounted()
+        assert report.mux_session_resets > 0
+
     def test_study_completes_with_accounted_active_report(self, faulted_study):
         _config, _run_dir, results = faulted_study
         report = results.active_robustness

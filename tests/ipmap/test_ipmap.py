@@ -4,7 +4,6 @@ import pytest
 
 from repro.dataplane.traceroute import TracerouteHop, TracerouteResult
 from repro.ipmap import ASLevelPath, GeoDatabase, IPToASMapper, convert_traceroute
-from repro.ipmap.path_conversion import path_decisions
 from repro.net.ip import IPAddress, Prefix
 from repro.topogen import generate_internet
 from repro.topogen.config import small_config
@@ -100,9 +99,8 @@ class TestConvertTraceroute:
         path = convert_traceroute(_result(["10.1.0.5", "10.2.0.5"]), _mapper())
         assert path.hops == (1, 2, 3)
 
-    def test_path_decisions(self):
+    def test_adjacencies(self):
         path = ASLevelPath(source_asn=1, destination_asn=3, hops=(1, 2, 3), complete=True)
-        assert path_decisions(path) == [(1, 2), (2, 3)]
         assert path.adjacencies() == ((1, 2), (2, 3))
 
 

@@ -12,8 +12,6 @@ from repro.faults import (
     RetryExhausted,
     RetryPolicy,
     RetryStats,
-    Watchdog,
-    WatchdogExpired,
 )
 from repro.net.ip import Prefix
 from repro.obs import (
@@ -21,7 +19,6 @@ from repro.obs import (
     CATEGORY_BREAKER,
     CATEGORY_FAULT,
     CATEGORY_RETRY,
-    CATEGORY_WATCHDOG,
     Event,
     EventStream,
     Observability,
@@ -97,14 +94,6 @@ class TestTypedPublishers:
         assert obs.events.count(CATEGORY_BREAKER, "open") == 1
         assert obs.events.count(CATEGORY_BREAKER, "half_open") == 1
         assert obs.events.count(CATEGORY_BREAKER, "closed") == 1
-
-    def test_watchdog_expiry_published(self):
-        with using(Observability()) as obs:
-            watchdog = Watchdog(budget=2)
-            watchdog.charge(2)
-            with pytest.raises(WatchdogExpired):
-                watchdog.charge()
-        assert obs.events.count(CATEGORY_WATCHDOG, "expired") == 1
 
     def test_fault_plan_firings_published_under_site_value(self):
         plan = FaultPlan(seed=3, rates={FaultSite.DNS_TIMEOUT: 1.0})

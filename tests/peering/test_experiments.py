@@ -259,17 +259,6 @@ class TestSupervisedDiscovery:
         assert observed.isdisjoint(quarantined)
         assert report.breaker.trips >= 1
 
-    def test_watchdog_budget_censors_deep_targets(self, world):
-        internet, testbed, sim = world
-        targets = _transit_targets(internet, 4)
-        supervisor = _supervisor(watchdog_budget=1)
-        result = discover_alternate_routes(
-            testbed, sim, targets, supervisor=supervisor
-        )
-        reasons = {o.censor_reason for o in result.observations if o.censored}
-        assert reasons == {"watchdog-budget"}
-        assert supervisor.report.accounted()
-
     def test_transient_damping_recovered_by_retry(self, world):
         internet, testbed, sim = world
         targets = _transit_targets(internet, 4)

@@ -13,7 +13,6 @@ from repro.topology import (
     Relationship,
     classify_as_type,
 )
-from repro.topology.cables import paths_with_cable_asns
 from repro.topology.classify_as import classify_all
 
 
@@ -141,10 +140,3 @@ class TestCableRegistry:
         )
         names = [c.name for c in registry.cables_between("US", "JP")]
         assert names == ["A"]
-
-    def test_paths_with_cable_asns(self):
-        registry = CableRegistry(
-            [Cable("A", frozenset({"US", "JP"}), operator_asn=100)]
-        )
-        paths = [(1, 2, 3), (1, 100, 3), (100,)]
-        assert paths_with_cable_asns(registry, paths) == [(1, 100, 3), (100,)]

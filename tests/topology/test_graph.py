@@ -4,7 +4,6 @@ import pytest
 
 from repro.topology import AS, ASGraph, Relationship
 from repro.topology.asys import ASPath
-from repro.topology.relationships import can_export
 
 
 class TestRelationship:
@@ -25,18 +24,6 @@ class TestRelationship:
 
     def test_sibling_ranks_with_customer(self):
         assert Relationship.SIBLING.rank() == Relationship.CUSTOMER.rank()
-
-    def test_gao_rexford_export_matrix(self):
-        c, p, pr = Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER
-        # Customer routes go everywhere.
-        assert can_export(c, c) and can_export(c, p) and can_export(c, pr)
-        # Peer/provider routes only to customers (and siblings).
-        assert can_export(p, c) and can_export(pr, c)
-        assert not can_export(p, p)
-        assert not can_export(p, pr)
-        assert not can_export(pr, p)
-        assert not can_export(pr, pr)
-        assert can_export(pr, Relationship.SIBLING)
 
 
 class TestASGraph:
