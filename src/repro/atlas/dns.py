@@ -9,11 +9,11 @@ into 218 destination ASes.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.atlas.probes import Probe
-from repro.topogen.geography import distance_km
-from repro.topogen.internet import ContentProvider, Internet, Replica
+from repro.topogen.geography import City, distance_km
+from repro.topogen.internet import Internet, Replica
 
 
 class CDNResolver:
@@ -30,6 +30,10 @@ class CDNResolver:
         for provider in internet.content:
             for dns_name, replicas in provider.replicas.items():
                 self._by_name[dns_name] = list(replicas)
+        #: (probe city, name) -> the name's nearest replicas, ranked the
+        #: first time a probe in that city asks: the ranking depends
+        #: on nothing else, and a campaign asks once per (probe, name).
+        self._windows: Dict[Tuple[City, str], List[Replica]] = {}
 
     def names(self) -> List[str]:
         return sorted(self._by_name)
@@ -46,12 +50,15 @@ class CDNResolver:
         per-(probe, name) stream so the answer is independent of query
         order (checkpoint/resume determinism).
         """
-        replicas = self._by_name.get(dns_name)
-        if not replicas:
-            return None
-        ranked = sorted(
-            replicas,
-            key=lambda replica: (distance_km(probe.city, replica.city), replica.ip),
-        )
-        window = ranked[: self._locality]
+        city = probe.city
+        window = self._windows.get((city, dns_name))
+        if window is None:
+            replicas = self._by_name.get(dns_name)
+            if not replicas:
+                return None
+            ranked = sorted(
+                replicas,
+                key=lambda replica: (distance_km(city, replica.city), replica.ip),
+            )
+            window = self._windows[city, dns_name] = ranked[: self._locality]
         return rng.choice(window)

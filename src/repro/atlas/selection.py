@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set
 
 from repro.atlas.probes import Probe
 

@@ -93,6 +93,28 @@ class PrefixInputs:
 NO_PREFIX_INPUTS = PrefixInputs()
 
 
+def path_accepted(
+    as_path: ASPathAttribute,
+    asn: int,
+    filters_poisoned: bool,
+    loop_prevention_disabled: bool,
+) -> bool:
+    """The import filter of AS ``asn`` (:meth:`Policy.accepts`) given
+    its two flags, which a speaker reads once when it is built.
+
+    Loop prevention looks inside AS-sets too; a path without one is
+    tested by one C-level ``in``.
+    """
+    segments = as_path.segments
+    if not loop_prevention_disabled and asn in segments:
+        return False
+    if frozenset in map(type, segments):  # an AS-set: a poisoned announcement
+        return not filters_poisoned and (
+            loop_prevention_disabled or not as_path.contains(asn)
+        )
+    return True
+
+
 @dataclass
 class Policy:
     """Routing policy of a single AS."""
@@ -125,11 +147,9 @@ class Policy:
     # ------------------------------------------------------------------
     def accepts(self, as_path: ASPathAttribute) -> bool:
         """Import filter: loop prevention and poison filtering."""
-        if self.filters_poisoned and as_path.has_as_set():
-            return False
-        if not self.loop_prevention_disabled and as_path.contains(self.asn):
-            return False
-        return True
+        return path_accepted(
+            as_path, self.asn, self.filters_poisoned, self.loop_prevention_disabled
+        )
 
     def prefix_inputs(self, prefix: Prefix) -> PrefixInputs:
         """Everything this policy says about ``prefix`` alone.
@@ -171,25 +191,41 @@ class Policy:
     ) -> int:
         """Local preference assigned to a route from ``neighbor`` for ``prefix``."""
         return self.import_local_pref(
-            neighbor, relationship, self.prefix_inputs(prefix), as_path, country_of
+            neighbor,
+            self.session_local_pref(neighbor, relationship),
+            self.prefix_inputs(prefix),
+            as_path,
+            country_of,
         )
+
+    def session_local_pref(self, neighbor: int, relationship: Relationship) -> int:
+        """The local preference of routes entering from ``neighbor`` as
+        ``relationship``, before prefix overrides and the domestic
+        bonus: the neighbor's override, else the class band.
+
+        A :class:`~repro.bgp.speaker.BGPSpeaker` reads it once per
+        session when it is built (a sibling session's routes per entry
+        class), so ``neighbor_local_pref`` is fixed from then on.
+        """
+        pref = self.neighbor_local_pref.get(neighbor)
+        if pref is None:
+            return _DEFAULT_LOCAL_PREF_BY_VALUE[relationship._value_]
+        return pref
 
     def import_local_pref(
         self,
         neighbor: int,
-        relationship: Relationship,
+        session_pref: int,
         inputs: PrefixInputs,
         as_path: ASPathAttribute,
         country_of: Optional[CountryLookup] = None,
     ) -> int:
-        """:meth:`local_pref_for` given the prefix's :class:`PrefixInputs`."""
+        """:meth:`local_pref_for` given the session's
+        :meth:`session_local_pref` and the prefix's :class:`PrefixInputs`:
+        a prefix override wins over the session's preference, and a
+        domestic path earns the bonus."""
         override = inputs.local_pref_from(neighbor) if inputs.local_pref else None
-        if override is not None:
-            base = override
-        elif neighbor in self.neighbor_local_pref:
-            base = self.neighbor_local_pref[neighbor]
-        else:
-            base = _DEFAULT_LOCAL_PREF_BY_VALUE[relationship._value_]
+        base = session_pref if override is None else override
         if self.prefers_domestic and self.home_country and country_of is not None:
             if self._is_domestic(as_path, country_of):
                 base += DOMESTIC_BONUS

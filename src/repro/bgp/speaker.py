@@ -29,7 +29,10 @@ communities)`` export and one announcement.
 
 A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
-converges a prefix (:meth:`BGPSpeaker.load_inputs`).  Routes and
+converges a prefix (:meth:`BGPSpeaker.load_inputs`).  It reads the
+rest of its import policy once, when it is built: each session's
+relationship, local preference and IGP cost, and the loop and poison
+flags, which do not change once the simulator exists.  Routes and
 exports do not name their prefix, so a record can be copied to another
 prefix in one pass (:meth:`BGPSpeaker.adopt`); only the local
 origination is rebuilt for it.
@@ -48,7 +51,13 @@ from repro.bgp.communities import (
 )
 from repro.bgp.decision import DecisionStep, best_route, preference_key
 from repro.bgp.messages import Announcement, Withdrawal
-from repro.bgp.policy import NO_PREFIX_INPUTS, CountryLookup, Policy, PrefixInputs
+from repro.bgp.policy import (
+    NO_PREFIX_INPUTS,
+    CountryLookup,
+    Policy,
+    PrefixInputs,
+    path_accepted,
+)
 from repro.bgp.routes import LocalRoute, Route
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
@@ -134,6 +143,20 @@ class BGPSpeaker:
         #: (neighbor, relationship) in ascending-ASN order, the order
         #: updates go out in.
         self._sessions = tuple(sorted(self.neighbors.items()))
+        #: neighbor -> (relationship, local preference, IGP cost): the
+        #: policy's import inputs per session, read once here (a
+        #: policy's neighbor-keyed fields and flags are fixed once its
+        #: simulator is built; only its prefix inputs are reloaded).
+        self._imports = {
+            neighbor: (
+                relationship,
+                policy.session_local_pref(neighbor, relationship),
+                policy.igp_cost_for(neighbor),
+            )
+            for neighbor, relationship in self._sessions
+        }
+        self._filters_poisoned = policy.filters_poisoned
+        self._loop_prevention_disabled = policy.loop_prevention_disabled
         #: The customers and siblings: the neighbors that hear every
         #: route (:meth:`~repro.bgp.policy.Policy.export_scope`).
         self._full_feed = frozenset(
@@ -279,14 +302,16 @@ class BGPSpeaker:
         country_of: Optional[CountryLookup],
     ) -> Optional[_PrefixState]:
         neighbor = announcement.sender
-        relationship = self.neighbors.get(neighbor)
-        if relationship is None:
+        session = self._imports.get(neighbor)
+        if session is None:
             raise ValueError(f"AS{self.asn} has no session with AS{neighbor}")
+        relationship, local_pref, igp_cost = session
         prefix = announcement.prefix
         state = self._prefixes.get(prefix)
         as_path = announcement.as_path
-        policy = self.policy
-        if not policy.accepts(as_path):
+        if not path_accepted(
+            as_path, self.asn, self._filters_poisoned, self._loop_prevention_disabled
+        ):
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
             if state is not None and state.rib_in.pop(neighbor, None) is not None:
@@ -304,19 +329,24 @@ class BGPSpeaker:
             # Duplicate announcement: no state change, age preserved.
             return None
         effective = relationship
+        policy = self.policy
         if relationship is _SIBLING:
             effective = self._sibling_entry_class(communities)
+            local_pref = policy.session_local_pref(neighbor, effective)
         inputs = NO_PREFIX_INPUTS
         if self._inputs:
             inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
+        local_pref = policy.import_local_pref(
+            neighbor, local_pref, inputs, as_path, country_of
+        )
         # Positional, in field order: keyword arguments would double
         # the cost of building the route.
         route = state.rib_in[neighbor] = Route(
             as_path,
             neighbor,
             relationship,
-            policy.import_local_pref(neighbor, effective, inputs, as_path, country_of),
-            policy.igp_cost_for(neighbor),
+            local_pref,
+            igp_cost,
             clock,
             neighbor,
             effective,
@@ -325,9 +355,12 @@ class BGPSpeaker:
         best = state.best
         if best is None or best.learned_from == neighbor:
             return state if self._run_decision(state, prefix) else None
-        # The best route stands unless the new one beats it.
+        # The best route stands unless the new one beats it.  The new
+        # route's preference_key is the values it was just built from.
         state.step = None
-        if preference_key(route) < preference_key(best):
+        if (
+            -local_pref, len(as_path.segments), igp_cost, clock, neighbor
+        ) < preference_key(best):
             state.best = route
             self._best_changed(state, prefix)
             return state

@@ -1089,7 +1089,9 @@ def _originate_checked(
     # the policies, and the immutable routes and exports.
     shared: List[object] = [simulator.graph, *_REUSE_PREFIXES]
     for speaker in simulator.speakers.values():
-        shared.extend((speaker.policy, speaker.neighbors, speaker._sessions))
+        shared.extend(
+            (speaker.policy, speaker.neighbors, speaker._sessions, speaker._imports)
+        )
         for other in _REUSE_PREFIXES:
             shared.extend(speaker.candidates(other))
             shared.extend(speaker.advertised(other).values())

@@ -52,7 +52,7 @@ import json
 import sys
 from typing import Optional
 
-from repro.core.pipeline import Study, StudyConfig, StudyResults, build_study_config
+from repro.core.pipeline import Study, StudyResults, build_study_config
 from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
 from repro.topogen.inference import infer_topology

@@ -12,7 +12,7 @@ each model's ability to predict measured next-hop decisions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Protocol, Tuple
 
 from repro.core.classification import Decision

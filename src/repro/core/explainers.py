@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
 
-from repro.core.classification import (
-    Decision,
-    DecisionLabel,
-    classify_decision,
-)
+from repro.core.classification import Decision, classify_decision
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.core.geography import GeographyAnalysis, LabeledTrace
 from repro.net.ip import Prefix

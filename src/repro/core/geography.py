@@ -15,7 +15,7 @@ Three questions from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.classification import Decision, DecisionLabel, LabelCounts
 from repro.core.gao_rexford import GaoRexfordEngine

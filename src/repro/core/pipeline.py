@@ -23,7 +23,6 @@ from repro.atlas.campaign import (
 )
 from repro.atlas.probes import Probe, generate_probes
 from repro.atlas.selection import select_probes_balanced, select_probes_greedy
-from repro.bgp.simulator import BGPSimulator
 from repro.core.active_analysis import (
     MagnetDecisionTable,
     PreferenceOrderSummary,

@@ -16,7 +16,7 @@ prefix ``P``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.net.ip import Prefix
 from repro.peering.collectors import FeedArchive

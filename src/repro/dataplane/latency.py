@@ -8,8 +8,6 @@ small queueing/processing delay.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.topogen.geography import City, distance_km
 
 #: Speed of light in fiber, km per ms (one way).

@@ -8,7 +8,7 @@ fixed-width layout that benchmark runs print.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass(frozen=True)

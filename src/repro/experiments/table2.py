@@ -9,7 +9,7 @@ routing models ignore.
 
 from __future__ import annotations
 
-from repro.core.active_analysis import InferredTrigger, MagnetDecisionTable
+from repro.core.active_analysis import InferredTrigger
 from repro.core.pipeline import StudyResults
 from repro.experiments.report import ExperimentReport
 

@@ -121,7 +121,9 @@ class RetryPolicy:
         """
         stats = stats if stats is not None else RetryStats()
         stats.calls += 1
-        rng = random.Random(derive_seed(self.seed, "retry", *key))
+        # Seeded at the first retryable failure, the first draw: most
+        # calls never fail, and seeding costs more than the call.
+        rng: Optional[random.Random] = None
         elapsed = 0.0
         attempt = 0
         while True:
@@ -133,6 +135,8 @@ class RetryPolicy:
                 if not error.retryable:
                     raise
                 elapsed += self.attempt_timeout_s
+                if rng is None:
+                    rng = random.Random(derive_seed(self.seed, "retry", *key))
                 delay = self.backoff(attempt, rng)
                 out_of_attempts = attempt >= self.max_attempts
                 out_of_time = (

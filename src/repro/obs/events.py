@@ -20,7 +20,7 @@ aggregate accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: Event categories used across the study (free-form, these are the

@@ -20,7 +20,7 @@ layer (including :mod:`repro.faults`) can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Default histogram bucket upper bounds, in seconds (an implicit +Inf
 #: bucket is always appended).  Chosen for the study's stage scale:

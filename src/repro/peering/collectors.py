@@ -10,8 +10,8 @@ origin-edge queries the prefix-specific-policy criteria need.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.bgp.simulator import BGPSimulator
 from repro.net.ip import Prefix

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bgp.policy import Policy
 from repro.net.ip import IPAddress, Prefix, PrefixAllocator
 from repro.topogen.config import TopologyConfig
-from repro.topogen.geography import City, World, build_world, distance_km
+from repro.topogen.geography import City, build_world, distance_km
 from repro.topogen.internet import ContentProvider, Interconnect, Internet, Replica
 from repro.topology.asys import AS, ASRole
 from repro.topology.cables import Cable, CableRegistry

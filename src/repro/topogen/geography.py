@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 #: Continent codes follow the paper's Figure 3 labels.
@@ -60,8 +61,17 @@ class World:
 
 
 def distance_km(a: City, b: City) -> float:
-    """Great-circle distance between two cities (haversine)."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
+    """Great-circle distance between two cities (haversine).
+
+    Computed once per ordered pair of coordinates: the campaign ranks
+    replicas and times hops by the same few hundred city pairs.
+    """
+    return _haversine_km(a.lat, a.lon, b.lat, b.lon)
+
+
+@lru_cache(maxsize=4096)
+def _haversine_km(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+    lat1, lon1, lat2, lon2 = map(math.radians, (lat_a, lon_a, lat_b, lon_b))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from repro.bgp.policy import Policy
 from repro.net.ip import IPAddress, Prefix

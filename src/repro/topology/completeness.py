@@ -10,8 +10,8 @@ label accuracy, split by whether a link touches the network edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Set, Tuple
 
 from repro.topology.graph import ASGraph
 from repro.topology.relationships import Relationship

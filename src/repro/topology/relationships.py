@@ -50,6 +50,3 @@ class Relationship(enum.Enum):
         """
         return self in (Relationship.CUSTOMER, Relationship.SIBLING)
 
-
-#: Relationship classes ordered from most to least preferred.
-PREFERENCE_ORDER = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)

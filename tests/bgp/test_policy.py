@@ -3,7 +3,12 @@
 from dataclasses import fields
 
 from repro.bgp import ASPathAttribute, Policy, Route
-from repro.bgp.policy import DEFAULT_LOCAL_PREF, DOMESTIC_BONUS, NO_PREFIX_INPUTS
+from repro.bgp.policy import (
+    DEFAULT_LOCAL_PREF,
+    DOMESTIC_BONUS,
+    NO_PREFIX_INPUTS,
+    path_accepted,
+)
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
@@ -39,6 +44,30 @@ class TestImportFilter:
         poisoned = ASPathAttribute.origin(99).with_poison_set({4}, owner=99)
         assert not policy.accepts(poisoned)
         assert policy.accepts(ASPathAttribute.origin(99))
+
+    def test_speaker_filter_is_accepts_with_the_flags_read_once(self):
+        """``path_accepted``, which a speaker calls with the flags it
+        read when built, decides every path as ``accepts`` does: no
+        AS-set when poison is filtered, and the AS's own number nowhere
+        on the path (AS-sets included) unless loop prevention is off."""
+        paths = [
+            ASPathAttribute.from_sequence([5, 7]),
+            ASPathAttribute.from_sequence([5, 10, 7]),
+            ASPathAttribute((5, frozenset({3, 4}), 5, 7)),
+            ASPathAttribute((5, frozenset({10, 4}), 5, 7)),
+            ASPathAttribute((10, frozenset({4}), 10)),
+        ]
+        for filters in (False, True):
+            for no_loops in (False, True):
+                policy = Policy(
+                    asn=10, filters_poisoned=filters, loop_prevention_disabled=no_loops
+                )
+                for path in paths:
+                    poisoned = path.has_as_set()
+                    looped = 10 in path.all_asns()
+                    expected = not (filters and poisoned) and (no_loops or not looped)
+                    assert policy.accepts(path) is expected, (filters, no_loops, path)
+                    assert path_accepted(path, 10, filters, no_loops) is expected
 
 
 class TestLocalPref:

@@ -73,8 +73,15 @@ class TestSiblingSemantics:
         assert route_at_1 is not None
         assert route_at_1.relationship is Relationship.SIBLING
         assert route_at_1.effective_class is Relationship.PROVIDER
+        # It takes the provider band, not the sibling session's...
+        assert route_at_1.local_pref == 100
         # The org's provider route must not leak to 1's peer 5.
         assert sim.best_route(5, PFX) is None
+        # ...unless the sibling neighbor has an override of its own.
+        override = Policy(asn=1, neighbor_local_pref={2: 170})
+        sim = BGPSimulator(graph, policies={1: override})
+        sim.originate(9, PFX)
+        assert sim.best_route(1, PFX).local_pref == 170
 
     def test_sibling_customer_route_exported_to_peers(self):
         graph = _graph(

@@ -41,8 +41,10 @@ pytestmark = pytest.mark.check
 #: topologies through cache-on vs cache-off vs oracle.
 DIFFERENTIAL_SEEDS = range(200)
 
-#: Seeds reused for the parallel-classifier comparisons.
-PARALLEL_SEEDS = (0, 7, 42, 99, 123)
+#: Seeds of the parallel-classifier comparisons: outside
+#: ``DIFFERENTIAL_SEEDS`` and CI's ``repro check run --seeds 500``, so
+#: they grade scenarios no other check grades.
+PARALLEL_SEEDS = (500, 507, 542, 599, 623)
 
 
 class TestScenarioGeneration:

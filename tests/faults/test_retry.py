@@ -11,6 +11,7 @@ from repro.faults import (
     RetryExhausted,
     RetryPolicy,
     RetryStats,
+    derive_seed,
 )
 
 pytestmark = pytest.mark.faults
@@ -96,6 +97,56 @@ class TestExecute:
         with pytest.raises(RetryExhausted):
             policy.execute(_fail_times(99), key=("pair", 1), stats=s2)
         assert s1.as_dict() == s2.as_dict()
+
+
+def _recording(**kwargs):
+    """A policy that records every backoff delay it draws, and the list."""
+    drawn = []
+
+    class Recording(RetryPolicy):
+        def backoff(self, attempt, rng):
+            delay = super().backoff(attempt, rng)
+            drawn.append(delay)
+            return delay
+
+    return Recording(**kwargs), drawn
+
+
+class TestKeyedJitter:
+    """Backoff draws from a stream keyed by (policy seed, call key),
+    seeded at the first retryable failure."""
+
+    @pytest.mark.parametrize("failures", [1, 2, 3, 4, 9])
+    def test_failing_attempts_draw_the_keyed_streams_delays(self, failures):
+        policy, drawn = _recording(max_attempts=4, seed=11)
+        key = (17, "www.example.com")
+        try:
+            policy.execute(_fail_times(failures), key=key)
+        except RetryExhausted:
+            pass
+        reference = RetryPolicy(max_attempts=4, seed=11)
+        rng = random.Random(derive_seed(11, "retry", *key))
+        expected = [
+            reference.backoff(attempt, rng)
+            for attempt in range(1, min(failures, reference.max_attempts) + 1)
+        ]
+        assert drawn == expected
+
+    def test_a_call_that_never_fails_draws_nothing(self):
+        policy, drawn = _recording(seed=11)
+        assert policy.execute(_fail_times(0), key=(1, "x")) == "ok@1"
+        assert drawn == []
+
+    def test_wait_is_timeouts_plus_the_keyed_delays(self):
+        policy = RetryPolicy(max_attempts=5, seed=3, attempt_timeout_s=2.0)
+        stats = RetryStats()
+        assert policy.execute(_fail_times(3), key=("p", 9), stats=stats) == "ok@4"
+        rng = random.Random(derive_seed(3, "retry", "p", 9))
+        expected = 0.0
+        for attempt in (1, 2, 3):
+            expected += policy.attempt_timeout_s
+            expected += policy.backoff(attempt, rng)
+        assert stats.simulated_wait_s == expected
 
 
 class TestBackoff:

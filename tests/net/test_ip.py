@@ -19,6 +19,22 @@ class TestIPAddress:
         with pytest.raises(ValueError):
             IPAddress.parse("10.0.0.256")
 
+    def test_parse_raises_on_garbled_text_after_a_cached_success(self):
+        good = IPAddress.parse("10.20.30.40")
+        assert IPAddress.parse("10.20.30.40") is good
+        garbled = ["10.20.30.40x", " 10.20.30.40", "10.20.30", "10.20.30.400", ""]
+        for text in garbled:
+            for _ in range(2):  # a failure is not remembered either
+                with pytest.raises(ValueError):
+                    IPAddress.parse(text)
+        assert IPAddress.parse("10.20.30.40") is good
+
+    def test_format_matches_the_per_octet_text(self):
+        for value in (0, 1, 0x0A000001, 0xC0000201, 0xFFFFFFFF, 0x7F00FF01):
+            expected = ".".join(str((value >> s) & 0xFF) for s in (24, 16, 8, 0))
+            assert str(IPAddress(value)) == expected
+            assert str(IPAddress(value)) == expected  # from the memo
+
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
             IPAddress(-1)
@@ -41,6 +57,17 @@ class TestPrefix:
     def test_parse_and_format_roundtrip(self):
         for text in ["0.0.0.0/0", "10.0.0.0/8", "192.0.2.0/24", "10.1.2.3/32"]:
             assert str(Prefix.parse(text)) == text
+
+    def test_hash_is_the_field_tuples_hash(self):
+        # Computed once per prefix, to the generated hash's value, so
+        # set and dict orders of prefixes do not move.
+        for text in ("0.0.0.0/0", "10.0.0.0/8", "192.0.2.0/24", "203.0.113.7/32"):
+            prefix = Prefix.parse(text)
+            assert hash(prefix) == hash((prefix.network, prefix.length))
+            assert hash(Prefix(prefix.network, prefix.length)) == hash(prefix)
+        prefixes = [Prefix(n << 16, 16 - n % 3) for n in range(0, 3000, 8)]
+        keys = [(p.network, p.length) for p in prefixes]
+        assert [(p.network, p.length) for p in set(prefixes)] == list(set(keys))
 
     def test_rejects_host_bits(self):
         with pytest.raises(ValueError):

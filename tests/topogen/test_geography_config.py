@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.topogen.config import TopologyConfig, small_config
-from repro.topogen.geography import CONTINENTS, build_world, distance_km
+from repro.topogen.geography import (
+    CONTINENTS,
+    _haversine_km,
+    build_world,
+    distance_km,
+)
 
 
 class TestWorld:
@@ -61,6 +66,18 @@ class TestDistance:
         assert distance_km(cities["New York"], cities["Tokyo"]) > distance_km(
             cities["New York"], cities["Chicago"]
         )
+
+    def test_memoized_distance_is_the_formulas_float_in_either_order(self):
+        """One memo entry per ordered coordinate pair: each call returns
+        the uncached haversine's exact float for its argument order, so
+        hop RTTs (and the journal bytes they reach) do not move."""
+        cities = build_world().all_cities()
+        assert len(cities) ** 2 <= _haversine_km.cache_info().maxsize
+        for a in cities:
+            for b in cities:
+                fresh = _haversine_km.__wrapped__(a.lat, a.lon, b.lat, b.lon)
+                for _ in range(2):
+                    assert distance_km(a, b) == fresh
 
 
 class TestTopologyConfig:
