@@ -4,7 +4,10 @@ Everything a speaker holds for one prefix lives in one record: the
 Adj-RIB-In by neighbor, the local origination, the Loc-RIB route and
 the decision step that picked it, and what each neighbor was last
 told.  Delivering a message therefore costs one prefix lookup, not one
-per table.
+per table.  The record is one object: a ``dict`` that is its own
+Adj-RIB-In, whose slots hold the rest, with what each neighbor was
+last told kept by session position (no table at all until the record
+tells a neighbor).
 
 The decision process is incremental.  An update from a neighbor whose
 route is not the current best only has to beat the best: preference
@@ -31,11 +34,15 @@ A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
 converges a prefix (:meth:`BGPSpeaker.load_inputs`).  It reads the
 rest of its import policy once, when it is built: each session's
-relationship, local preference and IGP cost, and the loop and poison
-flags, which do not change once the simulator exists.  Routes and
-exports do not name their prefix, so a record can be copied to another
-prefix in one pass (:meth:`BGPSpeaker.adopt`); only the local
-origination is rebuilt for it.
+relationship, local preference and IGP cost, the loop and poison
+flags, and whether it prefers domestic paths from a home country,
+none of which change once the simulator exists.  So it calls the
+policy's import rule (:meth:`~repro.bgp.policy.Policy.import_local_pref`)
+only where the rule can move a session's preference: for a prefix
+with a local-preference override, or where the domestic bonus can
+apply.  Routes and exports do not name their prefix, so a record can
+be copied to another prefix in one pass (:meth:`BGPSpeaker.adopt`);
+only the local origination is rebuilt for it.
 """
 
 from __future__ import annotations
@@ -70,11 +77,15 @@ Export = Tuple[ASPathAttribute, frozenset]
 _SIBLING = Relationship.SIBLING
 
 
-class _PrefixState:
-    """One speaker's routing state for one prefix."""
+class _PrefixState(dict):
+    """One speaker's routing state for one prefix.
+
+    The record is its Adj-RIB-In: neighbor ASN -> route, in arrival
+    order.  An empty record is falsy, so whether a record exists is
+    always tested with ``is None``.
+    """
 
     __slots__ = (
-        "rib_in",
         "local",
         "self_route",
         "best",
@@ -85,8 +96,6 @@ class _PrefixState:
     )
 
     def __init__(self) -> None:
-        #: Adj-RIB-In: neighbor ASN -> route, in arrival order.
-        self.rib_in: Dict[int, Route] = {}
         #: The local origination and the self-route it installs.
         self.local: Optional[LocalRoute] = None
         self.self_route: Optional[Route] = None
@@ -95,8 +104,10 @@ class _PrefixState:
         #: docstring).  ``None`` survives every copy of the record.
         self.best: Optional[Route] = None
         self.step: Optional[DecisionStep] = None
-        #: What each neighbor was last told: neighbor ASN -> export.
-        self.advertised: Dict[int, Export] = {}
+        #: What each neighbor was last told, by session position (the
+        #: speaker's ascending-ASN session order; ``None``: nothing).
+        #: The table itself is ``None`` while no neighbor is told.
+        self.advertised: Optional[List[Optional[Export]]] = None
         #: Best-route changes in the speaker's damping epoch
         #: ``flap_epoch``; a count stamped with an older epoch is zero.
         self.flaps = 0
@@ -107,13 +118,14 @@ class _PrefixState:
         routes and exports shared, its local origination rebuilt, and no
         flap count."""
         copy = _PrefixState()
-        copy.rib_in = dict(self.rib_in)
+        copy.update(self)
         if self.local is not None:
             copy.local = replace(self.local, prefix=prefix)
             copy.self_route = self.self_route
         copy.best = self.best
         copy.step = self.step
-        copy.advertised = dict(self.advertised)
+        if self.advertised is not None:
+            copy.advertised = self.advertised.copy()
         return copy
 
 
@@ -157,6 +169,10 @@ class BGPSpeaker:
         }
         self._filters_poisoned = policy.filters_poisoned
         self._loop_prevention_disabled = policy.loop_prevention_disabled
+        #: Whether a route can earn the domestic bonus, given a country
+        #: lookup; without it only a prefix override changes a route's
+        #: local preference from its session's.
+        self._domestic = policy.prefers_domestic and bool(policy.home_country)
         #: The customers and siblings: the neighbors that hear every
         #: route (:meth:`~repro.bgp.policy.Policy.export_scope`).
         self._full_feed = frozenset(
@@ -261,7 +277,7 @@ class BGPSpeaker:
         if state.local is not None:
             kept = self._prefixes[prefix] = _PrefixState()
             kept.local, kept.self_route = state.local, state.self_route
-        return bool(state.rib_in) or state.best is not None or bool(state.advertised)
+        return len(state) > 0 or state.best is not None or state.advertised is not None
 
     # ------------------------------------------------------------------
     # Message processing
@@ -314,13 +330,13 @@ class BGPSpeaker:
         ):
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
-            if state is not None and state.rib_in.pop(neighbor, None) is not None:
+            if state is not None and state.pop(neighbor, None) is not None:
                 return state if self._run_decision(state, prefix) else None
             return None
         if state is None:
             state = self._prefixes[prefix] = _PrefixState()
         communities = announcement.communities
-        previous = state.rib_in.get(neighbor)
+        previous = state.get(neighbor)
         if (
             previous is not None
             and previous.as_path == as_path
@@ -336,12 +352,13 @@ class BGPSpeaker:
         inputs = NO_PREFIX_INPUTS
         if self._inputs:
             inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
-        local_pref = policy.import_local_pref(
-            neighbor, local_pref, inputs, as_path, country_of
-        )
+        if inputs.local_pref or (self._domestic and country_of is not None):
+            local_pref = policy.import_local_pref(
+                neighbor, local_pref, inputs, as_path, country_of
+            )
         # Positional, in field order: keyword arguments would double
         # the cost of building the route.
-        route = state.rib_in[neighbor] = Route(
+        route = state[neighbor] = Route(
             as_path,
             neighbor,
             relationship,
@@ -368,7 +385,7 @@ class BGPSpeaker:
 
     def _receive_withdrawal(self, withdrawal: Withdrawal) -> Optional[_PrefixState]:
         state = self._prefixes.get(withdrawal.prefix)
-        if state is None or state.rib_in.pop(withdrawal.sender, None) is None:
+        if state is None or state.pop(withdrawal.sender, None) is None:
             return None
         if state.best is not None and state.best.learned_from != withdrawal.sender:
             state.step = None  # the best stands; the runner-up may not
@@ -383,21 +400,20 @@ class BGPSpeaker:
         state = self._prefixes.get(prefix)
         if state is None:
             return []
-        routes = list(state.rib_in.values())
+        routes = list(state.values())
         if state.self_route is not None:
             routes.append(state.self_route)
         return routes
 
     def _run_decision(self, state: _PrefixState, prefix: Prefix) -> bool:
         """Run the full tournament; returns whether the best route changed."""
-        rib_in = state.rib_in
         if state.self_route is not None:
-            winner, step = best_route([*rib_in.values(), state.self_route])
-        elif len(rib_in) == 1:
-            (winner,) = rib_in.values()
+            winner, step = best_route([*state.values(), state.self_route])
+        elif len(state) == 1:
+            (winner,) = state.values()
             step = DecisionStep.ONLY_ROUTE
         else:
-            winner, step = best_route(rib_in.values())
+            winner, step = best_route(state.values())
         previous = state.best
         state.best = winner
         state.step = step
@@ -454,12 +470,12 @@ class BGPSpeaker:
     def advertised(self, prefix: Prefix) -> Dict[int, Export]:
         """Neighbor -> (AS path, communities) last announced for ``prefix``."""
         state = self._prefixes.get(prefix)
-        if state is None:
+        if state is None or state.advertised is None:
             return {}
         return {
-            neighbor: state.advertised[neighbor]
-            for neighbor in self.neighbors
-            if neighbor in state.advertised
+            neighbor: export
+            for (neighbor, _), export in zip(self._sessions, state.advertised)
+            if export is not None
         }
 
     def prefixes(self) -> List[Prefix]:
@@ -505,12 +521,14 @@ class BGPSpeaker:
             scope, blocked = self.policy.export_scope(
                 best, self.neighbors, self._full_feed
             )
-        if not (originated or scope or advertised):
+        if not (originated or scope or advertised is not None):
             return []
+        if advertised is None:
+            advertised = [None] * len(self._sessions)
         shared = announcement = withdrawal = None
-        told_before = advertised.get
+        telling = False
         updates = []
-        for neighbor, relationship in self._sessions:
+        for position, (neighbor, relationship) in enumerate(self._sessions):
             if originated:
                 export = self._origin_export(state, inputs, neighbor, relationship)
             elif neighbor in scope and neighbor != sender and neighbor not in blocked:
@@ -526,21 +544,25 @@ class BGPSpeaker:
                     export = shared
             else:
                 export = None
-            told = told_before(neighbor)
+            told = advertised[position]
             if export is None:
                 if told is not None:
-                    del advertised[neighbor]
+                    advertised[position] = None
                     if withdrawal is None:
                         withdrawal = Withdrawal(prefix=prefix, sender=self.asn)
                     updates.append((neighbor, withdrawal))
-            elif told != export:
-                advertised[neighbor] = export
+                continue
+            telling = True
+            if told != export:
+                advertised[position] = export
                 message = (
                     announcement
                     if export is shared
                     else self._announcement(prefix, export)
                 )
                 updates.append((neighbor, message))
+        # A pass that tells no neighbor leaves no table behind.
+        state.advertised = advertised if telling else None
         return updates
 
     def _announcement(self, prefix: Prefix, export: Export) -> Announcement:

@@ -449,17 +449,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated long options: a deleted flag that prefixes a
+    # remaining one must fail as unrecognized, not parse as the other.
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
             "Reproduction of 'Investigating Interdomain Routing Policies "
             "in the Wild' (IMC 2015)"
         ),
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser(
-        "generate", help="generate a topology and dump inferred relationships"
+        "generate",
+        help="generate a topology and dump inferred relationships",
+        allow_abbrev=False,
     )
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--small", action="store_true", help="small topology")
@@ -472,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.set_defaults(handler=_cmd_generate)
 
-    study = subparsers.add_parser("study", help="run the full study and report")
+    study = subparsers.add_parser(
+        "study", help="run the full study and report", allow_abbrev=False
+    )
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--small", action="store_true", help="small, fast scenario")
     study.add_argument(
@@ -533,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     temporal = subparsers.add_parser(
         "temporal",
         help="longitudinal study over the snapshot series",
+        allow_abbrev=False,
     )
     temporal.add_argument("--seed", type=int, default=0)
     temporal.add_argument(
@@ -574,15 +582,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     temporal.set_defaults(handler=_cmd_temporal)
 
-    list_parser = subparsers.add_parser("list", help="list experiment ids")
+    list_parser = subparsers.add_parser(
+        "list", help="list experiment ids", allow_abbrev=False
+    )
     list_parser.set_defaults(handler=_cmd_list)
 
     obs_parser = subparsers.add_parser(
-        "obs", help="observability tools (run manifests)"
+        "obs", help="observability tools (run manifests)", allow_abbrev=False
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
     report = obs_sub.add_parser(
-        "report", help="render a run manifest produced by --obs-out"
+        "report",
+        help="render a run manifest produced by --obs-out",
+        allow_abbrev=False,
     )
     report.add_argument("manifest", help="manifest file (JSON or JSONL)")
     report.add_argument(
@@ -596,11 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser(
         "check",
         help="correctness tooling: differential oracles and golden runs",
+        allow_abbrev=False,
     )
     check_sub = check.add_subparsers(dest="check_command", required=True)
 
     check_run = check_sub.add_parser(
-        "run", help="run optimized-vs-oracle differential checks"
+        "run", help="run optimized-vs-oracle differential checks", allow_abbrev=False
     )
     check_run.add_argument(
         "--seeds", type=int, default=100, help="number of seeded scenarios"
@@ -623,10 +636,14 @@ def build_parser() -> argparse.ArgumentParser:
     check_run.set_defaults(handler=_cmd_check_run)
 
     check_diff = check_sub.add_parser(
-        "diff", help="diff the canonical study against the blessed golden"
+        "diff",
+        help="diff the canonical study against the blessed golden",
+        allow_abbrev=False,
     )
     check_bless = check_sub.add_parser(
-        "bless", help="snapshot the canonical study as the blessed golden"
+        "bless",
+        help="snapshot the canonical study as the blessed golden",
+        allow_abbrev=False,
     )
     for sub in (check_diff, check_bless):
         sub.add_argument("--seed", type=int, default=0)
@@ -640,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_bless.set_defaults(handler=_cmd_check_bless)
 
     validate = subparsers.add_parser(
-        "validate", help="run every experiment's shape check"
+        "validate", help="run every experiment's shape check", allow_abbrev=False
     )
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--small", action="store_true", help="small, fast scenario")

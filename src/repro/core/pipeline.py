@@ -70,7 +70,7 @@ from repro.peering.experiments import (
 from repro.obs.context import get_obs
 from repro.obs.gc import collector_scope
 from repro.obs.manifest import RunManifest, _primitive, build_manifest, peak_rss_mb
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.peering.testbed import PeeringTestbed
 from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
@@ -308,6 +308,17 @@ class StudyResults:
         }
 
 
+def _mark_peak_rss(stage: Span) -> None:
+    """Record the process's peak RSS at ``stage``'s exit.
+
+    It is the high-water mark so far, so a stage's own growth is the
+    rise from the stage before it.
+    """
+    peak = peak_rss_mb()
+    if peak is not None:
+        stage.attrs["peak_rss_mb"] = peak
+
+
 class Study:
     """Builds and runs the full reproduction pipeline.
 
@@ -337,13 +348,15 @@ class Study:
         drivers) nest child spans through the ambient tracer, and
         ``results.stage_timings`` is the top-level view of that tree.
         When an observability context is enabled the run also binds a
-        :class:`~repro.obs.manifest.RunManifest` into the results.
+        :class:`~repro.obs.manifest.RunManifest` into the results, and
+        each stage span carries the ``peak_rss_mb`` of its exit.
         """
         if self._results is not None:
             return self._results
         config = self.config
         self._open_ledger()
-        tracer = Tracer()
+        obs = get_obs()
+        tracer = Tracer(on_stage_exit=_mark_peak_rss if obs.enabled else None)
         # The stages run under one collector policy, whose closing
         # collection the manifest below counts.
         with collector_scope(), tracer.activate():
@@ -352,7 +365,6 @@ class Study:
             # place — exactly the state ``--resume`` recovers from.
             results = self._run_stages(tracer)
         results.stage_timings = tracer.stage_timings()
-        obs = get_obs()
         if obs.enabled:
             plan = config.fault_plan
             meta = {

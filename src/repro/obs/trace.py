@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 
 @dataclass
@@ -79,10 +79,12 @@ class Tracer:
     ``StudyResults.stage_timings`` populated exactly as before).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_stage_exit: Optional[Callable[[Span], None]] = None) -> None:
         self._epoch = time.perf_counter()
         self.roots: List[Span] = []
         self._stack: List[Span] = []
+        #: Called with each top-level span as it closes.
+        self._on_stage_exit = on_stage_exit
 
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
@@ -102,6 +104,8 @@ class Tracer:
         finally:
             node.duration_s = time.perf_counter() - self._epoch - node.start_s
             self._stack.pop()
+            if parent is None and self._on_stage_exit is not None:
+                self._on_stage_exit(node)
 
     @contextmanager
     def activate(self) -> Iterator["Tracer"]:

@@ -277,7 +277,9 @@ class TestOracleStableFaults:
         froze earlier) leaves only AS2's."""
         simulator = BGPSimulator(_chain_graph())
         simulator.originate(3, PFX)
-        del simulator.speakers[2].record(PFX).advertised[1]
+        speaker = simulator.speakers[2]
+        # Exports are kept by session position, in ascending-ASN order.
+        speaker.record(PFX).advertised[sorted(speaker.neighbors).index(1)] = None
         faults = oracle_stable_faults(simulator, PFX)
         told = [line for line in faults if line.startswith("AS2 told AS1 None")]
         held = [line for line in faults if line.startswith("AS1 holds")]

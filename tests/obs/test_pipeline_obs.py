@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipeline import Study, StudyConfig
-from repro.obs import Observability, using
+from repro.obs import Observability, render_summary, using
 from repro.topogen.config import small_config
 
 pytestmark = pytest.mark.obs
@@ -91,6 +91,18 @@ class TestManifestProduction:
         for kind, series in seconds["series"].items():
             assert series["count"] == runs["series"][kind]["count"]
             assert series["sum"] > 0
+
+    def test_each_stage_records_peak_rss_at_its_exit(self, obs_study):
+        """A high-water mark: it never falls from one stage to the next,
+        and ``repro obs report`` prints it on each stage's line."""
+        manifest = obs_study.manifest
+        peaks = [stage["attrs"]["peak_rss_mb"] for stage in manifest.spans]
+        assert 0 < peaks[0] and peaks == sorted(peaks)
+        assert peaks[-1] <= manifest.meta["peak_rss_mb"]
+        report = render_summary(manifest).splitlines()
+        for stage, peak in zip(manifest.spans, peaks):
+            line = next(row for row in report if row.split()[:1] == [stage["name"]])
+            assert f"peak_rss_mb={peak}" in line
 
     def test_spans_per_discovery_target_and_magnet_round(self, obs_study):
         """Each unit of the active phase is a span that says how many of

@@ -56,6 +56,19 @@ class TestTracer:
         assert restored[0].attrs == {"layer": "Simple", "trees": 4}
         assert restored[0].name == "s"
 
+    def test_stage_exit_hook_sees_each_top_level_span_close(self):
+        closed = []
+        tracer = Tracer(on_stage_exit=closed.append)
+        with pytest.raises(RuntimeError):
+            with tracer.span("a"):
+                with tracer.span("child"):
+                    pass
+                raise RuntimeError("x")
+        with tracer.span("b"):
+            assert [stage.name for stage in closed] == ["a"]
+        assert closed == tracer.roots
+        assert closed[0].failed and closed[0].children[0].name == "child"
+
     def test_self_seconds_never_negative(self):
         parent = Span(name="p", duration_s=1.0)
         parent.children = [Span(name="c", duration_s=2.0)]

@@ -90,3 +90,10 @@ class TestStudyTemporalFlag:
         with pytest.raises(SystemExit):
             cli.main(["study", "--small", "--temporal"])
         assert "unrecognized arguments: --temporal" in capsys.readouterr().err
+
+    def test_deleted_obs_flag_rejected(self, patched_study, capsys):
+        """A deleted flag that prefixes a remaining one (``--obs-out``)
+        is unrecognized, not read as its abbreviation."""
+        with pytest.raises(SystemExit):
+            cli.main(["study", "--small", "--obs"])
+        assert "unrecognized arguments: --obs" in capsys.readouterr().err
