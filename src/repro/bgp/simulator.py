@@ -17,14 +17,15 @@ so every speaker forgets the prefix in one pass.  That reset is also
 what the event-driven withdrawal *should* reach, but flap damping can
 freeze it part-way, and a speaker frozen during an earlier epoch keeps
 Adj-RIB-In entries its neighbors have since withdrawn (ghost routes);
-the reset clears both.  The ``bgp-withdraw`` check in
-:mod:`repro.check.differential` holds the two paths together.
+the reset clears both.  The ``bgp-withdraw`` family of
+:func:`repro.check.differential.check_bgp_scenario` holds the two paths
+together.
 
 An origination that leads a prefix to a converged state the simulator
 has already computed skips the message exchange too: every speaker's
 record is copied from a prefix in that state or from a snapshot of it
 (:mod:`repro.bgp.states`), and the clock advances by the messages that
-state's convergence delivered.  The ``bgp-reuse`` check holds every
+state's convergence delivered.  The ``bgp-reuse`` family holds every
 such copy to event delivery.
 """
 
@@ -183,7 +184,7 @@ class BGPSimulator:
         self, asn: int, prefix: Prefix, poisoned: Iterable[int] = ()
     ) -> None:
         """Deliver an origination message by message, leaving the
-        prefix's state unknown: the oracle the ``bgp-reuse`` check
+        prefix's state unknown: the oracle the ``bgp-reuse`` family
         holds every copied state to."""
         speaker = self._speaker(asn)
         self._load_inputs(prefix)
@@ -294,7 +295,7 @@ class BGPSimulator:
         """Deliver the withdrawal message by message.
 
         The fallback of :meth:`withdraw`, and the oracle the
-        ``bgp-withdraw`` check holds its direct reset to.  It leaves the
+        ``bgp-withdraw`` family holds its direct reset to.  It leaves the
         prefix's state unknown.
         """
         speaker = self._speaker(asn)

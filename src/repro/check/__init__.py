@@ -9,9 +9,12 @@ The check subsystem is the safety net under the optimized pipeline:
 * :mod:`repro.check.scenarios` — deterministic seeded generation of
   perturbed topologies and decision batches;
 * :mod:`repro.check.differential` — optimized-vs-oracle comparisons
-  plus metamorphic invariants, including the simulator's withdrawal
-  reset and its converged-state copies against its own event-driven
-  delivery, and every convergence against the stable-state oracle;
+  plus metamorphic invariants, and one seeded BGP scenario driver
+  (:func:`~repro.check.differential.check_bgp_scenario`) whose
+  ``bgp-withdraw``, ``bgp-reuse`` and ``bgp-stable`` assertion families
+  hold the simulator's withdrawal resets and fallbacks and its
+  converged-state copies to its own event-driven delivery, and every
+  convergence to the stable-state oracle;
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.
@@ -20,9 +23,7 @@ The check subsystem is the safety net under the optimized pipeline:
 from repro.check.differential import (
     Disagreement,
     check_bgp_decision,
-    check_bgp_reuse,
-    check_bgp_stable,
-    check_bgp_withdraw,
+    check_bgp_scenario,
     check_gr_trees,
     check_labels,
     check_lpm,
@@ -69,9 +70,7 @@ __all__ = [
     "bless",
     "check_against_golden",
     "check_bgp_decision",
-    "check_bgp_reuse",
-    "check_bgp_stable",
-    "check_bgp_withdraw",
+    "check_bgp_scenario",
     "check_gr_trees",
     "check_labels",
     "check_lpm",

@@ -43,9 +43,7 @@ from repro.core.classification import (
     LayerConfig,
     classify_decision,
     classify_decisions,
-    classify_decisions_serial,
     label_decisions,
-    label_decisions_serial,
 )
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import IPAddress, Prefix
@@ -284,16 +282,6 @@ def check_labels(scenario: Scenario) -> List[Disagreement]:
         )
         for decision in scenario.decisions
     ]
-    paths["serial"] = [
-        label
-        for _d, label in label_decisions_serial(
-            scenario.decisions,
-            engine,
-            first_hops_for=scenario.first_hops_for,
-            complex_rel=scenario.complex_rel,
-            siblings=scenario.siblings,
-        )
-    ]
     paths["batched"] = [
         label
         for _d, label in label_decisions(
@@ -340,25 +328,17 @@ def check_labels(scenario: Scenario) -> List[Disagreement]:
         complex_rel=scenario.complex_rel,
         siblings=scenario.siblings,
     )
-    counts_serial = classify_decisions_serial(
-        scenario.decisions,
-        engine,
-        first_hops_for=scenario.first_hops_for,
-        complex_rel=scenario.complex_rel,
-        siblings=scenario.siblings,
-    )
     tally = LabelCounts()
     for label in reference:
         tally.add(label)
-    for name, got in (("batched", counts), ("serial", counts_serial)):
-        if got.counts != tally.counts:
-            problems.append(
-                Disagreement(
-                    "labels",
-                    scenario.seed,
-                    f"{name} counts {got.counts} != oracle tally {tally.counts}",
-                )
+    if counts.counts != tally.counts:
+        problems.append(
+            Disagreement(
+                "labels",
+                scenario.seed,
+                f"batched counts {counts.counts} != oracle tally {tally.counts}",
             )
+        )
     return problems
 
 
@@ -807,10 +787,20 @@ def check_lpm(
 
 
 # ---------------------------------------------------------------------------
-# BGP withdrawal: direct reset vs event-by-event delivery
+# BGP scenario: every convergence vs the stable state, every copy, reset
+# and fallback vs event-by-event delivery
 # ---------------------------------------------------------------------------
 
-_WITHDRAW_PFX = Prefix.parse("100.64.0.0/24")
+#: The assertion families of :func:`check_bgp_scenario`, in report order.
+BGP_FAMILIES = ("bgp-withdraw", "bgp-reuse", "bgp-stable")
+
+#: Campaign-style prefixes of one origin (a base, its equal-policy twin,
+#: then one each differing from the base in a single prefix input), and
+#: the prefix the discovery-style units announce, poison and withdraw.
+_BGP_PREFIXES = tuple(Prefix.parse(f"100.65.{index}.0/24") for index in range(6))
+_BASE_PFX, _TWIN_PFX, _PREPEND_PFX, _SELECTIVE_PFX, _LOCAL_PREF_PFX, _ACTIVE_PFX = (
+    _BGP_PREFIXES
+)
 
 
 def _rib_state(simulator: BGPSimulator, prefix: Prefix) -> Dict[int, Tuple]:
@@ -883,359 +873,6 @@ def _explain_leftovers(
     return ghosts, unexplained
 
 
-def _compare_withdrawal(
-    seed: int,
-    simulator: BGPSimulator,
-    asn: int,
-    prefix: Prefix,
-    label: str,
-    tally: Counter,
-) -> List[Disagreement]:
-    """Production ``withdraw`` vs the event-driven path on a deep copy."""
-    before = {
-        other: speaker.candidates(prefix)
-        for other, speaker in simulator.speakers.items()
-    }
-    clock = simulator.clock
-    # The fork shares what a withdrawal never mutates: the topology, the
-    # policies, and the immutable routes and advertisements.
-    shared = [simulator.graph, prefix]
-    for speaker in simulator.speakers.values():
-        shared.append(speaker.policy)
-        shared.extend(speaker.advertised(prefix).values())
-    for routes in before.values():
-        shared.extend(routes)
-    fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
-    fork._withdraw_by_events(asn, prefix)
-    simulator.withdraw(asn, prefix)
-    problems: List[Disagreement] = []
-
-    def disagree(detail: str) -> None:
-        problems.append(Disagreement("bgp-withdraw", seed, f"{label}: {detail}"))
-
-    production = _rib_state(simulator, prefix)
-    reference = _rib_state(fork, prefix)
-    if any(speaker.originates(prefix) for speaker in simulator.speakers.values()):
-        # Another origin remains: production must take the same
-        # event-driven path, clock and damping included.
-        tally["bgp-withdraw fallback"] += 1
-        detail = _diff_rib_states(production, reference)
-        if detail is not None:
-            disagree(f"fallback differs: {detail}")
-        if (simulator.clock, simulator.damped_ases()) != (
-            fork.clock,
-            fork.damped_ases(),
-        ):
-            disagree("fallback clock or damping differs from event-driven")
-        return problems
-
-    tally["bgp-withdraw resets"] += 1
-    if any(any(tables) for tables in production.values()):
-        disagree("the reset left state behind")
-    if simulator.epoch != fork.epoch or simulator.damped_ases():
-        disagree(f"epoch {simulator.epoch} vs {fork.epoch}, or damping kept")
-    if simulator.clock < clock:
-        disagree(f"clock went back from {clock} to {simulator.clock}")
-    if fork.rib_dump(prefix):
-        # The event-driven withdrawal stalled short of the empty state.
-        tally["bgp-withdraw fork left routes"] += 1
-        ghosts, unexplained = _explain_leftovers(before, fork, prefix)
-        tally["bgp-withdraw fork left ghost routes"] += bool(ghosts)
-        if unexplained:
-            disagree(f"leftovers neither ghost nor damped: {unexplained[:5]}")
-        return problems
-    detail = _diff_rib_states(production, reference)
-    if detail is not None:
-        disagree(f"after withdrawal, {detail}")
-        return problems
-    # Both announce again from the same state: the same routes and the
-    # same decision steps, so the kept clock breaks age ties the same.
-    for sim in (simulator, fork):
-        sim.originate(asn, prefix)
-    detail = _diff_rib_states(_rib_state(simulator, prefix), _rib_state(fork, prefix))
-    if detail is not None:
-        disagree(f"after re-announcing, {detail}")
-    return problems
-
-
-def check_bgp_withdraw(
-    seed: int, tally: Optional[Counter] = None
-) -> List[Disagreement]:
-    """The simulator's withdrawal reset vs event-by-event delivery.
-
-    Runs two or three active units on one prefix over the seed's
-    scenario graph — announce, a few random poison rounds, withdraw —
-    as the PEERING experiments do, with a few ASes that filter poisoned
-    announcements or ignore poisoning.  One unit anycasts from a second
-    origin too, whose withdrawal must take the event-driven fallback.
-    Every withdrawal is compared with :meth:`BGPSimulator._withdraw_by_events`
-    on a deep copy (:func:`_compare_withdrawal`).  Every fourth seed
-    runs at ``flap_limit=2`` so that damping and ghost routes show up.
-    """
-    tally = Counter() if tally is None else tally
-    rng = random.Random(seed ^ 0x3D7)
-    graph = generate_scenario(seed).graph
-    asns = sorted(graph.asns())
-    policies = {
-        asn: Policy(
-            asn=asn,
-            filters_poisoned=rng.random() < 0.05,
-            loop_prevention_disabled=rng.random() < 0.05,
-        )
-        for asn in asns
-    }
-    simulator = BGPSimulator(
-        graph, policies=policies, flap_limit=2 if seed % 4 == 0 else 60
-    )
-    origin, second = rng.sample(asns, k=2)
-    others = [asn for asn in asns if asn != origin]
-    units = rng.randint(2, 3)
-    anycast_unit = rng.randrange(units)
-    problems: List[Disagreement] = []
-    try:
-        for unit in range(units):
-            simulator.originate(origin, _WITHDRAW_PFX)
-            if unit == anycast_unit:
-                simulator.originate(second, _WITHDRAW_PFX)
-            for _ in range(rng.randint(1, 3)):
-                poisoned = rng.sample(others, k=rng.randint(1, 3))
-                simulator.originate(origin, _WITHDRAW_PFX, poisoned=poisoned)
-            if unit == anycast_unit:
-                problems.extend(
-                    _compare_withdrawal(
-                        seed, simulator, second, _WITHDRAW_PFX,
-                        f"unit {unit} second origin AS{second}", tally,
-                    )
-                )
-            problems.extend(
-                _compare_withdrawal(
-                    seed, simulator, origin, _WITHDRAW_PFX,
-                    f"unit {unit} origin AS{origin}", tally,
-                )
-            )
-    except ConvergenceError:
-        tally["bgp-withdraw unconverged"] += 1
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# BGP converged-state reuse: copied records vs event-by-event delivery
-# ---------------------------------------------------------------------------
-
-#: Campaign-style prefixes of one origin: a base, its equal-policy twin,
-#: then one each differing from the base in a single prefix input.
-_REUSE_BASE, _REUSE_TWIN, _REUSE_PREPEND, _REUSE_SELECTIVE, _REUSE_LOCAL_PREF = (
-    Prefix.parse(f"100.65.{index}.0/24") for index in range(5)
-)
-#: The prefix the discovery-style units re-announce.
-_REUSE_ACTIVE = Prefix.parse("100.66.0.0/24")
-_REUSE_PREFIXES = (
-    _REUSE_BASE,
-    _REUSE_TWIN,
-    _REUSE_PREPEND,
-    _REUSE_SELECTIVE,
-    _REUSE_LOCAL_PREF,
-    _REUSE_ACTIVE,
-)
-
-
-def _tournament_faults(
-    seed: int, simulator: BGPSimulator, prefix: Prefix, label: str
-) -> List[Disagreement]:
-    """Speakers whose Loc-RIB route or decision step for ``prefix`` is
-    not what the full tournament picks from their candidates.  The
-    speaker decides most updates incrementally and reads a stale step
-    back through :func:`best_route`; this holds both to the tournament."""
-    faulty = []
-    for asn, speaker in simulator.speakers.items():
-        expected = best_route(speaker.candidates(prefix))
-        if (speaker.best(prefix), speaker.decision_step(prefix)) != expected:
-            faulty.append(asn)
-    if not faulty:
-        return []
-    return [
-        Disagreement(
-            "bgp-reuse",
-            seed,
-            f"{label}: {prefix} Loc-RIB or decision step differs from the "
-            f"full tournament at {len(faulty)} speaker(s), first AS{faulty[0]}",
-        )
-    ]
-
-
-def _originate_checked(
-    seed: int,
-    simulator: BGPSimulator,
-    asn: int,
-    prefix: Prefix,
-    poisoned: FrozenSet[int],
-    label: str,
-    tally: Counter,
-) -> List[Disagreement]:
-    """Production ``originate``; when it copies a known state, a deep
-    copy delivers the origination by events and both must agree.
-    Either way, every speaker's decision must be the full tournament's."""
-    _, _, node = simulator._lookup(
-        LocalRoute(prefix=prefix, origin_asn=asn, poisoned=poisoned)
-    )
-    if node is None or not node.reusable():
-        simulator.originate(asn, prefix, poisoned)
-        return _tournament_faults(seed, simulator, prefix, label)
-    twin = next(iter(node.holders), None)
-    tally["bgp-reuse copies"] += 1
-    tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
-    tally["bgp-reuse damped copies"] += bool(node.damped)
-    # The fork shares what an origination never mutates: the topology,
-    # the policies, and the immutable routes and exports.
-    shared: List[object] = [simulator.graph, *_REUSE_PREFIXES]
-    for speaker in simulator.speakers.values():
-        shared.extend(
-            (speaker.policy, speaker.neighbors, speaker._sessions, speaker._imports)
-        )
-        for other in _REUSE_PREFIXES:
-            shared.extend(speaker.candidates(other))
-            shared.extend(speaker.advertised(other).values())
-    fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
-    warnings: List[Tuple] = []
-    fork_warnings: List[Tuple] = []
-    simulator.on_soft_limit = lambda *args: warnings.append(args)
-    fork.on_soft_limit = lambda *args: fork_warnings.append(args)
-    fork._originate_by_events(asn, prefix, poisoned)
-    simulator.originate(asn, prefix, poisoned)
-    tally["bgp-reuse soft limits replayed"] += len(warnings)
-    problems = _tournament_faults(seed, simulator, prefix, label)
-    problems += _tournament_faults(seed, fork, prefix, f"{label} (event-driven)")
-    # The copied prefix, and the twin it was copied from (left as is).
-    for other in (prefix,) if twin is None else (prefix, twin):
-        detail = _diff_rib_states(
-            _rib_state(simulator, other), _rib_state(fork, other)
-        )
-        if detail is not None:
-            problems.append(
-                Disagreement("bgp-reuse", seed, f"{label}: {other} {detail}")
-            )
-    produced = (simulator.clock, simulator.epoch, simulator.damped_ases(), warnings)
-    expected = (fork.clock, fork.epoch, fork.damped_ases(), fork_warnings)
-    if produced != expected:
-        problems.append(
-            Disagreement(
-                "bgp-reuse",
-                seed,
-                f"{label}: clock, epoch, damping or soft-limit warnings "
-                f"{produced} vs event-driven {expected}",
-            )
-        )
-    return problems
-
-
-def check_bgp_reuse(seed: int, tally: Optional[Counter] = None) -> List[Disagreement]:
-    """Every converged-state copy vs event-by-event delivery.
-
-    Mirrors the study on the seed's scenario graph.  Campaign-style:
-    one origin announces a base prefix, its equal-policy twin, and three
-    prefixes that each differ from the base in one prefix input — a
-    prepend, the selective-export set, or one AS's local-preference
-    override on a route it holds.  Discovery-style: another origin's
-    prefix goes through a few units of reset, baseline and poison
-    rounds drawn from a small pool (so states recur and snapshots are
-    copied), each unit ending on a selective re-announcement; in some
-    units the first origin anycasts the prefix too, and sometimes
-    withdraws it again by events.  Every
-    origination that copies a state is compared with
-    :meth:`BGPSimulator._originate_by_events` on a deep copy
-    (:func:`_originate_checked`): every speaker's tables for the copied
-    prefix and for the twin it was copied from, ages by order, and the
-    clock, epoch, damped set and soft-limit warnings.  After every
-    origination, copied or delivered, and on the event-driven fork,
-    each speaker's Loc-RIB route and decision step must be what the
-    full tournament picks (:func:`_tournament_faults`).  Every fourth
-    seed runs at ``flap_limit=2`` so damped states are copied too, and
-    a low soft limit makes copies replay the warning.
-    """
-    tally = Counter() if tally is None else tally
-    rng = random.Random(seed ^ 0x5E5)
-    graph = generate_scenario(seed).graph
-    asns = sorted(graph.asns())
-    policies = {asn: Policy(asn=asn) for asn in asns}
-    simulator = BGPSimulator(
-        graph,
-        policies=policies,
-        flap_limit=2 if seed % 4 == 0 else 60,
-        soft_limit_fraction=0.002,
-    )
-    multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
-    origin, active = rng.sample(multihomed, k=2)
-    neighbors = sorted(graph.neighbors(origin))
-    problems: List[Disagreement] = []
-
-    def originate(asn: int, prefix: Prefix, poisoned=frozenset(), label="") -> None:
-        problems.extend(
-            _originate_checked(
-                seed, simulator, asn, prefix, frozenset(poisoned),
-                label or f"AS{asn} {prefix}", tally,
-            )
-        )
-
-    try:
-        origin_policy = policies[origin]
-        origin_policy.export_prepend[(_REUSE_PREPEND, rng.choice(neighbors))] = 2
-        origin_policy.selective_export[_REUSE_SELECTIVE] = frozenset(
-            rng.sample(neighbors, k=len(neighbors) - 1)
-        )
-        originate(origin, _REUSE_BASE)
-        # Override the local preference of a route the base converged to.
-        holders = [
-            asn
-            for asn in asns
-            if asn != origin and simulator.best_route(asn, _REUSE_BASE)
-        ]
-        if holders:
-            holder = rng.choice(holders)
-            route = rng.choice(simulator.candidate_routes(holder, _REUSE_BASE))
-            override = (route.learned_from, _REUSE_LOCAL_PREF)
-            policies[holder].prefix_local_pref[override] = (
-                route.local_pref + rng.choice((-150, 150))
-            )
-        for prefix in _REUSE_PREFIXES[1:5]:
-            originate(origin, prefix)
-
-        others = [asn for asn in asns if asn != active]
-        pool = [frozenset(rng.sample(others, k=rng.randint(1, 2))) for _ in range(3)]
-        active_neighbors = sorted(graph.neighbors(active))
-        for unit in range(rng.randint(3, 5)):
-            simulator.withdraw(origin, _REUSE_ACTIVE)  # by events, if anycast
-            simulator.withdraw(active, _REUSE_ACTIVE)
-            originate(active, _REUSE_ACTIVE, label=f"unit {unit} baseline")
-            if rng.random() < 0.5:
-                originate(origin, _REUSE_ACTIVE, label=f"unit {unit} anycast")
-                if rng.random() < 0.5:
-                    # Delivered by events: the state becomes unknown.
-                    simulator.withdraw(origin, _REUSE_ACTIVE)
-            for round_no in range(rng.randint(1, 2)):
-                originate(
-                    active, _REUSE_ACTIVE, rng.choice(pool),
-                    label=f"unit {unit} poison round {round_no}",
-                )
-            policies[active].selective_export[_REUSE_ACTIVE] = frozenset(
-                rng.sample(active_neighbors, k=1)
-            )
-            originate(active, _REUSE_ACTIVE, label=f"unit {unit} selective")
-            del policies[active].selective_export[_REUSE_ACTIVE]
-    except ConvergenceError:
-        tally["bgp-reuse unconverged"] += 1
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# BGP stable state: every convergence vs the order-independent oracle
-# ---------------------------------------------------------------------------
-
-#: The prefixes ``bgp-stable`` converges; the second carries prepends
-#: and selective export.
-_STABLE_PREFIXES = (Prefix.parse("100.67.0.0/24"), Prefix.parse("100.67.1.0/24"))
-_STABLE_STEPS = ("poison", "reannounce", "anycast", "withdraw-second", "withdraw")
-
-
 def _stable_faults(
     simulator: BGPSimulator, stale: Dict[Prefix, set]
 ) -> Dict[Prefix, List[str]]:
@@ -1253,28 +890,98 @@ def _stable_faults(
     return faults
 
 
-def check_bgp_stable(seed: int, tally: Optional[Counter] = None) -> List[Disagreement]:
-    """Every convergence of the seed's scenario vs :func:`oracle_stable_faults`.
+def _fork(
+    simulator: BGPSimulator,
+    asn: int,
+    prefix: Prefix,
+    poisoned: Optional[FrozenSet[int]],
+    twin: Optional[Prefix] = None,
+) -> Tuple[BGPSimulator, List[Tuple]]:
+    """A deep copy of ``simulator`` that has delivered one step by events.
 
-    ``bgp-withdraw`` and ``bgp-reuse`` compare one delivery path with
-    another through the same :meth:`BGPSimulator.run`, so neither holds
-    its queue rule (each session delivers only its newest queued
-    update) to anything outside it.  This check reads only the tables a
-    run leaves: after every origination and withdrawal, each prefix
-    must be at a fixed point.  On the seed's scenario graph, a few ASes filter
-    poisoned announcements or ignore loop prevention (so imports are
-    rejected) and a few sell partial transit.  One origin announces
-    both prefixes, the second with prepends and selective export; then
-    random steps poison, re-announce, anycast from a second origin and
-    withdraw (by events while the second origin still announces, else
-    by reset).  Every fourth seed runs at ``flap_limit=2``; a speaker
-    damping froze keeps its Adj-RIB-In exempt until the prefix is next
-    empty, since its ghost routes may outlive the freeze
-    (:func:`_stable_faults`).
+    The step is ``asn``'s origination of ``prefix`` with ``poisoned``,
+    or, with ``poisoned`` ``None``, its withdrawal.  The copy knows no
+    converged state, so it delivers the step message by message.  It
+    has its own records of ``prefix`` and ``twin`` and shares what the
+    step never mutates: the topology, the policies, each speaker's
+    sessions, every other prefix's records, and the immutable routes,
+    originations and exports.  Returns it with the soft-limit warnings
+    the step raised on it.
+    """
+    copied = (prefix,) if twin is None else (prefix, twin)
+    shared: List[object] = [simulator.graph, *_BGP_PREFIXES]
+    for speaker in simulator.speakers.values():
+        shared.extend(
+            (
+                speaker.policy,
+                speaker.neighbors,
+                speaker._sessions,
+                speaker._imports,
+                speaker._full_feed,
+            )
+        )
+        for other in _BGP_PREFIXES:
+            if other not in copied:
+                shared.append(speaker.record(other))
+        for other in copied:
+            shared.append(speaker.origination(other))
+            shared.extend(speaker.candidates(other))
+            shared.extend(speaker.advertised(other).values())
+    fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
+    warnings: List[Tuple] = []
+    fork.on_soft_limit = lambda *args: warnings.append(args)
+    if poisoned is None:
+        fork._withdraw_by_events(asn, prefix)
+    else:
+        fork._originate_by_events(asn, prefix, poisoned)
+    return fork, warnings
+
+
+def check_bgp_scenario(
+    scenario: Scenario, tally: Optional[Counter] = None
+) -> List[Disagreement]:
+    """One seeded run of the BGP simulator, checked after every step.
+
+    On the scenario's graph, about 10% of ASes filter poisoned
+    announcements, 5% ignore loop prevention and 10% of customer links
+    are partial transit; every fourth seed runs at ``flap_limit=2`` so
+    that damping, damped copies and ghost routes occur, and a soft limit
+    at 0.2% of the event budget makes copies replay the warning.  One
+    origin announces five prefixes like the passive campaign: a base,
+    its equal-policy twin, and three that each differ from the base in
+    one prefix input (a prepend, the selective-export set, one AS's
+    local-preference override on a route it holds).  Another origin's
+    prefix then runs three to five discovery-style units: the
+    withdrawals (of the first origin, by events while it anycasts the
+    prefix too, then the reset), the baseline, in about half the units
+    an anycast from the first origin (in half of those withdrawn by
+    events at once), poison rounds drawn from a pool of three sets (so
+    states recur and snapshots are copied) and a selective
+    re-announcement; the withdrawals end the run.
+
+    Every step runs once, through production, and reports to three
+    assertion families:
+
+    * ``bgp-stable``: :func:`oracle_stable_faults` holds the prefix the
+      step converged to the fixed point, decision steps included; a
+      speaker damping froze keeps its Adj-RIB-In exempt until the
+      prefix is next empty (:func:`_stable_faults`).
+    * ``bgp-reuse``: an origination that copies a converged state is
+      also delivered by events on a :func:`_fork`; the prefix's and the
+      source twin's tables, the clock, the epoch, the damped set and
+      the soft-limit warnings must match.
+    * ``bgp-withdraw``: so is every withdrawal.  One that falls back to
+      event delivery (another origin remains) must match as a copy
+      does.  A reset must leave no state, no damping and no earlier
+      clock; where the fork also ends empty, the two must agree, and
+      again once the next baseline re-announces on both.  Where the
+      fork stalls, every leftover is damped or a ghost
+      (:func:`_explain_leftovers`).
     """
     tally = Counter() if tally is None else tally
-    rng = random.Random(seed ^ 0x57A)
-    graph = generate_scenario(seed).graph
+    seed = scenario.seed
+    rng = random.Random(seed ^ 0xB69)
+    graph = scenario.graph
     asns = sorted(graph.asns())
     policies = {}
     for asn in asns:
@@ -1290,53 +997,181 @@ def check_bgp_stable(seed: int, tally: Optional[Counter] = None) -> List[Disagre
             partial_transit_to={c for c in customers if rng.random() < 0.1},
         )
     simulator = BGPSimulator(
-        graph, policies=policies, flap_limit=2 if seed % 4 == 0 else 60
+        graph,
+        policies=policies,
+        flap_limit=2 if seed % 4 == 0 else 60,
+        soft_limit_fraction=0.002,
     )
-    multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
-    origin, second = rng.sample(multihomed, k=2)
-    neighbors = sorted(graph.neighbors(origin))
-    shaped = _STABLE_PREFIXES[1]
-    policies[origin].export_prepend[(shaped, rng.choice(neighbors))] = 2
-    policies[origin].selective_export[shaped] = frozenset(
-        rng.sample(neighbors, k=len(neighbors) - 1)
-    )
-    others = [asn for asn in asns if asn != origin]
-    stale: Dict[Prefix, set] = {prefix: set() for prefix in _STABLE_PREFIXES}
+    warnings: List[Tuple] = []
+    simulator.on_soft_limit = lambda *args: warnings.append(args)
+    stale: Dict[Prefix, set] = {prefix: set() for prefix in _BGP_PREFIXES}
+    #: The event-driven fork of the last reset that ended empty, for the
+    #: next step to re-announce on: (asn, prefix, fork, label).
+    emptied: Optional[Tuple] = None
     problems: List[Disagreement] = []
 
-    def converged(label: str) -> None:
+    def step(label: str, asn: int, prefix: Prefix, poisoned=()) -> None:
+        """``asn`` originates ``prefix`` with ``poisoned`` (``None``:
+        withdraws it) through production; then every family checks it."""
+
+        def fault(family: str, detail: str, where: str = label) -> None:
+            problems.append(Disagreement(family, seed, f"{where}: {detail}"))
+
+        nonlocal emptied
+        carried, emptied = emptied, None
+        withdrawal = poisoned is None
+        if withdrawal and not simulator.speakers[asn].originates(prefix):
+            return  # nothing in flight: the withdrawal changes nothing
+        fork = twin = None
+        if withdrawal:
+            before = {a: s.candidates(prefix) for a, s in simulator.speakers.items()}
+            clock = simulator.clock
+            fork, fork_warnings = _fork(simulator, asn, prefix, None)
+        else:
+            poisoned = frozenset(poisoned)
+            _, _, node = simulator._lookup(LocalRoute(prefix, asn, poisoned))
+            if node is not None and node.reusable():
+                twin = next(iter(node.holders), None)
+                tally["bgp-reuse copies"] += 1
+                tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
+                tally["bgp-reuse damped copies"] += bool(node.damped)
+                fork, fork_warnings = _fork(simulator, asn, prefix, poisoned, twin)
+        if withdrawal or poisoned or carried is None or carried[:2] != (asn, prefix):
+            carried = None
+        else:
+            carried[2].originate(asn, prefix)  # by events: its state is unknown
+        warnings.clear()
+        if withdrawal:
+            simulator.withdraw(asn, prefix)
+        else:
+            simulator.originate(asn, prefix, poisoned)
+
         tally["bgp-stable convergences"] += 1
-        for prefix, faults in _stable_faults(simulator, stale).items():
-            tally["bgp-stable damped speakers exempted"] += len(stale[prefix])
-            if faults:
-                problems.append(
-                    Disagreement(
-                        "bgp-stable",
-                        seed,
-                        f"{label}: {prefix} not stable, {len(faults)} fault(s), "
-                        f"first: {faults[0]}",
-                    )
+        faults = _stable_faults(simulator, {prefix: stale[prefix]})[prefix]
+        tally["bgp-stable damped speakers exempted"] += len(stale[prefix])
+        if faults:
+            fault(
+                "bgp-stable",
+                f"{prefix} not stable, {len(faults)} fault(s), first: {faults[0]}",
+            )
+        if carried is not None:
+            _, _, reset_fork, reset_label = carried
+            detail = _diff_rib_states(
+                _rib_state(simulator, prefix), _rib_state(reset_fork, prefix)
+            )
+            if detail is not None:
+                fault("bgp-withdraw", f"after re-announcing, {detail}", reset_label)
+        if fork is None:
+            return
+        origins = [a for a, s in simulator.speakers.items() if s.originates(prefix)]
+        if withdrawal and not origins:
+            tally["bgp-withdraw resets"] += 1
+            production = _rib_state(simulator, prefix)
+            if any(any(tables) for tables in production.values()):
+                fault("bgp-withdraw", "the reset left state behind")
+            if simulator.epoch != fork.epoch or simulator.damped_ases():
+                fault(
+                    "bgp-withdraw",
+                    f"epoch {simulator.epoch} vs {fork.epoch}, or damping kept",
                 )
+            if simulator.clock < clock:
+                fault("bgp-withdraw", f"clock went back {clock} -> {simulator.clock}")
+            if fork.rib_dump(prefix):
+                # The event-driven withdrawal stalled short of the empty state.
+                tally["bgp-withdraw fork left routes"] += 1
+                ghosts, unexplained = _explain_leftovers(before, fork, prefix)
+                tally["bgp-withdraw fork left ghost routes"] += bool(ghosts)
+                if unexplained:
+                    fault(
+                        "bgp-withdraw",
+                        f"leftovers neither ghost nor damped: {unexplained[:5]}",
+                    )
+                return
+            detail = _diff_rib_states(production, _rib_state(fork, prefix))
+            if detail is not None:
+                fault("bgp-withdraw", f"after withdrawal, {detail}")
+            else:
+                emptied = (asn, prefix, fork, label)
+            return
+        # A copy, or a withdrawal that fell back to event delivery: the
+        # tables (and those of the twin copied from, left as is), clock,
+        # epoch, damping and soft-limit warnings must be the fork's.
+        if withdrawal:
+            family = "bgp-withdraw"
+            tally["bgp-withdraw fallback"] += 1
+        else:
+            family = "bgp-reuse"
+            tally["bgp-reuse soft limits replayed"] += len(warnings)
+        for other in (prefix,) if twin is None else (prefix, twin):
+            detail = _diff_rib_states(
+                _rib_state(simulator, other), _rib_state(fork, other)
+            )
+            if detail is not None:
+                fault(family, f"{other} {detail}")
+        produced = (simulator.clock, simulator.epoch, simulator.damped_ases(), warnings)
+        expected = (fork.clock, fork.epoch, fork.damped_ases(), fork_warnings)
+        if produced != expected:
+            fault(
+                family,
+                "clock, epoch, damping or soft-limit warnings "
+                f"{produced} vs event-driven {expected}",
+            )
+
+    multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
+    origin, active = rng.sample(multihomed, k=2)
+    neighbors = sorted(graph.neighbors(origin))
+    policies[origin].export_prepend[(_PREPEND_PFX, rng.choice(neighbors))] = 2
+    policies[origin].selective_export[_SELECTIVE_PFX] = frozenset(
+        rng.sample(neighbors, k=len(neighbors) - 1)
+    )
+    others = [asn for asn in asns if asn != active]
+    pool = [frozenset(rng.sample(others, k=rng.randint(1, 2))) for _ in range(3)]
+    active_neighbors = sorted(graph.neighbors(active))
+    units = rng.randint(3, 5)
+
+    def withdrawals(label: str) -> None:
+        step(f"{label} anycast withdrawn", origin, _ACTIVE_PFX, None)
+        step(f"{label} reset", active, _ACTIVE_PFX, None)
+        # Edit the policy only once the reset has cleared what it shaped:
+        # the oracle reads the policy, so an edit that the origin has not
+        # announced with would read as a fault.
+        policies[active].selective_export.pop(_ACTIVE_PFX, None)
 
     try:
-        for prefix in _STABLE_PREFIXES:
-            simulator.originate(origin, prefix)
-            converged(f"AS{origin} announces {prefix}")
-        for step in range(rng.randint(3, 6)):
-            action = rng.choice(_STABLE_STEPS)
-            prefix = rng.choice(_STABLE_PREFIXES)
-            if action == "poison":
-                poisoned = rng.sample(others, k=rng.randint(1, 3))
-                simulator.originate(origin, prefix, poisoned=poisoned)
-            elif action == "reannounce":
-                simulator.originate(origin, prefix)
-            elif action == "anycast":
-                simulator.originate(second, prefix)
-            elif action == "withdraw-second":
-                simulator.withdraw(second, prefix)
-            else:
-                simulator.withdraw(origin, prefix)
-            converged(f"step {step} {action}")
+        step(f"AS{origin} announces {_BASE_PFX}", origin, _BASE_PFX)
+        # Override the local preference of a route the base converged to.
+        holders = [
+            asn
+            for asn in asns
+            if asn != origin and simulator.best_route(asn, _BASE_PFX)
+        ]
+        if holders:
+            holder = rng.choice(holders)
+            route = rng.choice(simulator.candidate_routes(holder, _BASE_PFX))
+            policies[holder].prefix_local_pref[
+                (route.learned_from, _LOCAL_PREF_PFX)
+            ] = route.local_pref + rng.choice((-150, 150))
+        for prefix in _BGP_PREFIXES[1:5]:
+            step(f"AS{origin} announces {prefix}", origin, prefix)
+        for unit in range(units):
+            withdrawals(f"unit {unit}")
+            step(f"unit {unit} baseline", active, _ACTIVE_PFX)
+            if rng.random() < 0.5:
+                step(f"unit {unit} anycast", origin, _ACTIVE_PFX)
+                if rng.random() < 0.5:
+                    step(f"unit {unit} anycast withdrawn", origin, _ACTIVE_PFX, None)
+            for round_no in range(rng.randint(1, 2)):
+                step(
+                    f"unit {unit} poison round {round_no}",
+                    active,
+                    _ACTIVE_PFX,
+                    rng.choice(pool),
+                )
+            policies[active].selective_export[_ACTIVE_PFX] = frozenset(
+                rng.sample(active_neighbors, k=1)
+            )
+            step(f"unit {unit} selective", active, _ACTIVE_PFX)
+        withdrawals("final")
     except ConvergenceError:
         tally["bgp-stable unconverged"] += 1
     return problems
@@ -1507,13 +1342,12 @@ SCENARIO_CHECKS = {
 }
 
 #: Check-name -> callable(seed, tally=Counter) for the input-driven
-#: oracles; each adds what it exercised to the tally.
+#: oracles; each adds what it exercised to the tally.  The BGP
+#: simulator's checks follow them as the :data:`BGP_FAMILIES` of one
+#: driver, :func:`check_bgp_scenario`.
 SEED_CHECKS = {
     "bgp-decision": check_bgp_decision,
     "lpm": check_lpm,
-    "bgp-withdraw": check_bgp_withdraw,
-    "bgp-reuse": check_bgp_reuse,
-    "bgp-stable": check_bgp_stable,
 }
 
 #: Heavy scenario checks: known to the runner but excluded from the
@@ -1530,6 +1364,8 @@ def check_seed(
     """Run the whole differential battery for one seed.
 
     ``tally`` collects the seed checks' counts of what they exercised.
+    Naming any BGP family runs :func:`check_bgp_scenario` once; its
+    disagreements and counts are kept for the named families only.
     """
     scenario = generate_scenario(seed)
     problems: List[Disagreement] = []
@@ -1541,6 +1377,15 @@ def check_seed(
         if only is not None and name not in only:
             continue
         problems.extend(seed_check(seed, tally=tally))
+    families = [name for name in BGP_FAMILIES if only is None or name in only]
+    if families:
+        counts: Counter = Counter()
+        found = check_bgp_scenario(scenario, tally=counts)
+        problems.extend(problem for problem in found if problem.check in families)
+        if tally is not None:
+            tally.update(
+                {name: n for name, n in counts.items() if name.split()[0] in families}
+            )
     for name, heavy_check in HEAVY_SCENARIO_CHECKS.items():
         if only is None or name not in only:
             continue

@@ -603,8 +603,8 @@ def oracle_stable_faults(
     delivered in, so this reads the final tables only:
 
     * nothing is in flight;
-    * each speaker's Loc-RIB route is :func:`oracle_best_route` over its
-      candidates;
+    * each speaker's Loc-RIB route and decision step are
+      :func:`oracle_best_route`'s over its candidates;
     * each speaker has told every neighbor :func:`oracle_export` of that
       route;
     * each Adj-RIB-In entry is what its sender last told the speaker,
@@ -630,9 +630,13 @@ def oracle_stable_faults(
     for asn, speaker in speakers.items():
         candidates = speaker.candidates(prefix)
         best = speaker.best(prefix)
-        winner, _ = oracle_best_route(candidates)
+        winner, step = oracle_best_route(candidates)
         if best != winner:
             faults.append(f"AS{asn} holds {best}, not the best candidate {winner}")
+        decided = speaker.decision_step(prefix)
+        decided = None if decided is None else decided.value
+        if decided != step:
+            faults.append(f"AS{asn} decided by {decided!r}, not {step!r}")
         origination = speaker.origination(prefix)
         poisoned = frozenset() if origination is None else origination.poisoned
         held = {route.learned_from: route for route in candidates}

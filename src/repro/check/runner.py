@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.check.differential import (
+    BGP_FAMILIES,
     HEAVY_SCENARIO_CHECKS,
     SCENARIO_CHECKS,
     SEED_CHECKS,
@@ -22,8 +23,9 @@ from repro.check.differential import (
 )
 from repro.obs.gc import collector_scope
 
-#: The default battery, in report order.
-ALL_CHECKS = tuple(SCENARIO_CHECKS) + tuple(SEED_CHECKS)
+#: The default battery, in report order; the BGP simulator's three
+#: checks are the assertion families of one driver.
+ALL_CHECKS = tuple(SCENARIO_CHECKS) + tuple(SEED_CHECKS) + BGP_FAMILIES
 
 #: Everything ``--only`` accepts: the default battery plus the heavy
 #: opt-in checks (``ledger-resume``, which runs several end-to-end
@@ -90,7 +92,10 @@ def run_checks(
 
     ``only`` restricts to a subset of :data:`ALL_CHECKS`;
     ``progress(done, total)`` is invoked after every seed when given.
+    Raises ``ValueError`` for fewer than one seed or an unknown check.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     if only is not None:
         unknown = sorted(set(only) - set(KNOWN_CHECKS))
         if unknown:

@@ -627,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECK",
         help="restrict to one check (repeatable): gr-tree, labels, "
         "metamorphic, bgp-decision, lpm, bgp-withdraw, bgp-reuse, "
-        "bgp-stable; the heavy opt-in check ledger-resume runs only "
-        "when named here",
+        "bgp-stable (the last three are assertion families of one BGP "
+        "scenario driver, which runs once per seed for any of them); the "
+        "heavy opt-in check ledger-resume runs only when named here",
     )
     check_run.add_argument(
         "--progress", action="store_true", help="print progress to stderr"

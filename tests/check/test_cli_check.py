@@ -52,6 +52,13 @@ class TestCheckRun:
         assert cli.main(["check", "run", "--seeds", "1", "--only", "bogus"]) == 2
         assert "unknown checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_fewer_than_one_seed_exits_two(self, seeds, capsys):
+        assert cli.main(["check", "run", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "seeds must be at least 1" in captured.err
+        assert "all oracles agree" not in captured.out
+
     def test_base_seed(self, capsys):
         assert cli.main(["check", "run", "--seeds", "1", "--base-seed", "7"]) == 0
         assert "seeds      7..7" in capsys.readouterr().out

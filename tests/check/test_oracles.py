@@ -8,6 +8,7 @@ whose correct answers can be verified on paper.
 import pytest
 
 from repro.bgp.attributes import ASPathAttribute
+from repro.bgp.decision import DecisionStep
 from repro.bgp.messages import Announcement
 from repro.bgp.policy import Policy
 from repro.bgp.routes import Route
@@ -286,6 +287,14 @@ class TestOracleStableFaults:
         assert len(told) == len(held) == 1 and len(faults) == 2
         assert held[0].endswith("from AS2, which sent None")
         assert oracle_stable_faults(simulator, PFX, stale=frozenset({1})) == told
+
+    def test_a_decision_step_its_candidates_do_not_support_is_a_fault(self):
+        simulator = BGPSimulator(_chain_graph())
+        simulator.originate(3, PFX)
+        simulator.speakers[2].record(PFX).step = DecisionStep.ROUTE_AGE
+        assert oracle_stable_faults(simulator, PFX) == [
+            "AS2 decided by 'route age', not 'only route'"
+        ]
 
 
 class TestOracleLPM:
