@@ -103,14 +103,18 @@ def path_accepted(
     its two flags, which a speaker reads once when it is built.
 
     Loop prevention looks inside AS-sets too; a path without one is
-    tested by one C-level ``in``.
+    tested by one C-level ``in``, and a poisoned path then only has its
+    AS-sets' members left to test.
     """
     segments = as_path.segments
     if not loop_prevention_disabled and asn in segments:
         return False
     if frozenset in map(type, segments):  # an AS-set: a poisoned announcement
         return not filters_poisoned and (
-            loop_prevention_disabled or not as_path.contains(asn)
+            loop_prevention_disabled
+            or not any(
+                asn in segment for segment in segments if type(segment) is frozenset
+            )
         )
     return True
 

@@ -5,7 +5,9 @@ slotted dataclass, not a frozen one: a frozen dataclass sets each of
 its nine fields through ``object.__setattr__``, which made building a
 route cost three times as much.  Routes are immutable by convention:
 nothing assigns to a route once built, and speakers share them across
-prefixes (:meth:`repro.bgp.speaker.BGPSpeaker.adopt`) and with forks.
+prefixes, in the records that prefixes in one converged state share
+(:meth:`repro.bgp.speaker.BGPSpeaker.adopt`) and in copies of them,
+and with forks.
 Equality and hashing stay by value.  :class:`LocalRoute` is off the
 per-update path and stays frozen.
 """

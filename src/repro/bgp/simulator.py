@@ -22,11 +22,13 @@ the reset clears both.  The ``bgp-withdraw`` family of
 together.
 
 An origination that leads a prefix to a converged state the simulator
-has already computed skips the message exchange too: every speaker's
-record is copied from a prefix in that state or from a snapshot of it
-(:mod:`repro.bgp.states`), and the clock advances by the messages that
-state's convergence delivered.  The ``bgp-reuse`` family holds every
-such copy to event delivery.
+has already computed skips the message exchange too: every speaker
+holds the record of a prefix in that state or of a snapshot of it
+(:mod:`repro.bgp.states`), shared rather than copied, and the clock
+advances by the messages that state's convergence delivered.  A prefix
+copies the records it shares just before messages for it are
+delivered.  The ``bgp-reuse`` family holds every such copied
+convergence to event delivery.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class BGPSimulator:
 
         When the origination leads the prefix to a converged state that
         a prefix holds or a snapshot keeps (:mod:`repro.bgp.states`),
-        every speaker's record is copied from it instead of delivering
+        every speaker holds that state's record instead of delivering
         messages.  The epoch advances, the clock advances by the
         messages that state's convergence delivered, its damped set is
         restored and its soft-limit warning replayed, so RIBs, clock,
@@ -156,7 +158,6 @@ class BGPSimulator:
         if node is not None and node.reusable():
             self._reuse(prefix, node)
             return
-        self._states.leave(prefix, self.speakers)
         delivered = self._deliver_origination(speaker, local)
         if parent is None:
             return  # delivered together with messages in flight: unknown
@@ -188,13 +189,13 @@ class BGPSimulator:
         holds every copied state to."""
         speaker = self._speaker(asn)
         self._load_inputs(prefix)
-        self._states.leave(prefix, self.speakers)
         self._deliver_origination(
             speaker,
             LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned)),
         )
 
     def _deliver_origination(self, speaker: BGPSpeaker, local: LocalRoute) -> int:
+        self._leave_to_deliver(local.prefix)
         speaker.originate(local)
         # Exports are re-evaluated even when the local route is
         # unchanged: the origin's export policy may have been edited
@@ -205,8 +206,18 @@ class BGPSimulator:
         self._queue.extend(speaker.exports(local.prefix))
         return self.run()
 
+    def _leave_to_deliver(self, prefix: Prefix) -> None:
+        """``prefix`` is about to take delivered messages: its state
+        becomes unknown, and it copies each record it still shares with
+        a holder or the snapshot of the state it leaves."""
+        shared = self._states.leave(prefix, self.speakers)
+        if shared is not None:
+            for asn, speaker in self.speakers.items():
+                speaker.privatize(prefix, shared(asn))
+
     def _reuse(self, prefix: Prefix, node: StateNode) -> None:
-        """Converge ``prefix`` to ``node``'s state by copying records."""
+        """Converge ``prefix`` to ``node``'s state by holding its records
+        (:meth:`BGPSpeaker.adopt`)."""
         source = self._states.source(node, self.speakers)
         self._states.leave(prefix, self.speakers)
         self._origination_prefix = prefix
@@ -300,7 +311,7 @@ class BGPSimulator:
         """
         speaker = self._speaker(asn)
         self._load_inputs(prefix)
-        self._states.leave(prefix, self.speakers)
+        self._leave_to_deliver(prefix)
         self._origination_prefix = prefix
         self._convergence_kind = "withdraw"
         if speaker.withdraw_origin(prefix):

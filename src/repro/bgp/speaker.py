@@ -40,13 +40,20 @@ none of which change once the simulator exists.  So it calls the
 policy's import rule (:meth:`~repro.bgp.policy.Policy.import_local_pref`)
 only where the rule can move a session's preference: for a prefix
 with a local-preference override, or where the domestic bonus can
-apply.  Routes and exports do not name their prefix, so a record can
-be copied to another prefix in one pass (:meth:`BGPSpeaker.adopt`);
-only the local origination is rebuilt for it.
+apply.
+
+Routes and exports do not name their prefix, so prefixes in one
+converged state hold the same record objects
+(:meth:`BGPSpeaker.adopt`, :mod:`repro.bgp.states`); only a record
+with a local origination, which names its prefix, is copied.  A
+prefix takes its own copies of shared records just before messages
+for it are delivered (:meth:`BGPSpeaker.privatize`), and a deep copy
+of a speaker gives every prefix its own record.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -115,18 +122,26 @@ class _PrefixState(dict):
 
     def copy_for(self, prefix: Prefix) -> "_PrefixState":
         """This record as ``prefix``'s: its tables copied, its immutable
-        routes and exports shared, its local origination rebuilt, and no
-        flap count."""
-        copy = _PrefixState()
-        copy.update(self)
+        routes and exports shared, its local origination rebuilt, its
+        flap count kept (it counts only within its damping epoch)."""
+        twin = _PrefixState()
+        twin.update(self)
         if self.local is not None:
-            copy.local = replace(self.local, prefix=prefix)
-            copy.self_route = self.self_route
-        copy.best = self.best
-        copy.step = self.step
+            twin.local = replace(self.local, prefix=prefix)
+            twin.self_route = self.self_route
+        twin.best = self.best
+        twin.step = self.step
         if self.advertised is not None:
-            copy.advertised = self.advertised.copy()
-        return copy
+            twin.advertised = self.advertised.copy()
+        twin.flaps = self.flaps
+        twin.flap_epoch = self.flap_epoch
+        return twin
+
+    def shared_as(self, prefix: Prefix) -> "_PrefixState":
+        """This record for ``prefix`` to hold beside its holder: the
+        record itself, unless it has a local origination, which names
+        its prefix and is copied (:meth:`copy_for`)."""
+        return self if self.local is None else self.copy_for(prefix)
 
 
 class BGPSpeaker:
@@ -215,12 +230,42 @@ class BGPSpeaker:
         return self._prefixes.get(prefix)
 
     def adopt(self, prefix: Prefix, record: Optional[_PrefixState]) -> None:
-        """Replace ``prefix``'s state with a copy of ``record`` (``None``:
-        hold nothing), as if the prefix had converged to it."""
+        """Hold ``record`` for ``prefix`` (``None``: hold nothing), as if
+        the prefix had converged to it.  The record itself is held, not
+        a copy, unless it has a local origination
+        (:meth:`_PrefixState.shared_as`); the prefix must take its own
+        copy before its messages are delivered (:meth:`privatize`)."""
         if record is None:
             self._prefixes.pop(prefix, None)
         else:
+            self._prefixes[prefix] = record.shared_as(prefix)
+
+    def privatize(self, prefix: Prefix, shared: Optional[_PrefixState]) -> None:
+        """Hold a copy of ``prefix``'s record if it is ``shared``, the
+        record another prefix or a snapshot holds; the simulator calls
+        it before delivering messages for the prefix."""
+        record = self._prefixes.get(prefix)
+        if record is not None and record is shared:
             self._prefixes[prefix] = record.copy_for(prefix)
+
+    def __deepcopy__(self, memo) -> "BGPSpeaker":
+        """A deep copy in which no two prefixes share a record.
+
+        Only the simulator's converged states tell a prefix when to stop
+        sharing (:meth:`privatize`), and a deep copy keeps none of them
+        (:mod:`repro.bgp.states`), so a record that several prefixes
+        hold is copied once per prefix here.
+        """
+        clone = type(self).__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        held = set()
+        prefixes = clone._prefixes
+        for prefix, record in prefixes.items():
+            if id(record) in held:
+                prefixes[prefix] = record.copy_for(prefix)
+            held.add(id(record))
+        return clone
 
     def freeze(self, prefix: Prefix) -> None:
         """Mark ``prefix`` damped for the rest of this epoch."""

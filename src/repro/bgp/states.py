@@ -11,13 +11,25 @@ lifetime.  :class:`ConvergedStates` records those histories as a trie
 rooted at the empty state: one :class:`StateNode` per converged
 state, one edge per origination.
 
-When an origination leads to a known node, the simulator copies every
-speaker's record instead of delivering messages.  It copies from a
-prefix that still holds the state (campaign twins: equal-policy
-prefixes of one origin) or from the node's snapshot.  A node takes a
+When an origination leads to a known node, the simulator gives every
+speaker the state's record instead of delivering messages: the record
+of a prefix that still holds the state (campaign twins: equal-policy
+prefixes of one origin) or the node's snapshot.  A node takes a
 snapshot when its last holder leaves it, and only once it has been
 reached at least twice.  Discovery baselines and the poison rounds that
 targets share recur; a state reached once never pays for one.
+
+The records are shared, not copied: a node's holders and its snapshot
+hold the same record objects.  Only a record with a local origination
+is copied, for the origination names its prefix
+(:meth:`~repro.bgp.speaker._PrefixState.shared_as`).  A prefix that
+leaves a state to take delivered messages (an origination or a
+withdrawal by events) first copies each record that a holder or the
+snapshot still reads, so it copies at most once per stay; the direct
+withdrawal reset and a later reuse drop or replace its records instead,
+and a snapshot keeps the last holder's records.  A deep copy of the
+simulator knows no state, so there every prefix holds its own records
+(:meth:`~repro.bgp.speaker.BGPSpeaker.__deepcopy__`).
 
 A prefix whose state is not a node is *unknown* and never reuses: its
 messages were delivered together with another run's (an origination
@@ -30,7 +42,7 @@ only way the decision process reads them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.bgp.policy import PrefixInputs
 from repro.net.ip import Prefix
@@ -55,7 +67,7 @@ class StateNode:
         self.damped = damped
         #: How many times a prefix arrived here.
         self.reached = 0
-        #: Speaker ASN -> record, kept once the last holder left.
+        #: Speaker ASN -> record, the last holder's once it left.
         self.snapshot: Optional[Dict[int, object]] = None
 
     def reusable(self) -> bool:
@@ -75,25 +87,32 @@ class ConvergedStates:
         """The state ``prefix`` is in (``None``: unknown)."""
         return self._node_of.get(prefix, self.root)
 
-    def leave(self, prefix: Prefix, speakers: Mapping) -> None:
+    def leave(
+        self, prefix: Prefix, speakers: Mapping
+    ) -> Optional[Callable[[int], object]]:
         """``prefix`` is about to change: its state becomes unknown.
 
         Call before any speaker's record for the prefix changes.  The
-        last holder of a state reached at least twice leaves a snapshot
-        of every speaker's record behind.
+        last holder of a state reached at least twice leaves its records
+        behind as the state's snapshot.  Returns ``asn -> record`` of
+        what still reads the state's records (a holder, or the
+        snapshot), or ``None`` when nothing does: before messages for
+        the prefix are delivered, each of its records that is also the
+        reader's must be copied.
         """
         node = self._node_of.get(prefix, self.root)
         self._node_of[prefix] = None
         if node is None or node is self.root:
-            return
+            return None
         del node.holders[prefix]
         if not node.holders and node.reached >= 2 and node.snapshot is None:
             snapshot = {}
             for asn, speaker in speakers.items():
                 record = speaker.record(prefix)
                 if record is not None:
-                    snapshot[asn] = record.copy_for(prefix)
+                    snapshot[asn] = record.shared_as(prefix)
             node.snapshot = snapshot
+        return self.source(node, speakers) if node.reusable() else None
 
     def arrive(self, prefix: Prefix, node: StateNode) -> None:
         """``prefix`` converged to ``node``'s state."""
@@ -105,8 +124,8 @@ class ConvergedStates:
             self._node_of[prefix] = node
 
     def source(self, node: StateNode, speakers: Mapping):
-        """``asn -> record`` to copy ``node``'s state from: a holder's
-        live records if one is left, else the snapshot."""
+        """``asn -> record`` holding ``node``'s state: a holder's live
+        records if one is left, else the snapshot."""
         for holder in node.holders:
             return lambda asn: speakers[asn].record(holder)
         return node.snapshot.get
@@ -124,7 +143,7 @@ class ConvergedStates:
         """A copy that knows no state: every prefix this one tracks is
         unknown in it, so a deep-copied simulator (an event-delivery
         fork in :mod:`repro.check.differential`) neither shares nor
-        copies the trie."""
+        copies the trie, and none of its prefixes shares a record."""
         fresh = ConvergedStates()
         fresh._node_of = dict.fromkeys(self._node_of)
         return fresh

@@ -904,9 +904,10 @@ def _fork(
     converged state, so it delivers the step message by message.  It
     has its own records of ``prefix`` and ``twin`` and shares what the
     step never mutates: the topology, the policies, each speaker's
-    sessions, every other prefix's records, and the immutable routes,
-    originations and exports.  Returns it with the soft-limit warnings
-    the step raised on it.
+    sessions, every other prefix's records but those that ``prefix`` or
+    ``twin`` holds too (a converged state's holders share records), and
+    the immutable routes, originations and exports.  Returns it with
+    the soft-limit warnings the step raised on it.
     """
     copied = (prefix,) if twin is None else (prefix, twin)
     shared: List[object] = [simulator.graph, *_BGP_PREFIXES]
@@ -920,9 +921,11 @@ def _fork(
                 speaker._full_feed,
             )
         )
+        held = {id(speaker.record(other)) for other in copied}
         for other in _BGP_PREFIXES:
-            if other not in copied:
-                shared.append(speaker.record(other))
+            record = speaker.record(other)
+            if id(record) not in held:
+                shared.append(record)
         for other in copied:
             shared.append(speaker.origination(other))
             shared.extend(speaker.candidates(other))

@@ -114,10 +114,12 @@ def run_checks(
         with collector_scope():
             scenario, problems = check_seed(seed, only=only, tally=report.tally)
         report.seeds_run += 1
-        report.decisions_graded += len(scenario.decisions)
-        report.trees_checked += len(scenario.destinations) + len(
-            scenario.first_hops_for
-        )
+        if "labels" in report.checks:
+            report.decisions_graded += len(scenario.decisions)
+        if "gr-tree" in report.checks:
+            report.trees_checked += len(scenario.destinations) + len(
+                scenario.first_hops_for
+            )
         report.disagreements.extend(problems)
         if progress is not None:
             progress(offset + 1, seeds)

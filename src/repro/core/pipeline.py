@@ -570,17 +570,20 @@ class Study:
             labeled_simple = classifier.label_layer(
                 decisions, layer_configs["Simple"]
             )
-            # Labels are keyed by the decision's value (Decision is a
+            # Pairs are keyed by the decision's value (Decision is a
             # frozen dataclass): equal decisions grade identically, and
-            # copies made anywhere in the pipeline still resolve.
-            label_of: Dict[Decision, DecisionLabel] = dict(labeled_simple)
+            # copies made anywhere in the pipeline still resolve.  A
+            # trace holds the Simple layer's own pairs.
+            pair_of: Dict[Decision, Tuple[Decision, DecisionLabel]] = {
+                pair[0]: pair for pair in labeled_simple
+            }
             traces: List[LabeledTrace] = []
             for measurement, _path, group in per_measurement:
                 if not group:
                     continue
                 traces.append(
                     LabeledTrace(
-                        decisions=[(d, label_of[d]) for d in group],
+                        decisions=[pair_of[d] for d in group],
                         hop_ips=measurement.traceroute.responding_ips(),
                         source_continent=measurement.probe.continent,
                     )

@@ -1,4 +1,4 @@
-"""Converged-state reuse: twins, snapshots, unknown states.
+"""Converged-state reuse: twins, snapshots, unknown states, shared records.
 
 Every reuse is held to event delivery: a reference simulator converges
 the same originations with :meth:`BGPSimulator._originate_by_events`,
@@ -12,7 +12,8 @@ import pytest
 from repro.bgp import BGPSimulator, Policy
 from repro.bgp.routes import LocalRoute
 from repro.bgp.simulator import ConvergenceError
-from repro.check.differential import _rib_state
+from repro.bgp.speaker import _PrefixState
+from repro.check.differential import _BASE_PFX, _TWIN_PFX, _fork, _rib_state
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
 
@@ -193,3 +194,100 @@ class TestUnknownStates:
         assert fork._states.node(R) is fork._states.root  # never announced
         assert fork._states.snapshots() == 0
         assert sim._states.node(Q) is not None
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The records :meth:`_PrefixState.copy_for` copies, as a list."""
+    made = []
+    copy_for = _PrefixState.copy_for
+
+    def counted(record, prefix):
+        made.append(record)
+        return copy_for(record, prefix)
+
+    monkeypatch.setattr(_PrefixState, "copy_for", counted)
+    return made
+
+
+def _fresh(*originations):
+    """A simulator that delivered ``originations`` by events, from empty."""
+    reference = BGPSimulator(_world())
+    for prefix, poisoned in originations:
+        reference._originate_by_events(4, prefix, poisoned)
+    return reference
+
+
+class TestSharedRecords:
+    def test_a_twin_holds_the_holders_records_but_copies_its_origination(self):
+        sim = BGPSimulator(_world())
+        sim.originate(4, P)
+        sim.originate(4, Q)
+        assert sim.reused == 1
+        for asn, speaker in sim.speakers.items():
+            twin, holder = speaker.record(Q), speaker.record(P)
+            if asn == 4:
+                assert twin is not holder and twin.local.prefix == Q
+                assert dict(twin) == dict(holder) and twin.best is holder.best
+            else:
+                assert twin is holder is not None
+
+    def test_a_twin_copies_its_shared_records_once_before_delivery(self, copies):
+        sim = BGPSimulator(_world())
+        sim.originate(4, P)
+        sim.originate(4, Q)
+        (origination,) = copies
+        assert origination is sim.speakers[4].record(P)
+        copies.clear()
+        shared = [s.record(Q) for s in sim.speakers.values() if s.asn != 4]
+        sim.originate(4, Q, (3,))
+        assert sorted(map(id, copies)) == sorted(map(id, shared))
+        sim.originate(4, Q, (6,))
+        assert len(copies) == len(shared)
+        _same(sim, _fresh((P, ()), (Q, ()), (Q, (3,)), (Q, (6,))), P, Q)
+
+    def test_a_deep_copy_carries_on_without_sharing(self):
+        sim = BGPSimulator(_world())
+        sim.originate(4, P)
+        sim.originate(4, Q)
+        fork = copy.deepcopy(sim)
+        fork.originate(4, P, (3,))
+        assert _rib_state(fork, Q) == _rib_state(sim, Q)
+        sim.originate(4, P, (3,))
+        for prefix in (P, Q):
+            assert _rib_state(fork, prefix) == _rib_state(sim, prefix)
+
+    def test_a_fork_leaves_production_records_alone(self):
+        sim = BGPSimulator(_world())
+        sim.originate(4, _BASE_PFX)
+        sim.originate(4, _TWIN_PFX)
+        assert sim.reused == 1
+        before = [_rib_state(sim, p) for p in (_BASE_PFX, _TWIN_PFX)]
+        fork, _ = _fork(sim, 4, _BASE_PFX, frozenset({3}))
+        assert _rib_state(fork, _BASE_PFX) != before[0]
+        assert [_rib_state(sim, p) for p in (_BASE_PFX, _TWIN_PFX)] == before
+
+    def test_a_snapshot_outlives_a_delivery_to_a_prefix_reusing_it(self):
+        sim = BGPSimulator(_world())
+        for _ in range(3):
+            sim.withdraw(4, P)
+            sim.originate(4, P)
+            sim.originate(4, P, (3,))
+        assert (sim.reused, sim._states.snapshots()) == (2, 2)
+        sim.withdraw(4, P)
+        sim.originate(4, P)  # reuses the baseline's snapshot
+        sim.originate(4, P, (6,))  # a new state: delivered by events
+        sim.withdraw(4, P)
+        sim.originate(4, P)
+        assert sim.reused == 4
+        assert _rib_state(sim, P) == _rib_state(_fresh((P, ())), P)
+
+    def test_the_reset_of_a_shared_prefix_copies_no_record(self, copies):
+        sim = BGPSimulator(_world())
+        sim.originate(4, P)
+        sim.originate(4, Q)
+        copies.clear()
+        sim.withdraw(4, Q)
+        assert copies == []
+        assert all(speaker.record(Q) is None for speaker in sim.speakers.values())
+        assert _rib_state(sim, P) == _rib_state(_fresh((P, ())), P)

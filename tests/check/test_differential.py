@@ -136,7 +136,14 @@ class TestRunner:
         report = run_checks(3, only=["lpm"])
         assert report.checks == ["lpm"]
         assert report.ok
-        assert report.decisions_graded > 0  # scenario still generated
+        assert report.decisions_graded == report.trees_checked == 0
+        assert "decisions  0 graded" in report.render()
+
+    def test_only_labels_counts_decisions_but_no_trees(self):
+        report = run_checks(2, only=["labels"])
+        assert report.ok
+        assert report.decisions_graded > 0
+        assert report.trees_checked == 0
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown checks"):

@@ -342,9 +342,10 @@ class TestIncrementalDecision:
         """After every delivered message the receiving speaker's Loc-RIB
         route and decision step equal :func:`best_route` over its
         candidates, although most updates are only compared with the
-        best.  After every origination, copied (``adopt``) or delivered,
-        the same holds at every speaker, and on a deep copy of the
-        simulator, which then carries on in its place.  Per-neighbor
+        best.  After every origination, reused (records shared by
+        ``adopt``) or delivered, the same holds at every speaker, and on
+        a deep copy of the simulator, which then carries on in its place
+        with a record of its own for every prefix.  Per-neighbor
         local preferences and IGP costs make every decision step
         reachable."""
         asns = sorted(graph.asns())
