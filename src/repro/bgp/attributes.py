@@ -62,21 +62,6 @@ class ASPathAttribute:
         """Path length for the decision process; AS-sets count as one."""
         return len(self.segments)
 
-    def has_as_set(self) -> bool:
-        """Whether any segment is an AS-set (a poisoned announcement)."""
-        return frozenset in map(type, self.segments)
-
-    def contains(self, asn: int) -> bool:
-        """Loop-prevention membership test, looking inside AS-sets."""
-        segments = self.segments
-        if asn in segments:
-            return True
-        if not self.has_as_set():
-            return False  # the C-level test above was exact
-        return any(
-            asn in segment for segment in segments if isinstance(segment, frozenset)
-        )
-
     def all_asns(self) -> FrozenSet[int]:
         """Every ASN mentioned anywhere on the path."""
         asns = set()

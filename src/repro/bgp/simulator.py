@@ -13,22 +13,26 @@ one; it is the time base for the route-age tie-breaker.
 
 A withdrawal by a prefix's only origin, with nothing in flight, skips
 the message exchange: its fixed point is known (no AS holds a route),
-so every speaker forgets the prefix in one pass.  That reset is also
-what the event-driven withdrawal *should* reach, but flap damping can
-freeze it part-way, and a speaker frozen during an earlier epoch keeps
-Adj-RIB-In entries its neighbors have since withdrawn (ghost routes);
-the reset clears both.  The ``bgp-withdraw`` family of
-:func:`repro.check.differential.check_bgp_scenario` holds the two paths
-together.
+so every speaker forgets the prefix in one pass instead of delivering
+the withdrawal's messages to reach it.  The ``bgp-withdraw`` family of
+:func:`repro.check.differential.check_bgp_scenario` holds the reset to
+that event-driven withdrawal.
 
 An origination that leads a prefix to a converged state the simulator
 has already computed skips the message exchange too: every speaker
 holds the record of a prefix in that state or of a snapshot of it
 (:mod:`repro.bgp.states`), shared rather than copied, and the clock
-advances by the messages that state's convergence delivered.  A prefix
-copies the records it shares just before messages for it are
-delivered.  The ``bgp-reuse`` family holds every such copied
-convergence to event delivery.
+advances by the messages that state's convergence delivered
+(:attr:`BGPSimulator.delivered` counts only the messages runs actually
+deliver).  A prefix copies the records it shares just before messages
+for it are delivered.  The ``bgp-reuse`` family holds every such
+copied convergence to event delivery.
+
+The event budget is the one convergence guard.  A run that crosses
+its soft limit calls :attr:`BGPSimulator.on_soft_limit` once; a run
+that reaches the hard limit, as a policy dispute wheel does, raises
+:class:`ConvergenceError`, and the caller drops the undelivered tail
+(:meth:`BGPSimulator.discard_pending`).
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ class BGPSimulator:
         policies: Optional[Dict[int, Policy]] = None,
         country_of: Optional[CountryLookup] = None,
         max_events_per_link: int = 400,
-        flap_limit: int = 60,
         soft_limit_fraction: float = 0.8,
     ) -> None:
         self.graph = graph
@@ -98,13 +101,11 @@ class BGPSimulator:
         self.speakers: Dict[int, BGPSpeaker] = {}
         for asn in graph.asns():
             policy = policies.get(asn) or Policy(asn=asn)
-            self.speakers[asn] = BGPSpeaker(
-                asn,
-                policy,
-                graph.neighbors(asn),
-                flap_limit=flap_limit,
-            )
+            self.speakers[asn] = BGPSpeaker(asn, policy, graph.neighbors(asn))
         self.clock = 0
+        #: Messages delivered by every run, failed ones included; unlike
+        #: the clock, a copied convergence does not advance it.
+        self.delivered = 0
         num_links = max(1, graph.num_links())
         self._max_events = max_events_per_link * num_links
         #: Event count at which the soft-limit warning fires (once per
@@ -146,11 +147,11 @@ class BGPSimulator:
         a prefix holds or a snapshot keeps (:mod:`repro.bgp.states`),
         every speaker holds that state's record instead of delivering
         messages.  The epoch advances, the clock advances by the
-        messages that state's convergence delivered, its damped set is
-        restored and its soft-limit warning replayed, so RIBs, clock,
-        epoch and a supervisor's breaker end where event delivery
-        leaves them.  Copied routes keep their install ages, whose order
-        at each speaker is all the decision process reads.
+        messages that state's convergence delivered and its soft-limit
+        warning is replayed, so RIBs, clock, epoch and a supervisor's
+        breaker end where event delivery leaves them.  Copied routes
+        keep their install ages, whose order at each speaker is all the
+        decision process reads.
         """
         speaker = self._speaker(asn)
         local = LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned))
@@ -162,9 +163,7 @@ class BGPSimulator:
         if parent is None:
             return  # delivered together with messages in flight: unknown
         if node is None:
-            node = parent.children[key] = StateNode(
-                delivered, tuple(self.damped_ases())
-            )
+            node = parent.children[key] = StateNode(delivered)
         self._states.arrive(prefix, node)
 
     def _lookup(
@@ -202,7 +201,7 @@ class BGPSimulator:
         # (e.g. PEERING steering announcements to a different mux set).
         self._origination_prefix = local.prefix
         self._convergence_kind = "originate"
-        self._new_epoch()
+        self.epoch += 1
         self._queue.extend(speaker.exports(local.prefix))
         return self.run()
 
@@ -222,11 +221,9 @@ class BGPSimulator:
         self._states.leave(prefix, self.speakers)
         self._origination_prefix = prefix
         self._convergence_kind = "originate"
-        self._new_epoch()
+        self.epoch += 1
         for asn, speaker in self.speakers.items():
             speaker.adopt(prefix, source(asn))
-        for asn in node.damped:
-            self.speakers[asn].freeze(prefix)
         self.clock += node.delivered
         self.reused += 1
         self._states.arrive(prefix, node)
@@ -290,7 +287,7 @@ class BGPSimulator:
         self._states.leave(prefix, self.speakers)
         self.speakers[asn].withdraw_origin(prefix)
         self._origination_prefix = prefix
-        self._new_epoch()
+        self.epoch += 1
         cleared = sum(speaker.forget(prefix) for speaker in self.speakers.values())
         self._states.arrive(prefix, self._states.root)
         if events_enabled():
@@ -315,14 +312,9 @@ class BGPSimulator:
         self._origination_prefix = prefix
         self._convergence_kind = "withdraw"
         if speaker.withdraw_origin(prefix):
-            self._new_epoch()
+            self.epoch += 1
             self._queue.extend(speaker.exports(prefix))
         self.run()
-
-    def _new_epoch(self) -> None:
-        self.epoch += 1
-        for speaker in self.speakers.values():
-            speaker.reset_damping()
 
     # ------------------------------------------------------------------
     # Propagation engine
@@ -390,6 +382,7 @@ class BGPSimulator:
                         sessions[update[0], target] = update
         finally:
             self.clock = clock
+            self.delivered += delivered
         if delivered and events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -523,14 +516,6 @@ class BGPSimulator:
             if route.learned_from == current:
                 return tuple(path)
             current = route.learned_from
-
-    def damped_ases(self) -> Dict[int, frozenset]:
-        """ASes whose state was frozen by flap damping this epoch."""
-        return {
-            asn: speaker.damped_prefixes
-            for asn, speaker in self.speakers.items()
-            if speaker.damped_prefixes
-        }
 
     def rib_dump(self, prefix: Prefix) -> Dict[int, Route]:
         """Best route per AS for ``prefix`` (ASes with a route only)."""

@@ -23,12 +23,12 @@ decision step stale (``None`` beside a best route), and
 
 After a best-route change, :meth:`BGPSpeaker.exports` computes every
 neighbor's update in one pass over the record :meth:`BGPSpeaker.receive`
-returned, so a delivered update looks its prefix up once, and the flap
-count damping reads is kept on that record too.  The export rule is
-read once for the route (:meth:`~repro.bgp.policy.Policy.export_scope`)
-and returns collections the speaker already holds, and all non-sibling
-neighbors that receive a learned route share one ``(path,
-communities)`` export and one announcement.
+returned, so a delivered update looks its prefix up once.  The export
+rule is read once for the route
+(:meth:`~repro.bgp.policy.Policy.export_scope`) and returns collections
+the speaker already holds, and all non-sibling neighbors that receive a
+learned route share one ``(path, communities)`` export and one
+announcement.
 
 A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
@@ -92,15 +92,7 @@ class _PrefixState(dict):
     always tested with ``is None``.
     """
 
-    __slots__ = (
-        "local",
-        "self_route",
-        "best",
-        "step",
-        "advertised",
-        "flaps",
-        "flap_epoch",
-    )
+    __slots__ = ("local", "self_route", "best", "step", "advertised")
 
     def __init__(self) -> None:
         #: The local origination and the self-route it installs.
@@ -115,15 +107,10 @@ class _PrefixState(dict):
         #: speaker's ascending-ASN session order; ``None``: nothing).
         #: The table itself is ``None`` while no neighbor is told.
         self.advertised: Optional[List[Optional[Export]]] = None
-        #: Best-route changes in the speaker's damping epoch
-        #: ``flap_epoch``; a count stamped with an older epoch is zero.
-        self.flaps = 0
-        self.flap_epoch = -1
 
     def copy_for(self, prefix: Prefix) -> "_PrefixState":
         """This record as ``prefix``'s: its tables copied, its immutable
-        routes and exports shared, its local origination rebuilt, its
-        flap count kept (it counts only within its damping epoch)."""
+        routes and exports shared, its local origination rebuilt."""
         twin = _PrefixState()
         twin.update(self)
         if self.local is not None:
@@ -133,8 +120,6 @@ class _PrefixState(dict):
         twin.step = self.step
         if self.advertised is not None:
             twin.advertised = self.advertised.copy()
-        twin.flaps = self.flaps
-        twin.flap_epoch = self.flap_epoch
         return twin
 
     def shared_as(self, prefix: Prefix) -> "_PrefixState":
@@ -151,10 +136,8 @@ class BGPSpeaker:
     (Adj-RIB-In, local origination, Loc-RIB, decision step, advertised
     exports), runs the decision process on it, and produces the export
     messages for its neighbors in one pass per best-route change
-    (:meth:`exports`), in ascending-ASN order.  Route-flap counts (kept
-    on the records) and the frozen set are per convergence epoch.
-    Message transport and scheduling live in
-    :class:`repro.bgp.simulator.BGPSimulator`.
+    (:meth:`exports`), in ascending-ASN order.  Message transport and
+    scheduling live in :class:`repro.bgp.simulator.BGPSimulator`.
     """
 
     def __init__(
@@ -162,7 +145,6 @@ class BGPSpeaker:
         asn: int,
         policy: Policy,
         neighbors: Dict[int, Relationship],
-        flap_limit: int = 0,
     ) -> None:
         self.asn = asn
         self.policy = policy
@@ -195,12 +177,6 @@ class BGPSpeaker:
             for neighbor, relationship in self._sessions
             if relationship.exports_all()
         )
-        #: Route-flap damping: after this many best-route changes for a
-        #: prefix the speaker freezes its state (0 disables).
-        self._flap_limit = flap_limit
-        #: The damping epoch a record's flap count must carry to count.
-        self._damping_epoch = 0
-        self._frozen: set = set()
         self._prefixes: Dict[Prefix, _PrefixState] = {}
         #: The policy's non-empty prefix inputs, as last loaded.
         self._inputs: Dict[Prefix, PrefixInputs] = {}
@@ -267,10 +243,6 @@ class BGPSpeaker:
             held.add(id(record))
         return clone
 
-    def freeze(self, prefix: Prefix) -> None:
-        """Mark ``prefix`` damped for the rest of this epoch."""
-        self._frozen.add(prefix)
-
     # ------------------------------------------------------------------
     # Origination
     # ------------------------------------------------------------------
@@ -286,7 +258,7 @@ class BGPSpeaker:
             return False
         state.local = local_route
         state.self_route = local_route.to_route()
-        self._run_decision(state, local_route.prefix)
+        self._run_decision(state)
         return True
 
     def withdraw_origin(self, prefix: Prefix) -> bool:
@@ -295,7 +267,7 @@ class BGPSpeaker:
         if state is None or state.local is None:
             return False
         state.local = state.self_route = None
-        self._run_decision(state, prefix)
+        self._run_decision(state)
         return True
 
     def originates(self, prefix: Prefix) -> bool:
@@ -335,8 +307,6 @@ class BGPSpeaker:
     ) -> Optional[_PrefixState]:
         """Process an update; returns the prefix's record when its best
         route changed (pass it to :meth:`exports`), else ``None``."""
-        if self._frozen and message.prefix in self._frozen:
-            return None
         if isinstance(message, Announcement):
             return self._receive_announcement(message, clock, country_of)
         if isinstance(message, Withdrawal):
@@ -376,7 +346,7 @@ class BGPSpeaker:
             # A rejected announcement implicitly withdraws any prior
             # route from this neighbor (the neighbor replaced it).
             if state is not None and state.pop(neighbor, None) is not None:
-                return state if self._run_decision(state, prefix) else None
+                return state if self._run_decision(state) else None
             return None
         if state is None:
             state = self._prefixes[prefix] = _PrefixState()
@@ -416,7 +386,7 @@ class BGPSpeaker:
         )
         best = state.best
         if best is None or best.learned_from == neighbor:
-            return state if self._run_decision(state, prefix) else None
+            return state if self._run_decision(state) else None
         # The best route stands unless the new one beats it.  The new
         # route's preference_key is the values it was just built from.
         state.step = None
@@ -424,7 +394,6 @@ class BGPSpeaker:
             -local_pref, len(as_path.segments), igp_cost, clock, neighbor
         ) < preference_key(best):
             state.best = route
-            self._best_changed(state, prefix)
             return state
         return None
 
@@ -435,7 +404,7 @@ class BGPSpeaker:
         if state.best is not None and state.best.learned_from != withdrawal.sender:
             state.step = None  # the best stands; the runner-up may not
             return None
-        return state if self._run_decision(state, withdrawal.prefix) else None
+        return state if self._run_decision(state) else None
 
     # ------------------------------------------------------------------
     # Decision process
@@ -450,7 +419,7 @@ class BGPSpeaker:
             routes.append(state.self_route)
         return routes
 
-    def _run_decision(self, state: _PrefixState, prefix: Prefix) -> bool:
+    def _run_decision(self, state: _PrefixState) -> bool:
         """Run the full tournament; returns whether the best route changed."""
         if state.self_route is not None:
             winner, step = best_route([*state.values(), state.self_route])
@@ -462,38 +431,7 @@ class BGPSpeaker:
         previous = state.best
         state.best = winner
         state.step = step
-        if previous is winner or previous == winner:
-            return False
-        self._best_changed(state, prefix)
-        return True
-
-    def _best_changed(self, state: _PrefixState, prefix: Prefix) -> None:
-        """Count a best-route change toward flap damping."""
-        if self._flap_limit:
-            if state.flap_epoch == self._damping_epoch:
-                state.flaps += 1
-            else:
-                state.flap_epoch = self._damping_epoch
-                state.flaps = 1
-            if state.flaps > self._flap_limit:
-                # Route-flap damping: freeze this prefix's state so a
-                # policy dispute wheel cannot livelock the network.
-                self._frozen.add(prefix)
-
-    def reset_damping(self) -> None:
-        """Start a new convergence epoch: zero every flap count and thaw.
-
-        Called by the simulator whenever an origination changes, so
-        damping only fires on oscillation *within* one convergence run,
-        not across sequential experiments.  The counts live on the
-        records; bumping the epoch they are stamped with zeroes them all.
-        """
-        self._damping_epoch += 1
-        self._frozen.clear()
-
-    @property
-    def damped_prefixes(self) -> frozenset:
-        return frozenset(self._frozen)
+        return not (previous is winner or previous == winner)
 
     def best(self, prefix: Prefix) -> Optional[Route]:
         state = self._prefixes.get(prefix)

@@ -9,7 +9,9 @@ of which names the prefix.  Everything else a convergence reads (the
 sessions, each policy's other fields) stays fixed for a simulator's
 lifetime.  :class:`ConvergedStates` records those histories as a trie
 rooted at the empty state: one :class:`StateNode` per converged
-state, one edge per origination.
+state, one edge per origination.  A converged state is an exact fixed
+point, fully held by the speakers' records; a node adds only how many
+messages its convergence delivered, which a copy adds to the clock.
 
 When an origination leads to a known node, the simulator gives every
 speaker the state's record instead of delivering messages: the record
@@ -55,16 +57,14 @@ EdgeKey = Tuple[int, FrozenSet[int], Tuple[Tuple[int, PrefixInputs], ...]]
 class StateNode:
     """One converged state, reached by the originations on its trie path."""
 
-    __slots__ = ("children", "holders", "delivered", "damped", "reached", "snapshot")
+    __slots__ = ("children", "holders", "delivered", "reached", "snapshot")
 
-    def __init__(self, delivered: int = 0, damped: Tuple[int, ...] = ()) -> None:
+    def __init__(self, delivered: int = 0) -> None:
         self.children: Dict[EdgeKey, StateNode] = {}
         #: Prefixes in this state now, in arrival order.
         self.holders: Dict[Prefix, None] = {}
-        #: Messages the convergence into this state delivered, and the
-        #: ASes whose flap damping froze the prefix during it.
+        #: Messages the convergence into this state delivered.
         self.delivered = delivered
-        self.damped = damped
         #: How many times a prefix arrived here.
         self.reached = 0
         #: Speaker ASN -> record, the last holder's once it left.

@@ -14,7 +14,8 @@ The check subsystem is the safety net under the optimized pipeline:
   ``bgp-withdraw``, ``bgp-reuse`` and ``bgp-stable`` assertion families
   hold the simulator's withdrawal resets and fallbacks and its
   converged-state copies to its own event-driven delivery, and every
-  convergence to the stable-state oracle;
+  convergence to the exact fixed point of the stable-state oracle,
+  with no speaker exempt;
 * :mod:`repro.check.golden` — blessed snapshots of the canonical
   seeded study with a diff/bless workflow;
 * :mod:`repro.check.runner` — the ``repro check run`` campaign driver.

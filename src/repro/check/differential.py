@@ -841,55 +841,6 @@ def _diff_rib_states(
     )
 
 
-def _explain_leftovers(
-    before: Dict[int, List[Route]], fork: BGPSimulator, prefix: Prefix
-) -> Tuple[int, List[str]]:
-    """Ghost routes among the event-driven leftovers, and what is unexplained.
-
-    With no origin left, every surviving route must trace back to a
-    speaker the withdrawal froze (flap damping) or to a ghost: a
-    pre-withdrawal Adj-RIB-In entry that the neighbor's advertisement
-    no longer backs.  At a speaker that was not frozen, each route is
-    therefore a ghost or backed by the neighbor's current
-    advertisement, and anything it advertises comes from a Loc-RIB
-    route.
-    """
-    frozen = fork.damped_ases()
-    ghosts = 0
-    unexplained = []
-    for asn, speaker in fork.speakers.items():
-        if asn in frozen:
-            continue
-        for route in speaker.candidates(prefix):
-            sent = fork.speakers[route.learned_from].advertised(prefix).get(asn)
-            if sent == (route.as_path, route.communities):
-                continue
-            if route in before[asn]:
-                ghosts += 1
-            else:
-                unexplained.append(f"AS{asn} route from AS{route.learned_from}")
-        if speaker.advertised(prefix) and speaker.best(prefix) is None:
-            unexplained.append(f"AS{asn} advertises without a route")
-    return ghosts, unexplained
-
-
-def _stable_faults(
-    simulator: BGPSimulator, stale: Dict[Prefix, set]
-) -> Dict[Prefix, List[str]]:
-    """:func:`oracle_stable_faults` for each prefix ``stale`` maps to the
-    speakers flap damping froze since the prefix was last empty, whose
-    ghost routes may outlive the freeze: the Adj-RIB-In check skips
-    them.  Adds this epoch's frozen speakers to ``stale``."""
-    damped = simulator.damped_ases()
-    faults = {}
-    for prefix, exempt in stale.items():
-        if not any(s.candidates(prefix) for s in simulator.speakers.values()):
-            exempt.clear()  # the prefix is empty: no ghost survives
-        faults[prefix] = oracle_stable_faults(simulator, prefix, frozenset(exempt))
-        exempt.update(asn for asn, frozen in damped.items() if prefix in frozen)
-    return faults
-
-
 def _fork(
     simulator: BGPSimulator,
     asn: int,
@@ -947,13 +898,12 @@ def check_bgp_scenario(
 
     On the scenario's graph, about 10% of ASes filter poisoned
     announcements, 5% ignore loop prevention and 10% of customer links
-    are partial transit; every fourth seed runs at ``flap_limit=2`` so
-    that damping, damped copies and ghost routes occur, and a soft limit
-    at 0.2% of the event budget makes copies replay the warning.  One
-    origin announces five prefixes like the passive campaign: a base,
-    its equal-policy twin, and three that each differ from the base in
-    one prefix input (a prepend, the selective-export set, one AS's
-    local-preference override on a route it holds).  Another origin's
+    are partial transit, and a soft limit at 0.2% of the event budget
+    makes copies replay the warning.  One origin announces five
+    prefixes like the passive campaign: a base, its equal-policy twin,
+    and three that each differ from the base in one prefix input (a
+    prepend, the selective-export set, one AS's local-preference
+    override on a route it holds).  Another origin's
     prefix then runs three to five discovery-style units: the
     withdrawals (of the first origin, by events while it anycasts the
     prefix too, then the reset), the baseline, in about half the units
@@ -966,20 +916,17 @@ def check_bgp_scenario(
     assertion families:
 
     * ``bgp-stable``: :func:`oracle_stable_faults` holds the prefix the
-      step converged to the fixed point, decision steps included; a
-      speaker damping froze keeps its Adj-RIB-In exempt until the
-      prefix is next empty (:func:`_stable_faults`).
+      step converged to the exact fixed point, decision steps and every
+      speaker's Adj-RIB-In included.
     * ``bgp-reuse``: an origination that copies a converged state is
       also delivered by events on a :func:`_fork`; the prefix's and the
-      source twin's tables, the clock, the epoch, the damped set and
-      the soft-limit warnings must match.
+      source twin's tables, the clock, the epoch and the soft-limit
+      warnings must match.
     * ``bgp-withdraw``: so is every withdrawal.  One that falls back to
       event delivery (another origin remains) must match as a copy
-      does.  A reset must leave no state, no damping and no earlier
-      clock; where the fork also ends empty, the two must agree, and
-      again once the next baseline re-announces on both.  Where the
-      fork stalls, every leftover is damped or a ghost
-      (:func:`_explain_leftovers`).
+      does.  A reset must leave no state and no earlier clock, and the
+      fork must end empty too, holding no route: the two must agree,
+      and again once the next baseline re-announces on both.
     """
     tally = Counter() if tally is None else tally
     seed = scenario.seed
@@ -999,15 +946,9 @@ def check_bgp_scenario(
             loop_prevention_disabled=rng.random() < 0.05,
             partial_transit_to={c for c in customers if rng.random() < 0.1},
         )
-    simulator = BGPSimulator(
-        graph,
-        policies=policies,
-        flap_limit=2 if seed % 4 == 0 else 60,
-        soft_limit_fraction=0.002,
-    )
+    simulator = BGPSimulator(graph, policies=policies, soft_limit_fraction=0.002)
     warnings: List[Tuple] = []
     simulator.on_soft_limit = lambda *args: warnings.append(args)
-    stale: Dict[Prefix, set] = {prefix: set() for prefix in _BGP_PREFIXES}
     #: The event-driven fork of the last reset that ended empty, for the
     #: next step to re-announce on: (asn, prefix, fork, label).
     emptied: Optional[Tuple] = None
@@ -1027,7 +968,6 @@ def check_bgp_scenario(
             return  # nothing in flight: the withdrawal changes nothing
         fork = twin = None
         if withdrawal:
-            before = {a: s.candidates(prefix) for a, s in simulator.speakers.items()}
             clock = simulator.clock
             fork, fork_warnings = _fork(simulator, asn, prefix, None)
         else:
@@ -1037,7 +977,6 @@ def check_bgp_scenario(
                 twin = next(iter(node.holders), None)
                 tally["bgp-reuse copies"] += 1
                 tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
-                tally["bgp-reuse damped copies"] += bool(node.damped)
                 fork, fork_warnings = _fork(simulator, asn, prefix, poisoned, twin)
         if withdrawal or poisoned or carried is None or carried[:2] != (asn, prefix):
             carried = None
@@ -1050,8 +989,7 @@ def check_bgp_scenario(
             simulator.originate(asn, prefix, poisoned)
 
         tally["bgp-stable convergences"] += 1
-        faults = _stable_faults(simulator, {prefix: stale[prefix]})[prefix]
-        tally["bgp-stable damped speakers exempted"] += len(stale[prefix])
+        faults = oracle_stable_faults(simulator, prefix)
         if faults:
             fault(
                 "bgp-stable",
@@ -1072,24 +1010,12 @@ def check_bgp_scenario(
             production = _rib_state(simulator, prefix)
             if any(any(tables) for tables in production.values()):
                 fault("bgp-withdraw", "the reset left state behind")
-            if simulator.epoch != fork.epoch or simulator.damped_ases():
-                fault(
-                    "bgp-withdraw",
-                    f"epoch {simulator.epoch} vs {fork.epoch}, or damping kept",
-                )
+            if simulator.epoch != fork.epoch:
+                fault("bgp-withdraw", f"epoch {simulator.epoch} vs {fork.epoch}")
             if simulator.clock < clock:
                 fault("bgp-withdraw", f"clock went back {clock} -> {simulator.clock}")
-            if fork.rib_dump(prefix):
-                # The event-driven withdrawal stalled short of the empty state.
-                tally["bgp-withdraw fork left routes"] += 1
-                ghosts, unexplained = _explain_leftovers(before, fork, prefix)
-                tally["bgp-withdraw fork left ghost routes"] += bool(ghosts)
-                if unexplained:
-                    fault(
-                        "bgp-withdraw",
-                        f"leftovers neither ghost nor damped: {unexplained[:5]}",
-                    )
-                return
+            # The fork must end as empty as the reset: a route its
+            # event-driven withdrawal left behind is a disagreement.
             detail = _diff_rib_states(production, _rib_state(fork, prefix))
             if detail is not None:
                 fault("bgp-withdraw", f"after withdrawal, {detail}")
@@ -1098,7 +1024,7 @@ def check_bgp_scenario(
             return
         # A copy, or a withdrawal that fell back to event delivery: the
         # tables (and those of the twin copied from, left as is), clock,
-        # epoch, damping and soft-limit warnings must be the fork's.
+        # epoch and soft-limit warnings must be the fork's.
         if withdrawal:
             family = "bgp-withdraw"
             tally["bgp-withdraw fallback"] += 1
@@ -1111,12 +1037,12 @@ def check_bgp_scenario(
             )
             if detail is not None:
                 fault(family, f"{other} {detail}")
-        produced = (simulator.clock, simulator.epoch, simulator.damped_ases(), warnings)
-        expected = (fork.clock, fork.epoch, fork.damped_ases(), fork_warnings)
+        produced = (simulator.clock, simulator.epoch, warnings)
+        expected = (fork.clock, fork.epoch, fork_warnings)
         if produced != expected:
             fault(
                 family,
-                "clock, epoch, damping or soft-limit warnings "
+                "clock, epoch or soft-limit warnings "
                 f"{produced} vs event-driven {expected}",
             )
 

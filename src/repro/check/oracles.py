@@ -22,10 +22,11 @@ path it validates:
 * :func:`oracle_export` — the export rule for one neighbor at a time,
   attribute by attribute, validating the single export pass of
   :meth:`repro.bgp.speaker.BGPSpeaker.exports`.
-* :func:`oracle_stable_faults` — the fixed point a converged network
-  must be in, read from its final tables alone, validating the
-  simulator's queue rule (:meth:`repro.bgp.simulator.BGPSimulator.run`)
-  whatever order it delivers updates in.
+* :func:`oracle_stable_faults` — the exact fixed point a converged
+  network must be in, read from its final tables alone at every
+  speaker, validating the simulator's queue rule
+  (:meth:`repro.bgp.simulator.BGPSimulator.run`) whatever order it
+  delivers updates in.
 * :func:`OracleLPM` — longest-prefix match by linear scan over the
   stored prefixes, validating :class:`repro.net.trie.PrefixTrie`.
 
@@ -594,9 +595,7 @@ def oracle_export(
 # ---------------------------------------------------------------------------
 
 
-def oracle_stable_faults(
-    simulator: BGPSimulator, prefix: Prefix, stale: FrozenSet[int] = frozenset()
-) -> List[str]:
+def oracle_stable_faults(simulator: BGPSimulator, prefix: Prefix) -> List[str]:
     """Why ``simulator`` is not at a fixed point for ``prefix``.
 
     A converged network is stable whatever order its updates were
@@ -612,20 +611,13 @@ def oracle_stable_faults(
       speaker's import filter (:meth:`~repro.bgp.policy.Policy.accepts`)
       rejects what it was told.
 
-    A speaker whose flap damping froze ``prefix`` ignores what it is
-    sent, so the last check skips the speakers damping froze this
-    epoch and those in ``stale``: the speakers it froze in an earlier
-    epoch, whose ghost routes may outlive the freeze.  Returns one line
-    per fault; empty when the state is stable.
+    Returns one line per fault; empty when the state is stable.
     """
     faults: List[str] = []
     in_flight = simulator.in_flight()
     if in_flight:
         faults.append(f"{in_flight} update(s) in flight")
     speakers = simulator.speakers
-    frozen = {
-        asn for asn, damped in simulator.damped_ases().items() if prefix in damped
-    }
     told = {asn: speaker.advertised(prefix) for asn, speaker in speakers.items()}
     for asn, speaker in speakers.items():
         candidates = speaker.candidates(prefix)
@@ -640,7 +632,6 @@ def oracle_stable_faults(
         origination = speaker.origination(prefix)
         poisoned = frozenset() if origination is None else origination.poisoned
         held = {route.learned_from: route for route in candidates}
-        exempt = asn in frozen or asn in stale
         for neighbor in sorted(speaker.neighbors):
             export = oracle_export(
                 speaker.policy, speaker.neighbors, prefix, best, neighbor, poisoned
@@ -650,8 +641,6 @@ def oracle_stable_faults(
                     f"AS{asn} told AS{neighbor} {told[asn].get(neighbor)}, "
                     f"not {export}"
                 )
-            if exempt:
-                continue
             sent = told[neighbor].get(asn)
             if sent is not None and not speaker.policy.accepts(sent[0]):
                 sent = None

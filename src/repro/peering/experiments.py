@@ -419,9 +419,9 @@ def discover_alternate_routes(
 
     Every target's discovery starts from a withdrawn-then-reannounced
     prefix.  PEERING is the prefix's only origin, so the withdrawal
-    takes the simulator's direct reset and leaves no AS with a route —
-    no frozen speaker, no ghost route from an earlier target's poisoned
-    announcements.  Each target's result is therefore a pure function
+    takes the simulator's direct reset and leaves no AS with a route
+    from an earlier target's poisoned announcements.  Each target's
+    result is therefore a pure function
     of the topology and the fault plan, independent of which targets
     ran before it: the property that makes journal resumption
     byte-identical.
@@ -432,10 +432,11 @@ def discover_alternate_routes(
     poison set until ``max_rounds``.
 
     Each target runs in a ``discovery_target`` span whose attributes
-    give its rounds, its status and how many of its convergences the
-    simulator copied from a known state (``reused``): every target
+    give its rounds, its status, how many of its convergences the
+    simulator copied from a known state (``reused``: every target
     re-announces the same baseline, and targets with one next hop
-    share their first poison round.
+    share their first poison round) and how many BGP messages its
+    convergences delivered (``delivered``).
     """
     prefix = prefix or testbed.prefixes[0]
     supervisor = supervisor or ActiveSupervisor()
@@ -502,6 +503,7 @@ def discover_alternate_routes(
 
                 with span("discovery_target", target=target) as target_span:
                     reused_before = simulator.reused
+                    delivered_before = simulator.delivered
                     observation = AlternateRouteObservation(target=target)
                     status, reason = COMPLETED, None
                     baseline_ok = False
@@ -576,6 +578,7 @@ def discover_alternate_routes(
                             rounds=len(observation.poison_rounds),
                             status=status,
                             reused=simulator.reused - reused_before,
+                            delivered=simulator.delivered - delivered_before,
                         )
                     publish(
                         CATEGORY_ACTIVE,
@@ -737,7 +740,8 @@ def run_magnet_experiments(
     rounds can be skipped on resume without perturbing the rest.  The
     reset never moves the simulator clock back, so magnet routes stay
     older than anycast routes, as the age tie-breaker expects.  Each
-    round runs in a ``magnet_round`` span (mux, status, ``reused``).
+    round runs in a ``magnet_round`` span (mux, status, ``reused``,
+    ``delivered``).
     """
     prefix = prefix or testbed.prefixes[-1]
     supervisor = supervisor or ActiveSupervisor()
@@ -775,6 +779,7 @@ def run_magnet_experiments(
 
                 with span("magnet_round", mux=mux.host_asn) as round_span:
                     reused_before = simulator.reused
+                    delivered_before = simulator.delivered
                     status, reason = COMPLETED, None
                     observation: Optional[MagnetObservation] = None
                     try:
@@ -841,7 +846,9 @@ def run_magnet_experiments(
 
                     if round_span is not None:
                         round_span.attrs.update(
-                            status=status, reused=simulator.reused - reused_before
+                            status=status,
+                            reused=simulator.reused - reused_before,
+                            delivered=simulator.delivered - delivered_before,
                         )
                     publish(
                         CATEGORY_ACTIVE,

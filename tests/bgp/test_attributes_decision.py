@@ -4,6 +4,7 @@ import pytest
 
 from repro.bgp import ASPathAttribute, DecisionStep, Route, best_route
 from repro.bgp.decision import rank_routes
+from repro.bgp.policy import path_accepted
 from repro.net.ip import Prefix
 from repro.topology.relationships import Relationship
 
@@ -34,9 +35,10 @@ class TestASPathAttribute:
         path = ASPathAttribute.origin(100).with_poison_set({7, 8, 9}, owner=100)
         # owner {7,8,9} owner
         assert path.length() == 3
-        assert path.contains(8)
-        assert path.contains(100)
-        assert not path.contains(11)
+        # Loop prevention sees the set's members and the owner, no one else.
+        assert not path_accepted(path, 8, False, False)
+        assert not path_accepted(path, 100, False, False)
+        assert path_accepted(path, 11, False, False)
 
     def test_with_empty_poison_set_is_identity(self):
         path = ASPathAttribute.origin(100)

@@ -36,16 +36,6 @@ def _contested_graph():
     )
 
 
-def _flappy_graph():
-    """AS1 sees a peer route via 2 first, then a customer route via 6."""
-    return _graph(
-        (1, 2, Relationship.PEER),
-        (2, 4, Relationship.CUSTOMER),
-        (1, 6, Relationship.CUSTOMER),
-        (6, 4, Relationship.CUSTOMER),
-    )
-
-
 class TestPropagation:
     def test_customer_route_reaches_everyone(self):
         sim = BGPSimulator(_chain())
@@ -345,6 +335,16 @@ class TestConvergenceFailure:
         assert len(warnings) == 1
         assert sim.best_route(1, PFX) is not None
 
+    def test_delivered_counts_runs_apart_from_the_clock(self):
+        """Each run adds what it delivered, a failed one included."""
+        sim = BGPSimulator(_chain())
+        sim.originate(4, PFX)
+        assert sim.delivered == sim.clock == 3
+        failing = BGPSimulator(_contested_graph(), max_events_per_link=1)
+        with pytest.raises(ConvergenceError) as excinfo:
+            failing.originate(6, PFX)
+        assert failing.delivered == excinfo.value.delivered == 4
+
     def test_discard_pending_clears_the_unconverged_tail(self):
         sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
         with pytest.raises(ConvergenceError):
@@ -389,14 +389,14 @@ class TestWithdrawReset:
             assert speaker.advertised(PFX) == {}
 
     def test_epoch_advances_damping_resets_and_the_clock_stays(self):
-        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
+        """The reset is one epoch that delivers nothing: neither the
+        clock nor the delivered count moves."""
+        sim = BGPSimulator(self._diamond())
         sim.originate(4, PFX)
-        assert sim.damped_ases()
-        clock, epoch = sim.clock, sim.epoch
+        clock, epoch, delivered = sim.clock, sim.epoch, sim.delivered
         sim.withdraw(4, PFX)
         assert sim.epoch == epoch + 1
-        assert sim.damped_ases() == {}
-        assert sim.clock == clock
+        assert (sim.clock, sim.delivered) == (clock, delivered)
         # Routes learned after the reset are younger than any before.
         sim.originate(4, PFX)
         assert all(
@@ -550,31 +550,6 @@ class TestQueueCoalescing:
         from_3 = [message for message in delivered if message.sender == 3]
         assert [message.as_path.sequence() for message in from_3] == [(3, 1, 2)]
         assert sim.in_flight() == 0
-
-
-class TestFlapDamping:
-    """Route-flap damping freezes oscillating state (see damped_ases)."""
-
-    def test_damped_ases_after_repeated_best_changes(self):
-        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
-        sim.originate(4, PFX)
-        damped = sim.damped_ases()
-        assert 1 in damped
-        assert PFX in damped[1]
-
-    def test_damping_resets_each_epoch(self):
-        sim = BGPSimulator(_flappy_graph(), flap_limit=1)
-        sim.originate(4, PFX)
-        assert sim.damped_ases()
-        # A new origination starts a new epoch: counters clear, and the
-        # no-op re-announcement causes no best changes, so nothing damps.
-        sim.originate(4, PFX)
-        assert sim.damped_ases() == {}
-
-    def test_no_damping_without_flap_limit(self):
-        sim = BGPSimulator(_flappy_graph())
-        sim.originate(4, PFX)
-        assert sim.damped_ases() == {}
 
 
 class TestSimulatorMisc:

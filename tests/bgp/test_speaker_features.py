@@ -1,9 +1,10 @@
 """Tests for speaker-level features: prepending, sibling semantics,
-and route-flap damping."""
+and a dispute wheel, which never converges."""
 
 import pytest
 
 from repro.bgp import BGPSimulator, Policy
+from repro.bgp.simulator import ConvergenceError
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
 
@@ -130,10 +131,13 @@ class TestSiblingSemantics:
         assert route.effective_class is Relationship.CUSTOMER
 
 
-class TestFlapDamping:
-    def test_dispute_wheel_is_damped_not_livelocked(self):
+class TestDisputeWheel:
+    def test_a_dispute_wheel_is_a_convergence_error(self):
         """Three peers each preferring the next one over the origin
-        route form a classic BAD GADGET; damping must freeze it."""
+        route form a classic BAD GADGET.  It never settles: the run
+        warns once at the soft limit, spends the whole event budget and
+        raises.  Dropping the undelivered tail and a withdrawal by the
+        sole origin then leave the prefix empty."""
         graph = _graph(
             (1, 2, Relationship.PEER),
             (2, 3, Relationship.PEER),
@@ -147,40 +151,25 @@ class TestFlapDamping:
             2: Policy(asn=2, neighbor_local_pref={3: 400}),
             3: Policy(asn=3, neighbor_local_pref={1: 400}),
         }
-        sim = BGPSimulator(graph, policies=policies, flap_limit=20)
-        sim.originate(9, PFX)  # must terminate
-        assert sim.damped_ases()  # the gadget was frozen
-        # Every gadget member still holds some route.
-        for asn in (1, 2, 3):
-            assert sim.best_route(asn, PFX) is not None
+        sim = BGPSimulator(graph, policies=policies, max_events_per_link=400)
+        warnings = []
+        sim.on_soft_limit = lambda *args: warnings.append(args)
+        with pytest.raises(ConvergenceError, match="dispute wheel") as excinfo:
+            sim.originate(9, PFX)
+        budget = 400 * graph.num_links()
+        assert excinfo.value.delivered == sim.delivered == budget == 2400
+        assert [(prefix, epoch) for prefix, epoch, _ in warnings] == [(PFX, 1)]
+        assert warnings[0][2] < budget
+        assert sim.discard_pending() > 0
+        assert sim.in_flight() == 0
+        sim.withdraw(9, PFX)
+        for speaker in sim.speakers.values():
+            assert speaker.candidates(PFX) == []
+            assert speaker.advertised(PFX) == {}
 
-    def test_damping_resets_between_epochs(self):
-        graph = _graph(
-            (1, 2, Relationship.PEER),
-            (2, 3, Relationship.PEER),
-            (3, 1, Relationship.PEER),
-            (1, 9, Relationship.CUSTOMER),
-            (2, 9, Relationship.CUSTOMER),
-            (3, 9, Relationship.CUSTOMER),
-        )
-        policies = {
-            1: Policy(asn=1, neighbor_local_pref={2: 400}),
-            2: Policy(asn=2, neighbor_local_pref={3: 400}),
-            3: Policy(asn=3, neighbor_local_pref={1: 400}),
-        }
-        sim = BGPSimulator(graph, policies=policies, flap_limit=20)
-        sim.originate(9, PFX)
-        assert sim.damped_ases()
-        other = Prefix.parse("203.0.113.0/24")
-        sim.originate(9, other)
-        # New epoch: old freeze state must not leak across epochs for
-        # the new prefix.
-        frozen_prefixes = {
-            prefix for bucket in sim.damped_ases().values() for prefix in bucket
-        }
-        assert PFX not in frozen_prefixes or other not in frozen_prefixes
-
-    def test_gr_policies_never_trip_damping(self):
+    def test_generated_policies_never_reach_the_soft_limit(self):
+        """The generated world's Gao-Rexford policies form no wheel: an
+        origin's prefixes converge without a soft-limit warning."""
         from repro.topogen import generate_internet
         from repro.topogen.config import small_config
 
@@ -188,7 +177,10 @@ class TestFlapDamping:
         sim = BGPSimulator(
             internet.graph, policies=internet.policies, country_of=internet.country_of
         )
+        warnings = []
+        sim.on_soft_limit = lambda *args: warnings.append(args)
         origin = internet.content[0].asns[0]
         for prefix in internet.prefixes[origin]:
             sim.originate(origin, prefix)
-        assert sim.damped_ases() == {}
+        assert warnings == []
+        assert sim.in_flight() == 0

@@ -44,8 +44,7 @@ DIFFERENTIAL_SEEDS = range(200)
 #: they grade scenarios no other check grades.
 PARALLEL_SEEDS = (500, 507, 542, 599, 623)
 
-#: Seeds of the BGP scenario driver's coverage and mutation tests; every
-#: fourth seed runs at ``flap_limit=2``, so all of these do.
+#: Seeds of the BGP scenario driver's coverage and mutation tests.
 BGP_SEEDS = range(0, 40, 4)
 
 
@@ -186,35 +185,33 @@ class TestRunner:
 
 class TestWithdrawCheckCoverage:
     def test_every_path_and_leftover_kind_is_exercised(self, bgp_run):
-        """Fallbacks, resets and stalled forks with ghost leftovers all
-        occur; seeds divisible by four run at flap_limit=2."""
+        """Fallbacks and resets both occur, and every reset's
+        event-driven fork ended empty: no route was left behind."""
         problems, tally = bgp_run
         assert problems == []
         assert tally["bgp-withdraw fallback"] > 0
-        assert tally["bgp-withdraw fork left ghost routes"] > 0
-        assert tally["bgp-withdraw resets"] > tally["bgp-withdraw fork left routes"]
+        assert tally["bgp-withdraw resets"] > 0
 
 
 class TestReuseCheckCoverage:
     def test_twins_snapshots_damping_and_soft_limits_are_exercised(self, bgp_run):
-        """Copies from a twin and a snapshot, damped copies and replayed
-        soft limits all occur."""
+        """Copies from a twin and a snapshot and replayed soft limits
+        all occur."""
         problems, tally = bgp_run
         assert problems == []
         assert tally["bgp-reuse copies from a twin"] > 0
         assert tally["bgp-reuse copies from a snapshot"] > 0
-        assert tally["bgp-reuse damped copies"] > 0
         assert tally["bgp-reuse soft limits replayed"] > 0
 
 
 class TestStableCheckCoverage:
     def test_every_seed_converges_to_a_fixed_point_damping_included(self, bgp_run):
-        """Frozen speakers at flap_limit=2 are exempted from the
-        Adj-RIB-In check."""
+        """Every convergence is held to the exact fixed point, every
+        speaker's Adj-RIB-In included, and none fails to converge."""
         problems, tally = bgp_run
         assert problems == []
         assert tally["bgp-stable convergences"] > 0
-        assert tally["bgp-stable damped speakers exempted"] > 0
+        assert tally["bgp-stable unconverged"] == 0
 
 
 def _key_without(field: str, ases: int = 0):
@@ -355,12 +352,30 @@ class TestMutationsAreCaught:
         monkeypatch.setattr(_PrefixState, "copy_for", keep_local)
         assert any(p.check == "bgp-reuse" for p in _bgp_problems())
 
-    def test_unexplained_leftovers_flagged(self, monkeypatch):
-        """Without the damping excuse, frozen speakers' routes are
-        neither ghost nor backed: the leftover audit is not vacuous."""
-        monkeypatch.setattr(BGPSimulator, "damped_ases", lambda self: {})
+    def test_a_withdrawal_fork_leaving_a_route_flagged(self, monkeypatch):
+        """An event-driven withdrawal whose first withdrawal message is
+        lost leaves a route behind, where the reset leaves none."""
+        withdraw_by_events = BGPSimulator._withdraw_by_events
+        receive = BGPSpeaker.receive
+        losing = []
+
+        def lose_one(self, asn, prefix):
+            losing.append(True)
+            try:
+                withdraw_by_events(self, asn, prefix)
+            finally:
+                losing.clear()
+
+        def deaf_once(self, message, clock, country_of=None):
+            if losing and isinstance(message, Withdrawal):
+                losing.clear()
+                return None
+            return receive(self, message, clock, country_of)
+
+        monkeypatch.setattr(BGPSimulator, "_withdraw_by_events", lose_one)
+        monkeypatch.setattr(BGPSpeaker, "receive", deaf_once)
         assert any(
-            p.check == "bgp-withdraw" and "neither ghost nor damped" in p.detail
+            p.check == "bgp-withdraw" and "after withdrawal" in p.detail
             for p in _bgp_problems()
         )
 
@@ -398,12 +413,3 @@ class TestMutationsAreCaught:
 
         monkeypatch.setattr(BGPSpeaker, "_receive_withdrawal", keep_step)
         assert any(p.check == "bgp-stable" for p in _bgp_problems())
-
-    def test_frozen_speakers_need_their_exemption(self, monkeypatch):
-        """Without the damping exemption, frozen speakers' stale
-        Adj-RIB-In entries are faults: the exemption is not vacuous."""
-        monkeypatch.setattr(BGPSimulator, "damped_ases", lambda self: {})
-        assert any(
-            p.check == "bgp-stable" and "not stable" in p.detail
-            for p in _bgp_problems()
-        )

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import BGPSimulator, BGPSpeaker, Policy, best_route
-from repro.check.differential import _rib_state, _stable_faults
-from repro.check.oracles import oracle_export
+from repro.check.differential import _rib_state
+from repro.check.oracles import oracle_export, oracle_stable_faults
 from repro.core.gao_rexford import GaoRexfordEngine
 from repro.net.ip import Prefix
 from repro.topology import ASGraph, Relationship
@@ -122,16 +122,14 @@ class TestSimulatorProperties:
             min_size=1,
             max_size=12,
         ),
-        st.sampled_from([2, 60]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_reset_matches_event_driven_withdrawal(
-        self, graph, operations, flap_limit
-    ):
-        """Production routes equal event-driven routes while the latter
-        keeps reaching the empty state (no damping, no ghost routes)."""
-        production = BGPSimulator(graph, flap_limit=flap_limit)
-        reference = BGPSimulator(graph, flap_limit=flap_limit)
+    def test_reset_matches_event_driven_withdrawal(self, graph, operations):
+        """Production routes equal event-driven routes after every
+        operation: an event-driven withdrawal by the last origin always
+        reaches the empty state the reset jumps to."""
+        production = BGPSimulator(graph)
+        reference = BGPSimulator(graph)
         for action, origin, poisoned in operations:
             if origin not in graph:
                 continue
@@ -141,12 +139,6 @@ class TestSimulatorProperties:
             else:
                 production.withdraw(origin, PFX)
                 reference._withdraw_by_events(origin, PFX)
-                unoriginated = not any(
-                    speaker.originates(PFX)
-                    for speaker in reference.speakers.values()
-                )
-                if unoriginated and reference.rib_dump(PFX):
-                    return  # damping stalled the reference: histories diverge
             for asn, route in reference.rib_dump(PFX).items():
                 assert production.best_route(asn, PFX).aged(0) == route.aged(0)
                 assert production.decision_step(
@@ -241,13 +233,12 @@ REUSE_STEPS = (
 
 
 class TestConvergedStateReuse:
-    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @given(hierarchy_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_reuse_matches_event_delivery(self, graph, data, flap_limit):
+    def test_reuse_matches_event_delivery(self, graph, data):
         """Production originations, which copy known converged states,
         leave every speaker's tables for every prefix (ages by order),
-        the damped set, the clock and the epoch where event delivery
-        leaves them.  The main origin first announces all three
+        the clock and the epoch where event delivery leaves them.  The main origin first announces all three
         prefixes: two start with equal prefix inputs, the third with a
         local-preference override.  Poison sets, selective-export sets
         and prepends come from a pool of two, so histories recur."""
@@ -280,8 +271,8 @@ class TestConvergedStateReuse:
             ),
             label="steps",
         )
-        production = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
-        reference = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        production = BGPSimulator(graph, policies=policies)
+        reference = BGPSimulator(graph, policies=policies)
         origin_policy = policies[main]
         neighbors = sorted(graph.neighbors(main))
         prelude = [("originate", prefix, None) for prefix in REUSE_PREFIXES]
@@ -311,7 +302,6 @@ class TestConvergedStateReuse:
                 assert _rib_state(production, other) == _rib_state(
                     reference, other
                 ), f"{other} after {action} {prefix}"
-            assert production.damped_ases() == reference.damped_ases()
             assert (production.clock, production.epoch) == (
                 reference.clock,
                 reference.epoch,
@@ -334,11 +324,9 @@ DECISION_STEPS = ("originate", "poison", "withdraw", "second-origin", "withdraw-
 
 
 class TestIncrementalDecision:
-    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @given(hierarchy_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_loc_rib_and_step_match_the_full_tournament(
-        self, graph, data, flap_limit
-    ):
+    def test_loc_rib_and_step_match_the_full_tournament(self, graph, data):
         """After every delivered message the receiving speaker's Loc-RIB
         route and decision step equal :func:`best_route` over its
         candidates, although most updates are only compared with the
@@ -393,7 +381,7 @@ class TestIncrementalDecision:
             )
             return changed
 
-        simulator = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        simulator = BGPSimulator(graph, policies=policies)
         prefixes = REUSE_PREFIXES[:2]
         prelude = [("originate", prefix, frozenset(), False) for prefix in prefixes]
         with mock.patch.object(BGPSpeaker, "receive", checked_receive):
@@ -414,17 +402,16 @@ class TestIncrementalDecision:
 
 
 class TestStableState:
-    @given(hierarchy_graphs(), st.data(), st.sampled_from([2, 60]))
+    @given(hierarchy_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_every_convergence_reaches_a_fixed_point(self, graph, data, flap_limit):
+    def test_every_convergence_reaches_a_fixed_point(self, graph, data):
         """After every origination and withdrawal, on both prefixes,
         nothing is in flight, each Loc-RIB route is the best candidate,
         each speaker advertises the naive export of it, and each
         Adj-RIB-In entry is what the neighbor last sent (or none, where
         the import filter rejects it).  Filters, loop-prevention
         exceptions, partial transit, prepends and selective export are
-        drawn; a speaker damping froze is exempt from the Adj-RIB-In
-        check until the prefix is next empty."""
+        drawn."""
         asns = sorted(graph.asns())
         policies = {}
         for asn in asns:
@@ -467,9 +454,8 @@ class TestStableState:
             ),
             label="steps",
         )
-        simulator = BGPSimulator(graph, policies=policies, flap_limit=flap_limit)
+        simulator = BGPSimulator(graph, policies=policies)
         prefixes = REUSE_PREFIXES[:2]
-        stale = {prefix: set() for prefix in prefixes}
         prelude = [("originate", prefix, frozenset()) for prefix in prefixes]
         for action, prefix, poison in prelude + steps:
             origin = second if "second" in action else main
@@ -478,5 +464,6 @@ class TestStableState:
             else:
                 poisoned = poison if action == "poison" else frozenset()
                 simulator.originate(origin, prefix, poisoned)
-            for other, faults in _stable_faults(simulator, stale).items():
+            for other in prefixes:
+                faults = oracle_stable_faults(simulator, other)
                 assert faults == [], f"{other} after {action} {prefix}"

@@ -106,7 +106,8 @@ class TestManifestProduction:
 
     def test_spans_per_discovery_target_and_magnet_round(self, obs_study):
         """Each unit of the active phase is a span that says how many of
-        its convergences were copied from a known converged state."""
+        its convergences were copied from a known converged state and
+        how many messages its convergences delivered."""
         spans, stack = {}, list(obs_study.manifest.spans)
         while stack:
             span = stack.pop()
@@ -128,6 +129,10 @@ class TestManifestProduction:
         counters = obs_study.manifest.metrics["counters"]
         copied = counters["bgp_convergences_reused_total"]["series"]
         assert 0 < reused <= copied['kind="originate"']
+        delivered = [s["attrs"]["delivered"] for s in targets + rounds]
+        assert min(delivered) >= 0
+        events = counters["bgp_events_delivered_total"]["series"]
+        assert 0 < sum(delivered) <= sum(events.values())
 
     def test_no_manifest_when_disabled(self, study):
         assert study.manifest is None

@@ -115,12 +115,10 @@ class TestDiscovery:
 
 
 class TestHistoryIndependence:
-    """Each target starts from the same withdrawn state (regression).
-
-    Event-driven withdrawals left ghost routes at ASes frozen by flap
-    damping during an earlier target's poisoned announcements, so a
-    target's discovery depended on which targets ran before it.
-    """
+    """Each target starts from the same withdrawn state: the direct
+    reset leaves no route from an earlier target's poisoned
+    announcements, so a target's discovery does not depend on which
+    targets ran before it."""
 
     TARGETS = [100, 101, 102, 103, 104]
 
@@ -298,6 +296,38 @@ class TestSupervisedDiscovery:
         # The kill fired right after the first target's poisoned rounds,
         # but the finally path re-announced the unpoisoned prefix.
         assert sim.reachable_ases(prefix) == clean_reachable
+
+    @pytest.mark.faults
+    def test_never_converging_target_quarantined(self, world):
+        """An event budget too small for any announcement to converge
+        stands in for a dispute wheel: the target's first announcement
+        raises ConvergenceError, the target ends quarantined for it, and
+        the testbed prefix is left unpoisoned with nothing in flight."""
+        internet, testbed, _ = world
+        target = _transit_targets(internet, 1)[0]
+        prefix = testbed.prefixes[0]
+        sim = BGPSimulator(
+            internet.graph,
+            policies=internet.policies,
+            country_of=internet.country_of,
+            max_events_per_link=1,
+        )
+        supervisor = ActiveSupervisor()
+        result = discover_alternate_routes(
+            testbed, sim, [target], prefix=prefix, supervisor=supervisor
+        )
+        report = supervisor.report
+        assert result.dispositions == {target: "quarantined"}
+        assert result.observations == []
+        assert report.quarantined == {"convergence-error": 1}
+        assert report.convergence_failures == 1
+        assert report.accounted()
+        assert sim.in_flight() == 0
+        for speaker in sim.speakers.values():
+            origination = speaker.origination(prefix)
+            assert origination is None or not origination.poisoned
+            for route in speaker.candidates(prefix):  # no AS-set: no poison
+                assert route.as_path.sequence() == route.as_path.segments
 
     def test_soft_limit_hook_restored_after_run(self, world):
         internet, testbed, sim = world
