@@ -11,28 +11,24 @@ receiver superseded while it waited is dropped, never delivered.  A
 logical clock advances once per delivered message, not per dropped
 one; it is the time base for the route-age tie-breaker.
 
-A withdrawal by a prefix's only origin, with nothing in flight, skips
-the message exchange: its fixed point is known (no AS holds a route),
-so every speaker forgets the prefix in one pass instead of delivering
-the withdrawal's messages to reach it.  The ``bgp-withdraw`` family of
-:func:`repro.check.differential.check_bgp_scenario` holds the reset to
-that event-driven withdrawal.
-
 An origination that leads a prefix to a converged state the simulator
-has already computed skips the message exchange too: every speaker
-holds the record of a prefix in that state or of a snapshot of it
+has already computed skips the message exchange: every speaker holds
+the record of a prefix in that state or of a snapshot of it
 (:mod:`repro.bgp.states`), shared rather than copied, and the clock
 advances by the messages that state's convergence delivered
 (:attr:`BGPSimulator.delivered` counts only the messages runs actually
-deliver).  A prefix copies the records it shares just before messages
-for it are delivered.  The ``bgp-reuse`` family holds every such
+deliver).  A withdrawal by a prefix's only origin always does: its
+fixed point is the empty state, where no AS holds a route, so every
+speaker drops its record and the clock stays.  A prefix copies the
+records it shares just before messages for it are delivered.  The
+``bgp-reuse`` and ``bgp-withdraw`` families of
+:func:`repro.check.differential.check_bgp_scenario` hold every such
 copied convergence to event delivery.
 
-The event budget is the one convergence guard.  A run that crosses
-its soft limit calls :attr:`BGPSimulator.on_soft_limit` once; a run
-that reaches the hard limit, as a policy dispute wheel does, raises
-:class:`ConvergenceError`, and the caller drops the undelivered tail
-(:meth:`BGPSimulator.discard_pending`).
+The event budget is the one convergence guard: a run that reaches it,
+as a policy dispute wheel does, raises :class:`ConvergenceError`.
+Every call ends at a fixed point or raises, and a run empties the
+queue on every exit, so no message is in flight between calls.
 """
 
 from __future__ import annotations
@@ -89,7 +85,6 @@ class BGPSimulator:
         policies: Optional[Dict[int, Policy]] = None,
         country_of: Optional[CountryLookup] = None,
         max_events_per_link: int = 400,
-        soft_limit_fraction: float = 0.8,
     ) -> None:
         self.graph = graph
         #: Whois country by ASN, read once here: a domestic-preference
@@ -108,24 +103,17 @@ class BGPSimulator:
         self.delivered = 0
         num_links = max(1, graph.num_links())
         self._max_events = max_events_per_link * num_links
-        #: Event count at which the soft-limit warning fires (once per
-        #: ``run``), before the hard ConvergenceError at ``_max_events``.
-        self._soft_events = int(self._max_events * soft_limit_fraction)
-        #: Supervisor hook: called as ``on_soft_limit(prefix, epoch,
-        #: delivered)`` when a run crosses the soft event limit — the
-        #: early-warning signal a circuit breaker can act on before the
-        #: hard limit aborts the epoch.
-        self.on_soft_limit = None
         #: Convergence epoch counter (one per origination change).
         self.epoch = 0
         self._origination_prefix: Optional[Prefix] = None
         #: "originate" or "withdraw": the change the current run converges.
         self._convergence_kind = "originate"
-        #: FIFO of (destination ASN, message) awaiting delivery.
+        #: FIFO of (destination ASN, message) awaiting delivery; empty
+        #: between calls.
         self._queue: Deque[Tuple[int, object]] = deque()
         #: The converged state each prefix is in (see repro.bgp.states).
         self._states = ConvergedStates()
-        #: Originations converged by copying a known state.
+        #: Convergences copied from a known state, withdrawals included.
         self.reused = 0
 
     # ------------------------------------------------------------------
@@ -146,10 +134,9 @@ class BGPSimulator:
         When the origination leads the prefix to a converged state that
         a prefix holds or a snapshot keeps (:mod:`repro.bgp.states`),
         every speaker holds that state's record instead of delivering
-        messages.  The epoch advances, the clock advances by the
-        messages that state's convergence delivered and its soft-limit
-        warning is replayed, so RIBs, clock, epoch and a supervisor's
-        breaker end where event delivery leaves them.  Copied routes
+        messages.  The epoch advances and the clock advances by the
+        messages that state's convergence delivered, so RIBs, clock and
+        epoch end where event delivery leaves them.  Copied routes
         keep their install ages, whose order at each speaker is all the
         decision process reads.
         """
@@ -157,11 +144,11 @@ class BGPSimulator:
         local = LocalRoute(prefix=prefix, origin_asn=asn, poisoned=frozenset(poisoned))
         parent, key, node = self._lookup(local)
         if node is not None and node.reusable():
-            self._reuse(prefix, node)
+            self._reuse(prefix, node, "originate")
             return
         delivered = self._deliver_origination(speaker, local)
         if parent is None:
-            return  # delivered together with messages in flight: unknown
+            return  # from an unknown state: unknown
         if node is None:
             node = parent.children[key] = StateNode(delivered)
         self._states.arrive(prefix, node)
@@ -170,13 +157,13 @@ class BGPSimulator:
         self, local: LocalRoute
     ) -> Tuple[Optional[StateNode], EdgeKey, Optional[StateNode]]:
         """The prefix's state, the edge ``local`` takes from it, and the
-        known state that edge leads to (``None`` when not known)."""
+        known state that edge leads to (each ``None`` when not known)."""
         key: EdgeKey = (
             local.origin_asn,
             local.poisoned,
             self._load_inputs(local.prefix),
         )
-        parent = None if self._queue else self._states.node(local.prefix)
+        parent = self._states.node(local.prefix)
         node = None if parent is None else parent.children.get(key)
         return parent, key, node
 
@@ -214,21 +201,20 @@ class BGPSimulator:
             for asn, speaker in self.speakers.items():
                 speaker.privatize(prefix, shared(asn))
 
-    def _reuse(self, prefix: Prefix, node: StateNode) -> None:
+    def _reuse(self, prefix: Prefix, node: StateNode, kind: str) -> None:
         """Converge ``prefix`` to ``node``'s state by holding its records
-        (:meth:`BGPSpeaker.adopt`)."""
+        (:meth:`BGPSpeaker.adopt`); ``kind`` is the change that led there,
+        "originate" or "withdraw"."""
         source = self._states.source(node, self.speakers)
         self._states.leave(prefix, self.speakers)
         self._origination_prefix = prefix
-        self._convergence_kind = "originate"
+        self._convergence_kind = kind
         self.epoch += 1
         for asn, speaker in self.speakers.items():
             speaker.adopt(prefix, source(asn))
         self.clock += node.delivered
         self.reused += 1
         self._states.arrive(prefix, node)
-        if node.delivered > self._soft_events:
-            self._soft_limit(self._soft_events)
         if events_enabled():
             publish(
                 CATEGORY_BGP,
@@ -247,12 +233,8 @@ class BGPSimulator:
             ).labels(kind=self._convergence_kind).inc()
 
     def _load_inputs(self, prefix: Prefix) -> Tuple:
-        """Load every speaker's prefix inputs for ``prefix`` — and for
-        any prefix still in flight, whose messages the next run delivers
-        too — and return ``prefix``'s non-empty ones by AS."""
-        for other in {message.prefix for _, message in self._queue} - {prefix}:
-            for speaker in self.speakers.values():
-                speaker.load_inputs(other)
+        """Load every speaker's prefix inputs for ``prefix`` and return
+        the non-empty ones by AS."""
         loaded = []
         for asn, speaker in self.speakers.items():
             inputs = speaker.load_inputs(prefix)
@@ -263,48 +245,35 @@ class BGPSimulator:
     def withdraw(self, asn: int, prefix: Prefix) -> None:
         """Withdraw ``asn``'s origination of ``prefix`` and converge.
 
-        When ``asn`` is the prefix's only origin and no messages are in
-        flight, the converged state is known in advance — no AS holds a
-        route — so the epoch advances as usual and every speaker then
-        forgets the prefix, without delivering a message.  The clock
-        stays put: route ages are only compared within one prefix at
-        one speaker, and a clock that never goes back keeps every age
-        tie-break.  Otherwise (a second origin, or an unconverged
-        queue) the withdrawal is delivered event by event.  With
-        nothing in flight, a withdrawal by an AS that does not
-        originate the prefix changes nothing and records nothing.
+        When ``asn`` is the prefix's only origin, the converged state is
+        known in advance: the empty state, the root of the converged
+        states' trie, where no AS holds a route.  The prefix copies it
+        as it copies any known state (:meth:`_reuse`): the epoch
+        advances and every speaker drops its record, without delivering
+        a message.  The clock stays put: route ages are only compared
+        within one prefix at one speaker, and a clock that never goes
+        back keeps every age tie-break.  Otherwise (a second origin)
+        the withdrawal is delivered event by event.  A withdrawal by an
+        AS that does not originate the prefix changes nothing and
+        records nothing.
         """
-        if not self._queue and not self._speaker(asn).originates(prefix):
+        if not self._speaker(asn).originates(prefix):
             return
-        origins = [
-            other
+        if any(
+            speaker.originates(prefix)
             for other, speaker in self.speakers.items()
-            if speaker.originates(prefix)
-        ]
-        if self._queue or origins != [asn]:
+            if other != asn
+        ):
             self._withdraw_by_events(asn, prefix)
-            return
-        self._states.leave(prefix, self.speakers)
-        self.speakers[asn].withdraw_origin(prefix)
-        self._origination_prefix = prefix
-        self.epoch += 1
-        cleared = sum(speaker.forget(prefix) for speaker in self.speakers.values())
-        self._states.arrive(prefix, self._states.root)
-        if events_enabled():
-            publish(
-                CATEGORY_BGP,
-                "withdraw_reset",
-                prefix=str(prefix),
-                epoch=self.epoch,
-                cleared=cleared,
-            )
+        else:
+            self._reuse(prefix, self._states.root, "withdraw")
 
     def _withdraw_by_events(self, asn: int, prefix: Prefix) -> None:
         """Deliver the withdrawal message by message.
 
         The fallback of :meth:`withdraw`, and the oracle the
-        ``bgp-withdraw`` family holds its direct reset to.  It leaves the
-        prefix's state unknown.
+        ``bgp-withdraw`` family holds its copy of the empty state to.  It
+        leaves the prefix's state unknown.
         """
         speaker = self._speaker(asn)
         self._load_inputs(prefix)
@@ -323,13 +292,17 @@ class BGPSimulator:
         """Deliver queued messages to a fixed point; returns event count.
 
         Each session delivers only its newest queued update for a
-        prefix.  A map local to the run, rebuilt from the queue when it
-        starts (so the tail a failed run left is coalesced too), holds
-        prefix -> (receiver, sender) -> newest queued entry; a popped
-        entry that a newer one has superseded is dropped without
-        advancing the clock or counting toward the event limits.  The
-        exports a delivered message causes are for its prefix, so they
-        are recorded under the map entry its lookup found.
+        prefix.  A map local to the run, built from the queue when it
+        starts, holds prefix -> (receiver, sender) -> newest queued
+        entry; a popped entry that a newer one has superseded is dropped
+        without advancing the clock or counting toward the event budget.
+        The exports a delivered message causes are for its prefix, so
+        they are recorded under the map entry its lookup found.
+
+        A run that reaches the event budget raises
+        :class:`ConvergenceError`.  Every exit, a failed or interrupted
+        run's too, empties the queue: the undelivered tail is dropped,
+        and the speakers keep what the delivered messages built.
 
         With telemetry on, a converged run adds its event count to
         ``bgp_events_delivered_total`` and ``bgp_convergence_events``,
@@ -351,8 +324,6 @@ class BGPSimulator:
         speakers = self.speakers
         country_of = self._country_of
         max_events = self._max_events
-        # The next limit to test: the soft warning (once), then the hard.
-        limit = min(self._soft_events, max_events)
         clock = self.clock
         delivered = coalesced = 0
         try:
@@ -364,13 +335,8 @@ class BGPSimulator:
                 if sessions[target, message.sender] is not entry:
                     coalesced += 1
                     continue
-                if delivered >= limit:
-                    if delivered >= max_events:
-                        queue.appendleft(entry)  # the tail keeps it
-                        self._raise_unconverged(delivered)
-                    self.clock = clock
-                    self._soft_limit(delivered)
-                    limit = max_events
+                if delivered >= max_events:
+                    self._raise_unconverged(delivered)
                 clock += 1
                 delivered += 1
                 speaker = speakers[target]
@@ -381,6 +347,7 @@ class BGPSimulator:
                     for update in updates:
                         sessions[update[0], target] = update
         finally:
+            queue.clear()
             self.clock = clock
             self.delivered += delivered
         if delivered and events_enabled():
@@ -414,17 +381,6 @@ class BGPSimulator:
             delivered=delivered,
         )
 
-    def _soft_limit(self, delivered: int) -> None:
-        publish(
-            CATEGORY_BGP,
-            "soft_limit",
-            prefix=str(self._origination_prefix),
-            epoch=self.epoch,
-            delivered=delivered,
-        )
-        if self.on_soft_limit is not None:
-            self.on_soft_limit(self._origination_prefix, self.epoch, delivered)
-
     def _record_convergence(
         self, delivered: int, coalesced: int, seconds: float
     ) -> None:
@@ -453,25 +409,6 @@ class BGPSimulator:
             buckets=_CONVERGENCE_SECONDS_BUCKETS,
         ).labels(kind=kind).observe(seconds)
 
-    def discard_pending(self) -> int:
-        """Drop all undelivered messages; returns how many were dropped.
-
-        Recovery hook for supervisors: after a :class:`ConvergenceError`
-        the queue still holds the un-converged tail of the epoch, which
-        would otherwise leak into the next origination.  The speakers'
-        RIBs keep whatever state the delivered prefix messages built —
-        exactly like a real network frozen mid-convergence — so the
-        caller should follow up with a withdraw/re-announce to restore
-        a known-good state.  With the queue empty, a withdrawal by the
-        sole origin takes the direct reset, which clears that
-        half-propagated state completely.  Every prefix with a dropped
-        message is already in an unknown state (the run that queued it
-        never converged), so none of them reuses a converged state.
-        """
-        dropped = len(self._queue)
-        self._queue.clear()
-        return dropped
-
     def _speaker(self, asn: int) -> BGPSpeaker:
         speaker = self.speakers.get(asn)
         if speaker is None:
@@ -482,7 +419,7 @@ class BGPSimulator:
     # Inspection API
     # ------------------------------------------------------------------
     def in_flight(self) -> int:
-        """How many queued updates await delivery."""
+        """How many queued updates await delivery (0 between calls)."""
         return len(self._queue)
 
     def best_route(self, asn: int, prefix: Prefix) -> Optional[Route]:

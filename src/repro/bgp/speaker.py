@@ -279,23 +279,6 @@ class BGPSpeaker:
         state = self._prefixes.get(prefix)
         return None if state is None else state.local
 
-    def forget(self, prefix: Prefix) -> bool:
-        """Drop the routing state held for ``prefix``; returns whether any was.
-
-        Clears the Adj-RIB-In, the Loc-RIB, the decision step and what
-        each neighbor was last told (a local origination stays) — the
-        state an event-driven withdrawal converges to once nobody
-        originates the prefix.  The simulator calls it on every speaker
-        instead of delivering that withdrawal message by message.
-        """
-        state = self._prefixes.pop(prefix, None)
-        if state is None:
-            return False
-        if state.local is not None:
-            kept = self._prefixes[prefix] = _PrefixState()
-            kept.local, kept.self_route = state.local, state.self_route
-        return len(state) > 0 or state.best is not None or state.advertised is not None
-
     # ------------------------------------------------------------------
     # Message processing
     # ------------------------------------------------------------------

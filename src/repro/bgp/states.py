@@ -1,11 +1,11 @@
 """Converged prefix states, so that no announcement converges twice.
 
-With nothing in flight, the simulator is deterministic: the routing
-state a prefix reaches depends only on the originations made since it
-was last empty (never announced, or reset by its sole origin).  Each
-origination is described by its origin ASN, its poison set and every
-AS's :meth:`~repro.bgp.policy.Policy.prefix_inputs` for the prefix, none
-of which names the prefix.  Everything else a convergence reads (the
+The simulator is deterministic: the routing state a prefix reaches
+depends only on the originations made since it was last empty (never
+announced, or withdrawn by its sole origin).  Each origination is
+described by its origin ASN, its poison set and every AS's
+:meth:`~repro.bgp.policy.Policy.prefix_inputs` for the prefix, none of
+which names the prefix.  Everything else a convergence reads (the
 sessions, each policy's other fields) stays fixed for a simulator's
 lifetime.  :class:`ConvergedStates` records those histories as a trie
 rooted at the empty state: one :class:`StateNode` per converged
@@ -19,27 +19,30 @@ of a prefix that still holds the state (campaign twins: equal-policy
 prefixes of one origin) or the node's snapshot.  A node takes a
 snapshot when its last holder leaves it, and only once it has been
 reached at least twice.  Discovery baselines and the poison rounds that
-targets share recur; a state reached once never pays for one.
+targets share recur; a state reached once never pays for one.  A
+withdrawal by a prefix's sole origin copies the root, the empty state,
+the same way: its source holds no record, so every speaker drops the
+prefix's.
 
 The records are shared, not copied: a node's holders and its snapshot
-hold the same record objects.  Only a record with a local origination
-is copied, for the origination names its prefix
+hold the same record objects, and a snapshot keeps the last holder's.
+Only a record with a local origination is copied when a prefix adopts
+it, for the origination names its prefix
 (:meth:`~repro.bgp.speaker._PrefixState.shared_as`).  A prefix that
 leaves a state to take delivered messages (an origination or a
 withdrawal by events) first copies each record that a holder or the
-snapshot still reads, so it copies at most once per stay; the direct
-withdrawal reset and a later reuse drop or replace its records instead,
-and a snapshot keeps the last holder's records.  A deep copy of the
-simulator knows no state, so there every prefix holds its own records
+snapshot still reads, so it copies at most once per stay; a copy of a
+known state replaces its records instead, so no path edits a record
+that something else reads.  A deep copy of the simulator knows no
+state, so there every prefix holds its own records
 (:meth:`~repro.bgp.speaker.BGPSpeaker.__deepcopy__`).
 
 A prefix whose state is not a node is *unknown* and never reuses: its
-messages were delivered together with another run's (an origination
-made with messages in flight), dropped (``discard_pending``, a
-:class:`~repro.bgp.simulator.ConvergenceError`), or it withdrew by
-events.  Ages are not part of a state: copied routes keep the ages they
-were installed with, which preserves their order at every speaker, the
-only way the decision process reads them.
+last run failed with a :class:`~repro.bgp.simulator.ConvergenceError`
+or was interrupted, it withdrew by events, or it was delivered from an
+unknown state.  Ages are not part of a state: copied routes keep the
+ages they were installed with, which preserves their order at every
+speaker, the only way the decision process reads them.
 """
 
 from __future__ import annotations
@@ -106,12 +109,11 @@ class ConvergedStates:
             return None
         del node.holders[prefix]
         if not node.holders and node.reached >= 2 and node.snapshot is None:
-            snapshot = {}
+            node.snapshot = {}
             for asn, speaker in speakers.items():
                 record = speaker.record(prefix)
                 if record is not None:
-                    snapshot[asn] = record.shared_as(prefix)
-            node.snapshot = snapshot
+                    node.snapshot[asn] = record
         return self.source(node, speakers) if node.reusable() else None
 
     def arrive(self, prefix: Prefix, node: StateNode) -> None:
@@ -125,9 +127,12 @@ class ConvergedStates:
 
     def source(self, node: StateNode, speakers: Mapping):
         """``asn -> record`` holding ``node``'s state: a holder's live
-        records if one is left, else the snapshot."""
+        records if one is left, else the snapshot; no record at all for
+        the root, the empty state."""
         for holder in node.holders:
             return lambda asn: speakers[asn].record(holder)
+        if node is self.root:
+            return lambda asn: None
         return node.snapshot.get
 
     def snapshots(self) -> int:

@@ -787,8 +787,8 @@ def check_lpm(
 
 
 # ---------------------------------------------------------------------------
-# BGP scenario: every convergence vs the stable state, every copy, reset
-# and fallback vs event-by-event delivery
+# BGP scenario: every convergence vs the stable state, every copy (a
+# reset copies the empty state) and fallback vs event-by-event delivery
 # ---------------------------------------------------------------------------
 
 #: The assertion families of :func:`check_bgp_scenario`, in report order.
@@ -808,7 +808,7 @@ def _rib_state(simulator: BGPSimulator, prefix: Prefix) -> Dict[int, Tuple]:
 
     Per speaker: the local origination, the Adj-RIB-In (plus any local
     route) by neighbor, the neighbors in age order, the Loc-RIB route,
-    the decision step and the advertised exports.  The reset keeps the
+    the decision step and the advertised exports.  A reset keeps the
     clock while event-driven delivery advances it, and a copied state
     keeps the ages it was installed with, so only relative ages compare.
     """
@@ -847,7 +847,7 @@ def _fork(
     prefix: Prefix,
     poisoned: Optional[FrozenSet[int]],
     twin: Optional[Prefix] = None,
-) -> Tuple[BGPSimulator, List[Tuple]]:
+) -> BGPSimulator:
     """A deep copy of ``simulator`` that has delivered one step by events.
 
     The step is ``asn``'s origination of ``prefix`` with ``poisoned``,
@@ -857,8 +857,7 @@ def _fork(
     step never mutates: the topology, the policies, each speaker's
     sessions, every other prefix's records but those that ``prefix`` or
     ``twin`` holds too (a converged state's holders share records), and
-    the immutable routes, originations and exports.  Returns it with
-    the soft-limit warnings the step raised on it.
+    the immutable routes, originations and exports.
     """
     copied = (prefix,) if twin is None else (prefix, twin)
     shared: List[object] = [simulator.graph, *_BGP_PREFIXES]
@@ -882,13 +881,11 @@ def _fork(
             shared.extend(speaker.candidates(other))
             shared.extend(speaker.advertised(other).values())
     fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
-    warnings: List[Tuple] = []
-    fork.on_soft_limit = lambda *args: warnings.append(args)
     if poisoned is None:
         fork._withdraw_by_events(asn, prefix)
     else:
         fork._originate_by_events(asn, prefix, poisoned)
-    return fork, warnings
+    return fork
 
 
 def check_bgp_scenario(
@@ -898,19 +895,18 @@ def check_bgp_scenario(
 
     On the scenario's graph, about 10% of ASes filter poisoned
     announcements, 5% ignore loop prevention and 10% of customer links
-    are partial transit, and a soft limit at 0.2% of the event budget
-    makes copies replay the warning.  One origin announces five
-    prefixes like the passive campaign: a base, its equal-policy twin,
-    and three that each differ from the base in one prefix input (a
-    prepend, the selective-export set, one AS's local-preference
-    override on a route it holds).  Another origin's
-    prefix then runs three to five discovery-style units: the
-    withdrawals (of the first origin, by events while it anycasts the
-    prefix too, then the reset), the baseline, in about half the units
-    an anycast from the first origin (in half of those withdrawn by
-    events at once), poison rounds drawn from a pool of three sets (so
-    states recur and snapshots are copied) and a selective
-    re-announcement; the withdrawals end the run.
+    are partial transit.  One origin announces five prefixes like the
+    passive campaign: a base, its equal-policy twin, and three that
+    each differ from the base in one prefix input (a prepend, the
+    selective-export set, one AS's local-preference override on a
+    route it holds).  Another origin's prefix then runs three to five
+    discovery-style units: the withdrawals (of the first origin, by
+    events while it anycasts the prefix too, then the reset, which
+    copies the empty state), the baseline, in about half the units an
+    anycast from the first origin (in half of those withdrawn by events
+    at once), poison rounds drawn from a pool of three sets (so states
+    recur and snapshots are copied) and a selective re-announcement;
+    the withdrawals end the run.
 
     Every step runs once, through production, and reports to three
     assertion families:
@@ -920,13 +916,13 @@ def check_bgp_scenario(
       speaker's Adj-RIB-In included.
     * ``bgp-reuse``: an origination that copies a converged state is
       also delivered by events on a :func:`_fork`; the prefix's and the
-      source twin's tables, the clock, the epoch and the soft-limit
-      warnings must match.
+      source twin's tables, the clock and the epoch must match.
     * ``bgp-withdraw``: so is every withdrawal.  One that falls back to
       event delivery (another origin remains) must match as a copy
-      does.  A reset must leave no state and no earlier clock, and the
-      fork must end empty too, holding no route: the two must agree,
-      and again once the next baseline re-announces on both.
+      does.  A reset, the sole origin's withdrawal, copies the empty
+      state: it must leave no state and no earlier clock, and the fork
+      must end empty too, holding no route: the two must agree, and
+      again once the next baseline re-announces on both.
     """
     tally = Counter() if tally is None else tally
     seed = scenario.seed
@@ -946,9 +942,7 @@ def check_bgp_scenario(
             loop_prevention_disabled=rng.random() < 0.05,
             partial_transit_to={c for c in customers if rng.random() < 0.1},
         )
-    simulator = BGPSimulator(graph, policies=policies, soft_limit_fraction=0.002)
-    warnings: List[Tuple] = []
-    simulator.on_soft_limit = lambda *args: warnings.append(args)
+    simulator = BGPSimulator(graph, policies=policies)
     #: The event-driven fork of the last reset that ended empty, for the
     #: next step to re-announce on: (asn, prefix, fork, label).
     emptied: Optional[Tuple] = None
@@ -965,11 +959,11 @@ def check_bgp_scenario(
         carried, emptied = emptied, None
         withdrawal = poisoned is None
         if withdrawal and not simulator.speakers[asn].originates(prefix):
-            return  # nothing in flight: the withdrawal changes nothing
+            return  # the withdrawal changes nothing
         fork = twin = None
         if withdrawal:
             clock = simulator.clock
-            fork, fork_warnings = _fork(simulator, asn, prefix, None)
+            fork = _fork(simulator, asn, prefix, None)
         else:
             poisoned = frozenset(poisoned)
             _, _, node = simulator._lookup(LocalRoute(prefix, asn, poisoned))
@@ -977,12 +971,11 @@ def check_bgp_scenario(
                 twin = next(iter(node.holders), None)
                 tally["bgp-reuse copies"] += 1
                 tally[f"bgp-reuse copies from a {'twin' if twin else 'snapshot'}"] += 1
-                fork, fork_warnings = _fork(simulator, asn, prefix, poisoned, twin)
+                fork = _fork(simulator, asn, prefix, poisoned, twin)
         if withdrawal or poisoned or carried is None or carried[:2] != (asn, prefix):
             carried = None
         else:
             carried[2].originate(asn, prefix)  # by events: its state is unknown
-        warnings.clear()
         if withdrawal:
             simulator.withdraw(asn, prefix)
         else:
@@ -1023,28 +1016,23 @@ def check_bgp_scenario(
                 emptied = (asn, prefix, fork, label)
             return
         # A copy, or a withdrawal that fell back to event delivery: the
-        # tables (and those of the twin copied from, left as is), clock,
-        # epoch and soft-limit warnings must be the fork's.
+        # tables (and those of the twin copied from, left as is), clock
+        # and epoch must be the fork's.
         if withdrawal:
             family = "bgp-withdraw"
             tally["bgp-withdraw fallback"] += 1
         else:
             family = "bgp-reuse"
-            tally["bgp-reuse soft limits replayed"] += len(warnings)
         for other in (prefix,) if twin is None else (prefix, twin):
             detail = _diff_rib_states(
                 _rib_state(simulator, other), _rib_state(fork, other)
             )
             if detail is not None:
                 fault(family, f"{other} {detail}")
-        produced = (simulator.clock, simulator.epoch, warnings)
-        expected = (fork.clock, fork.epoch, fork_warnings)
+        produced = (simulator.clock, simulator.epoch)
+        expected = (fork.clock, fork.epoch)
         if produced != expected:
-            fault(
-                family,
-                "clock, epoch or soft-limit warnings "
-                f"{produced} vs event-driven {expected}",
-            )
+            fault(family, f"clock, epoch {produced} vs event-driven {expected}")
 
     multihomed = [asn for asn in asns if len(graph.neighbors(asn)) >= 2] or asns
     origin, active = rng.sample(multihomed, k=2)

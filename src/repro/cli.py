@@ -53,6 +53,7 @@ import sys
 from typing import Optional
 
 from repro.core.pipeline import Study, StudyResults, build_study_config
+from repro.faults import FaultPlan
 from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
 from repro.topogen.inference import infer_topology
@@ -77,10 +78,32 @@ def _topology_config(small: bool) -> TopologyConfig:
     return small_config() if small else TopologyConfig()
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _run_study(
     seed: int,
     small: bool,
-    fault_plan: Optional[str] = None,
+    fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
     obs: bool = False,
     run_dir: Optional[str] = None,
@@ -89,9 +112,7 @@ def _run_study(
     """Build and run a study from CLI-shaped arguments."""
     config = build_study_config(seed=seed, scale="small" if small else "full")
     if fault_plan is not None:
-        from repro.faults import FaultPlan
-
-        config.fault_plan = FaultPlan.load(fault_plan)
+        config.fault_plan = fault_plan
     config.run_dir = run_dir
     config.resume = resume
     if durability is not None:
@@ -255,11 +276,21 @@ def _run_dir_missing(args: argparse.Namespace) -> bool:
 def _cmd_study(args: argparse.Namespace) -> int:
     if _run_dir_missing(args):
         return 2
+    fault_plan = None
+    if args.fault_plan is not None:
+        try:
+            fault_plan = FaultPlan.load(args.fault_plan)
+        except (OSError, TypeError, ValueError) as error:
+            print(
+                f"error: cannot load fault plan {args.fault_plan}: {error}",
+                file=sys.stderr,
+            )
+            return 2
     obs_out = getattr(args, "obs_out", None)
     results = _run_study(
         args.seed,
         args.small,
-        fault_plan=args.fault_plan,
+        fault_plan=fault_plan,
         resume=args.resume,
         obs=obs_out is not None,
         run_dir=args.run_dir,
@@ -548,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     temporal.add_argument(
         "--snapshots",
-        type=int,
+        type=_at_least_one,
         default=None,
         metavar="N",
         help="regenerate the series with N monthly snapshots "
@@ -556,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     temporal.add_argument(
         "--churn",
-        type=float,
+        type=_fraction,
         default=None,
         metavar="FRACTION",
         help="regenerate the series with per-link churn FRACTION "

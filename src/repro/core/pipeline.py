@@ -358,8 +358,10 @@ class Study:
         obs = get_obs()
         tracer = Tracer(on_stage_exit=_mark_peak_rss if obs.enabled else None)
         # The stages run under one collector policy, whose closing
-        # collection the manifest below counts.
-        with collector_scope(), tracer.activate():
+        # collection the manifest below counts; the tracer stays active
+        # across the scope's exit, so that collection is a top-level
+        # ``collect`` span beside the stages.
+        with tracer.activate(), collector_scope():
             # A crash (or injected crash drill) anywhere in here leaves
             # the ledger ``running`` and the run-directory lock in
             # place — exactly the state ``--resume`` recovers from.

@@ -201,8 +201,6 @@ class ActiveRobustnessReport:
     withdrawal_losses: int = 0
     damping_events: int = 0
     convergence_failures: int = 0
-    #: Simulator soft-limit warnings surfaced to the supervisor.
-    soft_limit_warnings: int = 0
     retry: RetryStats = field(default_factory=RetryStats)
     breaker: BreakerStats = field(default_factory=BreakerStats)
 
@@ -292,7 +290,6 @@ class ActiveRobustnessReport:
             "withdrawal_losses": self.withdrawal_losses,
             "damping_events": self.damping_events,
             "convergence_failures": self.convergence_failures,
-            "soft_limit_warnings": self.soft_limit_warnings,
             "coverage": round(self.coverage(), 4),
             "accounted": self.accounted(),
             "retry": self.retry.as_dict(),
@@ -353,7 +350,6 @@ class ActiveRobustnessReport:
             ("mux session resets", self.mux_session_resets),
             ("withdrawal losses", self.withdrawal_losses),
             ("convergence failures", self.convergence_failures),
-            ("soft-limit warnings", self.soft_limit_warnings),
         ):
             if count:
                 fault_bits.append(f"{label}={count}")

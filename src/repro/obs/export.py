@@ -16,7 +16,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.obs.gc import COLLECTIONS_METRIC, GENERATION_SERIES, PAUSE_METRIC
-from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest
+from repro.obs.manifest import RunManifest
 
 #: JSONL record kinds.
 _KIND_HEADER = "header"
@@ -64,8 +64,14 @@ def to_jsonl(manifest: RunManifest) -> str:
 
 
 def from_jsonl(text: str) -> RunManifest:
-    """Rebuild a manifest from its JSONL export."""
-    header: Dict = {}
+    """Rebuild a manifest from its JSONL export.
+
+    Raises ``ValueError`` for text that is not one: a line that is not
+    a JSON object, a record of unknown kind, a span or event record
+    without its body, no header record, or a header of a newer schema
+    than this reader supports (as :meth:`RunManifest.from_dict` does).
+    """
+    header: Optional[Dict] = None
     spans: List[Dict] = []
     metrics: Dict = {}
     events: List[Dict] = []
@@ -77,35 +83,37 @@ def from_jsonl(text: str) -> RunManifest:
             record = json.loads(line)
         except ValueError as error:
             raise ValueError(f"bad JSONL manifest line {line_no}: {error}") from None
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"JSONL manifest line {line_no} is a {type(record).__name__}, "
+                "not an object"
+            )
         kind = record.get("kind")
         if kind == _KIND_HEADER:
             header = record
-        elif kind == _KIND_SPAN:
-            spans.append(record["span"])
+        elif kind in (_KIND_SPAN, _KIND_EVENT):
+            body = record.get(kind)
+            if not isinstance(body, dict):
+                raise ValueError(
+                    f"JSONL manifest {kind} record without a body (line {line_no})"
+                )
+            (spans if kind == _KIND_SPAN else events).append(body)
         elif kind == _KIND_METRICS:
             metrics = record.get("metrics", {})
-        elif kind == _KIND_EVENT:
-            events.append(record["event"])
         else:
             raise ValueError(
                 f"unknown JSONL manifest record kind {kind!r} (line {line_no})"
             )
-    return RunManifest(
-        kind=str(header.get("run_kind", "study")),
-        schema=int(header.get("schema", MANIFEST_SCHEMA)),
-        config_digest=str(header.get("config_digest", "")),
-        topology_seed=header.get("topology_seed"),
-        fault_plan_seed=header.get("fault_plan_seed"),
-        fault_plan_fingerprint=header.get("fault_plan_fingerprint"),
-        spans=spans,
-        metrics=metrics,
-        events=events,
-        event_counts={
-            str(key): int(value)
-            for key, value in header.get("event_counts", {}).items()
-        },
-        events_dropped=int(header.get("events_dropped", 0)),
-        meta=dict(header.get("meta", {})),
+    if header is None:
+        raise ValueError("JSONL manifest has no header record")
+    return RunManifest.from_dict(
+        dict(
+            header,
+            kind=header.get("run_kind", "study"),
+            spans=spans,
+            metrics=metrics,
+            events=events,
+        )
     )
 
 

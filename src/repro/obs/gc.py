@@ -7,6 +7,8 @@ of them.  :func:`collector_scope` runs a region with the collector off
 over a frozen heap and collects once at its exit, so a study pays for
 one pass over what it allocated instead of rescanning the whole
 process heap on every gen-2 pass (DESIGN.md, "Collector policy").
+That pass is a ``collect`` span on the ambient tracer, so a study's
+span tree shows it beside the stages.
 
 :class:`CollectorPauses` is a :data:`gc.callbacks` hook that counts the
 collector's passes and pause seconds by generation.  An enabled
@@ -27,6 +29,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
 from repro.obs.metrics import label_key
+from repro.obs.trace import span
 
 #: Counter names in the manifest's metric snapshot.
 COLLECTIONS_METRIC = "repro_gc_collections_total"
@@ -94,12 +97,14 @@ def collector_scope() -> Iterator[None]:
     Entry freezes the caller's heap (:func:`gc.freeze`, O(1)) and
     disables the collector; exit, also on an exception, re-enables it,
     runs one :func:`gc.collect`, which scans only what the body
-    allocated, and unfreezes.  When the collector is already disabled
-    the scope does nothing: the caller's policy stands, and nested
-    scopes collect once, at the outermost exit.  A caller that keeps a
-    frozen heap of its own must disable the collector around the scope,
-    because exit unfreezes everything; the scope cannot test for one,
-    since CPython 3.12 keeps immortal objects in the frozen generation.
+    allocated, in a ``collect`` span on the ambient tracer (none when
+    no tracer is active), and unfreezes.  When the collector is
+    already disabled the scope does nothing: the caller's policy
+    stands, and nested scopes collect once, at the outermost exit.  A
+    caller that keeps a frozen heap of its own must disable the
+    collector around the scope, because exit unfreezes everything; the
+    scope cannot test for one, since CPython 3.12 keeps immortal
+    objects in the frozen generation.
     Nothing inside may rely on the collector to close a file or release
     a lock.
     """
@@ -111,6 +116,10 @@ def collector_scope() -> Iterator[None]:
     try:
         yield
     finally:
-        gc.enable()
-        gc.collect()
+        # The span opens before the collector is back on: an allocation
+        # after ``gc.enable()`` would start an automatic young-generation
+        # pass over everything the body allocated, before this one.
+        with span("collect"):
+            gc.enable()
+            gc.collect()
         gc.unfreeze()

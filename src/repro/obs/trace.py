@@ -5,14 +5,8 @@ opens one span per stage, and inner layers (the parallel classifier,
 the campaign runners, the active drivers) open child spans through the
 ambient :func:`span` helper without needing a tracer threaded through
 every signature.  :meth:`Tracer.stage_timings` gives the flat
-stage-name -> seconds mapping from the **top-level spans only**, which
-is what makes nested instrumentation safe:
-
-:class:`~repro.perf.parallel.ParallelClassifier` builds its trees
-in-process *inside* the pipeline's ``figure1`` stage.  With two flat
-timers (one in the classifier, one in the pipeline wrapper) that work
-was counted twice; as spans the classifier's work nests under the
-wrapper's span and contributes to the stage total exactly once.
+stage-name -> seconds mapping from the **top-level spans only**, so
+nested work counts once, inside its stage.
 
 Span durations come from ``time.perf_counter`` (monotonic); start
 offsets are relative to the tracer's epoch so a serialized span tree
@@ -75,8 +69,8 @@ class Tracer:
 
     Always-on by design: opening a span costs two ``perf_counter``
     calls, cheap enough that the pipeline records stage timings whether
-    or not full telemetry is enabled (keeping
-    ``StudyResults.stage_timings`` populated exactly as before).
+    or not full telemetry is enabled (so ``StudyResults.stage_timings``
+    is always populated).
     """
 
     def __init__(self, on_stage_exit: Optional[Callable[[Span], None]] = None) -> None:
@@ -123,10 +117,9 @@ class Tracer:
         """Top-level span name -> seconds, in first-seen order.
 
         Re-entered names accumulate (a stage entered in a loop sums),
-        and child spans are deliberately excluded: nested work is
-        already inside its parent's duration, so counting it again
-        would double-book the stage — the exact bug flat timers had
-        when the classifier fell back to serial execution.
+        and child spans are excluded: nested work is already inside its
+        parent's duration, so counting it again would double-book the
+        stage.
         """
         timings: Dict[str, float] = {}
         for root in self.roots:

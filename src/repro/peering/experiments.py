@@ -32,12 +32,13 @@ one disposition, accounted by
 Announcement state restoration always runs in ``finally`` paths and
 calls the testbed directly, which never faults: no exit from a driver —
 fault, kill drill, or ``KeyboardInterrupt`` — leaves the testbed
-announcing a poisoned prefix.
+announcing a poisoned prefix.  The simulator drops a failed run's
+undelivered messages itself, so the withdrawal that opens the next
+target or round copies the empty state as any other does.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -130,7 +131,6 @@ class ActiveSupervisor:
         )
         self.report = ActiveRobustnessReport()
         self.report.breaker = self.breaker.stats
-        self._soft_fired = False
         self.units = JournaledUnits(
             self.config.checkpoint_path,
             {"phase": "active", "plan_fingerprint": self.plan.fingerprint()},
@@ -162,30 +162,6 @@ class ActiveSupervisor:
 
     def close(self) -> None:
         self.units.close()
-
-    # ------------------------------------------------------------------
-    # Soft-limit wiring
-    # ------------------------------------------------------------------
-    def _on_soft_limit(self, prefix, epoch, delivered) -> None:
-        """Simulator soft-limit hook: count it against the breaker.
-
-        A convergence run that crosses the soft event limit is a
-        near-miss; repeated near-misses should trip the breaker before
-        the hard :class:`ConvergenceError` ever fires.
-        """
-        self.report.soft_limit_warnings += 1
-        self._soft_fired = True
-        self.breaker.record_failure()
-
-    @contextmanager
-    def supervising(self, simulator: BGPSimulator):
-        """Install the soft-limit hook for the duration of a driver."""
-        previous = simulator.on_soft_limit
-        simulator.on_soft_limit = self._on_soft_limit
-        try:
-            yield
-        finally:
-            simulator.on_soft_limit = previous
 
     # ------------------------------------------------------------------
     # Supervised operations
@@ -246,7 +222,6 @@ class ActiveSupervisor:
                 )
             testbed.announce(simulator, prefix, muxes=muxes, poisoned=poison_set)
 
-        self._soft_fired = False
         try:
             self.retry.execute(attempt, key=key, stats=self.report.retry)
         except (ConvergenceError, FaultError):
@@ -254,8 +229,7 @@ class ActiveSupervisor:
             raise
         else:
             self.report.announcements += 1
-            if not self._soft_fired:
-                self.breaker.record_success()
+            self.breaker.record_success()
 
     def withdraw(
         self,
@@ -293,17 +267,14 @@ def _restore_unpoisoned(
     """Leave ``prefix`` cleanly announced — or withdrawn, never poisoned.
 
     Runs in ``finally`` paths, so it calls the testbed directly (it
-    never faults): pending messages from an aborted epoch are
-    discarded, the prefix is withdrawn and re-announced clean, and a
-    re-announcement that does not converge downgrades to a withdrawn
+    never faults): the prefix is withdrawn and re-announced clean, and
+    a re-announcement that does not converge downgrades to a withdrawn
     (still unpoisoned) testbed.
     """
-    simulator.discard_pending()
     testbed.withdraw(simulator, prefix)
     try:
         testbed.announce(simulator, prefix)
     except ConvergenceError:
-        simulator.discard_pending()
         testbed.withdraw(simulator, prefix)
 
 
@@ -419,12 +390,11 @@ def discover_alternate_routes(
 
     Every target's discovery starts from a withdrawn-then-reannounced
     prefix.  PEERING is the prefix's only origin, so the withdrawal
-    takes the simulator's direct reset and leaves no AS with a route
+    copies the simulator's empty state and leaves no AS with a route
     from an earlier target's poisoned announcements.  Each target's
-    result is therefore a pure function
-    of the topology and the fault plan, independent of which targets
-    ran before it: the property that makes journal resumption
-    byte-identical.
+    result is therefore a pure function of the topology and the fault
+    plan, independent of which targets ran before it: the property
+    that makes journal resumption byte-identical.
 
     A target whose next hop is already poisoned ignores poisoning (an
     AS without loop prevention, Section 4.4); it ends censored with
@@ -433,10 +403,11 @@ def discover_alternate_routes(
 
     Each target runs in a ``discovery_target`` span whose attributes
     give its rounds, its status, how many of its convergences the
-    simulator copied from a known state (``reused``: every target
-    re-announces the same baseline, and targets with one next hop
-    share their first poison round) and how many BGP messages its
-    convergences delivered (``delivered``).
+    simulator copied from a known state (``reused``: its withdrawal
+    copies the empty state, every target re-announces the same
+    baseline, and targets with one next hop share their first poison
+    round) and how many BGP messages its convergences delivered
+    (``delivered``).
     """
     prefix = prefix or testbed.prefixes[0]
     supervisor = supervisor or ActiveSupervisor()
@@ -489,9 +460,7 @@ def discover_alternate_routes(
             report.record_completed()
         observations.append(observation)
 
-    with span("discovery", targets=len(targets)), supervisor.supervising(
-        simulator
-    ):
+    with span("discovery", targets=len(targets)):
         try:
             for target in targets:
                 report.expect_target()
@@ -571,7 +540,6 @@ def discover_alternate_routes(
                         # this target may reflect a half-propagated network.
                         report.convergence_failures += 1
                         status, reason = QUARANTINED, "convergence-error"
-                        simulator.discard_pending()
 
                     if target_span is not None:
                         target_span.attrs.update(
@@ -735,12 +703,13 @@ def run_magnet_experiments(
     A collector feed gap censors the round's feed channel (the
     traceroute channel survives); an announcement failure or an open
     breaker quarantines the round.  Each round starts from a withdrawn
-    prefix — a direct reset in the simulator, since PEERING is the only
-    origin — so no route survives from an earlier round and journaled
-    rounds can be skipped on resume without perturbing the rest.  The
-    reset never moves the simulator clock back, so magnet routes stay
-    older than anycast routes, as the age tie-breaker expects.  Each
-    round runs in a ``magnet_round`` span (mux, status, ``reused``,
+    prefix — a copy of the empty state in the simulator, since PEERING
+    is the only origin — so no route survives from an earlier round and
+    journaled rounds can be skipped on resume without perturbing the
+    rest.  The copy never moves the simulator clock back, so magnet
+    routes stay older than anycast routes, as the age tie-breaker
+    expects.  Each round runs in a ``magnet_round`` span (mux, status,
+    ``reused``: copied convergences, the withdrawal's included, and
     ``delivered``).
     """
     prefix = prefix or testbed.prefixes[-1]
@@ -765,9 +734,7 @@ def run_magnet_experiments(
         else:
             report.record_magnet_completed()
 
-    with span("magnet_rounds", muxes=len(testbed.muxes)), supervisor.supervising(
-        simulator
-    ):
+    with span("magnet_rounds", muxes=len(testbed.muxes)):
         try:
             for mux in testbed.muxes:
                 report.expect_magnet_round()
@@ -842,7 +809,6 @@ def run_magnet_experiments(
                     except ConvergenceError:
                         report.convergence_failures += 1
                         status, reason = QUARANTINED, "convergence-error"
-                        simulator.discard_pending()
 
                     if round_span is not None:
                         round_span.attrs.update(
@@ -873,6 +839,5 @@ def run_magnet_experiments(
                     apply(record, observation)
                     supervisor.units.finalize(record)
         finally:
-            simulator.discard_pending()
             testbed.withdraw(simulator, prefix)
     return observations

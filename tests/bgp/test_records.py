@@ -87,16 +87,18 @@ class TestLayout:
         assert silent > 0 and telling > 0
 
     def test_no_export_table_after_forget(self, study):
+        """The sole origin's withdrawal forgets the prefix everywhere:
+        it copies the empty state, so no record and no export table is
+        left, the origin's included."""
         internet = study.internet
         simulator = BGPSimulator(internet.graph, policies=internet.policies)
         prefix, origin = next(iter(study.origins.items()))
         simulator.originate(origin, prefix)
-        assert any([speaker.forget(prefix) for speaker in simulator.speakers.values()])
-        (kept,) = _records(simulator, [prefix])
-        speaker, _, record = kept
-        assert speaker.asn == origin and record.local is not None
-        assert len(record) == 0 and record.advertised is None
-        assert speaker.advertised(prefix) == {}
+        assert any(speaker.advertised(prefix) for speaker in simulator.speakers.values())
+        simulator.withdraw(origin, prefix)
+        assert list(_records(simulator, [prefix])) == []
+        for speaker in simulator.speakers.values():
+            assert speaker.advertised(prefix) == {}
 
 
 class TestCopies:

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp import ASPathAttribute, Announcement, BGPSimulator, Policy, Withdrawal
 from repro.bgp.simulator import ConvergenceError
 from repro.net.ip import Prefix
+from repro.obs import Observability, using
 from repro.topology import ASGraph, Relationship
 
 PFX = Prefix.parse("198.51.100.0/24")
@@ -34,6 +35,34 @@ def _contested_graph():
         (1, 6, Relationship.CUSTOMER),
         (2, 6, Relationship.CUSTOMER),
     )
+
+
+def _failed_origination(how):
+    """A simulator whose origination of PFX by AS6 failed mid-run, with
+    messages still queued: at the event budget (``error``, a
+    ConvergenceError) or by an exception raised inside the run
+    (``interrupt``)."""
+    if how == "error":
+        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
+        with pytest.raises(ConvergenceError):
+            sim.originate(6, PFX)
+        return sim
+    sim = BGPSimulator(_contested_graph())
+    receive = sim.speakers[2].receive
+
+    def interrupted(message, clock, country_of=None):
+        if sim.in_flight() and message.prefix == PFX:
+            raise KeyboardInterrupt
+        return receive(message, clock, country_of)
+
+    sim.speakers[2].receive = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        sim.originate(6, PFX)
+    sim.speakers[2].receive = receive
+    return sim
+
+
+FAILURES = ["error", "interrupt"]
 
 
 class TestPropagation:
@@ -282,7 +311,7 @@ class TestPartialTransit:
 
 
 class TestConvergenceFailure:
-    """The event budget, its soft-limit warning, and recovery hooks."""
+    """The event budget, and what a failed or interrupted run leaves."""
 
     def test_convergence_error_carries_context(self):
         sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
@@ -294,46 +323,13 @@ class TestConvergenceFailure:
         assert error.delivered == 4  # the whole budget was spent
         assert str(PFX) in str(error)
 
-    def test_soft_limit_hook_fires_before_hard_limit(self):
-        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
-        warnings = []
-        sim.on_soft_limit = lambda prefix, epoch, delivered: warnings.append(
-            (prefix, epoch, delivered)
-        )
-        with pytest.raises(ConvergenceError) as excinfo:
-            sim.originate(6, PFX)
-        assert len(warnings) == 1
-        prefix, epoch, delivered = warnings[0]
-        assert prefix == PFX
-        assert epoch == 1
-        # The warning preceded the hard limit: a supervisor acting on it
-        # gets a head start on the breaker.
-        assert delivered < excinfo.value.delivered
-
     def test_clock_is_exact_when_a_limit_fires(self):
-        """The run loop keeps the clock in a local: the soft-limit hook
-        and the caller of a failed run still read one tick per
-        delivered message."""
+        """The run loop keeps the clock in a local: the caller of a
+        failed run still reads one tick per delivered message."""
         sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
-        seen = []
-        sim.on_soft_limit = lambda prefix, epoch, delivered: seen.append(
-            (sim.clock, delivered)
-        )
         with pytest.raises(ConvergenceError) as excinfo:
             sim.originate(6, PFX)
-        ((clock, delivered),) = seen
-        assert clock == delivered
-        assert sim.clock == excinfo.value.delivered
-
-    def test_soft_limit_hook_can_fire_without_hard_failure(self):
-        # The chain needs 3 deliveries against a budget of 3 (soft at 2):
-        # the warning fires but convergence still completes.
-        sim = BGPSimulator(_chain(), max_events_per_link=1)
-        warnings = []
-        sim.on_soft_limit = lambda *args: warnings.append(args)
-        sim.originate(4, PFX)
-        assert len(warnings) == 1
-        assert sim.best_route(1, PFX) is not None
+        assert sim.clock == excinfo.value.delivered == 4
 
     def test_delivered_counts_runs_apart_from_the_clock(self):
         """Each run adds what it delivered, a failed one included."""
@@ -345,12 +341,15 @@ class TestConvergenceFailure:
             failing.originate(6, PFX)
         assert failing.delivered == excinfo.value.delivered == 4
 
-    def test_discard_pending_clears_the_unconverged_tail(self):
-        sim = BGPSimulator(_contested_graph(), max_events_per_link=1)
-        with pytest.raises(ConvergenceError):
-            sim.originate(6, PFX)
-        assert sim.discard_pending() > 0
-        assert sim.discard_pending() == 0
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_a_failed_run_clears_its_tail(self, how):
+        """The queue is empty on every exit of a run: the undelivered
+        tail is dropped, the delivered messages' routes stay, and the
+        prefix's state is unknown."""
+        sim = _failed_origination(how)
+        assert sim.in_flight() == 0
+        assert sim.rib_dump(PFX)
+        assert sim._states.node(PFX) is None
 
     def test_epoch_counts_origination_changes(self):
         sim = BGPSimulator(_chain())
@@ -362,7 +361,7 @@ class TestConvergenceFailure:
 
 
 class TestWithdrawReset:
-    """A sole-origin withdrawal with nothing in flight clears the prefix."""
+    """A sole-origin withdrawal copies the empty state."""
 
     OTHER = Prefix.parse("203.0.113.0/24")
 
@@ -451,20 +450,22 @@ class TestWithdrawReset:
         assert sim.epoch == 0
         assert sim.rib_dump(PFX) == {}
 
-    def test_messages_in_flight_take_the_event_driven_path(self):
-        sim = BGPSimulator(
-            _contested_graph(), max_events_per_link=1
-        )
-        with pytest.raises(ConvergenceError):
-            sim.originate(6, PFX)
-        assert sim.rib_dump(PFX)
-        sim._max_events = 10_000  # let the fallback converge
-        clock = sim.clock
-        sim.withdraw(6, PFX)
-        # The queued tail and the withdrawal were delivered one by one.
-        assert sim.clock > clock
-        assert sim.rib_dump(PFX) == {}
-        assert sim.discard_pending() == 0
+    @pytest.mark.parametrize("how", FAILURES)
+    def test_after_a_failed_run_the_reset_copies(self, how):
+        """The sole origin's withdrawal after a failed run copies the
+        empty state: epoch +1, clock unchanged, no record anywhere, one
+        withdrawal copy counted, and the prefix is known (empty) again."""
+        sim = _failed_origination(how)
+        clock, epoch, reused = sim.clock, sim.epoch, sim.reused
+        with using(Observability()) as obs:
+            sim.withdraw(6, PFX)
+        assert (sim.clock, sim.epoch, sim.reused) == (clock, epoch + 1, reused + 1)
+        assert all(speaker.record(PFX) is None for speaker in sim.speakers.values())
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["bgp_convergences_reused_total"]["series"] == {
+            'kind="withdraw"': 1.0
+        }
+        assert sim._states.node(PFX) is sim._states.root
 
 
 def _tail_graph():
@@ -535,21 +536,6 @@ class TestQueueCoalescing:
         from_3 = [message for message in delivered if message.sender == 3]
         assert [message.as_path.sequence() for message in from_3] == [(3, 1, 2)]
         assert sim.forwarding_path(4, PFX) == (4, 1, 2)
-
-    def test_the_tail_of_a_failed_run_is_coalesced_by_the_next(self):
-        sim = BGPSimulator(_tail_graph())
-        sim._max_events = 3
-        with pytest.raises(ConvergenceError):
-            sim.originate(2, PFX)
-        tail = [(target, message.sender) for target, message in sim._queue]
-        assert tail.count((4, 3)) == 2  # AS3's two updates to AS4
-        delivered = _deliveries_to(sim, 4)
-        sim._max_events = 10_000
-        clock = sim.clock
-        assert sim.run() == sim.clock - clock
-        from_3 = [message for message in delivered if message.sender == 3]
-        assert [message.as_path.sequence() for message in from_3] == [(3, 1, 2)]
-        assert sim.in_flight() == 0
 
 
 class TestSimulatorMisc:

@@ -135,9 +135,9 @@ class TestDisputeWheel:
     def test_a_dispute_wheel_is_a_convergence_error(self):
         """Three peers each preferring the next one over the origin
         route form a classic BAD GADGET.  It never settles: the run
-        warns once at the soft limit, spends the whole event budget and
-        raises.  Dropping the undelivered tail and a withdrawal by the
-        sole origin then leave the prefix empty."""
+        spends the whole event budget, raises and leaves nothing in
+        flight.  A withdrawal by the sole origin then leaves the prefix
+        empty."""
         graph = _graph(
             (1, 2, Relationship.PEER),
             (2, 3, Relationship.PEER),
@@ -152,24 +152,22 @@ class TestDisputeWheel:
             3: Policy(asn=3, neighbor_local_pref={1: 400}),
         }
         sim = BGPSimulator(graph, policies=policies, max_events_per_link=400)
-        warnings = []
-        sim.on_soft_limit = lambda *args: warnings.append(args)
         with pytest.raises(ConvergenceError, match="dispute wheel") as excinfo:
             sim.originate(9, PFX)
         budget = 400 * graph.num_links()
         assert excinfo.value.delivered == sim.delivered == budget == 2400
-        assert [(prefix, epoch) for prefix, epoch, _ in warnings] == [(PFX, 1)]
-        assert warnings[0][2] < budget
-        assert sim.discard_pending() > 0
         assert sim.in_flight() == 0
         sim.withdraw(9, PFX)
         for speaker in sim.speakers.values():
             assert speaker.candidates(PFX) == []
             assert speaker.advertised(PFX) == {}
 
-    def test_generated_policies_never_reach_the_soft_limit(self):
-        """The generated world's Gao-Rexford policies form no wheel: an
-        origin's prefixes converge without a soft-limit warning."""
+    def test_generated_policies_stay_far_below_the_budget(self):
+        """The generated world's Gao-Rexford policies form no wheel: its
+        largest run, over every origination and a discovery-style
+        series of poisoned announcements, delivers under 1% of the
+        event budget (``max_events_per_link`` x links), the headroom
+        that lets the budget be the one convergence guard."""
         from repro.topogen import generate_internet
         from repro.topogen.config import small_config
 
@@ -177,10 +175,21 @@ class TestDisputeWheel:
         sim = BGPSimulator(
             internet.graph, policies=internet.policies, country_of=internet.country_of
         )
-        warnings = []
-        sim.on_soft_limit = lambda *args: warnings.append(args)
+        runs = []
+
+        def converge(origin, prefix, poisoned=()):
+            delivered = sim.delivered
+            sim.originate(origin, prefix, poisoned)
+            runs.append(sim.delivered - delivered)
+
+        for origin, prefixes in internet.prefixes.items():
+            for prefix in prefixes:
+                converge(origin, prefix)
         origin = internet.content[0].asns[0]
-        for prefix in internet.prefixes[origin]:
-            sim.originate(origin, prefix)
-        assert warnings == []
+        poisoned = set()
+        for neighbor in sorted(internet.graph.neighbors(origin)):
+            poisoned.add(neighbor)
+            converge(origin, internet.prefixes[origin][0], poisoned)
+        budget = 400 * internet.graph.num_links()
+        assert 0 < max(runs) < 0.01 * budget
         assert sim.in_flight() == 0

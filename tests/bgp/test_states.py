@@ -113,23 +113,10 @@ class TestSnapshots:
             reference._originate_by_events(4, P, (3,))
             _same(production, reference, P)
             snapshots.append(production._states.snapshots())
-        # Baseline and poison round: delivered twice, then copied.
+        # Baseline and poison round: delivered twice, then copied; the
+        # two resets copy the empty state.
         assert snapshots == [0, 1, 2]
-        assert production.reused == 2
-
-    def test_replays_the_soft_limit(self):
-        production, reference = _pair(soft_limit_fraction=0.001)
-        warnings = {production: [], reference: []}
-        for sim in (production, reference):
-            sim.on_soft_limit = lambda *args, sim=sim: warnings[sim].append(args)
-        for prefix in (P, Q):
-            production.originate(4, prefix)
-            reference._originate_by_events(4, prefix)
-            _same(production, reference, P, Q)
-        assert production.reused == 1
-        # One warning per convergence, the copied one's replayed.
-        assert warnings[production] == warnings[reference]
-        assert [epoch for _, epoch, _ in warnings[production]] == [1, 2]
+        assert production.reused == 4
 
 
 class TestUnknownStates:
@@ -143,9 +130,9 @@ class TestUnknownStates:
         reused = sim.reused
         sim.originate(4, P)
         assert sim.reused == reused and sim._states.node(P) is None
-        sim.withdraw(4, P)  # sole origin: the reset makes it known again
+        sim.withdraw(4, P)  # sole origin: copying the empty state makes it known
         sim.originate(4, P)
-        assert sim.reused == reused + 1
+        assert sim.reused == reused + 2
 
     def test_after_a_fallback_withdrawal(self):
         sim = self._twin_ready()
@@ -160,18 +147,23 @@ class TestUnknownStates:
             sim.originate(4, P, (6,))  # a new state: delivered by events
         sim._max_events = budget
 
-    def test_after_a_convergence_error_and_with_messages_in_flight(self):
+    def test_after_a_convergence_error(self):
         sim = self._twin_ready()
         self._fail_to_converge(sim)
-        sim.originate(4, R)  # delivered together with P's leftovers
-        assert sim._states.node(R) is None
-        assert sim.discard_pending() == 0
+        assert sim.in_flight() == 0
         self._assert_unknown_until_reset(sim)
 
-    def test_after_discard_pending(self):
+    def test_after_an_interrupted_run(self):
         sim = self._twin_ready()
-        self._fail_to_converge(sim)
-        assert sim.discard_pending() > 0
+
+        def interrupted(message, clock, country_of=None):
+            raise KeyboardInterrupt
+
+        sim.speakers[3].receive = interrupted  # AS3 hears first, AS6 waits
+        with pytest.raises(KeyboardInterrupt):
+            sim.originate(4, P, (6,))
+        del sim.speakers[3].receive
+        assert sim.in_flight() == 0
         self._assert_unknown_until_reset(sim)
 
     def test_a_deep_copy_knows_no_state(self):
@@ -256,7 +248,7 @@ class TestSharedRecords:
         sim.originate(4, _TWIN_PFX)
         assert sim.reused == 1
         before = [_rib_state(sim, p) for p in (_BASE_PFX, _TWIN_PFX)]
-        fork, _ = _fork(sim, 4, _BASE_PFX, frozenset({3}))
+        fork = _fork(sim, 4, _BASE_PFX, frozenset({3}))
         assert _rib_state(fork, _BASE_PFX) != before[0]
         assert [_rib_state(sim, p) for p in (_BASE_PFX, _TWIN_PFX)] == before
 
@@ -266,14 +258,33 @@ class TestSharedRecords:
             sim.withdraw(4, P)
             sim.originate(4, P)
             sim.originate(4, P, (3,))
-        assert (sim.reused, sim._states.snapshots()) == (2, 2)
+        assert (sim.reused, sim._states.snapshots()) == (4, 2)
         sim.withdraw(4, P)
         sim.originate(4, P)  # reuses the baseline's snapshot
         sim.originate(4, P, (6,))  # a new state: delivered by events
         sim.withdraw(4, P)
         sim.originate(4, P)
-        assert sim.reused == 4
+        assert sim.reused == 8  # four copied originations, four resets
         assert _rib_state(sim, P) == _rib_state(_fresh((P, ())), P)
+
+    def test_a_snapshot_keeps_the_last_holders_records(self, copies):
+        """Nothing edits a record a prefix leaves behind, so the state's
+        snapshot holds the last holder's records themselves, the
+        origin's included; a prefix adopting them copies only that."""
+        sim = BGPSimulator(_world())
+        for _ in range(2):
+            sim.withdraw(4, P)
+            sim.originate(4, P)  # delivered twice: the state recurs
+        held = {asn: speaker.record(P) for asn, speaker in sim.speakers.items()}
+        copies.clear()
+        sim.withdraw(4, P)
+        assert copies == []
+        (node,) = sim._states.root.children.values()
+        assert node.snapshot.keys() == {a for a, r in held.items() if r is not None}
+        assert all(node.snapshot[asn] is held[asn] for asn in node.snapshot)
+        sim.originate(4, Q)  # copied from the snapshot
+        assert copies == [held[4]]
+        assert _rib_state(sim, Q) == _rib_state(_fresh((Q, ())), Q)
 
     def test_the_reset_of_a_shared_prefix_copies_no_record(self, copies):
         sim = BGPSimulator(_world())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -73,3 +74,35 @@ class TestStudyFlagConflicts:
         err = self._err(capsys, ["study", "--small", "--durability", "none"])
         assert "--durability requires --run-dir DIR" in err
 
+
+
+class TestFaultPlanInput:
+    """A fault plan that cannot load exits 2 with one error line, before
+    the study runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_study(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "_run_study", refuse)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ('{"seed": 1, "rates": {"nope": 0.1}}', "unknown fault site 'nope'"),
+            ('{"rates": {"atlas/dns:timeout": 2}}', "must be in [0, 1]"),
+            ("not json", "Expecting value"),
+        ],
+        ids=["missing", "unknown-site", "bad-rate", "not-json"],
+    )
+    def test_refused_before_the_study(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "plan.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["study", "--small", "--fault-plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot load fault plan {path}: ")
+        assert reason in line

@@ -62,12 +62,17 @@ class TestConvergenceMetrics:
         assert histogram["series"][withdraw]["count"] == 1
 
     def test_reset_delivers_nothing_and_records_nothing(self):
+        """The sole origin's withdrawal copies the empty state: it
+        records no delivered run, only its copy, by kind."""
         simulator = _anycast_simulator()
         simulator.originate(2, PFX)
         with using(Observability()) as obs:
-            simulator.withdraw(2, PFX)  # sole origin: direct reset
-        assert obs.metrics.snapshot()["counters"] == {}
-        assert obs.metrics.snapshot()["histograms"] == {}
+            simulator.withdraw(2, PFX)  # sole origin: copies the empty state
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["histograms"] == {}
+        assert list(snapshot["counters"]) == ["bgp_convergences_reused_total"]
+        reused = snapshot["counters"]["bgp_convergences_reused_total"]
+        assert reused["series"] == {'kind="withdraw"': 1}
 
     def test_withdraw_by_a_non_origin_is_a_no_op(self):
         """Nothing to withdraw and nothing in flight: no observation, no

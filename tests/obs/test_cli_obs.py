@@ -70,6 +70,22 @@ class TestObsReport:
         assert main(["obs", "report", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "content",
+        ["", "[1, 2]\n", '{"kind": "header"}\n{"kind": "span"}\n'],
+        ids=["empty", "array", "bodiless-span"],
+    )
+    def test_report_refuses_a_file_that_is_not_a_manifest(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "run.jsonl"
+        path.write_text(content)
+        assert main(["obs", "report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot load manifest {path}: ")
+
     def test_report_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])

@@ -128,7 +128,8 @@ class TestTypedPublishers:
         assert event.attr("delivered") > 0
 
     def test_simulator_withdraw_reset_published(self):
-        """The reset delivers no message, so it publishes its own event."""
+        """The reset, the sole origin's withdrawal, copies the empty
+        state: one copied convergence that skipped no message."""
         graph = ASGraph()
         graph.add_link(1, 2, Relationship.CUSTOMER)
         graph.add_link(2, 3, Relationship.CUSTOMER)
@@ -137,8 +138,8 @@ class TestTypedPublishers:
         simulator.originate(3, prefix)
         with using(Observability()) as obs:
             simulator.withdraw(3, prefix)
-        assert obs.events.counts == {"bgp:withdraw_reset": 1}
+        assert obs.events.counts == {"bgp:converged": 1}
         event = obs.events.of_category(CATEGORY_BGP)[0]
-        assert event.attr("prefix") == str(prefix)
         assert event.attr("epoch") == simulator.epoch == 2
-        assert event.attr("cleared") == 3
+        assert event.attr("reused") is True
+        assert (event.attr("delivered"), event.attr("skipped")) == (0, 0)

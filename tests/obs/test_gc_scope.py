@@ -15,6 +15,7 @@ from repro.obs.gc import (
     CollectorPauses,
     collector_scope,
 )
+from repro.obs.trace import Tracer
 from tests.conftest import STUDY_SEED
 
 pytestmark = pytest.mark.obs
@@ -67,6 +68,28 @@ class TestCollectorScope:
             assert passes.collections == [0, 0, 0]
         assert passes.collections == [0, 0, 1]
 
+    def test_the_closing_pass_is_a_collect_span(self, passes):
+        """The span opens before the collector is back on, so the
+        closing pass is the only one, even after enough allocations to
+        start an automatic young-generation pass."""
+        tracer = Tracer()
+        with tracer.activate():
+            with collector_scope():
+                with tracer.span("stage"):
+                    held = [[] for _ in range(10 * gc.get_threshold()[0])]
+                passes.clear()
+        assert [root.name for root in tracer.roots] == ["stage", "collect"]
+        assert passes.collections == [0, 0, 1]
+        assert held
+
+    def test_no_span_without_a_tracer_or_when_nested(self):
+        tracer = Tracer()
+        with collector_scope():  # no tracer active: no span anywhere
+            with tracer.activate():
+                with collector_scope():  # nested: no pass, no span
+                    pass
+        assert tracer.roots == []
+
     def test_a_cycle_made_inside_is_dead_at_exit(self):
         with collector_scope():
             node = _Node()
@@ -91,6 +114,14 @@ class TestStudyManifest:
         assert counters[COLLECTIONS_METRIC]["series"][closing] >= 1
         assert counters[PAUSE_METRIC]["series"][closing] > 0
         assert study.manifest is None
+
+    def test_collect_is_the_last_stage_and_carries_peak_rss(self, observed_study):
+        manifest = observed_study.manifest
+        collect = manifest.spans[-1]
+        assert collect["name"] == "collect"
+        assert collect["attrs"]["peak_rss_mb"] > 0
+        assert observed_study.stage_timings["collect"] > 0
+        assert [span["name"] for span in manifest.spans].count("collect") == 1
 
     def test_snapshot_identical_with_and_without_obs(self, study, observed_study):
         assert serialize(snapshot_study(observed_study)) == serialize(

@@ -108,6 +108,39 @@ class TestJsonl:
         with pytest.raises(ValueError, match="unknown JSONL manifest record"):
             from_jsonl('{"kind": "mystery"}\n')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no header record"),
+            ("\n\n", "no header record"),
+            ("[1, 2]\n", "line 1 is a list, not an object"),
+            ('{"kind": "header"}\n"text"\n', "line 2 is a str, not an object"),
+            ('{"kind": "header"}\n{"kind": "span"}\n', "span record without a body"),
+            ('{"kind": "header"}\n{"kind": "event"}\n', "event record without a body"),
+            ('{"kind": "metrics", "metrics": {}}\n', "no header record"),
+        ],
+        ids=[
+            "empty",
+            "blank",
+            "array",
+            "string-line",
+            "bodiless-span",
+            "bodiless-event",
+            "headerless",
+        ],
+    )
+    def test_not_a_manifest_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_jsonl(text)
+
+    def test_newer_header_schema_rejected(self):
+        lines = to_jsonl(_sample_manifest()).splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = MANIFEST_SCHEMA + 1
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError, match="newer than supported"):
+            from_jsonl("\n".join(lines))
+
 
 class TestSummary:
     def test_summary_mentions_all_sections(self):

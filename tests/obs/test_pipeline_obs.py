@@ -71,9 +71,10 @@ class TestManifestProduction:
         assert any(
             key.startswith("bgp:") for key in manifest.event_counts
         )
-        # Withdrawals converge by direct reset, one event each.
+        # Withdrawals copy the empty state, each counted by kind.
         supervised = obs_study.active_robustness.withdrawals
-        assert manifest.event_counts["bgp:withdraw_reset"] >= supervised > 0
+        copied = manifest.metrics["counters"]["bgp_convergences_reused_total"]
+        assert copied["series"]['kind="withdraw"'] >= supervised > 0
 
     def test_manifest_records_bgp_convergence_and_peak_rss(self, obs_study):
         manifest = obs_study.manifest
@@ -128,7 +129,8 @@ class TestManifestProduction:
         reused = sum(s["attrs"]["reused"] for s in targets + rounds)
         counters = obs_study.manifest.metrics["counters"]
         copied = counters["bgp_convergences_reused_total"]["series"]
-        assert 0 < reused <= copied['kind="originate"']
+        assert copied['kind="withdraw"'] > 0
+        assert 0 < reused <= sum(copied.values())
         delivered = [s["attrs"]["delivered"] for s in targets + rounds]
         assert min(delivered) >= 0
         events = counters["bgp_events_delivered_total"]["series"]

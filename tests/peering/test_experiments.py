@@ -329,14 +329,6 @@ class TestSupervisedDiscovery:
             for route in speaker.candidates(prefix):  # no AS-set: no poison
                 assert route.as_path.sequence() == route.as_path.segments
 
-    def test_soft_limit_hook_restored_after_run(self, world):
-        internet, testbed, sim = world
-        sentinel = object()
-        sim.on_soft_limit = sentinel
-        discover_alternate_routes(testbed, sim, _transit_targets(internet, 2))
-        assert sim.on_soft_limit is sentinel
-        sim.on_soft_limit = None
-
 
 class TestSupervisedMagnet:
     def test_feed_gap_censors_round_but_keeps_traceroutes(self, world):

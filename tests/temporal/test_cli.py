@@ -97,3 +97,46 @@ class TestStudyTemporalFlag:
         with pytest.raises(SystemExit):
             cli.main(["study", "--small", "--obs"])
         assert "unrecognized arguments: --obs" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_study(monkeypatch):
+    """Fail the test if a study runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "_run_study", refuse)
+
+
+class TestSeriesOverrideInput:
+    """A bad --snapshots or --churn exits 2 with one error line, before
+    any study runs."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--snapshots", "0"),
+            ("--snapshots", "-3"),
+            ("--snapshots", "two"),
+            ("--churn", "2.0"),
+            ("--churn", "-0.1"),
+            ("--churn", "nan"),
+            ("--churn", "lots"),
+        ],
+    )
+    def test_rejected_before_the_study(self, no_study, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["temporal", "--small", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert f"argument {flag}:" in line
+        assert "Traceback" not in err
+
+    def test_bounds_are_accepted(self):
+        for churn in ("0", "1"):
+            args = cli.build_parser().parse_args(
+                ["temporal", "--snapshots", "1", "--churn", churn]
+            )
+            assert (args.snapshots, args.churn) == (1, float(churn))
