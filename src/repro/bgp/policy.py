@@ -119,6 +119,37 @@ def path_accepted(
     return True
 
 
+def export_scope(
+    route_class: Relationship,
+    neighbors: Collection[int],
+    full_feed: Collection[int],
+    partial_transit: Collection[int],
+) -> Tuple[Collection[int], Collection[int]]:
+    """Where a learned route of class ``route_class`` is exported:
+    ``(scope, blocked)``.
+
+    The route goes to every neighbor in ``scope`` that is not in
+    ``blocked`` and is not the neighbor it came from.  ``neighbors``
+    holds every neighbor, ``full_feed`` the customers and siblings (the
+    classes that receive every route) and ``partial_transit`` the
+    customers buying partial transit.  This is the Gao-Rexford rule:
+    customer- and sibling-class routes go to every neighbor, peer- and
+    provider-class routes to customers and siblings only.  Then the
+    partial-transit restriction: customers buying partial transit never
+    receive provider-class routes.
+
+    It returns the caller's own collections, so a speaker's export pass
+    builds no set: a :class:`~repro.bgp.speaker.BGPSpeaker` passes its
+    neighbor map, one customers-plus-siblings set and the policy's
+    ``partial_transit_to`` as it read them when it was built.
+    """
+    if route_class is Relationship.CUSTOMER or route_class is Relationship.SIBLING:
+        return neighbors, ()
+    if route_class is Relationship.PROVIDER:
+        return full_feed, partial_transit
+    return full_feed, ()
+
+
 @dataclass
 class Policy:
     """Routing policy of a single AS."""
@@ -136,7 +167,8 @@ class Policy:
     #: inbound traffic engineering that inflates announced path length.
     export_prepend: Dict[Tuple[Prefix, int], int] = field(default_factory=dict)
     #: Customers that only buy partial transit: they receive customer- and
-    #: peer-learned routes but not provider-learned ones.
+    #: peer-learned routes but not provider-learned ones.  A speaker reads
+    #: it once, when its simulator is built.
     partial_transit_to: Set[int] = field(default_factory=set)
     #: Prefer routes whose ASes all sit in the home country.
     home_country: str = ""
@@ -261,41 +293,14 @@ class Policy:
     ) -> bool:
         """Whether a learned route is exported to ``to_neighbor``.
 
-        The one-neighbor form of :meth:`export_scope`.
+        The one-neighbor form of :func:`export_scope`.
         """
         full_feed = (to_neighbor,) if to_relationship.exports_all() else ()
-        scope, blocked = self.export_scope(route, (to_neighbor,), full_feed)
+        scope, blocked = export_scope(
+            route.effective_class, (to_neighbor,), full_feed, self.partial_transit_to
+        )
         return (
             to_neighbor in scope
             and to_neighbor not in blocked
             and to_neighbor != route.learned_from
         )
-
-    def export_scope(
-        self,
-        route: Route,
-        neighbors: Collection[int],
-        full_feed: Collection[int],
-    ) -> Tuple[Collection[int], Collection[int]]:
-        """Where a learned route is exported: ``(scope, blocked)``.
-
-        The route goes to every neighbor in ``scope`` that is not in
-        ``blocked`` and is not the neighbor it came from.  ``neighbors``
-        holds every neighbor and ``full_feed`` the customers and
-        siblings (the classes that receive every route).  This is the
-        Gao-Rexford rule: customer- and sibling-class routes go to every
-        neighbor, peer- and provider-class routes to customers and
-        siblings only.  Then the partial-transit restriction: customers
-        buying partial transit never receive provider-class routes.
-
-        It reads only the route's class, and returns the caller's own
-        collections, so a speaker's export pass builds no set: the
-        speaker passes its neighbor map and one customers-plus-siblings
-        set it keeps for every prefix.
-        """
-        route_class = route.effective_class
-        if route_class is Relationship.CUSTOMER or route_class is Relationship.SIBLING:
-            return neighbors, ()
-        if route_class is Relationship.PROVIDER:
-            return full_feed, self.partial_transit_to
-        return full_feed, ()

@@ -2,12 +2,21 @@
 
 Everything a speaker holds for one prefix lives in one record: the
 Adj-RIB-In by neighbor, the local origination, the Loc-RIB route and
-the decision step that picked it, and what each neighbor was last
+the decision step that picked it, and what its neighbors were last
 told.  Delivering a message therefore costs one prefix lookup, not one
 per table.  The record is one object: a ``dict`` that is its own
-Adj-RIB-In, whose slots hold the rest, with what each neighbor was
-last told kept by session position (no table at all until the record
-tells a neighbor).
+Adj-RIB-In, whose slots hold the rest.
+
+The Adj-RIBs-Out are derived, not stored (RFC 4271 §3.2 describes the
+three RIBs as a conceptual model, not three stored copies).  What a
+neighbor hears is a function of the route the speaker exports and of
+what stays fixed for the speaker's life: its sessions, the customers
+and siblings that hear every route, and the partial-transit customers
+(:func:`~repro.bgp.policy.export_scope`), all read once when the
+speaker is built.  So a record keeps one slot, ``told``: the learned
+route its neighbors last heard, or its origination's exported AS path
+with the prefix inputs it was exported under, and ``None`` while it
+tells no neighbor.
 
 The decision process is incremental.  An update from a neighbor whose
 route is not the current best only has to beat the best: preference
@@ -23,12 +32,12 @@ decision step stale (``None`` beside a best route), and
 
 After a best-route change, :meth:`BGPSpeaker.exports` computes every
 neighbor's update in one pass over the record :meth:`BGPSpeaker.receive`
-returned, so a delivered update looks its prefix up once.  The export
-rule is read once for the route
-(:meth:`~repro.bgp.policy.Policy.export_scope`) and returns collections
-the speaker already holds, and all non-sibling neighbors that receive a
-learned route share one ``(path, communities)`` export and one
-announcement.
+returned, so a delivered update looks its prefix up once.  Session by
+session, it derives what the neighbor heard before (from ``told``) and
+what it hears now.  Between two learned routes, every non-sibling
+neighbor hears the same ``(path, communities)`` export, so the pass
+compares the two routes' exports once, not once per neighbor, and the
+neighbors it tells share one announcement.
 
 A speaker reads its policy's prefix-keyed fields only through the
 :class:`~repro.bgp.policy.PrefixInputs` the simulator loads before it
@@ -42,7 +51,7 @@ only where the rule can move a session's preference: for a prefix
 with a local-preference override, or where the domestic bonus can
 apply.
 
-Routes and exports do not name their prefix, so prefixes in one
+Routes and ``told`` do not name their prefix, so prefixes in one
 converged state hold the same record objects
 (:meth:`BGPSpeaker.adopt`, :mod:`repro.bgp.states`); only a record
 with a local origination, which names its prefix, is copied.  A
@@ -55,7 +64,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple, Union
 
 from repro.bgp.attributes import ASPathAttribute
 from repro.bgp.communities import (
@@ -70,6 +79,7 @@ from repro.bgp.policy import (
     CountryLookup,
     Policy,
     PrefixInputs,
+    export_scope,
     path_accepted,
 )
 from repro.bgp.routes import LocalRoute, Route
@@ -78,6 +88,11 @@ from repro.topology.relationships import Relationship
 
 #: What a neighbor is told about a prefix: (AS path, communities).
 Export = Tuple[ASPathAttribute, frozenset]
+
+#: What a record's neighbors were last told, in the form a record keeps
+#: it: the learned route they heard, or an origination's (exported AS
+#: path, prefix inputs).
+Told = Union[Route, Tuple[ASPathAttribute, PrefixInputs]]
 
 #: Read on every delivered update; a module constant spares the class
 #: attribute lookup.
@@ -92,7 +107,7 @@ class _PrefixState(dict):
     always tested with ``is None``.
     """
 
-    __slots__ = ("local", "self_route", "best", "step", "advertised")
+    __slots__ = ("local", "self_route", "best", "step", "told")
 
     def __init__(self) -> None:
         #: The local origination and the self-route it installs.
@@ -103,14 +118,15 @@ class _PrefixState(dict):
         #: docstring).  ``None`` survives every copy of the record.
         self.best: Optional[Route] = None
         self.step: Optional[DecisionStep] = None
-        #: What each neighbor was last told, by session position (the
-        #: speaker's ascending-ASN session order; ``None``: nothing).
-        #: The table itself is ``None`` while no neighbor is told.
-        self.advertised: Optional[List[Optional[Export]]] = None
+        #: What the neighbors were last told (:data:`Told`), from which
+        #: the speaker derives each neighbor's export; ``None`` while
+        #: no neighbor is told.
+        self.told: Optional[Told] = None
 
     def copy_for(self, prefix: Prefix) -> "_PrefixState":
-        """This record as ``prefix``'s: its tables copied, its immutable
-        routes and exports shared, its local origination rebuilt."""
+        """This record as ``prefix``'s: its Adj-RIB-In copied, its
+        immutable routes and ``told`` shared, its local origination
+        rebuilt."""
         twin = _PrefixState()
         twin.update(self)
         if self.local is not None:
@@ -118,8 +134,7 @@ class _PrefixState(dict):
             twin.self_route = self.self_route
         twin.best = self.best
         twin.step = self.step
-        if self.advertised is not None:
-            twin.advertised = self.advertised.copy()
+        twin.told = self.told
         return twin
 
     def shared_as(self, prefix: Prefix) -> "_PrefixState":
@@ -133,10 +148,10 @@ class BGPSpeaker:
     """BGP state for one AS.
 
     The speaker keeps one :class:`_PrefixState` record per prefix
-    (Adj-RIB-In, local origination, Loc-RIB, decision step, advertised
-    exports), runs the decision process on it, and produces the export
-    messages for its neighbors in one pass per best-route change
-    (:meth:`exports`), in ascending-ASN order.  Message transport and
+    (Adj-RIB-In, local origination, Loc-RIB, decision step, what its
+    neighbors were told), runs the decision process on it, and produces
+    the export messages for its neighbors in one pass per best-route
+    change (:meth:`exports`), in ascending-ASN order.  Message transport and
     scheduling live in :class:`repro.bgp.simulator.BGPSimulator`.
     """
 
@@ -170,12 +185,18 @@ class BGPSpeaker:
         #: lookup; without it only a prefix override changes a route's
         #: local preference from its session's.
         self._domestic = policy.prefers_domestic and bool(policy.home_country)
-        #: The customers and siblings: the neighbors that hear every
-        #: route (:meth:`~repro.bgp.policy.Policy.export_scope`).
+        #: The customers and siblings, the neighbors that hear every
+        #: route, and the customers that buy partial transit, which hear
+        #: no provider-class route (:func:`~repro.bgp.policy.export_scope`).
+        #: Read once here, so what a record told each neighbor can be
+        #: derived again from the route alone.
         self._full_feed = frozenset(
             neighbor
             for neighbor, relationship in self._sessions
             if relationship.exports_all()
+        )
+        self._partial_transit = (
+            frozenset(policy.partial_transit_to) if policy.partial_transit_to else ()
         )
         self._prefixes: Dict[Prefix, _PrefixState] = {}
         #: The policy's non-empty prefix inputs, as last loaded.
@@ -434,14 +455,18 @@ class BGPSpeaker:
         return state.step
 
     def advertised(self, prefix: Prefix) -> Dict[int, Export]:
-        """Neighbor -> (AS path, communities) last announced for ``prefix``."""
+        """Neighbor -> (AS path, communities) last announced for
+        ``prefix``: what an export pass from telling nothing to the
+        record's ``told`` announces."""
         state = self._prefixes.get(prefix)
-        if state is None or state.advertised is None:
+        if state is None or state.told is None:
             return {}
+        told = state.told
+        derive = self._origin_pass if type(told) is tuple else self._learned_pass
+        updates, _ = derive(prefix, None, told)
         return {
-            neighbor: export
-            for (neighbor, _), export in zip(self._sessions, state.advertised)
-            if export is not None
+            neighbor: (message.as_path, message.communities)
+            for neighbor, message in updates
         }
 
     def prefixes(self) -> List[Prefix]:
@@ -462,74 +487,154 @@ class BGPSpeaker:
     ) -> List[Tuple[int, object]]:
         """The updates owed to neighbors for ``prefix``, in ascending-ASN order.
 
-        Compares what each neighbor should hear now with what it was
-        last told, records the new advertisement, and returns one
-        ``(neighbor, message)`` pair — an announcement or a withdrawal —
-        per neighbor whose view changed.  A learned best route is
-        prepended and stripped once; every non-sibling neighbor shares
-        that export and its announcement.  ``state`` is the prefix's
-        record when the caller holds it (what :meth:`receive` returned);
-        otherwise it is looked up.
+        Derives, session by session, what each neighbor heard before
+        (from the record's ``told``) and what it hears now, returns one
+        ``(neighbor, message)`` pair (an announcement or a withdrawal)
+        per neighbor whose view changed, and records what the neighbors
+        are told now.  ``state`` is the prefix's record when the caller
+        holds it (what :meth:`receive` returned); otherwise it is looked
+        up.
         """
         if state is None:
             state = self._prefixes.get(prefix)
             if state is None:
                 return []
         best = state.best
-        advertised = state.advertised
-        originated = best is not None and best.learned_from == self.asn
-        scope = blocked = ()
-        sender = inputs = None
-        if originated:
-            inputs = self._inputs.get(prefix, NO_PREFIX_INPUTS)
-        elif best is not None:
-            sender = best.learned_from
-            scope, blocked = self.policy.export_scope(
-                best, self.neighbors, self._full_feed
+        told = state.told
+        if best is None:
+            now = None
+        elif best.learned_from == self.asn:
+            now = (
+                state.local.exported_path(),
+                self._inputs.get(prefix, NO_PREFIX_INPUTS),
             )
-        if not (originated or scope or advertised is not None):
+        else:
+            now = best
+        if now is None and told is None:
             return []
-        if advertised is None:
-            advertised = [None] * len(self._sessions)
-        shared = announcement = withdrawal = None
+        if type(now) is tuple or type(told) is tuple:
+            updates, telling = self._origin_pass(prefix, told, now)
+        else:
+            updates, telling = self._learned_pass(prefix, told, now)
+        # A pass that tells no neighbor leaves ``None`` behind.
+        state.told = now if telling else None
+        return updates
+
+    def _learned_pass(
+        self, prefix: Prefix, told: Optional[Route], now: Optional[Route]
+    ) -> Tuple[List[Tuple[int, object]], bool]:
+        """:meth:`exports` between two learned routes (either may be
+        ``None``): the updates and whether any neighbor hears ``now``.
+
+        Every non-sibling neighbor that hears a learned route hears the
+        same export, so whether the two routes' exports differ is
+        decided once, and the neighbors told share one announcement.
+        """
+        old_scope = old_blocked = new_scope = new_blocked = ()
+        old_sender = new_sender = None
+        if told is not None:
+            old_scope, old_blocked = self._scope(told)
+            old_sender = told.learned_from
+        if now is not None:
+            new_scope, new_blocked = self._scope(now)
+            new_sender = now.learned_from
+            if not new_scope and told is None:
+                return [], False
+        same = announcement = withdrawal = None
         telling = False
         updates = []
-        for position, (neighbor, relationship) in enumerate(self._sessions):
-            if originated:
-                export = self._origin_export(state, inputs, neighbor, relationship)
-            elif neighbor in scope and neighbor != sender and neighbor not in blocked:
-                if relationship is _SIBLING:
-                    export = self._sibling_export(best)
-                else:
-                    if shared is None:
-                        shared = (
-                            best.as_path.prepend(self.asn),
-                            strip_entry_class(best.communities),
-                        )
-                        announcement = self._announcement(prefix, shared)
-                    export = shared
-            else:
-                export = None
-            told = advertised[position]
-            if export is None:
-                if told is not None:
-                    advertised[position] = None
+        for neighbor, relationship in self._sessions:
+            heard = (
+                neighbor in old_scope
+                and neighbor != old_sender
+                and neighbor not in old_blocked
+            )
+            if (
+                neighbor not in new_scope
+                or neighbor == new_sender
+                or neighbor in new_blocked
+            ):
+                if heard:
                     if withdrawal is None:
                         withdrawal = Withdrawal(prefix=prefix, sender=self.asn)
                     updates.append((neighbor, withdrawal))
                 continue
             telling = True
-            if told != export:
-                advertised[position] = export
-                message = (
-                    announcement
-                    if export is shared
-                    else self._announcement(prefix, export)
+            if relationship is _SIBLING:
+                export = self._sibling_export(now)
+                if not (heard and self._sibling_export(told) == export):
+                    updates.append((neighbor, self._announcement(prefix, export)))
+                continue
+            if heard:
+                if same is None:
+                    same = told.as_path == now.as_path and strip_entry_class(
+                        told.communities
+                    ) == strip_entry_class(now.communities)
+                if same:
+                    continue
+            if announcement is None:
+                announcement = self._announcement(
+                    prefix,
+                    (
+                        now.as_path.prepend(self.asn),
+                        strip_entry_class(now.communities),
+                    ),
                 )
-                updates.append((neighbor, message))
-        # A pass that tells no neighbor leaves no table behind.
-        state.advertised = advertised if telling else None
-        return updates
+            updates.append((neighbor, announcement))
+        return updates, telling
+
+    def _origin_pass(
+        self, prefix: Prefix, told: Optional[Told], now: Optional[Told]
+    ) -> Tuple[List[Tuple[int, object]], bool]:
+        """:meth:`exports` when an origination is told before or now:
+        each neighbor's two exports are derived and compared in full."""
+        withdrawal = None
+        telling = False
+        updates = []
+        for neighbor, relationship in self._sessions:
+            before = export = None
+            if told is not None:
+                before = self._export(told, neighbor, relationship)
+            if now is not None:
+                export = self._export(now, neighbor, relationship)
+            if export is None:
+                if before is not None:
+                    if withdrawal is None:
+                        withdrawal = Withdrawal(prefix=prefix, sender=self.asn)
+                    updates.append((neighbor, withdrawal))
+                continue
+            telling = True
+            if before != export:
+                updates.append((neighbor, self._announcement(prefix, export)))
+        return updates, telling
+
+    def _export(
+        self, told: Told, neighbor: int, relationship: Relationship
+    ) -> Optional[Export]:
+        """What a record that told ``told`` tells ``neighbor`` (``None``:
+        nothing)."""
+        if type(told) is tuple:
+            return self._origin_export(told, neighbor, relationship)
+        scope, blocked = self._scope(told)
+        if (
+            neighbor == told.learned_from
+            or neighbor not in scope
+            or neighbor in blocked
+        ):
+            return None
+        if relationship is _SIBLING:
+            return self._sibling_export(told)
+        return told.as_path.prepend(self.asn), strip_entry_class(told.communities)
+
+    def _scope(self, route: Route) -> Tuple[Collection[int], Collection[int]]:
+        """``(scope, blocked)`` of a learned route
+        (:func:`~repro.bgp.policy.export_scope`)."""
+        return export_scope(
+            route.effective_class,
+            self.neighbors,
+            self._full_feed,
+            self._partial_transit,
+        )
 
     def _announcement(self, prefix: Prefix, export: Export) -> Announcement:
         path, communities = export
@@ -537,16 +642,16 @@ class BGPSpeaker:
 
     def _origin_export(
         self,
-        state: _PrefixState,
-        inputs: PrefixInputs,
+        origination: Tuple[ASPathAttribute, PrefixInputs],
         neighbor: int,
         relationship: Relationship,
     ) -> Optional[Export]:
-        """What the origin tells ``neighbor``: selective export, prepends
-        and the poison set."""
+        """What the origin tells ``neighbor`` of its ``(exported AS path,
+        prefix inputs)``: selective export, prepends and the poison
+        set."""
+        path, inputs = origination
         if not inputs.exports_to(neighbor):
             return None
-        path = state.local.exported_path()
         for _ in range(inputs.prepends_to(neighbor)):
             path = path.prepend(self.asn)
         communities = frozenset()

@@ -857,7 +857,7 @@ def _fork(
     step never mutates: the topology, the policies, each speaker's
     sessions, every other prefix's records but those that ``prefix`` or
     ``twin`` holds too (a converged state's holders share records), and
-    the immutable routes, originations and exports.
+    the immutable routes and originations.
     """
     copied = (prefix,) if twin is None else (prefix, twin)
     shared: List[object] = [simulator.graph, *_BGP_PREFIXES]
@@ -869,6 +869,7 @@ def _fork(
                 speaker._sessions,
                 speaker._imports,
                 speaker._full_feed,
+                speaker._partial_transit,
             )
         )
         held = {id(speaker.record(other)) for other in copied}
@@ -879,7 +880,6 @@ def _fork(
         for other in copied:
             shared.append(speaker.origination(other))
             shared.extend(speaker.candidates(other))
-            shared.extend(speaker.advertised(other).values())
     fork = copy.deepcopy(simulator, {id(obj): obj for obj in shared})
     if poisoned is None:
         fork._withdraw_by_events(asn, prefix)

@@ -25,7 +25,10 @@ Usage::
         computes: a plain study and a --run-dir study print the same
         results.  --durability picks the fsync policy run-directory
         writes use (see DESIGN.md §12); like --resume, it requires
-        --run-dir.
+        --run-dir.  A run directory that already holds a run (without
+        --resume), that belongs to another configuration, or that
+        another live process has locked is refused with one error
+        line (exit 2).
 
     repro temporal [--seed N] [--small]
           [--snapshots N] [--churn F] [--run-dir DIR] [--resume]
@@ -35,14 +38,17 @@ Usage::
         Figure-1 violation counts are reported as a time-series next
         to each epoch's link churn.  --run-dir journals every
         completed epoch durably (DIR/temporal.jsonl) and --resume
-        replays the journaled epochs verbatim and grades the rest.
+        replays the journaled epochs verbatim and grades the rest; a
+        run directory is refused as for a study.
 
     repro list
         List available experiment ids.
 
-    repro obs report MANIFEST [--jsonl FILE]
+    repro obs report MANIFEST [--jsonl FILE] [--top N]
         Render a run manifest (produced by `repro study --obs-out`)
-        as a terminal summary; optionally export it as JSONL.
+        as a terminal summary; optionally export it as JSONL.  --top N
+        adds the N span names with the largest self time after the
+        span tree.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import sys
 from typing import Optional
 
 from repro.core.pipeline import Study, StudyResults, build_study_config
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, LedgerRefused, LockHeldError
 from repro.topogen.config import TopologyConfig, small_config
 from repro.topogen.generator import generate_internet
 from repro.topogen.inference import infer_topology
@@ -273,6 +279,15 @@ def _run_dir_missing(args: argparse.Namespace) -> bool:
     return False
 
 
+def _refused(error: Exception) -> int:
+    """Report a run directory the ledger or its lock refuses (exit 2)."""
+    message = str(error)
+    if isinstance(error, LockHeldError):
+        message = f"{error.strerror} ({error.filename})"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_study(args: argparse.Namespace) -> int:
     if _run_dir_missing(args):
         return 2
@@ -287,15 +302,18 @@ def _cmd_study(args: argparse.Namespace) -> int:
             )
             return 2
     obs_out = getattr(args, "obs_out", None)
-    results = _run_study(
-        args.seed,
-        args.small,
-        fault_plan=fault_plan,
-        resume=args.resume,
-        obs=obs_out is not None,
-        run_dir=args.run_dir,
-        durability=getattr(args, "durability", None),
-    )
+    try:
+        results = _run_study(
+            args.seed,
+            args.small,
+            fault_plan=fault_plan,
+            resume=args.resume,
+            obs=obs_out is not None,
+            run_dir=args.run_dir,
+            durability=getattr(args, "durability", None),
+        )
+    except (LedgerRefused, LockHeldError) as error:
+        return _refused(error)
     if obs_out is not None and results.manifest is not None:
         results.manifest.save(obs_out)
         print(f"wrote run manifest to {obs_out}")
@@ -369,7 +387,12 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
             results.internet, inference, seed=results.config.seed + 1
         )
 
-    temporal = run_series(snapshots, inputs, args.run_dir, resume=bool(args.resume))
+    try:
+        temporal = run_series(
+            snapshots, inputs, args.run_dir, resume=bool(args.resume)
+        )
+    except (LedgerRefused, LockHeldError) as error:
+        return _refused(error)
     if args.json:
         print(json.dumps(temporal.as_dict(), indent=2, sort_keys=True))
         return 0
@@ -394,7 +417,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    print(render_summary(manifest))
+    print(render_summary(manifest, top_spans=args.top))
     if args.jsonl is not None:
         write_jsonl(manifest, args.jsonl)
         print(f"wrote JSONL export to {args.jsonl}")
@@ -633,6 +656,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also export the manifest as JSONL",
+    )
+    report.add_argument(
+        "--top",
+        type=_at_least_one,
+        default=None,
+        metavar="N",
+        help="after the span tree, list the N span names with the largest "
+        "self time (duration minus child spans): calls, seconds and share "
+        "of the span total",
     )
     report.set_defaults(handler=_cmd_obs_report)
 

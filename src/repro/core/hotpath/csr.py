@@ -23,9 +23,11 @@ restrictions and the partial-transit masks need.
 The compiled topology also interns the lookup tables grading needs
 (relationship ranks per directed pair, allowed-first-hop bitmasks,
 partial-transit edge masks) so they are built once per graph rather
-than once per tree or per layer.  :func:`compile_topology` caches one
-``CSRTopology`` per graph, keyed by the graph's mutation counter, so
-every engine over the same graph shares the compilation.
+than once per tree or per layer.  :func:`compile_topology` keeps one
+``CSRTopology`` at a time, for the graph it last compiled (at that
+graph's mutation counter), so every engine and layer grading one graph
+shares the compilation, and a graph graded before it, such as an
+earlier snapshot of a series, keeps none.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class CSRTopology:
     """An :class:`ASGraph` compiled to arrays for the hot-path kernel."""
 
     def __init__(self, graph: ASGraph) -> None:
-        self.graph = graph
         self.ids = np.fromiter(sorted(graph.asns()), dtype=np.int64)
         self.n = int(self.ids.size)
         index: Dict[int, int] = {
@@ -241,17 +242,24 @@ class CSRTopology:
         return mask
 
 
-def compile_topology(graph: ASGraph) -> CSRTopology:
-    """The graph's compiled form, cached until the graph mutates.
+#: The one compiled topology kept: ``(graph, its mutation counter,
+#: compilation)``.  Holding the graph keeps its id from being recycled.
+_compiled: Optional[Tuple[ASGraph, int, CSRTopology]] = None
 
-    The cache lives on the graph instance (keyed by its mutation
-    counter, like ``routing_adjacency``), so every engine and every
-    layer over the same graph — the common case: the simple and complex
-    engines share the inferred topology — compiles it exactly once.
+
+def compile_topology(graph: ASGraph) -> CSRTopology:
+    """The graph's compiled form, kept until another graph is compiled
+    or the graph mutates.
+
+    One slot, not one compilation per graph: the engines and layers
+    over one graph (the simple and complex engines share the inferred
+    topology) compile it once, and a series graded one snapshot at a
+    time keeps only the current snapshot's compilation alive.
     """
-    cached = graph.__dict__.get("_hotpath_csr")
-    if cached is not None and cached[0] == graph._version:
-        return cached[1]
+    global _compiled
+    kept = _compiled
+    if kept is not None and kept[0] is graph and kept[1] == graph._version:
+        return kept[2]
     csr = CSRTopology(graph)
-    graph.__dict__["_hotpath_csr"] = (graph._version, csr)
+    _compiled = (graph, graph._version, csr)
     return csr

@@ -19,8 +19,9 @@ comparisons over int codes:
 :class:`DecisionArena` interns a decision batch once into flat numpy
 columns; :class:`ArenaGrouping` lexsorts them by (tree, grade key) so
 duplicate decisions collapse to unique rows grouped by routing tree,
-and caches the per-topology lookups (dense ids, relationship ranks, sibling flags,
-hybrid overrides) that refinement layers sharing the batch reuse.
+and caches the lookups that refinement layers sharing the batch reuse:
+dense ids and relationship ranks for the one compiled topology it last
+graded against, sibling flags and hybrid overrides.
 Labels come back as codes ``(not best) + 2 * (not short)``, tallied
 with one bincount or fanned back out to per-decision labels with one
 repeat + scatter.
@@ -127,7 +128,13 @@ class DecisionArena:
 
 
 class ArenaGrouping:
-    """Arena rows lexsorted into (routing tree, unique grade key) runs."""
+    """Arena rows lexsorted into (routing tree, unique grade key) runs.
+
+    It keeps the per-topology rows (dense ids, base relationship ranks)
+    for one compiled topology only, the one it last graded against: the
+    arena outlives the engines of a snapshot series, which grades the
+    same decisions against one snapshot after another.
+    """
 
     def __init__(
         self,
@@ -213,9 +220,15 @@ class ArenaGrouping:
                 for dest_value, allow_value in zip(dest[tree_rows], allow[tree_rows])
             ]
 
-        # Identity-keyed caches of per-topology / per-refinement lookups,
-        # holding strong references so a cached id cannot be recycled.
-        self._id_cache: Dict[int, Tuple[CSRTopology, np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: The per-topology rows of the last compiled topology graded:
+        #: ``(topology, asn rows, next-hop ids, base ranks)``.  One
+        #: slot, like the arena memo, so a series graded snapshot by
+        #: snapshot keeps no earlier snapshot's compilation alive.
+        self._topology: Optional[
+            Tuple[CSRTopology, np.ndarray, np.ndarray, np.ndarray]
+        ] = None
+        # Identity-keyed caches of per-refinement lookups, holding
+        # strong references so a cached id cannot be recycled.
         self._sibling_cache: Dict[int, Tuple[SiblingGroups, np.ndarray]] = {}
         self._hybrid_cache: Dict[
             int, Tuple[ComplexRelationships, np.ndarray, np.ndarray]
@@ -237,14 +250,14 @@ class ArenaGrouping:
         sentinel row n of the grading vectors; ``base rank`` is the
         plain-topology relationship rank of the next hop to the AS.
         """
-        hit = self._id_cache.get(id(csr))
-        if hit is not None and hit[0] is csr:
-            return hit[1], hit[2], hit[3]
+        kept = self._topology
+        if kept is not None and kept[0] is csr:
+            return kept[1], kept[2], kept[3]
         asn_ids = csr.ids_of(self.u_asn)
         nh_ids = csr.ids_of(self.u_next_hop)
         asn_rows = np.where(asn_ids >= 0, asn_ids, csr.n)
         base_ranks = csr.rel_ranks(asn_ids, nh_ids)
-        self._id_cache[id(csr)] = (csr, asn_rows, nh_ids, base_ranks)
+        self._topology = (csr, asn_rows, nh_ids, base_ranks)
         return asn_rows, nh_ids, base_ranks
 
     def _sibling_flags(self, siblings: SiblingGroups) -> np.ndarray:

@@ -28,7 +28,8 @@ survive all of that:
   (see :mod:`repro.faults.storage`),
 * :class:`RunLedger` — one run directory unifying the passive and
   active checkpoints behind ``repro study --run-dir`` (see
-  :mod:`repro.faults.ledger`),
+  :mod:`repro.faults.ledger`); it refuses a directory that holds
+  another run with :class:`LedgerRefused`,
 * :class:`RobustnessReport` / :class:`ActiveRobustnessReport` — full
   where-did-every-measurement-go accounting for the passive campaign
   and the active experiments, and
@@ -63,7 +64,7 @@ from repro.faults.journal import (
     JournaledUnits,
     pair_key,
 )
-from repro.faults.ledger import RunLedger
+from repro.faults.ledger import LedgerRefused, RunLedger
 from repro.faults.plan import FaultPlan, FaultSite, derive_seed
 from repro.faults.report import ActiveRobustnessReport, RobustnessReport
 from repro.faults.retry import RetryPolicy, RetryStats
@@ -95,6 +96,7 @@ __all__ = [
     "FaultSite",
     "JournalCorrupted",
     "JournaledUnits",
+    "LedgerRefused",
     "LockHeldError",
     "LongPathRejected",
     "MalformedResultError",

@@ -61,6 +61,12 @@ STATUS_RUNNING = "running"
 STATUS_COMPLETED = "completed"
 
 
+class LedgerRefused(ValueError):
+    """The ledger refuses a run directory: it already holds a run and
+    the caller did not resume, or it belongs to another run (a recorded
+    fingerprint does not match)."""
+
+
 class RunLedger:
     """Crash-consistent bookkeeping for one study run directory."""
 
@@ -138,7 +144,7 @@ class RunLedger:
             existing = self.read(self.run_dir)
             if existing is not None:
                 if not resume:
-                    raise ValueError(
+                    raise LedgerRefused(
                         f"{self.run_dir} already contains a run ledger "
                         f"(status {existing.get('status')!r}); pass --resume "
                         "to continue it or choose a fresh --run-dir"
@@ -163,7 +169,7 @@ class RunLedger:
         """Record (or verify, on resume) the topology fingerprint."""
         previous = self.fingerprints.get("graph")
         if previous is not None and previous != fingerprint:
-            raise ValueError(
+            raise LedgerRefused(
                 f"{self.run_dir}: graph fingerprint {fingerprint} does not "
                 f"match the ledger's {previous}; refusing to mix runs"
             )
@@ -212,7 +218,7 @@ class RunLedger:
         for name, value in offered.items():
             expected = recorded.get(name)
             if expected is not None and expected != value:
-                raise ValueError(
+                raise LedgerRefused(
                     f"refusing to resume: {name} fingerprint {value} does not "
                     f"match the ledger's {expected} — this run directory "
                     "belongs to a different study configuration"

@@ -5,8 +5,9 @@ Two consumers of one :class:`~repro.obs.manifest.RunManifest`:
 * :func:`to_jsonl` / :func:`from_jsonl` — a line-oriented form for log
   shippers; lossless (``from_jsonl(to_jsonl(m)) == m``).
 * :func:`render_summary` — the human view ``repro obs report`` prints:
-  span tree with durations, collector pauses, metric highlights,
-  fault/event accounting.
+  span tree with durations (and, on request, the span names with the
+  largest self time), collector pauses, metric highlights, fault/event
+  accounting.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def from_jsonl(text: str) -> RunManifest:
 
     Raises ``ValueError`` for text that is not one: a line that is not
     a JSON object, a record of unknown kind, a span or event record
-    without its body, no header record, or a header of a newer schema
-    than this reader supports (as :meth:`RunManifest.from_dict` does).
+    without its body, a metrics record whose metrics are not an object,
+    no header record, or a field of the wrong type or a header of a
+    newer schema than this reader supports (as
+    :meth:`RunManifest.from_dict` does).
     """
     header: Optional[Dict] = None
     spans: List[Dict] = []
@@ -100,6 +103,11 @@ def from_jsonl(text: str) -> RunManifest:
             (spans if kind == _KIND_SPAN else events).append(body)
         elif kind == _KIND_METRICS:
             metrics = record.get("metrics", {})
+            if not isinstance(metrics, dict):
+                raise ValueError(
+                    f"JSONL manifest metrics record holds a "
+                    f"{type(metrics).__name__}, not an object (line {line_no})"
+                )
         else:
             raise ValueError(
                 f"unknown JSONL manifest record kind {kind!r} (line {line_no})"
@@ -148,6 +156,30 @@ def _render_span(span: Dict, total: float, depth: int, lines: List[str]) -> None
         _render_span(child, total, depth + 1, lines)
 
 
+def _top_self_time(spans: List[Dict], total: float, count: int) -> List[str]:
+    """The ``count`` span names with the largest self time (a span's
+    duration minus its children's, never negative), summed over every
+    span of the name: calls, self seconds and share of the span total."""
+    by_name: Dict[str, List[float]] = {}
+    stack = list(spans)
+    while stack:
+        span = stack.pop()
+        children = span.get("children", [])
+        own = float(span.get("duration_s", 0.0)) - sum(
+            float(child.get("duration_s", 0.0)) for child in children
+        )
+        tally = by_name.setdefault(str(span.get("name", "?")), [0, 0.0])
+        tally[0] += 1
+        tally[1] += max(0.0, own)
+        stack.extend(children)
+    ranked = sorted(by_name.items(), key=lambda item: (-item[1][1], item[0]))
+    lines = [f"top {min(count, len(ranked))} spans by self time:"]
+    for name, (calls, seconds) in ranked[:count]:
+        share = f"{seconds / total * 100:5.1f}%" if total > 0 else "  -  "
+        lines.append(f"  {name:<34} {calls:>7}x {seconds:9.3f}s  {share}")
+    return lines
+
+
 def _gc_pauses_line(counters: Dict, total: float) -> Optional[str]:
     """Collector passes and pause seconds by generation, and their share
     of the span total (``None``: the manifest counted no collector)."""
@@ -168,11 +200,15 @@ def _gc_pauses_line(counters: Dict, total: float) -> Optional[str]:
     )
 
 
-def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
+def render_summary(
+    manifest: RunManifest, top_metrics: int = 12, top_spans: Optional[int] = None
+) -> str:
     """A terminal report of one manifest (what ``repro obs report`` prints).
 
     Every metric is named; at most ``top_metrics`` series of each are
     listed, so one metric with many label sets cannot crowd out the rest.
+    With ``top_spans``, the span tree is followed by the ``top_spans``
+    span names with the largest self time.
     """
     lines: List[str] = []
     lines.append(f"== run manifest ({manifest.kind}) ==")
@@ -193,6 +229,9 @@ def render_summary(manifest: RunManifest, top_metrics: int = 12) -> str:
         lines.append(f"spans ({total:.3f}s total):")
         for span in manifest.spans:
             _render_span(span, total, 0, lines)
+        if top_spans:
+            lines.append("")
+            lines.extend(_top_self_time(manifest.spans, total, top_spans))
 
     counters = manifest.metrics.get("counters", {})
     gc_line = _gc_pauses_line(counters, total)

@@ -76,6 +76,62 @@ def _primitive(value):
     return f"<{type(value).__name__}>"
 
 
+#: How a refused field's expected type is named.
+_TYPE_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    type(None): "null",
+}
+
+
+def _checked(value, types: tuple, field: str):
+    """``value`` if it is one of ``types``; else a ``ValueError`` that
+    names the manifest field."""
+    if not isinstance(value, types):
+        expected = " or ".join(_TYPE_NAMES[kind] for kind in types)
+        raise ValueError(
+            f"manifest field {field} must be {expected}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _checked_spans(spans, field: str) -> List[Dict]:
+    """A span list whose every span (children included) has the shape
+    the report reads."""
+    for index, span in enumerate(_checked(spans, (list,), field)):
+        where = f"{field}[{index}]"
+        _checked(span, (dict,), where)
+        _checked(span.get("name", ""), (str,), f"{where}.name")
+        _checked(span.get("duration_s", 0.0), (int, float), f"{where}.duration_s")
+        _checked(span.get("attrs") or {}, (dict,), f"{where}.attrs")
+        _checked_spans(span.get("children", []), f"{where}.children")
+    return spans
+
+
+def _checked_metrics(metrics) -> Dict:
+    """A metric snapshot (:meth:`MetricsRegistry.snapshot`) whose every
+    series has the shape the report reads."""
+    _checked(metrics, (dict,), "metrics")
+    for section in ("counters", "gauges", "histograms"):
+        where = f"metrics.{section}"
+        for name, data in _checked(metrics.get(section, {}), (dict,), where).items():
+            metric = f"{where}.{name}"
+            series = _checked(data, (dict,), metric).get("series", {})
+            for key, value in _checked(series, (dict,), f"{metric}.series").items():
+                row = f"{metric}.series[{key!r}]"
+                if section != "histograms":
+                    _checked(value, (int, float), row)
+                    continue
+                _checked(value, (dict,), row)
+                for part in ("count", "sum"):
+                    _checked(value.get(part, 0.0), (int, float), f"{row}.{part}")
+    return metrics
+
+
 def config_digest(config: object) -> str:
     """A stable 16-hex-digit digest identifying a run configuration."""
     canonical = json.dumps(_primitive(config), sort_keys=True)
@@ -151,32 +207,47 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunManifest":
+        """The manifest a JSON object describes.
+
+        Raises ``ValueError`` for an object that is not one: a field of
+        the wrong type (named in the message), or a schema newer than
+        this reader supports.
+        """
         if not isinstance(data, dict):
             raise ValueError(
                 f"manifest must be an object, got {type(data).__name__}"
             )
-        schema = int(data.get("schema", MANIFEST_SCHEMA))
+
+        def field(name: str, types: tuple, default):
+            return _checked(data.get(name, default), types, name)
+
+        schema = field("schema", (int,), MANIFEST_SCHEMA)
         if schema > MANIFEST_SCHEMA:
             raise ValueError(
                 f"manifest schema {schema} is newer than supported "
                 f"({MANIFEST_SCHEMA})"
             )
+        event_counts = field("event_counts", (dict,), {})
+        for key, value in event_counts.items():
+            _checked(value, (int,), f"event_counts[{key!r}]")
+        events = field("events", (list,), [])
+        for index, event in enumerate(events):
+            _checked(event, (dict,), f"events[{index}]")
         return cls(
-            kind=str(data.get("kind", "study")),
+            kind=field("kind", (str,), "study"),
             schema=schema,
-            config_digest=str(data.get("config_digest", "")),
-            topology_seed=data.get("topology_seed"),
-            fault_plan_seed=data.get("fault_plan_seed"),
-            fault_plan_fingerprint=data.get("fault_plan_fingerprint"),
-            spans=list(data.get("spans", [])),
-            metrics=dict(data.get("metrics", {})),
-            events=list(data.get("events", [])),
-            event_counts={
-                str(key): int(value)
-                for key, value in data.get("event_counts", {}).items()
-            },
-            events_dropped=int(data.get("events_dropped", 0)),
-            meta=dict(data.get("meta", {})),
+            config_digest=field("config_digest", (str,), ""),
+            topology_seed=field("topology_seed", (int, type(None)), None),
+            fault_plan_seed=field("fault_plan_seed", (int, type(None)), None),
+            fault_plan_fingerprint=field(
+                "fault_plan_fingerprint", (str, type(None)), None
+            ),
+            spans=list(_checked_spans(data.get("spans", []), "spans")),
+            metrics=dict(_checked_metrics(data.get("metrics", {}))),
+            events=list(events),
+            event_counts=dict(event_counts),
+            events_dropped=field("events_dropped", (int,), 0),
+            meta=dict(field("meta", (dict,), {})),
         )
 
     def to_json(self) -> str:

@@ -1,13 +1,14 @@
 """One object per routing record.
 
 A speaker's record for a prefix is its Adj-RIB-In (a ``dict`` of
-neighbor ASN -> route) whose slots hold the rest, and what each
-neighbor was last told is a list kept by session position, present
-only while the record tells some neighbor something.  On a fresh
-simulator converged over the small study's world, this module holds
-the layout to that, copies to owning their tables, and the speaker to
-calling the policy's import rule only where the rule can move a
-route's local preference.
+neighbor ASN -> route) whose slots hold the rest.  No per-neighbor
+export table is kept: one slot, ``told``, holds the route the
+neighbors last heard (or the origination's exported path and prefix
+inputs), ``None`` while the record tells no neighbor, and each
+neighbor's export is derived from it.  On a fresh simulator converged
+over the small study's world, this module holds the layout to that,
+copies to owning their routes, and the speaker to calling the policy's
+import rule only where the rule can move a route's local preference.
 """
 
 import copy
@@ -15,8 +16,13 @@ import copy
 import pytest
 
 from repro.bgp import BGPSimulator, Policy
-from repro.bgp.speaker import _PrefixState
-from repro.check.oracles import oracle_stable_faults
+from repro.bgp.attributes import ASPathAttribute
+from repro.bgp.communities import entry_class_community, read_entry_class
+from repro.bgp.messages import Announcement, Withdrawal
+from repro.bgp.speaker import BGPSpeaker, _PrefixState
+from repro.check.oracles import oracle_export, oracle_stable_faults
+from repro.net.ip import Prefix
+from repro.topology import ASGraph, Relationship
 
 
 @pytest.fixture(scope="module")
@@ -68,23 +74,30 @@ class TestLayout:
         assert held > 0
 
     def test_an_export_table_only_while_telling_a_neighbor(self, world):
+        """``told`` is ``None`` exactly while the record tells no
+        neighbor; otherwise it is the Loc-RIB route the neighbors heard,
+        or the origination's exported path and prefix inputs."""
         simulator, prefixes, _ = world
-        silent = telling = 0
+        assert "told" in _PrefixState.__slots__
+        assert "advertised" not in _PrefixState.__slots__
+        silent = learned = originated = 0
         for speaker, prefix, record in _records(simulator, prefixes):
             told = speaker.advertised(prefix)
-            if record.advertised is None:
+            if record.told is None:
                 assert told == {}
                 silent += 1
                 continue
-            assert len(record.advertised) == len(speaker.neighbors)
-            assert told == {
-                neighbor: export
-                for neighbor, export in zip(sorted(speaker.neighbors), record.advertised)
-                if export is not None
-            }
             assert told
-            telling += 1
-        assert silent > 0 and telling > 0
+            if record.local is None:
+                assert record.told == record.best
+                learned += 1
+            else:
+                assert record.told == (
+                    record.local.exported_path(),
+                    speaker.policy.prefix_inputs(prefix),
+                )
+                originated += 1
+        assert silent > 0 and learned > 0 and originated > 0
 
     def test_no_export_table_after_forget(self, study):
         """The sole origin's withdrawal forgets the prefix everywhere:
@@ -108,17 +121,17 @@ class TestCopies:
             (
                 record
                 for _, _, record in _records(simulator, prefixes)
-                if record.advertised is not None
+                if record.told is not None
             ),
             key=len,
         )
-        routes, told = dict(record), list(record.advertised)
+        routes, told = dict(record), record.told
         twin = record.copy_for(prefixes[0])
-        assert twin == record and twin.advertised == told
+        assert twin == record and twin.told is told
         assert (twin.best, twin.step) == (record.best, record.step)
         twin.clear()
-        twin.advertised[:] = [None] * len(told)
-        assert dict(record) == routes and record.advertised == told
+        twin.told = None
+        assert dict(record) == routes and record.told is told
 
     def test_a_deep_copy_keeps_every_route_and_slot(self, world):
         simulator, prefixes, _ = world
@@ -159,3 +172,167 @@ class TestImportRule:
             and not speaker.policy.prefix_inputs(prefix).local_pref
         ]
         assert sum(map(len, plain)) > 0
+
+
+PFX = Prefix.parse("198.51.100.0/24")
+
+
+def _anycast_graph():
+    """AS10 is the provider of AS20 and AS30, and AS20 of AS50; AS20
+    and AS40 are siblings; AS30 and AS40 peer."""
+    graph = ASGraph()
+    graph.add_link(10, 20, Relationship.CUSTOMER)
+    graph.add_link(10, 30, Relationship.CUSTOMER)
+    graph.add_link(20, 50, Relationship.CUSTOMER)
+    graph.add_link(20, 40, Relationship.SIBLING)
+    graph.add_link(30, 40, Relationship.PEER)
+    return graph
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every export pass: (speaker, prefix, what each neighbor heard
+    before, what it hears after, the updates the pass returned)."""
+    seen = []
+    real = BGPSpeaker.exports
+
+    def recorded(self, prefix, state=None):
+        before = self.advertised(prefix)
+        updates = real(self, prefix, state)
+        seen.append((self, prefix, before, self.advertised(prefix), updates))
+        return updates
+
+    monkeypatch.setattr(BGPSpeaker, "exports", recorded)
+    return seen
+
+
+def _assert_exports_are_the_oracles(simulator, prefix, passes):
+    """Every speaker's derived exports are the oracle's, neighbor by
+    neighbor, and every pass so far sent exactly the updates a stored
+    per-neighbor table would have: one per changed neighbor, in
+    ascending-ASN order."""
+    assert oracle_stable_faults(simulator, prefix) == []
+    for asn, speaker in simulator.speakers.items():
+        origination = speaker.origination(prefix)
+        poisoned = frozenset() if origination is None else origination.poisoned
+        expected = {}
+        for neighbor in speaker.neighbors:
+            export = oracle_export(
+                speaker.policy,
+                speaker.neighbors,
+                prefix,
+                speaker.best(prefix),
+                neighbor,
+                poisoned,
+            )
+            if export is not None:
+                expected[neighbor] = export
+        assert speaker.advertised(prefix) == expected, f"AS{asn}"
+    assert passes
+    for speaker, prefix, before, after, updates in passes:
+        owed = []
+        for neighbor in sorted(speaker.neighbors):
+            if before.get(neighbor) == after.get(neighbor):
+                continue
+            if neighbor not in after:
+                owed.append((neighbor, Withdrawal(prefix=prefix, sender=speaker.asn)))
+            else:
+                path, communities = after[neighbor]
+                owed.append(
+                    (neighbor, Announcement(prefix, path, speaker.asn, communities))
+                )
+        assert updates == owed, f"AS{speaker.asn}"
+    passes.clear()
+
+
+class TestDerivedExports:
+    def test_origin_to_learned_and_back(self, passes):
+        """An anycast origin that withdraws while another origin holds
+        the prefix goes from telling its origination to telling a
+        learned route, and back when it re-originates."""
+        simulator = BGPSimulator(_anycast_graph())
+        speaker = simulator.speakers[20]
+        simulator.originate(30, PFX)
+        simulator.originate(20, PFX)
+        assert type(speaker.record(PFX).told) is tuple
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        simulator.withdraw(20, PFX)
+        told = speaker.record(PFX).told
+        assert told is speaker.best(PFX) and told.learned_from == 40
+        assert set(speaker.advertised(PFX)) == {50}
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        simulator.originate(20, PFX)
+        assert type(speaker.record(PFX).told) is tuple
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+
+    def test_a_sibling_session_hears_a_tagged_export(self, passes):
+        """AS40 tells its sibling AS20 AS30's peer route tagged with its
+        entry class, and its other neighbors nothing."""
+        simulator = BGPSimulator(_anycast_graph())
+        simulator.originate(30, PFX)
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        heard = simulator.speakers[40].advertised(PFX)
+        assert set(heard) == {20}
+        assert read_entry_class(heard[20][1]) is Relationship.PEER
+
+    def test_an_origin_whose_export_policy_changes(self, passes):
+        """The origin's selective export and prepends change between
+        convergences: what its neighbors heard is derived from the
+        inputs it exported under, not the ones loaded now."""
+        policy = Policy(
+            asn=20,
+            selective_export={PFX: frozenset({10})},
+            export_prepend={(PFX, 10): 2},
+        )
+        simulator = BGPSimulator(_anycast_graph(), policies={20: policy})
+        simulator.originate(20, PFX)
+        assert set(simulator.speakers[20].advertised(PFX)) == {10}
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        policy.selective_export[PFX] = frozenset({10, 40})
+        policy.export_prepend = {(PFX, 40): 1}
+        simulator.originate(20, PFX)
+        heard = simulator.speakers[20].advertised(PFX)
+        assert set(heard) == {10, 40} and heard[10][0].segments == (20,)
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        policy.selective_export[PFX] = frozenset()
+        simulator.originate(20, PFX)
+        assert simulator.speakers[20].record(PFX).told is None
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+
+    def test_an_unchanged_export_is_not_announced_again(self, passes):
+        """A neighbor replaces its route with one that differs only in
+        an org-internal tag, which the speaker strips: its other
+        neighbors heard that export already and hear nothing new."""
+        speaker = BGPSpeaker(
+            1,
+            Policy(asn=1),
+            {2: Relationship.CUSTOMER, 3: Relationship.CUSTOMER, 4: Relationship.PEER},
+        )
+        path = ASPathAttribute((2, 9))
+        tagged = frozenset({entry_class_community(2, Relationship.CUSTOMER)})
+        for clock, communities in enumerate((tagged, frozenset()), start=1):
+            record = speaker.receive(Announcement(PFX, path, 2, communities), clock)
+            assert record is not None
+            speaker.exports(PFX, record)
+        (_, _, _, first, sent), (_, _, before, after, resent) = passes
+        assert set(first) == {3, 4} and len(sent) == 2
+        assert before == after == first and resent == []
+        passes.clear()
+
+    def test_partial_transit_is_read_when_the_speaker_is_built(self, passes):
+        """What a record told is derived from the partial-transit
+        customers as the speaker read them when it was built: a later
+        edit of the policy moves neither the derivation nor the next
+        export pass."""
+        graph = ASGraph()
+        graph.add_link(1, 2, Relationship.CUSTOMER)
+        graph.add_link(2, 3, Relationship.CUSTOMER)
+        policy = Policy(asn=2, partial_transit_to={3})
+        simulator = BGPSimulator(graph, policies={2: policy})
+        simulator.originate(1, PFX)
+        _assert_exports_are_the_oracles(simulator, PFX, passes)
+        speaker = simulator.speakers[2]
+        assert speaker.advertised(PFX) == {}
+        policy.partial_transit_to.clear()
+        assert speaker.advertised(PFX) == {}
+        assert speaker.exports(PFX) == []

@@ -298,10 +298,11 @@ class TestMutationsAreCaught:
 
     @pytest.mark.parametrize("table", ["_advertised", "_decision_steps"])
     def test_incomplete_reset_flagged(self, monkeypatch, table):
-        """A copy of the empty state that keeps a record's advertised
-        exports or its decision step is caught."""
+        """A copy of the empty state that keeps what a record told its
+        neighbors (``told``, from which its exports are derived) or its
+        decision step is caught."""
         real = BGPSpeaker.adopt
-        field = {"_advertised": "advertised", "_decision_steps": "step"}[table]
+        field = {"_advertised": "told", "_decision_steps": "step"}[table]
 
         def adopt_but_keep(self, prefix, record):
             held = self.record(prefix)

@@ -278,8 +278,10 @@ class TestOracleStableFaults:
         simulator = BGPSimulator(_chain_graph())
         simulator.originate(3, PFX)
         speaker = simulator.speakers[2]
-        # Exports are kept by session position, in ascending-ASN order.
-        speaker.record(PFX).advertised[sorted(speaker.neighbors).index(1)] = None
+        # AS2's provider route reaches only its customer AS1, so a
+        # record that told nothing forgets exactly that export.
+        assert set(speaker.advertised(PFX)) == {1}
+        speaker.record(PFX).told = None
         faults = oracle_stable_faults(simulator, PFX)
         told = [line for line in faults if line.startswith("AS2 told AS1 None")]
         held = [line for line in faults if line.startswith("AS1 holds")]

@@ -1,9 +1,14 @@
 """Tests for the command-line front end."""
 
+import json
+import os
+
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.core.pipeline import build_study_config, study_fingerprint
+from repro.faults import RunLedger
 
 
 class TestParser:
@@ -106,3 +111,54 @@ class TestFaultPlanInput:
         (line,) = err.splitlines()
         assert line.startswith(f"error: cannot load fault plan {path}: ")
         assert reason in line
+
+
+class TestRunDirRefusals:
+    """A run directory the ledger or its lock refuses exits 2 with one
+    error line, before the study runs; a study's own errors still
+    surface."""
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        """A run directory holding a finished small seed-0 study's ledger."""
+        path = str(tmp_path / "run")
+        config = build_study_config(seed=0, scale="small")
+        RunLedger(path).open({"config": study_fingerprint(config)}).finalize()
+        return path
+
+    def _refused(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and reason in line, line
+
+    def test_a_second_run_needs_resume(self, run_dir, capsys):
+        self._refused(
+            capsys,
+            ["study", "--small", "--run-dir", run_dir],
+            "already contains a run ledger",
+        )
+
+    def test_resume_refuses_another_configuration(self, run_dir, capsys):
+        self._refused(
+            capsys,
+            ["study", "--small", "--seed", "3", "--run-dir", run_dir, "--resume"],
+            "refusing to resume: config fingerprint",
+        )
+
+    def test_a_directory_another_live_process_locked(self, run_dir, capsys):
+        with open(os.path.join(run_dir, ".lock"), "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"pid": 1}))  # init: alive, not us
+        self._refused(
+            capsys,
+            ["study", "--small", "--run-dir", run_dir, "--resume"],
+            "run directory locked by live pid 1",
+        )
+
+    def test_a_study_error_is_not_a_refusal(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("not a ledger refusal")
+
+        monkeypatch.setattr(cli, "_run_study", fail)
+        with pytest.raises(ValueError, match="not a ledger refusal"):
+            main(["study", "--small"])

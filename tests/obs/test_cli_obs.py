@@ -9,6 +9,7 @@ from repro.obs import (
     RunManifest,
     Tracer,
     build_manifest,
+    render_summary,
     write_jsonl,
 )
 
@@ -86,9 +87,100 @@ class TestObsReport:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: cannot load manifest {path}: ")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"event_counts": [1]}',
+            '{"spans": 5}',
+            '{"spans": [5]}',
+            '{"meta": [1]}',
+            '{"kind": "header"}\n{"kind": "metrics", "metrics": [1, 2]}\n',
+        ],
+        ids=["event-counts", "spans", "span", "meta", "jsonl-metrics"],
+    )
+    def test_report_refuses_fields_of_the_wrong_type(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(content)
+        assert main(["obs", "report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot load manifest {path}: ")
+
     def test_report_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])
+
+
+class TestReportTop:
+    """``--top N``: the span names with the largest self time, after the
+    span tree."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        manifest = RunManifest(
+            spans=[
+                {
+                    "name": "stage",
+                    "duration_s": 4.0,
+                    "children": [
+                        {"name": "inner", "duration_s": 1.5},
+                        {
+                            "name": "inner",
+                            "duration_s": 0.5,
+                            "children": [{"name": "leaf", "duration_s": 0.25}],
+                        },
+                    ],
+                },
+                {"name": "collect", "duration_s": 1.0},
+            ]
+        )
+        return manifest.save(str(tmp_path / "run.json"))
+
+    def _section(self, output):
+        lines = output.splitlines()
+        start = next(i for i, line in enumerate(lines) if "by self time" in line)
+        end = lines.index("", start) if "" in lines[start:] else len(lines)
+        return lines[start:end]
+
+    def test_names_ranked_by_self_time(self, path, capsys):
+        """Self time is duration minus the children's, summed per name:
+        stage 4.0 - 2.0, inner 1.5 + (0.5 - 0.25); the span total is 5 s."""
+        assert main(["obs", "report", path, "--top", "2"]) == 0
+        assert self._section(capsys.readouterr().out) == [
+            "top 2 spans by self time:",
+            f"  {'stage':<34}       1x     2.000s   40.0%",
+            f"  {'inner':<34}       2x     1.750s   35.0%",
+        ]
+
+    def test_fewer_names_than_asked(self, path, capsys):
+        assert main(["obs", "report", path, "--top", "10"]) == 0
+        section = self._section(capsys.readouterr().out)
+        assert section[0] == "top 4 spans by self time:"
+        assert [line.split()[0] for line in section[1:]] == [
+            "stage",
+            "inner",
+            "collect",
+            "leaf",
+        ]
+
+    def test_without_top_the_report_is_unchanged(self, path, capsys):
+        assert main(["obs", "report", path]) == 0
+        output = capsys.readouterr().out
+        assert "self time" not in output
+        assert output == render_summary(RunManifest.load(path)) + "\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_not_a_positive_count_exits_two(self, path, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "report", path, "--top", value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert "argument --top:" in line
 
 
 class TestStudyObsFlags:

@@ -68,6 +68,41 @@ class TestManifest:
         with pytest.raises(ValueError, match="newer than supported"):
             RunManifest.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"event_counts": [1]}, "event_counts must be an object, got list"),
+            ({"event_counts": {"fault:x": "1"}}, "event_counts['fault:x']"),
+            ({"spans": 5}, "spans must be a list, got int"),
+            ({"spans": [5]}, "spans[0] must be an object, got int"),
+            (
+                {"spans": [{"children": [{"duration_s": "1"}]}]},
+                "spans[0].children[0].duration_s",
+            ),
+            ({"spans": [{"attrs": [1]}]}, "spans[0].attrs"),
+            ({"meta": [1]}, "meta must be an object, got list"),
+            ({"metrics": [1, 2]}, "metrics must be an object, got list"),
+            (
+                {"metrics": {"counters": {"c": {"series": {"": "2"}}}}},
+                "metrics.counters.c.series['']",
+            ),
+            (
+                {"metrics": {"histograms": {"h": {"series": {"": {"count": []}}}}}},
+                "metrics.histograms.h.series[''].count",
+            ),
+            ({"events": [1]}, "events[0] must be an object"),
+            ({"events_dropped": "3"}, "events_dropped must be an integer"),
+            ({"schema": "1"}, "schema must be an integer"),
+            ({"topology_seed": 1.5}, "topology_seed must be an integer or null"),
+            ({"kind": 3}, "kind must be a string"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_named(self, fields, named):
+        data = dict(_sample_manifest().to_dict(), **fields)
+        with pytest.raises(ValueError, match="manifest field") as excinfo:
+            RunManifest.from_dict(data)
+        assert named in str(excinfo.value)
+
     def test_stage_timings_view(self):
         manifest = _sample_manifest()
         timings = manifest.stage_timings()
@@ -132,6 +167,18 @@ class TestJsonl:
     def test_not_a_manifest_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             from_jsonl(text)
+
+    def test_metrics_record_that_is_not_an_object_rejected(self):
+        lines = to_jsonl(_sample_manifest()).splitlines()
+        metrics = next(
+            index
+            for index, line in enumerate(lines)
+            if json.loads(line)["kind"] == "metrics"
+        )
+        lines[metrics] = json.dumps({"kind": "metrics", "metrics": [1, 2]})
+        message = f"metrics record holds a list, not an object \\(line {metrics + 1}\\)"
+        with pytest.raises(ValueError, match=message):
+            from_jsonl("\n".join(lines))
 
     def test_newer_header_schema_rejected(self):
         lines = to_jsonl(_sample_manifest()).splitlines()

@@ -85,6 +85,51 @@ class TestTemporalCommand:
         assert "--resume requires --run-dir" in capsys.readouterr().err
 
 
+class TestRunDirRefusals:
+    """A run directory the ledger or its lock refuses exits 2 with one
+    error line instead of a traceback."""
+
+    @pytest.fixture
+    def run_dir(self, patched_study, tmp_path, capsys):
+        """A run directory holding a finished 2-snapshot series."""
+        path = str(tmp_path / "run")
+        argv = ["temporal", "--small", "--snapshots", "2", "--run-dir", path]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        return path
+
+    def _refused(self, capsys, argv, reason):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and reason in line, line
+
+    def test_a_second_run_needs_resume(self, run_dir, capsys):
+        self._refused(
+            capsys,
+            ["temporal", "--small", "--snapshots", "2", "--run-dir", run_dir],
+            "already contains a run ledger",
+        )
+
+    def test_resume_refuses_another_series(self, run_dir, capsys):
+        self._refused(
+            capsys,
+            ["temporal", "--small", "--snapshots", "3", "--run-dir", run_dir]
+            + ["--resume"],
+            "refusing to resume: temporal-series fingerprint",
+        )
+
+    def test_a_directory_another_live_process_locked(self, run_dir, capsys):
+        with open(os.path.join(run_dir, ".lock"), "w", encoding="utf-8") as handle:
+            json.dump({"pid": 1}, handle)  # init: alive, not us
+        self._refused(
+            capsys,
+            ["temporal", "--small", "--snapshots", "2", "--run-dir", run_dir]
+            + ["--resume"],
+            "run directory locked by live pid 1",
+        )
+
+
 class TestStudyTemporalFlag:
     def test_flag_rejected(self, patched_study, capsys):
         with pytest.raises(SystemExit):

@@ -9,13 +9,16 @@ epoch; a journal-backed resume must continue into the identical series.
 
 import json
 import os
+import weakref
 
 import pytest
 
 from repro.core.classification import classify_decisions_serial
 from repro.core.gao_rexford import GaoRexfordEngine
+from repro.core.hotpath import csr as csr_module
 from repro.core.pipeline import figure1_layer_configs
 from repro.faults.journal import KIND_EPOCH, CheckpointJournal
+from repro.temporal import study as study_module
 from repro.temporal.study import (
     TemporalInputs,
     _counts_dict,
@@ -96,6 +99,46 @@ class TestSeriesMatchesPerSnapshotReference:
         assert sum(zero.delta.values()) == 0
         assert zero.figure1 == results.epochs[0].figure1
         assert zero.cache_misses == results.epochs[0].cache_misses > 0
+
+
+class TestOneCompiledTopologyAtATime:
+    def test_each_epoch_releases_its_compiled_topology(
+        self, study, series, monkeypatch
+    ):
+        """Grading an epoch releases the epoch before it's compiled
+        topology: no snapshot graph keeps its compilation, and the
+        memoized arena keeps per-topology rows for one topology only.
+        The Figure-1 counts are the per-snapshot reference's."""
+        assert len(series) >= 3
+        compiled = []
+
+        class Recorded(csr_module.CSRTopology):
+            def __init__(self, graph):
+                super().__init__(graph)
+                compiled.append(weakref.ref(self))
+
+        alive = []
+        grade = study_module._grade_snapshot
+
+        def graded(snapshot, inputs):
+            result = grade(snapshot, inputs)
+            alive.append([ref() is not None for ref in compiled])
+            return result
+
+        monkeypatch.setattr(csr_module, "CSRTopology", Recorded)
+        monkeypatch.setattr(study_module, "_grade_snapshot", graded)
+        inputs = TemporalInputs.from_study(study)
+        results = run_incremental(series, inputs)
+        # One compilation per epoch, and after each epoch only its own
+        # is alive, without a cyclic collection.
+        assert alive == [
+            [False] * index + [True] for index in range(len(series))
+        ]
+        for snapshot in series:
+            for value in vars(snapshot).values():
+                held = value if isinstance(value, tuple) else (value,)
+                assert not any(isinstance(item, Recorded) for item in held)
+        assert results.figure1_series() == _serial_restudy(series, inputs)
 
 
 class TestJournalResume:
